@@ -29,11 +29,9 @@ from .multirepair import (
     OverlapError,
     centralized_bandwidth,
     centralized_repair,
-    decode_failed_nodes,
     joint_bandwidth,
-    joint_helper_payload,
 )
-from .repair import decode_failed_node, helper_payload
+from .repair import decode_failed_nodes, helper_payload
 
 
 class NotEnoughHelpers(ValueError):
@@ -49,6 +47,13 @@ class ShardFormatError(ValueError):
 
 
 REPAIR_MODES = ("single", "naive", "joint", "centralized")
+
+
+def _joint_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int):
+    """One stripe's joint repair; same contract as ``centralized_repair``."""
+    payloads = [helper_payload(contents[h], h, failed, encoder, m) for h in helpers]
+    sent = {payload.helper: len(payload.symbols) for payload in payloads}
+    return decode_failed_nodes(payloads, helpers, encoder, failed), sent
 
 
 def ingest_file(data: bytes, config: CodeConfig) -> tuple[list[MessageMatrix], int]:
@@ -208,83 +213,36 @@ class Cluster:
         if mode == "single" and len(failed) != 1:
             raise ValueError("single mode repairs exactly one node")
         helper_ids = self._pick_helpers(set(failed), helpers)
-        handler = getattr(self, f"_repair_{mode}")
-        counts = handler(failed, helper_ids)
         event = RepairEvent(
             mode=mode,
             failed=failed,
             helpers=helper_ids,
             stripes=self.stripe_count,
-            symbols_by_helper=counts,
+            symbols_by_helper=self._repair_stripes(mode, failed, helper_ids),
         )
         self.ledger.record(event)
         return event
 
-    def _repair_single(self, failed, helper_ids) -> dict[int, int]:
-        (f,) = failed
-        counts = dict.fromkeys(helper_ids, 0)
-        rebuilt = []
-        for s in range(self.stripe_count):
-            payloads = []
-            for h in helper_ids:
-                payload = helper_payload(
-                    self.contents[h][s], h, f, self.encoder, self.config.m
-                )
-                counts[h] += len(payload.symbols)
-                payloads.append(payload)
-            rebuilt.append(decode_failed_node(payloads, helper_ids, self.encoder, f))
-        self.contents[f] = rebuilt
-        return counts
+    def _repair_stripes(self, mode: str, failed, helper_ids) -> dict[int, int]:
+        """One stripe loop for every mode; returns symbols sent per helper.
 
-    def _repair_naive(self, failed, helper_ids) -> dict[int, int]:
+        naive repairs each failure as its own one-element group; single and
+        joint repair the whole failure tuple as one group, and centralized
+        sequences it through the repair center.
+        """
+        step = centralized_repair if mode == "centralized" else _joint_repair
+        groups = [(f,) for f in failed] if mode == "naive" else [failed]
         counts = dict.fromkeys(helper_ids, 0)
         rebuilt = {f: [] for f in failed}
         for s in range(self.stripe_count):
-            for f in failed:
-                payloads = []
-                for h in helper_ids:
-                    payload = helper_payload(
-                        self.contents[h][s], h, f, self.encoder, self.config.m
-                    )
-                    counts[h] += len(payload.symbols)
-                    payloads.append(payload)
-                rebuilt[f].append(decode_failed_node(payloads, helper_ids, self.encoder, f))
-        for f in failed:
-            self.contents[f] = rebuilt[f]
-        return counts
-
-    def _repair_joint(self, failed, helper_ids) -> dict[int, int]:
-        counts = dict.fromkeys(helper_ids, 0)
-        rebuilt = {f: [] for f in failed}
-        for s in range(self.stripe_count):
-            payloads = []
-            for h in helper_ids:
-                payload = joint_helper_payload(
-                    self.contents[h][s], h, failed, self.encoder, self.config.m
-                )
-                counts[h] += len(payload.symbols)
-                payloads.append(payload)
-            decoded = decode_failed_nodes(payloads, helper_ids, self.encoder, failed)
-            for f in failed:
-                rebuilt[f].append(decoded[f])
-        for f in failed:
-            self.contents[f] = rebuilt[f]
-        return counts
-
-    def _repair_centralized(self, failed, helper_ids) -> dict[int, int]:
-        counts = dict.fromkeys(helper_ids, 0)
-        rebuilt = {f: [] for f in failed}
-        for s in range(self.stripe_count):
-            stripe_contents = {h: self.contents[h][s] for h in helper_ids}
-            repaired, sent = centralized_repair(
-                failed, helper_ids, stripe_contents, self.encoder, self.config.m
-            )
-            for h, v in sent.items():
-                counts[h] += v
-            for f in failed:
-                rebuilt[f].append(repaired[f])
-        for f in failed:
-            self.contents[f] = rebuilt[f]
+            stripe = {h: self.contents[h][s] for h in helper_ids}
+            for group in groups:
+                repaired, sent = step(group, helper_ids, stripe, self.encoder, self.config.m)
+                for h, v in sent.items():
+                    counts[h] += v
+                for f in group:
+                    rebuilt[f].append(repaired[f])
+        self.contents.update(rebuilt)
         return counts
 
     def recover_stripes(self, node_ids=None) -> list[MessageMatrix]:

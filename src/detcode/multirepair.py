@@ -5,7 +5,8 @@ Two mechanisms beat repairing each failure independently:
 * joint transmission — the per-failure repair vectors a helper would send
   overlap linearly, so their concatenation compresses to at most
   beta_e = C(d, m) - C(d-e, m) symbols per helper. A certificate matrix in
-  the left null space of the concatenation witnesses the rank bound.
+  the left null space of the concatenation witnesses the rank bound. The
+  payloads themselves are built and decoded in :mod:`detcode.repair`.
 
 * centralized sequencing — a repair center restores the failed nodes one at
   a time and reuses freshly repaired nodes as helpers for the rest; symbol
@@ -16,14 +17,12 @@ Two mechanisms beat repairing each failure independently:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .code import EncoderMatrix
-from .field import Matrix, element_width, vec_mat
-from .repair import RepairPayload, combine_repair_space, repair_basis, repair_matrix
+from .field import Matrix, vec_mat
+from .repair import decode_repair_vectors, decompress_payload, helper_payload, repair_basis
 from .subsets import binom, position, subsets
 
 
@@ -51,18 +50,7 @@ def centralized_bandwidth(d: int, m: int, e: int) -> Fraction:
 
 def multi_repair_matrix(failed, m: int, encoder: EncoderMatrix) -> Matrix:
     """Horizontal concatenation of the per-failure repair matrices, in order."""
-    failed = list(failed)
-    if len(set(failed)) != len(failed):
-        raise ValueError(f"failed ids must be distinct, got {failed}")
-    return Matrix.hstack([repair_matrix(f, m, encoder) for f in failed])
-
-
-@lru_cache(maxsize=512)
-def joint_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int):
-    """(matrix, pivots, expansion) for a failure tuple; cached per encoder."""
-    xi = multi_repair_matrix(failed, m, encoder)
-    pivots, expansion = xi.pivot_columns()
-    return xi, tuple(pivots), expansion
+    return repair_basis(encoder, tuple(failed), m)[0].copy()
 
 
 @dataclass(frozen=True)
@@ -134,133 +122,10 @@ def null_space_matrix(failed, m: int, encoder: EncoderMatrix) -> NullSpaceMatrix
     )
 
 
-_JOINT_HEADER_TAIL = struct.Struct("<BH")  # mode, symbol count
-
-
-@dataclass(frozen=True)
-class JointPayload:
-    """Compressed repair data one helper sends for a set of failed nodes.
-
-    Pivot indices address the concatenated column space (segment index times
-    C(d, m-1) plus the within-segment column).
-    """
-
-    failed: tuple[int, ...]
-    helper: int
-    m: int
-    pivot_indices: tuple[int, ...]
-    symbols: tuple[int, ...]
-
-    def to_bytes(self, p: int) -> bytes:
-        width = element_width(p)
-        e = len(self.failed)
-        parts = [struct.pack("<B", e)]
-        parts.extend(struct.pack("<H", f) for f in self.failed)
-        parts.append(_JOINT_HEADER_TAIL.pack(self.m, len(self.symbols)))
-        parts.extend(struct.pack("<H", i) for i in self.pivot_indices)
-        parts.extend(v.to_bytes(width, "little") for v in self.symbols)
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes, p: int, helper: int = 0) -> "JointPayload":
-        width = element_width(p)
-        (e,) = struct.unpack_from("<B", blob, 0)
-        offset = 1
-        failed = struct.unpack_from(f"<{e}H", blob, offset)
-        offset += 2 * e
-        m, count = _JOINT_HEADER_TAIL.unpack_from(blob, offset)
-        offset += _JOINT_HEADER_TAIL.size
-        pivots = struct.unpack_from(f"<{count}H", blob, offset)
-        offset += 2 * count
-        symbols = tuple(
-            int.from_bytes(blob[offset + i * width : offset + (i + 1) * width], "little")
-            for i in range(count)
-        )
-        if len(blob) != offset + count * width:
-            raise ValueError("payload length does not match symbol count")
-        if any(v >= p for v in symbols):
-            raise ValueError("symbol out of field range")
-        return cls(failed, helper, m, pivots, symbols)
-
-
-def joint_helper_payload(h_content, helper: int, failed, encoder: EncoderMatrix, m: int) -> JointPayload:
-    """Content times the concatenated repair matrix, kept at pivot columns only."""
-    failed = tuple(failed)
-    xi, pivots, _ = joint_basis(encoder, failed, m)
-    full = vec_mat(list(h_content), xi)
-    return JointPayload(
-        failed=failed,
-        helper=helper,
-        m=m,
-        pivot_indices=pivots,
-        symbols=tuple(full[j] for j in pivots),
-    )
-
-
-def decompress_joint(payload: JointPayload, encoder: EncoderMatrix) -> list[int]:
-    """Full concatenated repair vector, non-pivot entries rebuilt exactly."""
-    _, pivots, expansion = joint_basis(encoder, payload.failed, payload.m)
-    if tuple(payload.pivot_indices) != pivots:
-        raise ValueError("payload pivot set disagrees with the repair matrix")
-    p = encoder.field.p
-    cols = len(payload.failed) * len(subsets(encoder.d, payload.m - 1))
-    full = [0] * cols
-    for j, v in zip(pivots, payload.symbols):
-        full[j] = v
-    for j, coeffs in expansion.items():
-        full[j] = sum(c * full[k] for c, k in zip(coeffs, pivots)) % p
-    return full
-
-
 def split_segments(vector: list[int], e: int, d: int, m: int) -> list[list[int]]:
     """Per-failure slices of a concatenated repair vector, in failure order."""
     seg = len(subsets(d, m - 1))
     return [vector[i * seg : (i + 1) * seg] for i in range(e)]
-
-
-def single_payload_from_joint(payload: JointPayload, f: int, encoder: EncoderMatrix) -> RepairPayload:
-    """The single-failure payload for f implied by a joint payload containing f."""
-    if f not in payload.failed:
-        raise ValueError(f"node {f} is not covered by this payload")
-    idx = payload.failed.index(f)
-    full = decompress_joint(payload, encoder)
-    segment = split_segments(full, len(payload.failed), encoder.d, payload.m)[idx]
-    _, pivots, _ = repair_basis(encoder, f, payload.m)
-    return RepairPayload(
-        failed=f,
-        helper=payload.helper,
-        m=payload.m,
-        pivot_indices=pivots,
-        symbols=tuple(segment[j] for j in pivots),
-    )
-
-
-def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) -> dict[int, list[int]]:
-    """Exact contents of all failed nodes from d joint payloads.
-
-    One inversion of the selected encoder rows serves every failure: the
-    decompressed vectors stack into the helper-encoded repair space, whose
-    per-failure segments decode independently by signed sums.
-    """
-    failed = tuple(failed)
-    helper_ids = list(helper_ids)
-    d = encoder.d
-    if len(helper_ids) != d or len(set(helper_ids)) != d:
-        raise ValueError(f"need exactly {d} distinct helpers, got {helper_ids}")
-    for payload in payloads:
-        if payload.failed != failed:
-            raise ValueError("payload covers a different failure set")
-    field = encoder.field
-    stacked = Matrix.stack_rows(
-        field, [decompress_joint(payload, encoder) for payload in payloads]
-    )
-    space = encoder.rows_submatrix(helper_ids).inverse() @ stacked
-    seg = len(subsets(d, payloads[0].m - 1))
-    out = {}
-    for idx, f in enumerate(failed):
-        segment = space.submatrix(range(d), range(idx * seg, (idx + 1) * seg))
-        out[f] = combine_repair_space(segment, d, payloads[0].m, field)
-    return out
 
 
 @dataclass(frozen=True)
@@ -323,33 +188,27 @@ def centralized_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int
     earlier feed later repairs directly at zero transmission cost.
     """
     plan = CentralRepairPlan(tuple(failed), tuple(helpers), m)
-    d, e = plan.d, plan.e
-    field = encoder.field
+    d = plan.d
 
     segments: dict[int, dict[int, list[int]]] = {}
     sent: dict[int, int] = {}
     for slot in range(1, d + 1):
         h = plan.helpers[slot - 1]
         prefix = plan.served_prefix(slot)
-        payload = joint_helper_payload(contents[h], h, prefix, encoder, m)
+        payload = helper_payload(contents[h], h, prefix, encoder, m)
         sent[h] = len(payload.symbols)
-        full = decompress_joint(payload, encoder)
-        per_failure = split_segments(full, len(prefix), d, m)
-        segments[h] = dict(zip(prefix, per_failure))
+        full = decompress_payload(payload, encoder)
+        segments[h] = dict(zip(prefix, split_segments(full, len(prefix), d, m)))
 
     repaired: dict[int, list[int]] = {}
     for step, f in enumerate(plan.failed):
         helper_ids = plan.helper_sequence(step)
-        xi = repair_matrix(f, m, encoder)
-        vectors = []
-        for h in helper_ids:
-            if h in repaired:
-                vectors.append(vec_mat(repaired[h], xi))  # center-local, free
-            else:
-                vectors.append(segments[h][f])
-        stacked = Matrix.stack_rows(field, vectors)
-        space = encoder.rows_submatrix(helper_ids).inverse() @ stacked
-        repaired[f] = combine_repair_space(space, d, m, field)
+        xi = repair_basis(encoder, (f,), m)[0]
+        vectors = [
+            vec_mat(repaired[h], xi) if h in repaired else segments[h][f]  # center-local, free
+            for h in helper_ids
+        ]
+        repaired.update(decode_repair_vectors(vectors, helper_ids, encoder, (f,), m))
     return repaired, sent
 
 

@@ -1,11 +1,21 @@
-"""Helper-independent repair of a single failed node.
+"""Helper-independent repair of one or several failed nodes.
 
 A helper multiplies its own content by a public coefficient matrix that
-depends only on the failed node's encoder row, compresses the result to at
-most beta symbols (the matrix has rank <= beta), and transmits those. The
-replacement node decompresses all d helper vectors, undoes the encoding,
-and reassembles its missing symbols by signed sums. No helper needs to
-know which other nodes are helping.
+depends only on the failed nodes' encoder rows, compresses the result to
+its pivot columns (at most beta_e = C(d, m) - C(d-e, m) symbols for e
+failures, beta = C(d-1, m-1) for one), and transmits those. The
+replacement side decompresses all d helper vectors, undoes the encoding,
+and reassembles each failed node's symbols by signed sums. No helper needs
+to know which other nodes are helping. Single-failure repair is the case
+e = 1 of the same path.
+
+Wire format of a payload, version 2, all integers little-endian::
+
+    <B version=2> <B m> <B e> <e x H failed ids> <H helper> <H count>
+    followed by count symbols of element_width(p) bytes each
+
+Pivot columns are not sent: both ends derive them from the public repair
+matrix of (failed ids, m).
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from .subsets import position, subsets
 
 
 class WrongTarget(ValueError):
-    """Payload addressed to a different failed node."""
+    """Payload addressed to a different failure set."""
 
 
 def repair_matrix(f: int, m: int, encoder: EncoderMatrix) -> Matrix:
@@ -49,9 +59,16 @@ def repair_matrix(f: int, m: int, encoder: EncoderMatrix) -> Matrix:
 
 
 @lru_cache(maxsize=512)
-def repair_basis(encoder: EncoderMatrix, f: int, m: int):
-    """(matrix, pivot columns, expansion) for one failed node; cached per encoder."""
-    xi = repair_matrix(f, m, encoder)
+def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int):
+    """(matrix, pivot columns, expansion) for a failure tuple; cached per encoder.
+
+    The matrix is the horizontal concatenation of the per-failure repair
+    matrices in failure order, so column j of segment i has index
+    i * C(d, m-1) + j. The cached matrix is shared: do not mutate it.
+    """
+    if len(set(failed)) != len(failed):
+        raise ValueError(f"failed ids must be distinct, got {list(failed)}")
+    xi = Matrix.hstack([repair_matrix(f, m, encoder) for f in failed])
     pivots, expansion = xi.pivot_columns()
     return xi, tuple(pivots), expansion
 
@@ -82,70 +99,78 @@ def column_dependency(j_label, f: int, m: int, encoder: EncoderMatrix) -> list[i
     return coeffs
 
 
-_PAYLOAD_HEADER = struct.Struct("<HHBB")  # failed id, helper id, mode, symbol count
+WIRE_VERSION = 2
+_WIRE_HEAD = struct.Struct("<BBB")  # version, mode, failure count
+_WIRE_TAIL = struct.Struct("<HH")  # helper id, symbol count
 
 
 @dataclass(frozen=True)
 class RepairPayload:
-    """Compressed repair data one helper sends for one failed node."""
+    """Compressed repair data one helper sends for a tuple of failed nodes."""
 
-    failed: int
+    failed: tuple[int, ...]
     helper: int
     m: int
-    pivot_indices: tuple[int, ...]
     symbols: tuple[int, ...]
 
     def to_bytes(self, p: int) -> bytes:
         width = element_width(p)
-        parts = [_PAYLOAD_HEADER.pack(self.failed, self.helper, self.m, len(self.symbols))]
-        parts.extend(struct.pack("<H", i) for i in self.pivot_indices)
+        parts = [
+            _WIRE_HEAD.pack(WIRE_VERSION, self.m, len(self.failed)),
+            struct.pack(f"<{len(self.failed)}H", *self.failed),
+            _WIRE_TAIL.pack(self.helper, len(self.symbols)),
+        ]
         parts.extend(v.to_bytes(width, "little") for v in self.symbols)
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, blob: bytes, p: int) -> "RepairPayload":
+        """Parse one payload; every malformed blob raises ValueError."""
         width = element_width(p)
-        failed, helper, m, count = _PAYLOAD_HEADER.unpack_from(blob, 0)
-        offset = _PAYLOAD_HEADER.size
-        pivots = struct.unpack_from(f"<{count}H", blob, offset)
-        offset += 2 * count
+        try:
+            version, m, e = _WIRE_HEAD.unpack_from(blob, 0)
+            if version != WIRE_VERSION:
+                raise ValueError(f"unsupported payload version {version}")
+            failed = struct.unpack_from(f"<{e}H", blob, _WIRE_HEAD.size)
+            offset = _WIRE_HEAD.size + 2 * e
+            helper, count = _WIRE_TAIL.unpack_from(blob, offset)
+        except struct.error as exc:
+            raise ValueError(f"truncated payload header: {exc}") from exc
+        offset += _WIRE_TAIL.size
+        if len(blob) != offset + count * width:
+            raise ValueError("payload length does not match symbol count")
         symbols = tuple(
             int.from_bytes(blob[offset + i * width : offset + (i + 1) * width], "little")
             for i in range(count)
         )
-        if len(blob) != offset + count * width:
-            raise ValueError("payload length does not match symbol count")
         if any(v >= p for v in symbols):
             raise ValueError("symbol out of field range")
-        return cls(failed, helper, m, pivots, symbols)
+        return cls(failed, helper, m, symbols)
 
 
-def helper_payload(h_content, helper: int, f: int, encoder: EncoderMatrix, m: int) -> RepairPayload:
+def helper_payload(h_content, helper: int, failed, encoder: EncoderMatrix, m: int) -> RepairPayload:
     """Repair data from one helper: content times the repair matrix, compressed.
 
     Only the entries at the pivot columns are kept; pivots are a function of
     the (public) repair matrix alone, so sender and receiver agree without
     negotiation and the payload never depends on who else is helping.
     """
-    xi, pivots, _ = repair_basis(encoder, f, m)
+    failed = tuple(failed)
+    xi, pivots, _ = repair_basis(encoder, failed, m)
     full = vec_mat(list(h_content), xi)
-    return RepairPayload(
-        failed=f,
-        helper=helper,
-        m=m,
-        pivot_indices=pivots,
-        symbols=tuple(full[j] for j in pivots),
-    )
+    return RepairPayload(failed, helper, m, tuple(full[j] for j in pivots))
 
 
 def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> list[int]:
     """Full-length repair vector, non-pivot entries rebuilt from pivot ones."""
     _, pivots, expansion = repair_basis(encoder, payload.failed, payload.m)
-    if tuple(payload.pivot_indices) != pivots:
-        raise ValueError("payload pivot set disagrees with the repair matrix")
+    if len(payload.symbols) != len(pivots):
+        raise ValueError(
+            f"payload carries {len(payload.symbols)} symbols, "
+            f"the repair matrix has rank {len(pivots)}"
+        )
     p = encoder.field.p
-    cols = len(subsets(encoder.d, payload.m - 1))
-    full = [0] * cols
+    full = [0] * (len(pivots) + len(expansion))
     for j, v in zip(pivots, payload.symbols):
         full[j] = v
     for j, coeffs in expansion.items():
@@ -153,40 +178,53 @@ def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> list[i
     return full
 
 
-def decode_failed_node(payloads, helper_ids, encoder: EncoderMatrix, f: int) -> list[int]:
-    """Exact content of the failed node from d helper payloads.
-
-    Decompresses each payload, stacks the vectors, undoes the helper
-    encoding by inverting the d selected encoder rows, and combines the
-    resulting rows with alternating signs: the entry at column label I is
-    sum over x in I of (-1)**position(I, x) times the entry at
-    (row x, column I - {x}).
-    """
-    helper_ids = list(helper_ids)
+def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) -> dict[int, list[int]]:
+    """Exact contents of every failed node from d helper payloads."""
+    failed = tuple(failed)
+    helper_ids = tuple(helper_ids)
     d = encoder.d
     if len(helper_ids) != d or len(set(helper_ids)) != d:
-        raise ValueError(f"need exactly {d} distinct helpers, got {helper_ids}")
-    if len(payloads) != d:
-        raise ValueError(f"need {d} payloads, got {len(payloads)}")
+        raise ValueError(f"need exactly {d} distinct helpers, got {list(helper_ids)}")
+    if tuple(payload.helper for payload in payloads) != helper_ids:
+        raise ValueError(f"payloads must come from helpers {list(helper_ids)}, in that order")
     modes = {payload.m for payload in payloads}
     if len(modes) != 1:
         raise ValueError("payloads disagree on mode")
-    m = modes.pop()
     for payload in payloads:
-        if payload.failed != f:
+        if payload.failed != failed:
             raise WrongTarget(
-                f"payload from helper {payload.helper} targets node {payload.failed}, not {f}"
+                f"payload from helper {payload.helper} targets nodes {payload.failed}, not {failed}"
             )
+    vectors = [decompress_payload(payload, encoder) for payload in payloads]
+    return decode_repair_vectors(vectors, helper_ids, encoder, failed, modes.pop())
+
+
+def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m: int) -> dict[int, list[int]]:
+    """Failed contents from the d decompressed repair vectors, helper order.
+
+    One inversion of the selected encoder rows serves every failure: each
+    failure's segment of the stacked vectors becomes its repair space, which
+    decodes by signed sums.
+    """
+    d = encoder.d
     field = encoder.field
-    stacked = Matrix.stack_rows(
-        field, [decompress_payload(payload, encoder) for payload in payloads]
-    )
-    space = encoder.rows_submatrix(helper_ids).inverse() @ stacked
-    return combine_repair_space(space, encoder.d, m, field)
+    inverse = encoder.rows_submatrix(helper_ids).inverse()
+    seg = len(subsets(d, m - 1))
+    return {
+        f: combine_repair_space(
+            inverse @ Matrix.stack_rows(field, [v[i * seg : (i + 1) * seg] for v in vectors]),
+            d, m, field,
+        )
+        for i, f in enumerate(failed)
+    }
 
 
 def combine_repair_space(space: Matrix, d: int, m: int, field) -> list[int]:
-    """Signed-sum readout of a repair-space matrix into node content."""
+    """Signed-sum readout of one failure's repair space into node content.
+
+    The entry at column label I is the sum over x in I of
+    (-1)**position(I, x) times the entry at (row x, column I - {x}).
+    """
     col_labels = subsets(d, m - 1)
     out = []
     for label in subsets(d, m).ordering:

@@ -21,13 +21,11 @@ from detcode import (
     build_encoder,
     build_message_matrix,
     capacity_curve,
-    decode_failed_node,
     decode_failed_nodes,
     derive_params,
     encode,
     helper_payload,
     joint_bandwidth,
-    joint_helper_payload,
     multi_repair_matrix,
     null_space_matrix,
     recover_data,
@@ -59,14 +57,14 @@ def single_repair_sweep(encoder8, contents8):
         others = [h for h in range(1, 9) if h != f]
         for helpers in combinations(others, 4):
             payloads = [
-                helper_payload(contents8[h - 1], h, f, encoder8, 2) for h in helpers
+                helper_payload(contents8[h - 1], h, (f,), encoder8, 2) for h in helpers
             ]
             for payload in payloads:
                 sizes_ok &= len(payload.symbols) <= 3
                 payload_bytes.setdefault((f, payload.helper), set()).add(
                     payload.to_bytes(13)
                 )
-            exact &= decode_failed_node(payloads, helpers, encoder8, f) == contents8[f - 1]
+            exact &= decode_failed_nodes(payloads, helpers, encoder8, (f,))[f] == contents8[f - 1]
     return exact, sizes_ok, payload_bytes
 
 
@@ -142,13 +140,13 @@ def test_07_multi_repair_bandwidth(encoder8, contents8):
         failed = (5, 6)
         assert multi_repair_matrix(failed, 2, encoder8).rank() == 5
         for h in (1, 2, 3, 4):
-            payload = joint_helper_payload(contents8[h - 1], h, failed, encoder8, 2)
+            payload = helper_payload(contents8[h - 1], h, failed, encoder8, 2)
             assert len(payload.symbols) == 5 == joint_bandwidth(4, 2, 2)
         for e in (2, 3):
             for failure_set in combinations(range(1, 9), e):
                 helpers = tuple(h for h in range(1, 9) if h not in failure_set)[:4]
                 payloads = [
-                    joint_helper_payload(contents8[h - 1], h, failure_set, encoder8, 2)
+                    helper_payload(contents8[h - 1], h, failure_set, encoder8, 2)
                     for h in helpers
                 ]
                 assert all(

@@ -114,6 +114,19 @@ def test_every_d_subset_invertible(encoder8, gf13):
         assert sub @ sub.inverse() == Matrix.identity(gf13, 4)
 
 
+@pytest.mark.parametrize("n,d", [(8, 4), (12, 6), (16, 10)])
+def test_encoder_is_mds(n, d):
+    """Every d-subset of encoder rows has full rank (build_encoder does not check)."""
+    enc = build_encoder(n, d, Field(257))
+    for ids in combinations(range(1, n + 1), d):
+        assert enc.rows_submatrix(ids).rank() == d, ids
+
+
+def test_encoder_is_shared_per_parameters():
+    assert build_encoder(12, 6, Field(257)) is build_encoder(12, 6, Field(257))
+    assert build_encoder(12, 6, Field(257)) is not build_encoder(12, 6, Field(263))
+
+
 # --- message matrix ----------------------------------------------------
 
 

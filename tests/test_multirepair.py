@@ -12,18 +12,19 @@ from detcode.multirepair import (
     TooManyFailures,
     centralized_bandwidth,
     centralized_repair,
-    decode_failed_nodes,
-    decompress_joint,
     joint_bandwidth,
-    joint_helper_payload,
     multi_repair_matrix,
     null_space_matrix,
-    single_payload_from_joint,
     split_segments,
     supercode_helper_totals,
     supercode_schedule,
 )
-from detcode.repair import helper_payload, repair_matrix
+from detcode.repair import (
+    decode_failed_nodes,
+    decompress_payload,
+    helper_payload,
+    repair_matrix,
+)
 from detcode.subsets import binom, subsets
 
 from oracles import brute_rank
@@ -177,24 +178,30 @@ def test_joint_payload_size_and_roundtrip(encoder8, contents8):
     failed = (5, 6)
     xi = multi_repair_matrix(failed, 2, encoder8)
     for h in (1, 2, 3, 4):
-        payload = joint_helper_payload(contents8[h - 1], h, failed, encoder8, 2)
+        payload = helper_payload(contents8[h - 1], h, failed, encoder8, 2)
         assert len(payload.symbols) == 5
-        full = decompress_joint(payload, encoder8)
+        full = decompress_payload(payload, encoder8)
         assert full == vec_mat(contents8[h - 1], xi)
 
 
 def test_joint_payload_single_failure_matches_plain(encoder8, contents8):
-    joint = joint_helper_payload(contents8[0], 1, (5,), encoder8, 2)
-    plain = helper_payload(contents8[0], 1, 5, encoder8, 2)
-    assert joint.symbols == plain.symbols
-    assert joint.pivot_indices == plain.pivot_indices
+    """At e = 1 the payload is the single-failure repair vector at the pivot
+    columns of the plain repair matrix, beta symbols."""
+    payload = helper_payload(contents8[0], 1, (5,), encoder8, 2)
+    xi = repair_matrix(5, 2, encoder8)
+    pivots, _ = xi.pivot_columns()
+    full = vec_mat(contents8[0], xi)
+    assert payload.symbols == tuple(full[j] for j in pivots)
+    assert len(payload.symbols) == binom(3, 1)
 
 
 def test_segment_extraction_matches_single_payload(encoder8, contents8):
-    joint = joint_helper_payload(contents8[2], 3, (5, 7), encoder8, 2)
-    derived = single_payload_from_joint(joint, 7, encoder8)
-    plain = helper_payload(contents8[2], 3, 7, encoder8, 2)
-    assert derived == plain
+    """Each failure's segment of a decompressed joint vector is that
+    failure's own decompressed vector."""
+    joint = decompress_payload(helper_payload(contents8[2], 3, (5, 7), encoder8, 2), encoder8)
+    for idx, f in enumerate((5, 7)):
+        single = decompress_payload(helper_payload(contents8[2], 3, (f,), encoder8, 2), encoder8)
+        assert split_segments(joint, 2, 4, 2)[idx] == single
 
 
 def test_split_segments(encoder8):
@@ -206,7 +213,7 @@ def test_joint_decode_equals_single_repairs(encoder8, contents8):
     failed = (5, 8)
     helpers = (1, 2, 3, 4)
     payloads = [
-        joint_helper_payload(contents8[h - 1], h, failed, encoder8, 2) for h in helpers
+        helper_payload(contents8[h - 1], h, failed, encoder8, 2) for h in helpers
     ]
     decoded = decode_failed_nodes(payloads, helpers, encoder8, failed)
     assert decoded[5] == contents8[4]
@@ -217,7 +224,7 @@ def test_joint_repair_every_failure_pair(encoder8, contents8):
     for failed in combinations(range(1, 9), 2):
         helpers = tuple(h for h in range(1, 9) if h not in failed)[:4]
         payloads = [
-            joint_helper_payload(contents8[h - 1], h, failed, encoder8, 2)
+            helper_payload(contents8[h - 1], h, failed, encoder8, 2)
             for h in helpers
         ]
         assert all(len(p.symbols) <= 5 for p in payloads)
@@ -238,7 +245,7 @@ def test_joint_repair_all_modes(gf13, encoder8):
         )
         contents = encode(encoder8, msg)
         payloads = [
-            joint_helper_payload(contents[h - 1], h, failed, encoder8, m)
+            helper_payload(contents[h - 1], h, failed, encoder8, m)
             for h in helpers
         ]
         assert all(len(p.symbols) <= joint_bandwidth(4, m, 2) for p in payloads)

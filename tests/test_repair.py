@@ -8,9 +8,10 @@ from detcode.field import Field, vec_mat
 from detcode.repair import (
     WrongTarget,
     column_dependency,
-    decode_failed_node,
+    decode_failed_nodes,
     decompress_payload,
     helper_payload,
+    repair_basis,
     repair_matrix,
 )
 from detcode.subsets import binom, subsets
@@ -86,16 +87,17 @@ def test_column_dependency_concrete_coefficients(encoder8):
 def test_payload_size_and_content(encoder8, contents8):
     for f in range(5, 9):
         for h in range(1, 5):
-            payload = helper_payload(contents8[h - 1], h, f, encoder8, 2)
+            payload = helper_payload(contents8[h - 1], h, (f,), encoder8, 2)
             assert len(payload.symbols) <= 3
-            assert payload.pivot_indices == tuple(sorted(payload.pivot_indices))
+            _, pivots, _ = repair_basis(encoder8, (f,), 2)
+            assert pivots == tuple(sorted(pivots))
             xi = repair_matrix(f, 2, encoder8)
             full = vec_mat(contents8[h - 1], xi)
-            assert payload.symbols == tuple(full[j] for j in payload.pivot_indices)
+            assert payload.symbols == tuple(full[j] for j in pivots)
 
 
 def test_zero_content_zero_payload(encoder8):
-    payload = helper_payload([0] * 6, 1, 5, encoder8, 2)
+    payload = helper_payload([0] * 6, 1, (5,), encoder8, 2)
     assert all(v == 0 for v in payload.symbols)
 
 
@@ -105,7 +107,7 @@ def test_decompression_matches_direct_product(encoder8, contents8):
         for h in range(1, 9):
             if h == f:
                 continue
-            payload = helper_payload(contents8[h - 1], h, f, encoder8, 2)
+            payload = helper_payload(contents8[h - 1], h, (f,), encoder8, 2)
             assert decompress_payload(payload, encoder8) == vec_mat(contents8[h - 1], xi)
 
 
@@ -114,8 +116,8 @@ def test_suppressed_symbol_reconstruction(encoder8, contents8):
     first three, scaled by the inverse of the last encoder coefficient."""
     f = 5
     psi = encoder8.row(f)
-    payload = helper_payload(contents8[0], 1, f, encoder8, 2)
-    assert payload.pivot_indices == (0, 1, 2)
+    payload = helper_payload(contents8[0], 1, (f,), encoder8, 2)
+    assert repair_basis(encoder8, (f,), 2)[1] == (0, 1, 2)
     full = decompress_payload(payload, encoder8)
     gf = encoder8.field
     acc = sum(psi[i] * full[i] for i in range(3)) % 13
@@ -141,7 +143,7 @@ def test_full_vector_golden_expressions(encoder8, message8, contents8):
         -w(3, (1, 3, 4)) * psi[0] - w(3, (2, 3, 4)) * psi[1] - v(3, (3, 4)) * psi[2],
     ]
     for helper, expected in ((1, expected_row1), (3, expected_row3)):
-        payload = helper_payload(contents8[helper - 1], helper, f, encoder8, 2)
+        payload = helper_payload(contents8[helper - 1], helper, (f,), encoder8, 2)
         assert decompress_payload(payload, encoder8) == [e % 13 for e in expected]
 
 
@@ -157,15 +159,15 @@ def test_decode_entry_combination(encoder8, message8, contents8):
 
 def test_exact_repair_spot_checks(encoder8, contents8):
     for f, helpers in [(5, (1, 2, 3, 4)), (1, (5, 6, 7, 8)), (8, (2, 3, 5, 7))]:
-        payloads = [helper_payload(contents8[h - 1], h, f, encoder8, 2) for h in helpers]
-        assert decode_failed_node(payloads, helpers, encoder8, f) == contents8[f - 1]
+        payloads = [helper_payload(contents8[h - 1], h, (f,), encoder8, 2) for h in helpers]
+        assert decode_failed_nodes(payloads, helpers, encoder8, (f,))[f] == contents8[f - 1]
 
 
 def test_zero_data_repairs_to_zero(encoder8, gf13):
     msg = build_message_matrix([0] * 20, 4, 2, gf13)
     contents = encode(encoder8, msg)
-    payloads = [helper_payload(contents[h - 1], h, 5, encoder8, 2) for h in (1, 2, 3, 4)]
-    assert decode_failed_node(payloads, (1, 2, 3, 4), encoder8, 5) == [0] * 6
+    payloads = [helper_payload(contents[h - 1], h, (5,), encoder8, 2) for h in (1, 2, 3, 4)]
+    assert decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,)) == {5: [0] * 6}
 
 
 def test_exact_repair_all_modes(gf13, encoder8):
@@ -180,21 +182,30 @@ def test_exact_repair_all_modes(gf13, encoder8):
         for f in range(1, 9):
             others = [h for h in range(1, 9) if h != f]
             helpers = tuple(rng.sample(others, 4))
-            payloads = [helper_payload(contents[h - 1], h, f, encoder8, m) for h in helpers]
+            payloads = [helper_payload(contents[h - 1], h, (f,), encoder8, m) for h in helpers]
             assert all(len(p.symbols) <= binom(3, m - 1) for p in payloads)
-            assert decode_failed_node(payloads, helpers, encoder8, f) == contents[f - 1]
+            assert decode_failed_nodes(payloads, helpers, encoder8, (f,))[f] == contents[f - 1]
 
 
 def test_wrong_target_rejected(encoder8, contents8):
-    payloads = [helper_payload(contents8[h - 1], h, 5, encoder8, 2) for h in (1, 2, 3, 4)]
-    with pytest.raises(WrongTarget):
-        decode_failed_node(payloads, (1, 2, 3, 4), encoder8, 6)
+    """Payloads for one failure tuple are refused when decoding another,
+    whether the tuples differ in a member, in order or in length."""
+    for sent, asked in [((5,), (6,)), ((5, 6), (5, 7)), ((5, 6), (6, 5)), ((5, 6), (5,))]:
+        payloads = [
+            helper_payload(contents8[h - 1], h, sent, encoder8, 2) for h in (1, 2, 3, 4)
+        ]
+        with pytest.raises(WrongTarget):
+            decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, asked)
 
 
 def test_decode_validates_helper_count(encoder8, contents8):
-    payloads = [helper_payload(contents8[h - 1], h, 5, encoder8, 2) for h in (1, 2, 3)]
+    payloads = [helper_payload(contents8[h - 1], h, (5,), encoder8, 2) for h in (1, 2, 3)]
     with pytest.raises(ValueError):
-        decode_failed_node(payloads, (1, 2, 3), encoder8, 5)
+        decode_failed_nodes(payloads, (1, 2, 3), encoder8, (5,))
+    four = [helper_payload(contents8[h - 1], h, (5,), encoder8, 2) for h in (1, 2, 3, 4)]
+    for bad in (four[:3], four[::-1], four[:3] + [four[0]]):
+        with pytest.raises(ValueError, match="helpers"):
+            decode_failed_nodes(bad, (1, 2, 3, 4), encoder8, (5,))
 
 
 def test_payload_is_helper_set_independent(encoder8, contents8):
@@ -202,7 +213,7 @@ def test_payload_is_helper_set_independent(encoder8, contents8):
     and by byte comparison across repeated computation."""
     blobs = set()
     for _ in range(5):
-        payload = helper_payload(contents8[1], 2, 5, encoder8, 2)
+        payload = helper_payload(contents8[1], 2, (5,), encoder8, 2)
         blobs.add(payload.to_bytes(13))
     assert len(blobs) == 1
 
@@ -212,6 +223,6 @@ def test_exhaustive_repair_with_all_helper_sets(encoder8, contents8):
         others = [h for h in range(1, 9) if h != f]
         for helpers in combinations(others, 4):
             payloads = [
-                helper_payload(contents8[h - 1], h, f, encoder8, 2) for h in helpers
+                helper_payload(contents8[h - 1], h, (f,), encoder8, 2) for h in helpers
             ]
-            assert decode_failed_node(payloads, helpers, encoder8, f) == contents8[f - 1]
+            assert decode_failed_nodes(payloads, helpers, encoder8, (f,))[f] == contents8[f - 1]

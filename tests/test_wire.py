@@ -3,6 +3,7 @@
 import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
 from detcode.cluster import (
     SHARD_MAGIC,
@@ -13,52 +14,92 @@ from detcode.cluster import (
     write_shard,
 )
 from detcode.code import CodeConfig
-from detcode.multirepair import JointPayload, joint_helper_payload
-from detcode.repair import RepairPayload, helper_payload
+from detcode.repair import RepairPayload, decompress_payload, helper_payload
+
+
+# Payload v2: <B version=2><B m><B e><e x H failed><H helper><H count>, then
+# count little-endian symbols of element_width(p) bytes (1 byte for p = 13).
 
 
 def test_single_payload_layout(encoder8, contents8):
-    payload = helper_payload(contents8[1], 2, 5, encoder8, 2)
-    blob = payload.to_bytes(13)
-    failed, helper, m, count = struct.unpack_from("<HHBB", blob, 0)
-    assert (failed, helper, m, count) == (5, 2, 2, len(payload.symbols))
-    pivots = struct.unpack_from(f"<{count}H", blob, 6)
-    assert pivots == payload.pivot_indices
-    assert list(pivots) == sorted(pivots)
-    symbols = tuple(blob[6 + 2 * count + i] for i in range(count))  # 1 byte each for p=13
-    assert symbols == payload.symbols
-    assert len(blob) == 6 + 2 * count + count
+    payload = helper_payload(contents8[1], 2, (5,), encoder8, 2)
+    assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=(1, 9, 7))
+    assert payload.to_bytes(13) == bytes.fromhex(
+        "02 02 01" "05 00" "02 00" "03 00" "01 09 07"
+    )
+
+
+def test_joint_payload_layout(encoder8, contents8):
+    payload = helper_payload(contents8[0], 1, (5, 6), encoder8, 2)
+    assert payload == RepairPayload(failed=(5, 6), helper=1, m=2, symbols=(5, 0, 8, 1, 1))
+    assert payload.to_bytes(13) == bytes.fromhex(
+        "02 02 02" "05 00 06 00" "01 00" "05 00" "05 00 08 01 01"
+    )
+
+
+def test_two_byte_payload_symbols_little_endian():
+    payload = RepairPayload(failed=(5, 6), helper=3, m=2, symbols=(256, 1))
+    assert payload.to_bytes(257) == bytes.fromhex(
+        "02 02 02" "05 00 06 00" "03 00" "02 00" "00 01 01 00"
+    )
 
 
 def test_single_payload_roundtrip(encoder8, contents8):
-    payload = helper_payload(contents8[0], 1, 7, encoder8, 2)
+    payload = helper_payload(contents8[0], 1, (7,), encoder8, 2)
+    assert RepairPayload.from_bytes(payload.to_bytes(13), 13) == payload
+
+
+def test_joint_payload_roundtrip(encoder8, contents8):
+    payload = helper_payload(contents8[3], 4, (5, 8), encoder8, 2)
     assert RepairPayload.from_bytes(payload.to_bytes(13), 13) == payload
 
 
 def test_single_payload_rejects_bad_symbol():
-    payload = RepairPayload(failed=5, helper=1, m=2, pivot_indices=(0,), symbols=(14,))
-    with pytest.raises(ValueError):
+    payload = RepairPayload(failed=(5,), helper=1, m=2, symbols=(14,))
+    with pytest.raises(ValueError, match="field range"):
         RepairPayload.from_bytes(payload.to_bytes(17), 13)
 
 
-def test_joint_payload_layout(encoder8, contents8):
-    payload = joint_helper_payload(contents8[0], 1, (5, 6), encoder8, 2)
-    blob = payload.to_bytes(13)
-    (e,) = struct.unpack_from("<B", blob, 0)
-    assert e == 2
-    failed = struct.unpack_from("<2H", blob, 1)
-    assert failed == (5, 6)
-    m, count = struct.unpack_from("<BH", blob, 5)
-    assert (m, count) == (2, len(payload.symbols))
-    pivots = struct.unpack_from(f"<{count}H", blob, 8)
-    assert pivots == payload.pivot_indices
-    assert list(pivots) == sorted(pivots)
+def test_payload_rejects_truncation_version_and_length():
+    blob = RepairPayload(failed=(5, 6), helper=1, m=2, symbols=(5, 0, 8)).to_bytes(257)
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            RepairPayload.from_bytes(blob[:cut], 257)
+    with pytest.raises(ValueError, match="version"):
+        RepairPayload.from_bytes(b"\x01" + blob[1:], 257)
+    with pytest.raises(ValueError, match="length"):
+        RepairPayload.from_bytes(blob + b"\x00", 257)
 
 
-def test_joint_payload_roundtrip(encoder8, contents8):
-    payload = joint_helper_payload(contents8[3], 4, (5, 8), encoder8, 2)
-    parsed = JointPayload.from_bytes(payload.to_bytes(13), 13, helper=4)
-    assert parsed == payload
+def test_decompress_rejects_wrong_symbol_count(encoder8, contents8):
+    payload = helper_payload(contents8[0], 1, (5, 6), encoder8, 2)
+    for symbols in (payload.symbols[:-1], payload.symbols + (0,)):
+        short = RepairPayload(payload.failed, payload.helper, payload.m, symbols)
+        with pytest.raises(ValueError, match="rank"):
+            decompress_payload(short, encoder8)
+
+
+_payloads = st.builds(
+    RepairPayload,
+    failed=st.lists(st.integers(0, 0xFFFF), max_size=4).map(tuple),
+    helper=st.integers(0, 0xFFFF),
+    m=st.integers(0, 0xFF),
+    symbols=st.lists(st.integers(0, 0xFFFF), max_size=6).map(tuple),
+)
+
+
+@given(
+    blob=st.one_of(
+        st.binary(max_size=32),
+        st.builds(lambda payload, cut: payload.to_bytes(257)[:cut], _payloads, st.integers(0, 32)),
+    )
+)
+def test_payload_parse_round_trips_or_raises_value_error(blob):
+    try:
+        payload = RepairPayload.from_bytes(blob, 257)
+    except ValueError:
+        return
+    assert payload.to_bytes(257) == blob
 
 
 def test_two_byte_symbols_little_endian(tmp_path):
