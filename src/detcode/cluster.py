@@ -110,30 +110,22 @@ class BandwidthLedger:
         return sum(event.total for event in self.events)
 
     def within_bounds(self, config: CodeConfig) -> bool:
-        """True when every event respects its mode's per-stripe bound."""
+        """True when every helper, or for centralized the total, is within its per-stripe cap."""
+        d, m, beta = config.d, config.m, config.beta
         for event in self.events:
             e = len(event.failed)
-            if event.mode == "single":
-                cap = config.beta * event.stripes
-                if any(v > cap for v in event.symbols_by_helper.values()):
-                    return False
-            elif event.mode == "naive":
-                cap = e * config.beta * event.stripes
-                if any(v > cap for v in event.symbols_by_helper.values()):
-                    return False
-            elif event.mode == "joint":
-                cap = joint_bandwidth(config.d, config.m, e) * event.stripes
-                if any(v > cap for v in event.symbols_by_helper.values()):
-                    return False
-            elif event.mode == "centralized":
-                cap = config.d * centralized_bandwidth(config.d, config.m, e) * event.stripes
-                if Fraction(event.total) > cap:
-                    return False
+            if event.mode == "centralized":
+                within = event.total <= d * centralized_bandwidth(d, m, e) * event.stripes
+            else:
+                cap = {"single": beta, "naive": e * beta, "joint": joint_bandwidth(d, m, e)}[event.mode]
+                within = all(v <= cap * event.stripes for v in event.symbols_by_helper.values())
+            if not within:
+                return False
         return True
 
 
 class Cluster:
-    """n simulated node stores with failure injection and three repair modes."""
+    """n simulated node stores with failure injection and four repair modes."""
 
     def __init__(
         self,

@@ -9,7 +9,8 @@ storage/bandwidth trade-off, and a prime field modulus p. Derived sizes:
     F     = m * C(d+1, m+1)  source symbols per stripe
 
 Node i stores row i of the product of the n x d encoder matrix with the
-d x alpha message matrix.
+d x alpha message matrix. The message matrix's cells and parity groups are
+read from :func:`detcode.subsets.incidence`, the package's one sign rule.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .field import Field, Matrix, is_prime, CompositeModulus
-from .subsets import binom, position, subsets
+from .subsets import binom, incidence, subsets
 
 
 class BadMode(ValueError):
@@ -125,6 +126,16 @@ class EncoderMatrix:
         return self.matrix.submatrix([i - 1 for i in node_ids], range(self.d))
 
 
+@lru_cache(maxsize=512)
+def rows_inverse(encoder: EncoderMatrix, node_ids: tuple[int, ...]) -> Matrix:
+    """Inverse of the encoder rows of *node_ids*, in that order; cached.
+
+    Every stripe read from, or repaired by, the same nodes shares one
+    inverse. The cached matrix is shared: do not mutate it.
+    """
+    return encoder.rows_submatrix(node_ids).inverse()
+
+
 @lru_cache(maxsize=64)
 def build_encoder(n: int, d: int, field: Field, systematic: bool = True) -> EncoderMatrix:
     """Vandermonde generator on points 1..n, optionally in systematic form.
@@ -153,10 +164,10 @@ def build_encoder(n: int, d: int, field: Field, systematic: bool = True) -> Enco
 class SymbolLayout:
     """Canonical placement of the F source symbols in the d x alpha message matrix.
 
-    Source order is the direct-symbol block first (columns in lexicographic
-    order, member x ascending within each column label), then the
-    cross-column block ((m+1)-subsets in lexicographic order, x ascending,
-    the largest member excluded: that slot is a parity).
+    Cells are 0-based (row, column) pairs, read from incidence(): source
+    order is the direct cells v_slots, then the shared cells w_slots. Each
+    (m+1)-set K has a parity group of ((x - 1, rank of K - {x}), sign) over
+    its members x, the parity cell (largest x) last.
     """
 
     __slots__ = ("d", "m", "columns", "v_slots", "w_slots", "parity_sets", "file_symbols")
@@ -165,15 +176,12 @@ class SymbolLayout:
         self.d = d
         self.m = m
         self.columns = subsets(d, m)
-        self.v_slots = tuple(
-            (x, label) for label in self.columns.ordering for x in label
-        )
-        if m < d:
-            w_sets = subsets(d, m + 1).ordering
-        else:
-            w_sets = ()
-        self.w_slots = tuple((x, label) for label in w_sets for x in label[:-1])
-        self.parity_sets = w_sets
+        self.v_slots = tuple((x - 1, i) for i, x, _, _ in incidence(d, m))
+        groups: list[list] = [[] for _ in range(binom(d, m + 1))]
+        for k, x, i, sign in incidence(d, m + 1) if m < d else ():
+            groups[k].append(((x - 1, i), sign))
+        self.parity_sets = tuple(map(tuple, groups))
+        self.w_slots = tuple(cell for group in self.parity_sets for cell, _ in group[:-1])
         self.file_symbols = len(self.v_slots) + len(self.w_slots)
 
 
@@ -217,20 +225,15 @@ class MessageMatrix:
 
     def verify_parity(self) -> None:
         """Check every alternating-sum constraint; raises ParityViolation."""
-        field = self.matrix.field
-        for group in self.layout.parity_sets:
-            total = 0
-            for y in group:
-                total += field.signed(self.shared_symbol(y, group), position(group, y))
-            if total % field.p != 0:
-                raise ParityViolation(f"parity fails for {group}")
+        rows, p = self.matrix.data, self.matrix.field.p
+        for k, group in enumerate(self.layout.parity_sets):
+            if sum(sign * rows[r][c] for (r, c), sign in group) % p:
+                raise ParityViolation(f"parity fails for {subsets(self.d, self.m + 1).unrank(k)}")
 
     def extract_symbols(self) -> list[int]:
-        """Source symbols back out, in canonical order; verifies parity first."""
-        self.verify_parity()
-        out = [self.entry(x, label) for x, label in self.layout.v_slots]
-        out.extend(self.shared_symbol(x, label) for x, label in self.layout.w_slots)
-        return out
+        """Source symbols back out, in canonical order; does not check parity."""
+        rows = self.matrix.data
+        return [rows[r][c] for r, c in self.layout.v_slots + self.layout.w_slots]
 
     def __eq__(self, other):
         return isinstance(other, MessageMatrix) and other.matrix == self.matrix
@@ -239,34 +242,17 @@ class MessageMatrix:
 def build_message_matrix(source, d: int, m: int, field: Field) -> MessageMatrix:
     """Arrange F source symbols into the message matrix, completing parities."""
     layout = symbol_layout(d, m)
-    source = [field.element(v) for v in source]
+    source = list(source)
     if len(source) != layout.file_symbols:
         raise WrongLength(
             f"need exactly {layout.file_symbols} source symbols, got {len(source)}"
         )
-    values: dict[tuple[int, tuple[int, ...]], int] = {}
-    it = iter(source)
-    for slot in layout.v_slots:
-        values[slot] = next(it)
-    for slot in layout.w_slots:
-        values[slot] = next(it)
+    data = [[0] * len(layout.columns) for _ in range(d)]
+    for (r, c), v in zip(layout.v_slots + layout.w_slots, source):
+        data[r][c] = v
     for group in layout.parity_sets:
-        top = group[-1]
-        acc = 0
-        for y in group[:-1]:
-            acc += field.signed(values[(y, group)], position(group, y))
-        values[(top, group)] = field.signed(acc, m)
-
-    columns = layout.columns
-    data = [[0] * len(columns) for _ in range(d)]
-    for col_idx, label in enumerate(columns.ordering):
-        member_set = set(label)
-        for x in range(1, d + 1):
-            if x in member_set:
-                data[x - 1][col_idx] = values[(x, label)]
-            else:
-                joined = tuple(sorted(member_set | {x}))
-                data[x - 1][col_idx] = values[(x, joined)]
+        (r, c), sign = group[-1]
+        data[r][c] = -sign * sum(s * data[y][j] for (y, j), s in group[:-1])
     return MessageMatrix(layout, Matrix(field, data))
 
 
@@ -279,14 +265,15 @@ def encode(encoder: EncoderMatrix, message: MessageMatrix) -> list[list[int]]:
 def recover_data(contents, node_ids, encoder: EncoderMatrix, m: int) -> MessageMatrix:
     """Rebuild the message matrix from any d node contents.
 
-    Inverts the d encoder rows selected by *node_ids* and re-verifies the
-    parity constraints (a cheap integrity check on the recovered data).
+    Applies the cached inverse of the d encoder rows selected by *node_ids*
+    and verifies the parity constraints, the one integrity check on every
+    recovered stripe.
     """
-    node_ids = list(node_ids)
+    node_ids = tuple(node_ids)
     if len(node_ids) != encoder.d or len(set(node_ids)) != len(node_ids):
-        raise ValueError(f"need exactly {encoder.d} distinct node ids, got {node_ids}")
+        raise ValueError(f"need exactly {encoder.d} distinct node ids, got {list(node_ids)}")
     stacked = Matrix.stack_rows(encoder.field, contents)
-    dmat = encoder.rows_submatrix(node_ids).inverse() @ stacked
+    dmat = rows_inverse(encoder, node_ids) @ stacked
     message = MessageMatrix(symbol_layout(encoder.d, m), dmat)
     message.verify_parity()
     return message

@@ -152,7 +152,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -231,18 +231,24 @@ class Matrix:
     def _eliminate(self):
         """Gauss-Jordan to reduced row echelon form; leftmost pivots first.
 
-        Returns (rref rows, pivot column indices). Column linear relations
-        are preserved by row operations, which is what pivot_columns relies on.
+        Returns (rref rows, pivot column indices, pivot product). The product
+        of the pivots, negated once per row swap, is the determinant of a
+        square matrix of full rank. Column linear relations are preserved by
+        row operations, which is what pivot_columns relies on.
         """
         p = self.field.p
         a = [row[:] for row in self.data]
         pivots: list[int] = []
+        product = 1
         r = 0
         for c in range(self.cols):
             pivot_row = next((i for i in range(r, self.rows) if a[i][c]), None)
             if pivot_row is None:
                 continue
-            a[r], a[pivot_row] = a[pivot_row], a[r]
+            if pivot_row != r:
+                a[r], a[pivot_row] = a[pivot_row], a[r]
+                product = -product
+            product = product * a[r][c] % p
             inv = pow(a[r][c], -1, p)
             a[r] = [v * inv % p for v in a[r]]
             lead = a[r]
@@ -254,7 +260,7 @@ class Matrix:
             r += 1
             if r == self.rows:
                 break
-        return a, pivots
+        return a, pivots, product
 
     def rank(self) -> int:
         return len(self._eliminate()[1])
@@ -267,7 +273,7 @@ class Matrix:
         the coefficient list (c_0, ..., c_{k-1}) with
         column_j == sum_k c_k * column_{pivots[k]}, exactly.
         """
-        rref, pivots = self._eliminate()
+        rref, pivots, _ = self._eliminate()
         pivot_set = set(pivots)
         expansion = {
             j: tuple(rref[k][j] for k in range(len(pivots)))
@@ -277,49 +283,21 @@ class Matrix:
         return pivots, expansion
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan; raises Singular when rank-deficient."""
+        """Exact inverse by Gauss-Jordan on [A | I]; raises Singular when rank-deficient."""
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices have inverses")
         n = self.rows
-        p = self.field.p
-        a = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.data)]
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if a[i][c]), None)
-            if pivot_row is None:
-                raise Singular(f"rank < {n}")
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            inv = pow(a[c][c], -1, p)
-            a[c] = [v * inv % p for v in a[c]]
-            lead = a[c]
-            for i in range(n):
-                if i != c and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [(v - f * w) % p for v, w in zip(a[i], lead)]
-        return Matrix(self.field, [row[n:] for row in a], cols=n)
+        rref, pivots, _ = Matrix.hstack([self, Matrix.identity(self.field, n)])._eliminate()
+        if pivots != list(range(n)):
+            raise Singular(f"rank < {n}")
+        return Matrix(self.field, [row[n:] for row in rref], cols=n)
 
     def det(self) -> int:
-        """Exact determinant mod p (forward elimination with swap tracking)."""
+        """Exact determinant mod p: the signed pivot product, or 0 below full rank."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant needs a square matrix")
-        n = self.rows
-        p = self.field.p
-        a = [row[:] for row in self.data]
-        result = 1
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if a[i][c]), None)
-            if pivot_row is None:
-                return 0
-            if pivot_row != c:
-                a[c], a[pivot_row] = a[pivot_row], a[c]
-                result = -result
-            result = result * a[c][c] % p
-            inv = pow(a[c][c], -1, p)
-            lead = a[c]
-            for i in range(c + 1, n):
-                if a[i][c]:
-                    f = a[i][c] * inv % p
-                    a[i] = [(v - f * w) % p for v, w in zip(a[i], lead)]
-        return result % p
+        _, pivots, product = self._eliminate()
+        return product if len(pivots) == self.rows else 0
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.data for v in row)

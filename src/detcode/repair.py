@@ -7,7 +7,8 @@ failures, beta = C(d-1, m-1) for one), and transmits those. The
 replacement side decompresses all d helper vectors, undoes the encoding,
 and reassembles each failed node's symbols by signed sums. No helper needs
 to know which other nodes are helping. Single-failure repair is the case
-e = 1 of the same path.
+e = 1 of the same path. The repair matrix and the signed-sum readout both
+read :func:`detcode.subsets.incidence`, the package's one sign rule.
 
 Wire format of a payload, version 2, all integers little-endian::
 
@@ -24,9 +25,9 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .code import EncoderMatrix
+from .code import EncoderMatrix, rows_inverse
 from .field import Matrix, element_width, vec_mat
-from .subsets import position, subsets
+from .subsets import binom, incidence, subsets
 
 
 class WrongTarget(ValueError):
@@ -41,21 +42,12 @@ def repair_matrix(f: int, m: int, encoder: EncoderMatrix) -> Matrix:
     failed node's encoder coefficient for x when I = J + {x}, else zero.
     """
     d = encoder.d
-    field = encoder.field
     psi = encoder.row(f)
-    row_labels = subsets(d, m)
-    col_labels = subsets(d, m - 1)
-    data = [[0] * len(col_labels) for _ in range(len(row_labels))]
-    for col_idx, j_label in enumerate(col_labels.ordering):
-        missing = set(j_label)
-        for x in range(1, d + 1):
-            if x in missing:
-                continue
-            i_label = tuple(sorted(j_label + (x,)))
-            data[row_labels.rank(i_label)][col_idx] = field.signed(
-                psi[x - 1], position(i_label, x)
-            )
-    return Matrix(field, data, cols=len(col_labels))
+    cols = binom(d, m - 1)
+    data = [[0] * cols for _ in range(binom(d, m))]
+    for i, x, j, sign in incidence(d, m):
+        data[i][j] = sign * psi[x - 1]
+    return Matrix(encoder.field, data, cols=cols)
 
 
 @lru_cache(maxsize=512)
@@ -86,16 +78,12 @@ def column_dependency(j_label, f: int, m: int, encoder: EncoderMatrix) -> list[i
     if m < 2:
         raise ValueError("column dependencies exist only for m >= 2")
     d = encoder.d
-    field = encoder.field
     psi = encoder.row(f)
-    col_labels = subsets(d, m - 1)
-    coeffs = [0] * len(col_labels)
-    j_members = set(j_label)
-    for y in range(1, d + 1):
-        if y in j_members:
-            continue
-        label = tuple(sorted(tuple(j_label) + (y,)))
-        coeffs[col_labels.rank(label)] = field.signed(psi[y - 1], position(label, y))
+    target = subsets(d, m - 2).rank(tuple(sorted(j_label)))
+    coeffs = [0] * binom(d, m - 1)
+    for k, y, rest, sign in incidence(d, m - 1):
+        if rest == target:
+            coeffs[k] = sign * psi[y - 1] % encoder.field.p
     return coeffs
 
 
@@ -114,12 +102,18 @@ class RepairPayload:
     symbols: tuple[int, ...]
 
     def to_bytes(self, p: int) -> bytes:
+        """Serialize; a field that does not fit its wire slot raises ValueError."""
         width = element_width(p)
-        parts = [
-            _WIRE_HEAD.pack(WIRE_VERSION, self.m, len(self.failed)),
-            struct.pack(f"<{len(self.failed)}H", *self.failed),
-            _WIRE_TAIL.pack(self.helper, len(self.symbols)),
-        ]
+        if any(not 0 <= v < p for v in self.symbols):
+            raise ValueError("symbol out of field range")
+        try:
+            parts = [
+                _WIRE_HEAD.pack(WIRE_VERSION, self.m, len(self.failed)),
+                struct.pack(f"<{len(self.failed)}H", *self.failed),
+                _WIRE_TAIL.pack(self.helper, len(self.symbols)),
+            ]
+        except struct.error as exc:
+            raise ValueError(f"payload does not fit wire format v{WIRE_VERSION}: {exc}") from exc
         parts.extend(v.to_bytes(width, "little") for v in self.symbols)
         return b"".join(parts)
 
@@ -208,8 +202,8 @@ def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m
     """
     d = encoder.d
     field = encoder.field
-    inverse = encoder.rows_submatrix(helper_ids).inverse()
-    seg = len(subsets(d, m - 1))
+    inverse = rows_inverse(encoder, tuple(helper_ids))
+    seg = binom(d, m - 1)
     return {
         f: combine_repair_space(
             inverse @ Matrix.stack_rows(field, [v[i * seg : (i + 1) * seg] for v in vectors]),
@@ -225,12 +219,8 @@ def combine_repair_space(space: Matrix, d: int, m: int, field) -> list[int]:
     The entry at column label I is the sum over x in I of
     (-1)**position(I, x) times the entry at (row x, column I - {x}).
     """
-    col_labels = subsets(d, m - 1)
-    out = []
-    for label in subsets(d, m).ordering:
-        acc = 0
-        for x in label:
-            rest = tuple(y for y in label if y != x)
-            acc += field.signed(space[x - 1, col_labels.rank(rest)], position(label, x))
-        out.append(acc % field.p)
-    return out
+    rows = space.data
+    out = [0] * binom(d, m)
+    for i, x, j, sign in incidence(d, m):
+        out[i] += sign * rows[x - 1][j]
+    return [v % field.p for v in out]

@@ -74,3 +74,21 @@ class Subsets:
 def subsets(d: int, m: int) -> Subsets:
     """Shared, cached Subsets instance for (d, m)."""
     return Subsets(d, m)
+
+
+@lru_cache(maxsize=None)
+def incidence(d: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The package's one sign rule, as a table; needs 1 <= k <= d.
+
+    One entry (rank of K, x, rank of K - {x}, sign) per k-subset K of [1, d],
+    in lexicographic order, and member x of K, ascending; the ranks are in
+    subsets(d, k) and subsets(d, k - 1), and sign = (-1)**position(K, x).
+    The repair matrix, the message matrix's parity groups and the repair
+    readout all read it.
+    """
+    smaller = subsets(d, k - 1)
+    return tuple(
+        (r, x, smaller.rank(K[:i] + K[i + 1 :]), (-1) ** position(K, x))
+        for r, K in enumerate(subsets(d, k).ordering)
+        for i, x in enumerate(K)
+    )

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from detcode.cluster import (
+    BandwidthLedger,
     Cluster,
     FieldTooSmallForBytes,
     NotEnoughHelpers,
+    RepairEvent,
     assemble_file,
     bandwidth_table,
     capacity_curve,
@@ -125,6 +127,21 @@ def test_centralized_repair_total_bounded():
     assert cluster.contents[6] == before[6]
     cap = 4 * centralized_bandwidth(4, 2, 2) * cluster.stripe_count
     assert Fraction(event.total) <= cap
+
+
+@pytest.mark.parametrize(
+    "mode,failed,cap",
+    # per helper per stripe at (d, m) = (4, 2): beta = 3, e * beta = 6,
+    # beta_2 = 5, and the centralized total d * beta_bar_2 = 18 as 4.5 each
+    [("single", (5,), 3), ("naive", (5, 6), 6), ("joint", (5, 6), 5), ("centralized", (5, 6), 4.5)],
+)
+def test_within_bounds_rejects_one_symbol_over_cap(mode, failed, cap):
+    helpers = (1, 2, 3, 4)
+    at_cap = {h: int(cap * 2) for h in helpers}
+    for symbols, expected in ((at_cap, True), ({**at_cap, 1: at_cap[1] + 1}, False)):
+        ledger = BandwidthLedger()
+        ledger.record(RepairEvent(mode, failed, helpers, 2, symbols))
+        assert ledger.within_bounds(CFG257) is expected
 
 
 def test_repair_refuses_alive_nodes():

@@ -187,7 +187,7 @@ def test_parity_violation_detected(gf13):
     col = msg.layout.columns.rank((1, 2))
     broken.set(2, col, (broken[2, col] + 1) % 13)
     with pytest.raises(ParityViolation):
-        MessageMatrix(msg.layout, broken).extract_symbols()
+        MessageMatrix(msg.layout, broken).verify_parity()
 
 
 # --- encode / recover --------------------------------------------------

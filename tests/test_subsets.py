@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from detcode.subsets import OutOfRange, Subsets, binom, position, subsets
+from detcode.subsets import OutOfRange, Subsets, binom, incidence, position, subsets
 
 
 def test_position_goldens():
@@ -74,3 +74,19 @@ def test_out_of_range_errors():
 
 def test_shared_instances_are_cached():
     assert subsets(5, 2) is subsets(5, 2)
+    assert incidence(5, 2) is incidence(5, 2)
+
+
+def test_incidence_is_the_sign_rule_exhaustive():
+    for d in range(1, 9):
+        for k in range(1, d + 1):
+            table = incidence(d, k)
+            members, smaller = subsets(d, k), subsets(d, k - 1)
+            assert len(table) == k * binom(d, k)
+            assert [(r, x) for r, x, _, _ in table] == [
+                (r, x) for r, big in enumerate(members) for x in big
+            ]
+            for r, x, rest, sign in table:
+                big = members.unrank(r)
+                assert sign == (-1) ** position(big, x)
+                assert rest == smaller.rank(tuple(y for y in big if y != x))

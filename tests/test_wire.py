@@ -79,19 +79,55 @@ def test_decompress_rejects_wrong_symbol_count(encoder8, contents8):
             decompress_payload(short, encoder8)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        RepairPayload(failed=(5,), helper=1, m=256, symbols=()),
+        RepairPayload(failed=tuple(range(1, 257)), helper=1, m=2, symbols=()),
+        RepairPayload(failed=(0x10000,), helper=1, m=2, symbols=()),
+        RepairPayload(failed=(5,), helper=0x10000, m=2, symbols=()),
+        RepairPayload(failed=(5,), helper=1, m=2, symbols=(0,) * 0x10000),
+        RepairPayload(failed=(5,), helper=1, m=2, symbols=(257,)),
+    ],
+    ids=["m", "failure-count", "failed-id", "helper", "symbol-count", "symbol"],
+)
+def test_to_bytes_rejects_field_that_does_not_fit(payload):
+    with pytest.raises(ValueError):
+        payload.to_bytes(257)
+
+
+@given(
+    st.builds(
+        RepairPayload,
+        failed=st.lists(st.integers(-1, 0x10000), max_size=4).map(tuple),
+        helper=st.integers(-1, 0x10000),
+        m=st.integers(-1, 0x100),
+        symbols=st.lists(st.integers(-1, 257), max_size=6).map(tuple),
+    )
+)
+def test_to_bytes_round_trips_or_raises_value_error(payload):
+    try:
+        blob = payload.to_bytes(257)
+    except ValueError:
+        return
+    assert RepairPayload.from_bytes(blob, 257) == payload
+
+
+# 65521 is the largest two-byte prime: its blobs have the symbol width of
+# GF(257) but may carry symbols outside it, for the parser to reject.
 _payloads = st.builds(
     RepairPayload,
     failed=st.lists(st.integers(0, 0xFFFF), max_size=4).map(tuple),
     helper=st.integers(0, 0xFFFF),
     m=st.integers(0, 0xFF),
-    symbols=st.lists(st.integers(0, 0xFFFF), max_size=6).map(tuple),
+    symbols=st.lists(st.integers(0, 65520), max_size=6).map(tuple),
 )
 
 
 @given(
     blob=st.one_of(
         st.binary(max_size=32),
-        st.builds(lambda payload, cut: payload.to_bytes(257)[:cut], _payloads, st.integers(0, 32)),
+        st.builds(lambda payload, cut: payload.to_bytes(65521)[:cut], _payloads, st.integers(0, 32)),
     )
 )
 def test_payload_parse_round_trips_or_raises_value_error(blob):
