@@ -1,0 +1,136 @@
+"""Certificates of the paper's bounds: code that only verifies results.
+
+The runtime never loads this module (``import detcode`` leaves it out);
+tests and offline checks import its names from ``detcode.certificates``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .code import EncoderMatrix
+from .field import Matrix
+from .multirepair import TooManyFailures, joint_bandwidth
+from .repair import repair_matrix
+from .subsets import binom, incidence, position, subsets
+
+
+def multi_repair_matrix(failed, m: int, encoder: EncoderMatrix) -> Matrix:
+    """Horizontal concatenation of the per-failure repair matrices, in order."""
+    return Matrix.hstack([repair_matrix(f, m, encoder) for f in failed])
+
+
+def column_dependency(j_label, f: int, m: int, encoder: EncoderMatrix) -> list[int]:
+    """A combination of repair-matrix columns that sums to zero.
+
+    For an (m-2)-subset J, the columns labeled J + {y} over y outside J are
+    linearly dependent with coefficients (-1)**position(J + {y}, y) times the
+    failed node's coefficient for y. Returned as a full-length vector over
+    the C(d, m-1) column space (zeros elsewhere); requires m >= 2. Nonzero
+    whenever the failed row has a nonzero coefficient outside J, which MDS
+    guarantees for J = the empty set.
+    """
+    if m < 2:
+        raise ValueError("column dependencies exist only for m >= 2")
+    d = encoder.d
+    psi = encoder.row(f)
+    target = subsets(d, m - 2).rank(tuple(sorted(j_label)))
+    coeffs = [0] * binom(d, m - 1)
+    for k, y, rest, sign in incidence(d, m - 1):
+        if rest == target:
+            coeffs[k] = sign * psi[y - 1] % encoder.field.p
+    return coeffs
+
+
+@dataclass(frozen=True)
+class NullSpaceMatrix:
+    """Left-null-space certificate for the concatenated repair matrix.
+
+    Full row rank C(d-e, m) by construction: restricted to columns labeled
+    by subsets avoiding the anchor set, the matrix is diagonal with entries
+    plus/minus the anchor minor of the failed rows.
+    """
+
+    matrix: Matrix
+    row_labels: tuple[tuple[int, ...], ...]
+    column_labels: tuple[tuple[int, ...], ...]
+    anchor: tuple[int, ...]
+
+
+def null_space_matrix(failed, m: int, encoder: EncoderMatrix) -> NullSpaceMatrix:
+    """Certificate matrix annihilating the concatenated repair matrix.
+
+    The anchor is the lexicographically first e-subset of column positions
+    on which the failed encoder rows have a nonzero minor (one exists since
+    those rows are independent). Rows are labeled by m-subsets avoiding the
+    anchor; the entry at (I, L) is a signed e x e minor of the failed rows
+    on (I + anchor) - L when L is contained in I + anchor, else zero.
+    """
+    failed = list(failed)
+    d = encoder.d
+    e = len(failed)
+    if e > d:
+        raise TooManyFailures(f"at most d={d} simultaneous failures, got {e}")
+    field = encoder.field
+    failed_rows = encoder.rows_submatrix(failed)
+
+    anchor = None
+    for candidate in subsets(d, e).ordering:
+        minor = failed_rows.submatrix(range(e), [x - 1 for x in candidate])
+        if minor.det() != 0:
+            anchor = candidate
+            break
+    assert anchor is not None, "failed rows of an MDS encoder are independent"
+
+    outside = [x for x in range(1, d + 1) if x not in anchor]
+    if m <= len(outside):
+        row_labels = tuple(
+            tuple(outside[i - 1] for i in combo)
+            for combo in subsets(len(outside), m).ordering
+        )
+    else:
+        row_labels = ()  # certificate is empty once e > d - m
+    col_space = subsets(d, m)
+    matrix = Matrix.zeros(field, len(row_labels), len(col_space))
+    anchor_set = set(anchor)
+    for r, i_label in enumerate(row_labels):
+        support = tuple(sorted(set(i_label) | anchor_set))
+        support_set = set(support)
+        for c, l_label in enumerate(col_space.ordering):
+            if not set(l_label) <= support_set:
+                continue
+            sign = sum(position(support, j) for j in l_label)
+            keep = [x for x in support if x not in l_label]
+            minor = failed_rows.submatrix(range(e), [x - 1 for x in keep]).det()
+            matrix.set(r, c, field.signed(minor, sign))
+    return NullSpaceMatrix(
+        matrix=matrix,
+        row_labels=row_labels,
+        column_labels=col_space.ordering,
+        anchor=anchor,
+    )
+
+
+def supercode_schedule(d: int, e: int) -> tuple[tuple[int, ...], ...]:
+    """Role rotation equalizing per-helper cost over d code segments.
+
+    Entry [segment-1][slot-1] is the 1-based plan role the helper in that
+    slot plays for that segment: ((slot + segment - 2) mod d) + 1. Across
+    all d segments every slot plays every role exactly once.
+    """
+    if e > d:
+        raise TooManyFailures(f"at most d={d} simultaneous failures, got {e}")
+    return tuple(
+        tuple((slot + segment - 2) % d + 1 for slot in range(1, d + 1))
+        for segment in range(1, d + 1)
+    )
+
+
+def supercode_helper_totals(d: int, m: int, e: int) -> list[int]:
+    """Per-helper symbols summed over all d segments of the rotation."""
+    schedule = supercode_schedule(d, e)
+    totals = [0] * d
+    for segment_roles in schedule:
+        for slot, role in enumerate(segment_roles):
+            totals[slot] += joint_bandwidth(d, m, min(role, e))
+    return totals

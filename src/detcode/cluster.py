@@ -24,7 +24,7 @@ from .code import (
     encode,
     recover_data,
 )
-from .field import element_width, next_prime_at_least
+from .field import element_width, next_prime_at_least, pack_symbols, unpack_symbols
 from .multirepair import (
     OverlapError,
     centralized_bandwidth,
@@ -276,7 +276,7 @@ def shard_path(directory, node_id: int) -> Path:
 
 
 def write_shard(path, config: CodeConfig, node_id: int, stripes: list[list[int]], original_len: int) -> None:
-    width = element_width(config.p)
+    """Write one node's shard; a symbol outside GF(p) raises ValueError."""
     header = _SHARD_HEADER.pack(
         SHARD_MAGIC,
         SHARD_VERSION,
@@ -288,11 +288,8 @@ def write_shard(path, config: CodeConfig, node_id: int, stripes: list[list[int]]
         len(stripes),
         original_len,
     )
-    body = bytearray(header)
-    for stripe in stripes:
-        for v in stripe:
-            body += v.to_bytes(width, "little")
-    Path(path).write_bytes(bytes(body))
+    body = pack_symbols([v for stripe in stripes for v in stripe], config.p)
+    Path(path).write_bytes(header + body)
 
 
 @dataclass(frozen=True)
@@ -319,22 +316,15 @@ def read_shard(path) -> ShardFile:
         raise ShardFormatError(f"{path}: inconsistent header ({exc})") from exc
     if not 1 <= node_id <= n:
         raise ShardFormatError(f"{path}: node id {node_id} out of range")
-    width = element_width(p)
     alpha = config.alpha
-    expected = _SHARD_HEADER.size + stripe_count * alpha * width
+    expected = _SHARD_HEADER.size + stripe_count * alpha * element_width(p)
     if len(blob) != expected:
         raise ShardFormatError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
-    offset = _SHARD_HEADER.size
-    stripes = []
-    for _ in range(stripe_count):
-        row = []
-        for _ in range(alpha):
-            v = int.from_bytes(blob[offset : offset + width], "little")
-            if v >= p:
-                raise ShardFormatError(f"{path}: symbol {v} outside GF({p})")
-            row.append(v)
-            offset += width
-        stripes.append(tuple(row))
+    try:
+        values = unpack_symbols(blob[_SHARD_HEADER.size :], p)
+    except ValueError as exc:
+        raise ShardFormatError(f"{path}: {exc}") from exc
+    stripes = [tuple(values[i : i + alpha]) for i in range(0, len(values), alpha)]
     return ShardFile(config, node_id, stripe_count, original_len, tuple(stripes))
 
 
@@ -360,7 +350,12 @@ def load_cluster(directory) -> Cluster:
     reconstructed from the (shared, validated) header parameters.
     """
     directory = Path(directory)
-    shards = [read_shard(p) for p in sorted(directory.glob("node_*.detc"))]
+    shards = []
+    for path in sorted(directory.glob("node_*.detc")):
+        shard = read_shard(path)
+        if path.name != shard_path(directory, shard.node_id).name:
+            raise ShardFormatError(f"{path}: file name disagrees with header node id {shard.node_id}")
+        shards.append(shard)
     if not shards:
         raise ShardFormatError(f"no shard files found in {directory}")
     config = shards[0].config

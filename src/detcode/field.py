@@ -69,6 +69,26 @@ def element_width(p: int) -> int:
     return (p.bit_length() + 7) // 8
 
 
+def pack_symbols(values, p: int) -> bytes:
+    """Little-endian bytes of GF(p) symbols, element_width(p) each; ValueError outside [0, p)."""
+    values = list(values)
+    if values and not 0 <= min(values) <= max(values) < p:
+        raise ValueError("symbol out of field range")
+    width = element_width(p)
+    return b"".join([v.to_bytes(width, "little") for v in values])
+
+
+def unpack_symbols(blob, p: int) -> list[int]:
+    """Inverse of :func:`pack_symbols`; ValueError on a symbol outside [0, p) or a partial one."""
+    width = element_width(p)
+    if len(blob) % width:
+        raise ValueError(f"symbol out of field range: {len(blob)} bytes is not a whole number of {width}-byte symbols")
+    values = [int.from_bytes(blob[i : i + width], "little") for i in range(0, len(blob), width)]
+    if values and max(values) >= p:
+        raise ValueError("symbol out of field range")
+    return values
+
+
 class Field:
     """Prime field GF(p).
 
@@ -214,7 +234,7 @@ class Matrix:
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         p = self.field.p
-        bt = list(zip(*other.data)) if other.rows else []
+        bt = list(zip(*other.data)) if other.rows else [()] * other.cols
         data = [
             [sum(a * b for a, b in zip(row, col)) % p for col in bt]
             for row in self.data
@@ -266,21 +286,15 @@ class Matrix:
         return len(self._eliminate()[1])
 
     def pivot_columns(self):
-        """Lexicographically-first maximal independent column set, plus expansions.
+        """Lexicographically-first maximal independent column set, plus expansion.
 
-        Returns (pivots, expansion) where pivots is the ordered list of pivot
-        column indices and expansion maps every non-pivot column index j to
-        the coefficient list (c_0, ..., c_{k-1}) with
-        column_j == sum_k c_k * column_{pivots[k]}, exactly.
+        Returns (pivots, expand): pivots is the ordered list of pivot column
+        indices and expand is the len(pivots) x cols matrix of the nonzero
+        rows of the reduced row echelon form, so that
+        self == self.submatrix(range(self.rows), pivots) @ expand, exactly.
         """
         rref, pivots, _ = self._eliminate()
-        pivot_set = set(pivots)
-        expansion = {
-            j: tuple(rref[k][j] for k in range(len(pivots)))
-            for j in range(self.cols)
-            if j not in pivot_set
-        }
-        return pivots, expansion
+        return pivots, Matrix(self.field, rref[: len(pivots)], cols=self.cols)
 
     def inverse(self) -> "Matrix":
         """Exact inverse by Gauss-Jordan on [A | I]; raises Singular when rank-deficient."""

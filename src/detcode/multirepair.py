@@ -4,15 +4,16 @@ Two mechanisms beat repairing each failure independently:
 
 * joint transmission — the per-failure repair vectors a helper would send
   overlap linearly, so their concatenation compresses to at most
-  beta_e = C(d, m) - C(d-e, m) symbols per helper. A certificate matrix in
-  the left null space of the concatenation witnesses the rank bound. The
-  payloads themselves are built and decoded in :mod:`detcode.repair`.
+  beta_e = C(d, m) - C(d-e, m) symbols per helper. The payloads themselves
+  are built and decoded in :mod:`detcode.repair`; the null-space
+  certificate of the rank bound is in :mod:`detcode.certificates`.
 
 * centralized sequencing — a repair center restores the failed nodes one at
   a time and reuses freshly repaired nodes as helpers for the rest; symbol
   exchange among nodes already at the center is free. Averaged over the d
   helpers the download is beta_bar_e = (m/d) * (C(d+1, m+1) - C(d-e+1, m+1))
-  per helper, and a d-fold rotation schedule equalizes it exactly.
+  per helper, and a d-fold rotation schedule (in :mod:`detcode.certificates`)
+  equalizes it exactly.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .code import EncoderMatrix
-from .field import Matrix, vec_mat
-from .repair import decode_repair_vectors, decompress_payload, helper_payload, repair_basis
-from .subsets import binom, position, subsets
+from .repair import decode_repair_vectors, decompress_payload, helper_payload
+from .subsets import binom
 
 
 class TooManyFailures(ValueError):
@@ -46,86 +46,6 @@ def centralized_bandwidth(d: int, m: int, e: int) -> Fraction:
     if e < 1:
         raise ValueError(f"need at least one failure, got e={e}")
     return Fraction(m, d) * (binom(d + 1, m + 1) - binom(d - e + 1, m + 1))
-
-
-def multi_repair_matrix(failed, m: int, encoder: EncoderMatrix) -> Matrix:
-    """Horizontal concatenation of the per-failure repair matrices, in order."""
-    return repair_basis(encoder, tuple(failed), m)[0].copy()
-
-
-@dataclass(frozen=True)
-class NullSpaceMatrix:
-    """Left-null-space certificate for the concatenated repair matrix.
-
-    Full row rank C(d-e, m) by construction: restricted to columns labeled
-    by subsets avoiding the anchor set, the matrix is diagonal with entries
-    plus/minus the anchor minor of the failed rows.
-    """
-
-    matrix: Matrix
-    row_labels: tuple[tuple[int, ...], ...]
-    column_labels: tuple[tuple[int, ...], ...]
-    anchor: tuple[int, ...]
-
-
-def null_space_matrix(failed, m: int, encoder: EncoderMatrix) -> NullSpaceMatrix:
-    """Certificate matrix annihilating the concatenated repair matrix.
-
-    The anchor is the lexicographically first e-subset of column positions
-    on which the failed encoder rows have a nonzero minor (one exists since
-    those rows are independent). Rows are labeled by m-subsets avoiding the
-    anchor; the entry at (I, L) is a signed e x e minor of the failed rows
-    on (I + anchor) - L when L is contained in I + anchor, else zero.
-    """
-    failed = list(failed)
-    d = encoder.d
-    e = len(failed)
-    if e > d:
-        raise TooManyFailures(f"at most d={d} simultaneous failures, got {e}")
-    field = encoder.field
-    failed_rows = encoder.rows_submatrix(failed)
-
-    anchor = None
-    for candidate in subsets(d, e).ordering:
-        minor = failed_rows.submatrix(range(e), [x - 1 for x in candidate])
-        if minor.det() != 0:
-            anchor = candidate
-            break
-    assert anchor is not None, "failed rows of an MDS encoder are independent"
-
-    outside = [x for x in range(1, d + 1) if x not in anchor]
-    if m <= len(outside):
-        row_labels = tuple(
-            tuple(outside[i - 1] for i in combo)
-            for combo in subsets(len(outside), m).ordering
-        )
-    else:
-        row_labels = ()  # certificate is empty once e > d - m
-    col_space = subsets(d, m)
-    matrix = Matrix.zeros(field, len(row_labels), len(col_space))
-    anchor_set = set(anchor)
-    for r, i_label in enumerate(row_labels):
-        support = tuple(sorted(set(i_label) | anchor_set))
-        support_set = set(support)
-        for c, l_label in enumerate(col_space.ordering):
-            if not set(l_label) <= support_set:
-                continue
-            sign = sum(position(support, j) for j in l_label)
-            keep = [x for x in support if x not in l_label]
-            minor = failed_rows.submatrix(range(e), [x - 1 for x in keep]).det()
-            matrix.set(r, c, field.signed(minor, sign))
-    return NullSpaceMatrix(
-        matrix=matrix,
-        row_labels=row_labels,
-        column_labels=col_space.ordering,
-        anchor=anchor,
-    )
-
-
-def split_segments(vector: list[int], e: int, d: int, m: int) -> list[list[int]]:
-    """Per-failure slices of a concatenated repair vector, in failure order."""
-    seg = len(subsets(d, m - 1))
-    return [vector[i * seg : (i + 1) * seg] for i in range(e)]
 
 
 @dataclass(frozen=True)
@@ -185,53 +105,27 @@ def centralized_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int
 
     *contents* maps node id to its stripe row for every helper. Each helper
     transmits one joint payload covering its served prefix; nodes repaired
-    earlier feed later repairs directly at zero transmission cost.
+    earlier feed later repairs through the same transmit and expansion, at
+    zero transmission cost.
     """
     plan = CentralRepairPlan(tuple(failed), tuple(helpers), m)
-    d = plan.d
+    seg = binom(plan.d, m - 1)
 
-    segments: dict[int, dict[int, list[int]]] = {}
+    expanded: dict[int, list[int]] = {}
     sent: dict[int, int] = {}
-    for slot in range(1, d + 1):
-        h = plan.helpers[slot - 1]
-        prefix = plan.served_prefix(slot)
-        payload = helper_payload(contents[h], h, prefix, encoder, m)
+    for slot, h in enumerate(plan.helpers, start=1):
+        payload = helper_payload(contents[h], h, plan.served_prefix(slot), encoder, m)
         sent[h] = len(payload.symbols)
-        full = decompress_payload(payload, encoder)
-        segments[h] = dict(zip(prefix, split_segments(full, len(prefix), d, m)))
+        expanded[h] = decompress_payload(payload, encoder)
 
     repaired: dict[int, list[int]] = {}
     for step, f in enumerate(plan.failed):
         helper_ids = plan.helper_sequence(step)
-        xi = repair_basis(encoder, (f,), m)[0]
         vectors = [
-            vec_mat(repaired[h], xi) if h in repaired else segments[h][f]  # center-local, free
+            decompress_payload(helper_payload(repaired[h], h, (f,), encoder, m), encoder)
+            if h in repaired  # center-local, free
+            else expanded[h][step * seg : (step + 1) * seg]
             for h in helper_ids
         ]
         repaired.update(decode_repair_vectors(vectors, helper_ids, encoder, (f,), m))
     return repaired, sent
-
-
-def supercode_schedule(d: int, e: int) -> tuple[tuple[int, ...], ...]:
-    """Role rotation equalizing per-helper cost over d code segments.
-
-    Entry [segment-1][slot-1] is the 1-based plan role the helper in that
-    slot plays for that segment: ((slot + segment - 2) mod d) + 1. Across
-    all d segments every slot plays every role exactly once.
-    """
-    if e > d:
-        raise TooManyFailures(f"at most d={d} simultaneous failures, got {e}")
-    return tuple(
-        tuple((slot + segment - 2) % d + 1 for slot in range(1, d + 1))
-        for segment in range(1, d + 1)
-    )
-
-
-def supercode_helper_totals(d: int, m: int, e: int) -> list[int]:
-    """Per-helper symbols summed over all d segments of the rotation."""
-    schedule = supercode_schedule(d, e)
-    totals = [0] * d
-    for segment_roles in schedule:
-        for slot, role in enumerate(segment_roles):
-            totals[slot] += joint_bandwidth(d, m, min(role, e))
-    return totals

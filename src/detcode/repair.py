@@ -1,14 +1,17 @@
 """Helper-independent repair of one or several failed nodes.
 
-A helper multiplies its own content by a public coefficient matrix that
-depends only on the failed nodes' encoder rows, compresses the result to
-its pivot columns (at most beta_e = C(d, m) - C(d-e, m) symbols for e
-failures, beta = C(d-1, m-1) for one), and transmits those. The
-replacement side decompresses all d helper vectors, undoes the encoding,
-and reassembles each failed node's symbols by signed sums. No helper needs
-to know which other nodes are helping. Single-failure repair is the case
-e = 1 of the same path. The repair matrix and the signed-sum readout both
-read :func:`detcode.subsets.incidence`, the package's one sign rule.
+The public repair matrix of a failure tuple (the per-failure coefficient
+matrices side by side) depends only on the failed nodes' encoder rows, and
+one Gauss-Jordan pass factors it as compress @ expand: compress is its
+pivot columns, expand the nonzero rows of its reduced row echelon form. A
+helper multiplies its own content by compress and transmits the result (at
+most beta_e = C(d, m) - C(d-e, m) symbols for e failures, beta =
+C(d-1, m-1) for one). The replacement side expands each of the d received
+vectors by expand, undoes the encoding, and reassembles each failed node's
+symbols by signed sums. No helper needs to know which other nodes are
+helping. Single-failure repair is the case e = 1 of the same path. The
+repair matrix and the signed-sum readout both read
+:func:`detcode.subsets.incidence`, the package's one sign rule.
 
 Wire format of a payload, version 2, all integers little-endian::
 
@@ -16,7 +19,8 @@ Wire format of a payload, version 2, all integers little-endian::
     followed by count symbols of element_width(p) bytes each
 
 Pivot columns are not sent: both ends derive them from the public repair
-matrix of (failed ids, m).
+matrix of (failed ids, m). Symbols are packed by
+:func:`detcode.field.pack_symbols`.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .code import EncoderMatrix, rows_inverse
-from .field import Matrix, element_width, vec_mat
-from .subsets import binom, incidence, subsets
+from .field import Matrix, element_width, pack_symbols, unpack_symbols, vec_mat
+from .subsets import binom, incidence
 
 
 class WrongTarget(ValueError):
@@ -52,39 +56,20 @@ def repair_matrix(f: int, m: int, encoder: EncoderMatrix) -> Matrix:
 
 @lru_cache(maxsize=512)
 def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int):
-    """(matrix, pivot columns, expansion) for a failure tuple; cached per encoder.
+    """(compress, pivot columns, expand) for a failure tuple; cached per encoder.
 
-    The matrix is the horizontal concatenation of the per-failure repair
-    matrices in failure order, so column j of segment i has index
-    i * C(d, m-1) + j. The cached matrix is shared: do not mutate it.
+    The repair matrix of the tuple is the horizontal concatenation of the
+    per-failure repair matrices in failure order, so column j of segment i
+    has index i * C(d, m-1) + j. compress is its pivot columns (alpha x
+    rank) and expand the nonzero rows of its reduced row echelon form
+    (rank x e * C(d, m-1)); their product is the repair matrix, exactly.
+    The cached matrices are shared: do not mutate them.
     """
     if len(set(failed)) != len(failed):
         raise ValueError(f"failed ids must be distinct, got {list(failed)}")
     xi = Matrix.hstack([repair_matrix(f, m, encoder) for f in failed])
-    pivots, expansion = xi.pivot_columns()
-    return xi, tuple(pivots), expansion
-
-
-def column_dependency(j_label, f: int, m: int, encoder: EncoderMatrix) -> list[int]:
-    """A combination of repair-matrix columns that sums to zero.
-
-    For an (m-2)-subset J, the columns labeled J + {y} over y outside J are
-    linearly dependent with coefficients (-1)**position(J + {y}, y) times the
-    failed node's coefficient for y. Returned as a full-length vector over
-    the C(d, m-1) column space (zeros elsewhere); requires m >= 2. Nonzero
-    whenever the failed row has a nonzero coefficient outside J, which MDS
-    guarantees for J = the empty set.
-    """
-    if m < 2:
-        raise ValueError("column dependencies exist only for m >= 2")
-    d = encoder.d
-    psi = encoder.row(f)
-    target = subsets(d, m - 2).rank(tuple(sorted(j_label)))
-    coeffs = [0] * binom(d, m - 1)
-    for k, y, rest, sign in incidence(d, m - 1):
-        if rest == target:
-            coeffs[k] = sign * psi[y - 1] % encoder.field.p
-    return coeffs
+    pivots, expand = xi.pivot_columns()
+    return xi.submatrix(range(xi.rows), pivots), tuple(pivots), expand
 
 
 WIRE_VERSION = 2
@@ -103,9 +88,6 @@ class RepairPayload:
 
     def to_bytes(self, p: int) -> bytes:
         """Serialize; a field that does not fit its wire slot raises ValueError."""
-        width = element_width(p)
-        if any(not 0 <= v < p for v in self.symbols):
-            raise ValueError("symbol out of field range")
         try:
             parts = [
                 _WIRE_HEAD.pack(WIRE_VERSION, self.m, len(self.failed)),
@@ -114,13 +96,12 @@ class RepairPayload:
             ]
         except struct.error as exc:
             raise ValueError(f"payload does not fit wire format v{WIRE_VERSION}: {exc}") from exc
-        parts.extend(v.to_bytes(width, "little") for v in self.symbols)
+        parts.append(pack_symbols(self.symbols, p))
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, blob: bytes, p: int) -> "RepairPayload":
         """Parse one payload; every malformed blob raises ValueError."""
-        width = element_width(p)
         try:
             version, m, e = _WIRE_HEAD.unpack_from(blob, 0)
             if version != WIRE_VERSION:
@@ -131,45 +112,32 @@ class RepairPayload:
         except struct.error as exc:
             raise ValueError(f"truncated payload header: {exc}") from exc
         offset += _WIRE_TAIL.size
-        if len(blob) != offset + count * width:
+        if len(blob) != offset + count * element_width(p):
             raise ValueError("payload length does not match symbol count")
-        symbols = tuple(
-            int.from_bytes(blob[offset + i * width : offset + (i + 1) * width], "little")
-            for i in range(count)
-        )
-        if any(v >= p for v in symbols):
-            raise ValueError("symbol out of field range")
-        return cls(failed, helper, m, symbols)
+        return cls(failed, helper, m, tuple(unpack_symbols(blob[offset:], p)))
 
 
 def helper_payload(h_content, helper: int, failed, encoder: EncoderMatrix, m: int) -> RepairPayload:
-    """Repair data from one helper: content times the repair matrix, compressed.
+    """Repair data from one helper: its content times the pivot columns.
 
-    Only the entries at the pivot columns are kept; pivots are a function of
-    the (public) repair matrix alone, so sender and receiver agree without
-    negotiation and the payload never depends on who else is helping.
+    The pivots are a function of the (public) repair matrix alone, so sender
+    and receiver agree without negotiation and the payload never depends on
+    who else is helping.
     """
     failed = tuple(failed)
-    xi, pivots, _ = repair_basis(encoder, failed, m)
-    full = vec_mat(list(h_content), xi)
-    return RepairPayload(failed, helper, m, tuple(full[j] for j in pivots))
+    compress, _, _ = repair_basis(encoder, failed, m)
+    return RepairPayload(failed, helper, m, tuple(vec_mat(list(h_content), compress)))
 
 
 def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> list[int]:
-    """Full-length repair vector, non-pivot entries rebuilt from pivot ones."""
-    _, pivots, expansion = repair_basis(encoder, payload.failed, payload.m)
+    """Full-length repair vector: the received symbols times the reduced rows."""
+    _, pivots, expand = repair_basis(encoder, payload.failed, payload.m)
     if len(payload.symbols) != len(pivots):
         raise ValueError(
             f"payload carries {len(payload.symbols)} symbols, "
             f"the repair matrix has rank {len(pivots)}"
         )
-    p = encoder.field.p
-    full = [0] * (len(pivots) + len(expansion))
-    for j, v in zip(pivots, payload.symbols):
-        full[j] = v
-    for j, coeffs in expansion.items():
-        full[j] = sum(c * full[k] for c, k in zip(coeffs, pivots)) % p
-    return full
+    return vec_mat(list(payload.symbols), expand)
 
 
 def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) -> dict[int, list[int]]:

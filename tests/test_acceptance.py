@@ -26,13 +26,11 @@ from detcode import (
     encode,
     helper_payload,
     joint_bandwidth,
-    multi_repair_matrix,
-    null_space_matrix,
     recover_data,
     repair_matrix,
-    supercode_helper_totals,
     tradeoff_bound,
 )
+from detcode.certificates import multi_repair_matrix, null_space_matrix, supercode_helper_totals
 from conftest import GOLDEN_TAIL_ROWS
 
 

@@ -1,6 +1,10 @@
 """The package's public name list matches what it actually exports."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import detcode
 
@@ -18,3 +22,10 @@ def test_all_lists_exactly_the_imported_public_names():
     }
     assert sorted(detcode.__all__) == sorted(imported)
     assert len(set(detcode.__all__)) == len(detcode.__all__)
+
+
+def test_runtime_does_not_load_certificates():
+    """Verification-only code stays off the runtime path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(detcode.__file__).parents[1]))
+    code = "import sys, detcode, detcode.cli; assert 'detcode.certificates' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -9,10 +9,12 @@ from detcode.cluster import (
     FieldTooSmallForBytes,
     NotEnoughHelpers,
     RepairEvent,
+    ShardFormatError,
     assemble_file,
     bandwidth_table,
     capacity_curve,
     ingest_file,
+    load_cluster,
     write_all_shards,
 )
 from detcode.code import CodeConfig, build_message_matrix
@@ -196,6 +198,15 @@ def test_shard_bytes_deterministic(tmp_path):
         first = (tmp_path / "a" / f"node_{i}.detc").read_bytes()
         second = (tmp_path / "b" / f"node_{i}.detc").read_bytes()
         assert first == second
+
+
+def test_load_rejects_shard_under_another_node_name(tmp_path):
+    """A stale copy of node 3 saved as node 5 neither fails node 5 silently
+    nor replaces node 3's content."""
+    write_all_shards(tmp_path, Cluster.from_file(bytes(range(200)), CFG257))
+    (tmp_path / "node_5.detc").write_bytes((tmp_path / "node_3.detc").read_bytes())
+    with pytest.raises(ShardFormatError, match="node_5.detc"):
+        load_cluster(tmp_path)
 
 
 def test_repair_determinism():

@@ -4,6 +4,12 @@ from itertools import combinations
 
 import pytest
 
+from detcode.certificates import (
+    multi_repair_matrix,
+    null_space_matrix,
+    supercode_helper_totals,
+    supercode_schedule,
+)
 from detcode.code import build_encoder, build_message_matrix, encode
 from detcode.field import Field, vec_mat
 from detcode.multirepair import (
@@ -13,11 +19,6 @@ from detcode.multirepair import (
     centralized_bandwidth,
     centralized_repair,
     joint_bandwidth,
-    multi_repair_matrix,
-    null_space_matrix,
-    split_segments,
-    supercode_helper_totals,
-    supercode_schedule,
 )
 from detcode.repair import (
     decode_failed_nodes,
@@ -174,7 +175,9 @@ def test_too_many_failures(encoder8):
 # --- joint payloads -------------------------------------------------------
 
 
-def test_joint_payload_size_and_roundtrip(encoder8, contents8):
+def test_joint_payload_size_and_roundtrip(gf13, encoder8, contents8):
+    """Every failure tuple of (8, 4) at every mode: each helper sends exactly
+    beta_e symbols, which expand to its content times the paper's matrix."""
     failed = (5, 6)
     xi = multi_repair_matrix(failed, 2, encoder8)
     for h in (1, 2, 3, 4):
@@ -182,6 +185,18 @@ def test_joint_payload_size_and_roundtrip(encoder8, contents8):
         assert len(payload.symbols) == 5
         full = decompress_payload(payload, encoder8)
         assert full == vec_mat(contents8[h - 1], xi)
+    rng = random.Random(77)
+    for m in range(1, 5):
+        msg = build_message_matrix([rng.randrange(13) for _ in range(m * binom(5, m + 1))], 4, m, gf13)
+        contents = encode(encoder8, msg)
+        for e in range(1, 5):
+            for failed in combinations(range(1, 9), e):
+                xi = multi_repair_matrix(failed, m, encoder8)
+                for h in (h for h in range(1, 9) if h not in failed):
+                    payload = helper_payload(contents[h - 1], h, failed, encoder8, m)
+                    assert len(payload.symbols) == joint_bandwidth(4, m, e)
+                    full = decompress_payload(payload, encoder8)
+                    assert full == vec_mat(contents[h - 1], xi), (m, failed, h)
 
 
 def test_joint_payload_single_failure_matches_plain(encoder8, contents8):
@@ -201,12 +216,7 @@ def test_segment_extraction_matches_single_payload(encoder8, contents8):
     joint = decompress_payload(helper_payload(contents8[2], 3, (5, 7), encoder8, 2), encoder8)
     for idx, f in enumerate((5, 7)):
         single = decompress_payload(helper_payload(contents8[2], 3, (f,), encoder8, 2), encoder8)
-        assert split_segments(joint, 2, 4, 2)[idx] == single
-
-
-def test_split_segments(encoder8):
-    vector = list(range(8))
-    assert split_segments(vector, 2, 4, 2) == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        assert joint[idx * 4 : (idx + 1) * 4] == single
 
 
 def test_joint_decode_equals_single_repairs(encoder8, contents8):

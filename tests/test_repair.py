@@ -3,11 +3,11 @@ from itertools import combinations
 
 import pytest
 
+from detcode.certificates import column_dependency
 from detcode.code import build_encoder, build_message_matrix, encode
 from detcode.field import Field, vec_mat
 from detcode.repair import (
     WrongTarget,
-    column_dependency,
     decode_failed_nodes,
     decompress_payload,
     helper_payload,

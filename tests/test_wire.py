@@ -14,6 +14,7 @@ from detcode.cluster import (
     write_shard,
 )
 from detcode.code import CodeConfig
+from detcode.field import pack_symbols, unpack_symbols
 from detcode.repair import RepairPayload, decompress_payload, helper_payload
 
 
@@ -138,6 +139,30 @@ def test_payload_parse_round_trips_or_raises_value_error(blob):
     assert payload.to_bytes(257) == blob
 
 
+@pytest.mark.parametrize("p", [13, 257, 65537])
+@given(data=st.data())
+def test_symbol_codec_round_trips_and_rejects_out_of_range(p, data):
+    width = (p.bit_length() + 7) // 8
+    values = data.draw(st.lists(st.integers(0, p - 1), max_size=8))
+    blob = pack_symbols(values, p)
+    assert blob == b"".join(v.to_bytes(width, "little") for v in values)
+    assert unpack_symbols(blob, p) == values
+    bad = data.draw(st.one_of(st.integers(max_value=-1), st.integers(p, 256**width - 1)))
+    with pytest.raises(ValueError, match="symbol out of field range"):
+        pack_symbols(values + [bad], p)
+    if bad >= 0:
+        with pytest.raises(ValueError, match="symbol out of field range"):
+            unpack_symbols(blob + bad.to_bytes(width, "little"), p)
+    if width > 1:
+        with pytest.raises(ValueError, match="symbol out of field range"):
+            unpack_symbols(blob + bytes(width - 1), p)
+
+
+def test_three_byte_symbols_little_endian():
+    assert pack_symbols([65536, 1], 65537) == bytes.fromhex("00 00 01" "01 00 00")
+    assert unpack_symbols(bytes.fromhex("00 00 01" "01 00 00"), 65537) == [65536, 1]
+
+
 def test_two_byte_symbols_little_endian(tmp_path):
     config = CodeConfig(n=8, d=4, m=2, p=257)
     stripes = [[256] + [0] * 5]
@@ -182,6 +207,8 @@ def test_shard_rejects_out_of_field_symbol(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ShardFormatError):
         read_shard(path)
+    with pytest.raises(ValueError, match="symbol out of field range"):
+        write_shard(path, config, 1, [[1, 2, 3, 4, 5, 257]], original_len=6)
 
 
 def test_shard_rejects_inconsistent_header(tmp_path):
