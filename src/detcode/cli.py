@@ -18,7 +18,7 @@ from .cluster import (
     write_all_shards,
     write_shard,
 )
-from .code import CodeConfig, encode as encode_stripes
+from .code import CodeConfig, ParityViolation, encode as encode_stripes
 from .field import next_prime_at_least
 
 
@@ -146,20 +146,12 @@ def _mismatch_set(cluster, reference) -> set[int] | None:
     Returns None when the reference itself is internally inconsistent
     (parity fails on recovery).
     """
-    from .code import ParityViolation
-
     try:
-        stripes = cluster.recover_stripes(reference)
+        message = cluster.recover_stripes(reference)
     except ParityViolation:
         return None
-    alive = cluster.alive()
-    bad: set[int] = set()
-    for s, stripe in enumerate(stripes):
-        expected = encode_stripes(cluster.encoder, stripe)
-        for node_id in alive:
-            if cluster.node_content(node_id)[s] != expected[node_id - 1]:
-                bad.add(node_id)
-    return bad
+    expected = encode_stripes(cluster.encoder, message)
+    return {i for i in cluster.alive() if cluster.node_content(i) != expected[i - 1]}
 
 
 @main.command(name="verify")

@@ -1,13 +1,16 @@
 """Deterministic in-process storage simulator and shard persistence.
 
 Byte files map one byte per field element (so p >= 257), zero-padded up to
-a whole number of stripes with the true length recorded. Shards go to disk
-as ``node_<id>.detc`` files; the generator matrix is a pure function of
-(n, d, p), so independently written shards stay mutually consistent.
+a whole number of stripes with the true length recorded. A node's content
+is its stripe batch, one row per stripe, coded in one call per object.
+Shards go to disk as ``node_<id>.detc`` files, replaced atomically; the
+generator matrix is a pure function of (n, d, p), so independently written
+shards stay mutually consistent.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import struct
 from dataclasses import dataclass, field as dc_field
@@ -24,7 +27,7 @@ from .code import (
     encode,
     recover_data,
 )
-from .field import element_width, next_prime_at_least, pack_symbols, unpack_symbols
+from .field import element_width, next_prime_at_least, pack_symbols, split_rows, unpack_symbols
 from .multirepair import (
     OverlapError,
     centralized_bandwidth,
@@ -50,25 +53,18 @@ REPAIR_MODES = ("single", "naive", "joint", "centralized")
 
 
 def _joint_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int):
-    """One stripe's joint repair; same contract as ``centralized_repair``."""
+    """Joint repair of every stripe; same contract as ``centralized_repair``."""
     payloads = [helper_payload(contents[h], h, failed, encoder, m) for h in helpers]
     sent = {payload.helper: len(payload.symbols) for payload in payloads}
     return decode_failed_nodes(payloads, helpers, encoder, failed), sent
 
 
-def ingest_file(data: bytes, config: CodeConfig) -> tuple[list[MessageMatrix], int]:
-    """Split bytes into per-stripe message matrices; returns (stripes, true length)."""
+def ingest_file(data: bytes, config: CodeConfig) -> tuple[MessageMatrix, int]:
+    """Lay bytes out as one message matrix of whole stripes; returns (message, true length)."""
     if config.p < 257:
         raise FieldTooSmallForBytes(f"byte ingestion needs p >= 257, got {config.p}")
-    per_stripe = config.file_symbols
-    padded = list(data)
-    if len(padded) % per_stripe:
-        padded.extend([0] * (per_stripe - len(padded) % per_stripe))
-    stripes = [
-        build_message_matrix(padded[i : i + per_stripe], config.d, config.m, config.field)
-        for i in range(0, len(padded), per_stripe)
-    ]
-    return stripes, len(data)
+    padded = list(data) + [0] * (-len(data) % config.file_symbols)
+    return build_message_matrix(padded, config.d, config.m, config.field), len(data)
 
 
 def assemble_file(stripe_symbols: list[list[int]], original_len: int) -> bytes:
@@ -143,18 +139,15 @@ class Cluster:
         self.ledger = BandwidthLedger()
 
     @classmethod
-    def build(cls, config: CodeConfig, stripes: list[MessageMatrix], original_len: int | None = None) -> "Cluster":
+    def build(cls, config: CodeConfig, message: MessageMatrix, original_len: int | None = None) -> "Cluster":
         encoder = build_encoder(config.n, config.d, config.field)
-        contents: dict[int, list[list[int]]] = {i: [] for i in range(1, config.n + 1)}
-        for stripe in stripes:
-            for node_id, row in enumerate(encode(encoder, stripe), start=1):
-                contents[node_id].append(row)
-        return cls(config, encoder, contents, len(stripes), original_len)
+        contents = dict(enumerate(encode(encoder, message), start=1))
+        return cls(config, encoder, contents, message.stripes, original_len)
 
     @classmethod
     def from_file(cls, data: bytes, config: CodeConfig) -> "Cluster":
-        stripes, original_len = ingest_file(data, config)
-        return cls.build(config, stripes, original_len)
+        message, original_len = ingest_file(data, config)
+        return cls.build(config, message, original_len)
 
     def alive(self) -> list[int]:
         return sorted(i for i, c in self.contents.items() if c is not None)
@@ -174,24 +167,25 @@ class Cluster:
                 raise ValueError(f"no node {i}")
             self.contents[i] = None
 
-    def _pick_helpers(self, excluded: set[int], helpers) -> tuple[int, ...]:
+    def _pick_nodes(self, excluded: set[int], node_ids) -> tuple[int, ...]:
+        """d distinct alive node ids outside *excluded*; default: the first d."""
         d = self.config.d
-        if helpers is None:
+        if node_ids is None:
             pool = [i for i in self.alive() if i not in excluded]
             if len(pool) < d:
-                raise NotEnoughHelpers(f"need {d} helpers, only {len(pool)} available")
+                raise NotEnoughHelpers(f"need {d} alive nodes, only {len(pool)} available")
             return tuple(pool[:d])
-        helpers = tuple(helpers)
-        if len(helpers) != d or len(set(helpers)) != d:
-            raise ValueError(f"need exactly {d} distinct helpers, got {list(helpers)}")
-        if set(helpers) & excluded:
+        node_ids = tuple(node_ids)
+        if len(node_ids) != d or len(set(node_ids)) != d:
+            raise ValueError(f"need exactly {d} distinct node ids, got {list(node_ids)}")
+        if set(node_ids) & excluded:
             raise OverlapError(
-                f"helpers {sorted(set(helpers) & excluded)} overlap the failed set"
+                f"helpers {sorted(set(node_ids) & excluded)} overlap the failed set"
             )
-        unavailable = [h for h in helpers if self.contents.get(h) is None]
+        unavailable = [i for i in node_ids if self.contents.get(i) is None]
         if unavailable:
-            raise NotEnoughHelpers(f"helpers {unavailable} are failed")
-        return helpers
+            raise NotEnoughHelpers(f"nodes {unavailable} are failed or do not exist")
+        return node_ids
 
     def repair(self, mode: str, failed, helpers=None) -> RepairEvent:
         """Restore failed nodes bit-exactly; returns the recorded ledger event."""
@@ -204,19 +198,19 @@ class Cluster:
             raise ValueError("refusing to repair a node that is still alive")
         if mode == "single" and len(failed) != 1:
             raise ValueError("single mode repairs exactly one node")
-        helper_ids = self._pick_helpers(set(failed), helpers)
+        helper_ids = self._pick_nodes(set(failed), helpers)
         event = RepairEvent(
             mode=mode,
             failed=failed,
             helpers=helper_ids,
             stripes=self.stripe_count,
-            symbols_by_helper=self._repair_stripes(mode, failed, helper_ids),
+            symbols_by_helper=self._repair_groups(mode, failed, helper_ids),
         )
         self.ledger.record(event)
         return event
 
-    def _repair_stripes(self, mode: str, failed, helper_ids) -> dict[int, int]:
-        """One stripe loop for every mode; returns symbols sent per helper.
+    def _repair_groups(self, mode: str, failed, helper_ids) -> dict[int, int]:
+        """One call per failure group, every stripe at once; returns symbols sent per helper.
 
         naive repairs each failure as its own one-element group; single and
         joint repair the whole failure tuple as one group, and centralized
@@ -224,44 +218,27 @@ class Cluster:
         """
         step = centralized_repair if mode == "centralized" else _joint_repair
         groups = [(f,) for f in failed] if mode == "naive" else [failed]
+        helpers = {h: self.contents[h] for h in helper_ids}
         counts = dict.fromkeys(helper_ids, 0)
-        rebuilt = {f: [] for f in failed}
-        for s in range(self.stripe_count):
-            stripe = {h: self.contents[h][s] for h in helper_ids}
-            for group in groups:
-                repaired, sent = step(group, helper_ids, stripe, self.encoder, self.config.m)
-                for h, v in sent.items():
-                    counts[h] += v
-                for f in group:
-                    rebuilt[f].append(repaired[f])
+        rebuilt = {}
+        for group in groups:
+            repaired, sent = step(group, helper_ids, helpers, self.encoder, self.config.m)
+            for h, v in sent.items():
+                counts[h] += v
+            rebuilt.update(repaired)
         self.contents.update(rebuilt)
         return counts
 
-    def recover_stripes(self, node_ids=None) -> list[MessageMatrix]:
-        """Message matrices of every stripe, from any d alive nodes."""
-        if node_ids is None:
-            pool = self.alive()
-            if len(pool) < self.config.d:
-                raise NotEnoughHelpers(
-                    f"need {self.config.d} alive nodes, have {len(pool)}"
-                )
-            node_ids = pool[: self.config.d]
-        node_ids = list(node_ids)
-        return [
-            recover_data(
-                [self.contents[i][s] for i in node_ids],
-                node_ids,
-                self.encoder,
-                self.config.m,
-            )
-            for s in range(self.stripe_count)
-        ]
+    def recover_stripes(self, node_ids=None) -> MessageMatrix:
+        """Message matrix of every stripe, from d distinct alive nodes (default: the first d)."""
+        node_ids = self._pick_nodes(set(), node_ids)
+        return recover_data([self.contents[i] for i in node_ids], node_ids, self.encoder, self.config.m)
 
     def recover_file(self, node_ids=None) -> bytes:
         if self.original_len is None:
             raise ValueError("cluster was not built from a byte file")
-        stripes = self.recover_stripes(node_ids)
-        return assemble_file([s.extract_symbols() for s in stripes], self.original_len)
+        message = self.recover_stripes(node_ids)
+        return assemble_file([message.extract_symbols()], self.original_len)
 
 
 # --- shard persistence -------------------------------------------------
@@ -276,7 +253,11 @@ def shard_path(directory, node_id: int) -> Path:
 
 
 def write_shard(path, config: CodeConfig, node_id: int, stripes: list[list[int]], original_len: int) -> None:
-    """Write one node's shard; a symbol outside GF(p) raises ValueError."""
+    """Write one node's shard atomically; a symbol outside GF(p) raises ValueError.
+
+    The bytes go to a temporary file that load_cluster does not read, which
+    then replaces the shard, so an interrupted write leaves the old one whole.
+    """
     header = _SHARD_HEADER.pack(
         SHARD_MAGIC,
         SHARD_VERSION,
@@ -289,7 +270,14 @@ def write_shard(path, config: CodeConfig, node_id: int, stripes: list[list[int]]
         original_len,
     )
     body = pack_symbols([v for stripe in stripes for v in stripe], config.p)
-    Path(path).write_bytes(header + body)
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        temp.write_bytes(header + body)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -298,7 +286,7 @@ class ShardFile:
     node_id: int
     stripe_count: int
     original_len: int
-    stripes: tuple[tuple[int, ...], ...]
+    stripes: list[list[int]]
 
 
 def read_shard(path) -> ShardFile:
@@ -324,8 +312,7 @@ def read_shard(path) -> ShardFile:
         values = unpack_symbols(blob[_SHARD_HEADER.size :], p)
     except ValueError as exc:
         raise ShardFormatError(f"{path}: {exc}") from exc
-    stripes = [tuple(values[i : i + alpha]) for i in range(0, len(values), alpha)]
-    return ShardFile(config, node_id, stripe_count, original_len, tuple(stripes))
+    return ShardFile(config, node_id, stripe_count, original_len, split_rows(values, alpha))
 
 
 def write_all_shards(directory, cluster: Cluster) -> list[Path]:
@@ -367,7 +354,7 @@ def load_cluster(directory) -> Cluster:
     encoder = build_encoder(config.n, config.d, config.field)
     contents: dict[int, list[list[int]] | None] = {i: None for i in range(1, config.n + 1)}
     for shard in shards:
-        contents[shard.node_id] = [list(s) for s in shard.stripes]
+        contents[shard.node_id] = shard.stripes
     return Cluster(config, encoder, contents, stripe_count, original_len)
 
 

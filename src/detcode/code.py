@@ -8,9 +8,11 @@ storage/bandwidth trade-off, and a prime field modulus p. Derived sizes:
     beta  = C(d-1, m-1)      symbols downloaded per helper per repair
     F     = m * C(d+1, m+1)  source symbols per stripe
 
-Node i stores row i of the product of the n x d encoder matrix with the
-d x alpha message matrix. The message matrix's cells and parity groups are
-read from :func:`detcode.subsets.incidence`, the package's one sign rule.
+The message matrix of S stripes is d x (S * alpha), stripe s in the column
+block from s * alpha; node i stores row i of its product with the n x d
+encoder matrix, cut into S rows: its stripe batch. A block's cells and
+parity groups are read from :func:`detcode.subsets.incidence`, the
+package's one sign rule.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import Field, Matrix, is_prime, CompositeModulus
+from .field import Field, Matrix, is_prime, split_rows, CompositeModulus
 from .subsets import binom, incidence, subsets
 
 
@@ -65,8 +67,7 @@ class CodeConfig:
     p: int
 
     def __post_init__(self):
-        if not 1 <= self.m <= self.d:
-            raise BadMode(f"mode must satisfy 1 <= m <= d, got m={self.m}, d={self.d}")
+        derive_params(self.d, self.m)  # raises BadMode
         if not self.d < self.n:
             raise ValueError(f"need d < n, got d={self.d}, n={self.n}")
         if not is_prime(self.p):
@@ -78,15 +79,15 @@ class CodeConfig:
 
     @property
     def alpha(self) -> int:
-        return binom(self.d, self.m)
+        return derive_params(self.d, self.m)[0]
 
     @property
     def beta(self) -> int:
-        return binom(self.d - 1, self.m - 1)
+        return derive_params(self.d, self.m)[1]
 
     @property
     def file_symbols(self) -> int:
-        return self.m * binom(self.d + 1, self.m + 1)
+        return derive_params(self.d, self.m)[2]
 
     @property
     def field(self) -> Field:
@@ -191,18 +192,20 @@ def symbol_layout(d: int, m: int) -> SymbolLayout:
 
 
 class MessageMatrix:
-    """d x alpha symbol matrix with subset-labeled columns.
+    """d x (S * alpha) symbol matrix: S stripes side by side as column blocks.
 
-    Entry at row x, column label I is a direct source symbol when x is a
-    member of I, and otherwise the shared symbol tied to the (m+1)-set
-    I + {x}. For each (m+1)-set the slot owned by its largest member is a
-    parity fixed so the alternating sum over the set vanishes.
+    In each stripe's block, the entry at row x, column label I is a direct
+    source symbol when x is a member of I, and otherwise the shared symbol
+    tied to the (m+1)-set I + {x}. For each (m+1)-set the slot owned by its
+    largest member is a parity fixed so the alternating sum over the set
+    vanishes.
     """
 
     def __init__(self, layout: SymbolLayout, matrix: Matrix):
-        if matrix.shape != (layout.d, len(layout.columns)):
+        alpha = len(layout.columns)
+        if matrix.rows != layout.d or matrix.cols % alpha:
             raise WrongLength(
-                f"message matrix must be {layout.d} x {len(layout.columns)}, got {matrix.shape}"
+                f"message matrix must be {layout.d} x (S * {alpha}), got {matrix.shape}"
             )
         self.layout = layout
         self.matrix = matrix
@@ -215,64 +218,75 @@ class MessageMatrix:
     def m(self) -> int:
         return self.layout.m
 
+    @property
+    def stripes(self) -> int:
+        return self.matrix.cols // len(self.layout.columns)
+
     def entry(self, x: int, column_label) -> int:
+        """Entry at row x, column label I of the first stripe."""
         return self.matrix[x - 1, self.layout.columns.rank(column_label)]
 
     def shared_symbol(self, x: int, members) -> int:
-        """Value of the (m+1)-set symbol (x, members), read from its slot."""
+        """Value of the first stripe's (m+1)-set symbol (x, members), read from its slot."""
         rest = tuple(y for y in members if y != x)
         return self.matrix[x - 1, self.layout.columns.rank(rest)]
 
     def verify_parity(self) -> None:
-        """Check every alternating-sum constraint; raises ParityViolation."""
-        rows, p = self.matrix.data, self.matrix.field.p
+        """Check every alternating-sum constraint of every stripe; raises ParityViolation."""
+        rows, p, alpha = self.matrix.data, self.matrix.field.p, len(self.layout.columns)
         for k, group in enumerate(self.layout.parity_sets):
-            if sum(sign * rows[r][c] for (r, c), sign in group) % p:
-                raise ParityViolation(f"parity fails for {subsets(self.d, self.m + 1).unrank(k)}")
+            # one tuple of signed cells per stripe
+            terms = zip(*[[sign * v for v in rows[r][c::alpha]] for (r, c), sign in group])
+            bad = next((s for s, cells in enumerate(terms) if sum(cells) % p), None)
+            if bad is not None:
+                raise ParityViolation(f"stripe {bad}: parity fails for {subsets(self.d, self.m + 1).unrank(k)}")
 
     def extract_symbols(self) -> list[int]:
-        """Source symbols back out, in canonical order; does not check parity."""
-        rows = self.matrix.data
-        return [rows[r][c] for r, c in self.layout.v_slots + self.layout.w_slots]
+        """Source symbols back out, stripe after stripe, in canonical order; does not check parity."""
+        rows, alpha = self.matrix.data, len(self.layout.columns)
+        cells = [rows[r][c::alpha] for r, c in self.layout.v_slots + self.layout.w_slots]
+        return [v for stripe in zip(*cells) for v in stripe]
 
     def __eq__(self, other):
         return isinstance(other, MessageMatrix) and other.matrix == self.matrix
 
 
 def build_message_matrix(source, d: int, m: int, field: Field) -> MessageMatrix:
-    """Arrange F source symbols into the message matrix, completing parities."""
+    """Arrange S * F source symbols, stripe after stripe, into S column blocks, completing parities."""
     layout = symbol_layout(d, m)
     source = list(source)
-    if len(source) != layout.file_symbols:
+    per_stripe, alpha = layout.file_symbols, len(layout.columns)
+    if len(source) % per_stripe:
         raise WrongLength(
-            f"need exactly {layout.file_symbols} source symbols, got {len(source)}"
+            f"need a whole number of stripes of {per_stripe} source symbols, got {len(source)}"
         )
-    data = [[0] * len(layout.columns) for _ in range(d)]
-    for (r, c), v in zip(layout.v_slots + layout.w_slots, source):
-        data[r][c] = v
+    data = [[0] * (len(source) // per_stripe * alpha) for _ in range(d)]
+    for t, (r, c) in enumerate(layout.v_slots + layout.w_slots):
+        data[r][c::alpha] = source[t::per_stripe]
     for group in layout.parity_sets:
         (r, c), sign = group[-1]
-        data[r][c] = -sign * sum(s * data[y][j] for (y, j), s in group[:-1])
+        rest = [[s * v for v in data[y][j::alpha]] for (y, j), s in group[:-1]]
+        data[r][c::alpha] = [-sign * sum(cells) for cells in zip(*rest)]
     return MessageMatrix(layout, Matrix(field, data))
 
 
-def encode(encoder: EncoderMatrix, message: MessageMatrix) -> list[list[int]]:
-    """Per-node contents: row i of the encoder-times-message product."""
+def encode(encoder: EncoderMatrix, message: MessageMatrix) -> list[list[list[int]]]:
+    """Per-node stripe batches: row i of the encoder-times-message product, cut into S rows."""
     product = encoder.matrix @ message.matrix
-    return [product.row(i) for i in range(encoder.n)]
+    return [split_rows(row, len(message.layout.columns)) for row in product.data]
 
 
 def recover_data(contents, node_ids, encoder: EncoderMatrix, m: int) -> MessageMatrix:
-    """Rebuild the message matrix from any d node contents.
+    """Rebuild the message matrix of every stripe from the stripe batches of any d nodes.
 
-    Applies the cached inverse of the d encoder rows selected by *node_ids*
-    and verifies the parity constraints, the one integrity check on every
-    recovered stripe.
+    One product with the cached inverse of the d encoder rows selected by
+    *node_ids*; parity is then verified per stripe, the one integrity check
+    on every recovered stripe.
     """
     node_ids = tuple(node_ids)
     if len(node_ids) != encoder.d or len(set(node_ids)) != len(node_ids):
         raise ValueError(f"need exactly {encoder.d} distinct node ids, got {list(node_ids)}")
-    stacked = Matrix.stack_rows(encoder.field, contents)
+    stacked = Matrix(encoder.field, [[v for row in batch for v in row] for batch in contents])
     dmat = rows_inverse(encoder, node_ids) @ stacked
     message = MessageMatrix(symbol_layout(encoder.d, m), dmat)
     message.verify_parity()

@@ -69,6 +69,11 @@ def element_width(p: int) -> int:
     return (p.bit_length() + 7) // 8
 
 
+def split_rows(flat, width: int) -> list:
+    """Consecutive width-long slices of a flat sequence: the rows of a len / width x width matrix."""
+    return [flat[k : k + width] for k in range(0, len(flat), width)]
+
+
 def pack_symbols(values, p: int) -> bytes:
     """Little-endian bytes of GF(p) symbols, element_width(p) each; ValueError outside [0, p)."""
     values = list(values)
@@ -220,10 +225,6 @@ class Matrix:
         data = [sum((b.data[i] for b in blocks), []) for i in range(first.rows)]
         return Matrix(first.field, data, cols=sum(b.cols for b in blocks))
 
-    @classmethod
-    def stack_rows(cls, field: Field, vectors) -> "Matrix":
-        return cls(field, [list(v) for v in vectors])
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -233,13 +234,20 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
+        # Row i of the product is the combination of other's rows weighted
+        # by row i of self, reduced at every step: a wide right operand is
+        # never transposed and the partial sums stay small, canonical ints.
         p = self.field.p
-        bt = list(zip(*other.data)) if other.rows else [()] * other.cols
-        data = [
-            [sum(a * b for a, b in zip(row, col)) % p for col in bt]
-            for row in self.data
-        ]
-        return Matrix(self.field, data, cols=other.cols)
+        data = []
+        for row in self.data:
+            acc = [0] * other.cols
+            for a, b_row in zip(row, other.data):
+                if a:
+                    acc = [(x + a * y) % p for x, y in zip(acc, b_row)]
+            data.append(acc)
+        product = Matrix.__new__(Matrix)  # rows are canonical already: no second copy
+        product.field, product.data, product.rows, product.cols = self.field, data, self.rows, other.cols
+        return product
 
     def mul_vec(self, vec: list[int]) -> list[int]:
         """Matrix-times-column-vector product."""

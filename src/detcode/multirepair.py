@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .code import EncoderMatrix
+from .field import split_rows
 from .repair import decode_repair_vectors, decompress_payload, helper_payload
 from .subsets import binom
 
@@ -101,30 +102,30 @@ class CentralRepairPlan:
 
 
 def centralized_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int):
-    """Sequentially repair all failed nodes; returns (contents, symbol counts).
+    """Sequentially repair all failed nodes; returns (stripe batches, symbol counts).
 
-    *contents* maps node id to its stripe row for every helper. Each helper
-    transmits one joint payload covering its served prefix; nodes repaired
-    earlier feed later repairs through the same transmit and expansion, at
-    zero transmission cost.
+    *contents* maps node id to its stripe batch for every helper. Each helper
+    transmits one joint payload covering its served prefix for every stripe;
+    nodes repaired earlier feed later repairs through the same transmit and
+    expansion, at zero transmission cost.
     """
     plan = CentralRepairPlan(tuple(failed), tuple(helpers), m)
     seg = binom(plan.d, m - 1)
 
-    expanded: dict[int, list[int]] = {}
+    expanded: dict[int, list[list[int]]] = {}  # one repair vector per stripe
     sent: dict[int, int] = {}
     for slot, h in enumerate(plan.helpers, start=1):
         payload = helper_payload(contents[h], h, plan.served_prefix(slot), encoder, m)
         sent[h] = len(payload.symbols)
-        expanded[h] = decompress_payload(payload, encoder)
+        expanded[h] = split_rows(decompress_payload(payload, encoder), len(payload.failed) * seg)
 
-    repaired: dict[int, list[int]] = {}
+    repaired: dict[int, list[list[int]]] = {}
     for step, f in enumerate(plan.failed):
         helper_ids = plan.helper_sequence(step)
         vectors = [
             decompress_payload(helper_payload(repaired[h], h, (f,), encoder, m), encoder)
             if h in repaired  # center-local, free
-            else expanded[h][step * seg : (step + 1) * seg]
+            else [v for row in expanded[h] for v in row[step * seg : (step + 1) * seg]]
             for h in helper_ids
         ]
         repaired.update(decode_repair_vectors(vectors, helper_ids, encoder, (f,), m))

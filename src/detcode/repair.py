@@ -4,23 +4,25 @@ The public repair matrix of a failure tuple (the per-failure coefficient
 matrices side by side) depends only on the failed nodes' encoder rows, and
 one Gauss-Jordan pass factors it as compress @ expand: compress is its
 pivot columns, expand the nonzero rows of its reduced row echelon form. A
-helper multiplies its own content by compress and transmits the result (at
-most beta_e = C(d, m) - C(d-e, m) symbols for e failures, beta =
-C(d-1, m-1) for one). The replacement side expands each of the d received
-vectors by expand, undoes the encoding, and reassembles each failed node's
-symbols by signed sums. No helper needs to know which other nodes are
-helping. Single-failure repair is the case e = 1 of the same path. The
-repair matrix and the signed-sum readout both read
-:func:`detcode.subsets.incidence`, the package's one sign rule.
+helper multiplies its stripe batch (S x alpha) by compress and transmits
+the result, at most beta_e = C(d, m) - C(d-e, m) symbols per stripe for e
+failures (beta = C(d-1, m-1) for one). The replacement side expands the d
+received batches by expand, undoes the encoding with one product over
+every stripe, and reassembles each failed node's stripes by signed sums.
+No helper needs to know which other nodes are helping. Single-failure
+repair is the case e = 1 of the same path. The repair matrix and the
+signed-sum readout both read :func:`detcode.subsets.incidence`, the
+package's one sign rule.
 
-Wire format of a payload, version 2, all integers little-endian::
+Wire format of a payload, version 3, all integers little-endian::
 
-    <B version=2> <B m> <B e> <e x H failed ids> <H helper> <H count>
+    <B version=3> <B m> <B e> <e x H failed ids> <H helper> <I count>
     followed by count symbols of element_width(p) bytes each
 
-Pivot columns are not sent: both ends derive them from the public repair
-matrix of (failed ids, m). Symbols are packed by
-:func:`detcode.field.pack_symbols`.
+One payload carries a helper's symbols for every stripe under one header,
+stripe after stripe, so count is a multiple of rank(compress). Pivot
+columns are not sent: both ends derive them from the public repair matrix
+of (failed ids, m). Symbols are packed by :func:`detcode.field.pack_symbols`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .code import EncoderMatrix, rows_inverse
-from .field import Matrix, element_width, pack_symbols, unpack_symbols, vec_mat
+from .field import Matrix, element_width, pack_symbols, split_rows, unpack_symbols
 from .subsets import binom, incidence
 
 
@@ -72,14 +74,14 @@ def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int):
     return xi.submatrix(range(xi.rows), pivots), tuple(pivots), expand
 
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 _WIRE_HEAD = struct.Struct("<BBB")  # version, mode, failure count
-_WIRE_TAIL = struct.Struct("<HH")  # helper id, symbol count
+_WIRE_TAIL = struct.Struct("<HI")  # helper id, symbol count
 
 
 @dataclass(frozen=True)
 class RepairPayload:
-    """Compressed repair data one helper sends for a tuple of failed nodes."""
+    """Compressed repair data one helper sends for a tuple of failed nodes, every stripe."""
 
     failed: tuple[int, ...]
     helper: int
@@ -118,30 +120,30 @@ class RepairPayload:
 
 
 def helper_payload(h_content, helper: int, failed, encoder: EncoderMatrix, m: int) -> RepairPayload:
-    """Repair data from one helper: its content times the pivot columns.
+    """Repair data from one helper: its stripe batch times compress, stripe after stripe.
 
-    The pivots are a function of the (public) repair matrix alone, so sender
+    compress is a function of the (public) repair matrix alone, so sender
     and receiver agree without negotiation and the payload never depends on
     who else is helping.
     """
     failed = tuple(failed)
     compress, _, _ = repair_basis(encoder, failed, m)
-    return RepairPayload(failed, helper, m, tuple(vec_mat(list(h_content), compress)))
+    product = Matrix(encoder.field, h_content, cols=compress.rows) @ compress
+    return RepairPayload(failed, helper, m, tuple(v for row in product.data for v in row))
 
 
 def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> list[int]:
-    """Full-length repair vector: the received symbols times the reduced rows."""
+    """Full-length repair vectors, stripe after stripe: the received symbols times expand."""
     _, pivots, expand = repair_basis(encoder, payload.failed, payload.m)
-    if len(payload.symbols) != len(pivots):
-        raise ValueError(
-            f"payload carries {len(payload.symbols)} symbols, "
-            f"the repair matrix has rank {len(pivots)}"
-        )
-    return vec_mat(list(payload.symbols), expand)
+    rank = len(pivots)
+    if len(payload.symbols) % rank:
+        raise ValueError(f"payload carries {len(payload.symbols)} symbols, not a multiple of the basis rank {rank}")
+    product = Matrix(encoder.field, split_rows(payload.symbols, rank), cols=rank) @ expand
+    return [v for row in product.data for v in row]
 
 
-def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) -> dict[int, list[int]]:
-    """Exact contents of every failed node from d helper payloads."""
+def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) -> dict[int, list[list[int]]]:
+    """Exact stripe batch of every failed node from d helper payloads."""
     failed = tuple(failed)
     helper_ids = tuple(helper_ids)
     d = encoder.d
@@ -157,38 +159,31 @@ def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) ->
             raise WrongTarget(
                 f"payload from helper {payload.helper} targets nodes {payload.failed}, not {failed}"
             )
-    vectors = [decompress_payload(payload, encoder) for payload in payloads]
+    vectors = (decompress_payload(payload, encoder) for payload in payloads)  # one held at a time
     return decode_repair_vectors(vectors, helper_ids, encoder, failed, modes.pop())
 
 
-def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m: int) -> dict[int, list[int]]:
-    """Failed contents from the d decompressed repair vectors, helper order.
+def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m: int) -> dict[int, list[list[int]]]:
+    """Failed stripe batches from the d decompressed repair vectors, helper order.
 
-    One inversion of the selected encoder rows serves every failure: each
-    failure's segment of the stacked vectors becomes its repair space, which
-    decodes by signed sums.
+    One product with the inverse of the selected encoder rows decodes every
+    stripe and failure: the result holds a d x C(d, m-1) repair space per
+    stripe and failure, stripe after stripe, each decoded by signed sums.
     """
-    d = encoder.d
-    field = encoder.field
-    inverse = rows_inverse(encoder, tuple(helper_ids))
-    seg = binom(d, m - 1)
-    return {
-        f: combine_repair_space(
-            inverse @ Matrix.stack_rows(field, [v[i * seg : (i + 1) * seg] for v in vectors]),
-            d, m, field,
-        )
-        for i, f in enumerate(failed)
-    }
+    space = rows_inverse(encoder, tuple(helper_ids)) @ Matrix(encoder.field, vectors)
+    rows = combine_repair_space(space, encoder.d, m, encoder.field)
+    return {f: rows[i :: len(failed)] for i, f in enumerate(failed)}
 
 
-def combine_repair_space(space: Matrix, d: int, m: int, field) -> list[int]:
-    """Signed-sum readout of one failure's repair space into node content.
+def combine_repair_space(space: Matrix, d: int, m: int, field) -> list[list[int]]:
+    """Signed-sum readout of repair spaces side by side, one content row per space.
 
-    The entry at column label I is the sum over x in I of
-    (-1)**position(I, x) times the entry at (row x, column I - {x}).
+    Space b is the d x C(d, m-1) block of columns from b * C(d, m-1); its
+    entry at column label I is the sum over x in I of (-1)**position(I, x)
+    times the entry at (row x, column I - {x}) of the block.
     """
-    rows = space.data
-    out = [0] * binom(d, m)
+    rows, seg, p = space.data, binom(d, m - 1), field.p
+    out = [[0] * (space.cols // seg) for _ in range(binom(d, m))]  # one list per label, over spaces
     for i, x, j, sign in incidence(d, m):
-        out[i] += sign * rows[x - 1][j]
-    return [v % field.p for v in out]
+        out[i] = [(a + sign * v) % p for a, v in zip(out[i], rows[x - 1][j::seg])]
+    return [list(row) for row in zip(*out)]

@@ -101,6 +101,20 @@ def test_repair_after_corruption_restores(tmp_path):
     assert shard_path(shards, 7).read_bytes() == original
 
 
+def test_recover_rejects_unavailable_node_cleanly(tmp_path):
+    runner, _, shards = _encode_fixture(tmp_path)
+    shard_path(shards, 5).unlink()
+    for nodes in ("1,2,3,5", "1,2,3,9"):
+        result = runner.invoke(
+            main,
+            ["recover", "--shards", str(shards), "--nodes", nodes, "--output", str(tmp_path / "out.bin")],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no uncaught exception
+        assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+        assert "Traceback" not in result.output
+
+
 def test_bandwidth_csv(tmp_path):
     runner = CliRunner()
     result = runner.invoke(

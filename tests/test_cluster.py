@@ -1,8 +1,12 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import detcode.cluster
+import detcode.multirepair
 from detcode.cluster import (
     BandwidthLedger,
     Cluster,
@@ -15,7 +19,9 @@ from detcode.cluster import (
     capacity_curve,
     ingest_file,
     load_cluster,
+    shard_path,
     write_all_shards,
+    write_shard,
 )
 from detcode.code import CodeConfig, build_message_matrix
 from detcode.multirepair import OverlapError, centralized_bandwidth
@@ -27,16 +33,13 @@ CFG13 = CodeConfig(n=8, d=4, m=2, p=13)
 
 def _random_cluster(seed=1, stripes=2, config=CFG13):
     rng = random.Random(seed)
-    msgs = [
-        build_message_matrix(
-            [rng.randrange(config.p) for _ in range(config.file_symbols)],
-            config.d,
-            config.m,
-            config.field,
-        )
-        for _ in range(stripes)
-    ]
-    return Cluster.build(config, msgs)
+    message = build_message_matrix(
+        [rng.randrange(config.p) for _ in range(stripes * config.file_symbols)],
+        config.d,
+        config.m,
+        config.field,
+    )
+    return Cluster.build(config, message)
 
 
 def _snapshot(cluster):
@@ -47,21 +50,21 @@ def _snapshot(cluster):
 
 
 def test_ingest_empty_file():
-    stripes, length = ingest_file(b"", CFG257)
-    assert stripes == [] and length == 0
+    message, length = ingest_file(b"", CFG257)
+    assert message.stripes == 0 and length == 0
 
 
 def test_ingest_exact_stripe_no_padding():
     data = bytes(range(20))
-    stripes, length = ingest_file(data, CFG257)
-    assert len(stripes) == 1 and length == 20
-    assert stripes[0].extract_symbols() == list(data)
+    message, length = ingest_file(data, CFG257)
+    assert message.stripes == 1 and length == 20
+    assert message.extract_symbols() == list(data)
 
 
 def test_ingest_pads_with_zeros():
-    stripes, length = ingest_file(b"\x01\x02\x03", CFG257)
-    assert len(stripes) == 1 and length == 3
-    assert stripes[0].extract_symbols() == [1, 2, 3] + [0] * 17
+    message, length = ingest_file(b"\x01\x02\x03", CFG257)
+    assert message.stripes == 1 and length == 3
+    assert message.extract_symbols() == [1, 2, 3] + [0] * 17
 
 
 def test_ingest_requires_byte_capable_field():
@@ -173,6 +176,45 @@ def test_failed_helper_rejected():
         cluster.repair("single", [5], helpers=(1, 2, 3, 6))
 
 
+def test_recover_rejects_bad_node_ids():
+    """Explicit ids must be d distinct alive nodes, as helpers must."""
+    cluster = Cluster.from_file(bytes(range(200)), CFG257)
+    cluster.fail_nodes([5])
+    for ids in ([1, 2, 3, 5], [1, 2, 3, 99]):
+        with pytest.raises(NotEnoughHelpers):
+            cluster.recover_file(ids)
+    for ids in ([1, 2, 3], [1, 1, 2, 3]):
+        with pytest.raises(ValueError):
+            cluster.recover_file(ids)
+    assert cluster.recover_file([1, 2, 3, 4]) == bytes(range(200))
+
+
+@pytest.mark.parametrize(
+    "mode,failed,senders",
+    # centralized: node 5, repaired first, also transmits to the center once
+    [("single", (5,), [1, 2, 3, 4]), ("naive", (5, 6), [1, 1, 2, 2, 3, 3, 4, 4]),
+     ("joint", (5, 6), [1, 2, 3, 4]), ("centralized", (5, 6), [1, 2, 3, 4, 5])],
+)
+def test_repair_transmits_once_per_helper_per_group(monkeypatch, mode, failed, senders):
+    """A five-stripe repair makes one helper_payload call per helper and
+    failure group, not one per stripe."""
+    real = detcode.cluster.helper_payload
+    calls = []
+
+    def counting(content, helper, *args):
+        calls.append(helper)
+        return real(content, helper, *args)
+
+    monkeypatch.setattr(detcode.cluster, "helper_payload", counting)
+    monkeypatch.setattr(detcode.multirepair, "helper_payload", counting)
+    cluster = _random_cluster(seed=12, stripes=5)
+    before = _snapshot(cluster)
+    cluster.fail_nodes(failed)
+    cluster.repair(mode, failed, helpers=(1, 2, 3, 4))
+    assert sorted(calls) == senders
+    assert _snapshot(cluster) == before
+
+
 def test_recovery_after_repair_sequence():
     rng = random.Random(8)
     data = bytes(rng.randrange(256) for _ in range(1000))
@@ -207,6 +249,38 @@ def test_load_rejects_shard_under_another_node_name(tmp_path):
     (tmp_path / "node_5.detc").write_bytes((tmp_path / "node_3.detc").read_bytes())
     with pytest.raises(ShardFormatError, match="node_5.detc"):
         load_cluster(tmp_path)
+
+
+@pytest.mark.parametrize("broken", ["write", "replace"])
+def test_interrupted_shard_write_keeps_old_shard(tmp_path, monkeypatch, broken):
+    """A rewrite that fails part way leaves the old shard's bytes and no
+    temporary file; the directory still loads."""
+    data = bytes(range(200))
+    cluster = Cluster.from_file(data, CFG257)
+    write_all_shards(tmp_path, cluster)
+    path = shard_path(tmp_path, 3)
+    before = path.read_bytes()
+    if broken == "write":
+        real_write = Path.write_bytes
+
+        def half_then_fail(self, blob):
+            real_write(self, blob[: len(blob) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    else:
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+    changed = [row[:] for row in cluster.contents[3]]
+    changed[0][0] = (changed[0][0] + 1) % 257
+    with pytest.raises(OSError, match="disk full"):
+        write_shard(path, CFG257, 3, changed, len(data))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"node_{i}.detc" for i in range(1, 9)]
+    assert load_cluster(tmp_path).recover_file() == data
 
 
 def test_repair_determinism():

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detcode.certificates import (
     multi_repair_matrix,
@@ -184,7 +185,7 @@ def test_joint_payload_size_and_roundtrip(gf13, encoder8, contents8):
         payload = helper_payload(contents8[h - 1], h, failed, encoder8, 2)
         assert len(payload.symbols) == 5
         full = decompress_payload(payload, encoder8)
-        assert full == vec_mat(contents8[h - 1], xi)
+        assert full == vec_mat(contents8[h - 1][0], xi)
     rng = random.Random(77)
     for m in range(1, 5):
         msg = build_message_matrix([rng.randrange(13) for _ in range(m * binom(5, m + 1))], 4, m, gf13)
@@ -196,7 +197,7 @@ def test_joint_payload_size_and_roundtrip(gf13, encoder8, contents8):
                     payload = helper_payload(contents[h - 1], h, failed, encoder8, m)
                     assert len(payload.symbols) == joint_bandwidth(4, m, e)
                     full = decompress_payload(payload, encoder8)
-                    assert full == vec_mat(contents[h - 1], xi), (m, failed, h)
+                    assert full == vec_mat(contents[h - 1][0], xi), (m, failed, h)
 
 
 def test_joint_payload_single_failure_matches_plain(encoder8, contents8):
@@ -205,7 +206,7 @@ def test_joint_payload_single_failure_matches_plain(encoder8, contents8):
     payload = helper_payload(contents8[0], 1, (5,), encoder8, 2)
     xi = repair_matrix(5, 2, encoder8)
     pivots, _ = xi.pivot_columns()
-    full = vec_mat(contents8[0], xi)
+    full = vec_mat(contents8[0][0], xi)
     assert payload.symbols == tuple(full[j] for j in pivots)
     assert len(payload.symbols) == binom(3, 1)
 
@@ -262,6 +263,51 @@ def test_joint_repair_all_modes(gf13, encoder8):
         decoded = decode_failed_nodes(payloads, helpers, encoder8, failed)
         for f in failed:
             assert decoded[f] == contents[f - 1]
+
+
+# --- stripe batches ---------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stripe_batch_equals_stacked_single_stripes(gf13, encoder8, data):
+    """Joint and centralized repair of an S-stripe batch equal the one-row
+    batches' results stacked, and each helper sends S times its one-stripe
+    count."""
+    m = data.draw(st.integers(1, 4), label="m")
+    stripes = data.draw(st.integers(0, 4), label="stripes")
+    failed = tuple(data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True), label="failed"))
+    helpers = tuple(data.draw(st.permutations([h for h in range(1, 9) if h not in failed]), label="helpers")[:4])
+    per_stripe = m * binom(5, m + 1)
+    source = data.draw(st.lists(st.integers(0, 12), min_size=stripes * per_stripe, max_size=stripes * per_stripe))
+    batch = encode(encoder8, build_message_matrix(source, 4, m, gf13))
+    singles = [
+        encode(encoder8, build_message_matrix(source[s * per_stripe : (s + 1) * per_stripe], 4, m, gf13))
+        for s in range(stripes)
+    ]
+    assert batch == [[row for one in singles for row in one[i]] for i in range(8)]
+
+    def joint(contents):
+        payloads = [helper_payload(contents[h - 1], h, failed, encoder8, m) for h in helpers]
+        return decode_failed_nodes(payloads, helpers, encoder8, failed), [len(p.symbols) for p in payloads]
+
+    def central(contents):
+        return centralized_repair(failed, helpers, {h: contents[h - 1] for h in helpers}, encoder8, m)
+
+    beta_e = joint_bandwidth(4, m, len(failed))
+    decoded, counts = joint(batch)
+    stacked = [joint(one) for one in singles]
+    assert decoded == {f: [row for one, _ in stacked for row in one[f]] for f in failed}
+    assert decoded == {f: batch[f - 1] for f in failed}
+    assert all(one_counts == [beta_e] * 4 for _, one_counts in stacked)
+    assert counts == [stripes * beta_e] * 4
+
+    repaired, sent = central(batch)
+    stacked = [central(one) for one in singles]
+    assert repaired == {f: [row for one, _ in stacked for row in one[f]] for f in failed}
+    one_sent = {h: joint_bandwidth(4, m, min(slot, len(failed))) for slot, h in enumerate(helpers, start=1)}
+    assert all(one == one_sent for _, one in stacked)
+    assert sent == {h: stripes * v for h, v in one_sent.items()}
 
 
 # --- centralized sequential repair ----------------------------------------

@@ -92,12 +92,12 @@ def test_payload_size_and_content(encoder8, contents8):
             _, pivots, _ = repair_basis(encoder8, (f,), 2)
             assert pivots == tuple(sorted(pivots))
             xi = repair_matrix(f, 2, encoder8)
-            full = vec_mat(contents8[h - 1], xi)
+            full = vec_mat(contents8[h - 1][0], xi)
             assert payload.symbols == tuple(full[j] for j in pivots)
 
 
 def test_zero_content_zero_payload(encoder8):
-    payload = helper_payload([0] * 6, 1, (5,), encoder8, 2)
+    payload = helper_payload([[0] * 6], 1, (5,), encoder8, 2)
     assert all(v == 0 for v in payload.symbols)
 
 
@@ -108,7 +108,7 @@ def test_decompression_matches_direct_product(encoder8, contents8):
             if h == f:
                 continue
             payload = helper_payload(contents8[h - 1], h, (f,), encoder8, 2)
-            assert decompress_payload(payload, encoder8) == vec_mat(contents8[h - 1], xi)
+            assert decompress_payload(payload, encoder8) == vec_mat(contents8[h - 1][0], xi)
 
 
 def test_suppressed_symbol_reconstruction(encoder8, contents8):
@@ -154,7 +154,7 @@ def test_decode_entry_combination(encoder8, message8, contents8):
     space = message8.matrix @ xi
     cols = subsets(4, 1)
     combined = (-space[1, cols.rank((4,))] + space[3, cols.rank((2,))]) % 13
-    assert combined == contents8[f - 1][subsets(4, 2).rank((2, 4))]
+    assert combined == contents8[f - 1][0][subsets(4, 2).rank((2, 4))]
 
 
 def test_exact_repair_spot_checks(encoder8, contents8):
@@ -167,7 +167,7 @@ def test_zero_data_repairs_to_zero(encoder8, gf13):
     msg = build_message_matrix([0] * 20, 4, 2, gf13)
     contents = encode(encoder8, msg)
     payloads = [helper_payload(contents[h - 1], h, (5,), encoder8, 2) for h in (1, 2, 3, 4)]
-    assert decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,)) == {5: [0] * 6}
+    assert decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,)) == {5: [[0] * 6]}
 
 
 def test_exact_repair_all_modes(gf13, encoder8):
@@ -206,6 +206,16 @@ def test_decode_validates_helper_count(encoder8, contents8):
     for bad in (four[:3], four[::-1], four[:3] + [four[0]]):
         with pytest.raises(ValueError, match="helpers"):
             decode_failed_nodes(bad, (1, 2, 3, 4), encoder8, (5,))
+
+
+def test_decode_rejects_payloads_of_different_stripe_counts(encoder8, contents8):
+    """Helper 1 sends two stripes, the others one: decoding refuses the mix."""
+    payloads = [
+        helper_payload(contents8[h - 1] * (2 if h == 1 else 1), h, (5,), encoder8, 2) for h in (1, 2, 3, 4)
+    ]
+    assert len(payloads[0].symbols) == 2 * len(payloads[1].symbols)
+    with pytest.raises(ValueError):
+        decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,))
 
 
 def test_payload_is_helper_set_independent(encoder8, contents8):

@@ -13,20 +13,21 @@ from detcode.cluster import (
     shard_path,
     write_shard,
 )
-from detcode.code import CodeConfig
+from detcode.code import CodeConfig, build_message_matrix, encode
 from detcode.field import pack_symbols, unpack_symbols
 from detcode.repair import RepairPayload, decompress_payload, helper_payload
 
 
-# Payload v2: <B version=2><B m><B e><e x H failed><H helper><H count>, then
-# count little-endian symbols of element_width(p) bytes (1 byte for p = 13).
+# Payload v3: <B version=3><B m><B e><e x H failed><H helper><I count>, then
+# count little-endian symbols of element_width(p) bytes (1 byte for p = 13),
+# stripe after stripe.
 
 
 def test_single_payload_layout(encoder8, contents8):
     payload = helper_payload(contents8[1], 2, (5,), encoder8, 2)
     assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=(1, 9, 7))
     assert payload.to_bytes(13) == bytes.fromhex(
-        "02 02 01" "05 00" "02 00" "03 00" "01 09 07"
+        "03 02 01" "05 00" "02 00" "03 00 00 00" "01 09 07"
     )
 
 
@@ -34,15 +35,38 @@ def test_joint_payload_layout(encoder8, contents8):
     payload = helper_payload(contents8[0], 1, (5, 6), encoder8, 2)
     assert payload == RepairPayload(failed=(5, 6), helper=1, m=2, symbols=(5, 0, 8, 1, 1))
     assert payload.to_bytes(13) == bytes.fromhex(
-        "02 02 02" "05 00 06 00" "01 00" "05 00" "05 00 08 01 01"
+        "03 02 02" "05 00 06 00" "01 00" "05 00 00 00" "05 00 08 01 01"
     )
 
 
 def test_two_byte_payload_symbols_little_endian():
     payload = RepairPayload(failed=(5, 6), helper=3, m=2, symbols=(256, 1))
     assert payload.to_bytes(257) == bytes.fromhex(
-        "02 02 02" "05 00 06 00" "03 00" "02 00" "00 01 01 00"
+        "03 02 02" "05 00 06 00" "03 00" "02 00 00 00" "00 01 01 00"
     )
+
+
+def test_two_stripe_payload_layout(gf13, encoder8, message8):
+    """One header for both stripes; stripe 0's symbols are the one-stripe payload's."""
+    message = build_message_matrix(message8.extract_symbols() + list(range(20)), 4, 2, gf13)
+    payload = helper_payload(encode(encoder8, message)[1], 2, (5,), encoder8, 2)
+    assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=(1, 9, 7, 12, 10, 9))
+    assert payload.to_bytes(13) == bytes.fromhex(
+        "03 02 01" "05 00" "02 00" "06 00 00 00" "01 09 07" "0c 0a 09"
+    )
+
+
+def test_payload_beyond_two_byte_count_round_trips():
+    payload = RepairPayload(failed=(5,), helper=1, m=2, symbols=tuple(i % 257 for i in range(70_000)))
+    blob = payload.to_bytes(257)
+    assert blob[7:11] == (70_000).to_bytes(4, "little")
+    assert RepairPayload.from_bytes(blob, 257) == payload
+
+
+def test_v2_payload_rejected_as_unsupported_version():
+    v2 = bytes.fromhex("02 02 01" "05 00" "02 00" "03 00" "01 09 07")
+    with pytest.raises(ValueError, match="unsupported payload version 2"):
+        RepairPayload.from_bytes(v2, 13)
 
 
 def test_single_payload_roundtrip(encoder8, contents8):
@@ -73,11 +97,19 @@ def test_payload_rejects_truncation_version_and_length():
 
 
 def test_decompress_rejects_wrong_symbol_count(encoder8, contents8):
+    """The count must be a whole number of stripes of the basis rank (5 here)."""
     payload = helper_payload(contents8[0], 1, (5, 6), encoder8, 2)
     for symbols in (payload.symbols[:-1], payload.symbols + (0,)):
         short = RepairPayload(payload.failed, payload.helper, payload.m, symbols)
         with pytest.raises(ValueError, match="rank"):
             decompress_payload(short, encoder8)
+
+
+class _FourGigaSymbols(tuple):
+    """A symbol sequence reporting 2**32 entries, one more than v3's count holds."""
+
+    def __len__(self):
+        return 0x1_0000_0000
 
 
 @pytest.mark.parametrize(
@@ -87,7 +119,7 @@ def test_decompress_rejects_wrong_symbol_count(encoder8, contents8):
         RepairPayload(failed=tuple(range(1, 257)), helper=1, m=2, symbols=()),
         RepairPayload(failed=(0x10000,), helper=1, m=2, symbols=()),
         RepairPayload(failed=(5,), helper=0x10000, m=2, symbols=()),
-        RepairPayload(failed=(5,), helper=1, m=2, symbols=(0,) * 0x10000),
+        RepairPayload(failed=(5,), helper=1, m=2, symbols=_FourGigaSymbols()),
         RepairPayload(failed=(5,), helper=1, m=2, symbols=(257,)),
     ],
     ids=["m", "failure-count", "failed-id", "helper", "symbol-count", "symbol"],
@@ -176,7 +208,7 @@ def test_two_byte_symbols_little_endian(tmp_path):
     assert (p, n, d, m, node_id, stripe_count, original_len) == (257, 8, 4, 2, 3, 1, 1)
     assert blob[header.size : header.size + 2] == (256).to_bytes(2, "little")
     shard = read_shard(path)
-    assert shard.stripes == ((256, 0, 0, 0, 0, 0),)
+    assert shard.stripes == [[256, 0, 0, 0, 0, 0]]
     assert shard.node_id == 3
 
 
