@@ -72,7 +72,7 @@ def assemble_file(stripe_symbols: list[list[int]], original_len: int) -> bytes:
     flat = [v for stripe in stripe_symbols for v in stripe]
     if len(flat) < original_len:
         raise ValueError("fewer symbols than the recorded file length")
-    if any(v > 255 for v in flat[:original_len]):
+    if original_len and max(flat[:original_len]) > 255:
         raise ValueError("recovered symbol exceeds a byte; data is corrupt")
     return bytes(flat[:original_len])
 

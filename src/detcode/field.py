@@ -5,10 +5,21 @@ Field elements are plain Python ints kept canonical (0 <= value < p); a
 :class:`Matrix` implements exact Gauss-Jordan elimination with a
 deterministic leftmost-pivot rule, so ranks, inverses, and pivot-column
 bases are reproducible across runs and machines.
+
+The matrix product is word-parallel. A row or column of canonical entries
+is packed into one int, an entry per fixed-width slot, so one big-int
+multiply-add combines a whole row. A slot sums K products of entries
+below p (K the inner dimension), at most K * (p-1)**2; :func:`slot_width`
+picks 4-byte slots below 2**32 and 8-byte slots below 2**64, so no carry
+crosses a slot and one reduction mod p per output entry makes the result
+exact. A wide right operand is packed by rows and a tall left operand by
+columns. Above 2**64 the product falls back to a scalar loop.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 
 
@@ -69,6 +80,51 @@ def element_width(p: int) -> int:
     return (p.bit_length() + 7) // 8
 
 
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}  # unsigned, by item size
+
+
+def slot_width(p: int, k: int) -> int | None:
+    """Bytes per slot of the packed product over GF(p) with inner dimension k.
+
+    A slot accumulates k products of canonical entries, at most
+    k * (p-1)**2; the slot must hold that bound without a carry into its
+    neighbour. None means no machine slot is wide enough: multiply scalar.
+    """
+    bound = k * (p - 1) ** 2
+    return 4 if bound < 1 << 32 else 8 if bound < 1 << 64 else None
+
+
+def _pack(values, width: int) -> int:
+    """Canonical entries as one int, one width-byte slot each, first entry lowest."""
+    return int.from_bytes(array(_TYPECODES[width], values).tobytes(), sys.byteorder)
+
+
+def _combine(coefficients, packed: list[int]) -> int:
+    """Slot-wise linear combination of packed vectors: one big-int multiply-add each."""
+    acc = 0
+    for a, x in zip(coefficients, packed):
+        if a:
+            acc += a * x
+    return acc
+
+
+def _unpack(x: int, n: int, width: int, p: int) -> list[int]:
+    """The n slots of a packed combination, reduced mod p."""
+    return [v % p for v in memoryview(x.to_bytes(n * width, sys.byteorder)).cast(_TYPECODES[width])]
+
+
+def _matmul_scalar(a, b, cols: int, p: int) -> list[list[int]]:
+    """Row-combination product reduced at every step, for bounds past any slot."""
+    data = []
+    for row in a:
+        acc = [0] * cols
+        for coefficient, b_row in zip(row, b):
+            if coefficient:
+                acc = [(x + coefficient * y) % p for x, y in zip(acc, b_row)]
+        data.append(acc)
+    return data
+
+
 def split_rows(flat, width: int) -> list:
     """Consecutive width-long slices of a flat sequence: the rows of a len / width x width matrix."""
     return [flat[k : k + width] for k in range(0, len(flat), width)]
@@ -80,7 +136,12 @@ def pack_symbols(values, p: int) -> bytes:
     if values and not 0 <= min(values) <= max(values) < p:
         raise ValueError("symbol out of field range")
     width = element_width(p)
-    return b"".join([v.to_bytes(width, "little") for v in values])
+    if width not in _TYPECODES:
+        return b"".join([v.to_bytes(width, "little") for v in values])
+    symbols = array(_TYPECODES[width], values)
+    if sys.byteorder == "big":
+        symbols.byteswap()
+    return symbols.tobytes()
 
 
 def unpack_symbols(blob, p: int) -> list[int]:
@@ -88,7 +149,14 @@ def unpack_symbols(blob, p: int) -> list[int]:
     width = element_width(p)
     if len(blob) % width:
         raise ValueError(f"symbol out of field range: {len(blob)} bytes is not a whole number of {width}-byte symbols")
-    values = [int.from_bytes(blob[i : i + width], "little") for i in range(0, len(blob), width)]
+    if width in _TYPECODES:
+        symbols = array(_TYPECODES[width])
+        symbols.frombytes(blob)
+        if sys.byteorder == "big":
+            symbols.byteswap()
+        values = symbols.tolist()
+    else:
+        values = [int.from_bytes(blob[i : i + width], "little") for i in range(0, len(blob), width)]
     if values and max(values) >= p:
         raise ValueError("symbol out of field range")
     return values
@@ -234,27 +302,25 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        # Row i of the product is the combination of other's rows weighted
-        # by row i of self, reduced at every step: a wide right operand is
-        # never transposed and the partial sums stay small, canonical ints.
         p = self.field.p
-        data = []
-        for row in self.data:
-            acc = [0] * other.cols
-            for a, b_row in zip(row, other.data):
-                if a:
-                    acc = [(x + a * y) % p for x, y in zip(acc, b_row)]
-            data.append(acc)
+        width = slot_width(p, self.cols)
+        if width is None:
+            data = _matmul_scalar(self.data, other.data, other.cols, p)
+        elif self.rows <= other.cols or not (self.cols and other.cols):
+            # Wide right operand: row i of the product is row i of self
+            # weighting other's packed rows. Empty operands come here too,
+            # since zip(*rows) of a matrix without columns yields nothing.
+            packed = [_pack(row, width) for row in other.data]
+            data = [_unpack(_combine(row, packed), other.cols, width, p) for row in self.data]
+        else:
+            # Tall left operand: column j of the product is column j of
+            # other weighting self's packed columns; transpose back.
+            packed = [_pack(col, width) for col in zip(*self.data)]
+            cols = [_unpack(_combine(col, packed), self.rows, width, p) for col in zip(*other.data)]
+            data = list(map(list, zip(*cols)))
         product = Matrix.__new__(Matrix)  # rows are canonical already: no second copy
         product.field, product.data, product.rows, product.cols = self.field, data, self.rows, other.cols
         return product
-
-    def mul_vec(self, vec: list[int]) -> list[int]:
-        """Matrix-times-column-vector product."""
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length != column count")
-        p = self.field.p
-        return [sum(a * b for a, b in zip(row, vec)) % p for row in self.data]
 
     def _eliminate(self):
         """Gauss-Jordan to reduced row echelon form; leftmost pivots first.
@@ -334,14 +400,3 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix(GF({self.field.p}), {self.rows}x{self.cols})"
-
-
-def vec_mat(vec: list[int], matrix: Matrix) -> list[int]:
-    """Row-vector-times-matrix product, exact mod p."""
-    if len(vec) != matrix.rows:
-        raise DimensionMismatch("vector length != row count")
-    p = matrix.field.p
-    return [
-        sum(v * row[j] for v, row in zip(vec, matrix.data)) % p
-        for j in range(matrix.cols)
-    ]

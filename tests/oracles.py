@@ -3,6 +3,8 @@ elimination code they cross-check."""
 
 from itertools import combinations
 
+from detcode.field import DimensionMismatch
+
 
 def det_cofactor(rows) -> int:
     """Integer determinant by recursive cofactor expansion."""
@@ -30,3 +32,28 @@ def brute_rank(matrix) -> int:
                 if det_cofactor(sub) % p != 0:
                     return k
     return 0
+
+
+def matmul_scalar(a, b) -> list[list[int]]:
+    """Rows of the product of two matrices by the plain triple loop, reduced mod p once per entry."""
+    p = a.field.p
+    return [
+        [sum(a[i, k] * b[k, j] for k in range(a.cols)) % p for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+def vec_mat(vec, matrix) -> list[int]:
+    """Row vector times matrix, mod p."""
+    if len(vec) != matrix.rows:
+        raise DimensionMismatch("vector length != row count")
+    p = matrix.field.p
+    return [sum(v * matrix[k, j] for k, v in enumerate(vec)) % p for j in range(matrix.cols)]
+
+
+def mul_vec(matrix, vec) -> list[int]:
+    """Matrix times column vector, mod p."""
+    if len(vec) != matrix.cols:
+        raise DimensionMismatch("vector length != column count")
+    p = matrix.field.p
+    return [sum(matrix[i, k] * v for k, v in enumerate(vec)) % p for i in range(matrix.rows)]

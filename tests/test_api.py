@@ -24,8 +24,17 @@ def test_all_lists_exactly_the_imported_public_names():
     assert len(set(detcode.__all__)) == len(detcode.__all__)
 
 
+def _assert_runtime_does_not_load(module: str):
+    env = dict(os.environ, PYTHONPATH=str(Path(detcode.__file__).parents[1]))
+    code = f"import sys, detcode, detcode.cli; assert {module!r} not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_runtime_does_not_load_certificates():
     """Verification-only code stays off the runtime path."""
-    env = dict(os.environ, PYTHONPATH=str(Path(detcode.__file__).parents[1]))
-    code = "import sys, detcode, detcode.cli; assert 'detcode.certificates' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    _assert_runtime_does_not_load("detcode.certificates")
+
+
+def test_runtime_does_not_load_numpy():
+    """The packed product needs only the standard library; numpy would cost start-up time and memory."""
+    _assert_runtime_does_not_load("numpy")

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detcode.field import (
     CompositeModulus,
@@ -12,8 +13,11 @@ from detcode.field import (
     element_width,
     is_prime,
     next_prime_at_least,
-    vec_mat,
+    pack_symbols,
+    slot_width,
+    unpack_symbols,
 )
+from oracles import matmul_scalar, vec_mat
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 12, 100, 13 * 17])
@@ -183,3 +187,76 @@ def test_empty_matrix_needs_explicit_cols(gf13):
 def test_entries_always_canonical(gf13):
     m = Matrix(gf13, [[-1, 14], [26, -13]])
     assert m.data == [[12, 1], [0, 0]]
+
+
+# --- packed product and symbol codec ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "p, k, width",
+    [
+        (257, 65535, 4),
+        (257, 65536, 8),
+        (65521, 1, 4),
+        (65521, 2, 8),
+        (2**31 - 1, 4, 8),
+        (2**31 - 1, 5, None),
+    ],
+)
+def test_slot_width_crossovers(p, k, width):
+    assert slot_width(p, k) == width
+
+
+@st.composite
+def products(draw):
+    """Two matrices that multiply over one of the fields the kernel must cover.
+
+    Entries are drawn from p-1 (the worst case for the slot bound), 0 and
+    anything in between; shapes include empty rows, columns and inner
+    dimensions, and both wide and tall left operands.
+    """
+    p = draw(st.sampled_from([13, 257, 65521, 2**31 - 1]))
+    rows, inner, cols = (draw(st.integers(0, 7)) for _ in range(3))
+    entry = st.one_of(st.just(p - 1), st.just(0), st.integers(0, p - 1))
+    field = Field(p)
+
+    def matrix(r, c):
+        return Matrix(field, [[draw(entry) for _ in range(c)] for _ in range(r)], cols=c)
+
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(products())
+def test_product_matches_triple_loop(operands):
+    a, b = operands
+    product = a @ b
+    assert product.shape == (a.rows, b.cols)
+    assert product.data == matmul_scalar(a, b)
+
+
+@pytest.mark.parametrize("p", [13, 257, 65521, 2**31 - 1])
+@pytest.mark.parametrize("shape", [(2, 5, 9), (9, 5, 2), (3, 4, 3), (0, 3, 4), (4, 3, 0), (5, 0, 2), (2, 0, 5)])
+def test_product_of_full_entries(p, shape):
+    """Every entry at p - 1 fills each slot to the bound, in both orientations and with empty dimensions."""
+    rows, inner, cols = shape
+    field = Field(p)
+    a = Matrix(field, [[p - 1] * inner for _ in range(rows)], cols=inner)
+    b = Matrix(field, [[p - 1] * cols for _ in range(inner)], cols=cols)
+    product = a @ b
+    assert product.shape == (rows, cols)
+    assert product.data == matmul_scalar(a, b)
+
+
+@pytest.mark.parametrize("p, width", [(13, 1), (257, 2), (65537, 3), (2**31 - 1, 4)])
+def test_symbol_codec_round_trip(p, width):
+    """Every width, array-backed or generic, writes little-endian and checks the range."""
+    values = [0, 1, p - 1, p // 2]
+    blob = pack_symbols(values, p)
+    assert element_width(p) == width
+    assert blob == b"".join(v.to_bytes(width, "little") for v in values)
+    assert unpack_symbols(blob, p) == values
+    with pytest.raises(ValueError, match="symbol out of field range"):
+        pack_symbols(values + [p], p)
+    with pytest.raises(ValueError, match="symbol out of field range"):
+        unpack_symbols(blob + p.to_bytes(width, "little"), p)
