@@ -13,7 +13,11 @@ Two mechanisms beat repairing each failure independently:
   exchange among nodes already at the center is free. Averaged over the d
   helpers the download is beta_bar_e = (m/d) * (C(d+1, m+1) - C(d-e+1, m+1))
   per helper, and a d-fold rotation schedule (in :mod:`detcode.certificates`)
-  equalizes it exactly.
+  equalizes it exactly. The steps, center-local transmits included, are
+  linear in the helpers' payloads: from twice as many stripes as the
+  payloads carry symbols per stripe, the whole sequence runs as one
+  operator of :mod:`detcode.repair`, built from :func:`decode_centralized`.
+  It needs at most d failures, one helper slot per failure.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from fractions import Fraction
 
 from .code import EncoderMatrix
 from .field import split_rows
-from .repair import decode_repair_vectors, decompress_payload, helper_payload
+from .repair import decode_payloads, decode_repair_vectors, decompress_payload, helper_payload
 from .subsets import binom
 
 
@@ -63,6 +67,10 @@ class CentralRepairPlan:
     m: int
 
     def __post_init__(self):
+        if len(self.failed) > len(self.helpers):
+            raise TooManyFailures(
+                f"{len(self.failed)} failures need as many helper slots, got {len(self.helpers)}"
+            )
         if set(self.failed) & set(self.helpers):
             raise OverlapError(
                 f"helpers {sorted(set(self.failed) & set(self.helpers))} are failed"
@@ -106,19 +114,32 @@ def centralized_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int
 
     *contents* maps node id to its stripe batch for every helper. Each helper
     transmits one joint payload covering its served prefix for every stripe;
-    nodes repaired earlier feed later repairs through the same transmit and
-    expansion, at zero transmission cost.
+    :func:`decode_centralized` is the repair center.
     """
     plan = CentralRepairPlan(tuple(failed), tuple(helpers), m)
+    payloads = [
+        helper_payload(contents[h], h, plan.served_prefix(slot), encoder, m)
+        for slot, h in enumerate(plan.helpers, start=1)
+    ]
+    sent = {payload.helper: len(payload.symbols) for payload in payloads}
+    return decode_payloads(decode_centralized, payloads, encoder, plan.failed), sent
+
+
+def decode_centralized(payloads, encoder: EncoderMatrix, failed) -> dict[int, list[list[int]]]:
+    """Repair center, step by step: failed stripe batches from the helpers' prefix payloads.
+
+    Payloads come in helper-slot order, each covering its slot's served
+    prefix. Nodes repaired earlier feed later repairs through the same
+    transmit and expansion, at zero transmission cost. The builder and the
+    test oracle of the centralized decode operator.
+    """
+    m = payloads[0].m
+    plan = CentralRepairPlan(tuple(failed), tuple(payload.helper for payload in payloads), m)
     seg = binom(plan.d, m - 1)
-
-    expanded: dict[int, list[list[int]]] = {}  # one repair vector per stripe
-    sent: dict[int, int] = {}
-    for slot, h in enumerate(plan.helpers, start=1):
-        payload = helper_payload(contents[h], h, plan.served_prefix(slot), encoder, m)
-        sent[h] = len(payload.symbols)
-        expanded[h] = split_rows(decompress_payload(payload, encoder), len(payload.failed) * seg)
-
+    expanded = {  # one repair vector per stripe
+        payload.helper: split_rows(decompress_payload(payload, encoder), len(payload.failed) * seg)
+        for payload in payloads
+    }
     repaired: dict[int, list[list[int]]] = {}
     for step, f in enumerate(plan.failed):
         helper_ids = plan.helper_sequence(step)
@@ -129,4 +150,4 @@ def centralized_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int
             for h in helper_ids
         ]
         repaired.update(decode_repair_vectors(vectors, helper_ids, encoder, (f,), m))
-    return repaired, sent
+    return repaired

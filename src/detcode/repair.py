@@ -14,6 +14,21 @@ repair is the case e = 1 of the same path. The repair matrix and the
 signed-sum readout both read :func:`detcode.subsets.incidence`, the
 package's one sign rule.
 
+That decode, step by step (:func:`decode_factored`), is a fixed linear map
+from the symbols received per stripe to the e * alpha symbols of the failed
+nodes, and so is the repair center's
+(:func:`detcode.multirepair.decode_centralized`). :func:`decode_operator`
+compiles either into one matrix by running it on the unit batch, whose
+stripe t carries a 1 in received position t; building it costs one
+factored decode of as many stripes as the operator has rows (d * rank for
+joint repair, the sum of the served prefixes' ranks for centralized). A
+batch of at least twice that many stripes builds the operator and decodes
+by one product with it, which beats the factored decode from about 1.5
+times the rows on; a smaller batch runs the factored decode, which also
+stays the test oracle. The operator is built for each repair and dropped
+after it, so it holds memory only while the batch, already larger, is
+decoded.
+
 Wire format of a payload, version 3, all integers little-endian::
 
     <B version=3> <B m> <B e> <e x H failed ids> <H helper> <I count>
@@ -151,16 +166,80 @@ def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) ->
         raise ValueError(f"need exactly {d} distinct helpers, got {list(helper_ids)}")
     if tuple(payload.helper for payload in payloads) != helper_ids:
         raise ValueError(f"payloads must come from helpers {list(helper_ids)}, in that order")
-    modes = {payload.m for payload in payloads}
-    if len(modes) != 1:
+    if len({payload.m for payload in payloads}) != 1:
         raise ValueError("payloads disagree on mode")
     for payload in payloads:
         if payload.failed != failed:
             raise WrongTarget(
                 f"payload from helper {payload.helper} targets nodes {payload.failed}, not {failed}"
             )
+    return decode_payloads(decode_factored, payloads, encoder, failed)
+
+
+def decode_factored(payloads, encoder: EncoderMatrix, failed) -> dict[int, list[list[int]]]:
+    """Joint decode step by step: decompress each payload, then decode_repair_vectors.
+
+    The builder and the test oracle of the joint decode operator.
+    """
     vectors = (decompress_payload(payload, encoder) for payload in payloads)  # one held at a time
-    return decode_repair_vectors(vectors, helper_ids, encoder, failed, modes.pop())
+    helper_ids = tuple(payload.helper for payload in payloads)
+    return decode_repair_vectors(vectors, helper_ids, encoder, failed, payloads[0].m)
+
+
+def decode_payloads(factored, payloads, encoder: EncoderMatrix, failed) -> dict[int, list[list[int]]]:
+    """Failed stripe batches from payloads, by the operator of *factored* or by *factored* itself.
+
+    *factored(payloads, encoder, failed)* is a linear decode. From twice as
+    many stripes as its operator has rows (one per received symbol of a
+    stripe) the batch goes through the operator: one build, one product, no
+    intermediate repair vectors. Fewer stripes run *factored* directly.
+    """
+    ranks = [len(repair_basis(encoder, payload.failed, payload.m)[1]) for payload in payloads]
+    counts = set()
+    for payload, rank in zip(payloads, ranks):
+        if len(payload.symbols) % rank:
+            raise ValueError(
+                f"payload from helper {payload.helper} carries {len(payload.symbols)} symbols, "
+                f"not a multiple of the basis rank {rank}"
+            )
+        counts.add(len(payload.symbols) // rank)
+    if len(counts) != 1:
+        raise ValueError(f"payloads carry different stripe counts {sorted(counts)}")
+    stripes = counts.pop()
+    if stripes < 2 * sum(ranks):
+        return factored(payloads, encoder, failed)
+    sources = tuple((payload.helper, payload.failed) for payload in payloads)
+    operator = decode_operator(factored, encoder, failed, sources, payloads[0].m)
+    received = Matrix(
+        encoder.field,
+        [payload.symbols[j::rank] for payload, rank in zip(payloads, ranks) for j in range(rank)],
+        cols=stripes,
+    )
+    columns = (operator @ received).data
+    alpha = operator.rows // len(failed)
+    return {f: list(map(list, zip(*columns[i * alpha : (i + 1) * alpha]))) for i, f in enumerate(failed)}
+
+
+def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], sources, m: int) -> Matrix:
+    """Transposed decode operator of *factored*: e * alpha x received symbols per stripe.
+
+    *sources* is the (helper, failure tuple it serves) of each payload, in
+    order. The operator is *factored* run on the unit batch, whose stripe
+    t carries a 1 in received position t (payload after payload, rank
+    positions each): column t is that decode's output for stripe t, the
+    failed nodes' alpha entries each in failure order.
+    """
+    ranks = [len(repair_basis(encoder, target, m)[1]) for _, target in sources]
+    total = sum(ranks)
+    payloads, offset = [], 0
+    for (helper, target), rank in zip(sources, ranks):
+        symbols = [0] * (total * rank)
+        for j in range(rank):
+            symbols[(offset + j) * rank + j] = 1
+        payloads.append(RepairPayload(target, helper, m, tuple(symbols)))
+        offset += rank
+    decoded = factored(payloads, encoder, failed)
+    return Matrix(encoder.field, [column for f in failed for column in zip(*decoded[f])], cols=total)
 
 
 def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m: int) -> dict[int, list[list[int]]]:

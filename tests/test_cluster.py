@@ -24,7 +24,7 @@ from detcode.cluster import (
     write_shard,
 )
 from detcode.code import CodeConfig, build_message_matrix
-from detcode.multirepair import OverlapError, centralized_bandwidth
+from detcode.multirepair import OverlapError, TooManyFailures, centralized_bandwidth
 
 
 CFG257 = CodeConfig(n=8, d=4, m=2, p=257)
@@ -196,8 +196,10 @@ def test_recover_rejects_bad_node_ids():
      ("joint", (5, 6), [1, 2, 3, 4]), ("centralized", (5, 6), [1, 2, 3, 4, 5])],
 )
 def test_repair_transmits_once_per_helper_per_group(monkeypatch, mode, failed, senders):
-    """A five-stripe repair makes one helper_payload call per helper and
-    failure group, not one per stripe."""
+    """A repair makes one helper_payload call per helper and failure group,
+    not one per stripe, at five stripes (factored decode) and at 40 (every
+    mode here builds and applies a decode operator: at most 20 received
+    symbols per stripe at (8, 4, 2))."""
     real = detcode.cluster.helper_payload
     calls = []
 
@@ -207,12 +209,33 @@ def test_repair_transmits_once_per_helper_per_group(monkeypatch, mode, failed, s
 
     monkeypatch.setattr(detcode.cluster, "helper_payload", counting)
     monkeypatch.setattr(detcode.multirepair, "helper_payload", counting)
-    cluster = _random_cluster(seed=12, stripes=5)
-    before = _snapshot(cluster)
-    cluster.fail_nodes(failed)
-    cluster.repair(mode, failed, helpers=(1, 2, 3, 4))
-    assert sorted(calls) == senders
-    assert _snapshot(cluster) == before
+    for stripes in (5, 40):
+        calls.clear()
+        cluster = _random_cluster(seed=12, stripes=stripes)
+        before = _snapshot(cluster)
+        cluster.fail_nodes(failed)
+        cluster.repair(mode, failed, helpers=(1, 2, 3, 4))
+        assert sorted(calls) == senders
+        assert _snapshot(cluster) == before
+
+
+def test_centralized_repair_of_more_failures_than_helpers_is_refused():
+    """Five failures at (12, 3, 2): centralized repair raises the declared
+    error, while joint and naive repair rebuild all five nodes, on both
+    sides of the operator's stripe-count rule."""
+    config = CodeConfig(n=12, d=3, m=2, p=257)
+    failed = [1, 2, 3, 4, 5]
+    for stripes in (3, 20):
+        cluster = _random_cluster(seed=5, stripes=stripes, config=config)
+        before = _snapshot(cluster)
+        cluster.fail_nodes(failed)
+        with pytest.raises(TooManyFailures):
+            cluster.repair("centralized", failed)
+        assert cluster.failed() == failed
+        for mode in ("joint", "naive"):
+            cluster.fail_nodes(failed)
+            cluster.repair(mode, failed)
+            assert _snapshot(cluster) == before
 
 
 def test_recovery_after_repair_sequence():

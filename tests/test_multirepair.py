@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +22,14 @@ from detcode.multirepair import (
     centralized_repair,
     joint_bandwidth,
 )
+from detcode import repair
+from detcode.multirepair import decode_centralized
 from detcode.repair import (
+    RepairPayload,
+    WrongTarget,
+    decode_factored,
     decode_failed_nodes,
+    decode_operator,
     decompress_payload,
     helper_payload,
     repair_matrix,
@@ -310,6 +317,71 @@ def test_stripe_batch_equals_stacked_single_stripes(gf13, encoder8, data):
     assert sent == {h: stripes * v for h, v in one_sent.items()}
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_operator_decode_equals_factored_path(gf13, encoder8, data):
+    """Single, naive, joint and centralized repair equal the factored decode
+    and the encoded contents on both sides of the stripe-count rule: from
+    twice as many stripes as received symbols per stripe the decode builds
+    and applies an operator, below that it does not. Symbol counts do not
+    depend on the path, and above the rule every decode validation still
+    raises."""
+    m = data.draw(st.integers(1, 4), label="m")
+    failed = tuple(data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True), label="failed"))
+    helpers = tuple(data.draw(st.permutations([h for h in range(1, 9) if h not in failed]), label="helpers")[:4])
+    e = len(failed)
+    groups = {"naive": [(f,) for f in failed], "joint": [failed]}  # single repair is each naive group
+    rows = {"naive": 4 * binom(3, m - 1), "joint": 4 * joint_bandwidth(4, m, e)}
+    rows["centralized"] = sum(joint_bandwidth(4, m, min(slot, e)) for slot in range(1, 5))
+    below = data.draw(st.integers(0, 2 * min(rows.values()) - 1), label="below")
+    above = data.draw(st.integers(2 * max(rows.values()), 2 * max(rows.values()) + 6), label="above")
+    per_stripe = m * binom(5, m + 1)
+
+    def batch(stripes):
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        source = [rng.randrange(13) for _ in range(stripes * per_stripe)]
+        return encode(encoder8, build_message_matrix(source, 4, m, gf13))
+
+    with mock.patch.object(repair, "decode_operator", wraps=decode_operator) as build:
+        for stripes in (below, above):
+            contents = batch(stripes)
+            for mode, group_list in groups.items():
+                for group in group_list:
+                    payloads = [helper_payload(contents[h - 1], h, group, encoder8, m) for h in helpers]
+                    assert [len(p.symbols) for p in payloads] == [stripes * joint_bandwidth(4, m, len(group))] * 4
+                    build.reset_mock()
+                    decoded = decode_failed_nodes(payloads, helpers, encoder8, group)
+                    assert build.called == (stripes >= 2 * rows[mode])
+                    assert decoded == decode_factored(payloads, encoder8, group) == {f: contents[f - 1] for f in group}
+
+            build.reset_mock()
+            repaired, sent = centralized_repair(failed, helpers, {h: contents[h - 1] for h in helpers}, encoder8, m)
+            assert build.called == (stripes >= 2 * rows["centralized"])
+            payloads = [
+                helper_payload(contents[h - 1], h, failed[: min(slot, e)], encoder8, m)
+                for slot, h in enumerate(helpers, start=1)
+            ]
+            assert repaired == decode_centralized(payloads, encoder8, failed) == {f: contents[f - 1] for f in failed}
+            assert sent == {p.helper: len(p.symbols) for p in payloads}
+            assert sent == {h: stripes * joint_bandwidth(4, m, min(slot, e)) for slot, h in enumerate(helpers, start=1)}
+
+    payloads = [helper_payload(contents[h - 1], h, failed, encoder8, m) for h in helpers]
+    other = tuple(f for f in range(1, 9) if f not in failed and f not in helpers)[:1] + failed[1:]
+    with pytest.raises(WrongTarget):
+        decode_failed_nodes(payloads, helpers, encoder8, other)
+    for bad in (payloads[::-1], payloads[:3]):
+        with pytest.raises(ValueError, match="helpers"):
+            decode_failed_nodes(bad, helpers, encoder8, failed)
+    longer = batch(above + 1)
+    mixed = [helper_payload(longer[helpers[0] - 1], helpers[0], failed, encoder8, m)] + payloads[1:]
+    with pytest.raises(ValueError, match="stripe counts"):
+        decode_failed_nodes(mixed, helpers, encoder8, failed)
+    if joint_bandwidth(4, m, e) > 1:  # rank 1 divides every count
+        short = payloads[:3] + [RepairPayload(failed, helpers[3], m, payloads[3].symbols[:-1])]
+        with pytest.raises(ValueError, match="multiple of the basis rank"):
+            decode_failed_nodes(short, helpers, encoder8, failed)
+
+
 # --- centralized sequential repair ----------------------------------------
 
 
@@ -327,6 +399,12 @@ def test_plan_accounting():
 def test_plan_rejects_overlap():
     with pytest.raises(OverlapError):
         CentralRepairPlan((5, 6), (1, 2, 3, 5), 2)
+
+
+def test_plan_rejects_more_failures_than_helpers():
+    with pytest.raises(TooManyFailures):
+        CentralRepairPlan((1, 2, 3, 4, 5), (6, 7, 8), 2)
+    assert CentralRepairPlan((1, 2, 3), (6, 7, 8), 2).helper_sequence(2) == (1, 2, 8)
 
 
 def test_plan_totals_match_closed_form_d10():
