@@ -71,7 +71,6 @@ def null_space_matrix(failed, m: int, encoder: EncoderMatrix) -> NullSpaceMatrix
     e = len(failed)
     if e > d:
         raise TooManyFailures(f"at most d={d} simultaneous failures, got {e}")
-    field = encoder.field
     failed_rows = encoder.rows_submatrix(failed)
 
     anchor = None
@@ -91,20 +90,22 @@ def null_space_matrix(failed, m: int, encoder: EncoderMatrix) -> NullSpaceMatrix
     else:
         row_labels = ()  # certificate is empty once e > d - m
     col_space = subsets(d, m)
-    matrix = Matrix.zeros(field, len(row_labels), len(col_space))
     anchor_set = set(anchor)
-    for r, i_label in enumerate(row_labels):
+    rows = []
+    for i_label in row_labels:
         support = tuple(sorted(set(i_label) | anchor_set))
         support_set = set(support)
+        row = [0] * len(col_space)
         for c, l_label in enumerate(col_space.ordering):
             if not set(l_label) <= support_set:
                 continue
             sign = sum(position(support, j) for j in l_label)
             keep = [x for x in support if x not in l_label]
             minor = failed_rows.submatrix(range(e), [x - 1 for x in keep]).det()
-            matrix.set(r, c, field.signed(minor, sign))
+            row[c] = -minor if sign % 2 else minor
+        rows.append(row)
     return NullSpaceMatrix(
-        matrix=matrix,
+        matrix=Matrix(encoder.field, rows, cols=len(col_space)),
         row_labels=row_labels,
         column_labels=col_space.ordering,
         anchor=anchor,

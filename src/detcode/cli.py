@@ -89,6 +89,22 @@ def recover_cmd(shard_dir: Path, nodes: str, output_path: Path):
     click.echo(f"recovered {len(data)} bytes from nodes {list(ids)}")
 
 
+def _repair_shards(shard_dir: Path, mode: str, failed_ids, helpers: str | None):
+    """Load the shards, repair *failed_ids* in *mode*, rewrite their shards; returns the event and per-helper text."""
+    cluster = load_cluster(shard_dir)
+    cluster.fail_nodes(failed_ids)
+    event = cluster.repair(mode, failed_ids, _parse_ids(helpers) if helpers else None)
+    for f in failed_ids:
+        write_shard(
+            shard_path(shard_dir, f),
+            cluster.config,
+            f,
+            cluster.node_content(f),
+            cluster.original_len or 0,
+        )
+    return event, ", ".join(f"{h}:{v}" for h, v in sorted(event.symbols_by_helper.items()))
+
+
 @main.command(name="repair")
 @click.option("--shards", "shard_dir", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.option("--failed", "failed", required=True, type=int)
@@ -96,17 +112,7 @@ def recover_cmd(shard_dir: Path, nodes: str, output_path: Path):
 @_friendly_errors
 def repair_cmd(shard_dir: Path, failed: int, helpers: str | None):
     """Regenerate one node's shard from d helpers."""
-    cluster = load_cluster(shard_dir)
-    cluster.fail_nodes([failed])
-    event = cluster.repair("single", [failed], _parse_ids(helpers) if helpers else None)
-    write_shard(
-        shard_path(shard_dir, failed),
-        cluster.config,
-        failed,
-        cluster.node_content(failed),
-        cluster.original_len or 0,
-    )
-    per_helper = ", ".join(f"{h}:{v}" for h, v in sorted(event.symbols_by_helper.items()))
+    event, per_helper = _repair_shards(shard_dir, "single", (failed,), helpers)
     click.echo(
         f"repaired node {failed} with helpers {list(event.helpers)}; "
         f"symbols per helper ({event.stripes} stripes): {per_helper}"
@@ -122,18 +128,7 @@ def repair_cmd(shard_dir: Path, failed: int, helpers: str | None):
 def multirepair_cmd(shard_dir: Path, failed: str, mode: str, helpers: str | None):
     """Regenerate several nodes at once."""
     failed_ids = _parse_ids(failed)
-    cluster = load_cluster(shard_dir)
-    cluster.fail_nodes(failed_ids)
-    event = cluster.repair(mode, failed_ids, _parse_ids(helpers) if helpers else None)
-    for f in failed_ids:
-        write_shard(
-            shard_path(shard_dir, f),
-            cluster.config,
-            f,
-            cluster.node_content(f),
-            cluster.original_len or 0,
-        )
-    per_helper = ", ".join(f"{h}:{v}" for h, v in sorted(event.symbols_by_helper.items()))
+    event, per_helper = _repair_shards(shard_dir, mode, failed_ids, helpers)
     click.echo(
         f"repaired nodes {list(failed_ids)} in {mode} mode; "
         f"symbols per helper ({event.stripes} stripes): {per_helper}; total {event.total}"

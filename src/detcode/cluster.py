@@ -67,14 +67,13 @@ def ingest_file(data: bytes, config: CodeConfig) -> tuple[MessageMatrix, int]:
     return build_message_matrix(padded, config.d, config.m, config.field), len(data)
 
 
-def assemble_file(stripe_symbols: list[list[int]], original_len: int) -> bytes:
-    """Concatenate recovered stripe symbols and drop the padding."""
-    flat = [v for stripe in stripe_symbols for v in stripe]
-    if len(flat) < original_len:
+def assemble_file(symbols: list[int], original_len: int) -> bytes:
+    """The recovered source symbols, stripe after stripe, as bytes without the padding."""
+    if len(symbols) < original_len:
         raise ValueError("fewer symbols than the recorded file length")
-    if original_len and max(flat[:original_len]) > 255:
+    if original_len and max(symbols[:original_len]) > 255:
         raise ValueError("recovered symbol exceeds a byte; data is corrupt")
-    return bytes(flat[:original_len])
+    return bytes(symbols[:original_len])
 
 
 @dataclass
@@ -194,6 +193,8 @@ class Cluster:
         failed = tuple(failed)
         if not failed:
             raise ValueError("nothing to repair")
+        if len(set(failed)) != len(failed):
+            raise ValueError("failed ids must be distinct")
         if any(self.contents.get(f) is not None for f in failed):
             raise ValueError("refusing to repair a node that is still alive")
         if mode == "single" and len(failed) != 1:
@@ -238,7 +239,7 @@ class Cluster:
         if self.original_len is None:
             raise ValueError("cluster was not built from a byte file")
         message = self.recover_stripes(node_ids)
-        return assemble_file([message.extract_symbols()], self.original_len)
+        return assemble_file(message.extract_symbols(), self.original_len)
 
 
 # --- shard persistence -------------------------------------------------
@@ -383,7 +384,7 @@ def bandwidth_table(d: int, m: int, e_max: int, mode: str = "all"):
     return rows
 
 
-def capacity_curve(d: int, m: int, n_values, p: int | None = None, seed: int = 2024):
+def capacity_curve(d: int, m: int, n_values, p: int | None = None):
     """(n, recovered file size) for each n; recovery actually performed.
 
     One shared prime serves the whole range (>= max(n) + 1). For every n a
@@ -396,7 +397,7 @@ def capacity_curve(d: int, m: int, n_values, p: int | None = None, seed: int = 2
     rows = []
     for n in n_values:
         config = CodeConfig(n=n, d=d, m=m, p=p)
-        rng = random.Random(seed * 1_000_003 + n)
+        rng = random.Random(2024 * 1_000_003 + n)
         source = [rng.randrange(p) for _ in range(config.file_symbols)]
         message = build_message_matrix(source, d, m, config.field)
         encoder = build_encoder(n, d, config.field)

@@ -97,9 +97,8 @@ class CodeConfig:
 class EncoderMatrix:
     """n x d generator over GF(p); every d x d row-submatrix is invertible."""
 
-    def __init__(self, matrix: Matrix, systematic: bool):
+    def __init__(self, matrix: Matrix):
         self.matrix = matrix
-        self.systematic = systematic
 
     @property
     def n(self) -> int:
@@ -119,10 +118,6 @@ class EncoderMatrix:
             raise ValueError(f"node id {node_id} not in [1, {self.n}]")
         return self.matrix.row(node_id - 1)
 
-    def entry(self, node_id: int, x: int) -> int:
-        """Coefficient applied to message row x (1-based) in a node's content."""
-        return self.matrix[node_id - 1, x - 1]
-
     def rows_submatrix(self, node_ids) -> Matrix:
         return self.matrix.submatrix([i - 1 for i in node_ids], range(self.d))
 
@@ -138,8 +133,8 @@ def rows_inverse(encoder: EncoderMatrix, node_ids: tuple[int, ...]) -> Matrix:
 
 
 @lru_cache(maxsize=64)
-def build_encoder(n: int, d: int, field: Field, systematic: bool = True) -> EncoderMatrix:
-    """Vandermonde generator on points 1..n, optionally in systematic form.
+def build_encoder(n: int, d: int, field: Field) -> EncoderMatrix:
+    """Vandermonde generator on points 1..n, in systematic form.
 
     Row i of the raw matrix is (i**0, i**1, ..., i**(d-1)) mod p. Systematic
     form right-multiplies by the inverse of the top d x d block, making the
@@ -156,10 +151,7 @@ def build_encoder(n: int, d: int, field: Field, systematic: bool = True) -> Enco
             f"need p >= n + 1 = {n + 1} distinct nonzero generators, got p={field.p}"
         )
     vand = Matrix(field, [[pow(i, j, field.p) for j in range(d)] for i in range(1, n + 1)])
-    if systematic:
-        top = vand.submatrix(range(d), range(d))
-        vand = vand @ top.inverse()
-    return EncoderMatrix(vand, systematic)
+    return EncoderMatrix(vand @ vand.submatrix(range(d), range(d)).inverse())
 
 
 class SymbolLayout:

@@ -1,7 +1,7 @@
 """Exact arithmetic in prime fields GF(p) and dense linear algebra over them.
 
 Field elements are plain Python ints kept canonical (0 <= value < p); a
-:class:`Field` instance carries the modulus and provides the arithmetic.
+:class:`Field` instance carries the (checked prime) modulus.
 :class:`Matrix` implements exact Gauss-Jordan elimination with a
 deterministic leftmost-pivot rule, so ranks, inverses, and pivot-column
 bases are reproducible across runs and machines.
@@ -10,10 +10,11 @@ The matrix product is word-parallel. A row or column of canonical entries
 is packed into one int, an entry per fixed-width slot, so one big-int
 multiply-add combines a whole row. A slot sums K products of entries
 below p (K the inner dimension), at most K * (p-1)**2; :func:`slot_width`
-picks 4-byte slots below 2**32 and 8-byte slots below 2**64, so no carry
-crosses a slot and one reduction mod p per output entry makes the result
-exact. A wide right operand is packed by rows and a tall left operand by
-columns. Above 2**64 the product falls back to a scalar loop.
+picks 4-byte slots below 2**32, 8-byte slots below 2**64 and the bound's
+whole bytes above, so no carry crosses a slot and one reduction mod p per
+output entry makes the result exact, for every p. A wide right operand is
+packed by rows and a tall left operand by columns. Slots and stored symbols
+share one little-endian fixed-width codec.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from functools import lru_cache
 
 class CompositeModulus(ValueError):
     """Field modulus is not prime."""
-
-
-class DivideByZero(ZeroDivisionError):
-    """Multiplicative inverse of zero requested."""
 
 
 class DimensionMismatch(ValueError):
@@ -83,45 +80,58 @@ def element_width(p: int) -> int:
 _TYPECODES = {array(code).itemsize: code for code in "QLIHB"}  # unsigned, by item size
 
 
-def slot_width(p: int, k: int) -> int | None:
+def slot_width(p: int, k: int) -> int:
     """Bytes per slot of the packed product over GF(p) with inner dimension k.
 
     A slot accumulates k products of canonical entries, at most
-    k * (p-1)**2; the slot must hold that bound without a carry into its
-    neighbour. None means no machine slot is wide enough: multiply scalar.
+    k * (p-1)**2, and must hold that bound without a carry into its
+    neighbour: a machine word of 4 or 8 bytes while the bound fits one,
+    else the bound's whole bytes.
     """
     bound = k * (p - 1) ** 2
-    return 4 if bound < 1 << 32 else 8 if bound < 1 << 64 else None
+    return 4 if bound < 1 << 32 else 8 if bound < 1 << 64 else (bound.bit_length() + 7) // 8
 
 
-def _pack(values, width: int) -> int:
-    """Canonical entries as one int, one width-byte slot each, first entry lowest."""
-    return int.from_bytes(array(_TYPECODES[width], values).tobytes(), sys.byteorder)
+def _encode(values, width: int) -> bytes:
+    """Little-endian bytes of non-negative ints, width bytes each."""
+    code = _TYPECODES.get(width)
+    if code is None:
+        return b"".join([v.to_bytes(width, "little") for v in values])
+    items = array(code, values)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items.tobytes()
 
 
-def _combine(coefficients, packed: list[int]) -> int:
-    """Slot-wise linear combination of packed vectors: one big-int multiply-add each."""
-    acc = 0
-    for a, x in zip(coefficients, packed):
-        if a:
-            acc += a * x
-    return acc
+def _decode(blob, width: int):
+    """The width-byte little-endian ints of *blob*; a zero-copy view on little-endian hosts."""
+    code = _TYPECODES.get(width)
+    if code is None:
+        return [int.from_bytes(blob[i : i + width], "little") for i in range(0, len(blob), width)]
+    if sys.byteorder == "little":
+        return memoryview(blob).cast(code)
+    items = array(code)
+    items.frombytes(blob)
+    items.byteswap()
+    return items
 
 
-def _unpack(x: int, n: int, width: int, p: int) -> list[int]:
-    """The n slots of a packed combination, reduced mod p."""
-    return [v % p for v in memoryview(x.to_bytes(n * width, sys.byteorder)).cast(_TYPECODES[width])]
+def _product(rows, right_rows, cols: int, p: int) -> list[list[int]]:
+    """Rows of the product over GF(p) of *rows* by the cols-wide *right_rows*.
 
-
-def _matmul_scalar(a, b, cols: int, p: int) -> list[list[int]]:
-    """Row-combination product reduced at every step, for bounds past any slot."""
+    Each right row is packed once into one int, a slot per entry; an output
+    row is then one big-int multiply-add per nonzero coefficient, unpacked
+    and reduced once per entry.
+    """
+    width = slot_width(p, len(right_rows))
+    packed = [int.from_bytes(_encode(row, width), "little") for row in right_rows]
     data = []
-    for row in a:
-        acc = [0] * cols
-        for coefficient, b_row in zip(row, b):
-            if coefficient:
-                acc = [(x + coefficient * y) % p for x, y in zip(acc, b_row)]
-        data.append(acc)
+    for row in rows:
+        acc = 0
+        for a, x in zip(row, packed):
+            if a:
+                acc += a * x
+        data.append([v % p for v in _decode(acc.to_bytes(cols * width, "little"), width)])
     return data
 
 
@@ -135,13 +145,7 @@ def pack_symbols(values, p: int) -> bytes:
     values = list(values)
     if values and not 0 <= min(values) <= max(values) < p:
         raise ValueError("symbol out of field range")
-    width = element_width(p)
-    if width not in _TYPECODES:
-        return b"".join([v.to_bytes(width, "little") for v in values])
-    symbols = array(_TYPECODES[width], values)
-    if sys.byteorder == "big":
-        symbols.byteswap()
-    return symbols.tobytes()
+    return _encode(values, element_width(p))
 
 
 def unpack_symbols(blob, p: int) -> list[int]:
@@ -149,14 +153,7 @@ def unpack_symbols(blob, p: int) -> list[int]:
     width = element_width(p)
     if len(blob) % width:
         raise ValueError(f"symbol out of field range: {len(blob)} bytes is not a whole number of {width}-byte symbols")
-    if width in _TYPECODES:
-        symbols = array(_TYPECODES[width])
-        symbols.frombytes(blob)
-        if sys.byteorder == "big":
-            symbols.byteswap()
-        values = symbols.tolist()
-    else:
-        values = [int.from_bytes(blob[i : i + width], "little") for i in range(0, len(blob), width)]
+    values = list(_decode(blob, width))
     if values and max(values) >= p:
         raise ValueError("symbol out of field range")
     return values
@@ -177,32 +174,6 @@ class Field:
         if not is_prime(p):
             raise CompositeModulus(f"modulus {p} is not prime")
         self.p = p
-
-    def element(self, value: int) -> int:
-        """Canonical representative of *value* in [0, p)."""
-        return value % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; raises DivideByZero on 0."""
-        if a % self.p == 0:
-            raise DivideByZero(f"0 has no inverse in GF({self.p})")
-        return pow(a, -1, self.p)
-
-    def signed(self, a: int, exponent: int) -> int:
-        """(-1)**exponent * a, reduced mod p."""
-        return a % self.p if exponent % 2 == 0 else -a % self.p
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.p == self.p
@@ -240,10 +211,6 @@ class Matrix:
             self.cols = cols
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, [[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
@@ -261,12 +228,6 @@ class Matrix:
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]
 
-    def set(self, i: int, j: int, value: int) -> None:
-        self.data[i][j] = value % self.field.p
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, [row[:] for row in self.data], cols=self.cols)
-
     def submatrix(self, row_indices, col_indices) -> "Matrix":
         rows = list(row_indices)
         cols = list(col_indices)
@@ -274,13 +235,6 @@ class Matrix:
             self.field,
             [[self.data[i][j] for j in cols] for i in rows],
             cols=len(cols),
-        )
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [list(col) for col in zip(*self.data)] if self.rows else [],
-            cols=self.rows,
         )
 
     @staticmethod
@@ -303,20 +257,15 @@ class Matrix:
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         p = self.field.p
-        width = slot_width(p, self.cols)
-        if width is None:
-            data = _matmul_scalar(self.data, other.data, other.cols, p)
-        elif self.rows <= other.cols or not (self.cols and other.cols):
-            # Wide right operand: row i of the product is row i of self
-            # weighting other's packed rows. Empty operands come here too,
-            # since zip(*rows) of a matrix without columns yields nothing.
-            packed = [_pack(row, width) for row in other.data]
-            data = [_unpack(_combine(row, packed), other.cols, width, p) for row in self.data]
+        if self.rows <= other.cols or not (self.cols and other.cols):
+            # Wide right operand: pack other's rows. Empty operands come
+            # here too, since zip(*rows) of a matrix without columns yields
+            # nothing.
+            data = _product(self.data, other.data, other.cols, p)
         else:
-            # Tall left operand: column j of the product is column j of
-            # other weighting self's packed columns; transpose back.
-            packed = [_pack(col, width) for col in zip(*self.data)]
-            cols = [_unpack(_combine(col, packed), self.rows, width, p) for col in zip(*other.data)]
+            # Tall left operand: the transposed product packs self's
+            # columns; transpose back.
+            cols = _product(zip(*other.data), list(zip(*self.data)), self.rows, p)
             data = list(map(list, zip(*cols)))
         product = Matrix.__new__(Matrix)  # rows are canonical already: no second copy
         product.field, product.data, product.rows, product.cols = self.field, data, self.rows, other.cols

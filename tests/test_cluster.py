@@ -74,7 +74,7 @@ def test_ingest_requires_byte_capable_field():
 
 def test_assemble_rejects_oversized_symbols():
     with pytest.raises(ValueError):
-        assemble_file([[300] + [0] * 19], 5)
+        assemble_file([300] + [0] * 19, 5)
 
 
 def test_file_roundtrip_10k():
@@ -153,6 +153,17 @@ def test_repair_refuses_alive_nodes():
     cluster = _random_cluster()
     with pytest.raises(ValueError):
         cluster.repair("single", [5])
+
+
+@pytest.mark.parametrize("mode", ["naive", "joint", "centralized"])
+def test_repeated_failed_ids_are_refused(mode):
+    """A repeated id is refused before any repair runs: no event, the node stays failed."""
+    cluster = Cluster.from_file(bytes(range(200)), CFG257)
+    cluster.fail_nodes([3])
+    with pytest.raises(ValueError, match="failed ids must be distinct"):
+        cluster.repair(mode, [3, 3])
+    assert cluster.ledger.events == []
+    assert cluster.failed() == [3]
 
 
 def test_not_enough_helpers():

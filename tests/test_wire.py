@@ -3,16 +3,19 @@
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from detcode.cluster import (
     SHARD_MAGIC,
     SHARD_VERSION,
+    _SHARD_HEADER,
     ShardFormatError,
     read_shard,
     shard_path,
     write_shard,
 )
+from detcode.field import element_width
+from detcode.subsets import binom
 from detcode.code import CodeConfig, build_message_matrix, encode
 from detcode.field import pack_symbols, unpack_symbols
 from detcode.repair import RepairPayload, decompress_payload, helper_payload
@@ -250,3 +253,46 @@ def test_shard_rejects_inconsistent_header(tmp_path):
     path.write_bytes(header.pack(SHARD_MAGIC, SHARD_VERSION, 15, 8, 4, 2, 1, 0, 0))
     with pytest.raises(ShardFormatError):
         read_shard(path)
+
+
+@st.composite
+def _shard_blobs(draw):
+    """Arbitrary bytes, or a shard header over often valid fields and a body that often fits it."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=80))
+    valid = st.sampled_from([(13, 8, 4, 2), (257, 8, 4, 2), (65537, 6, 3, 3), (2**61 - 1, 5, 2, 1)])
+    p, n, d, m = draw(valid | st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF), st.integers(0, 0xFF)))
+    stripes = draw(st.integers(0, 3) | st.integers(0, 2**64 - 1))
+    header = _SHARD_HEADER.pack(
+        SHARD_MAGIC,
+        draw(st.just(SHARD_VERSION) | st.integers(0, 0xFF)),
+        p,
+        n,
+        d,
+        m,
+        draw(st.integers(0, 8) | st.integers(0, 0xFFFF)),
+        stripes,
+        draw(st.integers(0, 2**64 - 1)),
+    )
+    width, count = element_width(p), stripes * binom(d, m)
+    if count > 32 or draw(st.booleans()):
+        return header + draw(st.binary(max_size=64))
+    symbols = draw(st.lists(st.integers(0, max(p - 1, 0)), min_size=count, max_size=count))
+    if symbols and draw(st.booleans()):  # one symbol anywhere in its width, in the field or not
+        symbols[draw(st.integers(0, count - 1))] = draw(st.integers(0, 256**width - 1))
+    return header + b"".join(v.to_bytes(width, "little") for v in symbols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=_shard_blobs())
+def test_read_shard_raises_only_shard_format_error(tmp_path_factory, blob):
+    """A shard that parses is written back byte for byte; anything else raises ShardFormatError."""
+    path = tmp_path_factory.getbasetemp() / "fuzz" / "node_1.detc"
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(blob)
+    try:
+        shard = read_shard(path)
+    except ShardFormatError:
+        return
+    write_shard(path, shard.config, shard.node_id, shard.stripes, shard.original_len)
+    assert path.read_bytes() == blob
