@@ -15,6 +15,7 @@ import random
 import struct
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .code import (
@@ -254,23 +255,34 @@ def shard_path(directory, node_id: int) -> Path:
 
 
 def write_shard(path, config: CodeConfig, node_id: int, stripes: list[list[int]], original_len: int) -> None:
-    """Write one node's shard atomically; a symbol outside GF(p) raises ValueError.
+    """Write one node's shard atomically; anything read_shard would reject raises ValueError.
 
-    The bytes go to a temporary file that load_cluster does not read, which
-    then replaces the shard, so an interrupted write leaves the old one whole.
+    That is a node id outside [1, n], a stripe that is not alpha symbols
+    long, a symbol outside GF(p) or a header field that does not fit; the
+    check comes before any file is touched. The bytes go to a temporary
+    file that load_cluster does not read, which then replaces the shard, so
+    an interrupted write leaves the old one whole.
     """
-    header = _SHARD_HEADER.pack(
-        SHARD_MAGIC,
-        SHARD_VERSION,
-        config.p,
-        config.n,
-        config.d,
-        config.m,
-        node_id,
-        len(stripes),
-        original_len,
-    )
-    body = pack_symbols([v for stripe in stripes for v in stripe], config.p)
+    if not 1 <= node_id <= config.n:
+        raise ValueError(f"node id {node_id} not in [1, {config.n}]")
+    widths = set(map(len, stripes))
+    if widths - {config.alpha}:
+        raise ValueError(f"stripes must be alpha = {config.alpha} symbols long, got lengths {sorted(widths)}")
+    try:
+        header = _SHARD_HEADER.pack(
+            SHARD_MAGIC,
+            SHARD_VERSION,
+            config.p,
+            config.n,
+            config.d,
+            config.m,
+            node_id,
+            len(stripes),
+            original_len,
+        )
+    except struct.error as exc:
+        raise ValueError(f"shard header does not fit: {exc}") from exc
+    body = pack_symbols(chain.from_iterable(stripes), config.p)
     path = Path(path)
     temp = path.with_name(f".{path.name}.tmp")
     try:

@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
-from .field import Field, Matrix, is_prime, split_rows, CompositeModulus
+from .field import Field, Matrix, combine_rows, is_prime, split_rows, CompositeModulus
 from .subsets import binom, incidence, subsets
 
 
@@ -271,15 +272,16 @@ def encode(encoder: EncoderMatrix, message: MessageMatrix) -> list[list[list[int
 def recover_data(contents, node_ids, encoder: EncoderMatrix, m: int) -> MessageMatrix:
     """Rebuild the message matrix of every stripe from the stripe batches of any d nodes.
 
-    One product with the cached inverse of the d encoder rows selected by
-    *node_ids*; parity is then verified per stripe, the one integrity check
-    on every recovered stripe.
+    One packed product of the cached inverse of the d encoder rows selected
+    by *node_ids* with the batches, each flattened into one row; parity is
+    then verified per stripe, the one integrity check on every recovered
+    stripe.
     """
     node_ids = tuple(node_ids)
     if len(node_ids) != encoder.d or len(set(node_ids)) != len(node_ids):
         raise ValueError(f"need exactly {encoder.d} distinct node ids, got {list(node_ids)}")
-    stacked = Matrix(encoder.field, [[v for row in batch for v in row] for batch in contents])
-    dmat = rows_inverse(encoder, node_ids) @ stacked
-    message = MessageMatrix(symbol_layout(encoder.d, m), dmat)
+    stacked = [list(chain.from_iterable(batch)) for batch in contents]
+    rows = combine_rows(stacked, list(zip(*rows_inverse(encoder, node_ids).data)), encoder.field.p)
+    message = MessageMatrix(symbol_layout(encoder.d, m), Matrix.wrap(encoder.field, rows, len(rows[0])))
     message.verify_parity()
     return message

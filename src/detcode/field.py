@@ -6,15 +6,24 @@ Field elements are plain Python ints kept canonical (0 <= value < p); a
 deterministic leftmost-pivot rule, so ranks, inverses, and pivot-column
 bases are reproducible across runs and machines.
 
-The matrix product is word-parallel. A row or column of canonical entries
-is packed into one int, an entry per fixed-width slot, so one big-int
-multiply-add combines a whole row. A slot sums K products of entries
-below p (K the inner dimension), at most K * (p-1)**2; :func:`slot_width`
-picks 4-byte slots below 2**32, 8-byte slots below 2**64 and the bound's
-whole bytes above, so no carry crosses a slot and one reduction mod p per
-output entry makes the result exact, for every p. A wide right operand is
-packed by rows and a tall left operand by columns. Slots and stored symbols
-share one little-endian fixed-width codec.
+Every product is one word-parallel kernel, :func:`combine_rows`: K
+sequences of one length L (the long operand: a stripe batch's columns,
+a payload's strided slices, message rows) are combined by a K x r weight
+matrix into r output sequences. The side being packed is turned into one
+int per row or weight row, an entry per fixed-width slot, so one big-int
+multiply-add combines a whole row. The long operand is packed when
+r <= L; with fewer entries per row than outputs (a batch of few stripes)
+the weight rows are packed instead and the operand's entries become the
+multipliers. The long operand is never copied through :class:`Matrix`;
+its range proof is one C-level min/max test per row (ValueError on an
+entry outside [0, p)), the same test the symbol codec makes.
+``Matrix.__matmul__`` runs the same kernel without that test, since both
+its operands are canonical by construction. A slot sums K products of
+canonical entries, at most K * (p-1)**2; :func:`slot_width` picks 4-byte
+slots below 2**32, 8-byte slots below 2**64 and the bound's whole bytes
+above, so no carry crosses a slot and one reduction mod p per output
+entry makes the result exact, for every p. Slots and stored symbols share
+one little-endian fixed-width codec.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
+from itertools import chain
 
 
 class CompositeModulus(ValueError):
@@ -116,23 +126,56 @@ def _decode(blob, width: int):
     return items
 
 
-def _product(rows, right_rows, cols: int, p: int) -> list[list[int]]:
-    """Rows of the product over GF(p) of *rows* by the cols-wide *right_rows*.
+def combine_rows(rows, weights, p: int) -> list[list[int]]:
+    """The r linear combinations over GF(p) of K sequences *rows* of one length L.
 
-    Each right row is packed once into one int, a slot per entry; an output
-    row is then one big-int multiply-add per nonzero coefficient, unpacked
-    and reduced once per entry.
+    Output i is the sum over k of weights[k][i] * rows[k]: *weights* is K
+    rows of r canonical entries. Read the rows as the columns of a matrix X
+    (a stripe batch, a payload's strided slices) and the outputs are the
+    columns of X @ weights. The rows are never copied through
+    :class:`Matrix`; each is range-checked by one C-level min/max pass and
+    an entry outside [0, p) raises ValueError.
     """
-    width = slot_width(p, len(right_rows))
-    packed = [int.from_bytes(_encode(row, width), "little") for row in right_rows]
-    data = []
+    rows = list(rows)
     for row in rows:
+        if row and not 0 <= min(row) <= max(row) < p:
+            raise ValueError(f"operand entry out of field range [0, {p})")
+    return _combine(rows, weights, p)
+
+
+def _combine(rows: list, weights, p: int) -> list[list[int]]:
+    """The product kernel of :func:`combine_rows`, on rows known to be canonical.
+
+    With r <= L each row is packed into one int and an output is one
+    big-int multiply-add per nonzero weight. With fewer entries per row
+    than outputs the weights' rows are packed instead and combined once per
+    entry position, then transposed back. Either way each output entry is
+    reduced mod p once.
+    """
+    k = len(rows)
+    length = len(rows[0]) if rows else 0
+    if any(len(row) != length for row in rows):
+        raise DimensionMismatch("ragged rows")
+    if len(weights) != k:
+        raise DimensionMismatch(f"{len(weights)} weight rows for {k} rows")
+    r = len(weights[0]) if weights else 0
+    if any(len(w) != r for w in weights):
+        raise DimensionMismatch("ragged weight rows")
+    slot = slot_width(p, k)
+
+    def combine(coeffs, terms, count):
         acc = 0
-        for a, x in zip(row, packed):
+        for a, x in zip(coeffs, terms):
             if a:
                 acc += a * x
-        data.append([v % p for v in _decode(acc.to_bytes(cols * width, "little"), width)])
-    return data
+        return [v % p for v in _decode(acc.to_bytes(count * slot, "little"), slot)]
+
+    if r <= length or not length:
+        packed = [int.from_bytes(_encode(row, slot), "little") for row in rows]
+        return [combine(column, packed, length) for column in zip(*weights)]
+    entries = list(chain.from_iterable(rows))
+    packed = [int.from_bytes(_encode(w, slot), "little") for w in weights]
+    return list(map(list, zip(*[combine(entries[j::length], packed, r) for j in range(length)])))
 
 
 def split_rows(flat, width: int) -> list:
@@ -211,6 +254,13 @@ class Matrix:
             self.cols = cols
 
     @classmethod
+    def wrap(cls, field: Field, rows: list[list[int]], cols: int) -> "Matrix":
+        """A matrix on *rows*, which must be canonical and cols wide: no reducing copy, no check."""
+        matrix = cls.__new__(cls)
+        matrix.field, matrix.data, matrix.rows, matrix.cols = field, rows, len(rows), cols
+        return matrix
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
@@ -256,20 +306,11 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        p = self.field.p
-        if self.rows <= other.cols or not (self.cols and other.cols):
-            # Wide right operand: pack other's rows. Empty operands come
-            # here too, since zip(*rows) of a matrix without columns yields
-            # nothing.
-            data = _product(self.data, other.data, other.cols, p)
-        else:
-            # Tall left operand: the transposed product packs self's
-            # columns; transpose back.
-            cols = _product(zip(*other.data), list(zip(*self.data)), self.rows, p)
-            data = list(map(list, zip(*cols)))
-        product = Matrix.__new__(Matrix)  # rows are canonical already: no second copy
-        product.field, product.data, product.rows, product.cols = self.field, data, self.rows, other.cols
-        return product
+        if not (self.cols and self.rows):
+            return Matrix(self.field, [[0] * other.cols for _ in range(self.rows)], cols=other.cols)
+        # Both operands are canonical by construction: no range check.
+        rows = _combine(other.data, list(zip(*self.data)), self.field.p)  # rows of self @ other
+        return Matrix.wrap(self.field, rows, other.cols)
 
     def _eliminate(self):
         """Gauss-Jordan to reduced row echelon form; leftmost pivots first.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .code import EncoderMatrix
 from .field import split_rows
@@ -146,7 +147,7 @@ def decode_centralized(payloads, encoder: EncoderMatrix, failed) -> dict[int, li
         vectors = [
             decompress_payload(helper_payload(repaired[h], h, (f,), encoder, m), encoder)
             if h in repaired  # center-local, free
-            else [v for row in expanded[h] for v in row[step * seg : (step + 1) * seg]]
+            else list(chain.from_iterable(row[step * seg : (step + 1) * seg] for row in expanded[h]))
             for h in helper_ids
         ]
         repaired.update(decode_repair_vectors(vectors, helper_ids, encoder, (f,), m))

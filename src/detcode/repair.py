@@ -29,6 +29,17 @@ stays the test oracle. The operator is built for each repair and dropped
 after it, so it holds memory only while the batch, already larger, is
 decoded.
 
+Every product here is :func:`detcode.field.combine_rows`, fed plain
+sequences: the batch's alpha columns (``zip(*batch)``), a payload's rank
+strided slices (``symbols[j::rank]``) or full repair vectors. The kernel
+range-checks them against p itself (one C-level min/max pass per row), so
+stripe data is never copied into a :class:`~detcode.field.Matrix`. Each output
+column lands in the flat payload or vector by one slice assignment
+(``symbols[c::rank] = column``). Only expand's free columns go through the
+product; its pivot columns are unit columns, copied through the same way.
+The batch is packed when it has at least as many stripes as outputs;
+with fewer (small objects) compress or expand is packed instead.
+
 Wire format of a payload, version 3, all integers little-endian::
 
     <B version=3> <B m> <B e> <e x H failed ids> <H helper> <I count>
@@ -45,9 +56,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .code import EncoderMatrix, rows_inverse
-from .field import Matrix, element_width, pack_symbols, split_rows, unpack_symbols
+from .field import Matrix, combine_rows, element_width, pack_symbols, unpack_symbols
 from .subsets import binom, incidence
 
 
@@ -77,16 +89,20 @@ def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int):
 
     The repair matrix of the tuple is the horizontal concatenation of the
     per-failure repair matrices in failure order, so column j of segment i
-    has index i * C(d, m-1) + j. compress is its pivot columns (alpha x
-    rank) and expand the nonzero rows of its reduced row echelon form
-    (rank x e * C(d, m-1)); their product is the repair matrix, exactly.
-    The cached matrices are shared: do not mutate them.
+    has index i * C(d, m-1) + j. compress is its pivot columns (alpha rows
+    of rank entries), the weights of a helper's transmit. The nonzero rows
+    of its reduced row echelon form (rank x e * C(d, m-1)) expand the
+    transmit back; their pivot columns are unit columns, so expand keeps
+    only the free columns: (free column indices, rank rows of their
+    entries). The cached tuples are shared.
     """
     if len(set(failed)) != len(failed):
         raise ValueError(f"failed ids must be distinct, got {list(failed)}")
     xi = Matrix.hstack([repair_matrix(f, m, encoder) for f in failed])
-    pivots, expand = xi.pivot_columns()
-    return xi.submatrix(range(xi.rows), pivots), tuple(pivots), expand
+    pivots, rref = xi.pivot_columns()
+    free = tuple(sorted(set(range(xi.cols)) - set(pivots)))
+    compress = tuple(tuple(row[c] for c in pivots) for row in xi.data)
+    return compress, tuple(pivots), (free, tuple(tuple(row[c] for c in free) for row in rref.data))
 
 
 WIRE_VERSION = 3
@@ -139,22 +155,40 @@ def helper_payload(h_content, helper: int, failed, encoder: EncoderMatrix, m: in
 
     compress is a function of the (public) repair matrix alone, so sender
     and receiver agree without negotiation and the payload never depends on
-    who else is helping.
+    who else is helping. The batch's columns go straight to the packed
+    product, and each of its rank output columns lands in the payload by
+    one strided slice assignment.
     """
     failed = tuple(failed)
-    compress, _, _ = repair_basis(encoder, failed, m)
-    product = Matrix(encoder.field, h_content, cols=compress.rows) @ compress
-    return RepairPayload(failed, helper, m, tuple(v for row in product.data for v in row))
+    compress, pivots, _ = repair_basis(encoder, failed, m)
+    rank = len(pivots)
+    symbols = [0] * (len(h_content) * rank)
+    if h_content:
+        columns = zip(*h_content, strict=True)
+        for c, column in enumerate(combine_rows(columns, compress, encoder.field.p)):
+            symbols[c::rank] = column
+    return RepairPayload(failed, helper, m, tuple(symbols))
 
 
 def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> list[int]:
-    """Full-length repair vectors, stripe after stripe: the received symbols times expand."""
-    _, pivots, expand = repair_basis(encoder, payload.failed, payload.m)
-    rank = len(pivots)
-    if len(payload.symbols) % rank:
-        raise ValueError(f"payload carries {len(payload.symbols)} symbols, not a multiple of the basis rank {rank}")
-    product = Matrix(encoder.field, split_rows(payload.symbols, rank), cols=rank) @ expand
-    return [v for row in product.data for v in row]
+    """Full-length repair vectors, stripe after stripe: the received symbols times the expansion.
+
+    The pivot columns of the expansion are unit columns, so their received
+    symbols are copied through by slice assignment; only the free columns
+    go through the packed product.
+    """
+    _, pivots, (free, weights) = repair_basis(encoder, payload.failed, payload.m)
+    rank, symbols = len(pivots), payload.symbols
+    if len(symbols) % rank:
+        raise ValueError(f"payload carries {len(symbols)} symbols, not a multiple of the basis rank {rank}")
+    width = rank + len(free)
+    received = [symbols[j::rank] for j in range(rank)]
+    vectors = [0] * (len(symbols) // rank * width)
+    for c, column in zip(pivots, received):
+        vectors[c::width] = column
+    for c, column in zip(free, combine_rows(received, weights, encoder.field.p)):
+        vectors[c::width] = column
+    return vectors
 
 
 def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) -> dict[int, list[list[int]]]:
@@ -181,7 +215,7 @@ def decode_factored(payloads, encoder: EncoderMatrix, failed) -> dict[int, list[
 
     The builder and the test oracle of the joint decode operator.
     """
-    vectors = (decompress_payload(payload, encoder) for payload in payloads)  # one held at a time
+    vectors = [decompress_payload(payload, encoder) for payload in payloads]
     helper_ids = tuple(payload.helper for payload in payloads)
     return decode_repair_vectors(vectors, helper_ids, encoder, failed, payloads[0].m)
 
@@ -210,23 +244,19 @@ def decode_payloads(factored, payloads, encoder: EncoderMatrix, failed) -> dict[
         return factored(payloads, encoder, failed)
     sources = tuple((payload.helper, payload.failed) for payload in payloads)
     operator = decode_operator(factored, encoder, failed, sources, payloads[0].m)
-    received = Matrix(
-        encoder.field,
-        [payload.symbols[j::rank] for payload, rank in zip(payloads, ranks) for j in range(rank)],
-        cols=stripes,
-    )
-    columns = (operator @ received).data
-    alpha = operator.rows // len(failed)
+    received = [payload.symbols[j::rank] for payload, rank in zip(payloads, ranks) for j in range(rank)]
+    columns = combine_rows(received, operator, encoder.field.p)
+    alpha = len(columns) // len(failed)
     return {f: list(map(list, zip(*columns[i * alpha : (i + 1) * alpha]))) for i, f in enumerate(failed)}
 
 
-def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], sources, m: int) -> Matrix:
-    """Transposed decode operator of *factored*: e * alpha x received symbols per stripe.
+def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], sources, m: int) -> list[list[int]]:
+    """Decode operator of *factored*: received symbols per stripe x e * alpha, as rows.
 
     *sources* is the (helper, failure tuple it serves) of each payload, in
     order. The operator is *factored* run on the unit batch, whose stripe
     t carries a 1 in received position t (payload after payload, rank
-    positions each): column t is that decode's output for stripe t, the
+    positions each): row t is that decode's output for stripe t, the
     failed nodes' alpha entries each in failure order.
     """
     ranks = [len(repair_basis(encoder, target, m)[1]) for _, target in sources]
@@ -239,7 +269,7 @@ def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], s
         payloads.append(RepairPayload(target, helper, m, tuple(symbols)))
         offset += rank
     decoded = factored(payloads, encoder, failed)
-    return Matrix(encoder.field, [column for f in failed for column in zip(*decoded[f])], cols=total)
+    return [list(chain.from_iterable(parts)) for parts in zip(*(decoded[f] for f in failed))]
 
 
 def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m: int) -> dict[int, list[list[int]]]:
@@ -249,20 +279,22 @@ def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m
     stripe and failure: the result holds a d x C(d, m-1) repair space per
     stripe and failure, stripe after stripe, each decoded by signed sums.
     """
-    space = rows_inverse(encoder, tuple(helper_ids)) @ Matrix(encoder.field, vectors)
+    inverse = rows_inverse(encoder, tuple(helper_ids))
+    space = combine_rows(vectors, list(zip(*inverse.data)), encoder.field.p)
     rows = combine_repair_space(space, encoder.d, m, encoder.field)
     return {f: rows[i :: len(failed)] for i, f in enumerate(failed)}
 
 
-def combine_repair_space(space: Matrix, d: int, m: int, field) -> list[list[int]]:
+def combine_repair_space(rows, d: int, m: int, field) -> list[list[int]]:
     """Signed-sum readout of repair spaces side by side, one content row per space.
 
-    Space b is the d x C(d, m-1) block of columns from b * C(d, m-1); its
-    entry at column label I is the sum over x in I of (-1)**position(I, x)
-    times the entry at (row x, column I - {x}) of the block.
+    *rows* are the d rows of the spaces; space b is the d x C(d, m-1) block
+    of columns from b * C(d, m-1). Its entry at column label I is the sum
+    over x in I of (-1)**position(I, x) times the entry at (row x, column
+    I - {x}) of the block.
     """
-    rows, seg, p = space.data, binom(d, m - 1), field.p
-    out = [[0] * (space.cols // seg) for _ in range(binom(d, m))]  # one list per label, over spaces
+    seg, p = binom(d, m - 1), field.p
+    out = [[0] * (len(rows[0]) // seg) for _ in range(binom(d, m))]  # one list per label, over spaces
     for i, x, j, sign in incidence(d, m):
         out[i] = [(a + sign * v) % p for a, v in zip(out[i], rows[x - 1][j::seg])]
     return [list(row) for row in zip(*out)]

@@ -9,6 +9,7 @@ from detcode.field import (
     Field,
     Matrix,
     Singular,
+    combine_rows,
     element_width,
     is_prime,
     next_prime_at_least,
@@ -244,3 +245,65 @@ def test_symbol_codec_round_trip(p, width):
         pack_symbols(values + [p], p)
     with pytest.raises(ValueError, match="symbol out of field range"):
         unpack_symbols(blob + p.to_bytes(width, "little"), p)
+
+
+# --- the linear-combination kernel ---------------------------------------
+
+
+@st.composite
+def combinations(draw):
+    """K rows and K x r weights over one of the kernel's fields, at L in {0, 1, r-1, r, r+1}.
+
+    Entries are drawn from p-1 (the worst case for the slot bound), 0 and
+    anything in between; L < r packs the weights, L >= r the rows.
+    """
+    p = draw(st.sampled_from([13, 257, 65521, 2**31 - 1, 2**61 - 1]))
+    k, r = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    length = draw(st.sampled_from([0, 1, r - 1, r, r + 1]))
+    entry = st.one_of(st.just(p - 1), st.just(0), st.integers(0, p - 1))
+    rows = [[draw(entry) for _ in range(length)] for _ in range(k)]
+    weights = [[draw(entry) for _ in range(r)] for _ in range(k)]
+    return p, rows, weights
+
+
+@settings(max_examples=400, deadline=None)
+@given(combinations())
+def test_combine_rows_matches_triple_loop(case):
+    """Output i is the sum of weights[k][i] * rows[k], whichever side is packed."""
+    p, rows, weights = case
+    field = Field(p)
+    length = len(rows[0])
+    expected = matmul_scalar(Matrix(field, list(zip(*weights))), Matrix(field, rows, cols=length))
+    assert combine_rows(rows, weights, p) == expected
+    assert combine_rows([tuple(row) for row in rows], weights, p) == expected  # any sequences
+
+
+@pytest.mark.parametrize("length", [1, 5])  # fewer entries than outputs, and more
+def test_combine_rows_rejects_ragged_rows(length):
+    rows = [[1] * length, [1] * (length + 1)]
+    with pytest.raises(DimensionMismatch, match="ragged rows"):
+        combine_rows(rows, [[1, 2, 3], [4, 5, 6]], 257)
+    with pytest.raises(DimensionMismatch):
+        combine_rows([[1] * length] * 2, [[1, 2, 3]], 257)  # one weight row for two rows
+
+
+@pytest.mark.parametrize("p", [13, 257, 65521, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("length", [1, 5])  # fewer entries than outputs, and more
+def test_combine_rows_range_is_the_field(p, length):
+    """Entries up to p - 1 combine exactly; a negative one, p, or one past the symbol width raises ValueError."""
+    weights = [[1, 2, 3], [4, 5, 6]]
+    assert combine_rows([[p - 1] * length, [0] * length], weights, p) == [[(p - 1) * c % p] * length for c in (1, 2, 3)]
+    for bad in (-1, p, 1 << 8 * element_width(p)):
+        rows = [[0] * length, [0] * (length - 1) + [bad]]
+        with pytest.raises(ValueError, match=rf"field range \[0, {p}\)"):
+            combine_rows(rows, weights, p)
+
+
+@pytest.mark.parametrize("k, width", [(65535, 4), (65536, 8)])
+def test_combine_rows_exact_at_slot_crossover(k, width):
+    """At p = 257 the kernel's slots follow slot_width(257, k): k * 256**2 fills a 4-byte slot up to k = 65535."""
+    assert slot_width(257, k) == width
+    for length in (1, 3):  # weights packed, rows packed
+        rows = [[256] * length] * k
+        expected = k * 256 * 256 % 257
+        assert combine_rows(rows, [[256, 256]] * k, 257) == [[expected] * length] * 2

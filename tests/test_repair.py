@@ -236,3 +236,22 @@ def test_exhaustive_repair_with_all_helper_sets(encoder8, contents8):
                 helper_payload(contents8[h - 1], h, (f,), encoder8, 2) for h in helpers
             ]
             assert decode_failed_nodes(payloads, helpers, encoder8, (f,))[f] == contents8[f - 1]
+
+
+def test_repair_builds_no_matrix_once_bases_are_cached(encoder8, contents8, monkeypatch):
+    """Transmit, decompression and decode pass stripe data to the packed product
+    as plain sequences: with the bases and inverses cached, a repair builds no Matrix."""
+    from detcode.field import Matrix
+
+    failed, helpers = (5, 6), (1, 2, 3, 4)
+    batches = {h: contents8[h - 1] * 40 for h in helpers}  # enough stripes for the decode operator too
+
+    def repair():
+        payloads = [helper_payload(batches[h], h, failed, encoder8, 2) for h in helpers]
+        assert all(decompress_payload(payload, encoder8) for payload in payloads)
+        return decode_failed_nodes(payloads, helpers, encoder8, failed)
+
+    expected = repair()  # warms repair_basis and rows_inverse
+    monkeypatch.setattr(Matrix, "__init__", lambda *args, **kwargs: pytest.fail("Matrix built on the repair path"))
+    monkeypatch.setattr(Matrix, "wrap", lambda *args, **kwargs: pytest.fail("Matrix built on the repair path"))
+    assert repair() == expected == {f: contents8[f - 1] * 40 for f in failed}

@@ -246,6 +246,30 @@ def test_shard_rejects_out_of_field_symbol(tmp_path):
         write_shard(path, config, 1, [[1, 2, 3, 4, 5, 257]], original_len=6)
 
 
+@pytest.mark.parametrize(
+    "node_id, stripes, original_len, match",
+    [
+        # read back as "payload is 54 bytes, expected 60"
+        pytest.param(1, [[1, 2, 3, 4, 5, 6], [1, 2, 3]], 6, "alpha = 6", id="short-stripe"),
+        pytest.param(1, [[1, 2, 3], [4, 5, 6, 7, 8, 9, 10, 11, 12]], 6, "alpha = 6", id="regrouped"),
+        pytest.param(9, [[1, 2, 3, 4, 5, 6]], 6, r"node id 9 not in \[1, 8\]", id="node-above-n"),
+        pytest.param(0, [[1, 2, 3, 4, 5, 6]], 6, r"node id 0 not in \[1, 8\]", id="node-zero"),
+        pytest.param(1, [[1, 2, 3, 4, 5, 6]], -1, "shard header does not fit", id="negative-length"),
+    ],
+)
+def test_write_shard_rejects_what_read_shard_would(tmp_path, node_id, stripes, original_len, match):
+    """Each of these once wrote a shard that failed to load; now nothing is touched."""
+    config = CodeConfig(n=8, d=4, m=2, p=257)
+    path = shard_path(tmp_path, 1)
+    write_shard(path, config, 1, [[6, 5, 4, 3, 2, 1]], original_len=6)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=match):
+        write_shard(path, config, node_id, stripes, original_len)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["node_1.detc"]  # no temporary file left
+    assert path.read_bytes() == before
+    assert read_shard(path).stripes == [[6, 5, 4, 3, 2, 1]]
+
+
 def test_shard_rejects_inconsistent_header(tmp_path):
     path = tmp_path / "node_1.detc"
     header = struct.Struct("<4sBQHHBHQQ")
