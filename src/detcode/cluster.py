@@ -2,7 +2,8 @@
 
 Byte files map one byte per field element (so p >= 257), zero-padded up to
 a whole number of stripes with the true length recorded. A node's content
-is its stripe batch, one row per stripe, coded in one call per object.
+is its :class:`~detcode.code.StripeBatch`, one flat list in shard body
+order, coded in one call per object.
 Shards go to disk as ``node_<id>.detc`` files, replaced atomically; the
 generator matrix is a pure function of (n, d, p), so independently written
 shards stay mutually consistent.
@@ -15,27 +16,22 @@ import random
 import struct
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 
 from .code import (
     CodeConfig,
     EncoderMatrix,
     MessageMatrix,
+    StripeBatch,
     build_encoder,
     build_message_matrix,
     derive_params,
     encode,
     recover_data,
 )
-from .field import element_width, next_prime_at_least, pack_symbols, split_rows, unpack_symbols
-from .multirepair import (
-    OverlapError,
-    centralized_bandwidth,
-    centralized_repair,
-    joint_bandwidth,
-)
-from .repair import decode_failed_nodes, helper_payload
+from .field import element_width, next_prime_at_least, pack_symbols, unpack_symbols
+from .multirepair import centralized_bandwidth, centralized_repair, joint_bandwidth
+from .repair import OverlapError, decode_failed_nodes, helper_payload
 
 
 class NotEnoughHelpers(ValueError):
@@ -127,7 +123,7 @@ class Cluster:
         self,
         config: CodeConfig,
         encoder: EncoderMatrix,
-        contents: dict[int, list[list[int]] | None],
+        contents: dict[int, StripeBatch | None],
         stripe_count: int,
         original_len: int | None = None,
     ):
@@ -155,7 +151,7 @@ class Cluster:
     def failed(self) -> list[int]:
         return sorted(i for i, c in self.contents.items() if c is None)
 
-    def node_content(self, node_id: int) -> list[list[int]]:
+    def node_content(self, node_id: int) -> StripeBatch:
         content = self.contents[node_id]
         if content is None:
             raise ValueError(f"node {node_id} is failed")
@@ -254,7 +250,7 @@ def shard_path(directory, node_id: int) -> Path:
     return Path(directory) / f"node_{node_id}.detc"
 
 
-def write_shard(path, config: CodeConfig, node_id: int, stripes: list[list[int]], original_len: int) -> None:
+def write_shard(path, config: CodeConfig, node_id: int, stripes: StripeBatch, original_len: int) -> None:
     """Write one node's shard atomically; anything read_shard would reject raises ValueError.
 
     That is a node id outside [1, n], a stripe that is not alpha symbols
@@ -265,9 +261,8 @@ def write_shard(path, config: CodeConfig, node_id: int, stripes: list[list[int]]
     """
     if not 1 <= node_id <= config.n:
         raise ValueError(f"node id {node_id} not in [1, {config.n}]")
-    widths = set(map(len, stripes))
-    if widths - {config.alpha}:
-        raise ValueError(f"stripes must be alpha = {config.alpha} symbols long, got lengths {sorted(widths)}")
+    if stripes.alpha != config.alpha:
+        raise ValueError(f"stripes must be alpha = {config.alpha} symbols long, got {stripes.alpha}")
     try:
         header = _SHARD_HEADER.pack(
             SHARD_MAGIC,
@@ -282,7 +277,7 @@ def write_shard(path, config: CodeConfig, node_id: int, stripes: list[list[int]]
         )
     except struct.error as exc:
         raise ValueError(f"shard header does not fit: {exc}") from exc
-    body = pack_symbols(chain.from_iterable(stripes), config.p)
+    body = pack_symbols(stripes.symbols, config.p)
     path = Path(path)
     temp = path.with_name(f".{path.name}.tmp")
     try:
@@ -299,7 +294,7 @@ class ShardFile:
     node_id: int
     stripe_count: int
     original_len: int
-    stripes: list[list[int]]
+    stripes: StripeBatch
 
 
 def read_shard(path) -> ShardFile:
@@ -317,15 +312,14 @@ def read_shard(path) -> ShardFile:
         raise ShardFormatError(f"{path}: inconsistent header ({exc})") from exc
     if not 1 <= node_id <= n:
         raise ShardFormatError(f"{path}: node id {node_id} out of range")
-    alpha = config.alpha
-    expected = _SHARD_HEADER.size + stripe_count * alpha * element_width(p)
+    expected = _SHARD_HEADER.size + stripe_count * config.alpha * element_width(p)
     if len(blob) != expected:
         raise ShardFormatError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
     try:
         values = unpack_symbols(blob[_SHARD_HEADER.size :], p)
     except ValueError as exc:
         raise ShardFormatError(f"{path}: {exc}") from exc
-    return ShardFile(config, node_id, stripe_count, original_len, split_rows(values, alpha))
+    return ShardFile(config, node_id, stripe_count, original_len, StripeBatch(values, config.alpha))
 
 
 def write_all_shards(directory, cluster: Cluster) -> list[Path]:
@@ -365,7 +359,7 @@ def load_cluster(directory) -> Cluster:
         if shard.config != config or shard.stripe_count != stripe_count or shard.original_len != original_len:
             raise ShardFormatError("shard headers disagree")
     encoder = build_encoder(config.n, config.d, config.field)
-    contents: dict[int, list[list[int]] | None] = {i: None for i in range(1, config.n + 1)}
+    contents: dict[int, StripeBatch | None] = {i: None for i in range(1, config.n + 1)}
     for shard in shards:
         contents[shard.node_id] = shard.stripes
     return Cluster(config, encoder, contents, stripe_count, original_len)

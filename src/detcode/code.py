@@ -10,19 +10,20 @@ storage/bandwidth trade-off, and a prime field modulus p. Derived sizes:
 
 The message matrix of S stripes is d x (S * alpha), stripe s in the column
 block from s * alpha; node i stores row i of its product with the n x d
-encoder matrix, cut into S rows: its stripe batch. A block's cells and
-parity groups are read from :func:`detcode.subsets.incidence`, the
-package's one sign rule.
+encoder matrix as one flat :class:`StripeBatch`, whose strided slice
+``symbols[c::alpha]`` is symbol c of every stripe: no layer builds a list
+per stripe. A block's cells and parity groups are read from
+:func:`detcode.subsets.incidence`, the package's one sign rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, reduce
+from operator import add, sub
 
-from .field import Field, Matrix, combine_rows, is_prime, split_rows, CompositeModulus
+from .field import Field, Matrix, combine_rows, interleave, is_prime, CompositeModulus
 from .subsets import binom, incidence, subsets
 
 
@@ -56,6 +57,28 @@ def tradeoff_bound(d: int, level: int, alpha: int, beta: int) -> Fraction:
     floor(d*beta/alpha). Returned as an exact rational.
     """
     return Fraction(d + 1, level + 2) * (level * alpha + Fraction(d, level + 1) * beta)
+
+
+@dataclass(frozen=True)
+class StripeBatch:
+    """One node's content: S stripes of alpha symbols, stripe after stripe, in one shared list.
+
+    ``len`` is S; ``batch[s]`` and iteration (by index) yield stripe rows as slices.
+    """
+
+    symbols: list[int]
+    alpha: int
+
+    def __post_init__(self):
+        if self.alpha < 1 or len(self.symbols) % self.alpha:
+            raise ValueError(f"{len(self.symbols)} symbols are not whole stripes of alpha = {self.alpha}")
+
+    def __len__(self) -> int:
+        return len(self.symbols) // self.alpha
+
+    def __getitem__(self, s: int) -> list[int]:
+        start = range(0, len(self.symbols), self.alpha)[s]
+        return self.symbols[start : start + self.alpha]
 
 
 @dataclass(frozen=True)
@@ -225,20 +248,21 @@ class MessageMatrix:
         return self.matrix[x - 1, self.layout.columns.rank(rest)]
 
     def verify_parity(self) -> None:
-        """Check every alternating-sum constraint of every stripe; raises ParityViolation."""
+        """Check every alternating-sum constraint of every stripe, one C-level map per cell; raises ParityViolation."""
         rows, p, alpha = self.matrix.data, self.matrix.field.p, len(self.layout.columns)
         for k, group in enumerate(self.layout.parity_sets):
-            # one tuple of signed cells per stripe
-            terms = zip(*[[sign * v for v in rows[r][c::alpha]] for (r, c), sign in group])
-            bad = next((s for s, cells in enumerate(terms) if sum(cells) % p), None)
-            if bad is not None:
+            ((r, c), first), *rest = group
+            sums = rows[r][c::alpha]  # the group's sum times its first sign
+            for (r, c), sign in rest:
+                sums = list(map(add if sign == first else sub, sums, rows[r][c::alpha]))
+            if any(map(p.__rmod__, sums)):
+                bad = next(s for s, v in enumerate(sums) if v % p)
                 raise ParityViolation(f"stripe {bad}: parity fails for {subsets(self.d, self.m + 1).unrank(k)}")
 
     def extract_symbols(self) -> list[int]:
         """Source symbols back out, stripe after stripe, in canonical order; does not check parity."""
         rows, alpha = self.matrix.data, len(self.layout.columns)
-        cells = [rows[r][c::alpha] for r, c in self.layout.v_slots + self.layout.w_slots]
-        return [v for stripe in zip(*cells) for v in stripe]
+        return interleave([rows[r][c::alpha] for r, c in self.layout.v_slots + self.layout.w_slots])
 
     def __eq__(self, other):
         return isinstance(other, MessageMatrix) and other.matrix == self.matrix
@@ -258,30 +282,29 @@ def build_message_matrix(source, d: int, m: int, field: Field) -> MessageMatrix:
         data[r][c::alpha] = source[t::per_stripe]
     for group in layout.parity_sets:
         (r, c), sign = group[-1]
-        rest = [[s * v for v in data[y][j::alpha]] for (y, j), s in group[:-1]]
-        data[r][c::alpha] = [-sign * sum(cells) for cells in zip(*rest)]
+        rest = [[-sign * s * v for v in data[y][j::alpha]] for (y, j), s in group[:-1]]
+        data[r][c::alpha] = reduce(lambda a, b: list(map(add, a, b)), rest)  # one C-level map per cell
     return MessageMatrix(layout, Matrix(field, data))
 
 
-def encode(encoder: EncoderMatrix, message: MessageMatrix) -> list[list[list[int]]]:
-    """Per-node stripe batches: row i of the encoder-times-message product, cut into S rows."""
+def encode(encoder: EncoderMatrix, message: MessageMatrix) -> list[StripeBatch]:
+    """Per-node stripe batches: the rows of the encoder-times-message product."""
     product = encoder.matrix @ message.matrix
-    return [split_rows(row, len(message.layout.columns)) for row in product.data]
+    return [StripeBatch(row, len(message.layout.columns)) for row in product.data]
 
 
 def recover_data(contents, node_ids, encoder: EncoderMatrix, m: int) -> MessageMatrix:
     """Rebuild the message matrix of every stripe from the stripe batches of any d nodes.
 
     One packed product of the cached inverse of the d encoder rows selected
-    by *node_ids* with the batches, each flattened into one row; parity is
-    then verified per stripe, the one integrity check on every recovered
-    stripe.
+    by *node_ids* with the batches' flat symbol lists; parity is then
+    verified per stripe, the one integrity check on every recovered stripe.
     """
     node_ids = tuple(node_ids)
     if len(node_ids) != encoder.d or len(set(node_ids)) != len(node_ids):
         raise ValueError(f"need exactly {encoder.d} distinct node ids, got {list(node_ids)}")
-    stacked = [list(chain.from_iterable(batch)) for batch in contents]
-    rows = combine_rows(stacked, list(zip(*rows_inverse(encoder, node_ids).data)), encoder.field.p)
+    weights = list(zip(*rows_inverse(encoder, node_ids).data))
+    rows = combine_rows([batch.symbols for batch in contents], weights, encoder.field.p)
     message = MessageMatrix(symbol_layout(encoder.d, m), Matrix.wrap(encoder.field, rows, len(rows[0])))
     message.verify_parity()
     return message

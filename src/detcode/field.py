@@ -104,6 +104,10 @@ def slot_width(p: int, k: int) -> int:
 
 def _encode(values, width: int) -> bytes:
     """Little-endian bytes of non-negative ints, width bytes each."""
+    if width == 2:  # array('I') fills from a list about twice as fast as array('H')
+        wide, narrow = _encode(values, 4), bytearray(2 * len(values))
+        narrow[0::2], narrow[1::2] = wide[0::4], wide[1::4]
+        return bytes(narrow)
     code = _TYPECODES.get(width)
     if code is None:
         return b"".join([v.to_bytes(width, "little") for v in values])
@@ -127,7 +131,7 @@ def _decode(blob, width: int):
 
 
 def combine_rows(rows, weights, p: int) -> list[list[int]]:
-    """The r linear combinations over GF(p) of K sequences *rows* of one length L.
+    """The r linear combinations over GF(p) of a list *rows* of K sequences of one length L.
 
     Output i is the sum over k of weights[k][i] * rows[k]: *weights* is K
     rows of r canonical entries. Read the rows as the columns of a matrix X
@@ -136,7 +140,6 @@ def combine_rows(rows, weights, p: int) -> list[list[int]]:
     :class:`Matrix`; each is range-checked by one C-level min/max pass and
     an entry outside [0, p) raises ValueError.
     """
-    rows = list(rows)
     for row in rows:
         if row and not 0 <= min(row) <= max(row) < p:
             raise ValueError(f"operand entry out of field range [0, {p})")
@@ -178,9 +181,12 @@ def _combine(rows: list, weights, p: int) -> list[list[int]]:
     return list(map(list, zip(*[combine(entries[j::length], packed, r) for j in range(length)])))
 
 
-def split_rows(flat, width: int) -> list:
-    """Consecutive width-long slices of a flat sequence: the rows of a len / width x width matrix."""
-    return [flat[k : k + width] for k in range(0, len(flat), width)]
+def interleave(columns) -> list:
+    """One or more equal-length columns side by side, row after row, in one flat list."""
+    flat = [0] * (len(columns) * len(columns[0]))
+    for c, column in enumerate(columns):
+        flat[c :: len(columns)] = column
+    return flat
 
 
 def pack_symbols(values, p: int) -> bytes:

@@ -24,20 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
-from .code import EncoderMatrix
-from .field import split_rows
-from .repair import decode_payloads, decode_repair_vectors, decompress_payload, helper_payload
+from .code import EncoderMatrix, StripeBatch
+from .field import interleave
+from .repair import OverlapError, decode_payloads, decode_repair_vectors, decompress_payload, helper_payload
 from .subsets import binom
 
 
 class TooManyFailures(ValueError):
     """More simultaneous failures than helpers per repair."""
-
-
-class OverlapError(ValueError):
-    """Helper set intersects the failed set."""
 
 
 def joint_bandwidth(d: int, m: int, e: int) -> int:
@@ -126,7 +121,7 @@ def centralized_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int
     return decode_payloads(decode_centralized, payloads, encoder, plan.failed), sent
 
 
-def decode_centralized(payloads, encoder: EncoderMatrix, failed) -> dict[int, list[list[int]]]:
+def decode_centralized(payloads, encoder: EncoderMatrix, failed) -> dict[int, StripeBatch]:
     """Repair center, step by step: failed stripe batches from the helpers' prefix payloads.
 
     Payloads come in helper-slot order, each covering its slot's served
@@ -137,17 +132,15 @@ def decode_centralized(payloads, encoder: EncoderMatrix, failed) -> dict[int, li
     m = payloads[0].m
     plan = CentralRepairPlan(tuple(failed), tuple(payload.helper for payload in payloads), m)
     seg = binom(plan.d, m - 1)
-    expanded = {  # one repair vector per stripe
-        payload.helper: split_rows(decompress_payload(payload, encoder), len(payload.failed) * seg)
-        for payload in payloads
-    }
-    repaired: dict[int, list[list[int]]] = {}
+    # per helper: repair vectors, stripe after stripe, and their width, seg per served failure
+    expanded = {pl.helper: (decompress_payload(pl, encoder), len(pl.failed) * seg) for pl in payloads}
+    repaired: dict[int, StripeBatch] = {}
     for step, f in enumerate(plan.failed):
         helper_ids = plan.helper_sequence(step)
         vectors = [
             decompress_payload(helper_payload(repaired[h], h, (f,), encoder, m), encoder)
             if h in repaired  # center-local, free
-            else list(chain.from_iterable(row[step * seg : (step + 1) * seg] for row in expanded[h]))
+            else interleave([expanded[h][0][step * seg + j :: expanded[h][1]] for j in range(seg)])
             for h in helper_ids
         ]
         repaired.update(decode_repair_vectors(vectors, helper_ids, encoder, (f,), m))

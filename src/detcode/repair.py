@@ -30,14 +30,15 @@ after it, so it holds memory only while the batch, already larger, is
 decoded.
 
 Every product here is :func:`detcode.field.combine_rows`, fed plain
-sequences: the batch's alpha columns (``zip(*batch)``), a payload's rank
-strided slices (``symbols[j::rank]``) or full repair vectors. The kernel
-range-checks them against p itself (one C-level min/max pass per row), so
-stripe data is never copied into a :class:`~detcode.field.Matrix`. Each output
-column lands in the flat payload or vector by one slice assignment
-(``symbols[c::rank] = column``). Only expand's free columns go through the
-product; its pivot columns are unit columns, copied through the same way.
-The batch is packed when it has at least as many stripes as outputs;
+sequences: a batch's alpha strided slices (``batch.symbols[c::alpha]``),
+a payload's rank strided slices (``symbols[j::rank]``) or full repair
+vectors. The kernel range-checks them against p itself (one C-level
+min/max pass per row), so stripe data is never copied into a
+:class:`~detcode.field.Matrix`. Each output column lands in the flat
+payload, vector or rebuilt batch by one slice assignment
+(:func:`~detcode.field.interleave`). Only expand's free columns go through
+the product; its pivot columns are unit columns, copied through the same
+way. The batch is packed when it has at least as many stripes as outputs;
 with fewer (small objects) compress or expand is packed instead.
 
 Wire format of a payload, version 3, all integers little-endian::
@@ -56,15 +57,18 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
-from .code import EncoderMatrix, rows_inverse
-from .field import Matrix, combine_rows, element_width, pack_symbols, unpack_symbols
+from .code import EncoderMatrix, StripeBatch, rows_inverse
+from .field import Matrix, combine_rows, element_width, interleave, pack_symbols, unpack_symbols
 from .subsets import binom, incidence
 
 
 class WrongTarget(ValueError):
     """Payload addressed to a different failure set."""
+
+
+class OverlapError(ValueError):
+    """Helper set intersects the failed set."""
 
 
 def repair_matrix(f: int, m: int, encoder: EncoderMatrix) -> Matrix:
@@ -120,7 +124,9 @@ class RepairPayload:
     symbols: tuple[int, ...]
 
     def to_bytes(self, p: int) -> bytes:
-        """Serialize; a field that does not fit its wire slot raises ValueError."""
+        """Serialize; a zero m or e, or a field that does not fit its wire slot, raises ValueError."""
+        if not (self.m and self.failed):
+            raise ValueError(f"payload {'mode m' if not self.m else 'failure count e'} must be at least 1, got 0")
         try:
             parts = [
                 _WIRE_HEAD.pack(WIRE_VERSION, self.m, len(self.failed)),
@@ -144,29 +150,27 @@ class RepairPayload:
             helper, count = _WIRE_TAIL.unpack_from(blob, offset)
         except struct.error as exc:
             raise ValueError(f"truncated payload header: {exc}") from exc
+        if not (m and e):  # nothing to repair: refused here, not deep in decode
+            raise ValueError(f"payload {'mode m' if not m else 'failure count e'} must be at least 1, got 0")
         offset += _WIRE_TAIL.size
         if len(blob) != offset + count * element_width(p):
             raise ValueError("payload length does not match symbol count")
         return cls(failed, helper, m, tuple(unpack_symbols(blob[offset:], p)))
 
 
-def helper_payload(h_content, helper: int, failed, encoder: EncoderMatrix, m: int) -> RepairPayload:
+def helper_payload(h_content: StripeBatch, helper: int, failed, encoder: EncoderMatrix, m: int) -> RepairPayload:
     """Repair data from one helper: its stripe batch times compress, stripe after stripe.
 
     compress is a function of the (public) repair matrix alone, so sender
     and receiver agree without negotiation and the payload never depends on
-    who else is helping. The batch's columns go straight to the packed
-    product, and each of its rank output columns lands in the payload by
-    one strided slice assignment.
+    who else is helping. The batch's alpha strided slices go straight to
+    the packed product, and each of its rank output columns lands in the
+    payload by one strided slice assignment.
     """
     failed = tuple(failed)
-    compress, pivots, _ = repair_basis(encoder, failed, m)
-    rank = len(pivots)
-    symbols = [0] * (len(h_content) * rank)
-    if h_content:
-        columns = zip(*h_content, strict=True)
-        for c, column in enumerate(combine_rows(columns, compress, encoder.field.p)):
-            symbols[c::rank] = column
+    compress = repair_basis(encoder, failed, m)[0]
+    flat, alpha = h_content.symbols, h_content.alpha
+    symbols = interleave(combine_rows([flat[c::alpha] for c in range(alpha)], compress, encoder.field.p))
     return RepairPayload(failed, helper, m, tuple(symbols))
 
 
@@ -174,30 +178,27 @@ def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> list[i
     """Full-length repair vectors, stripe after stripe: the received symbols times the expansion.
 
     The pivot columns of the expansion are unit columns, so their received
-    symbols are copied through by slice assignment; only the free columns
-    go through the packed product.
+    symbols are copied through; only the free columns go through the packed
+    product.
     """
     _, pivots, (free, weights) = repair_basis(encoder, payload.failed, payload.m)
     rank, symbols = len(pivots), payload.symbols
     if len(symbols) % rank:
         raise ValueError(f"payload carries {len(symbols)} symbols, not a multiple of the basis rank {rank}")
-    width = rank + len(free)
     received = [symbols[j::rank] for j in range(rank)]
-    vectors = [0] * (len(symbols) // rank * width)
-    for c, column in zip(pivots, received):
-        vectors[c::width] = column
-    for c, column in zip(free, combine_rows(received, weights, encoder.field.p)):
-        vectors[c::width] = column
-    return vectors
+    columns = dict(zip(pivots, received)) | dict(zip(free, combine_rows(received, weights, encoder.field.p)))
+    return interleave([columns[c] for c in range(rank + len(free))])
 
 
-def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) -> dict[int, list[list[int]]]:
+def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) -> dict[int, StripeBatch]:
     """Exact stripe batch of every failed node from d helper payloads."""
     failed = tuple(failed)
     helper_ids = tuple(helper_ids)
     d = encoder.d
     if len(helper_ids) != d or len(set(helper_ids)) != d:
         raise ValueError(f"need exactly {d} distinct helpers, got {list(helper_ids)}")
+    if set(helper_ids) & set(failed):
+        raise OverlapError(f"helpers {sorted(set(helper_ids) & set(failed))} are failed")
     if tuple(payload.helper for payload in payloads) != helper_ids:
         raise ValueError(f"payloads must come from helpers {list(helper_ids)}, in that order")
     if len({payload.m for payload in payloads}) != 1:
@@ -210,7 +211,7 @@ def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) ->
     return decode_payloads(decode_factored, payloads, encoder, failed)
 
 
-def decode_factored(payloads, encoder: EncoderMatrix, failed) -> dict[int, list[list[int]]]:
+def decode_factored(payloads, encoder: EncoderMatrix, failed) -> dict[int, StripeBatch]:
     """Joint decode step by step: decompress each payload, then decode_repair_vectors.
 
     The builder and the test oracle of the joint decode operator.
@@ -220,7 +221,7 @@ def decode_factored(payloads, encoder: EncoderMatrix, failed) -> dict[int, list[
     return decode_repair_vectors(vectors, helper_ids, encoder, failed, payloads[0].m)
 
 
-def decode_payloads(factored, payloads, encoder: EncoderMatrix, failed) -> dict[int, list[list[int]]]:
+def decode_payloads(factored, payloads, encoder: EncoderMatrix, failed) -> dict[int, StripeBatch]:
     """Failed stripe batches from payloads, by the operator of *factored* or by *factored* itself.
 
     *factored(payloads, encoder, failed)* is a linear decode. From twice as
@@ -247,7 +248,7 @@ def decode_payloads(factored, payloads, encoder: EncoderMatrix, failed) -> dict[
     received = [payload.symbols[j::rank] for payload, rank in zip(payloads, ranks) for j in range(rank)]
     columns = combine_rows(received, operator, encoder.field.p)
     alpha = len(columns) // len(failed)
-    return {f: list(map(list, zip(*columns[i * alpha : (i + 1) * alpha]))) for i, f in enumerate(failed)}
+    return {f: StripeBatch(interleave(columns[i * alpha : (i + 1) * alpha]), alpha) for i, f in enumerate(failed)}
 
 
 def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], sources, m: int) -> list[list[int]]:
@@ -269,10 +270,10 @@ def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], s
         payloads.append(RepairPayload(target, helper, m, tuple(symbols)))
         offset += rank
     decoded = factored(payloads, encoder, failed)
-    return [list(chain.from_iterable(parts)) for parts in zip(*(decoded[f] for f in failed))]
+    return [[v for f in failed for v in decoded[f][t]] for t in range(total)]
 
 
-def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m: int) -> dict[int, list[list[int]]]:
+def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m: int) -> dict[int, StripeBatch]:
     """Failed stripe batches from the d decompressed repair vectors, helper order.
 
     One product with the inverse of the selected encoder rows decodes every
@@ -281,20 +282,20 @@ def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m
     """
     inverse = rows_inverse(encoder, tuple(helper_ids))
     space = combine_rows(vectors, list(zip(*inverse.data)), encoder.field.p)
-    rows = combine_repair_space(space, encoder.d, m, encoder.field)
-    return {f: rows[i :: len(failed)] for i, f in enumerate(failed)}
+    labels, e = combine_repair_space(space, encoder.d, m, encoder.field), len(failed)
+    return {f: StripeBatch(interleave([label[i::e] for label in labels]), len(labels)) for i, f in enumerate(failed)}
 
 
 def combine_repair_space(rows, d: int, m: int, field) -> list[list[int]]:
-    """Signed-sum readout of repair spaces side by side, one content row per space.
+    """Signed-sum readout of repair spaces side by side, one list per column label, over spaces.
 
     *rows* are the d rows of the spaces; space b is the d x C(d, m-1) block
-    of columns from b * C(d, m-1). Its entry at column label I is the sum
-    over x in I of (-1)**position(I, x) times the entry at (row x, column
-    I - {x}) of the block.
+    of columns from b * C(d, m-1). Its entry at column label I, entry b of
+    list I, is the sum over x in I of (-1)**position(I, x) times the entry
+    at (row x, column I - {x}) of the block.
     """
     seg, p = binom(d, m - 1), field.p
-    out = [[0] * (len(rows[0]) // seg) for _ in range(binom(d, m))]  # one list per label, over spaces
+    out = [[0] * (len(rows[0]) // seg) for _ in range(binom(d, m))]
     for i, x, j, sign in incidence(d, m):
         out[i] = [(a + sign * v) % p for a, v in zip(out[i], rows[x - 1][j::seg])]
-    return [list(row) for row in zip(*out)]
+    return out

@@ -1,0 +1,73 @@
+"""A node's content is one flat StripeBatch from encode to shard and back."""
+
+import random
+import struct
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from detcode import Cluster, CodeConfig, StripeBatch, load_cluster, read_shard, shard_path, write_all_shards
+from detcode.cluster import SHARD_MAGIC, SHARD_VERSION
+from detcode.multirepair import joint_bandwidth
+
+
+def _stripe_counts(d: int, m: int, e: int):
+    """0 and 1 stripes; fewer than the joint rank (the weight-packed product);
+    twice the joint operator's rows or more (the operator decode)."""
+    rank = joint_bandwidth(d, m, e)
+    few = st.integers(1, rank - 1) if rank > 1 else st.just(1)
+    return st.just(0) | st.just(1) | few | st.integers(2 * d * rank, 2 * d * rank + 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batch_round_trips_through_shards_get_and_every_repair(tmp_path_factory, data):
+    m = data.draw(st.integers(1, 4), label="m")
+    config = CodeConfig(n=8, d=4, m=m, p=257)
+    failed = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True), label="failed")
+    stripes = data.draw(_stripe_counts(4, m, len(failed)), label="stripes")
+    pad = data.draw(st.integers(0, config.file_symbols - 1), label="padding") if stripes else 0
+    blob = random.Random(data.draw(st.integers(0, 2**32), label="seed")).randbytes(stripes * config.file_symbols - pad)
+
+    cluster = Cluster.from_file(blob, config)
+    encoded = dict(cluster.contents)
+    for batch in encoded.values():
+        assert len(batch) == stripes and len(batch.symbols) == stripes * config.alpha
+        assert list(batch) == [batch.symbols[s * config.alpha : (s + 1) * config.alpha] for s in range(stripes)]
+
+    # shard bytes: the v1 header, then every stripe's alpha symbols, 2 bytes little-endian each
+    directory = tmp_path_factory.mktemp("batch")
+    write_all_shards(directory, cluster)
+    for node, batch in encoded.items():
+        header = struct.pack("<4sBQHHBHQQ", SHARD_MAGIC, SHARD_VERSION, 257, 8, 4, m, node, stripes, len(blob))
+        body = b"".join(v.to_bytes(2, "little") for s in range(stripes) for v in batch[s])
+        assert shard_path(directory, node).read_bytes() == header + body
+        assert read_shard(shard_path(directory, node)).stripes == batch
+
+    reads = sorted(data.draw(st.permutations(range(1, 9)), label="reads")[:4])
+    assert load_cluster(directory).recover_file(reads) == blob
+
+    helpers = [h for h in data.draw(st.permutations(range(1, 9)), label="helpers") if h not in failed][:4]
+    for mode in ("single", "naive", "joint", "centralized"):
+        group = failed[:1] if mode == "single" else failed
+        cluster.fail_nodes(group)
+        cluster.repair(mode, group, helpers)
+        assert {f: cluster.contents[f] for f in group} == {f: encoded[f] for f in group}, mode
+
+    if config.alpha > 1:  # with alpha = 1 every length is whole stripes
+        extra = data.draw(st.integers(1, config.alpha - 1), label="ragged")
+        with pytest.raises(ValueError, match="not whole stripes"):
+            StripeBatch(encoded[1].symbols + [0] * extra, config.alpha)
+
+
+def test_batch_rows_and_equality():
+    batch = StripeBatch([1, 2, 3, 4, 5, 6], 3)
+    assert len(batch) == 2 and batch[0] == [1, 2, 3] and batch[-1] == [4, 5, 6]
+    assert [list(row) for row in batch] == [[1, 2, 3], [4, 5, 6]]
+    with pytest.raises(IndexError):
+        batch[2]
+    assert batch == StripeBatch([1, 2, 3, 4, 5, 6], 3)
+    assert batch != StripeBatch([1, 2, 3, 4, 5, 6], 2)  # same symbols, other stripes
+    assert len(StripeBatch([], 3)) == 0 and list(StripeBatch([], 3)) == []
+    with pytest.raises(ValueError, match="not whole stripes"):
+        StripeBatch([1, 2], 0)

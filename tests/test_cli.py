@@ -3,6 +3,7 @@ import random
 from click.testing import CliRunner
 
 from detcode.cli import main
+from detcode.code import StripeBatch
 from detcode.cluster import load_cluster, read_shard, shard_path, write_shard
 
 
@@ -81,9 +82,9 @@ def test_verify_clean_and_corrupted(tmp_path):
 
     # corrupt one symbol of node 2 without breaking the container format
     shard = read_shard(shard_path(shards, 2))
-    stripes = [list(s) for s in shard.stripes]
-    stripes[0][0] = (stripes[0][0] + 1) % shard.config.p
-    write_shard(shard_path(shards, 2), shard.config, 2, stripes, shard.original_len)
+    symbols = shard.stripes.symbols[:]
+    symbols[0] = (symbols[0] + 1) % shard.config.p
+    write_shard(shard_path(shards, 2), shard.config, 2, StripeBatch(symbols, shard.config.alpha), shard.original_len)
     result = runner.invoke(main, ["verify", "--shards", str(shards)])
     assert result.exit_code == 1
     assert "node 2: MISMATCH" in result.output
@@ -93,9 +94,9 @@ def test_repair_after_corruption_restores(tmp_path):
     runner, data, shards = _encode_fixture(tmp_path)
     original = shard_path(shards, 7).read_bytes()
     shard = read_shard(shard_path(shards, 7))
-    stripes = [list(s) for s in shard.stripes]
-    stripes[0][3] = (stripes[0][3] + 5) % shard.config.p
-    write_shard(shard_path(shards, 7), shard.config, 7, stripes, shard.original_len)
+    symbols = shard.stripes.symbols[:]
+    symbols[3] = (symbols[3] + 5) % shard.config.p
+    write_shard(shard_path(shards, 7), shard.config, 7, StripeBatch(symbols, shard.config.alpha), shard.original_len)
     result = runner.invoke(main, ["repair", "--shards", str(shards), "--failed", "7"])
     assert result.exit_code == 0, result.output
     assert shard_path(shards, 7).read_bytes() == original

@@ -23,7 +23,7 @@ from detcode.cluster import (
     write_all_shards,
     write_shard,
 )
-from detcode.code import CodeConfig, build_message_matrix
+from detcode.code import CodeConfig, StripeBatch, build_message_matrix
 from detcode.multirepair import OverlapError, TooManyFailures, centralized_bandwidth
 
 
@@ -43,7 +43,7 @@ def _random_cluster(seed=1, stripes=2, config=CFG13):
 
 
 def _snapshot(cluster):
-    return {i: [row[:] for row in c] for i, c in cluster.contents.items() if c}
+    return {i: StripeBatch(c.symbols[:], c.alpha) for i, c in cluster.contents.items() if c}
 
 
 # --- ingestion -----------------------------------------------------------
@@ -307,10 +307,10 @@ def test_interrupted_shard_write_keeps_old_shard(tmp_path, monkeypatch, broken):
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", fail)
-    changed = [row[:] for row in cluster.contents[3]]
-    changed[0][0] = (changed[0][0] + 1) % 257
+    changed = cluster.contents[3].symbols[:]
+    changed[0] = (changed[0] + 1) % 257
     with pytest.raises(OSError, match="disk full"):
-        write_shard(path, CFG257, 3, changed, len(data))
+        write_shard(path, CFG257, 3, StripeBatch(changed, CFG257.alpha), len(data))
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"node_{i}.detc" for i in range(1, 9)]

@@ -9,6 +9,7 @@ from detcode.code import (
     CodeConfig,
     FieldTooSmall,
     ParityViolation,
+    StripeBatch,
     WrongLength,
     build_encoder,
     build_message_matrix,
@@ -187,8 +188,8 @@ def test_parity_violation_detected(gf13):
 
 
 def test_systematic_node_contents(encoder8, message8, contents8):
-    assert contents8[0] == [message8.matrix.row(0)]
-    assert contents8[3] == [message8.matrix.row(3)]
+    assert contents8[0] == StripeBatch(message8.matrix.row(0), 6)
+    assert contents8[3] == StripeBatch(message8.matrix.row(3), 6)
 
 
 def test_zero_message_encodes_to_zero(encoder8, gf13):
@@ -230,23 +231,23 @@ def test_tampered_content_raises_parity_violation(encoder8, contents8):
     rows = [list(r[0]) for r in contents8[:4]]
     rows[0][3] = (rows[0][3] + 1) % 13
     with pytest.raises(ParityViolation):
-        recover_data([[r] for r in rows], [1, 2, 3, 4], encoder8, 2)
+        recover_data([StripeBatch(r, 6) for r in rows], [1, 2, 3, 4], encoder8, 2)
     # mixed helpers: a single flip spreads over a whole recovered column
     rows = [list(contents8[i - 1][0]) for i in (5, 6, 7, 8)]
     rows[1][0] = (rows[1][0] + 1) % 13
     with pytest.raises(ParityViolation):
-        recover_data([[r] for r in rows], [5, 6, 7, 8], encoder8, 2)
+        recover_data([StripeBatch(r, 6) for r in rows], [5, 6, 7, 8], encoder8, 2)
 
 
 def test_parity_violation_names_the_stripe(encoder8, gf13, message8):
     """Parity is checked per stripe block of a batch; the error names the stripe."""
     message = build_message_matrix(message8.extract_symbols() * 3, 4, 2, gf13)
     assert message.stripes == 3
-    rows = [[list(r) for r in batch] for batch in encode(encoder8, message)[:4]]
-    assert recover_data(rows, [1, 2, 3, 4], encoder8, 2) == message
-    rows[0][2][3] = (rows[0][2][3] + 1) % 13  # a shared-symbol slot of stripe 2
+    flats = [list(batch.symbols) for batch in encode(encoder8, message)[:4]]
+    assert recover_data([StripeBatch(f, 6) for f in flats], [1, 2, 3, 4], encoder8, 2) == message
+    flats[0][2 * 6 + 3] = (flats[0][2 * 6 + 3] + 1) % 13  # a shared-symbol slot of stripe 2
     with pytest.raises(ParityViolation, match="stripe 2"):
-        recover_data(rows, [1, 2, 3, 4], encoder8, 2)
+        recover_data([StripeBatch(f, 6) for f in flats], [1, 2, 3, 4], encoder8, 2)
 
 
 def test_capacity_does_not_depend_on_node_count():

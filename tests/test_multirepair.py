@@ -12,7 +12,7 @@ from detcode.certificates import (
     supercode_helper_totals,
     supercode_schedule,
 )
-from detcode.code import build_encoder, build_message_matrix, encode
+from detcode.code import StripeBatch, build_encoder, build_message_matrix, encode
 from detcode.field import Field
 from detcode.multirepair import (
     CentralRepairPlan,
@@ -292,7 +292,7 @@ def test_stripe_batch_equals_stacked_single_stripes(gf13, encoder8, data):
         encode(encoder8, build_message_matrix(source[s * per_stripe : (s + 1) * per_stripe], 4, m, gf13))
         for s in range(stripes)
     ]
-    assert batch == [[row for one in singles for row in one[i]] for i in range(8)]
+    assert batch == [StripeBatch([v for one in singles for v in one[i].symbols], binom(4, m)) for i in range(8)]
 
     def joint(contents):
         payloads = [helper_payload(contents[h - 1], h, failed, encoder8, m) for h in helpers]
@@ -304,14 +304,14 @@ def test_stripe_batch_equals_stacked_single_stripes(gf13, encoder8, data):
     beta_e = joint_bandwidth(4, m, len(failed))
     decoded, counts = joint(batch)
     stacked = [joint(one) for one in singles]
-    assert decoded == {f: [row for one, _ in stacked for row in one[f]] for f in failed}
+    assert decoded == {f: StripeBatch([v for one, _ in stacked for v in one[f].symbols], binom(4, m)) for f in failed}
     assert decoded == {f: batch[f - 1] for f in failed}
     assert all(one_counts == [beta_e] * 4 for _, one_counts in stacked)
     assert counts == [stripes * beta_e] * 4
 
     repaired, sent = central(batch)
     stacked = [central(one) for one in singles]
-    assert repaired == {f: [row for one, _ in stacked for row in one[f]] for f in failed}
+    assert repaired == {f: StripeBatch([v for one, _ in stacked for v in one[f].symbols], binom(4, m)) for f in failed}
     one_sent = {h: joint_bandwidth(4, m, min(slot, len(failed))) for slot, h in enumerate(helpers, start=1)}
     assert all(one == one_sent for _, one in stacked)
     assert sent == {h: stripes * v for h, v in one_sent.items()}

@@ -4,9 +4,10 @@ from itertools import combinations
 import pytest
 
 from detcode.certificates import column_dependency
-from detcode.code import build_encoder, build_message_matrix, encode
+from detcode.code import StripeBatch, build_encoder, build_message_matrix, encode
 from detcode.field import Field
 from detcode.repair import (
+    OverlapError,
     WrongTarget,
     decode_failed_nodes,
     decompress_payload,
@@ -98,7 +99,7 @@ def test_payload_size_and_content(encoder8, contents8):
 
 
 def test_zero_content_zero_payload(encoder8):
-    payload = helper_payload([[0] * 6], 1, (5,), encoder8, 2)
+    payload = helper_payload(StripeBatch([0] * 6, 6), 1, (5,), encoder8, 2)
     assert all(v == 0 for v in payload.symbols)
 
 
@@ -167,7 +168,7 @@ def test_zero_data_repairs_to_zero(encoder8, gf13):
     msg = build_message_matrix([0] * 20, 4, 2, gf13)
     contents = encode(encoder8, msg)
     payloads = [helper_payload(contents[h - 1], h, (5,), encoder8, 2) for h in (1, 2, 3, 4)]
-    assert decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,)) == {5: [[0] * 6]}
+    assert decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,)) == {5: StripeBatch([0] * 6, 6)}
 
 
 def test_exact_repair_all_modes(gf13, encoder8):
@@ -208,10 +209,18 @@ def test_decode_validates_helper_count(encoder8, contents8):
             decode_failed_nodes(bad, (1, 2, 3, 4), encoder8, (5,))
 
 
+def test_decode_rejects_helpers_that_overlap_the_failed_set(encoder8, contents8):
+    """Node 1 cannot help repair itself: refused like Cluster and CentralRepairPlan refuse it."""
+    payloads = [helper_payload(contents8[h - 1], h, (1,), encoder8, 2) for h in (1, 2, 3, 4)]
+    with pytest.raises(OverlapError, match=r"helpers \[1\] are failed"):
+        decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (1,))
+
+
 def test_decode_rejects_payloads_of_different_stripe_counts(encoder8, contents8):
     """Helper 1 sends two stripes, the others one: decoding refuses the mix."""
     payloads = [
-        helper_payload(contents8[h - 1] * (2 if h == 1 else 1), h, (5,), encoder8, 2) for h in (1, 2, 3, 4)
+        helper_payload(StripeBatch(contents8[h - 1].symbols * (2 if h == 1 else 1), 6), h, (5,), encoder8, 2)
+        for h in (1, 2, 3, 4)
     ]
     assert len(payloads[0].symbols) == 2 * len(payloads[1].symbols)
     with pytest.raises(ValueError):
@@ -244,7 +253,10 @@ def test_repair_builds_no_matrix_once_bases_are_cached(encoder8, contents8, monk
     from detcode.field import Matrix
 
     failed, helpers = (5, 6), (1, 2, 3, 4)
-    batches = {h: contents8[h - 1] * 40 for h in helpers}  # enough stripes for the decode operator too
+    def repeated(batch):
+        return StripeBatch(batch.symbols * 40, batch.alpha)  # enough stripes for the decode operator too
+
+    batches = {h: repeated(contents8[h - 1]) for h in helpers}
 
     def repair():
         payloads = [helper_payload(batches[h], h, failed, encoder8, 2) for h in helpers]
@@ -254,4 +266,4 @@ def test_repair_builds_no_matrix_once_bases_are_cached(encoder8, contents8, monk
     expected = repair()  # warms repair_basis and rows_inverse
     monkeypatch.setattr(Matrix, "__init__", lambda *args, **kwargs: pytest.fail("Matrix built on the repair path"))
     monkeypatch.setattr(Matrix, "wrap", lambda *args, **kwargs: pytest.fail("Matrix built on the repair path"))
-    assert repair() == expected == {f: contents8[f - 1] * 40 for f in failed}
+    assert repair() == expected == {f: repeated(contents8[f - 1]) for f in failed}

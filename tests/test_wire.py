@@ -16,7 +16,7 @@ from detcode.cluster import (
 )
 from detcode.field import element_width
 from detcode.subsets import binom
-from detcode.code import CodeConfig, build_message_matrix, encode
+from detcode.code import CodeConfig, StripeBatch, build_message_matrix, encode
 from detcode.field import pack_symbols, unpack_symbols
 from detcode.repair import RepairPayload, decompress_payload, helper_payload
 
@@ -153,9 +153,9 @@ def test_to_bytes_round_trips_or_raises_value_error(payload):
 # GF(257) but may carry symbols outside it, for the parser to reject.
 _payloads = st.builds(
     RepairPayload,
-    failed=st.lists(st.integers(0, 0xFFFF), max_size=4).map(tuple),
+    failed=st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=4).map(tuple),
     helper=st.integers(0, 0xFFFF),
-    m=st.integers(0, 0xFF),
+    m=st.integers(1, 0xFF),
     symbols=st.lists(st.integers(0, 65520), max_size=6).map(tuple),
 )
 
@@ -172,6 +172,21 @@ def test_payload_parse_round_trips_or_raises_value_error(blob):
     except ValueError:
         return
     assert payload.to_bytes(257) == blob
+
+
+@pytest.mark.parametrize(
+    "field, blob, payload",
+    [
+        ("mode m", "03 00 01" "05 00" "01 00" "00 00 00 00", RepairPayload((5,), 1, 0, ())),
+        ("failure count e", "03 02 00" "01 00" "00 00 00 00", RepairPayload((), 1, 2, ())),
+    ],
+)
+def test_zero_mode_or_failure_count_is_rejected_at_the_wire(field, blob, payload):
+    """Such payloads once parsed and failed deep in decode with unrelated messages."""
+    with pytest.raises(ValueError, match=f"payload {field} must be at least 1, got 0"):
+        RepairPayload.from_bytes(bytes.fromhex(blob), 257)
+    with pytest.raises(ValueError, match=f"payload {field} must be at least 1, got 0"):
+        payload.to_bytes(257)
 
 
 @pytest.mark.parametrize("p", [13, 257, 65537])
@@ -200,7 +215,7 @@ def test_three_byte_symbols_little_endian():
 
 def test_two_byte_symbols_little_endian(tmp_path):
     config = CodeConfig(n=8, d=4, m=2, p=257)
-    stripes = [[256] + [0] * 5]
+    stripes = StripeBatch([256] + [0] * 5, 6)
     path = shard_path(tmp_path, 3)
     write_shard(path, config, 3, stripes, original_len=1)
     blob = path.read_bytes()
@@ -211,7 +226,7 @@ def test_two_byte_symbols_little_endian(tmp_path):
     assert (p, n, d, m, node_id, stripe_count, original_len) == (257, 8, 4, 2, 3, 1, 1)
     assert blob[header.size : header.size + 2] == (256).to_bytes(2, "little")
     shard = read_shard(path)
-    assert shard.stripes == [[256, 0, 0, 0, 0, 0]]
+    assert shard.stripes == StripeBatch([256, 0, 0, 0, 0, 0], 6)
     assert shard.node_id == 3
 
 
@@ -225,7 +240,7 @@ def test_shard_rejects_bad_magic(tmp_path):
 def test_shard_rejects_truncation(tmp_path):
     config = CodeConfig(n=8, d=4, m=2, p=257)
     path = shard_path(tmp_path, 1)
-    write_shard(path, config, 1, [[1, 2, 3, 4, 5, 6]], original_len=6)
+    write_shard(path, config, 1, StripeBatch([1, 2, 3, 4, 5, 6], 6), original_len=6)
     blob = path.read_bytes()
     path.write_bytes(blob[:-1])
     with pytest.raises(ShardFormatError):
@@ -235,7 +250,7 @@ def test_shard_rejects_truncation(tmp_path):
 def test_shard_rejects_out_of_field_symbol(tmp_path):
     config = CodeConfig(n=8, d=4, m=2, p=257)
     path = shard_path(tmp_path, 1)
-    write_shard(path, config, 1, [[1, 2, 3, 4, 5, 6]], original_len=6)
+    write_shard(path, config, 1, StripeBatch([1, 2, 3, 4, 5, 6], 6), original_len=6)
     blob = bytearray(path.read_bytes())
     blob[-1] = 0xFF  # makes the last 2-byte symbol >= 257
     blob[-2] = 0xFF
@@ -243,31 +258,31 @@ def test_shard_rejects_out_of_field_symbol(tmp_path):
     with pytest.raises(ShardFormatError):
         read_shard(path)
     with pytest.raises(ValueError, match="symbol out of field range"):
-        write_shard(path, config, 1, [[1, 2, 3, 4, 5, 257]], original_len=6)
+        write_shard(path, config, 1, StripeBatch([1, 2, 3, 4, 5, 257], 6), original_len=6)
 
 
 @pytest.mark.parametrize(
     "node_id, stripes, original_len, match",
     [
-        # read back as "payload is 54 bytes, expected 60"
-        pytest.param(1, [[1, 2, 3, 4, 5, 6], [1, 2, 3]], 6, "alpha = 6", id="short-stripe"),
-        pytest.param(1, [[1, 2, 3], [4, 5, 6, 7, 8, 9, 10, 11, 12]], 6, "alpha = 6", id="regrouped"),
-        pytest.param(9, [[1, 2, 3, 4, 5, 6]], 6, r"node id 9 not in \[1, 8\]", id="node-above-n"),
-        pytest.param(0, [[1, 2, 3, 4, 5, 6]], 6, r"node id 0 not in \[1, 8\]", id="node-zero"),
-        pytest.param(1, [[1, 2, 3, 4, 5, 6]], -1, "shard header does not fit", id="negative-length"),
+        # would be read back as "payload is 30 bytes, expected 36"
+        pytest.param(1, StripeBatch([1, 2, 3], 3), 6, "alpha = 6", id="short-stripe"),
+        pytest.param(1, StripeBatch(list(range(1, 13)), 4), 6, "alpha = 6", id="regrouped"),
+        pytest.param(9, StripeBatch([1, 2, 3, 4, 5, 6], 6), 6, r"node id 9 not in \[1, 8\]", id="node-above-n"),
+        pytest.param(0, StripeBatch([1, 2, 3, 4, 5, 6], 6), 6, r"node id 0 not in \[1, 8\]", id="node-zero"),
+        pytest.param(1, StripeBatch([1, 2, 3, 4, 5, 6], 6), -1, "shard header does not fit", id="negative-length"),
     ],
 )
 def test_write_shard_rejects_what_read_shard_would(tmp_path, node_id, stripes, original_len, match):
     """Each of these once wrote a shard that failed to load; now nothing is touched."""
     config = CodeConfig(n=8, d=4, m=2, p=257)
     path = shard_path(tmp_path, 1)
-    write_shard(path, config, 1, [[6, 5, 4, 3, 2, 1]], original_len=6)
+    write_shard(path, config, 1, StripeBatch([6, 5, 4, 3, 2, 1], 6), original_len=6)
     before = path.read_bytes()
     with pytest.raises(ValueError, match=match):
         write_shard(path, config, node_id, stripes, original_len)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["node_1.detc"]  # no temporary file left
     assert path.read_bytes() == before
-    assert read_shard(path).stripes == [[6, 5, 4, 3, 2, 1]]
+    assert read_shard(path).stripes == StripeBatch([6, 5, 4, 3, 2, 1], 6)
 
 
 def test_shard_rejects_inconsistent_header(tmp_path):
