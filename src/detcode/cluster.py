@@ -25,13 +25,14 @@ from .code import (
     StripeBatch,
     build_encoder,
     build_message_matrix,
+    checked_ids,
     derive_params,
     encode,
     recover_data,
 )
 from .field import element_width, next_prime_at_least, pack_symbols, unpack_symbols
 from .multirepair import centralized_bandwidth, centralized_repair, joint_bandwidth
-from .repair import OverlapError, decode_failed_nodes, helper_payload
+from .repair import decode_failed_nodes, helper_payload
 
 
 class NotEnoughHelpers(ValueError):
@@ -68,9 +69,10 @@ def assemble_file(symbols: list[int], original_len: int) -> bytes:
     """The recovered source symbols, stripe after stripe, as bytes without the padding."""
     if len(symbols) < original_len:
         raise ValueError("fewer symbols than the recorded file length")
-    if original_len and max(symbols[:original_len]) > 255:
-        raise ValueError("recovered symbol exceeds a byte; data is corrupt")
-    return bytes(symbols[:original_len])
+    try:
+        return bytes(symbols[:original_len])  # its one pass range-tests every symbol
+    except ValueError:
+        raise ValueError("recovered symbol exceeds a byte; data is corrupt") from None
 
 
 @dataclass
@@ -171,13 +173,7 @@ class Cluster:
             if len(pool) < d:
                 raise NotEnoughHelpers(f"need {d} alive nodes, only {len(pool)} available")
             return tuple(pool[:d])
-        node_ids = tuple(node_ids)
-        if len(node_ids) != d or len(set(node_ids)) != d:
-            raise ValueError(f"need exactly {d} distinct node ids, got {list(node_ids)}")
-        if set(node_ids) & excluded:
-            raise OverlapError(
-                f"helpers {sorted(set(node_ids) & excluded)} overlap the failed set"
-            )
+        node_ids = checked_ids(node_ids, "node ids", count=d, failed=excluded)
         unavailable = [i for i in node_ids if self.contents.get(i) is None]
         if unavailable:
             raise NotEnoughHelpers(f"nodes {unavailable} are failed or do not exist")
@@ -187,11 +183,9 @@ class Cluster:
         """Restore failed nodes bit-exactly; returns the recorded ledger event."""
         if mode not in REPAIR_MODES:
             raise ValueError(f"mode must be one of {REPAIR_MODES}, got {mode!r}")
-        failed = tuple(failed)
+        failed = checked_ids(failed, "failed ids", n=self.config.n)
         if not failed:
             raise ValueError("nothing to repair")
-        if len(set(failed)) != len(failed):
-            raise ValueError("failed ids must be distinct")
         if any(self.contents.get(f) is not None for f in failed):
             raise ValueError("refusing to repair a node that is still alive")
         if mode == "single" and len(failed) != 1:
@@ -250,33 +244,36 @@ def shard_path(directory, node_id: int) -> Path:
     return Path(directory) / f"node_{node_id}.detc"
 
 
+def _length_problem(config: CodeConfig, stripe_count: int, original_len: int) -> str | None:
+    """Why a positive recorded byte length does not pad to exactly *stripe_count* stripes, else None."""
+    per_stripe = config.file_symbols
+    need = -(-original_len // per_stripe)
+    if original_len > 0 and stripe_count != need:
+        return f"recorded length {original_len} needs {need} stripes of {per_stripe} symbols, got {stripe_count}"
+    return None
+
+
 def write_shard(path, config: CodeConfig, node_id: int, stripes: StripeBatch, original_len: int) -> None:
     """Write one node's shard atomically; anything read_shard would reject raises ValueError.
 
     That is a node id outside [1, n], a stripe that is not alpha symbols
-    long, a symbol outside GF(p) or a header field that does not fit; the
-    check comes before any file is touched. The bytes go to a temporary
+    long, a recorded byte length that pads to other than the given stripes, a
+    symbol outside GF(p) or a header field that does not fit; the check
+    comes before any file is touched. The bytes go to a temporary
     file that load_cluster does not read, which then replaces the shard, so
     an interrupted write leaves the old one whole.
     """
-    if not 1 <= node_id <= config.n:
-        raise ValueError(f"node id {node_id} not in [1, {config.n}]")
+    checked_ids((node_id,), "node id", n=config.n)
     if stripes.alpha != config.alpha:
         raise ValueError(f"stripes must be alpha = {config.alpha} symbols long, got {stripes.alpha}")
     try:
         header = _SHARD_HEADER.pack(
-            SHARD_MAGIC,
-            SHARD_VERSION,
-            config.p,
-            config.n,
-            config.d,
-            config.m,
-            node_id,
-            len(stripes),
-            original_len,
+            SHARD_MAGIC, SHARD_VERSION, config.p, config.n, config.d, config.m, node_id, len(stripes), original_len
         )
     except struct.error as exc:
         raise ValueError(f"shard header does not fit: {exc}") from exc
+    if problem := _length_problem(config, len(stripes), original_len):
+        raise ValueError(problem)
     body = pack_symbols(stripes.symbols, config.p)
     path = Path(path)
     temp = path.with_name(f".{path.name}.tmp")
@@ -312,6 +309,8 @@ def read_shard(path) -> ShardFile:
         raise ShardFormatError(f"{path}: inconsistent header ({exc})") from exc
     if not 1 <= node_id <= n:
         raise ShardFormatError(f"{path}: node id {node_id} out of range")
+    if problem := _length_problem(config, stripe_count, original_len):
+        raise ShardFormatError(f"{path}: {problem}")
     expected = _SHARD_HEADER.size + stripe_count * config.alpha * element_width(p)
     if len(blob) != expected:
         raise ShardFormatError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
@@ -323,17 +322,10 @@ def read_shard(path) -> ShardFile:
 
 
 def write_all_shards(directory, cluster: Cluster) -> list[Path]:
-    paths = []
-    for node_id in cluster.alive():
-        path = shard_path(directory, node_id)
-        write_shard(
-            path,
-            cluster.config,
-            node_id,
-            cluster.contents[node_id],
-            cluster.original_len or 0,
-        )
-        paths.append(path)
+    """Write every alive node's shard; a cluster not built from a byte file records length 0."""
+    paths = [shard_path(directory, node_id) for node_id in cluster.alive()]
+    for path, node_id in zip(paths, cluster.alive()):
+        write_shard(path, cluster.config, node_id, cluster.contents[node_id], cluster.original_len or 0)
     return paths
 
 
@@ -362,6 +354,8 @@ def load_cluster(directory) -> Cluster:
     contents: dict[int, StripeBatch | None] = {i: None for i in range(1, config.n + 1)}
     for shard in shards:
         contents[shard.node_id] = shard.stripes
+    if original_len == 0 and stripe_count:  # written for a cluster not built from a byte file
+        original_len = None
     return Cluster(config, encoder, contents, stripe_count, original_len)
 
 

@@ -43,6 +43,27 @@ class ParityViolation(ValueError):
     """An alternating-sum parity constraint fails; data is corrupt."""
 
 
+class OverlapError(ValueError):
+    """Helper set intersects the failed set."""
+
+
+def checked_ids(ids, what: str, n: int | None = None, count: int | None = None, failed=()) -> tuple[int, ...]:
+    """*ids* as a tuple, checked: exactly *count* (if given), distinct, in [1, n] (if given), none *failed*.
+
+    The one node-id rule of every repair and recover entry; *what* names the ids in its errors.
+    """
+    ids = tuple(ids)
+    if count is not None and len(ids) != count:
+        raise ValueError(f"need exactly {count} distinct {what}, got {list(ids)}")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{what} must be distinct, got {list(ids)}")
+    if n is not None and (outside := [i for i in ids if not 1 <= i <= n]):
+        raise ValueError(f"node id {outside[0]} not in [1, {n}]")
+    if overlap := sorted(set(ids) & set(failed)):
+        raise OverlapError(f"helpers {overlap} are failed")
+    return ids
+
+
 def derive_params(d: int, m: int) -> tuple[int, int, int]:
     """(alpha, beta, F) for helpers-per-repair d and mode m."""
     if not 1 <= m <= d:
@@ -138,12 +159,12 @@ class EncoderMatrix:
 
     def row(self, node_id: int) -> list[int]:
         """Encoding row of a node; node ids are 1-based."""
-        if not 1 <= node_id <= self.n:
-            raise ValueError(f"node id {node_id} not in [1, {self.n}]")
+        checked_ids((node_id,), "node id", n=self.n)
         return self.matrix.row(node_id - 1)
 
     def rows_submatrix(self, node_ids) -> Matrix:
-        return self.matrix.submatrix([i - 1 for i in node_ids], range(self.d))
+        """Encoding rows of distinct nodes, in the given order."""
+        return self.matrix.submatrix([i - 1 for i in checked_ids(node_ids, "node ids", n=self.n)], range(self.d))
 
 
 @lru_cache(maxsize=512)
@@ -300,9 +321,7 @@ def recover_data(contents, node_ids, encoder: EncoderMatrix, m: int) -> MessageM
     by *node_ids* with the batches' flat symbol lists; parity is then
     verified per stripe, the one integrity check on every recovered stripe.
     """
-    node_ids = tuple(node_ids)
-    if len(node_ids) != encoder.d or len(set(node_ids)) != len(node_ids):
-        raise ValueError(f"need exactly {encoder.d} distinct node ids, got {list(node_ids)}")
+    node_ids = checked_ids(node_ids, "node ids", n=encoder.n, count=encoder.d)
     weights = list(zip(*rows_inverse(encoder, node_ids).data))
     rows = combine_rows([batch.symbols for batch in contents], weights, encoder.field.p)
     message = MessageMatrix(symbol_layout(encoder.d, m), Matrix.wrap(encoder.field, rows, len(rows[0])))

@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .code import EncoderMatrix, StripeBatch
+from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids  # OverlapError re-exported
 from .field import interleave
-from .repair import OverlapError, decode_payloads, decode_repair_vectors, decompress_payload, helper_payload
+from .repair import decode_payloads, decode_repair_vectors, decompress_payload, helper_payload
 from .subsets import binom
 
 
@@ -67,14 +67,8 @@ class CentralRepairPlan:
             raise TooManyFailures(
                 f"{len(self.failed)} failures need as many helper slots, got {len(self.helpers)}"
             )
-        if set(self.failed) & set(self.helpers):
-            raise OverlapError(
-                f"helpers {sorted(set(self.failed) & set(self.helpers))} are failed"
-            )
-        if len(set(self.failed)) != len(self.failed):
-            raise ValueError("failed ids must be distinct")
-        if len(set(self.helpers)) != len(self.helpers):
-            raise ValueError("helper ids must be distinct")
+        checked_ids(self.failed, "failed ids")
+        checked_ids(self.helpers, "helper ids", failed=self.failed)
 
     @property
     def d(self) -> int:

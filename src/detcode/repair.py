@@ -58,17 +58,13 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .code import EncoderMatrix, StripeBatch, rows_inverse
+from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, rows_inverse  # OverlapError re-exported
 from .field import Matrix, combine_rows, element_width, interleave, pack_symbols, unpack_symbols
 from .subsets import binom, incidence
 
 
 class WrongTarget(ValueError):
     """Payload addressed to a different failure set."""
-
-
-class OverlapError(ValueError):
-    """Helper set intersects the failed set."""
 
 
 def repair_matrix(f: int, m: int, encoder: EncoderMatrix) -> Matrix:
@@ -100,8 +96,7 @@ def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int):
     only the free columns: (free column indices, rank rows of their
     entries). The cached tuples are shared.
     """
-    if len(set(failed)) != len(failed):
-        raise ValueError(f"failed ids must be distinct, got {list(failed)}")
+    checked_ids(failed, "failed ids", n=encoder.n)
     xi = Matrix.hstack([repair_matrix(f, m, encoder) for f in failed])
     pivots, rref = xi.pivot_columns()
     free = tuple(sorted(set(range(xi.cols)) - set(pivots)))
@@ -192,13 +187,8 @@ def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> list[i
 
 def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) -> dict[int, StripeBatch]:
     """Exact stripe batch of every failed node from d helper payloads."""
-    failed = tuple(failed)
-    helper_ids = tuple(helper_ids)
-    d = encoder.d
-    if len(helper_ids) != d or len(set(helper_ids)) != d:
-        raise ValueError(f"need exactly {d} distinct helpers, got {list(helper_ids)}")
-    if set(helper_ids) & set(failed):
-        raise OverlapError(f"helpers {sorted(set(helper_ids) & set(failed))} are failed")
+    failed = checked_ids(failed, "failed ids", n=encoder.n)
+    helper_ids = checked_ids(helper_ids, "helpers", n=encoder.n, count=encoder.d, failed=failed)
     if tuple(payload.helper for payload in payloads) != helper_ids:
         raise ValueError(f"payloads must come from helpers {list(helper_ids)}, in that order")
     if len({payload.m for payload in payloads}) != 1:

@@ -77,6 +77,18 @@ def test_assemble_rejects_oversized_symbols():
         assemble_file([300] + [0] * 19, 5)
 
 
+@pytest.mark.parametrize("bad", [256, -1])
+def test_assemble_names_a_symbol_outside_a_byte(bad):
+    with pytest.raises(ValueError, match="recovered symbol exceeds a byte; data is corrupt"):
+        assemble_file([1, 2, bad, 3], 4)
+    assert assemble_file([1, 2, 3, bad], 3) == bytes([1, 2, 3])  # padding is not read
+
+
+def test_assemble_rejects_fewer_symbols_than_the_length():
+    with pytest.raises(ValueError, match="fewer symbols than the recorded file length"):
+        assemble_file([1, 2, 3], 4)
+
+
 def test_file_roundtrip_10k():
     rng = random.Random(2)
     data = bytes(rng.randrange(256) for _ in range(10 * 1024))
@@ -187,6 +199,24 @@ def test_failed_helper_rejected():
         cluster.repair("single", [5], helpers=(1, 2, 3, 6))
 
 
+@pytest.mark.parametrize(
+    "mode, failed, match",
+    [
+        ("fast", [5], "mode must be one of"),
+        ("joint", [], "nothing to repair"),
+        ("single", [5, 6], "single mode repairs exactly one node"),
+        ("joint", [5, 9], r"node id 9 not in \[1, 8\]"),
+    ],
+)
+def test_repair_refuses_bad_requests_before_any_repair(mode, failed, match):
+    cluster = _random_cluster()
+    cluster.fail_nodes([5, 6])
+    with pytest.raises(ValueError, match=match):
+        cluster.repair(mode, failed)
+    assert cluster.ledger.events == []
+    assert cluster.failed() == [5, 6]
+
+
 def test_recover_rejects_bad_node_ids():
     """Explicit ids must be d distinct alive nodes, as helpers must."""
     cluster = Cluster.from_file(bytes(range(200)), CFG257)
@@ -283,6 +313,37 @@ def test_load_rejects_shard_under_another_node_name(tmp_path):
     (tmp_path / "node_5.detc").write_bytes((tmp_path / "node_3.detc").read_bytes())
     with pytest.raises(ShardFormatError, match="node_5.detc"):
         load_cluster(tmp_path)
+
+
+def test_load_rejects_empty_directory_and_disagreeing_headers(tmp_path):
+    with pytest.raises(ShardFormatError, match="no shard files found"):
+        load_cluster(tmp_path)
+    write_all_shards(tmp_path, Cluster.from_file(bytes(range(200)), CFG257))
+    other = Cluster.from_file(bytes(range(30)), CFG257)  # 2 stripes, not 10
+    write_shard(shard_path(tmp_path, 2), CFG257, 2, other.contents[2], 30)
+    with pytest.raises(ShardFormatError, match="shard headers disagree"):
+        load_cluster(tmp_path)
+
+
+def test_shard_round_trip_keeps_a_cluster_byte_or_not(tmp_path):
+    """A cluster not built from a byte file is recorded with length 0 over
+    its stripes and loads back as one; an empty byte file has no stripes
+    and loads back as b''."""
+    cluster = _random_cluster(stripes=3, config=CFG257)
+    for name in ("symbols", "empty"):
+        (tmp_path / name).mkdir()
+    write_all_shards(tmp_path / "symbols", cluster)
+    loaded = load_cluster(tmp_path / "symbols")
+    assert loaded.original_len is None and loaded.stripe_count == 3
+    assert loaded.recover_stripes() == cluster.recover_stripes()
+    for kept in (cluster, loaded):
+        with pytest.raises(ValueError, match="cluster was not built from a byte file"):
+            kept.recover_file()
+    empty = Cluster.from_file(b"", CFG257)
+    write_all_shards(tmp_path / "empty", empty)
+    loaded = load_cluster(tmp_path / "empty")
+    assert loaded.original_len == 0 and loaded.stripe_count == 0
+    assert empty.recover_file() == loaded.recover_file() == b""
 
 
 @pytest.mark.parametrize("broken", ["write", "replace"])

@@ -8,11 +8,13 @@ from detcode.code import (
     BadMode,
     CodeConfig,
     FieldTooSmall,
+    OverlapError,
     ParityViolation,
     StripeBatch,
     WrongLength,
     build_encoder,
     build_message_matrix,
+    checked_ids,
     derive_params,
     encode,
     recover_data,
@@ -224,6 +226,31 @@ def test_recovery_from_any_subset(encoder8, message8, contents8):
 def test_recovery_rejects_duplicates(encoder8, contents8):
     with pytest.raises(ValueError):
         recover_data(contents8[:4], [1, 1, 2, 3], encoder8, 2)
+
+
+@pytest.mark.parametrize("bad", [0, 9])
+def test_node_ids_outside_one_to_n_are_refused(encoder8, contents8, bad):
+    """Id 0 once selected node 8's encoder row through a negative index
+    (node 8's batch sent as id 0 decoded right), and id 9 raised IndexError."""
+    ids, batches = (bad, 2, 3, 4), [contents8[7]] + contents8[1:4]
+    for call in (lambda: encoder8.rows_submatrix(ids), lambda: recover_data(batches, ids, encoder8, 2)):
+        with pytest.raises(ValueError, match=rf"node id {bad} not in \[1, 8\]"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "ids, kwargs, error, match",
+    [
+        ((1, 2, 3), {"count": 4}, ValueError, r"need exactly 4 distinct node ids, got \[1, 2, 3\]"),
+        ((1, 2, 2, 3), {"count": 4}, ValueError, r"node ids must be distinct, got \[1, 2, 2, 3\]"),
+        ((1, 2, 3, 0), {"n": 8}, ValueError, r"node id 0 not in \[1, 8\]"),
+        ((1, 2, 6, 5), {"failed": (5, 6, 7)}, OverlapError, r"helpers \[5, 6\] are failed"),
+    ],
+)
+def test_checked_ids_is_the_one_node_id_rule(ids, kwargs, error, match):
+    with pytest.raises(error, match=match):
+        checked_ids(ids, "node ids", **kwargs)
+    assert checked_ids(iter((5, 1, 8)), "node ids", n=8, count=3, failed=(2,)) == (5, 1, 8)
 
 
 def test_tampered_content_raises_parity_violation(encoder8, contents8):

@@ -401,6 +401,13 @@ def test_plan_rejects_overlap():
         CentralRepairPlan((5, 6), (1, 2, 3, 5), 2)
 
 
+def test_plan_rejects_repeated_ids():
+    with pytest.raises(ValueError, match="failed ids must be distinct"):
+        CentralRepairPlan((5, 5), (1, 2, 3, 4), 2)
+    with pytest.raises(ValueError, match="helper ids must be distinct"):
+        CentralRepairPlan((5, 6), (1, 2, 2, 4), 2)
+
+
 def test_plan_rejects_more_failures_than_helpers():
     with pytest.raises(TooManyFailures):
         CentralRepairPlan((1, 2, 3, 4, 5), (6, 7, 8), 2)

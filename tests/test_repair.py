@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -214,6 +215,30 @@ def test_decode_rejects_helpers_that_overlap_the_failed_set(encoder8, contents8)
     payloads = [helper_payload(contents8[h - 1], h, (1,), encoder8, 2) for h in (1, 2, 3, 4)]
     with pytest.raises(OverlapError, match=r"helpers \[1\] are failed"):
         decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (1,))
+
+
+@pytest.mark.parametrize("bad", [0, 9])
+def test_decode_refuses_helper_ids_outside_one_to_n(encoder8, contents8, bad):
+    """Node 8's payload under helper id 0 once decoded node 5 right through
+    a negative index into the encoder; helper id 9 raised IndexError."""
+    payloads = [helper_payload(contents8[7], bad, (5,), encoder8, 2)]
+    payloads += [helper_payload(contents8[h - 1], h, (5,), encoder8, 2) for h in (2, 3, 4)]
+    with pytest.raises(ValueError, match=rf"node id {bad} not in \[1, 8\]"):
+        decode_failed_nodes(payloads, (bad, 2, 3, 4), encoder8, (5,))
+
+
+def test_decode_rejects_payloads_that_disagree_on_mode(encoder8, contents8):
+    payloads = [helper_payload(contents8[h - 1], h, (5,), encoder8, 2) for h in (1, 2, 3, 4)]
+    payloads[3] = replace(payloads[3], m=3)
+    with pytest.raises(ValueError, match="payloads disagree on mode"):
+        decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,))
+
+
+def test_repair_basis_rejects_repeated_failed_ids(encoder8, contents8):
+    with pytest.raises(ValueError, match=r"failed ids must be distinct, got \[5, 5\]"):
+        repair_basis(encoder8, (5, 5), 2)
+    with pytest.raises(ValueError, match="failed ids must be distinct"):
+        helper_payload(contents8[0], 1, (6, 5, 6), encoder8, 2)
 
 
 def test_decode_rejects_payloads_of_different_stripe_counts(encoder8, contents8):

@@ -270,6 +270,8 @@ def test_shard_rejects_out_of_field_symbol(tmp_path):
         pytest.param(9, StripeBatch([1, 2, 3, 4, 5, 6], 6), 6, r"node id 9 not in \[1, 8\]", id="node-above-n"),
         pytest.param(0, StripeBatch([1, 2, 3, 4, 5, 6], 6), 6, r"node id 0 not in \[1, 8\]", id="node-zero"),
         pytest.param(1, StripeBatch([1, 2, 3, 4, 5, 6], 6), -1, "shard header does not fit", id="negative-length"),
+        # would be read back as "recorded length 1000000 needs 50000 stripes of 20 symbols, got 1"
+        pytest.param(1, StripeBatch([1, 2, 3, 4, 5, 6], 6), 10**6, "needs 50000 stripes", id="length-beyond-stripes"),
     ],
 )
 def test_write_shard_rejects_what_read_shard_would(tmp_path, node_id, stripes, original_len, match):
@@ -283,6 +285,18 @@ def test_write_shard_rejects_what_read_shard_would(tmp_path, node_id, stripes, o
     assert sorted(p.name for p in tmp_path.iterdir()) == ["node_1.detc"]  # no temporary file left
     assert path.read_bytes() == before
     assert read_shard(path).stripes == StripeBatch([6, 5, 4, 3, 2, 1], 6)
+
+
+@pytest.mark.parametrize("original_len, stripe_count", [(10**6, 1), (21, 1), (20, 2), (1, 0)])
+def test_shard_rejects_recorded_length_that_needs_other_stripes(tmp_path, original_len, stripe_count):
+    """A positive byte length pads to ceil(length / F) stripes, F = 20 here;
+    a header claiming other stripes is refused at parse time."""
+    config = CodeConfig(n=8, d=4, m=2, p=257)
+    path = shard_path(tmp_path, 1)
+    header = _SHARD_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, 257, 8, 4, 2, 1, stripe_count, original_len)
+    path.write_bytes(header + pack_symbols([0] * (stripe_count * config.alpha), 257))
+    with pytest.raises(ShardFormatError, match=f"recorded length {original_len} needs"):
+        read_shard(path)
 
 
 def test_shard_rejects_inconsistent_header(tmp_path):
