@@ -95,13 +95,7 @@ def _repair_shards(shard_dir: Path, mode: str, failed_ids, helpers: str | None):
     cluster.fail_nodes(failed_ids)
     event = cluster.repair(mode, failed_ids, _parse_ids(helpers) if helpers else None)
     for f in failed_ids:
-        write_shard(
-            shard_path(shard_dir, f),
-            cluster.config,
-            f,
-            cluster.node_content(f),
-            cluster.original_len or 0,
-        )
+        write_shard(shard_path(shard_dir, f), cluster.config, f, cluster.node_content(f), cluster.original_len)
     return event, ", ".join(f"{h}:{v}" for h, v in sorted(event.symbols_by_helper.items()))
 
 

@@ -121,26 +121,21 @@ class BandwidthLedger:
 class Cluster:
     """n simulated node stores with failure injection and four repair modes."""
 
-    def __init__(
-        self,
-        config: CodeConfig,
-        encoder: EncoderMatrix,
-        contents: dict[int, StripeBatch | None],
-        stripe_count: int,
-        original_len: int | None = None,
-    ):
+    def __init__(self, config: CodeConfig, contents: dict[int, StripeBatch | None], original_len: int | None = None):
+        alive = [batch for batch in contents.values() if batch is not None]
+        if not alive:
+            raise ValueError("a cluster needs at least one alive node")
         self.config = config
-        self.encoder = encoder
+        self.encoder = build_encoder(config.n, config.d, config.field)
         self.contents = contents
-        self.stripe_count = stripe_count
+        self.stripe_count = len(alive[0])
         self.original_len = original_len
         self.ledger = BandwidthLedger()
 
     @classmethod
     def build(cls, config: CodeConfig, message: MessageMatrix, original_len: int | None = None) -> "Cluster":
-        encoder = build_encoder(config.n, config.d, config.field)
-        contents = dict(enumerate(encode(encoder, message), start=1))
-        return cls(config, encoder, contents, message.stripes, original_len)
+        contents = encode(build_encoder(config.n, config.d, config.field), message)
+        return cls(config, dict(enumerate(contents, start=1)), original_len)
 
     @classmethod
     def from_file(cls, data: bytes, config: CodeConfig) -> "Cluster":
@@ -222,9 +217,11 @@ class Cluster:
         return counts
 
     def recover_stripes(self, node_ids=None) -> MessageMatrix:
-        """Message matrix of every stripe, from d distinct alive nodes (default: the first d)."""
-        node_ids = self._pick_nodes(set(), node_ids)
-        return recover_data([self.contents[i] for i in node_ids], node_ids, self.encoder, self.config.m)
+        """Message matrix of every stripe from d distinct alive nodes; by default the first d, checked by the next."""
+        ids = self._pick_nodes(set(), node_ids)
+        if node_ids is None:
+            ids += tuple(self.alive()[self.config.d : self.config.d + 1])
+        return recover_data([self.contents[i] for i in ids], ids, self.encoder, self.config.m)
 
     def recover_file(self, node_ids=None) -> bytes:
         if self.original_len is None:
@@ -244,96 +241,103 @@ def shard_path(directory, node_id: int) -> Path:
     return Path(directory) / f"node_{node_id}.detc"
 
 
-def _length_problem(config: CodeConfig, stripe_count: int, original_len: int) -> str | None:
-    """Why a positive recorded byte length does not pad to exactly *stripe_count* stripes, else None."""
-    per_stripe = config.file_symbols
-    need = -(-original_len // per_stripe)
-    if original_len > 0 and stripe_count != need:
-        return f"recorded length {original_len} needs {need} stripes of {per_stripe} symbols, got {stripe_count}"
-    return None
+@dataclass(frozen=True)
+class ShardFile:
+    """One node's shard: the one shard rule, checked on construction, and its byte layout.
+
+    The node id is in [1, n], stripes are alpha symbols long and a positive
+    recorded byte length pads to exactly the stripes. ``original_len`` None
+    (not a byte file) is recorded as 0, and 0 over one or more stripes is None.
+    """
+
+    config: CodeConfig
+    node_id: int
+    original_len: int | None
+    stripes: StripeBatch
+
+    def __post_init__(self):
+        checked_ids((self.node_id,), "node id", n=self.config.n)
+        alpha, per_stripe = self.config.alpha, self.config.file_symbols
+        length, count = self.original_len or 0, len(self.stripes)
+        if self.stripes.alpha != alpha:
+            raise ValueError(f"stripes must be alpha = {alpha} symbols long, got {self.stripes.alpha}")
+        if length > 0 and count != (need := -(-length // per_stripe)):
+            raise ValueError(f"recorded length {length} needs {need} stripes of {per_stripe} symbols, got {count}")
+        object.__setattr__(self, "original_len", length if length or not count else None)
+
+    @property
+    def stripe_count(self) -> int:
+        return len(self.stripes)
+
+    def to_bytes(self) -> bytes:
+        """The header, then the stripes as little-endian symbols; ValueError if a header field does not fit."""
+        c = self.config
+        try:
+            header = _SHARD_HEADER.pack(
+                SHARD_MAGIC, SHARD_VERSION, c.p, c.n, c.d, c.m, self.node_id, self.stripe_count, self.original_len or 0
+            )
+        except struct.error as exc:
+            raise ValueError(f"shard header does not fit: {exc}") from exc
+        return header + pack_symbols(self.stripes.symbols, c.p)
+
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "ShardFile":
+        """Parse one shard; anything malformed, or refused by the shard rule, raises ValueError."""
+        if len(blob) < _SHARD_HEADER.size:
+            raise ValueError("truncated header")
+        magic, version, p, n, d, m, node_id, stripe_count, original_len = _SHARD_HEADER.unpack_from(blob, 0)
+        if magic != SHARD_MAGIC:
+            raise ValueError(f"bad magic {magic!r}")
+        if version != SHARD_VERSION:
+            raise ValueError(f"unsupported version {version}")
+        config = CodeConfig(n=n, d=d, m=m, p=p)
+        expected = _SHARD_HEADER.size + stripe_count * config.alpha * element_width(p)
+        if len(blob) != expected:
+            raise ValueError(f"payload is {len(blob)} bytes, expected {expected}")
+        stripes = StripeBatch(unpack_symbols(blob[_SHARD_HEADER.size :], p), config.alpha)
+        return cls(config, node_id, original_len, stripes)
 
 
-def write_shard(path, config: CodeConfig, node_id: int, stripes: StripeBatch, original_len: int) -> None:
+def write_shard(path, config: CodeConfig, node_id: int, stripes: StripeBatch, original_len: int | None) -> None:
     """Write one node's shard atomically; anything read_shard would reject raises ValueError.
 
-    That is a node id outside [1, n], a stripe that is not alpha symbols
-    long, a recorded byte length that pads to other than the given stripes, a
-    symbol outside GF(p) or a header field that does not fit; the check
-    comes before any file is touched. The bytes go to a temporary
-    file that load_cluster does not read, which then replaces the shard, so
-    an interrupted write leaves the old one whole.
+    :class:`ShardFile` checks and packs the shard before any file is
+    touched. The bytes go to a temporary file that load_cluster does not
+    read, which then replaces the shard, so an interrupted write leaves the
+    old one whole.
     """
-    checked_ids((node_id,), "node id", n=config.n)
-    if stripes.alpha != config.alpha:
-        raise ValueError(f"stripes must be alpha = {config.alpha} symbols long, got {stripes.alpha}")
-    try:
-        header = _SHARD_HEADER.pack(
-            SHARD_MAGIC, SHARD_VERSION, config.p, config.n, config.d, config.m, node_id, len(stripes), original_len
-        )
-    except struct.error as exc:
-        raise ValueError(f"shard header does not fit: {exc}") from exc
-    if problem := _length_problem(config, len(stripes), original_len):
-        raise ValueError(problem)
-    body = pack_symbols(stripes.symbols, config.p)
+    blob = ShardFile(config, node_id, original_len, stripes).to_bytes()
     path = Path(path)
     temp = path.with_name(f".{path.name}.tmp")
     try:
-        temp.write_bytes(header + body)
+        temp.write_bytes(blob)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
 
 
-@dataclass(frozen=True)
-class ShardFile:
-    config: CodeConfig
-    node_id: int
-    stripe_count: int
-    original_len: int
-    stripes: StripeBatch
-
-
 def read_shard(path) -> ShardFile:
-    blob = Path(path).read_bytes()
-    if len(blob) < _SHARD_HEADER.size:
-        raise ShardFormatError(f"{path}: truncated header")
-    magic, version, p, n, d, m, node_id, stripe_count, original_len = _SHARD_HEADER.unpack_from(blob, 0)
-    if magic != SHARD_MAGIC:
-        raise ShardFormatError(f"{path}: bad magic {magic!r}")
-    if version != SHARD_VERSION:
-        raise ShardFormatError(f"{path}: unsupported version {version}")
+    """One shard file, parsed by :meth:`ShardFile.from_bytes`; ShardFormatError names the path."""
     try:
-        config = CodeConfig(n=n, d=d, m=m, p=p)
-    except ValueError as exc:
-        raise ShardFormatError(f"{path}: inconsistent header ({exc})") from exc
-    if not 1 <= node_id <= n:
-        raise ShardFormatError(f"{path}: node id {node_id} out of range")
-    if problem := _length_problem(config, stripe_count, original_len):
-        raise ShardFormatError(f"{path}: {problem}")
-    expected = _SHARD_HEADER.size + stripe_count * config.alpha * element_width(p)
-    if len(blob) != expected:
-        raise ShardFormatError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
-    try:
-        values = unpack_symbols(blob[_SHARD_HEADER.size :], p)
+        return ShardFile.from_bytes(Path(path).read_bytes())
     except ValueError as exc:
         raise ShardFormatError(f"{path}: {exc}") from exc
-    return ShardFile(config, node_id, stripe_count, original_len, StripeBatch(values, config.alpha))
 
 
 def write_all_shards(directory, cluster: Cluster) -> list[Path]:
-    """Write every alive node's shard; a cluster not built from a byte file records length 0."""
+    """Write every alive node's shard."""
     paths = [shard_path(directory, node_id) for node_id in cluster.alive()]
     for path, node_id in zip(paths, cluster.alive()):
-        write_shard(path, cluster.config, node_id, cluster.contents[node_id], cluster.original_len or 0)
+        write_shard(path, cluster.config, node_id, cluster.contents[node_id], cluster.original_len)
     return paths
 
 
 def load_cluster(directory) -> Cluster:
     """Rebuild a cluster from every readable shard in a directory.
 
-    Nodes without a shard file are marked failed. The encoder is
-    reconstructed from the (shared, validated) header parameters.
+    Nodes without a shard file are marked failed; every shard must agree
+    on the code, the stripe count and the recorded length.
     """
     directory = Path(directory)
     shards = []
@@ -344,19 +348,12 @@ def load_cluster(directory) -> Cluster:
         shards.append(shard)
     if not shards:
         raise ShardFormatError(f"no shard files found in {directory}")
+    if len({(shard.config, shard.stripe_count, shard.original_len) for shard in shards}) > 1:
+        raise ShardFormatError("shard headers disagree")
     config = shards[0].config
-    stripe_count = shards[0].stripe_count
-    original_len = shards[0].original_len
-    for shard in shards[1:]:
-        if shard.config != config or shard.stripe_count != stripe_count or shard.original_len != original_len:
-            raise ShardFormatError("shard headers disagree")
-    encoder = build_encoder(config.n, config.d, config.field)
-    contents: dict[int, StripeBatch | None] = {i: None for i in range(1, config.n + 1)}
-    for shard in shards:
-        contents[shard.node_id] = shard.stripes
-    if original_len == 0 and stripe_count:  # written for a cluster not built from a byte file
-        original_len = None
-    return Cluster(config, encoder, contents, stripe_count, original_len)
+    contents: dict[int, StripeBatch | None] = dict.fromkeys(range(1, config.n + 1))
+    contents.update((shard.node_id, shard.stripes) for shard in shards)
+    return Cluster(config, contents, shards[0].original_len)
 
 
 # --- reference curves ---------------------------------------------------
@@ -399,12 +396,9 @@ def capacity_curve(d: int, m: int, n_values, p: int | None = None):
         config = CodeConfig(n=n, d=d, m=m, p=p)
         rng = random.Random(2024 * 1_000_003 + n)
         source = [rng.randrange(p) for _ in range(config.file_symbols)]
-        message = build_message_matrix(source, d, m, config.field)
-        encoder = build_encoder(n, d, config.field)
-        contents = encode(encoder, message)
+        cluster = Cluster.build(config, build_message_matrix(source, d, m, config.field))
         ids = sorted(rng.sample(range(1, n + 1), d))
-        recovered = recover_data([contents[i - 1] for i in ids], ids, encoder, m)
-        symbols = recovered.extract_symbols()
+        symbols = cluster.recover_stripes(ids).extract_symbols()
         if symbols != source:
             raise AssertionError(f"recovery mismatch at n={n}")
         rows.append((n, len(symbols)))

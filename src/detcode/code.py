@@ -315,15 +315,25 @@ def encode(encoder: EncoderMatrix, message: MessageMatrix) -> list[StripeBatch]:
 
 
 def recover_data(contents, node_ids, encoder: EncoderMatrix, m: int) -> MessageMatrix:
-    """Rebuild the message matrix of every stripe from the stripe batches of any d nodes.
+    """Rebuild the message matrix of every stripe from the stripe batches of d or more nodes.
 
-    One packed product of the cached inverse of the d encoder rows selected
-    by *node_ids* with the batches' flat symbol lists; parity is then
-    verified per stripe, the one integrity check on every recovered stripe.
+    One packed product of the cached inverse of the first d ids' encoder
+    rows with their batches' flat symbol lists; parity is then verified per
+    stripe. Each further id adds a weight column, its encoder row times that
+    inverse, re-encoding its batch: one that differs raises ParityViolation.
     """
-    node_ids = checked_ids(node_ids, "node ids", n=encoder.n, count=encoder.d)
-    weights = list(zip(*rows_inverse(encoder, node_ids).data))
-    rows = combine_rows([batch.symbols for batch in contents], weights, encoder.field.p)
-    message = MessageMatrix(symbol_layout(encoder.d, m), Matrix.wrap(encoder.field, rows, len(rows[0])))
+    node_ids, d = checked_ids(node_ids, "node ids", n=encoder.n), encoder.d
+    if len(node_ids) < d:
+        raise ValueError(f"need at least {d} distinct node ids, got {list(node_ids)}")
+    if len(contents) != len(node_ids):
+        raise ValueError(f"{len(contents)} stripe batches for {len(node_ids)} node ids")
+    inverse = rows_inverse(encoder, node_ids[:d])
+    checks = encoder.rows_submatrix(node_ids[d:]) @ inverse
+    weights = list(zip(*inverse.data, *checks.data))
+    rows = combine_rows([batch.symbols for batch in contents[:d]], weights, encoder.field.p)
+    message = MessageMatrix(symbol_layout(d, m), Matrix.wrap(encoder.field, rows[:d], len(rows[0])))
     message.verify_parity()
+    for node_id, batch, expected in zip(node_ids[d:], contents[d:], rows[d:]):
+        if batch.symbols != expected:
+            raise ParityViolation(f"node {node_id} disagrees with the data read from nodes {list(node_ids[:d])}")
     return message

@@ -23,7 +23,7 @@ from detcode.cluster import (
     write_all_shards,
     write_shard,
 )
-from detcode.code import CodeConfig, StripeBatch, build_message_matrix
+from detcode.code import CodeConfig, ParityViolation, StripeBatch, build_message_matrix
 from detcode.multirepair import OverlapError, TooManyFailures, centralized_bandwidth
 
 
@@ -215,6 +215,30 @@ def test_repair_refuses_bad_requests_before_any_repair(mode, failed, match):
         cluster.repair(mode, failed)
     assert cluster.ledger.events == []
     assert cluster.failed() == [5, 6]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("node", [1, 5])
+def test_default_read_never_returns_other_bytes(m, node):
+    """One symbol of a read node (1) or of the checking node (5) off by one,
+    in range: the default read returns the file or raises ParityViolation.
+    Parity covers no direct cell, so node 1 once read back other bytes."""
+    config = CodeConfig(n=8, d=4, m=m, p=257)
+    data = random.Random(m).randbytes(2 * config.file_symbols - 1)
+    for position in range(2 * config.alpha):
+        cluster = Cluster.from_file(data, config)
+        changed = cluster.contents[node].symbols[:]
+        changed[position] = (changed[position] + 1) % 257
+        cluster.contents[node] = StripeBatch(changed, config.alpha)
+        try:
+            assert cluster.recover_file() == data
+        except ParityViolation:
+            pass
+
+
+def test_cluster_needs_an_alive_node():
+    with pytest.raises(ValueError, match="at least one alive node"):
+        Cluster(CFG257, dict.fromkeys(range(1, 9)))
 
 
 def test_recover_rejects_bad_node_ids():

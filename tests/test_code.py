@@ -223,6 +223,27 @@ def test_recovery_from_any_subset(encoder8, message8, contents8):
         assert rec.matrix == message8.matrix
 
 
+def test_recovery_needs_d_ids_and_one_batch_per_id(encoder8, contents8):
+    with pytest.raises(ValueError, match=r"need at least 4 distinct node ids, got \[1, 2, 3\]"):
+        recover_data(contents8[:3], [1, 2, 3], encoder8, 2)
+    for count in (4, 6):
+        with pytest.raises(ValueError, match=f"{count} stripe batches for 5 node ids"):
+            recover_data(contents8[:count], [1, 2, 3, 4, 5], encoder8, 2)
+
+
+def test_further_ids_check_the_d_read(encoder8, message8, contents8):
+    """Ids past the first d are re-encoded from the d read, not decoded from."""
+    assert recover_data(contents8[:6], [1, 2, 3, 4, 5, 6], encoder8, 2) == message8
+    changed = [StripeBatch(list(b.symbols), 6) for b in contents8[:6]]
+    changed[0].symbols[0] = (changed[0].symbols[0] + 1) % 13  # a direct cell: no parity covers it
+    with pytest.raises(ParityViolation, match=r"node 5 disagrees with the data read from nodes \[1, 2, 3, 4\]"):
+        recover_data(changed, [1, 2, 3, 4, 5, 6], encoder8, 2)
+    changed = [StripeBatch(list(b.symbols), 6) for b in contents8[:6]]
+    changed[5].symbols[0] = (changed[5].symbols[0] + 1) % 13
+    with pytest.raises(ParityViolation, match="node 6 disagrees"):
+        recover_data(changed, [1, 2, 3, 4, 5, 6], encoder8, 2)
+
+
 def test_recovery_rejects_duplicates(encoder8, contents8):
     with pytest.raises(ValueError):
         recover_data(contents8[:4], [1, 1, 2, 3], encoder8, 2)

@@ -9,6 +9,7 @@ from detcode.cluster import (
     SHARD_MAGIC,
     SHARD_VERSION,
     _SHARD_HEADER,
+    ShardFile,
     ShardFormatError,
     read_shard,
     shard_path,
@@ -285,6 +286,48 @@ def test_write_shard_rejects_what_read_shard_would(tmp_path, node_id, stripes, o
     assert sorted(p.name for p in tmp_path.iterdir()) == ["node_1.detc"]  # no temporary file left
     assert path.read_bytes() == before
     assert read_shard(path).stripes == StripeBatch([6, 5, 4, 3, 2, 1], 6)
+
+
+@pytest.mark.parametrize(
+    "node_id, stripes, original_len, match",
+    [
+        (0, StripeBatch([1, 2, 3, 4, 5, 6], 6), 6, r"node id 0 not in \[1, 8\]"),
+        (9, StripeBatch([1, 2, 3, 4, 5, 6], 6), 6, r"node id 9 not in \[1, 8\]"),
+        (1, StripeBatch(list(range(1, 13)), 4), 6, "alpha = 6"),
+        (1, StripeBatch([1, 2, 3, 4, 5, 6], 6), 10**6, "needs 50000 stripes"),
+        (1, StripeBatch([1, 2, 3, 4, 5, 6] * 2, 6), 20, "needs 1 stripes"),
+    ],
+)
+def test_shard_file_refuses_what_read_shard_would(node_id, stripes, original_len, match):
+    with pytest.raises(ValueError, match=match):
+        ShardFile(CodeConfig(n=8, d=4, m=2, p=257), node_id, original_len, stripes)
+
+
+def test_shard_file_records_none_as_zero():
+    """0 over stripes means "not a byte file" (None); over no stripes both are 0."""
+    config = CodeConfig(n=8, d=4, m=2, p=257)
+    assert ShardFile(config, 1, 0, StripeBatch([1, 2, 3, 4, 5, 6], 6)).original_len is None
+    assert ShardFile(config, 1, None, StripeBatch([], 6)).original_len == 0
+    assert ShardFile(config, 1, None, StripeBatch([1, 2, 3, 4, 5, 6], 6)).to_bytes()[-20:-12] == bytes(8)
+
+
+@st.composite
+def _shard_files(draw):
+    """A valid shard of 0-3 stripes; its length is None, 0 or one that pads to the stripes."""
+    p, n, d, m = draw(st.sampled_from([(13, 8, 4, 2), (257, 8, 4, 2), (65537, 6, 3, 3), (2**61 - 1, 5, 2, 1)]))
+    config = CodeConfig(n=n, d=d, m=m, p=p)
+    count = draw(st.integers(0, 3))
+    size = count * config.alpha
+    symbols = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    fitting = st.integers((count - 1) * config.file_symbols + 1, count * config.file_symbols) if count else st.just(0)
+    original_len = draw(st.none() | st.just(0) | fitting)
+    return ShardFile(config, draw(st.integers(1, n)), original_len, StripeBatch(symbols, config.alpha))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shard=_shard_files())
+def test_shard_file_round_trips(shard):
+    assert ShardFile.from_bytes(shard.to_bytes()) == shard
 
 
 @pytest.mark.parametrize("original_len, stripe_count", [(10**6, 1), (21, 1), (20, 2), (1, 0)])
