@@ -38,8 +38,8 @@ def column_dependency(j_label, f: int, m: int, encoder: EncoderMatrix) -> list[i
     coeffs = [0] * binom(d, m - 1)
     for k, y, rest, sign in incidence(d, m - 1):
         if rest == target:
-            coeffs[k] = sign * psi[y - 1] % encoder.field.p
-    return coeffs
+            coeffs[k] = sign * psi[y - 1]
+    return Matrix(encoder.field, [coeffs]).row(0)
 
 
 @dataclass(frozen=True)

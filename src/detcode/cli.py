@@ -77,16 +77,20 @@ def encode_cmd(input_path: Path, n: int, d: int, m: int, prime: int | None, out_
 
 @main.command(name="recover")
 @click.option("--shards", "shard_dir", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--nodes", "nodes", required=True, help="Comma-separated ids of the d nodes to read.")
+@click.option("--nodes", "nodes", default=None, help="Comma-separated ids of the d nodes to read (default: the first d alive).")
 @click.option("--output", "output_path", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @_friendly_errors
-def recover_cmd(shard_dir: Path, nodes: str, output_path: Path):
-    """Rebuild the original file from any d shards."""
-    ids = _parse_ids(nodes)
+def recover_cmd(shard_dir: Path, nodes: str | None, output_path: Path):
+    """Rebuild the original file from any d shards.
+
+    Without --nodes the first d alive are read and checked against the next; explicit reads rely on parity until the scrub.
+    """
+    ids = None if nodes is None else _parse_ids(nodes)
     cluster = load_cluster(shard_dir)
     data = cluster.recover_file(ids)
     output_path.write_bytes(data)
-    click.echo(f"recovered {len(data)} bytes from nodes {list(ids)}")
+    read = f"nodes {list(ids)}" if ids is not None else f"the first {cluster.config.d} alive nodes, checked against the next"
+    click.echo(f"recovered {len(data)} bytes from {read}")
 
 
 def _repair_shards(shard_dir: Path, mode: str, failed_ids, helpers: str | None):
@@ -203,8 +207,9 @@ def bandwidth_cmd(d: int, m: int, e_max: int, mode: str, fmt: str):
 @_friendly_errors
 def capacity_cmd(d: int, m: int, n_max: int, fmt: str):
     """Verified storage capacity for every node count from d+1 to nmax."""
+    curve = capacity_curve(d, m, range(d + 1, n_max + 1))
     click.echo("n,F")
-    for n, capacity in capacity_curve(d, m, range(d + 1, n_max + 1)):
+    for n, capacity in curve:
         click.echo(f"{n},{capacity}")
 
 

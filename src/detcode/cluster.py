@@ -388,7 +388,9 @@ def capacity_curve(d: int, m: int, n_values, p: int | None = None):
     fresh random source is encoded and recovered from a random d-subset of
     nodes; the emitted F is the verified count of recovered symbols.
     """
-    n_values = list(n_values)
+    n_values, requested = list(n_values), n_values
+    if not n_values:
+        raise ValueError(f"empty node-count range {requested!r}: need at least one n > d = {d}")
     if p is None:
         p = next_prime_at_least(max(n_values) + 1)
     rows = []

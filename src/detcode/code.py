@@ -13,17 +13,19 @@ block from s * alpha; node i stores row i of its product with the n x d
 encoder matrix as one flat :class:`StripeBatch`, whose strided slice
 ``symbols[c::alpha]`` is symbol c of every stripe: no layer builds a list
 per stripe. A block's cells and parity groups are read from
-:func:`detcode.subsets.incidence`, the package's one sign rule.
+:func:`detcode.subsets.incidence`, the package's one sign rule. One
+:func:`detcode.field.signed_sums` per group completes (and on recover
+checks) its parity cells; with the source reduced once on entry by the
+same primitive, the matrix needs no reducing copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import add, sub
+from functools import lru_cache
 
-from .field import Field, Matrix, combine_rows, interleave, is_prime, CompositeModulus
+from .field import CompositeModulus, Field, Matrix, combine_rows, interleave, signed_sums  # CompositeModulus re-exported
 from .subsets import binom, incidence, subsets
 
 
@@ -115,12 +117,7 @@ class CodeConfig:
         derive_params(self.d, self.m)  # raises BadMode
         if not self.d < self.n:
             raise ValueError(f"need d < n, got d={self.d}, n={self.n}")
-        if not is_prime(self.p):
-            raise CompositeModulus(f"modulus {self.p} is not prime")
-        if self.p < self.n + 1:
-            raise FieldTooSmall(
-                f"need p >= n + 1 = {self.n + 1} distinct nonzero generators, got p={self.p}"
-            )
+        _encoder_points(self.n, Field(self.p))  # CompositeModulus or FieldTooSmall; builds nothing (shard headers come here)
 
     @property
     def alpha(self) -> int:
@@ -177,25 +174,30 @@ def rows_inverse(encoder: EncoderMatrix, node_ids: tuple[int, ...]) -> Matrix:
     return encoder.rows_submatrix(node_ids).inverse()
 
 
+def _encoder_points(n: int, field: Field) -> range:
+    """The encoder's Vandermonde points 1..n: distinct and nonzero only if p >= n + 1, else FieldTooSmall."""
+    if field.p < n + 1:
+        raise FieldTooSmall(
+            f"need p >= n + 1 = {n + 1} distinct nonzero generators, got p={field.p}"
+        )
+    return range(1, n + 1)
+
+
 @lru_cache(maxsize=64)
 def build_encoder(n: int, d: int, field: Field) -> EncoderMatrix:
     """Vandermonde generator on points 1..n, in systematic form.
 
-    Row i of the raw matrix is (i**0, i**1, ..., i**(d-1)) mod p. Systematic
-    form right-multiplies by the inverse of the top d x d block, making the
-    first d nodes store raw message rows. Any d rows of a Vandermonde matrix
-    on distinct points are independent, and so are they after multiplying by
-    an invertible matrix: the result is MDS without a runtime check.
+    Row i of the raw matrix is (i**0, i**1, ..., i**(d-1)), reduced by Matrix.
+    Systematic form right-multiplies by the inverse of the top d x d block,
+    making the first d nodes store raw message rows. Any d rows of a
+    Vandermonde matrix on distinct points are independent, and so are they
+    after multiplying by an invertible matrix: MDS without a runtime check.
 
     Memoized on the arguments, so every cluster of the same (n, d, p) shares
     one encoder, and with it the repair bases cached per encoder. The
     returned encoder is shared: do not mutate it.
     """
-    if field.p < n + 1:
-        raise FieldTooSmall(
-            f"need p >= n + 1 = {n + 1} distinct nonzero generators, got p={field.p}"
-        )
-    vand = Matrix(field, [[pow(i, j, field.p) for j in range(d)] for i in range(1, n + 1)])
+    vand = Matrix(field, [[i**j for j in range(d)] for i in _encoder_points(n, field)])
     return EncoderMatrix(vand @ vand.submatrix(range(d), range(d)).inverse())
 
 
@@ -269,15 +271,12 @@ class MessageMatrix:
         return self.matrix[x - 1, self.layout.columns.rank(rest)]
 
     def verify_parity(self) -> None:
-        """Check every alternating-sum constraint of every stripe, one C-level map per cell; raises ParityViolation."""
+        """Check every alternating-sum constraint of every stripe, one signed sum per group; raises ParityViolation."""
         rows, p, alpha = self.matrix.data, self.matrix.field.p, len(self.layout.columns)
         for k, group in enumerate(self.layout.parity_sets):
-            ((r, c), first), *rest = group
-            sums = rows[r][c::alpha]  # the group's sum times its first sign
-            for (r, c), sign in rest:
-                sums = list(map(add if sign == first else sub, sums, rows[r][c::alpha]))
-            if any(map(p.__rmod__, sums)):
-                bad = next(s for s, v in enumerate(sums) if v % p)
+            sums = signed_sums([(sign, rows[r][c::alpha]) for (r, c), sign in group], p)
+            if any(sums):
+                bad = next(s for s, v in enumerate(sums) if v)
                 raise ParityViolation(f"stripe {bad}: parity fails for {subsets(self.d, self.m + 1).unrank(k)}")
 
     def extract_symbols(self) -> list[int]:
@@ -290,7 +289,7 @@ class MessageMatrix:
 
 
 def build_message_matrix(source, d: int, m: int, field: Field) -> MessageMatrix:
-    """Arrange S * F source symbols, stripe after stripe, into S column blocks, completing parities."""
+    """Arrange S * F source symbols (any ints), stripe after stripe, into S column blocks, completing parities."""
     layout = symbol_layout(d, m)
     source = list(source)
     per_stripe, alpha = layout.file_symbols, len(layout.columns)
@@ -298,14 +297,14 @@ def build_message_matrix(source, d: int, m: int, field: Field) -> MessageMatrix:
         raise WrongLength(
             f"need a whole number of stripes of {per_stripe} source symbols, got {len(source)}"
         )
+    source = signed_sums([(1, source)], field.p)
     data = [[0] * (len(source) // per_stripe * alpha) for _ in range(d)]
     for t, (r, c) in enumerate(layout.v_slots + layout.w_slots):
         data[r][c::alpha] = source[t::per_stripe]
-    for group in layout.parity_sets:
+    for group in layout.parity_sets:  # the parity cell is minus its sign times the others' signed sum
         (r, c), sign = group[-1]
-        rest = [[-sign * s * v for v in data[y][j::alpha]] for (y, j), s in group[:-1]]
-        data[r][c::alpha] = reduce(lambda a, b: list(map(add, a, b)), rest)  # one C-level map per cell
-    return MessageMatrix(layout, Matrix(field, data))
+        data[r][c::alpha] = signed_sums([(-sign * s, data[y][j::alpha]) for (y, j), s in group[:-1]], field.p)
+    return MessageMatrix(layout, Matrix.wrap(field, data, len(data[0])))
 
 
 def encode(encoder: EncoderMatrix, message: MessageMatrix) -> list[StripeBatch]:

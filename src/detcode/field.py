@@ -4,26 +4,21 @@ Field elements are plain Python ints kept canonical (0 <= value < p); a
 :class:`Field` instance carries the (checked prime) modulus.
 :class:`Matrix` implements exact Gauss-Jordan elimination with a
 deterministic leftmost-pivot rule, so ranks, inverses, and pivot-column
-bases are reproducible across runs and machines.
+bases are reproducible across runs and machines. All of the package's
+prime arithmetic (primality, inverses, every reduction mod p) is here:
+other modules hand it plain ints and get canonical ones back.
 
 Every product is one word-parallel kernel, :func:`combine_rows`: K
-sequences of one length L (the long operand: a stripe batch's columns,
-a payload's strided slices, message rows) are combined by a K x r weight
-matrix into r output sequences. The side being packed is turned into one
-int per row or weight row, an entry per fixed-width slot, so one big-int
-multiply-add combines a whole row. The long operand is packed when
-r <= L; with fewer entries per row than outputs (a batch of few stripes)
-the weight rows are packed instead and the operand's entries become the
-multipliers. The long operand is never copied through :class:`Matrix`;
-its range proof is one C-level min/max test per row (ValueError on an
-entry outside [0, p)), the same test the symbol codec makes.
-``Matrix.__matmul__`` runs the same kernel without that test, since both
-its operands are canonical by construction. A slot sums K products of
-canonical entries, at most K * (p-1)**2; :func:`slot_width` picks 4-byte
-slots below 2**32, 8-byte slots below 2**64 and the bound's whole bytes
-above, so no carry crosses a slot and one reduction mod p per output
-entry makes the result exact, for every p. Slots and stored symbols share
-one little-endian fixed-width codec.
+sequences of one length L (a stripe batch's columns, a payload's strided
+slices, message rows) are combined by a K x r weight matrix into r output
+sequences. One side is packed into one int per row, an entry per
+fixed-width slot (:func:`slot_width`), so one big-int multiply-add
+combines a whole row and one reduction per output entry makes it exact.
+The long operand is never copied through :class:`Matrix`.
+
+The paper's alternating sums (parity completion, the parity check, the
+repair readout) are one primitive, :func:`signed_sums`, the only code
+that applies :func:`detcode.subsets.incidence` signs to stripe data.
 """
 
 from __future__ import annotations
@@ -32,6 +27,7 @@ import sys
 from array import array
 from functools import lru_cache
 from itertools import chain
+from operator import add, sub
 
 
 class CompositeModulus(ValueError):
@@ -134,11 +130,9 @@ def combine_rows(rows, weights, p: int) -> list[list[int]]:
     """The r linear combinations over GF(p) of a list *rows* of K sequences of one length L.
 
     Output i is the sum over k of weights[k][i] * rows[k]: *weights* is K
-    rows of r canonical entries. Read the rows as the columns of a matrix X
-    (a stripe batch, a payload's strided slices) and the outputs are the
-    columns of X @ weights. The rows are never copied through
-    :class:`Matrix`; each is range-checked by one C-level min/max pass and
-    an entry outside [0, p) raises ValueError.
+    rows of r canonical entries, and the outputs are the columns of
+    X @ weights for the matrix X whose columns are the rows. Each row is
+    range-checked by one C-level min/max pass: ValueError outside [0, p).
     """
     for row in rows:
         if row and not 0 <= min(row) <= max(row) < p:
@@ -179,6 +173,22 @@ def _combine(rows: list, weights, p: int) -> list[list[int]]:
     entries = list(chain.from_iterable(rows))
     packed = [int.from_bytes(_encode(w, slot), "little") for w in weights]
     return list(map(list, zip(*[combine(entries[j::length], packed, r) for j in range(length)])))
+
+
+def signed_sums(terms, p: int) -> list[int]:
+    """Entry-wise canonical sum over GF(p) of one or more (sign, sequence) terms, each sign +1 or -1.
+
+    The sequences have one length and may hold any ints (neither that nor
+    the signs is checked). One lazy C-level map(add or sub) per term, from a
+    +1 term where there is one; one reduction per entry, even for one term.
+    """
+    terms = list(terms)
+    signs = [sign for sign, _ in terms]
+    # start from a +1 term; first is -1 only when every sign is: sum the negation
+    first, acc = terms.pop(signs.index(1) if 1 in signs else 0)
+    for sign, seq in terms:
+        acc = map(add if sign == first else sub, acc, seq)
+    return [v % p for v in acc] if first == 1 else [-v % p for v in acc]
 
 
 def interleave(columns) -> list:

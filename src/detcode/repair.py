@@ -8,38 +8,30 @@ helper multiplies its stripe batch (S x alpha) by compress and transmits
 the result, at most beta_e = C(d, m) - C(d-e, m) symbols per stripe for e
 failures (beta = C(d-1, m-1) for one). The replacement side expands the d
 received batches by expand, undoes the encoding with one product over
-every stripe, and reassembles each failed node's stripes by signed sums.
-No helper needs to know which other nodes are helping. Single-failure
-repair is the case e = 1 of the same path. The repair matrix and the
-signed-sum readout both read :func:`detcode.subsets.incidence`, the
-package's one sign rule.
+every stripe, and reads each failed node's stripes out by signed sums. No
+helper needs to know which other nodes are helping; single-failure repair
+is the case e = 1. Both the repair matrix and the readout read the one sign
+rule, :func:`detcode.subsets.incidence`: the matrix takes the signs as
+coefficients, which :class:`~detcode.field.Matrix` reduces, and the readout
+applies them by :func:`detcode.field.signed_sums`, one call per column
+label. No reduction mod p is written here.
 
 That decode, step by step (:func:`decode_factored`), is a fixed linear map
 from the symbols received per stripe to the e * alpha symbols of the failed
 nodes, and so is the repair center's
 (:func:`detcode.multirepair.decode_centralized`). :func:`decode_operator`
-compiles either into one matrix by running it on the unit batch, whose
-stripe t carries a 1 in received position t; building it costs one
-factored decode of as many stripes as the operator has rows (d * rank for
-joint repair, the sum of the served prefixes' ranks for centralized). A
-batch of at least twice that many stripes builds the operator and decodes
-by one product with it, which beats the factored decode from about 1.5
-times the rows on; a smaller batch runs the factored decode, which also
-stays the test oracle. The operator is built for each repair and dropped
-after it, so it holds memory only while the batch, already larger, is
-decoded.
+compiles either into one matrix by running it on the unit batch. A batch
+of at least twice as many stripes as the operator has rows builds it for
+this repair and decodes by one product with it (build and product beat the
+factored decode from about 1.5 times the rows on); a smaller batch runs the
+factored decode, which also stays the test oracle.
 
 Every product here is :func:`detcode.field.combine_rows`, fed plain
-sequences: a batch's alpha strided slices (``batch.symbols[c::alpha]``),
-a payload's rank strided slices (``symbols[j::rank]``) or full repair
-vectors. The kernel range-checks them against p itself (one C-level
-min/max pass per row), so stripe data is never copied into a
-:class:`~detcode.field.Matrix`. Each output column lands in the flat
-payload, vector or rebuilt batch by one slice assignment
-(:func:`~detcode.field.interleave`). Only expand's free columns go through
-the product; its pivot columns are unit columns, copied through the same
-way. The batch is packed when it has at least as many stripes as outputs;
-with fewer (small objects) compress or expand is packed instead.
+sequences (a batch's strided slices ``batch.symbols[c::alpha]``, a
+payload's ``symbols[j::rank]``, repair vectors), so stripe data is never
+copied into a :class:`~detcode.field.Matrix`; each output column lands in
+the flat payload, vector or batch by one slice assignment
+(:func:`~detcode.field.interleave`).
 
 Wire format of a payload, version 3, all integers little-endian::
 
@@ -59,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, rows_inverse  # OverlapError re-exported
-from .field import Matrix, combine_rows, element_width, interleave, pack_symbols, unpack_symbols
+from .field import Matrix, combine_rows, element_width, interleave, pack_symbols, signed_sums, unpack_symbols
 from .subsets import binom, incidence
 
 
@@ -85,16 +77,12 @@ def repair_matrix(f: int, m: int, encoder: EncoderMatrix) -> Matrix:
 
 @lru_cache(maxsize=512)
 def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int):
-    """(compress, pivot columns, expand) for a failure tuple; cached per encoder.
+    """(compress, pivot columns, expand) for a failure tuple; cached per encoder, shared.
 
-    The repair matrix of the tuple is the horizontal concatenation of the
-    per-failure repair matrices in failure order, so column j of segment i
-    has index i * C(d, m-1) + j. compress is its pivot columns (alpha rows
-    of rank entries), the weights of a helper's transmit. The nonzero rows
-    of its reduced row echelon form (rank x e * C(d, m-1)) expand the
-    transmit back; their pivot columns are unit columns, so expand keeps
-    only the free columns: (free column indices, rank rows of their
-    entries). The cached tuples are shared.
+    Column j of failure i's segment of the tuple's repair matrix has index
+    i * C(d, m-1) + j. compress is alpha rows of rank entries; expand keeps
+    only the free columns of the rank rows (the pivot columns are unit
+    columns): (free column indices, rank rows of their entries).
     """
     checked_ids(failed, "failed ids", n=encoder.n)
     xi = Matrix.hstack([repair_matrix(f, m, encoder) for f in failed])
@@ -156,11 +144,8 @@ class RepairPayload:
 def helper_payload(h_content: StripeBatch, helper: int, failed, encoder: EncoderMatrix, m: int) -> RepairPayload:
     """Repair data from one helper: its stripe batch times compress, stripe after stripe.
 
-    compress is a function of the (public) repair matrix alone, so sender
-    and receiver agree without negotiation and the payload never depends on
-    who else is helping. The batch's alpha strided slices go straight to
-    the packed product, and each of its rank output columns lands in the
-    payload by one strided slice assignment.
+    compress is a function of the public repair matrix alone, so sender and
+    receiver agree without negotiation and without knowing the other helpers.
     """
     failed = tuple(failed)
     compress = repair_basis(encoder, failed, m)[0]
@@ -172,9 +157,8 @@ def helper_payload(h_content: StripeBatch, helper: int, failed, encoder: Encoder
 def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> list[int]:
     """Full-length repair vectors, stripe after stripe: the received symbols times the expansion.
 
-    The pivot columns of the expansion are unit columns, so their received
-    symbols are copied through; only the free columns go through the packed
-    product.
+    Pivot columns are unit columns: their received symbols are copied
+    through, and only the free columns go through the packed product.
     """
     _, pivots, (free, weights) = repair_basis(encoder, payload.failed, payload.m)
     rank, symbols = len(pivots), payload.symbols
@@ -282,10 +266,9 @@ def combine_repair_space(rows, d: int, m: int, field) -> list[list[int]]:
     *rows* are the d rows of the spaces; space b is the d x C(d, m-1) block
     of columns from b * C(d, m-1). Its entry at column label I, entry b of
     list I, is the sum over x in I of (-1)**position(I, x) times the entry
-    at (row x, column I - {x}) of the block.
+    at (row x, column I - {x}) of the block: one signed sum per label.
     """
-    seg, p = binom(d, m - 1), field.p
-    out = [[0] * (len(rows[0]) // seg) for _ in range(binom(d, m))]
+    seg, labels = binom(d, m - 1), [[] for _ in range(binom(d, m))]
     for i, x, j, sign in incidence(d, m):
-        out[i] = [(a + sign * v) % p for a, v in zip(out[i], rows[x - 1][j::seg])]
-    return out
+        labels[i].append((sign, rows[x - 1][j::seg]))
+    return [signed_sums(terms, field.p) for terms in labels]

@@ -57,3 +57,8 @@ def mul_vec(matrix, vec) -> list[int]:
         raise DimensionMismatch("vector length != column count")
     p = matrix.field.p
     return [sum(matrix[i, k] * v for k, v in enumerate(vec)) % p for i in range(matrix.rows)]
+
+
+def signed_sums_scalar(terms, p) -> list[int]:
+    """Entry-wise sum of sign * entry over (sign, sequence) terms, reduced mod p once per entry."""
+    return [sum(sign * seq[t] for sign, seq in terms) % p for t in range(len(terms[0][1]))]

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from click.testing import CliRunner
 
 from detcode.cli import main
@@ -116,6 +117,25 @@ def test_recover_rejects_unavailable_node_cleanly(tmp_path):
         assert "Traceback" not in result.output
 
 
+def test_recover_without_nodes_is_checked_against_the_next_node(tmp_path):
+    """The default read decodes from nodes 1-4 and checks them against node 5, which a flipped bit fails."""
+    runner, data, shards = _encode_fixture(tmp_path, size=2000)
+    out = tmp_path / "out.bin"
+    result = runner.invoke(main, ["recover", "--shards", str(shards), "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == data
+    path = shard_path(shards, 1)
+    shard = read_shard(path)
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) - 2 * len(shard.stripes.symbols)] ^= 1  # low bit of the first body byte (2-byte symbols)
+    path.write_bytes(bytes(blob))
+    result = runner.invoke(main, ["recover", "--shards", str(shards), "--output", str(tmp_path / "bad.bin")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: node 5 disagrees")
+    assert not (tmp_path / "bad.bin").exists()
+
+
 def test_bandwidth_csv(tmp_path):
     runner = CliRunner()
     result = runner.invoke(
@@ -135,6 +155,13 @@ def test_capacity_csv():
     lines = result.output.strip().splitlines()
     assert lines[0] == "n,F"
     assert lines[1:] == ["5,20", "6,20", "7,20"]
+
+
+@pytest.mark.parametrize("n_max", ["4", "2"])
+def test_capacity_rejects_empty_node_range(n_max):
+    result = CliRunner().invoke(main, ["capacity", "--d", "4", "--m", "2", "--nmax", n_max])
+    assert result.exit_code == 1
+    assert result.output == f"Error: empty node-count range range(5, {int(n_max) + 1}): need at least one n > d = 4\n"
 
 
 def test_cli_shards_survive_reload(tmp_path):

@@ -99,6 +99,15 @@ def test_encoder_rejects_small_field():
         build_encoder(8, 4, Field(7))
 
 
+def test_field_size_boundary_is_one_rule():
+    """p >= n + 1, the same rule for CodeConfig and build_encoder: n = 6 fits GF(7), n = 7 does not."""
+    assert CodeConfig(n=6, d=4, m=2, p=7).n == 6
+    with pytest.raises(FieldTooSmall, match=r"need p >= n \+ 1 = 8 distinct nonzero generators, got p=7"):
+        CodeConfig(n=7, d=4, m=2, p=7)
+    with pytest.raises(FieldTooSmall):
+        build_encoder(7, 4, Field(7))
+
+
 def test_encoder_accepts_minimal_field():
     # five generators need p >= 6; p = 7 is the smallest prime that works
     enc = build_encoder(5, 4, Field(7))
@@ -141,6 +150,16 @@ def test_zero_source_gives_zero_matrix(gf13):
     msg = build_message_matrix([0] * 20, 4, 2, gf13)
     assert msg.matrix.is_zero()
     assert msg.extract_symbols() == [0] * 20
+
+
+def test_source_is_reduced_on_entry(gf13):
+    """Negative and >= p source ints give the canonical matrix of the source reduced mod p."""
+    rng = random.Random(13)
+    src = [rng.choice([rng.randrange(-40, 0), rng.randrange(13, 60), rng.randrange(13)]) for _ in range(60)]
+    msg = build_message_matrix(src, 4, 2, gf13)
+    assert all(0 <= v < 13 for row in msg.matrix.data for v in row)
+    assert msg == build_message_matrix([v % 13 for v in src], 4, 2, gf13)
+    msg.verify_parity()
 
 
 def test_wrong_source_length(gf13):

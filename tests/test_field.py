@@ -14,10 +14,11 @@ from detcode.field import (
     is_prime,
     next_prime_at_least,
     pack_symbols,
+    signed_sums,
     slot_width,
     unpack_symbols,
 )
-from oracles import matmul_scalar, vec_mat
+from oracles import matmul_scalar, signed_sums_scalar, vec_mat
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 12, 100, 13 * 17])
@@ -307,3 +308,24 @@ def test_combine_rows_exact_at_slot_crossover(k, width):
         rows = [[256] * length] * k
         expected = k * 256 * 256 % 257
         assert combine_rows(rows, [[256, 256]] * k, 257) == [[expected] * length] * 2
+
+
+@st.composite
+def signed_terms(draw):
+    """1-6 (sign, sequence) terms of one length 0-50 over one of four moduli, entries negative or >= p too."""
+    p = draw(st.sampled_from([13, 257, 65537, 2**61 - 1]))
+    length, count = draw(st.integers(0, 50)), draw(st.integers(1, 6))
+    entries = draw(st.lists(st.integers(-3 * p, 3 * p), min_size=length * count, max_size=length * count))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=count, max_size=count))
+    return p, [(sign, entries[t * length : (t + 1) * length]) for t, sign in enumerate(signs)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_terms())
+def test_signed_sums_matches_scalar_oracle(case):
+    """Canonical entry-wise signed sums, whichever term carries the first +1 sign, or none."""
+    p, terms = case
+    expected = signed_sums_scalar(terms, p)
+    assert signed_sums(terms, p) == expected
+    assert signed_sums([(sign, tuple(seq)) for sign, seq in terms], p) == expected  # any sequences
+    assert all(0 <= v < p for v in expected)
