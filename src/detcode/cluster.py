@@ -16,6 +16,7 @@ import random
 import struct
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .code import (
@@ -126,11 +127,15 @@ class Cluster:
         if not alive:
             raise ValueError("a cluster needs at least one alive node")
         self.config = config
-        self.encoder = build_encoder(config.n, config.d, config.field)
         self.contents = contents
         self.stripe_count = len(alive[0])
         self.original_len = original_len
         self.ledger = BandwidthLedger()
+
+    @cached_property
+    def encoder(self) -> EncoderMatrix:
+        """The code's encoder, built on first use: a loaded cluster that never repairs or recovers builds none."""
+        return build_encoder(self.config.n, self.config.d, self.config.field)
 
     @classmethod
     def build(cls, config: CodeConfig, message: MessageMatrix, original_len: int | None = None) -> "Cluster":

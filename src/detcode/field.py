@@ -14,7 +14,14 @@ slices, message rows) are combined by a K x r weight matrix into r output
 sequences. One side is packed into one int per row, an entry per
 fixed-width slot (:func:`slot_width`), so one big-int multiply-add
 combines a whole row and one reduction per output entry makes it exact.
-The long operand is never copied through :class:`Matrix`.
+The long operand is never copied through :class:`Matrix`. An output
+whose weight column is a unit vector (a systematic node's row in
+encode, an identity row of a recover inverse) is a copy of its row.
+
+Every operand row and every symbol blob is range-checked against
+[0, p), and each check runs on the packed int or bytes it is packed
+into anyway: two word-parallel mask tests per row (:func:`_range_test`),
+not a Python pass per entry.
 
 The paper's alternating sums (parity completion, the parity check, the
 repair readout) are one primitive, :func:`signed_sums`, the only code
@@ -99,11 +106,7 @@ def slot_width(p: int, k: int) -> int:
 
 
 def _encode(values, width: int) -> bytes:
-    """Little-endian bytes of non-negative ints, width bytes each."""
-    if width == 2:  # array('I') fills from a list about twice as fast as array('H')
-        wide, narrow = _encode(values, 4), bytearray(2 * len(values))
-        narrow[0::2], narrow[1::2] = wide[0::4], wide[1::4]
-        return bytes(narrow)
+    """Little-endian bytes of non-negative ints, width bytes each; OverflowError or TypeError for any other entry."""
     code = _TYPECODES.get(width)
     if code is None:
         return b"".join([v.to_bytes(width, "little") for v in values])
@@ -111,6 +114,31 @@ def _encode(values, width: int) -> bytes:
     if sys.byteorder == "big":
         items.byteswap()
     return items.tobytes()
+
+
+@lru_cache(maxsize=8)
+def _range_test(count: int, slot: int, p: int):
+    """The predicate: a packed int of *count* slot-byte entries holds only entries below p.
+
+    Two word-parallel tests, for p.bit_length() = b < 8 * slot, with a 1 in
+    the lowest bit of every slot: no entry has a bit at b or above, and
+    adding 2**b - p to every entry then sets no bit b (it cannot carry into
+    the next slot). Cached per shape: the masks cost about as much as
+    testing two rows.
+    """
+    b = p.bit_length()
+    assert b < 8 * slot
+    ones = int.from_bytes(b"\1".ljust(slot, b"\0") * count, "little")
+    high = ones << b
+    excess, offset = (ones << 8 * slot) - high, ((1 << b) - p) * ones
+    return lambda packed: not (packed & excess or (packed + offset) & high)
+
+
+def _in_range(blob, width: int, p: int) -> bool:
+    """Whether every width-byte little-endian int of *blob* is below p; a C-level max where p fills the width."""
+    if p.bit_length() == 8 * width:
+        return max(_decode(blob, width), default=0) < p
+    return _range_test(len(blob) // width, width, p)(int.from_bytes(blob, "little"))
 
 
 def _decode(blob, width: int):
@@ -131,23 +159,24 @@ def combine_rows(rows, weights, p: int) -> list[list[int]]:
 
     Output i is the sum over k of weights[k][i] * rows[k]: *weights* is K
     rows of r canonical entries, and the outputs are the columns of
-    X @ weights for the matrix X whose columns are the rows. Each row is
-    range-checked by one C-level min/max pass: ValueError outside [0, p).
+    X @ weights for the matrix X whose columns are the rows. Every row
+    entry is range-checked, ValueError outside [0, p): word-parallel on the
+    packed row (:func:`_range_test`) when rows are packed, by a C-level
+    min/max pass on the short rows when the weights are. An output whose
+    weight column is a unit vector is a fresh copy of its row.
     """
-    for row in rows:
-        if row and not 0 <= min(row) <= max(row) < p:
-            raise ValueError(f"operand entry out of field range [0, {p})")
-    return _combine(rows, weights, p)
+    return _combine(rows, weights, p, checked=True)
 
 
-def _combine(rows: list, weights, p: int) -> list[list[int]]:
-    """The product kernel of :func:`combine_rows`, on rows known to be canonical.
+def _combine(rows: list, weights, p: int, checked: bool = False) -> list[list[int]]:
+    """The product kernel of :func:`combine_rows`; the rows are range-checked only if *checked*.
 
     With r <= L each row is packed into one int and an output is one
-    big-int multiply-add per nonzero weight. With fewer entries per row
-    than outputs the weights' rows are packed instead and combined once per
-    entry position, then transposed back. Either way each output entry is
-    reduced mod p once.
+    big-int multiply-add per nonzero weight, or a copy of row k where its
+    weight column is the k-th unit vector. With fewer entries per row than
+    outputs the weights' rows are packed instead and combined once per
+    entry position, then transposed back. Either way each computed output
+    entry is reduced mod p once.
     """
     k = len(rows)
     length = len(rows[0]) if rows else 0
@@ -159,6 +188,7 @@ def _combine(rows: list, weights, p: int) -> list[list[int]]:
     if any(len(w) != r for w in weights):
         raise DimensionMismatch("ragged weight rows")
     slot = slot_width(p, k)
+    out_of_range = f"operand entry out of field range [0, {p})"
 
     def combine(coeffs, terms, count):
         acc = 0
@@ -168,8 +198,18 @@ def _combine(rows: list, weights, p: int) -> list[list[int]]:
         return [v % p for v in _decode(acc.to_bytes(count * slot, "little"), slot)]
 
     if r <= length or not length:
-        packed = [int.from_bytes(_encode(row, slot), "little") for row in rows]
-        return [combine(column, packed, length) for column in zip(*weights)]
+        try:
+            packed = [int.from_bytes(_encode(row, slot), "little") for row in rows]
+        except (OverflowError, TypeError):
+            raise ValueError(out_of_range) from None
+        if checked and not all(map(_range_test(length, slot, p), packed)):
+            raise ValueError(out_of_range)
+        return [
+            list(rows[column.index(1)]) if column.count(0) == k - 1 and 1 in column else combine(column, packed, length)
+            for column in zip(*weights)
+        ]
+    if checked and not all(0 <= min(row) <= max(row) < p for row in rows):
+        raise ValueError(out_of_range)
     entries = list(chain.from_iterable(rows))
     packed = [int.from_bytes(_encode(w, slot), "little") for w in weights]
     return list(map(list, zip(*[combine(entries[j::length], packed, r) for j in range(length)])))
@@ -200,22 +240,40 @@ def interleave(columns) -> list:
 
 
 def pack_symbols(values, p: int) -> bytes:
-    """Little-endian bytes of GF(p) symbols, element_width(p) each; ValueError outside [0, p)."""
-    values = list(values)
-    if values and not 0 <= min(values) <= max(values) < p:
+    """Little-endian bytes of GF(p) symbols, element_width(p) each; ValueError outside [0, p).
+
+    The range check runs word-parallel on the packed bytes; 2-byte symbols
+    are packed and checked 4 bytes wide (array('I') fills from a list about
+    twice as fast as array('H')), then narrowed.
+    """
+    if not isinstance(values, (list, tuple)):  # array() would read bytes-like input as machine words
+        values = list(values)
+    width = element_width(p)
+    wide = 4 if width == 2 else width
+    try:
+        blob = _encode(values, wide)
+    except (OverflowError, TypeError):
+        raise ValueError("symbol out of field range") from None
+    if not _in_range(blob, wide, p):
         raise ValueError("symbol out of field range")
-    return _encode(values, element_width(p))
+    if wide == width:
+        return blob
+    narrow = bytearray(len(values) * 2)
+    narrow[0::2], narrow[1::2] = blob[0::4], blob[1::4]
+    return bytes(narrow)
 
 
 def unpack_symbols(blob, p: int) -> list[int]:
-    """Inverse of :func:`pack_symbols`; ValueError on a symbol outside [0, p) or a partial one."""
+    """Inverse of :func:`pack_symbols`; ValueError on a symbol outside [0, p) or a partial one.
+
+    The range check runs word-parallel on the blob, before it is decoded.
+    """
     width = element_width(p)
     if len(blob) % width:
         raise ValueError(f"symbol out of field range: {len(blob)} bytes is not a whole number of {width}-byte symbols")
-    values = list(_decode(blob, width))
-    if values and max(values) >= p:
+    if not _in_range(blob, width, p):
         raise ValueError("symbol out of field range")
-    return values
+    return list(_decode(blob, width))
 
 
 class Field:

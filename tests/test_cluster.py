@@ -349,6 +349,28 @@ def test_load_rejects_empty_directory_and_disagreeing_headers(tmp_path):
         load_cluster(tmp_path)
 
 
+def test_load_cluster_builds_no_encoder_before_it_is_used(tmp_path, monkeypatch):
+    """A header-only shard claiming a huge code loads without building its
+    n x d Vandermonde, and a read with fewer than d shards is refused first;
+    a readable cluster builds its encoder once, on first use."""
+    (tmp_path / "huge").mkdir()
+    config = CodeConfig(n=65535, d=4, m=1, p=65537)
+    write_shard(shard_path(tmp_path / "huge", 1), config, 1, StripeBatch([], config.alpha), 0)
+    (tmp_path / "small").mkdir()
+    write_all_shards(tmp_path / "small", Cluster.from_file(bytes(range(200)), CFG257))
+    built = []
+    real = detcode.cluster.build_encoder
+    monkeypatch.setattr(detcode.cluster, "build_encoder", lambda *args: built.append(args) or real(*args))
+    huge = load_cluster(tmp_path / "huge")
+    with pytest.raises(NotEnoughHelpers):
+        huge.recover_file()
+    assert built == []
+    small = load_cluster(tmp_path / "small")
+    assert built == []
+    assert small.recover_file() == bytes(range(200))
+    assert small.encoder is small.encoder and built == [(8, 4, CFG257.field)]
+
+
 def test_shard_round_trip_keeps_a_cluster_byte_or_not(tmp_path):
     """A cluster not built from a byte file is recorded with length 0 over
     its stripes and loads back as one; an empty byte file has no stripes

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,6 +309,119 @@ def test_combine_rows_exact_at_slot_crossover(k, width):
         rows = [[256] * length] * k
         expected = k * 256 * 256 % 257
         assert combine_rows(rows, [[256, 256]] * k, 257) == [[expected] * length] * 2
+
+
+# --- range checks at their edges and unit weight columns ----------------
+
+RANGE_MODULI = [13, 257, 65521, 65537, 2**31 - 1, 2**61 - 1, 2**64 + 13]
+
+
+def edge_entries(p, slots):
+    """The entries each range test turns on over GF(p), with b = p.bit_length(), for each slot width."""
+    b = p.bit_length()
+    edges = {-1, p - 1, p, (1 << b) - 1, 1 << b, 2**16 + 5}
+    for slot in slots:
+        edges |= {(1 << 8 * slot) - 1, 1 << 8 * slot}
+    return sorted(edges)
+
+
+def entry_lists(draw, p, slots, count):
+    """count entries: all in [0, p), or drawn from the edge entries as well."""
+    canonical = st.one_of(st.just(p - 1), st.just(0), st.integers(0, p - 1))
+    entry = st.one_of(canonical, st.sampled_from(edge_entries(p, slots))) if draw(st.booleans()) else canonical
+    return draw(st.lists(entry, min_size=count, max_size=count))
+
+
+def exact_message(message):
+    return f"^{re.escape(message)}$"
+
+
+@st.composite
+def edge_combinations(draw):
+    """K rows at L in {0, 1, r-1, r, r+1} (both orientations) with entries at the range tests' edges."""
+    p = draw(st.sampled_from(RANGE_MODULI))
+    k, r = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    length = draw(st.sampled_from([0, 1, r - 1, r, r + 1]))
+    entries = entry_lists(draw, p, {element_width(p), slot_width(p, k)}, k * length)
+    weights = [draw(st.lists(st.integers(0, p - 1), min_size=r, max_size=r)) for _ in range(k)]
+    return p, [entries[i * length : (i + 1) * length] for i in range(k)], weights
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_combinations())
+def test_combine_rows_rejects_exactly_the_entries_outside_the_field(case):
+    p, rows, weights = case
+    if any(not 0 <= v < p for row in rows for v in row):
+        with pytest.raises(ValueError, match=exact_message(f"operand entry out of field range [0, {p})")):
+            combine_rows(rows, weights, p)
+    else:
+        expected = matmul_scalar(Matrix(Field(p), list(zip(*weights))), Matrix(Field(p), rows, cols=len(rows[0])))
+        assert combine_rows(rows, weights, p) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_symbol_codec_rejects_exactly_the_symbols_outside_the_field(data):
+    """pack_symbols checks 2-byte symbols before narrowing them; unpack_symbols checks every width it reads."""
+    p = data.draw(st.sampled_from(RANGE_MODULI))
+    width = element_width(p)
+    values = entry_lists(data.draw, p, {width, 4}, data.draw(st.integers(0, 12)))
+    in_field = all(0 <= v < p for v in values)
+    if in_field:
+        assert pack_symbols(values, p) == b"".join(v.to_bytes(width, "little") for v in values)
+    else:
+        with pytest.raises(ValueError, match=exact_message("symbol out of field range")):
+            pack_symbols(values, p)
+    stored = [v for v in values if 0 <= v < 1 << 8 * width]  # what a blob can hold
+    blob = b"".join(v.to_bytes(width, "little") for v in stored)
+    if all(v < p for v in stored):
+        assert unpack_symbols(blob, p) == stored
+    else:
+        with pytest.raises(ValueError, match=exact_message("symbol out of field range")):
+            unpack_symbols(blob, p)
+
+
+@pytest.mark.parametrize("p", [251, 257])
+def test_pack_symbols_never_narrows_an_out_of_range_symbol(p):
+    """2**16 + 5 would be written as 5 at p = 257 if the 2-byte codec narrowed it unchecked; p = 251 fills its byte."""
+    for bad in (p, 1 << 8 * element_width(p), 2**16 + 5):
+        with pytest.raises(ValueError, match=exact_message("symbol out of field range")):
+            pack_symbols([0, bad, 1], p)
+    with pytest.raises(ValueError, match=exact_message("symbol out of field range")):
+        unpack_symbols(p.to_bytes(element_width(p), "little"), p)
+
+
+@st.composite
+def unit_mixes(draw):
+    """Rows packed (L >= r) and weight columns each a unit, zero, scaled-unit (2 e_k) or dense column."""
+    p = draw(st.sampled_from([13, 257, 65521, 2**31 - 1, 2**61 - 1]))
+    k, r = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    length = draw(st.integers(r, r + 4))
+    entry = st.one_of(st.just(p - 1), st.just(0), st.integers(0, p - 1))
+    rows = [[draw(entry) for _ in range(length)] for _ in range(k)]
+    columns = []
+    for _ in range(r):
+        kind, at = draw(st.sampled_from(["unit", "zero", "scaled", "dense"])), draw(st.integers(0, k - 1))
+        if kind == "dense":
+            columns.append([draw(entry) for _ in range(k)])
+        else:
+            columns.append([{"unit": 1, "zero": 0, "scaled": 2}[kind] if i == at else 0 for i in range(k)])
+    return p, rows, [list(w) for w in zip(*columns)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_mixes())
+def test_unit_weight_columns_are_fresh_copies(case):
+    """Unit columns copy their row, others multiply; mutating any output never touches an input row."""
+    p, rows, weights = case
+    field, before = Field(p), [row[:] for row in rows]
+    expected = matmul_scalar(Matrix(field, list(zip(*weights))), Matrix(field, rows, cols=len(rows[0])))
+    outputs = combine_rows(rows, weights, p)
+    product = Matrix(field, list(zip(*weights))) @ Matrix.wrap(field, rows, len(rows[0]))
+    assert outputs == product.data == expected
+    for output in outputs + product.data:
+        output[0] += 1
+    assert rows == before
 
 
 @st.composite

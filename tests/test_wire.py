@@ -1,5 +1,7 @@
 """Byte-level checks of the payload and shard formats."""
 
+import hashlib
+import random
 import struct
 
 import pytest
@@ -9,10 +11,12 @@ from detcode.cluster import (
     SHARD_MAGIC,
     SHARD_VERSION,
     _SHARD_HEADER,
+    Cluster,
     ShardFile,
     ShardFormatError,
     read_shard,
     shard_path,
+    write_all_shards,
     write_shard,
 )
 from detcode.field import element_width
@@ -229,6 +233,23 @@ def test_two_byte_symbols_little_endian(tmp_path):
     shard = read_shard(path)
     assert shard.stripes == StripeBatch([256, 0, 0, 0, 0, 0], 6)
     assert shard.node_id == 3
+
+
+@pytest.mark.parametrize(
+    "n, d, m, digest",
+    [
+        (8, 4, 2, "de0581fe4e9839450a7b77402c03226f044a967d43c472d77b2d7ffa6f45c6c1"),
+        (12, 6, 3, "f9945e9b18803cc53c6b024425be8c571bb72f859da8764316f3240815a51ddb"),
+    ],
+)
+def test_shard_directory_bytes_pinned(tmp_path, n, d, m, digest):
+    """Every shard of a seeded 64 KiB file over GF(257), byte for byte: sha256 of names and contents in name order."""
+    data = random.Random(64).randbytes(65536)
+    write_all_shards(tmp_path, Cluster.from_file(data, CodeConfig(n=n, d=d, m=m, p=257)))
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.name.encode() + path.read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_shard_rejects_bad_magic(tmp_path):
