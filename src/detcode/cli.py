@@ -77,7 +77,7 @@ def encode_cmd(input_path: Path, n: int, d: int, m: int, prime: int | None, out_
 
 @main.command(name="recover")
 @click.option("--shards", "shard_dir", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--nodes", "nodes", default=None, help="Comma-separated ids of the d nodes to read (default: the first d alive).")
+@click.option("--nodes", "nodes", default=None, help="Comma-separated ids of the d nodes to read (default: the first d alive, checked against the next).")
 @click.option("--output", "output_path", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @_friendly_errors
 def recover_cmd(shard_dir: Path, nodes: str | None, output_path: Path):

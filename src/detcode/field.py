@@ -18,6 +18,12 @@ The long operand is never copied through :class:`Matrix`. An output
 whose weight column is a unit vector (a systematic node's row in
 encode, an identity row of a recover inverse) is a copy of its row.
 
+The weights are a :class:`Weights`: checked (no ragged row, every entry
+in [0, p)) once, and prepared (columns and their unit indices, or packed
+rows) once per orientation. Plain weights are wrapped on every call; a
+repair basis keeps its compress and expand compiled, so every helper and
+every repair of a failure tuple shares one check and one packing.
+
 Every operand row and every symbol blob is range-checked against
 [0, p), and each check runs on the packed int or bytes it is packed
 into anyway: two word-parallel mask tests per row (:func:`_range_test`),
@@ -154,16 +160,71 @@ def _decode(blob, width: int):
     return items
 
 
+class Weights:
+    """A K x r weight matrix over GF(p), checked once and prepared for :func:`combine_rows`.
+
+    Checked on construction (not by :meth:`wrap`): DimensionMismatch for
+    ragged rows, ValueError for an entry outside [0, p). The rows are kept
+    as tuples; what each orientation of the product needs is prepared on
+    its first use and kept: the columns with their unit indices where the
+    rows are packed, the packed weight rows where the weights are. Nothing
+    is changed after that, so one instance serves any number of products:
+    a repair basis's compress is shared by every helper.
+    """
+
+    __slots__ = ("p", "rows", "cols", "_columns", "_packed")
+
+    def __init__(self, rows, p: int):
+        rows = tuple(map(tuple, rows))
+        if len(set(map(len, rows))) > 1:
+            raise DimensionMismatch("ragged weight rows")
+        r = len(rows[0]) if rows else 0
+        if r and not (0 <= min(map(min, rows)) and max(map(max, rows)) < p):
+            raise ValueError(f"weight entry out of field range [0, {p})")
+        self.p, self.rows, self.cols = p, rows, r
+        self._columns = self._packed = None
+
+    @classmethod
+    def wrap(cls, rows: tuple, p: int) -> "Weights":
+        """Weights on *rows*, a tuple of K tuples of r canonical entries each: no copy, no check."""
+        weights = cls.__new__(cls)
+        weights.p, weights.rows, weights.cols = p, rows, len(rows[0]) if rows else 0
+        weights._columns = weights._packed = None
+        return weights
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def columns(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int | None, ...]]:
+        """(columns, units): unit i is k where column i is the k-th unit vector, else None."""
+        if self._columns is None:
+            k, columns = len(self.rows), tuple(zip(*self.rows))
+            self._columns = columns, tuple([c.index(1) if c.count(0) == k - 1 and 1 in c else None for c in columns])
+        return self._columns
+
+    def packed(self) -> tuple[int, ...]:
+        """The rows packed one int each, a slot_width(p, K)-byte slot per entry."""
+        if self._packed is None:
+            self._packed = self._pack()
+        return self._packed
+
+    def _pack(self) -> tuple[int, ...]:
+        slot = slot_width(self.p, len(self.rows))
+        return tuple(int.from_bytes(_encode(row, slot), "little") for row in self.rows)
+
+
 def combine_rows(rows, weights, p: int) -> list[list[int]]:
     """The r linear combinations over GF(p) of a list *rows* of K sequences of one length L.
 
-    Output i is the sum over k of weights[k][i] * rows[k]: *weights* is K
-    rows of r canonical entries, and the outputs are the columns of
-    X @ weights for the matrix X whose columns are the rows. Every row
-    entry is range-checked, ValueError outside [0, p): word-parallel on the
-    packed row (:func:`_range_test`) when rows are packed, by a C-level
-    min/max pass on the short rows when the weights are. An output whose
-    weight column is a unit vector is a fresh copy of its row.
+    Output i is the sum over k of weights[k][i] * rows[k]: *weights* is a
+    :class:`Weights` over GF(p) or K sequences of r entries, which are
+    checked and prepared on every call (build a Weights once to share that
+    work between products), and the outputs are the columns of X @ weights
+    for the matrix X whose columns are the rows. ValueError for a weight or
+    row entry outside [0, p): a row entry is checked word-parallel on the
+    packed row (:func:`_range_test`) when rows are packed, by one C-level
+    min/max over all entries when the weights are. An output whose weight
+    column is a unit vector is a fresh copy of its row.
     """
     return _combine(rows, weights, p, checked=True)
 
@@ -171,22 +232,26 @@ def combine_rows(rows, weights, p: int) -> list[list[int]]:
 def _combine(rows: list, weights, p: int, checked: bool = False) -> list[list[int]]:
     """The product kernel of :func:`combine_rows`; the rows are range-checked only if *checked*.
 
+    Plain weights are checked as they are wrapped (:class:`Weights`), so
+    an unchecked caller with canonical weights passes :meth:`Weights.wrap`.
     With r <= L each row is packed into one int and an output is one
     big-int multiply-add per nonzero weight, or a copy of row k where its
     weight column is the k-th unit vector. With fewer entries per row than
-    outputs the weights' rows are packed instead and combined once per
-    entry position, then transposed back. Either way each computed output
-    entry is reduced mod p once.
+    outputs the weights' packed rows (:meth:`Weights.packed`) are combined
+    once per entry position instead, then transposed back. Either way each
+    computed output entry is reduced mod p once.
     """
     k = len(rows)
     length = len(rows[0]) if rows else 0
-    if any(len(row) != length for row in rows):
+    if len(set(map(len, rows))) > 1:
         raise DimensionMismatch("ragged rows")
     if len(weights) != k:
         raise DimensionMismatch(f"{len(weights)} weight rows for {k} rows")
-    r = len(weights[0]) if weights else 0
-    if any(len(w) != r for w in weights):
-        raise DimensionMismatch("ragged weight rows")
+    if not isinstance(weights, Weights):
+        weights = Weights(weights, p)
+    elif weights.p != p:
+        raise DimensionMismatch(f"weights over GF({weights.p}) in a product over GF({p})")
+    r = weights.cols
     slot = slot_width(p, k)
     out_of_range = f"operand entry out of field range [0, {p})"
 
@@ -205,13 +270,13 @@ def _combine(rows: list, weights, p: int, checked: bool = False) -> list[list[in
         if checked and not all(map(_range_test(length, slot, p), packed)):
             raise ValueError(out_of_range)
         return [
-            list(rows[column.index(1)]) if column.count(0) == k - 1 and 1 in column else combine(column, packed, length)
-            for column in zip(*weights)
+            combine(column, packed, length) if unit is None else list(rows[unit])
+            for column, unit in zip(*weights.columns())
         ]
-    if checked and not all(0 <= min(row) <= max(row) < p for row in rows):
-        raise ValueError(out_of_range)
     entries = list(chain.from_iterable(rows))
-    packed = [int.from_bytes(_encode(w, slot), "little") for w in weights]
+    if checked and not 0 <= min(entries) <= max(entries) < p:
+        raise ValueError(out_of_range)
+    packed = weights.packed()
     return list(map(list, zip(*[combine(entries[j::length], packed, r) for j in range(length)])))
 
 
@@ -383,7 +448,8 @@ class Matrix:
         if not (self.cols and self.rows):
             return Matrix(self.field, [[0] * other.cols for _ in range(self.rows)], cols=other.cols)
         # Both operands are canonical by construction: no range check.
-        rows = _combine(other.data, list(zip(*self.data)), self.field.p)  # rows of self @ other
+        weights = Weights.wrap(tuple(zip(*self.data)), self.field.p)
+        rows = _combine(other.data, weights, self.field.p)  # rows of self @ other
         return Matrix.wrap(self.field, rows, other.cols)
 
     def _eliminate(self):

@@ -10,8 +10,13 @@ failures (beta = C(d-1, m-1) for one). The replacement side expands the d
 received batches by expand, undoes the encoding with one product over
 every stripe, and reads each failed node's stripes out by signed sums. No
 helper needs to know which other nodes are helping; single-failure repair
-is the case e = 1. Both the repair matrix and the readout read the one sign
-rule, :func:`detcode.subsets.incidence`: the matrix takes the signs as
+is the case e = 1. So there is one compress per failure tuple, whichever
+helpers serve it: :func:`repair_basis` builds it and expand once as
+:class:`~detcode.field.Weights`, checked and prepared for the product
+kernel, and all d helpers of every repair of that tuple share them.
+
+Both the repair matrix and the readout read the one sign rule,
+:func:`detcode.subsets.incidence`: the matrix takes the signs as
 coefficients, which :class:`~detcode.field.Matrix` reduces, and the readout
 applies them by :func:`detcode.field.signed_sums`, one call per column
 label. No reduction mod p is written here.
@@ -51,7 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, rows_inverse  # OverlapError re-exported
-from .field import Matrix, combine_rows, element_width, interleave, pack_symbols, signed_sums, unpack_symbols
+from .field import Matrix, Weights, combine_rows, element_width, interleave, pack_symbols, signed_sums, unpack_symbols
 from .subsets import binom, incidence
 
 
@@ -80,16 +85,19 @@ def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int):
     """(compress, pivot columns, expand) for a failure tuple; cached per encoder, shared.
 
     Column j of failure i's segment of the tuple's repair matrix has index
-    i * C(d, m-1) + j. compress is alpha rows of rank entries; expand keeps
-    only the free columns of the rank rows (the pivot columns are unit
-    columns): (free column indices, rank rows of their entries).
+    i * C(d, m-1) + j. compress is the alpha x rank
+    :class:`~detcode.field.Weights` of the pivot columns; expand keeps only
+    the free columns of the rank rows (the pivot columns are unit columns):
+    (free column indices, rank x free Weights of their entries). Both are
+    checked and prepared once here and live as long as the cache entry.
     """
     checked_ids(failed, "failed ids", n=encoder.n)
+    p = encoder.field.p
     xi = Matrix.hstack([repair_matrix(f, m, encoder) for f in failed])
     pivots, rref = xi.pivot_columns()
     free = tuple(sorted(set(range(xi.cols)) - set(pivots)))
-    compress = tuple(tuple(row[c] for c in pivots) for row in xi.data)
-    return compress, tuple(pivots), (free, tuple(tuple(row[c] for c in free) for row in rref.data))
+    compress = Weights([[row[c] for c in pivots] for row in xi.data], p)
+    return compress, tuple(pivots), (free, Weights([[row[c] for c in free] for row in rref.data], p))
 
 
 WIRE_VERSION = 3

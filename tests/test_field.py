@@ -10,6 +10,7 @@ from detcode.field import (
     Field,
     Matrix,
     Singular,
+    Weights,
     combine_rows,
     element_width,
     is_prime,
@@ -359,6 +360,50 @@ def test_combine_rows_rejects_exactly_the_entries_outside_the_field(case):
         assert combine_rows(rows, weights, p) == expected
 
 
+@st.composite
+def weight_edge_combinations(draw):
+    """Canonical rows at L in {0, 1, r-1, r, r+1} (both orientations) with weights at the range tests' edges."""
+    p = draw(st.sampled_from(RANGE_MODULI))
+    k, r = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    length = draw(st.sampled_from([0, 1, r - 1, r, r + 1]))
+    rows = [draw(st.lists(st.integers(0, p - 1), min_size=length, max_size=length)) for _ in range(k)]
+    entries = entry_lists(draw, p, {slot_width(p, k)}, k * r)
+    return p, rows, [entries[i * r : (i + 1) * r] for i in range(k)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(weight_edge_combinations())
+def test_combine_rows_rejects_exactly_the_weights_outside_the_field(case):
+    """A weight outside [0, p) is refused, by Weights and by a product with plain weights; none overflows a slot."""
+    p, rows, weights = case
+    if any(not 0 <= v < p for row in weights for v in row):
+        message = exact_message(f"weight entry out of field range [0, {p})")
+        with pytest.raises(ValueError, match=message):
+            Weights(weights, p)
+        with pytest.raises(ValueError, match=message):
+            combine_rows(rows, weights, p)
+    else:
+        expected = matmul_scalar(Matrix(Field(p), list(zip(*weights))), Matrix(Field(p), rows, cols=len(rows[0])))
+        assert combine_rows(rows, weights, p) == combine_rows(rows, Weights(weights, p), p) == expected
+
+
+@pytest.mark.parametrize("weight", [2**25, 257, -1])
+def test_weight_outside_the_field_never_reaches_a_slot(weight):
+    """2**25 * 256 would carry out of its 4-byte slot into the next output; -1 would not pack."""
+    with pytest.raises(ValueError, match=exact_message("weight entry out of field range [0, 257)")):
+        combine_rows([[256, 0]], [[weight]], 257)
+
+
+def test_weights_refuse_ragged_rows_and_another_field():
+    with pytest.raises(DimensionMismatch, match="ragged weight rows"):
+        Weights([[1, 2], [3]], 257)
+    weights = Weights([[1, 2], [3, 4]], 257)
+    with pytest.raises(DimensionMismatch, match="GF\\(257\\) in a product over GF\\(13\\)"):
+        combine_rows([[1], [2]], weights, 13)
+    with pytest.raises(DimensionMismatch, match="2 weight rows for 3 rows"):
+        combine_rows([[1], [2], [3]], weights, 257)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_symbol_codec_rejects_exactly_the_symbols_outside_the_field(data):
@@ -392,11 +437,15 @@ def test_pack_symbols_never_narrows_an_out_of_range_symbol(p):
 
 
 @st.composite
-def unit_mixes(draw):
-    """Rows packed (L >= r) and weight columns each a unit, zero, scaled-unit (2 e_k) or dense column."""
+def unit_mixes(draw, any_length=False):
+    """Weight columns each a unit, zero, scaled-unit (2 e_k) or dense column.
+
+    Rows are packed (L >= r), or with *any_length* L is also 0 or below r,
+    where the weights are packed.
+    """
     p = draw(st.sampled_from([13, 257, 65521, 2**31 - 1, 2**61 - 1]))
     k, r = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    length = draw(st.integers(r, r + 4))
+    length = draw(st.integers(0, r + 4) if any_length else st.integers(r, r + 4))
     entry = st.one_of(st.just(p - 1), st.just(0), st.integers(0, p - 1))
     rows = [[draw(entry) for _ in range(length)] for _ in range(k)]
     columns = []
@@ -422,6 +471,32 @@ def test_unit_weight_columns_are_fresh_copies(case):
     for output in outputs + product.data:
         output[0] += 1
     assert rows == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_mixes(any_length=True))
+def test_weights_match_plain_weights(case):
+    """A shared Weights gives the plain weights' outputs in both orientations, fresh lists every time, and never changes."""
+    p, rows, weights = case
+    shared, before = Weights(weights, p), [row[:] for row in rows]
+    expected = combine_rows(rows, weights, p)
+    units = tuple(column.index(1) if sorted(column) == [0] * (len(column) - 1) + [1] else None for column in zip(*weights))
+    state = (shared.rows, shared.cols, shared.columns())
+    assert state == (tuple(map(tuple, weights)), len(weights[0]), (tuple(zip(*weights)), units))
+    for _ in range(3):  # the first product may pack the weights, the others reuse them
+        outputs = combine_rows(rows, shared, p)
+        assert outputs == expected
+        assert all(type(output) is list for output in outputs)
+        assert len({id(output) for output in outputs + rows}) == len(outputs) + len(rows)
+        for output in outputs:
+            if output:
+                output[0] += 1
+        assert rows == before
+        assert (shared.rows, shared.cols, shared.columns()) == state
+    if len(rows[0]) < len(weights[0]):  # weights packed: once, then the same ints
+        packed = shared.packed()
+        assert packed is shared.packed()
+        assert packed == shared._pack()
 
 
 @st.composite

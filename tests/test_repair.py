@@ -292,3 +292,25 @@ def test_repair_builds_no_matrix_once_bases_are_cached(encoder8, contents8, monk
     monkeypatch.setattr(Matrix, "__init__", lambda *args, **kwargs: pytest.fail("Matrix built on the repair path"))
     monkeypatch.setattr(Matrix, "wrap", lambda *args, **kwargs: pytest.fail("Matrix built on the repair path"))
     assert repair() == expected == {f: repeated(contents8[f - 1]) for f in failed}
+
+
+def test_joint_repair_packs_each_basis_weights_once(monkeypatch):
+    """At (16,10,3) with one stripe, transmit and decompression pack their weights, not the
+    short stripe rows: one joint repair packs compress and expand once each, a second none."""
+    from detcode import Cluster, CodeConfig
+    from detcode.field import Weights
+
+    config = CodeConfig(n=16, d=10, m=3, p=257)
+    cluster = Cluster.from_file(random.Random(15).randbytes(config.file_symbols), config)
+    assert cluster.stripe_count == 1
+    failed = (2, 7, 11)
+    saved = {f: cluster.contents[f] for f in failed}
+    repair_basis.cache_clear()
+    packed, pack = [], Weights._pack
+    monkeypatch.setattr(Weights, "_pack", lambda self: packed.append(self) or pack(self))
+    for _ in range(2):
+        cluster.fail_nodes(failed)
+        event = cluster.repair("joint", failed)
+        assert len(event.helpers) == 10 and all(cluster.contents[f] == saved[f] for f in failed)
+        compress, _, (_, expand) = repair_basis(cluster.encoder, failed, 3)
+        assert packed == [compress, expand]
