@@ -14,9 +14,9 @@ encoder matrix as one flat :class:`StripeBatch`, whose strided slice
 ``symbols[c::alpha]`` is symbol c of every stripe: no layer builds a list
 per stripe. A block's cells and parity groups are read from
 :func:`detcode.subsets.incidence`, the package's one sign rule. One
-:func:`detcode.field.signed_sums` per group completes (and on recover
-checks) its parity cells; with the source reduced once on entry by the
-same primitive, the matrix needs no reducing copy.
+:func:`detcode.field.signed_sums` per group completes its parity cells,
+and one over every group checks them on recover; with the source reduced
+once on entry by the same primitive, the matrix needs no reducing copy.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .field import CompositeModulus, Field, Matrix, combine_rows, interleave, signed_sums  # CompositeModulus re-exported
 from .subsets import binom, incidence, subsets
@@ -166,12 +167,16 @@ class EncoderMatrix:
 
 @lru_cache(maxsize=512)
 def rows_inverse(encoder: EncoderMatrix, node_ids: tuple[int, ...]) -> Matrix:
-    """Inverse of the encoder rows of *node_ids*, in that order; cached.
-
-    Every stripe read from, or repaired by, the same nodes shares one
-    inverse. The cached matrix is shared: do not mutate it.
-    """
+    """Inverse of the encoder rows of *node_ids*, in that order; cached: every read or repair by them shares it."""
     return encoder.rows_submatrix(node_ids).inverse()
+
+
+@lru_cache(maxsize=512)
+def recover_weights(encoder: EncoderMatrix, node_ids: tuple[int, ...]) -> Matrix:
+    """d x len(node_ids) weight matrix of a read: column i is row i of the first d ids' inverse, or id i's row times it; cached."""
+    inverse = rows_inverse(encoder, node_ids[: encoder.d])
+    checks = encoder.rows_submatrix(node_ids[encoder.d :]) @ inverse
+    return Matrix.wrap(encoder.field, [*inverse.data, *checks.data], encoder.d).T
 
 
 def _encoder_points(n: int, field: Field) -> range:
@@ -271,13 +276,19 @@ class MessageMatrix:
         return self.matrix[x - 1, self.layout.columns.rank(rest)]
 
     def verify_parity(self) -> None:
-        """Check every alternating-sum constraint of every stripe, one signed sum per group; raises ParityViolation."""
-        rows, p, alpha = self.matrix.data, self.matrix.field.p, len(self.layout.columns)
-        for k, group in enumerate(self.layout.parity_sets):
-            sums = signed_sums([(sign, rows[r][c::alpha]) for (r, c), sign in group], p)
-            if any(sums):
-                bad = next(s for s, v in enumerate(sums) if v)
-                raise ParityViolation(f"stripe {bad}: parity fails for {subsets(self.d, self.m + 1).unrank(k)}")
+        """Check every alternating-sum constraint of every stripe by one signed sum; raises ParityViolation."""
+        rows, alpha, groups = self.matrix.data, len(self.layout.columns), self.layout.parity_sets
+        if not groups:
+            return
+        # member i of every group has one sign: term i chains the groups' member i, so sum k * S + s is group k, stripe s
+        terms = [
+            (sign, chain.from_iterable(rows[r][c::alpha] for (r, c), _ in [group[i] for group in groups]))
+            for i, (_, sign) in enumerate(groups[0])
+        ]
+        sums = signed_sums(terms, self.matrix.field.p)
+        if any(sums):
+            k, bad = divmod(next(t for t, v in enumerate(sums) if v), self.stripes)
+            raise ParityViolation(f"stripe {bad}: parity fails for {subsets(self.d, self.m + 1).unrank(k)}")
 
     def extract_symbols(self) -> list[int]:
         """Source symbols back out, stripe after stripe, in canonical order; does not check parity."""
@@ -316,20 +327,17 @@ def encode(encoder: EncoderMatrix, message: MessageMatrix) -> list[StripeBatch]:
 def recover_data(contents, node_ids, encoder: EncoderMatrix, m: int) -> MessageMatrix:
     """Rebuild the message matrix of every stripe from the stripe batches of d or more nodes.
 
-    One packed product of the cached inverse of the first d ids' encoder
-    rows with their batches' flat symbol lists; parity is then verified per
-    stripe. Each further id adds a weight column, its encoder row times that
-    inverse, re-encoding its batch: one that differs raises ParityViolation.
+    One packed product of the cached :func:`recover_weights` with the first
+    d ids' flat symbol lists rebuilds the message; parity is then verified
+    per stripe. Each further id's output re-encodes its batch: one that
+    differs raises ParityViolation.
     """
     node_ids, d = checked_ids(node_ids, "node ids", n=encoder.n), encoder.d
     if len(node_ids) < d:
         raise ValueError(f"need at least {d} distinct node ids, got {list(node_ids)}")
     if len(contents) != len(node_ids):
         raise ValueError(f"{len(contents)} stripe batches for {len(node_ids)} node ids")
-    inverse = rows_inverse(encoder, node_ids[:d])
-    checks = encoder.rows_submatrix(node_ids[d:]) @ inverse
-    weights = list(zip(*inverse.data, *checks.data))
-    rows = combine_rows([batch.symbols for batch in contents[:d]], weights, encoder.field.p)
+    rows = combine_rows([batch.symbols for batch in contents[:d]], recover_weights(encoder, node_ids), encoder.field.p)
     message = MessageMatrix(symbol_layout(d, m), Matrix.wrap(encoder.field, rows[:d], len(rows[0])))
     message.verify_parity()
     for node_id, batch, expected in zip(node_ids[d:], contents[d:], rows[d:]):

@@ -18,11 +18,11 @@ The long operand is never copied through :class:`Matrix`. An output
 whose weight column is a unit vector (a systematic node's row in
 encode, an identity row of a recover inverse) is a copy of its row.
 
-The weights are a :class:`Weights`: checked (no ragged row, every entry
-in [0, p)) once, and prepared (columns and their unit indices, or packed
-rows) once per orientation. Plain weights are wrapped on every call; a
-repair basis keeps its compress and expand compiled, so every helper and
-every repair of a failure tuple shares one check and one packing.
+The weights are a :class:`Matrix`, checked when built and prepared
+(columns and their unit indices, or packed rows) once per orientation,
+or plain sequences, checked and prepared on every call. A cached repair
+basis or read keeps its weights as Matrix, so every helper and repair
+shares one check and one packing. :attr:`Matrix.T` is built once.
 
 Every operand row and every symbol blob is range-checked against
 [0, p), and each check runs on the packed int or bytes it is packed
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import add, sub
 
@@ -160,98 +160,55 @@ def _decode(blob, width: int):
     return items
 
 
-class Weights:
-    """A K x r weight matrix over GF(p), checked once and prepared for :func:`combine_rows`.
+def _unit_columns(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int | None, ...]]:
+    """(columns, units) of K weight rows: unit i is k where column i is the k-th unit vector, else None."""
+    k, columns = len(rows), tuple(zip(*rows))
+    return columns, tuple([c.index(1) if c.count(0) == k - 1 and 1 in c else None for c in columns])
 
-    Checked on construction (not by :meth:`wrap`): DimensionMismatch for
-    ragged rows, ValueError for an entry outside [0, p). The rows are kept
-    as tuples; what each orientation of the product needs is prepared on
-    its first use and kept: the columns with their unit indices where the
-    rows are packed, the packed weight rows where the weights are. Nothing
-    is changed after that, so one instance serves any number of products:
-    a repair basis's compress is shared by every helper.
-    """
 
-    __slots__ = ("p", "rows", "cols", "_columns", "_packed")
-
-    def __init__(self, rows, p: int):
-        rows = tuple(map(tuple, rows))
-        if len(set(map(len, rows))) > 1:
-            raise DimensionMismatch("ragged weight rows")
-        r = len(rows[0]) if rows else 0
-        if r and not (0 <= min(map(min, rows)) and max(map(max, rows)) < p):
-            raise ValueError(f"weight entry out of field range [0, {p})")
-        self.p, self.rows, self.cols = p, rows, r
-        self._columns = self._packed = None
-
-    @classmethod
-    def wrap(cls, rows: tuple, p: int) -> "Weights":
-        """Weights on *rows*, a tuple of K tuples of r canonical entries each: no copy, no check."""
-        weights = cls.__new__(cls)
-        weights.p, weights.rows, weights.cols = p, rows, len(rows[0]) if rows else 0
-        weights._columns = weights._packed = None
-        return weights
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def columns(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int | None, ...]]:
-        """(columns, units): unit i is k where column i is the k-th unit vector, else None."""
-        if self._columns is None:
-            k, columns = len(self.rows), tuple(zip(*self.rows))
-            self._columns = columns, tuple([c.index(1) if c.count(0) == k - 1 and 1 in c else None for c in columns])
-        return self._columns
-
-    def packed(self) -> tuple[int, ...]:
-        """The rows packed one int each, a slot_width(p, K)-byte slot per entry."""
-        if self._packed is None:
-            self._packed = self._pack()
-        return self._packed
-
-    def _pack(self) -> tuple[int, ...]:
-        slot = slot_width(self.p, len(self.rows))
-        return tuple(int.from_bytes(_encode(row, slot), "little") for row in self.rows)
+def _packed_rows(rows, p: int) -> tuple[int, ...]:
+    """K weight rows over GF(p) packed one int each, a slot_width(p, K)-byte slot per entry."""
+    slot = slot_width(p, len(rows))
+    return tuple(int.from_bytes(_encode(row, slot), "little") for row in rows)
 
 
 def combine_rows(rows, weights, p: int) -> list[list[int]]:
     """The r linear combinations over GF(p) of a list *rows* of K sequences of one length L.
 
     Output i is the sum over k of weights[k][i] * rows[k]: *weights* is a
-    :class:`Weights` over GF(p) or K sequences of r entries, which are
-    checked and prepared on every call (build a Weights once to share that
-    work between products), and the outputs are the columns of X @ weights
-    for the matrix X whose columns are the rows. ValueError for a weight or
-    row entry outside [0, p): a row entry is checked word-parallel on the
+    K x r :class:`Matrix` over GF(p), checked when it was built and
+    prepared once, or K sequences of r entries, checked and prepared on
+    every call. The outputs are the columns of X @ weights for the matrix
+    X whose columns are the rows. ValueError for a plain weight or a row
+    entry outside [0, p): a row entry is checked word-parallel on the
     packed row (:func:`_range_test`) when rows are packed, by one C-level
-    min/max over all entries when the weights are. An output whose weight
-    column is a unit vector is a fresh copy of its row.
-    """
-    return _combine(rows, weights, p, checked=True)
+    min/max over all entries when the weights are.
 
-
-def _combine(rows: list, weights, p: int, checked: bool = False) -> list[list[int]]:
-    """The product kernel of :func:`combine_rows`; the rows are range-checked only if *checked*.
-
-    Plain weights are checked as they are wrapped (:class:`Weights`), so
-    an unchecked caller with canonical weights passes :meth:`Weights.wrap`.
     With r <= L each row is packed into one int and an output is one
-    big-int multiply-add per nonzero weight, or a copy of row k where its
-    weight column is the k-th unit vector. With fewer entries per row than
-    outputs the weights' packed rows (:meth:`Weights.packed`) are combined
-    once per entry position instead, then transposed back. Either way each
-    computed output entry is reduced mod p once.
+    big-int multiply-add per nonzero weight, or a fresh copy of row k where
+    its weight column is the k-th unit vector (:func:`_unit_columns`). With
+    fewer entries per row than outputs the weights' packed rows
+    (:func:`_packed_rows`) are combined once per entry position instead,
+    then transposed back. Either way each computed output entry is reduced
+    mod p once.
     """
     k = len(rows)
     length = len(rows[0]) if rows else 0
     if len(set(map(len, rows))) > 1:
         raise DimensionMismatch("ragged rows")
-    if len(weights) != k:
-        raise DimensionMismatch(f"{len(weights)} weight rows for {k} rows")
-    if not isinstance(weights, Weights):
-        weights = Weights(weights, p)
-    elif weights.p != p:
-        raise DimensionMismatch(f"weights over GF({weights.p}) in a product over GF({p})")
-    r = weights.cols
+    matrix = isinstance(weights, Matrix)  # prepared once; plain weights are checked and prepared here
+    if matrix:
+        if weights.field.p != p:
+            raise DimensionMismatch(f"weights over GF({weights.field.p}) in a product over GF({p})")
+        height, r = weights.rows, weights.cols
+    else:
+        if len(set(map(len, weights))) > 1:
+            raise DimensionMismatch("ragged weight rows")
+        height, r = len(weights), len(weights[0]) if weights else 0
+        if r and not (0 <= min(map(min, weights)) and max(map(max, weights)) < p):
+            raise ValueError(f"weight entry out of field range [0, {p})")
+    if height != k:
+        raise DimensionMismatch(f"{height} weight rows for {k} rows")
     slot = slot_width(p, k)
     out_of_range = f"operand entry out of field range [0, {p})"
 
@@ -267,16 +224,16 @@ def _combine(rows: list, weights, p: int, checked: bool = False) -> list[list[in
             packed = [int.from_bytes(_encode(row, slot), "little") for row in rows]
         except (OverflowError, TypeError):
             raise ValueError(out_of_range) from None
-        if checked and not all(map(_range_test(length, slot, p), packed)):
+        if not all(map(_range_test(length, slot, p), packed)):
             raise ValueError(out_of_range)
         return [
             combine(column, packed, length) if unit is None else list(rows[unit])
-            for column, unit in zip(*weights.columns())
+            for column, unit in zip(*(weights.unit_columns if matrix else _unit_columns(weights)))
         ]
     entries = list(chain.from_iterable(rows))
-    if checked and not 0 <= min(entries) <= max(entries) < p:
+    if not 0 <= min(entries) <= max(entries) < p:
         raise ValueError(out_of_range)
-    packed = weights.packed()
+    packed = weights.packed_rows if matrix else _packed_rows(weights, p)
     return list(map(list, zip(*[combine(entries[j::length], packed, r) for j in range(length)])))
 
 
@@ -297,7 +254,13 @@ def signed_sums(terms, p: int) -> list[int]:
 
 
 def interleave(columns) -> list:
-    """One or more equal-length columns side by side, row after row, in one flat list."""
+    """One or more equal-length columns side by side, row after row, in one flat list.
+
+    Columns shorter than 5 entries are zipped, longer ones slice-assigned: 5 is the crossover measured
+    for 4 to 120 columns on CPython 3.11.
+    """
+    if len(columns[0]) < 5:
+        return list(chain.from_iterable(zip(*columns)))
     flat = [0] * (len(columns) * len(columns[0]))
     for c, column in enumerate(columns):
         flat[c :: len(columns)] = column
@@ -372,36 +335,30 @@ class Matrix:
 
     Rows and columns are 0-indexed here; higher-level modules translate
     their subset labels to positions before touching a Matrix.
-    """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    A Matrix is also a checked weight operand of :func:`combine_rows`, whose
+    preparation it builds on first use and keeps: its rows must not change.
+    """
 
     def __init__(self, field: Field, data, cols: int | None = None):
         p = field.p
         self.field = field
-        self.data = [[v % p for v in row] for row in data]
+        self.data = tuple(tuple([v % p for v in row]) for row in data)
         self.rows = len(self.data)
-        if self.rows:
-            self.cols = len(self.data[0])
-            if any(len(row) != self.cols for row in self.data):
-                raise DimensionMismatch("ragged rows")
-            if cols is not None and cols != self.cols:
-                raise DimensionMismatch("explicit cols disagrees with data")
-        else:
-            if cols is None:
-                raise DimensionMismatch("empty matrix needs an explicit column count")
-            self.cols = cols
+        if not self.rows and cols is None:
+            raise DimensionMismatch("empty matrix needs an explicit column count")
+        self.cols = len(self.data[0]) if self.rows else cols
+        if any(len(row) != self.cols for row in self.data):
+            raise DimensionMismatch("ragged rows")
+        if cols is not None and cols != self.cols:
+            raise DimensionMismatch("explicit cols disagrees with data")
 
     @classmethod
-    def wrap(cls, field: Field, rows: list[list[int]], cols: int) -> "Matrix":
-        """A matrix on *rows*, which must be canonical and cols wide: no reducing copy, no check."""
+    def wrap(cls, field: Field, rows, cols: int) -> "Matrix":
+        """A matrix on *rows*, which must be canonical and cols wide: no copy, no check."""
         matrix = cls.__new__(cls)
         matrix.field, matrix.data, matrix.rows, matrix.cols = field, rows, len(rows), cols
         return matrix
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -414,15 +371,26 @@ class Matrix:
     def row(self, i: int) -> list[int]:
         return list(self.data[i])
 
-    def column(self, j: int) -> list[int]:
-        return [row[j] for row in self.data]
+    @cached_property
+    def unit_columns(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int | None, ...]]:
+        """(columns, units) as weights, built once (:func:`_unit_columns`)."""
+        return _unit_columns(self.data)
+
+    @cached_property
+    def packed_rows(self) -> tuple[int, ...]:
+        """The rows packed as weights, built once (:func:`_packed_rows`)."""
+        return _packed_rows(self.data, self.field.p)
+
+    @cached_property
+    def T(self) -> "Matrix":
+        """The transpose, built once."""
+        return Matrix.wrap(self.field, tuple(zip(*self.data)) if self.rows else ((),) * self.cols, self.rows)
 
     def submatrix(self, row_indices, col_indices) -> "Matrix":
-        rows = list(row_indices)
         cols = list(col_indices)
         return Matrix(
             self.field,
-            [[self.data[i][j] for j in cols] for i in rows],
+            [[self.data[i][j] for j in cols] for i in row_indices],
             cols=len(cols),
         )
 
@@ -433,7 +401,7 @@ class Matrix:
         first = blocks[0]
         if any(b.rows != first.rows or b.field != first.field for b in blocks):
             raise DimensionMismatch("row counts or moduli differ")
-        data = [sum((b.data[i] for b in blocks), []) for i in range(first.rows)]
+        data = [[v for b in blocks for v in b.data[i]] for i in range(first.rows)]
         return Matrix(first.field, data, cols=sum(b.cols for b in blocks))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -446,11 +414,8 @@ class Matrix:
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         if not (self.cols and self.rows):
-            return Matrix(self.field, [[0] * other.cols for _ in range(self.rows)], cols=other.cols)
-        # Both operands are canonical by construction: no range check.
-        weights = Weights.wrap(tuple(zip(*self.data)), self.field.p)
-        rows = _combine(other.data, weights, self.field.p)  # rows of self @ other
-        return Matrix.wrap(self.field, rows, other.cols)
+            return Matrix.wrap(self.field, [[0] * other.cols for _ in range(self.rows)], other.cols)
+        return Matrix.wrap(self.field, combine_rows(other.data, self.T, self.field.p), other.cols)
 
     def _eliminate(self):
         """Gauss-Jordan to reduced row echelon form; leftmost pivots first.
@@ -461,7 +426,7 @@ class Matrix:
         row operations, which is what pivot_columns relies on.
         """
         p = self.field.p
-        a = [row[:] for row in self.data]
+        a = list(self.data)  # rows are replaced, never changed in place
         pivots: list[int] = []
         product = 1
         r = 0
@@ -505,7 +470,8 @@ class Matrix:
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices have inverses")
         n = self.rows
-        rref, pivots, _ = Matrix.hstack([self, Matrix.identity(self.field, n)])._eliminate()
+        augmented = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(self.data)]
+        rref, pivots, _ = Matrix.wrap(self.field, augmented, 2 * n)._eliminate()
         if pivots != list(range(n)):
             raise Singular(f"rank < {n}")
         return Matrix(self.field, [row[n:] for row in rref], cols=n)
@@ -517,15 +483,13 @@ class Matrix:
         _, pivots, product = self._eliminate()
         return product if len(pivots) == self.rows else 0
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
-
     def __eq__(self, other):
+        """Equal field, shape and entries, whether the rows are tuples or lists."""
         return (
             isinstance(other, Matrix)
             and other.field == self.field
             and other.shape == self.shape
-            and other.data == self.data
+            and list(map(tuple, other.data)) == list(map(tuple, self.data))
         )
 
     def __repr__(self):

@@ -12,7 +12,7 @@ every stripe, and reads each failed node's stripes out by signed sums. No
 helper needs to know which other nodes are helping; single-failure repair
 is the case e = 1. So there is one compress per failure tuple, whichever
 helpers serve it: :func:`repair_basis` builds it and expand once as
-:class:`~detcode.field.Weights`, checked and prepared for the product
+:class:`~detcode.field.Matrix`, which keeps them prepared for the product
 kernel, and all d helpers of every repair of that tuple share them.
 
 Both the repair matrix and the readout read the one sign rule,
@@ -33,10 +33,10 @@ factored decode, which also stays the test oracle.
 
 Every product here is :func:`detcode.field.combine_rows`, fed plain
 sequences (a batch's strided slices ``batch.symbols[c::alpha]``, a
-payload's ``symbols[j::rank]``, repair vectors), so stripe data is never
-copied into a :class:`~detcode.field.Matrix`; each output column lands in
-the flat payload, vector or batch by one slice assignment
-(:func:`~detcode.field.interleave`).
+payload's ``symbols[j::rank]``, repair vectors) weighted by a cached
+:class:`~detcode.field.Matrix` (or, per repair, a plain decode operator),
+so stripe data is never copied into a Matrix; each output column lands in
+the flat payload, vector or batch by :func:`~detcode.field.interleave`.
 
 Wire format of a payload, version 3, all integers little-endian::
 
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, rows_inverse  # OverlapError re-exported
-from .field import Matrix, Weights, combine_rows, element_width, interleave, pack_symbols, signed_sums, unpack_symbols
+from .field import Matrix, combine_rows, element_width, interleave, pack_symbols, signed_sums, unpack_symbols
 from .subsets import binom, incidence
 
 
@@ -86,18 +86,17 @@ def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int):
 
     Column j of failure i's segment of the tuple's repair matrix has index
     i * C(d, m-1) + j. compress is the alpha x rank
-    :class:`~detcode.field.Weights` of the pivot columns; expand keeps only
+    :class:`~detcode.field.Matrix` of the pivot columns; expand keeps only
     the free columns of the rank rows (the pivot columns are unit columns):
-    (free column indices, rank x free Weights of their entries). Both are
-    checked and prepared once here and live as long as the cache entry.
+    (free column indices, rank x free Matrix of their entries). Both keep
+    their kernel preparation as long as the cache entry lives.
     """
     checked_ids(failed, "failed ids", n=encoder.n)
-    p = encoder.field.p
     xi = Matrix.hstack([repair_matrix(f, m, encoder) for f in failed])
     pivots, rref = xi.pivot_columns()
     free = tuple(sorted(set(range(xi.cols)) - set(pivots)))
-    compress = Weights([[row[c] for c in pivots] for row in xi.data], p)
-    return compress, tuple(pivots), (free, Weights([[row[c] for c in free] for row in rref.data], p))
+    compress = xi.submatrix(range(xi.rows), pivots)
+    return compress, tuple(pivots), (free, rref.submatrix(range(rref.rows), free))
 
 
 WIRE_VERSION = 3
@@ -262,8 +261,7 @@ def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m
     stripe and failure: the result holds a d x C(d, m-1) repair space per
     stripe and failure, stripe after stripe, each decoded by signed sums.
     """
-    inverse = rows_inverse(encoder, tuple(helper_ids))
-    space = combine_rows(vectors, list(zip(*inverse.data)), encoder.field.p)
+    space = combine_rows(vectors, rows_inverse(encoder, tuple(helper_ids)).T, encoder.field.p)
     labels, e = combine_repair_space(space, encoder.d, m, encoder.field), len(failed)
     return {f: StripeBatch(interleave([label[i::e] for label in labels]), len(labels)) for i, f in enumerate(failed)}
 

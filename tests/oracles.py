@@ -3,7 +3,20 @@ elimination code they cross-check."""
 
 from itertools import combinations
 
-from detcode.field import DimensionMismatch
+from detcode.field import DimensionMismatch, Matrix
+
+
+def identity(field, n: int):
+    """The n x n identity matrix over *field*."""
+    return Matrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+
+
+def is_zero(matrix) -> bool:
+    return all(v == 0 for row in matrix.data for v in row)
+
+
+def column(matrix, j: int) -> list[int]:
+    return [row[j] for row in matrix.data]
 
 
 def det_cofactor(rows) -> int:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,9 +24,10 @@ from detcode.code import (
 )
 from detcode.field import CompositeModulus, Field, Matrix
 from detcode.code import MessageMatrix
-from detcode.subsets import binom
+from detcode.subsets import binom, subsets
 
 from conftest import GOLDEN_TAIL_ROWS
+from oracles import identity, is_zero, signed_sums_scalar
 
 
 @pytest.mark.parametrize(
@@ -117,7 +119,7 @@ def test_encoder_accepts_minimal_field():
 def test_every_d_subset_invertible(encoder8, gf13):
     for ids in combinations(range(1, 9), 4):
         sub = encoder8.rows_submatrix(ids)
-        assert sub @ sub.inverse() == Matrix.identity(gf13, 4)
+        assert sub @ sub.inverse() == identity(gf13, 4)
 
 
 @pytest.mark.parametrize("n,d", [(8, 4), (12, 6), (16, 10)])
@@ -148,7 +150,7 @@ def test_symbol_counts():
 
 def test_zero_source_gives_zero_matrix(gf13):
     msg = build_message_matrix([0] * 20, 4, 2, gf13)
-    assert msg.matrix.is_zero()
+    assert is_zero(msg.matrix)
     assert msg.extract_symbols() == [0] * 20
 
 
@@ -203,6 +205,39 @@ def test_parity_violation_detected(gf13):
     rows[2][msg.layout.columns.rank((1, 2))] += 1
     with pytest.raises(ParityViolation):
         MessageMatrix(msg.layout, Matrix(gf13, rows)).verify_parity()
+
+
+def first_parity_violation(message):
+    """The message of a per-group check: the first group with a nonzero signed sum, then its first stripe."""
+    rows, p, alpha = message.matrix.data, message.matrix.field.p, len(message.layout.columns)
+    for k, group in enumerate(message.layout.parity_sets):
+        sums = signed_sums_scalar([(sign, rows[r][c::alpha]) for (r, c), sign in group], p)
+        bad = [s for s, v in enumerate(sums) if v]
+        if bad:
+            return f"stripe {bad[0]}: parity fails for {subsets(message.d, message.m + 1).unrank(k)}"
+    return None
+
+
+@pytest.mark.parametrize("d, m", [(4, 2), (10, 3)])
+def test_verify_parity_names_the_group_and_stripe_of_a_per_group_check(d, m):
+    """Damage every cell of a two-stripe message, alone and with its mirror cell: one signed sum over
+    every group names the same group and stripe as checking group after group."""
+    field = Field(257)
+    message = build_message_matrix(random.Random(d).choices(range(257), k=2 * symbol_layout(d, m).file_symbols), d, m, field)
+    clean, width = [list(row) for row in message.matrix.data], message.matrix.cols
+    for r in range(d):
+        for c in range(width):
+            for cells in ([(r, c)], [(r, c), (d - 1 - r, width - 1 - c)]):
+                rows = [row[:] for row in clean]
+                for y, x in cells:
+                    rows[y][x] = (rows[y][x] + 1) % 257
+                damaged = MessageMatrix(message.layout, Matrix.wrap(field, rows, width))
+                expected = first_parity_violation(damaged)
+                if expected is None:
+                    damaged.verify_parity()
+                else:
+                    with pytest.raises(ParityViolation, match=f"^{re.escape(expected)}$"):
+                        damaged.verify_parity()
 
 
 # --- encode / recover --------------------------------------------------

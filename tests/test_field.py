@@ -10,9 +10,10 @@ from detcode.field import (
     Field,
     Matrix,
     Singular,
-    Weights,
+    _packed_rows,
     combine_rows,
     element_width,
+    interleave,
     is_prime,
     next_prime_at_least,
     pack_symbols,
@@ -20,7 +21,7 @@ from detcode.field import (
     slot_width,
     unpack_symbols,
 )
-from oracles import matmul_scalar, signed_sums_scalar, vec_mat
+from oracles import identity, is_zero, matmul_scalar, signed_sums_scalar, vec_mat
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 12, 100, 13 * 17])
@@ -36,7 +37,7 @@ def test_prime_moduli_accepted(p):
 
 def test_every_nonzero_element_inverts(gf13):
     for a in range(1, 13):
-        assert Matrix(gf13, [[a]]) @ Matrix(gf13, [[a]]).inverse() == Matrix.identity(gf13, 1)
+        assert Matrix(gf13, [[a]]) @ Matrix(gf13, [[a]]).inverse() == identity(gf13, 1)
 
 
 def test_inverse_of_zero_raises(gf13):
@@ -73,13 +74,13 @@ def test_element_width():
 
 def test_identity_multiplication(gf13):
     b = Matrix(gf13, [[1, 2], [3, 4], [5, 6]])
-    assert Matrix.identity(gf13, 3) @ b == b
+    assert identity(gf13, 3) @ b == b
 
 
 def test_zero_annihilates(gf13):
     a = Matrix(gf13, [[1, 2], [3, 4]])
     z = Matrix(gf13, [[0, 0], [0, 0]])
-    assert (a @ z).is_zero()
+    assert is_zero(a @ z)
 
 
 def test_dimension_mismatch(gf13):
@@ -96,13 +97,13 @@ def test_modulus_mismatch(gf13):
 
 
 def test_inverse_of_identity(gf13):
-    eye = Matrix.identity(gf13, 4)
+    eye = identity(gf13, 4)
     assert eye.inverse() == eye
 
 
 def test_vandermonde_on_first_four_points_invertible(gf13):
     vand = Matrix(gf13, [[pow(i, j, 13) for j in range(4)] for i in range(1, 5)])
-    assert vand @ vand.inverse() == Matrix.identity(gf13, 4)
+    assert vand @ vand.inverse() == identity(gf13, 4)
 
 
 def test_repeated_row_is_singular(gf13):
@@ -119,7 +120,7 @@ def test_random_inverse_roundtrip(gf13):
         a = Matrix(gf13, [[rng.randrange(13) for _ in range(n)] for _ in range(n)])
         if a.rank() < n:
             continue
-        assert a @ a.inverse() == Matrix.identity(gf13, n)
+        assert a @ a.inverse() == identity(gf13, n)
         count += 1
 
 
@@ -174,7 +175,7 @@ def test_empty_matrix_needs_explicit_cols(gf13):
 
 def test_entries_always_canonical(gf13):
     m = Matrix(gf13, [[-1, 14], [26, -13]])
-    assert m.data == [[12, 1], [0, 0]]
+    assert m.data == ((12, 1), (0, 0))
 
 
 # --- packed product and symbol codec ------------------------------------
@@ -374,17 +375,16 @@ def weight_edge_combinations(draw):
 @settings(max_examples=400, deadline=None)
 @given(weight_edge_combinations())
 def test_combine_rows_rejects_exactly_the_weights_outside_the_field(case):
-    """A weight outside [0, p) is refused, by Weights and by a product with plain weights; none overflows a slot."""
+    """A plain weight outside [0, p) is refused by a product; a Matrix holds it reduced. None overflows a slot."""
     p, rows, weights = case
+    expected = matmul_scalar(Matrix(Field(p), list(zip(*weights))), Matrix(Field(p), rows, cols=len(rows[0])))  # reduced
     if any(not 0 <= v < p for row in weights for v in row):
         message = exact_message(f"weight entry out of field range [0, {p})")
-        with pytest.raises(ValueError, match=message):
-            Weights(weights, p)
+        assert combine_rows(rows, Matrix(Field(p), weights), p) == expected
         with pytest.raises(ValueError, match=message):
             combine_rows(rows, weights, p)
     else:
-        expected = matmul_scalar(Matrix(Field(p), list(zip(*weights))), Matrix(Field(p), rows, cols=len(rows[0])))
-        assert combine_rows(rows, weights, p) == combine_rows(rows, Weights(weights, p), p) == expected
+        assert combine_rows(rows, weights, p) == combine_rows(rows, Matrix(Field(p), weights), p) == expected
 
 
 @pytest.mark.parametrize("weight", [2**25, 257, -1])
@@ -396,8 +396,10 @@ def test_weight_outside_the_field_never_reaches_a_slot(weight):
 
 def test_weights_refuse_ragged_rows_and_another_field():
     with pytest.raises(DimensionMismatch, match="ragged weight rows"):
-        Weights([[1, 2], [3]], 257)
-    weights = Weights([[1, 2], [3, 4]], 257)
+        combine_rows([[1], [2]], [[1, 2], [3]], 257)
+    with pytest.raises(DimensionMismatch, match="ragged rows"):
+        Matrix(Field(257), [[1, 2], [3]])
+    weights = Matrix(Field(257), [[1, 2], [3, 4]])
     with pytest.raises(DimensionMismatch, match="GF\\(257\\) in a product over GF\\(13\\)"):
         combine_rows([[1], [2]], weights, 13)
     with pytest.raises(DimensionMismatch, match="2 weight rows for 3 rows"):
@@ -476,13 +478,14 @@ def test_unit_weight_columns_are_fresh_copies(case):
 @settings(max_examples=300, deadline=None)
 @given(unit_mixes(any_length=True))
 def test_weights_match_plain_weights(case):
-    """A shared Weights gives the plain weights' outputs in both orientations, fresh lists every time, and never changes."""
+    """A shared Matrix gives the plain weights' outputs in both orientations, fresh lists every time, and never changes."""
     p, rows, weights = case
-    shared, before = Weights(weights, p), [row[:] for row in rows]
+    shared, before = Matrix(Field(p), weights), [row[:] for row in rows]
     expected = combine_rows(rows, weights, p)
     units = tuple(column.index(1) if sorted(column) == [0] * (len(column) - 1) + [1] else None for column in zip(*weights))
-    state = (shared.rows, shared.cols, shared.columns())
-    assert state == (tuple(map(tuple, weights)), len(weights[0]), (tuple(zip(*weights)), units))
+    state = (shared.data, shared.cols, shared.unit_columns, shared.T)
+    assert state[:3] == (tuple(map(tuple, weights)), len(weights[0]), (tuple(zip(*weights)), units))
+    assert shared.T.data == tuple(zip(*weights)) and shared.T.shape == (len(weights[0]), len(weights))
     for _ in range(3):  # the first product may pack the weights, the others reuse them
         outputs = combine_rows(rows, shared, p)
         assert outputs == expected
@@ -492,11 +495,21 @@ def test_weights_match_plain_weights(case):
             if output:
                 output[0] += 1
         assert rows == before
-        assert (shared.rows, shared.cols, shared.columns()) == state
+        assert (shared.data, shared.cols, shared.unit_columns) == state[:3]
+        assert shared.unit_columns is state[2] and shared.T is state[3]  # prepared once
     if len(rows[0]) < len(weights[0]):  # weights packed: once, then the same ints
-        packed = shared.packed()
-        assert packed is shared.packed()
-        assert packed == shared._pack()
+        packed = shared.packed_rows
+        assert packed is shared.packed_rows
+        assert packed == _packed_rows(weights, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10), st.sampled_from([0, 1, 4, 5, 6, 40]), st.data())
+def test_interleave_matches_scalar_oracle(count, length, data):
+    """Columns side by side, row after row, on both sides of the zip / slice crossover at 5 entries."""
+    columns = [data.draw(st.lists(st.integers(-5, 2**70), min_size=length, max_size=length)) for _ in range(count)]
+    assert interleave(columns) == [column[t] for t in range(length) for column in columns]
+    assert interleave([tuple(column) for column in columns]) == interleave(columns)  # any sequences
 
 
 @st.composite

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from detcode.certificates import column_dependency
-from detcode.code import StripeBatch, build_encoder, build_message_matrix, encode
+from detcode.code import StripeBatch, build_encoder, build_message_matrix, encode, recover_data
 from detcode.field import Field
 from detcode.repair import (
     OverlapError,
@@ -17,7 +17,7 @@ from detcode.repair import (
     repair_matrix,
 )
 from detcode.subsets import binom, subsets
-from oracles import mul_vec, vec_mat
+from oracles import column, mul_vec, vec_mat
 
 
 def test_repair_matrix_entries_golden(encoder8):
@@ -36,7 +36,7 @@ def test_mode_one_matrix_is_single_negated_column(encoder8):
     xi = repair_matrix(5, 1, encoder8)
     psi = encoder8.row(5)
     assert xi.shape == (4, 1)
-    assert xi.column(0) == [(-v) % 13 for v in psi]
+    assert column(xi, 0) == [(-v) % 13 for v in psi]
     assert xi.rank() == 1
 
 
@@ -44,7 +44,7 @@ def test_column_count_of_nonzeros(encoder8):
     """Each column has d - m + 1 nonzero entries when the row has no zeros."""
     xi = repair_matrix(5, 2, encoder8)  # row 5 has no zero coefficients
     for j in range(xi.cols):
-        assert sum(1 for v in xi.column(j) if v) == 3
+        assert sum(1 for v in column(xi, j) if v) == 3
 
 
 def test_rank_bound_exhaustive_small(encoder8):
@@ -297,8 +297,7 @@ def test_repair_builds_no_matrix_once_bases_are_cached(encoder8, contents8, monk
 def test_joint_repair_packs_each_basis_weights_once(monkeypatch):
     """At (16,10,3) with one stripe, transmit and decompression pack their weights, not the
     short stripe rows: one joint repair packs compress and expand once each, a second none."""
-    from detcode import Cluster, CodeConfig
-    from detcode.field import Weights
+    from detcode import Cluster, CodeConfig, field
 
     config = CodeConfig(n=16, d=10, m=3, p=257)
     cluster = Cluster.from_file(random.Random(15).randbytes(config.file_symbols), config)
@@ -306,11 +305,49 @@ def test_joint_repair_packs_each_basis_weights_once(monkeypatch):
     failed = (2, 7, 11)
     saved = {f: cluster.contents[f] for f in failed}
     repair_basis.cache_clear()
-    packed, pack = [], Weights._pack
-    monkeypatch.setattr(Weights, "_pack", lambda self: packed.append(self) or pack(self))
+    packed, pack = [], field._packed_rows
+    monkeypatch.setattr(field, "_packed_rows", lambda rows, p: packed.append(rows) or pack(rows, p))
     for _ in range(2):
         cluster.fail_nodes(failed)
         event = cluster.repair("joint", failed)
         assert len(event.helpers) == 10 and all(cluster.contents[f] == saved[f] for f in failed)
         compress, _, (_, expand) = repair_basis(cluster.encoder, failed, 3)
-        assert packed == [compress, expand]
+        assert list(map(id, packed)) == [id(compress.data), id(expand.data)]
+
+
+def test_warm_reads_and_repairs_prepare_no_weights(monkeypatch):
+    """Once warm, a default read, an explicit d + 1-node read and a joint repair check, transpose
+    and prepare no weights: each is a cached basis, inverse transpose or read Matrix, prepared once."""
+    from detcode import Cluster, CodeConfig, code, field, repair
+
+    config = CodeConfig(n=8, d=4, m=2, p=257)
+    data = random.Random(16).randbytes(3 * config.file_symbols)
+    cluster = Cluster.from_file(data, config)
+    failed, saved, ids = (2, 5), {f: cluster.contents[f] for f in (2, 5)}, (8, 6, 4, 3, 1)
+
+    def run():
+        assert cluster.recover_file() == data
+        message = recover_data([cluster.contents[i] for i in ids], ids, cluster.encoder, config.m)
+        assert message == cluster.recover_stripes()
+        cluster.fail_nodes(failed)
+        cluster.repair("joint", failed)
+        assert all(cluster.contents[f] == saved[f] for f in failed)
+
+    run()
+    seen = []
+
+    def spy(label, fn, when=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            if when(*args):
+                seen.append(label)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    plain = lambda rows, weights, *_: not isinstance(weights, field.Matrix)  # plain weights are checked per call
+    for module in (field, code, repair):  # each binds combine_rows by name
+        monkeypatch.setattr(module, "combine_rows", spy("weight check", field.combine_rows, plain))
+    monkeypatch.setattr(field, "_unit_columns", spy("column view", field._unit_columns))
+    monkeypatch.setattr(field, "_packed_rows", spy("packing", field._packed_rows))
+    monkeypatch.setattr(field.Matrix.T, "func", spy("transpose", field.Matrix.T.func))  # runs on a cache miss only
+    run()
+    assert seen == []
