@@ -18,7 +18,7 @@ from .cluster import (
     write_all_shards,
     write_shard,
 )
-from .code import CodeConfig, ParityViolation, encode as encode_stripes
+from .code import CodeConfig, ParityViolation, recover_data
 from .field import next_prime_at_least
 
 
@@ -133,39 +133,29 @@ def multirepair_cmd(shard_dir: Path, failed: str, mode: str, helpers: str | None
     )
 
 
-def _mismatch_set(cluster, reference) -> set[int] | None:
-    """Nodes whose stored rows disagree with the data recovered from *reference*.
-
-    Returns None when the reference itself is internally inconsistent
-    (parity fails on recovery).
-    """
-    try:
-        message = cluster.recover_stripes(reference)
-    except ParityViolation:
-        return None
-    expected = encode_stripes(cluster.encoder, message)
-    return {i for i in cluster.alive() if cluster.node_content(i) != expected[i - 1]}
-
-
 @main.command(name="verify")
 @click.option("--shards", "shard_dir", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
 @_friendly_errors
 def verify_cmd(shard_dir: Path):
     """Cross-check every shard against data recovered from d of them.
 
-    A corrupt shard inside the reference subset would shift the blame onto
-    the honest ones, so all rotations of the alive list are tried and the
-    attribution with the fewest mismatches wins.
+    Each rotation of the alive list is one recover_data read: its first d
+    decode, every other shard is checked against its re-encoding. A corrupt
+    shard among the first d would shift the blame onto honest ones, so a
+    rotation failing parity is skipped and the fewest mismatches win.
     """
     cluster = load_cluster(shard_dir)
     alive = cluster.alive()
-    d = cluster.config.d
     best: set[int] | None = None
     for k in range(len(alive)):
-        window = [alive[(k + j) % len(alive)] for j in range(d)]
-        bad = _mismatch_set(cluster, window)
-        if bad is None:
-            continue
+        ids = alive[k:] + alive[:k]
+        try:
+            recover_data([cluster.node_content(i) for i in ids], ids, cluster.encoder, cluster.config.m)
+            bad = set()
+        except ParityViolation as exc:
+            if not exc.nodes:
+                continue
+            bad = set(exc.nodes)
         if best is None or len(bad) < len(best):
             best = bad
         if not best:

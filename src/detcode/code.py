@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 from .field import CompositeModulus, Field, Matrix, combine_rows, interleave, signed_sums  # CompositeModulus re-exported
 from .subsets import binom, incidence, subsets
@@ -43,7 +42,15 @@ class WrongLength(ValueError):
 
 
 class ParityViolation(ValueError):
-    """An alternating-sum parity constraint fails; data is corrupt."""
+    """Read data is corrupt: a parity constraint fails, or further nodes disagree with the read.
+
+    ``nodes`` lists every further node of a read whose batch differs from its
+    re-encoding, in read order; it is empty when the read itself fails parity.
+    """
+
+    def __init__(self, message: str, nodes=()):
+        super().__init__(message)
+        self.nodes = tuple(nodes)
 
 
 class OverlapError(ValueError):
@@ -280,11 +287,11 @@ class MessageMatrix:
         rows, alpha, groups = self.matrix.data, len(self.layout.columns), self.layout.parity_sets
         if not groups:
             return
-        # member i of every group has one sign: term i chains the groups' member i, so sum k * S + s is group k, stripe s
-        terms = [
-            (sign, chain.from_iterable(rows[r][c::alpha] for (r, c), _ in [group[i] for group in groups]))
-            for i, (_, sign) in enumerate(groups[0])
-        ]
+        # member i of every group has one sign: term i lists the groups' member i, so sum k * S + s is group k, stripe s
+        terms = [(sign, []) for _, sign in groups[0]]
+        for group in groups:
+            for (_, flat), ((r, c), _) in zip(terms, group):
+                flat += rows[r][c::alpha]
         sums = signed_sums(terms, self.matrix.field.p)
         if any(sums):
             k, bad = divmod(next(t for t, v in enumerate(sums) if v), self.stripes)
@@ -329,8 +336,8 @@ def recover_data(contents, node_ids, encoder: EncoderMatrix, m: int) -> MessageM
 
     One packed product of the cached :func:`recover_weights` with the first
     d ids' flat symbol lists rebuilds the message; parity is then verified
-    per stripe. Each further id's output re-encodes its batch: one that
-    differs raises ParityViolation.
+    per stripe. Each further id's output re-encodes its batch: if any
+    differ, ParityViolation names the first and lists all in ``nodes``.
     """
     node_ids, d = checked_ids(node_ids, "node ids", n=encoder.n), encoder.d
     if len(node_ids) < d:
@@ -340,7 +347,7 @@ def recover_data(contents, node_ids, encoder: EncoderMatrix, m: int) -> MessageM
     rows = combine_rows([batch.symbols for batch in contents[:d]], recover_weights(encoder, node_ids), encoder.field.p)
     message = MessageMatrix(symbol_layout(d, m), Matrix.wrap(encoder.field, rows[:d], len(rows[0])))
     message.verify_parity()
-    for node_id, batch, expected in zip(node_ids[d:], contents[d:], rows[d:]):
-        if batch.symbols != expected:
-            raise ParityViolation(f"node {node_id} disagrees with the data read from nodes {list(node_ids[:d])}")
+    bad = [i for i, batch, expected in zip(node_ids[d:], contents[d:], rows[d:]) if batch.symbols != expected]
+    if bad:
+        raise ParityViolation(f"node {bad[0]} disagrees with the data read from nodes {list(node_ids[:d])}", bad)
     return message

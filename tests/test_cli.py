@@ -1,4 +1,5 @@
 import random
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -8,7 +9,7 @@ from detcode.code import StripeBatch
 from detcode.cluster import load_cluster, read_shard, shard_path, write_shard
 
 
-def _encode_fixture(tmp_path, size=3000, seed=9):
+def _encode_fixture(tmp_path, size=3000, seed=9, n=8, d=4, m=2):
     rng = random.Random(seed)
     data = bytes(rng.randrange(256) for _ in range(size))
     src = tmp_path / "input.bin"
@@ -17,7 +18,7 @@ def _encode_fixture(tmp_path, size=3000, seed=9):
     runner = CliRunner()
     result = runner.invoke(
         main,
-        ["encode", "--input", str(src), "--n", "8", "--d", "4", "--m", "2",
+        ["encode", "--input", str(src), "--n", str(n), "--d", str(d), "--m", str(m),
          "--out", str(shards)],
     )
     assert result.exit_code == 0, result.output
@@ -89,6 +90,32 @@ def test_verify_clean_and_corrupted(tmp_path):
     result = runner.invoke(main, ["verify", "--shards", str(shards)])
     assert result.exit_code == 1
     assert "node 2: MISMATCH" in result.output
+
+
+@pytest.mark.parametrize("n, d, m", [(8, 4, 2), (12, 6, 3)])
+def test_verify_blames_exactly_the_one_damaged_node(tmp_path, n, d, m):
+    """Damage symbol 0 of one node at a time, on a fresh copy: verify blames that node and no other,
+    inside the first window (a direct or a parity-covered cell) as well as past it."""
+    runner, _, shards = _encode_fixture(tmp_path, size=2000, n=n, d=d, m=m)
+    for node in range(1, n + 1):
+        copy = shutil.copytree(shards, tmp_path / f"damaged_{node}")
+        shard = read_shard(shard_path(copy, node))
+        symbols = shard.stripes.symbols[:]
+        symbols[0] = (symbols[0] + 1) % shard.config.p
+        write_shard(shard_path(copy, node), shard.config, node, StripeBatch(symbols, shard.config.alpha), shard.original_len)
+        result = runner.invoke(main, ["verify", "--shards", str(copy)])
+        assert result.exit_code == 1, result.output
+        assert [line for line in result.output.splitlines() if "MISMATCH" in line] == [f"node {node}: MISMATCH"]
+
+
+def test_verify_with_fewer_than_d_shards_is_one_error_line(tmp_path):
+    runner, _, shards = _encode_fixture(tmp_path)
+    for node in range(1, 6):
+        shard_path(shards, node).unlink()
+    result = runner.invoke(main, ["verify", "--shards", str(shards)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no uncaught exception
+    assert result.output == "Error: need at least 4 distinct node ids, got [6, 7, 8]\n"
 
 
 def test_repair_after_corruption_restores(tmp_path):

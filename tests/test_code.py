@@ -298,6 +298,23 @@ def test_further_ids_check_the_d_read(encoder8, message8, contents8):
         recover_data(changed, [1, 2, 3, 4, 5, 6], encoder8, 2)
 
 
+def test_parity_violation_lists_every_disagreeing_further_node(encoder8, contents8):
+    """The message names the first disagreeing further node; ``nodes`` lists all of them in read order,
+    and is empty when the first d fail parity themselves."""
+    ids = (1, 2, 3, 4, 8, 5, 6, 7)
+    changed = [StripeBatch(list(contents8[i - 1].symbols), 6) for i in ids]
+    for t in (4, 6):  # nodes 8 and 6
+        changed[t].symbols[0] = (changed[t].symbols[0] + 1) % 13
+    with pytest.raises(ParityViolation, match=r"^node 8 disagrees with the data read from nodes \[1, 2, 3, 4\]$") as info:
+        recover_data(changed, ids, encoder8, 2)
+    assert info.value.nodes == (8, 6)
+    changed = [StripeBatch(list(b.symbols), 6) for b in contents8[:6]]
+    changed[0].symbols[3] = (changed[0].symbols[3] + 1) % 13  # node 1's shared cell of column (2,3)
+    with pytest.raises(ParityViolation, match="parity fails") as info:
+        recover_data(changed, [1, 2, 3, 4, 5, 6], encoder8, 2)
+    assert info.value.nodes == ()
+
+
 def test_recovery_rejects_duplicates(encoder8, contents8):
     with pytest.raises(ValueError):
         recover_data(contents8[:4], [1, 1, 2, 3], encoder8, 2)
