@@ -83,7 +83,7 @@ def encode_cmd(input_path: Path, n: int, d: int, m: int, prime: int | None, out_
 def recover_cmd(shard_dir: Path, nodes: str | None, output_path: Path):
     """Rebuild the original file from any d shards.
 
-    Without --nodes the first d alive are read and checked against the next; explicit reads rely on parity until the scrub.
+    Without --nodes the first d alive are read and checked against the next; an explicit --nodes read is checked by parity only.
     """
     ids = None if nodes is None else _parse_ids(nodes)
     cluster = load_cluster(shard_dir)

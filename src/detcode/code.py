@@ -17,6 +17,8 @@ per stripe. A block's cells and parity groups are read from
 :func:`detcode.field.signed_sums` per group completes its parity cells,
 and one over every group checks them on recover; with the source reduced
 once on entry by the same primitive, the matrix needs no reducing copy.
+A read's weights, one cached inversion per node tuple (:func:`recover_weights`),
+also decode a repair from d helpers (:func:`detcode.repair.decode_repair_vectors`).
 """
 
 from __future__ import annotations
@@ -173,15 +175,12 @@ class EncoderMatrix:
 
 
 @lru_cache(maxsize=512)
-def rows_inverse(encoder: EncoderMatrix, node_ids: tuple[int, ...]) -> Matrix:
-    """Inverse of the encoder rows of *node_ids*, in that order; cached: every read or repair by them shares it."""
-    return encoder.rows_submatrix(node_ids).inverse()
-
-
-@lru_cache(maxsize=512)
 def recover_weights(encoder: EncoderMatrix, node_ids: tuple[int, ...]) -> Matrix:
-    """d x len(node_ids) weight matrix of a read: column i is row i of the first d ids' inverse, or id i's row times it; cached."""
-    inverse = rows_inverse(encoder, node_ids[: encoder.d])
+    """d x len(node_ids) weight matrix of a read: column i is row i of the first d ids' inverse, or id i's row times it.
+
+    Cached: every read or repair by these ids in this order shares one inversion (d ids weight a repair decode too).
+    """
+    inverse = encoder.rows_submatrix(node_ids[: encoder.d]).inverse()
     checks = encoder.rows_submatrix(node_ids[encoder.d :]) @ inverse
     return Matrix.wrap(encoder.field, [*inverse.data, *checks.data], encoder.d).T
 
@@ -344,7 +343,7 @@ def recover_data(contents, node_ids, encoder: EncoderMatrix, m: int) -> MessageM
         raise ValueError(f"need at least {d} distinct node ids, got {list(node_ids)}")
     if len(contents) != len(node_ids):
         raise ValueError(f"{len(contents)} stripe batches for {len(node_ids)} node ids")
-    rows = combine_rows([batch.symbols for batch in contents[:d]], recover_weights(encoder, node_ids), encoder.field.p)
+    rows = combine_rows([batch.symbols for batch in contents[:d]], recover_weights(encoder, node_ids))
     message = MessageMatrix(symbol_layout(d, m), Matrix.wrap(encoder.field, rows[:d], len(rows[0])))
     message.verify_parity()
     bad = [i for i, batch, expected in zip(node_ids[d:], contents[d:], rows[d:]) if batch.symbols != expected]

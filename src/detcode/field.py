@@ -18,11 +18,11 @@ The long operand is never copied through :class:`Matrix`. An output
 whose weight column is a unit vector (a systematic node's row in
 encode, an identity row of a recover inverse) is a copy of its row.
 
-The weights are a :class:`Matrix`, checked when built and prepared
-(columns and their unit indices, or packed rows) once per orientation,
-or plain sequences, checked and prepared on every call. A cached repair
-basis or read keeps its weights as Matrix, so every helper and repair
-shares one check and one packing. :attr:`Matrix.T` is built once.
+The weights are always a :class:`Matrix`, checked when built and
+prepared (columns and their unit indices, or packed rows) once per
+orientation, and the modulus is its field's. A cached repair basis or
+read keeps its weights as Matrix, so every helper and repair shares one
+check and one packing. :attr:`Matrix.T` is built once.
 
 Every operand row and every symbol blob is range-checked against
 [0, p), and each check runs on the packed int or bytes it is packed
@@ -160,55 +160,31 @@ def _decode(blob, width: int):
     return items
 
 
-def _unit_columns(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int | None, ...]]:
-    """(columns, units) of K weight rows: unit i is k where column i is the k-th unit vector, else None."""
-    k, columns = len(rows), tuple(zip(*rows))
-    return columns, tuple([c.index(1) if c.count(0) == k - 1 and 1 in c else None for c in columns])
-
-
-def _packed_rows(rows, p: int) -> tuple[int, ...]:
-    """K weight rows over GF(p) packed one int each, a slot_width(p, K)-byte slot per entry."""
-    slot = slot_width(p, len(rows))
-    return tuple(int.from_bytes(_encode(row, slot), "little") for row in rows)
-
-
-def combine_rows(rows, weights, p: int) -> list[list[int]]:
+def combine_rows(rows, weights: "Matrix") -> list[list[int]]:
     """The r linear combinations over GF(p) of a list *rows* of K sequences of one length L.
 
-    Output i is the sum over k of weights[k][i] * rows[k]: *weights* is a
-    K x r :class:`Matrix` over GF(p), checked when it was built and
-    prepared once, or K sequences of r entries, checked and prepared on
-    every call. The outputs are the columns of X @ weights for the matrix
-    X whose columns are the rows. ValueError for a plain weight or a row
-    entry outside [0, p): a row entry is checked word-parallel on the
-    packed row (:func:`_range_test`) when rows are packed, by one C-level
-    min/max over all entries when the weights are.
+    Output i is the sum over k of weights[k][i] * rows[k], where *weights*
+    is a K x r :class:`Matrix` over GF(p), checked and prepared once: the
+    columns of X @ weights for the matrix X whose columns are the rows.
+    ValueError for a row entry outside [0, p), checked word-parallel on each
+    packed row (:func:`_range_test`), or by one C-level min/max over all
+    entries where the weights are packed.
 
     With r <= L each row is packed into one int and an output is one
     big-int multiply-add per nonzero weight, or a fresh copy of row k where
-    its weight column is the k-th unit vector (:func:`_unit_columns`). With
-    fewer entries per row than outputs the weights' packed rows
-    (:func:`_packed_rows`) are combined once per entry position instead,
-    then transposed back. Either way each computed output entry is reduced
-    mod p once.
+    its weight column is the k-th unit vector (:attr:`Matrix.unit_columns`).
+    With fewer entries per row than outputs the weights' packed rows
+    (:attr:`Matrix.packed_rows`) are combined once per entry position
+    instead, then transposed back. Either way each computed output entry is
+    reduced mod p once.
     """
     k = len(rows)
     length = len(rows[0]) if rows else 0
     if len(set(map(len, rows))) > 1:
         raise DimensionMismatch("ragged rows")
-    matrix = isinstance(weights, Matrix)  # prepared once; plain weights are checked and prepared here
-    if matrix:
-        if weights.field.p != p:
-            raise DimensionMismatch(f"weights over GF({weights.field.p}) in a product over GF({p})")
-        height, r = weights.rows, weights.cols
-    else:
-        if len(set(map(len, weights))) > 1:
-            raise DimensionMismatch("ragged weight rows")
-        height, r = len(weights), len(weights[0]) if weights else 0
-        if r and not (0 <= min(map(min, weights)) and max(map(max, weights)) < p):
-            raise ValueError(f"weight entry out of field range [0, {p})")
-    if height != k:
-        raise DimensionMismatch(f"{height} weight rows for {k} rows")
+    if weights.rows != k:
+        raise DimensionMismatch(f"{weights.rows} weight rows for {k} rows")
+    p, r = weights.field.p, weights.cols
     slot = slot_width(p, k)
     out_of_range = f"operand entry out of field range [0, {p})"
 
@@ -228,13 +204,12 @@ def combine_rows(rows, weights, p: int) -> list[list[int]]:
             raise ValueError(out_of_range)
         return [
             combine(column, packed, length) if unit is None else list(rows[unit])
-            for column, unit in zip(*(weights.unit_columns if matrix else _unit_columns(weights)))
+            for column, unit in zip(*weights.unit_columns)
         ]
     entries = list(chain.from_iterable(rows))
     if not 0 <= min(entries) <= max(entries) < p:
         raise ValueError(out_of_range)
-    packed = weights.packed_rows if matrix else _packed_rows(weights, p)
-    return list(map(list, zip(*[combine(entries[j::length], packed, r) for j in range(length)])))
+    return list(map(list, zip(*[combine(entries[j::length], weights.packed_rows, r) for j in range(length)])))
 
 
 def signed_sums(terms, p: int) -> list[int]:
@@ -336,7 +311,7 @@ class Matrix:
     Rows and columns are 0-indexed here; higher-level modules translate
     their subset labels to positions before touching a Matrix.
 
-    A Matrix is also a checked weight operand of :func:`combine_rows`, whose
+    A Matrix is also the one weight operand of :func:`combine_rows`, whose
     preparation it builds on first use and keeps: its rows must not change.
     """
 
@@ -373,13 +348,15 @@ class Matrix:
 
     @cached_property
     def unit_columns(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int | None, ...]]:
-        """(columns, units) as weights, built once (:func:`_unit_columns`)."""
-        return _unit_columns(self.data)
+        """(columns, units) as weights, built once: unit i is k where column i is the k-th unit vector, else None."""
+        columns = tuple(zip(*self.data))
+        return columns, tuple([c.index(1) if c.count(0) == self.rows - 1 and 1 in c else None for c in columns])
 
     @cached_property
     def packed_rows(self) -> tuple[int, ...]:
-        """The rows packed as weights, built once (:func:`_packed_rows`)."""
-        return _packed_rows(self.data, self.field.p)
+        """The rows packed as weights one int each, a slot_width(p, rows)-byte slot per entry, built once."""
+        slot = slot_width(self.field.p, self.rows)
+        return tuple(int.from_bytes(_encode(row, slot), "little") for row in self.data)
 
     @cached_property
     def T(self) -> "Matrix":
@@ -415,7 +392,7 @@ class Matrix:
             )
         if not (self.cols and self.rows):
             return Matrix.wrap(self.field, [[0] * other.cols for _ in range(self.rows)], other.cols)
-        return Matrix.wrap(self.field, combine_rows(other.data, self.T, self.field.p), other.cols)
+        return Matrix.wrap(self.field, combine_rows(other.data, self.T), other.cols)
 
     def _eliminate(self):
         """Gauss-Jordan to reduced row echelon form; leftmost pivots first.

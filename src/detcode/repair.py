@@ -25,18 +25,21 @@ That decode, step by step (:func:`decode_factored`), is a fixed linear map
 from the symbols received per stripe to the e * alpha symbols of the failed
 nodes, and so is the repair center's
 (:func:`detcode.multirepair.decode_centralized`). :func:`decode_operator`
-compiles either into one matrix by running it on the unit batch. A batch
-of at least twice as many stripes as the operator has rows builds it for
-this repair and decodes by one product with it (build and product beat the
-factored decode from about 1.5 times the rows on); a smaller batch runs the
-factored decode, which also stays the test oracle.
+compiles either into one :class:`~detcode.field.Matrix` by running it on
+the unit batch. A batch of at least twice as many stripes as the operator
+has rows builds it for this repair and decodes by one product with it
+(build and product beat the factored decode from about 1.5 times the rows
+on); a smaller batch runs the factored decode, which also stays the test
+oracle.
 
 Every product here is :func:`detcode.field.combine_rows`, fed plain
 sequences (a batch's strided slices ``batch.symbols[c::alpha]``, a
-payload's ``symbols[j::rank]``, repair vectors) weighted by a cached
-:class:`~detcode.field.Matrix` (or, per repair, a plain decode operator),
-so stripe data is never copied into a Matrix; each output column lands in
-the flat payload, vector or batch by :func:`~detcode.field.interleave`.
+payload's ``symbols[j::rank]``, repair vectors) weighted by a
+:class:`~detcode.field.Matrix`: a cached basis or read inverse, or the
+decode operator built for one repair. Every weight depends only on the
+failure and helper tuples, so stripe data is never copied into a Matrix;
+each output column lands in the flat payload, vector or batch by
+:func:`~detcode.field.interleave`.
 
 Wire format of a payload, version 3, all integers little-endian::
 
@@ -55,7 +58,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, rows_inverse  # OverlapError re-exported
+from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, derive_params, recover_weights  # OverlapError re-exported
 from .field import Matrix, combine_rows, element_width, interleave, pack_symbols, signed_sums, unpack_symbols
 from .subsets import binom, incidence
 
@@ -89,8 +92,10 @@ def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int):
     :class:`~detcode.field.Matrix` of the pivot columns; expand keeps only
     the free columns of the rank rows (the pivot columns are unit columns):
     (free column indices, rank x free Matrix of their entries). Both keep
-    their kernel preparation as long as the cache entry lives.
+    their kernel preparation as long as the cache entry lives. A mode
+    outside [1, d] raises BadMode naming m.
     """
+    derive_params(encoder.d, m)
     checked_ids(failed, "failed ids", n=encoder.n)
     xi = Matrix.hstack([repair_matrix(f, m, encoder) for f in failed])
     pivots, rref = xi.pivot_columns()
@@ -157,8 +162,16 @@ def helper_payload(h_content: StripeBatch, helper: int, failed, encoder: Encoder
     failed = tuple(failed)
     compress = repair_basis(encoder, failed, m)[0]
     flat, alpha = h_content.symbols, h_content.alpha
-    symbols = interleave(combine_rows([flat[c::alpha] for c in range(alpha)], compress, encoder.field.p))
+    symbols = interleave(combine_rows([flat[c::alpha] for c in range(alpha)], compress))
     return RepairPayload(failed, helper, m, tuple(symbols))
+
+
+def _payload_shape(payload: RepairPayload, encoder: EncoderMatrix) -> tuple[int, int]:
+    """(rank, stripes): the payload's basis rank and the stripes its symbols cover; ValueError unless whole."""
+    rank, count = len(repair_basis(encoder, payload.failed, payload.m)[1]), len(payload.symbols)
+    if count % rank:
+        raise ValueError(f"payload from helper {payload.helper} carries {count} symbols, not a multiple of the basis rank {rank}")
+    return rank, count // rank
 
 
 def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> list[int]:
@@ -167,12 +180,10 @@ def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> list[i
     Pivot columns are unit columns: their received symbols are copied
     through, and only the free columns go through the packed product.
     """
+    rank, _ = _payload_shape(payload, encoder)
     _, pivots, (free, weights) = repair_basis(encoder, payload.failed, payload.m)
-    rank, symbols = len(pivots), payload.symbols
-    if len(symbols) % rank:
-        raise ValueError(f"payload carries {len(symbols)} symbols, not a multiple of the basis rank {rank}")
-    received = [symbols[j::rank] for j in range(rank)]
-    columns = dict(zip(pivots, received)) | dict(zip(free, combine_rows(received, weights, encoder.field.p)))
+    received = [payload.symbols[j::rank] for j in range(rank)]
+    columns = dict(zip(pivots, received)) | dict(zip(free, combine_rows(received, weights)))
     return interleave([columns[c] for c in range(rank + len(free))])
 
 
@@ -210,58 +221,51 @@ def decode_payloads(factored, payloads, encoder: EncoderMatrix, failed) -> dict[
     stripe) the batch goes through the operator: one build, one product, no
     intermediate repair vectors. Fewer stripes run *factored* directly.
     """
-    ranks = [len(repair_basis(encoder, payload.failed, payload.m)[1]) for payload in payloads]
-    counts = set()
-    for payload, rank in zip(payloads, ranks):
-        if len(payload.symbols) % rank:
-            raise ValueError(
-                f"payload from helper {payload.helper} carries {len(payload.symbols)} symbols, "
-                f"not a multiple of the basis rank {rank}"
-            )
-        counts.add(len(payload.symbols) // rank)
-    if len(counts) != 1:
+    shapes = [_payload_shape(payload, encoder) for payload in payloads]
+    if len(counts := {stripes for _, stripes in shapes}) != 1:
         raise ValueError(f"payloads carry different stripe counts {sorted(counts)}")
-    stripes = counts.pop()
-    if stripes < 2 * sum(ranks):
+    if counts.pop() < 2 * sum(rank for rank, _ in shapes):
         return factored(payloads, encoder, failed)
-    sources = tuple((payload.helper, payload.failed) for payload in payloads)
+    sources = tuple((payload.helper, payload.failed, rank) for payload, (rank, _) in zip(payloads, shapes))
     operator = decode_operator(factored, encoder, failed, sources, payloads[0].m)
-    received = [payload.symbols[j::rank] for payload, rank in zip(payloads, ranks) for j in range(rank)]
-    columns = combine_rows(received, operator, encoder.field.p)
+    received = [payload.symbols[j::rank] for payload, (rank, _) in zip(payloads, shapes) for j in range(rank)]
+    columns = combine_rows(received, operator)
     alpha = len(columns) // len(failed)
     return {f: StripeBatch(interleave(columns[i * alpha : (i + 1) * alpha]), alpha) for i, f in enumerate(failed)}
 
 
-def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], sources, m: int) -> list[list[int]]:
-    """Decode operator of *factored*: received symbols per stripe x e * alpha, as rows.
+def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], sources, m: int) -> Matrix:
+    """Decode operator of *factored*: a Matrix of received symbols per stripe x e * alpha.
 
-    *sources* is the (helper, failure tuple it serves) of each payload, in
-    order. The operator is *factored* run on the unit batch, whose stripe
-    t carries a 1 in received position t (payload after payload, rank
-    positions each): row t is that decode's output for stripe t, the
-    failed nodes' alpha entries each in failure order.
+    *sources* is the (helper, failure tuple it serves, basis rank) of each
+    payload, in order. The operator is *factored* run on the unit batch,
+    whose stripe t carries a 1 in received position t (payload after
+    payload, rank positions each): row t is that decode's output for stripe
+    t, the failed nodes' alpha entries each in failure order. Kernel and
+    signed-sum outputs or unit-batch copies, they are canonical: wrapped unchecked.
     """
-    ranks = [len(repair_basis(encoder, target, m)[1]) for _, target in sources]
-    total = sum(ranks)
+    total = sum(rank for _, _, rank in sources)
     payloads, offset = [], 0
-    for (helper, target), rank in zip(sources, ranks):
+    for helper, target, rank in sources:
         symbols = [0] * (total * rank)
         for j in range(rank):
             symbols[(offset + j) * rank + j] = 1
         payloads.append(RepairPayload(target, helper, m, tuple(symbols)))
         offset += rank
     decoded = factored(payloads, encoder, failed)
-    return [[v for f in failed for v in decoded[f][t]] for t in range(total)]
+    rows = [[v for f in failed for v in decoded[f][t]] for t in range(total)]
+    return Matrix.wrap(encoder.field, rows, len(failed) * decoded[failed[0]].alpha)
 
 
 def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m: int) -> dict[int, StripeBatch]:
     """Failed stripe batches from the d decompressed repair vectors, helper order.
 
-    One product with the inverse of the selected encoder rows decodes every
-    stripe and failure: the result holds a d x C(d, m-1) repair space per
+    One product with the inverse of the selected encoder rows (the cached
+    read weights :func:`detcode.code.recover_weights` of the d helpers)
+    decodes every stripe and failure: the result holds a d x C(d, m-1) repair space per
     stripe and failure, stripe after stripe, each decoded by signed sums.
     """
-    space = combine_rows(vectors, rows_inverse(encoder, tuple(helper_ids)).T, encoder.field.p)
+    space = combine_rows(vectors, recover_weights(encoder, tuple(helper_ids)))
     labels, e = combine_repair_space(space, encoder.d, m, encoder.field), len(failed)
     return {f: StripeBatch(interleave([label[i::e] for label in labels]), len(labels)) for i, f in enumerate(failed)}
 

@@ -10,7 +10,6 @@ from detcode.field import (
     Field,
     Matrix,
     Singular,
-    _packed_rows,
     combine_rows,
     element_width,
     interleave,
@@ -278,29 +277,29 @@ def test_combine_rows_matches_triple_loop(case):
     field = Field(p)
     length = len(rows[0])
     expected = matmul_scalar(Matrix(field, list(zip(*weights))), Matrix(field, rows, cols=length))
-    assert combine_rows(rows, weights, p) == expected
-    assert combine_rows([tuple(row) for row in rows], weights, p) == expected  # any sequences
+    assert combine_rows(rows, Matrix(field, weights)) == expected
+    assert combine_rows([tuple(row) for row in rows], Matrix(field, weights)) == expected  # any sequences
 
 
 @pytest.mark.parametrize("length", [1, 5])  # fewer entries than outputs, and more
 def test_combine_rows_rejects_ragged_rows(length):
-    rows = [[1] * length, [1] * (length + 1)]
+    rows, field = [[1] * length, [1] * (length + 1)], Field(257)
     with pytest.raises(DimensionMismatch, match="ragged rows"):
-        combine_rows(rows, [[1, 2, 3], [4, 5, 6]], 257)
+        combine_rows(rows, Matrix(field, [[1, 2, 3], [4, 5, 6]]))
     with pytest.raises(DimensionMismatch):
-        combine_rows([[1] * length] * 2, [[1, 2, 3]], 257)  # one weight row for two rows
+        combine_rows([[1] * length] * 2, Matrix(field, [[1, 2, 3]]))  # one weight row for two rows
 
 
 @pytest.mark.parametrize("p", [13, 257, 65521, 2**31 - 1, 2**61 - 1])
 @pytest.mark.parametrize("length", [1, 5])  # fewer entries than outputs, and more
 def test_combine_rows_range_is_the_field(p, length):
     """Entries up to p - 1 combine exactly; a negative one, p, or one past the symbol width raises ValueError."""
-    weights = [[1, 2, 3], [4, 5, 6]]
-    assert combine_rows([[p - 1] * length, [0] * length], weights, p) == [[(p - 1) * c % p] * length for c in (1, 2, 3)]
+    weights = Matrix(Field(p), [[1, 2, 3], [4, 5, 6]])
+    assert combine_rows([[p - 1] * length, [0] * length], weights) == [[(p - 1) * c % p] * length for c in (1, 2, 3)]
     for bad in (-1, p, 1 << 8 * element_width(p)):
         rows = [[0] * length, [0] * (length - 1) + [bad]]
         with pytest.raises(ValueError, match=rf"field range \[0, {p}\)"):
-            combine_rows(rows, weights, p)
+            combine_rows(rows, weights)
 
 
 @pytest.mark.parametrize("k, width", [(65535, 4), (65536, 8)])
@@ -310,7 +309,7 @@ def test_combine_rows_exact_at_slot_crossover(k, width):
     for length in (1, 3):  # weights packed, rows packed
         rows = [[256] * length] * k
         expected = k * 256 * 256 % 257
-        assert combine_rows(rows, [[256, 256]] * k, 257) == [[expected] * length] * 2
+        assert combine_rows(rows, Matrix(Field(257), [[256, 256]] * k)) == [[expected] * length] * 2
 
 
 # --- range checks at their edges and unit weight columns ----------------
@@ -355,10 +354,10 @@ def test_combine_rows_rejects_exactly_the_entries_outside_the_field(case):
     p, rows, weights = case
     if any(not 0 <= v < p for row in rows for v in row):
         with pytest.raises(ValueError, match=exact_message(f"operand entry out of field range [0, {p})")):
-            combine_rows(rows, weights, p)
+            combine_rows(rows, Matrix(Field(p), weights))
     else:
         expected = matmul_scalar(Matrix(Field(p), list(zip(*weights))), Matrix(Field(p), rows, cols=len(rows[0])))
-        assert combine_rows(rows, weights, p) == expected
+        assert combine_rows(rows, Matrix(Field(p), weights)) == expected
 
 
 @st.composite
@@ -374,36 +373,30 @@ def weight_edge_combinations(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(weight_edge_combinations())
-def test_combine_rows_rejects_exactly_the_weights_outside_the_field(case):
-    """A plain weight outside [0, p) is refused by a product; a Matrix holds it reduced. None overflows a slot."""
+def test_combine_rows_reduces_weights_outside_the_field(case):
+    """A Matrix holds a weight outside [0, p) reduced, so the product is the reduced weight's: none overflows a slot."""
     p, rows, weights = case
     expected = matmul_scalar(Matrix(Field(p), list(zip(*weights))), Matrix(Field(p), rows, cols=len(rows[0])))  # reduced
-    if any(not 0 <= v < p for row in weights for v in row):
-        message = exact_message(f"weight entry out of field range [0, {p})")
-        assert combine_rows(rows, Matrix(Field(p), weights), p) == expected
-        with pytest.raises(ValueError, match=message):
-            combine_rows(rows, weights, p)
-    else:
-        assert combine_rows(rows, weights, p) == combine_rows(rows, Matrix(Field(p), weights), p) == expected
+    assert combine_rows(rows, Matrix(Field(p), weights)) == expected
 
 
 @pytest.mark.parametrize("weight", [2**25, 257, -1])
 def test_weight_outside_the_field_never_reaches_a_slot(weight):
-    """2**25 * 256 would carry out of its 4-byte slot into the next output; -1 would not pack."""
-    with pytest.raises(ValueError, match=exact_message("weight entry out of field range [0, 257)")):
-        combine_rows([[256, 0]], [[weight]], 257)
+    """A Matrix of 2**25 (whose 2**25 * 256 would carry out of its 4-byte slot into the next output),
+    257 or -1 (which would not pack) gives the scalar oracle of the reduced weight."""
+    weights = Matrix(Field(257), [[weight]])
+    assert weights.data == ((weight % 257,),)
+    assert combine_rows([[256, 0]], weights) == [[256 * (weight % 257) % 257, 0]]
 
 
 def test_weights_refuse_ragged_rows_and_another_field():
-    with pytest.raises(DimensionMismatch, match="ragged weight rows"):
-        combine_rows([[1], [2]], [[1, 2], [3]], 257)
     with pytest.raises(DimensionMismatch, match="ragged rows"):
         Matrix(Field(257), [[1, 2], [3]])
     weights = Matrix(Field(257), [[1, 2], [3, 4]])
-    with pytest.raises(DimensionMismatch, match="GF\\(257\\) in a product over GF\\(13\\)"):
-        combine_rows([[1], [2]], weights, 13)
+    with pytest.raises(DimensionMismatch, match="moduli differ"):
+        weights @ Matrix(Field(13), [[1], [2]])
     with pytest.raises(DimensionMismatch, match="2 weight rows for 3 rows"):
-        combine_rows([[1], [2], [3]], weights, 257)
+        combine_rows([[1], [2], [3]], weights)
 
 
 @settings(max_examples=300, deadline=None)
@@ -467,7 +460,7 @@ def test_unit_weight_columns_are_fresh_copies(case):
     p, rows, weights = case
     field, before = Field(p), [row[:] for row in rows]
     expected = matmul_scalar(Matrix(field, list(zip(*weights))), Matrix(field, rows, cols=len(rows[0])))
-    outputs = combine_rows(rows, weights, p)
+    outputs = combine_rows(rows, Matrix(field, weights))
     product = Matrix(field, list(zip(*weights))) @ Matrix.wrap(field, rows, len(rows[0]))
     assert outputs == product.data == expected
     for output in outputs + product.data:
@@ -478,16 +471,17 @@ def test_unit_weight_columns_are_fresh_copies(case):
 @settings(max_examples=300, deadline=None)
 @given(unit_mixes(any_length=True))
 def test_weights_match_plain_weights(case):
-    """A shared Matrix gives the plain weights' outputs in both orientations, fresh lists every time, and never changes."""
+    """A shared Matrix gives the scalar oracle's outputs of its weights in both orientations, fresh lists every time,
+    and never changes."""
     p, rows, weights = case
     shared, before = Matrix(Field(p), weights), [row[:] for row in rows]
-    expected = combine_rows(rows, weights, p)
+    expected = matmul_scalar(Matrix(Field(p), list(zip(*weights))), Matrix(Field(p), rows, cols=len(rows[0])))
     units = tuple(column.index(1) if sorted(column) == [0] * (len(column) - 1) + [1] else None for column in zip(*weights))
     state = (shared.data, shared.cols, shared.unit_columns, shared.T)
     assert state[:3] == (tuple(map(tuple, weights)), len(weights[0]), (tuple(zip(*weights)), units))
     assert shared.T.data == tuple(zip(*weights)) and shared.T.shape == (len(weights[0]), len(weights))
     for _ in range(3):  # the first product may pack the weights, the others reuse them
-        outputs = combine_rows(rows, shared, p)
+        outputs = combine_rows(rows, shared)
         assert outputs == expected
         assert all(type(output) is list for output in outputs)
         assert len({id(output) for output in outputs + rows}) == len(outputs) + len(rows)
@@ -500,7 +494,8 @@ def test_weights_match_plain_weights(case):
     if len(rows[0]) < len(weights[0]):  # weights packed: once, then the same ints
         packed = shared.packed_rows
         assert packed is shared.packed_rows
-        assert packed == _packed_rows(weights, p)
+        slot = slot_width(p, len(weights))
+        assert packed == tuple(int.from_bytes(b"".join(v.to_bytes(slot, "little") for v in row), "little") for row in weights)
 
 
 @settings(max_examples=300, deadline=None)

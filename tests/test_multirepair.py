@@ -13,7 +13,7 @@ from detcode.certificates import (
     supercode_schedule,
 )
 from detcode.code import StripeBatch, build_encoder, build_message_matrix, encode
-from detcode.field import Field
+from detcode.field import Field, Matrix
 from detcode.multirepair import (
     CentralRepairPlan,
     OverlapError,
@@ -32,6 +32,7 @@ from detcode.repair import (
     decode_operator,
     decompress_payload,
     helper_payload,
+    repair_basis,
     repair_matrix,
 )
 from detcode.subsets import binom, subsets
@@ -380,6 +381,26 @@ def test_operator_decode_equals_factored_path(gf13, encoder8, data):
         short = payloads[:3] + [RepairPayload(failed, helpers[3], m, payloads[3].symbols[:-1])]
         with pytest.raises(ValueError, match="multiple of the basis rank"):
             decode_failed_nodes(short, helpers, encoder8, failed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_decode_operator_is_a_canonical_matrix(gf13, encoder8, data):
+    """The decode operator is wrapped unchecked, so its entries must already be
+    canonical: for single, joint and centralized sources it equals the checked
+    constructor's Matrix of its own rows, of received symbols x e * alpha."""
+    m = data.draw(st.integers(1, 4), label="m")
+    failed = tuple(data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True), label="failed"))
+    helpers = tuple(data.draw(st.permutations([h for h in range(1, 9) if h not in failed]), label="helpers")[:4])
+    mode = data.draw(st.sampled_from(["single", "joint", "centralized"]), label="mode")
+    if mode == "single":
+        failed = failed[:1]
+    targets = [failed[: min(slot, len(failed))] if mode == "centralized" else failed for slot in range(1, 5)]
+    sources = tuple((h, target, len(repair_basis(encoder8, target, m)[1])) for h, target in zip(helpers, targets))
+    factored = decode_centralized if mode == "centralized" else decode_factored
+    operator = decode_operator(factored, encoder8, failed, sources, m)
+    assert operator.shape == (sum(rank for _, _, rank in sources), len(failed) * binom(4, m))
+    assert operator == Matrix(gf13, operator.data)
 
 
 # --- centralized sequential repair ----------------------------------------

@@ -5,10 +5,11 @@ from itertools import combinations
 import pytest
 
 from detcode.certificates import column_dependency
-from detcode.code import StripeBatch, build_encoder, build_message_matrix, encode, recover_data
+from detcode.code import BadMode, StripeBatch, build_encoder, build_message_matrix, encode, recover_data
 from detcode.field import Field
 from detcode.repair import (
     OverlapError,
+    RepairPayload,
     WrongTarget,
     decode_failed_nodes,
     decompress_payload,
@@ -241,6 +242,19 @@ def test_repair_basis_rejects_repeated_failed_ids(encoder8, contents8):
         helper_payload(contents8[0], 1, (6, 5, 6), encoder8, 2)
 
 
+@pytest.mark.parametrize("m", [0, 5, 6])  # 0, d + 1 and d + 2 at d = 4
+def test_out_of_range_mode_is_reported_as_itself(encoder8, contents8, m):
+    """Transmit, decompression and decode raise BadMode naming the m they were given."""
+    message = rf"got m={m}, d=4$"
+    with pytest.raises(BadMode, match=message):
+        helper_payload(contents8[0], 1, (5,), encoder8, m)
+    payloads = [RepairPayload((5,), h, m, (0, 0, 0)) for h in (1, 2, 3, 4)]
+    with pytest.raises(BadMode, match=message):
+        decompress_payload(payloads[0], encoder8)
+    with pytest.raises(BadMode, match=message):
+        decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,))
+
+
 def test_decode_rejects_payloads_of_different_stripe_counts(encoder8, contents8):
     """Helper 1 sends two stripes, the others one: decoding refuses the mix."""
     payloads = [
@@ -274,7 +288,9 @@ def test_exhaustive_repair_with_all_helper_sets(encoder8, contents8):
 
 def test_repair_builds_no_matrix_once_bases_are_cached(encoder8, contents8, monkeypatch):
     """Transmit, decompression and decode pass stripe data to the packed product
-    as plain sequences: with the bases and inverses cached, a repair builds no Matrix."""
+    as plain sequences: with the bases and inverses cached, an operator-path repair
+    builds one Matrix, its decode operator of received symbols x e * alpha, whatever
+    the stripe count."""
     from detcode.field import Matrix
 
     failed, helpers = (5, 6), (1, 2, 3, 4)
@@ -288,10 +304,12 @@ def test_repair_builds_no_matrix_once_bases_are_cached(encoder8, contents8, monk
         assert all(decompress_payload(payload, encoder8) for payload in payloads)
         return decode_failed_nodes(payloads, helpers, encoder8, failed)
 
-    expected = repair()  # warms repair_basis and rows_inverse
+    expected = repair()  # warms repair_basis and recover_weights
+    built, wrap = [], Matrix.wrap
     monkeypatch.setattr(Matrix, "__init__", lambda *args, **kwargs: pytest.fail("Matrix built on the repair path"))
-    monkeypatch.setattr(Matrix, "wrap", lambda *args, **kwargs: pytest.fail("Matrix built on the repair path"))
+    monkeypatch.setattr(Matrix, "wrap", lambda field, rows, cols: built.append((len(rows), cols)) or wrap(field, rows, cols))
     assert repair() == expected == {f: repeated(contents8[f - 1]) for f in failed}
+    assert built == [(4 * 5, 2 * 6)]  # 4 helpers of rank beta_e = 5 x 2 failures of alpha = 6; 40 stripes
 
 
 def test_joint_repair_packs_each_basis_weights_once(monkeypatch):
@@ -305,8 +323,8 @@ def test_joint_repair_packs_each_basis_weights_once(monkeypatch):
     failed = (2, 7, 11)
     saved = {f: cluster.contents[f] for f in failed}
     repair_basis.cache_clear()
-    packed, pack = [], field._packed_rows
-    monkeypatch.setattr(field, "_packed_rows", lambda rows, p: packed.append(rows) or pack(rows, p))
+    packed, pack = [], field.Matrix.packed_rows.func
+    monkeypatch.setattr(field.Matrix.packed_rows, "func", lambda weights: packed.append(weights.data) or pack(weights))
     for _ in range(2):
         cluster.fail_nodes(failed)
         event = cluster.repair("joint", failed)
@@ -316,9 +334,10 @@ def test_joint_repair_packs_each_basis_weights_once(monkeypatch):
 
 
 def test_warm_reads_and_repairs_prepare_no_weights(monkeypatch):
-    """Once warm, a default read, an explicit d + 1-node read and a joint repair check, transpose
-    and prepare no weights: each is a cached basis, inverse transpose or read Matrix, prepared once."""
-    from detcode import Cluster, CodeConfig, code, field, repair
+    """Once warm, a default read, an explicit d + 1-node read and a joint repair transpose and
+    prepare no weights: each is a cached basis or read Matrix (the helpers' read weights decode
+    a repair), prepared once."""
+    from detcode import Cluster, CodeConfig, field
 
     config = CodeConfig(n=8, d=4, m=2, p=257)
     data = random.Random(16).randbytes(3 * config.file_symbols)
@@ -336,18 +355,15 @@ def test_warm_reads_and_repairs_prepare_no_weights(monkeypatch):
     run()
     seen = []
 
-    def spy(label, fn, when=lambda *args: True):
-        def wrapper(*args, **kwargs):
-            if when(*args):
-                seen.append(label)
-            return fn(*args, **kwargs)
+    def spy(label, fn):
+        def wrapper(weights):
+            seen.append(label)
+            return fn(weights)
         return wrapper
 
-    plain = lambda rows, weights, *_: not isinstance(weights, field.Matrix)  # plain weights are checked per call
-    for module in (field, code, repair):  # each binds combine_rows by name
-        monkeypatch.setattr(module, "combine_rows", spy("weight check", field.combine_rows, plain))
-    monkeypatch.setattr(field, "_unit_columns", spy("column view", field._unit_columns))
-    monkeypatch.setattr(field, "_packed_rows", spy("packing", field._packed_rows))
-    monkeypatch.setattr(field.Matrix.T, "func", spy("transpose", field.Matrix.T.func))  # runs on a cache miss only
+    # each runs on a cache miss only
+    monkeypatch.setattr(field.Matrix.unit_columns, "func", spy("column view", field.Matrix.unit_columns.func))
+    monkeypatch.setattr(field.Matrix.packed_rows, "func", spy("packing", field.Matrix.packed_rows.func))
+    monkeypatch.setattr(field.Matrix.T, "func", spy("transpose", field.Matrix.T.func))
     run()
     assert seen == []
