@@ -105,9 +105,9 @@ def slot_width(p: int, k: int) -> int:
     A slot accumulates k products of canonical entries, at most
     k * (p-1)**2, and must hold that bound without a carry into its
     neighbour: a machine word of 4 or 8 bytes while the bound fits one,
-    else the bound's whole bytes.
+    else the bound's whole bytes (k = 0 is sized as 1: a canonical entry fits).
     """
-    bound = k * (p - 1) ** 2
+    bound = max(k, 1) * (p - 1) ** 2
     return 4 if bound < 1 << 32 else 8 if bound < 1 << 64 else (bound.bit_length() + 7) // 8
 
 
@@ -348,8 +348,10 @@ class Matrix:
 
     @cached_property
     def unit_columns(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int | None, ...]]:
-        """(columns, units) as weights, built once: unit i is k where column i is the k-th unit vector, else None."""
-        columns = tuple(zip(*self.data))
+        """(columns, units), built once: unit i is k where column i is the k-th unit vector, else None.
+
+        The one transposition of a Matrix, which :attr:`T` wraps; no rows give cols empty columns."""
+        columns = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
         return columns, tuple([c.index(1) if c.count(0) == self.rows - 1 and 1 in c else None for c in columns])
 
     @cached_property
@@ -360,8 +362,8 @@ class Matrix:
 
     @cached_property
     def T(self) -> "Matrix":
-        """The transpose, built once."""
-        return Matrix.wrap(self.field, tuple(zip(*self.data)) if self.rows else ((),) * self.cols, self.rows)
+        """The transpose, built once: a wrap of :attr:`unit_columns`' columns."""
+        return Matrix.wrap(self.field, self.unit_columns[0], self.rows)
 
     def submatrix(self, row_indices, col_indices) -> "Matrix":
         cols = list(col_indices)
@@ -390,7 +392,7 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        if not (self.cols and self.rows):
+        if not self.cols:  # no rows to combine: the kernel cannot tell the output length
             return Matrix.wrap(self.field, [[0] * other.cols for _ in range(self.rows)], other.cols)
         return Matrix.wrap(self.field, combine_rows(other.data, self.T), other.cols)
 

@@ -14,6 +14,8 @@ is the case e = 1. So there is one compress per failure tuple, whichever
 helpers serve it: :func:`repair_basis` builds it and expand once as
 :class:`~detcode.field.Matrix`, which keeps them prepared for the product
 kernel, and all d helpers of every repair of that tuple share them.
+Decompression is one product by expand, whose pivot columns are unit
+columns: the kernel copies them where it packs the received rows.
 
 Both the repair matrix and the readout read the one sign rule,
 :func:`detcode.subsets.incidence`: the matrix takes the signs as
@@ -84,24 +86,22 @@ def repair_matrix(f: int, m: int, encoder: EncoderMatrix) -> Matrix:
 
 
 @lru_cache(maxsize=512)
-def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int):
-    """(compress, pivot columns, expand) for a failure tuple; cached per encoder, shared.
+def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int) -> tuple[Matrix, Matrix]:
+    """(compress, expand) for a failure tuple; cached per encoder, shared.
 
     Column j of failure i's segment of the tuple's repair matrix has index
     i * C(d, m-1) + j. compress is the alpha x rank
-    :class:`~detcode.field.Matrix` of the pivot columns; expand keeps only
-    the free columns of the rank rows (the pivot columns are unit columns):
-    (free column indices, rank x free Matrix of their entries). Both keep
-    their kernel preparation as long as the cache entry lives. A mode
-    outside [1, d] raises BadMode naming m.
+    :class:`~detcode.field.Matrix` of its pivot columns, expand the rank x
+    e * C(d, m-1) nonzero rows of its reduced row echelon form, so the
+    repair matrix is compress @ expand. Both keep their kernel preparation
+    as long as the cache entry lives. A mode outside [1, d] raises BadMode
+    naming m.
     """
     derive_params(encoder.d, m)
     checked_ids(failed, "failed ids", n=encoder.n)
     xi = Matrix.hstack([repair_matrix(f, m, encoder) for f in failed])
-    pivots, rref = xi.pivot_columns()
-    free = tuple(sorted(set(range(xi.cols)) - set(pivots)))
-    compress = xi.submatrix(range(xi.rows), pivots)
-    return compress, tuple(pivots), (free, rref.submatrix(range(rref.rows), free))
+    pivots, expand = xi.pivot_columns()
+    return xi.submatrix(range(xi.rows), pivots), expand
 
 
 WIRE_VERSION = 3
@@ -168,23 +168,17 @@ def helper_payload(h_content: StripeBatch, helper: int, failed, encoder: Encoder
 
 def _payload_shape(payload: RepairPayload, encoder: EncoderMatrix) -> tuple[int, int]:
     """(rank, stripes): the payload's basis rank and the stripes its symbols cover; ValueError unless whole."""
-    rank, count = len(repair_basis(encoder, payload.failed, payload.m)[1]), len(payload.symbols)
+    rank, count = repair_basis(encoder, payload.failed, payload.m)[0].cols, len(payload.symbols)
     if count % rank:
         raise ValueError(f"payload from helper {payload.helper} carries {count} symbols, not a multiple of the basis rank {rank}")
     return rank, count // rank
 
 
 def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> list[int]:
-    """Full-length repair vectors, stripe after stripe: the received symbols times the expansion.
-
-    Pivot columns are unit columns: their received symbols are copied
-    through, and only the free columns go through the packed product.
-    """
+    """Full-length repair vectors, stripe after stripe: the received symbols times expand, one product."""
     rank, _ = _payload_shape(payload, encoder)
-    _, pivots, (free, weights) = repair_basis(encoder, payload.failed, payload.m)
-    received = [payload.symbols[j::rank] for j in range(rank)]
-    columns = dict(zip(pivots, received)) | dict(zip(free, combine_rows(received, weights)))
-    return interleave([columns[c] for c in range(rank + len(free))])
+    expand = repair_basis(encoder, payload.failed, payload.m)[1]
+    return interleave(combine_rows([payload.symbols[j::rank] for j in range(rank)], expand))
 
 
 def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) -> dict[int, StripeBatch]:

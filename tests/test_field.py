@@ -189,6 +189,7 @@ def test_entries_always_canonical(gf13):
         (65521, 2, 8),
         (2**31 - 1, 4, 8),
         (2**31 - 1, 5, 9),
+        (2**31 - 1, 0, 8),  # no rows: sized to hold a canonical entry
     ],
 )
 def test_slot_width_crossovers(p, k, width):
@@ -279,6 +280,15 @@ def test_combine_rows_matches_triple_loop(case):
     expected = matmul_scalar(Matrix(field, list(zip(*weights))), Matrix(field, rows, cols=length))
     assert combine_rows(rows, Matrix(field, weights)) == expected
     assert combine_rows([tuple(row) for row in rows], Matrix(field, weights)) == expected  # any sequences
+
+
+@pytest.mark.parametrize("p", [13, 2**64 + 13])  # array-backed and generic slots
+@pytest.mark.parametrize("r", [0, 1, 3])
+def test_combine_rows_of_no_rows_gives_r_empty_outputs(p, r):
+    """No rows and a 0 x r weight Matrix: r empty outputs, and the transpose has r empty rows."""
+    weights = Matrix(Field(p), [], cols=r)
+    assert combine_rows([], weights) == [[]] * r
+    assert weights.unit_columns[0] == weights.T.data == ((),) * r and weights.T.shape == (r, 0)
 
 
 @pytest.mark.parametrize("length", [1, 5])  # fewer entries than outputs, and more

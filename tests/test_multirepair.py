@@ -396,11 +396,29 @@ def test_decode_operator_is_a_canonical_matrix(gf13, encoder8, data):
     if mode == "single":
         failed = failed[:1]
     targets = [failed[: min(slot, len(failed))] if mode == "centralized" else failed for slot in range(1, 5)]
-    sources = tuple((h, target, len(repair_basis(encoder8, target, m)[1])) for h, target in zip(helpers, targets))
+    sources = tuple((h, target, repair_basis(encoder8, target, m)[0].cols) for h, target in zip(helpers, targets))
     factored = decode_centralized if mode == "centralized" else decode_factored
     operator = decode_operator(factored, encoder8, failed, sources, m)
     assert operator.shape == (sum(rank for _, _, rank in sources), len(failed) * binom(4, m))
     assert operator == Matrix(gf13, operator.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_decompression_in_both_kernel_orientations(encoder8, data):
+    """One stripe packs expand's rows (its pivot columns are multiplied by 1); e * C(d, m-1)
+    stripes or more pack the received rows (its pivot columns are copied). Either way a
+    payload decompresses to each stripe times the failures' repair matrices side by side."""
+    m = data.draw(st.integers(1, 4), label="m")
+    failed = tuple(data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True), label="failed"))
+    helper = data.draw(st.sampled_from([h for h in range(1, 9) if h not in failed]), label="helper")
+    width, alpha = len(failed) * binom(4, m - 1), binom(4, m)
+    stripes = data.draw(st.sampled_from([1, width, width + 3]), label="stripes")
+    size = stripes * alpha
+    batch = StripeBatch(data.draw(st.lists(st.integers(0, 12), min_size=size, max_size=size), label="symbols"), alpha)
+    xi = Matrix.hstack([repair_matrix(f, m, encoder8) for f in failed])
+    expected = [v for s in range(stripes) for v in vec_mat(batch[s], xi)]
+    assert decompress_payload(helper_payload(batch, helper, failed, encoder8, m), encoder8) == expected
 
 
 # --- centralized sequential repair ----------------------------------------
