@@ -251,8 +251,8 @@ class ShardFile:
     """One node's shard: the one shard rule, checked on construction, and its byte layout.
 
     The node id is in [1, n], stripes are alpha symbols long and a positive
-    recorded byte length pads to exactly the stripes. ``original_len`` None
-    (not a byte file) is recorded as 0, and 0 over one or more stripes is None.
+    recorded byte length pads to exactly the stripes. ``original_len`` None (not
+    a byte file) needs a stripe and is recorded as 0; 0 over stripes is None.
     """
 
     config: CodeConfig
@@ -268,6 +268,8 @@ class ShardFile:
             raise ValueError(f"stripes must be alpha = {alpha} symbols long, got {self.stripes.alpha}")
         if length > 0 and count != (need := -(-length // per_stripe)):
             raise ValueError(f"recorded length {length} needs {need} stripes of {per_stripe} symbols, got {count}")
+        if self.original_len is None and not count:
+            raise ValueError("a shard that is not a byte file needs at least one stripe: zero stripes read back as an empty byte file")
         object.__setattr__(self, "original_len", length if length or not count else None)
 
     @property

@@ -31,7 +31,8 @@ not a Python pass per entry.
 
 The paper's alternating sums (parity completion, the parity check, the
 repair readout) are one primitive, :func:`signed_sums`, the only code
-that applies :func:`detcode.subsets.incidence` signs to stripe data.
+that applies :func:`detcode.subsets.incidence` signs to stripe data (one
+call per group completes parities, one checks them, one reads out a repair).
 """
 
 from __future__ import annotations

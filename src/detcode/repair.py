@@ -20,8 +20,8 @@ columns: the kernel copies them where it packs the received rows.
 Both the repair matrix and the readout read the one sign rule,
 :func:`detcode.subsets.incidence`: the matrix takes the signs as
 coefficients, which :class:`~detcode.field.Matrix` reduces, and the readout
-applies them by :func:`detcode.field.signed_sums`, one call per column
-label. No reduction mod p is written here.
+applies them by one :func:`detcode.field.signed_sums` call over every column
+label (:func:`detcode.code.incidence_terms`). No reduction mod p is written here.
 
 That decode, step by step (:func:`decode_factored`), is a fixed linear map
 from the symbols received per stripe to the e * alpha symbols of the failed
@@ -60,7 +60,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, derive_params, recover_weights  # OverlapError re-exported
+from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, derive_params, incidence_terms, recover_weights  # OverlapError re-exported
 from .field import Matrix, combine_rows, element_width, interleave, pack_symbols, signed_sums, unpack_symbols
 from .subsets import binom, incidence
 
@@ -270,9 +270,8 @@ def combine_repair_space(rows, d: int, m: int, field) -> list[list[int]]:
     *rows* are the d rows of the spaces; space b is the d x C(d, m-1) block
     of columns from b * C(d, m-1). Its entry at column label I, entry b of
     list I, is the sum over x in I of (-1)**position(I, x) times the entry
-    at (row x, column I - {x}) of the block: one signed sum per label.
+    at (row x, column I - {x}) of the block: one signed sum over every label.
     """
-    seg, labels = binom(d, m - 1), [[] for _ in range(binom(d, m))]
-    for i, x, j, sign in incidence(d, m):
-        labels[i].append((sign, rows[x - 1][j::seg]))
-    return [signed_sums(terms, field.p) for terms in labels]
+    seg = binom(d, m - 1)
+    sums, spaces = signed_sums(incidence_terms(rows, d, m, seg), field.p), len(rows[0]) // seg
+    return [sums[i * spaces : (i + 1) * spaces] for i in range(binom(d, m))]

@@ -392,6 +392,17 @@ def test_shard_round_trip_keeps_a_cluster_byte_or_not(tmp_path):
     assert empty.recover_file() == loaded.recover_file() == b""
 
 
+def test_zero_stripe_cluster_not_from_a_byte_file_writes_no_shard(tmp_path):
+    """Zero stripes would read back as an empty byte file: the write is refused before any file exists."""
+    config = CodeConfig(n=6, d=3, m=1, p=257)
+    cluster = Cluster.build(config, build_message_matrix([], 3, 1, config.field))
+    with pytest.raises(ValueError, match="cluster was not built from a byte file"):
+        cluster.recover_file()
+    with pytest.raises(ValueError, match="not a byte file needs at least one stripe"):
+        write_all_shards(tmp_path, cluster)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("broken", ["write", "replace"])
 def test_interrupted_shard_write_keeps_old_shard(tmp_path, monkeypatch, broken):
     """A rewrite that fails part way leaves the old shard's bytes and no

@@ -19,12 +19,12 @@ from detcode.code import (
     derive_params,
     encode,
     recover_data,
-    symbol_layout,
+    source_cells,
     tradeoff_bound,
 )
 from detcode.field import CompositeModulus, Field, Matrix
 from detcode.code import MessageMatrix
-from detcode.subsets import binom, subsets
+from detcode.subsets import binom, incidence, subsets
 
 from conftest import GOLDEN_TAIL_ROWS
 from oracles import identity, is_zero, signed_sums_scalar
@@ -141,11 +141,24 @@ def test_encoder_is_shared_per_parameters():
 def test_symbol_counts():
     for d in range(1, 9):
         for m in range(1, d + 1):
-            layout = symbol_layout(d, m)
-            assert len(layout.v_slots) == m * binom(d, m)
-            assert len(layout.w_slots) == m * binom(d, m + 1)
-            assert layout.file_symbols == derive_params(d, m)[2]
-            assert len(layout.parity_sets) == binom(d, m + 1)
+            cells, direct = source_cells(d, m), incidence(d, m)
+            assert len(direct) == m * binom(d, m)
+            assert cells[: len(direct)] == tuple((x - 1, i) for i, x, _, _ in direct)
+            assert len(cells) - len(direct) == m * binom(d, m + 1)
+            assert len(cells) == derive_params(d, m)[2]
+            assert (len(incidence(d, m + 1)) if m < d else 0) == (m + 1) * binom(d, m + 1)
+
+
+@pytest.mark.parametrize("m", [0, 5])  # 0 and d + 1 at d = 4
+def test_out_of_range_mode_is_reported_as_itself(gf13, encoder8, contents8, m):
+    """Building, wrapping and recovering a message raise BadMode naming the m they were given."""
+    message = rf"got m={m}, d=4$"
+    with pytest.raises(BadMode, match=message):
+        build_message_matrix([0] * 20, 4, m, gf13)
+    with pytest.raises(BadMode, match=message):
+        MessageMatrix(Matrix(gf13, [[0] * 6 for _ in range(4)]), m)
+    with pytest.raises(BadMode, match=message):
+        recover_data(contents8[:4], (1, 2, 3, 4), encoder8, m)
 
 
 def test_zero_source_gives_zero_matrix(gf13):
@@ -202,19 +215,20 @@ def test_parity_violation_detected(gf13):
     msg = build_message_matrix(list(range(20)), 4, 2, gf13)
     rows = [row[:] for row in msg.matrix.data]
     # row 3, column (1,2) is the parity-owned slot of the set (1,2,3)
-    rows[2][msg.layout.columns.rank((1, 2))] += 1
+    rows[2][subsets(4, 2).rank((1, 2))] += 1
     with pytest.raises(ParityViolation):
-        MessageMatrix(msg.layout, Matrix(gf13, rows)).verify_parity()
+        MessageMatrix(Matrix(gf13, rows), 2).verify_parity()
 
 
 def first_parity_violation(message):
     """The message of a per-group check: the first group with a nonzero signed sum, then its first stripe."""
-    rows, p, alpha = message.matrix.data, message.matrix.field.p, len(message.layout.columns)
-    for k, group in enumerate(message.layout.parity_sets):
-        sums = signed_sums_scalar([(sign, rows[r][c::alpha]) for (r, c), sign in group], p)
+    rows, p, alpha, size = message.matrix.data, message.matrix.field.p, message.alpha, message.m + 1
+    table = incidence(message.d, size) if size <= message.d else ()
+    for g in range(0, len(table), size):
+        sums = signed_sums_scalar([(sign, rows[x - 1][c::alpha]) for _, x, c, sign in table[g : g + size]], p)
         bad = [s for s, v in enumerate(sums) if v]
         if bad:
-            return f"stripe {bad[0]}: parity fails for {subsets(message.d, message.m + 1).unrank(k)}"
+            return f"stripe {bad[0]}: parity fails for {subsets(message.d, size).unrank(g // size)}"
     return None
 
 
@@ -223,7 +237,7 @@ def test_verify_parity_names_the_group_and_stripe_of_a_per_group_check(d, m):
     """Damage every cell of a two-stripe message, alone and with its mirror cell: one signed sum over
     every group names the same group and stripe as checking group after group."""
     field = Field(257)
-    message = build_message_matrix(random.Random(d).choices(range(257), k=2 * symbol_layout(d, m).file_symbols), d, m, field)
+    message = build_message_matrix(random.Random(d).choices(range(257), k=2 * derive_params(d, m)[2]), d, m, field)
     clean, width = [list(row) for row in message.matrix.data], message.matrix.cols
     for r in range(d):
         for c in range(width):
@@ -231,7 +245,7 @@ def test_verify_parity_names_the_group_and_stripe_of_a_per_group_check(d, m):
                 rows = [row[:] for row in clean]
                 for y, x in cells:
                     rows[y][x] = (rows[y][x] + 1) % 257
-                damaged = MessageMatrix(message.layout, Matrix.wrap(field, rows, width))
+                damaged = MessageMatrix(Matrix.wrap(field, rows, width), m)
                 expected = first_parity_violation(damaged)
                 if expected is None:
                     damaged.verify_parity()

@@ -3,6 +3,7 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detcode.certificates import column_dependency
 from detcode.code import BadMode, StripeBatch, build_encoder, build_message_matrix, encode, recover_data
@@ -11,14 +12,15 @@ from detcode.repair import (
     OverlapError,
     RepairPayload,
     WrongTarget,
+    combine_repair_space,
     decode_failed_nodes,
     decompress_payload,
     helper_payload,
     repair_basis,
     repair_matrix,
 )
-from detcode.subsets import binom, subsets
-from oracles import column, mul_vec, vec_mat
+from detcode.subsets import binom, incidence, subsets
+from oracles import column, mul_vec, signed_sums_scalar, vec_mat
 
 
 def test_repair_matrix_entries_golden(encoder8):
@@ -367,3 +369,25 @@ def test_warm_reads_and_repairs_prepare_no_weights(monkeypatch):
     monkeypatch.setattr(field.Matrix.T, "func", spy("transpose", field.Matrix.T.func))
     run()
     assert seen == []
+
+
+@st.composite
+def _repair_spaces(draw):
+    """(d, m, rows): the d rows (lists or tuples) of 0-3 stripes times e = 1..3 repair spaces side by side, over GF(257)."""
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(1, d))
+    width = draw(st.integers(0, 3)) * draw(st.integers(1, 3)) * binom(d, m - 1)
+    rows = [draw(st.lists(st.integers(0, 256), min_size=width, max_size=width)) for _ in range(d)]
+    return d, m, [tuple(row) for row in rows] if draw(st.booleans()) else rows  # Matrix rows are tuples
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_repair_spaces())
+def test_combine_repair_space_matches_a_per_label_readout(case):
+    """One signed sum over every column label reads out what one scalar signed sum per label does."""
+    d, m, rows = case
+    seg, labels = binom(d, m - 1), [[] for _ in range(binom(d, m))]
+    for i, x, j, sign in incidence(d, m):
+        labels[i].append((sign, rows[x - 1][j::seg]))
+    expected = [signed_sums_scalar(terms, 257) for terms in labels]
+    assert combine_repair_space(rows, d, m, Field(257)) == expected

@@ -325,23 +325,25 @@ def test_shard_file_refuses_what_read_shard_would(node_id, stripes, original_len
 
 
 def test_shard_file_records_none_as_zero():
-    """0 over stripes means "not a byte file" (None); over no stripes both are 0."""
+    """0 over stripes means "not a byte file" (None); over no stripes 0 is an empty byte file and None is refused."""
     config = CodeConfig(n=8, d=4, m=2, p=257)
     assert ShardFile(config, 1, 0, StripeBatch([1, 2, 3, 4, 5, 6], 6)).original_len is None
-    assert ShardFile(config, 1, None, StripeBatch([], 6)).original_len == 0
+    assert ShardFile(config, 1, 0, StripeBatch([], 6)).original_len == 0
+    with pytest.raises(ValueError, match="not a byte file needs at least one stripe"):
+        ShardFile(config, 1, None, StripeBatch([], 6))
     assert ShardFile(config, 1, None, StripeBatch([1, 2, 3, 4, 5, 6], 6)).to_bytes()[-20:-12] == bytes(8)
 
 
 @st.composite
 def _shard_files(draw):
-    """A valid shard of 0-3 stripes; its length is None, 0 or one that pads to the stripes."""
+    """A valid shard of 0-3 stripes; its length is None (one or more stripes), 0 or one that pads to the stripes."""
     p, n, d, m = draw(st.sampled_from([(13, 8, 4, 2), (257, 8, 4, 2), (65537, 6, 3, 3), (2**61 - 1, 5, 2, 1)]))
     config = CodeConfig(n=n, d=d, m=m, p=p)
     count = draw(st.integers(0, 3))
     size = count * config.alpha
     symbols = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
     fitting = st.integers((count - 1) * config.file_symbols + 1, count * config.file_symbols) if count else st.just(0)
-    original_len = draw(st.none() | st.just(0) | fitting)
+    original_len = draw((st.none() | st.just(0) | fitting) if count else st.just(0))
     return ShardFile(config, draw(st.integers(1, n)), original_len, StripeBatch(symbols, config.alpha))
 
 
@@ -413,3 +415,61 @@ def test_read_shard_raises_only_shard_format_error(tmp_path_factory, blob):
         return
     write_shard(path, shard.config, shard.node_id, shard.stripes, shard.original_len)
     assert path.read_bytes() == blob
+
+
+# sha256 over the sha256 of every shard file, node order, for a seeded file of each size over GF(257);
+# then one joint payload's to_bytes: helper d + 1 to failed nodes (1, 2) of the 900-byte file.
+GOLDEN_SHARDS = {
+    (8, 4, 1): (
+        "b2d094e11633c1c0b34dc0e9a277f1b20b1b94c05f4ea124d040a3566fd53342",
+        "9097e41c077b9b8cb7364e9d80e90c9d3087cf310b64201ec6a6432906b9dcdd",
+        "4759941ddf140d6faf140842726ec760e2e6f9684bafe6b33279d22bea3c4cf4",
+        "1df188ed314fad7198d8e0c6ab9a606d3f5df20eece95d6a2e51d5e3eeb2c706",
+        "23566a6b00b9f7079fb6dcbb2700f37b6f572b278236ce65320170bba663fd66",
+    ),
+    (8, 4, 2): (
+        "c656b83b2e8087cc10515fbc619d14fa228efce7557334d5bb26b7de747ec06e",
+        "f69276d38cf10a3ca609d2e5a5910f8079598bbf41b1665a6dee9ac4d5644e17",
+        "409ea82637a12d93f5378f4603666b7c6411fd133e67f8466e59dc4f50e2a38d",
+        "60de4aefe13a863df86ff801986fe21bdfcce5c65d99f004bd2e22535789d765",
+        "2431ed0f992acfd9de85f7420429e1e5f567dc5dec27589837a0427d51ba0e7c",
+    ),
+    (8, 4, 4): (
+        "a174bdf23ec363fd789e2252b602b8437bb410aa59f313ce6bbbed4ae15e47fc",
+        "f56ab5a9862494f1545b1dd4a7367495640189f73807ab09134a676141d13ffb",
+        "c902fbdf3c8dc48034c70662bf7b763845b2a9c68ccef872423b1278c4b87616",
+        "07c797871f878e1640f3236da69ad57ee789cdd4bb47c817119b872adc6138fd",
+        "97861e398b91ac004d1715ca352a6fa64d0de527a7de68649569b78a19dcd393",
+    ),
+    (12, 6, 3): (
+        "0ae1fc8a2e1491851cc837123cfcdbaebc926b40d954047d8ee461aea8bcccca",
+        "09de290bc4f563b0035f86bff58241a5fee6c23c180e8fd8fb7f91f145efaee1",
+        "ddc988c91e64e64c08a942d5e3c9d4e35a4945b168988fee6dd07770b2f22953",
+        "8cc922a5b03917ebee271b6e111d15e85f7d92669387afc91f1b0235c19c7604",
+        "dee8da6158d061354c5752f2ee0d6a4ce64f35bf7ad584e28bf1e546492899ed",
+    ),
+    (16, 10, 3): (
+        "1b5e8beebe79bb7996314dbc7ae1019775ac528c05f3dc875ff2b0c48b024914",
+        "a251909fcece735c5389bc3988ee0e12ab38a8422286de1a0671f2c86a09ec56",
+        "1397e5f181807170017ed39e3a47e7a5499c075daa12da80a831314cebe3c655",
+        "d90defa9b8f82c30bc595d92592432a3ea6f3392c6accbf2807175bddd1dfafc",
+        "77d526c3d501a7c5e3f9ee59befe9d61a8166834f9d8f6a312122f9ad6eaf2c4",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, d, m", sorted(GOLDEN_SHARDS))
+def test_shard_and_payload_bytes_golden(tmp_path, n, d, m):
+    """Source order, parity completion, encoding and both wire formats, byte for byte, at 0, 1, 900 and 5000 bytes."""
+    config, digests, clusters = CodeConfig(n=n, d=d, m=m, p=257), GOLDEN_SHARDS[n, d, m], {}
+    for size, digest in zip((0, 1, 900, 5000), digests):
+        directory = tmp_path / str(size)
+        directory.mkdir()
+        clusters[size] = Cluster.from_file(random.Random(size).randbytes(size), config)
+        write_all_shards(directory, clusters[size])
+        h = hashlib.sha256()
+        for node_id in range(1, n + 1):
+            h.update(hashlib.sha256(shard_path(directory, node_id).read_bytes()).digest())
+        assert h.hexdigest() == digest, size
+    payload = helper_payload(clusters[900].contents[d + 1], d + 1, (1, 2), clusters[900].encoder, m)
+    assert hashlib.sha256(payload.to_bytes(257)).hexdigest() == digests[4]
