@@ -16,7 +16,9 @@ Two mechanisms beat repairing each failure independently:
   equalizes it exactly. The steps, center-local transmits included, are
   linear in the helpers' payloads: from twice as many stripes as the
   payloads carry symbols per stripe, the whole sequence runs as one
-  operator of :mod:`detcode.repair`, built from :func:`decode_centralized`.
+  operator of :mod:`detcode.repair`, built from :func:`decode_centralized`
+  on the first repair of a (failure tuple, helper tuple, mode) and kept in
+  :func:`detcode.repair.decode_operator`'s cache for every later one.
   It needs at most d failures, one helper slot per failure.
 """
 

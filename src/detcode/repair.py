@@ -29,16 +29,21 @@ nodes, and so is the repair center's
 (:func:`detcode.multirepair.decode_centralized`). :func:`decode_operator`
 compiles either into one :class:`~detcode.field.Matrix` by running it on
 the unit batch. A batch of at least twice as many stripes as the operator
-has rows builds it for this repair and decodes by one product with it
-(build and product beat the factored decode from about 1.5 times the rows
-on); a smaller batch runs the factored decode, which also stays the test
-oracle.
+has rows decodes by one product with it (build and product beat the
+factored decode from about 1.5 times the rows on); a smaller batch runs the
+factored decode, which also stays the operator's builder and the test
+oracle. The operator depends only on the code, the decode, the failure and
+helper tuples and the mode, and the default helpers give every object repaired
+after a node failure the same tuple, so compiled operators are kept in one
+least-recently-used cache bounded by the entries it holds
+(:data:`OPERATOR_BUDGET`): every repair of a tuple after the first skips
+the build.
 
 Every product here is :func:`detcode.field.combine_rows`, fed plain
 sequences (a batch's strided slices ``batch.symbols[c::alpha]``, a
 payload's ``symbols[j::rank]``, repair vectors) weighted by a
 :class:`~detcode.field.Matrix`: a cached basis or read inverse, or the
-decode operator built for one repair. Every weight depends only on the
+decode operator of the tuple. Every weight depends only on the
 failure and helper tuples, so stripe data is never copied into a Matrix;
 each output column lands in the flat payload, vector or batch by
 :func:`~detcode.field.interleave`.
@@ -57,8 +62,10 @@ of (failed ids, m). Symbols are packed by :func:`detcode.field.pack_symbols`.
 from __future__ import annotations
 
 import struct
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
+from threading import Lock
 
 from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, derive_params, incidence_terms, recover_weights  # OverlapError re-exported
 from .field import Matrix, combine_rows, element_width, interleave, pack_symbols, signed_sums, unpack_symbols
@@ -212,8 +219,9 @@ def decode_payloads(factored, payloads, encoder: EncoderMatrix, failed) -> dict[
 
     *factored(payloads, encoder, failed)* is a linear decode. From twice as
     many stripes as its operator has rows (one per received symbol of a
-    stripe) the batch goes through the operator: one build, one product, no
-    intermediate repair vectors. Fewer stripes run *factored* directly.
+    stripe) the batch goes through the operator: one lookup (one build on a
+    cache miss), one product, no intermediate repair vectors. Fewer stripes
+    run *factored* directly and keep nothing.
     """
     shapes = [_payload_shape(payload, encoder) for payload in payloads]
     if len(counts := {stripes for _, stripes in shapes}) != 1:
@@ -228,15 +236,81 @@ def decode_payloads(factored, payloads, encoder: EncoderMatrix, failed) -> dict[
     return {f: StripeBatch(interleave(columns[i * alpha : (i + 1) * alpha]), alpha) for i, f in enumerate(failed)}
 
 
+OPERATOR_BUDGET = 2**19
+"""Operator entries (rows x columns, over every kept operator) that :func:`decode_operator` keeps.
+
+A kept operator retains about 17.5 bytes of heap per entry at p = 257, its
+tuple rows and its prepared columns (tracemalloc): 4.7 MiB for the 280 800
+entries of a (16, 10, 3) three-failure centralized operator, 117 KiB for
+the 6840 of a (12, 6, 3) three-failure joint one. So the budget keeps about
+9 MiB, 76 such (12, 6, 3) tuples, where a count of 512 operators could keep
+gigabytes. Small operators retain more per entry: about 3 KiB, key
+included, for the 72 entries of an (8, 4, 2) single repair."""
+
+OperatorCacheInfo = namedtuple("OperatorCacheInfo", "hits misses maxsize currsize")
+
+
+class _EntryBoundedCache:
+    """Least-recently-used cache of a Matrix-valued function, keeping at most OPERATOR_BUDGET entries in all.
+
+    Called with positional arguments only, which are the key. Kept results
+    are shared, which Matrix allows: its rows never change. A result larger
+    than the whole budget is returned and not kept. The bookkeeping is
+    locked, the build is not: threads missing one key at once each build it.
+    """
+
+    def __init__(self, build):
+        update_wrapper(self, build)
+        self._build, self._lock = build, Lock()
+        self._kept, self._entries, self._hits, self._misses = OrderedDict(), 0, 0, 0
+
+    def __call__(self, *key) -> Matrix:
+        kept = self._kept
+        with self._lock:
+            if (result := kept.get(key)) is not None:
+                kept.move_to_end(key)
+                self._hits += 1
+                return result
+            self._misses += 1
+        result = self._build(*key)
+        size = result.rows * result.cols
+        with self._lock:
+            if size <= OPERATOR_BUDGET and key not in kept:
+                while self._entries + size > OPERATOR_BUDGET:
+                    evicted = kept.popitem(last=False)[1]
+                    self._entries -= evicted.rows * evicted.cols
+                kept[key] = result
+                self._entries += size
+        return result
+
+    def cache_info(self) -> OperatorCacheInfo:
+        """Hits, misses, the budget and the entries kept: maxsize and currsize count operator entries."""
+        with self._lock:
+            return OperatorCacheInfo(self._hits, self._misses, OPERATOR_BUDGET, self._entries)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._kept.clear()
+            self._entries = self._hits = self._misses = 0
+
+
+@_EntryBoundedCache
 def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], sources, m: int) -> Matrix:
-    """Decode operator of *factored*: a Matrix of received symbols per stripe x e * alpha.
+    """Decode operator of *factored*: a Matrix of received symbols per stripe x e * alpha; cached, shared.
 
     *sources* is the (helper, failure tuple it serves, basis rank) of each
     payload, in order. The operator is *factored* run on the unit batch,
     whose stripe t carries a 1 in received position t (payload after
     payload, rank positions each): row t is that decode's output for stripe
     t, the failed nodes' alpha entries each in failure order. Kernel and
-    signed-sum outputs or unit-batch copies, they are canonical: wrapped unchecked.
+    signed-sum outputs or unit-batch copies, they are canonical: wrapped
+    unchecked, as tuples, since a kept operator is shared.
+
+    Every argument is the key (the encoder by identity, which
+    :func:`detcode.code.build_encoder` shares), positional only. The least
+    recently used operators are evicted first to keep their entries within
+    :data:`OPERATOR_BUDGET`; ``decode_operator.cache_info()`` reports hits,
+    misses, the budget and the entries kept, and ``cache_clear()`` empties it.
     """
     total = sum(rank for _, _, rank in sources)
     payloads, offset = [], 0
@@ -247,7 +321,7 @@ def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], s
         payloads.append(RepairPayload(target, helper, m, tuple(symbols)))
         offset += rank
     decoded = factored(payloads, encoder, failed)
-    rows = [[v for f in failed for v in decoded[f][t]] for t in range(total)]
+    rows = tuple(tuple([v for f in failed for v in decoded[f][t]]) for t in range(total))
     return Matrix.wrap(encoder.field, rows, len(failed) * decoded[failed[0]].alpha)
 
 

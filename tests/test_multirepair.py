@@ -388,7 +388,8 @@ def test_operator_decode_equals_factored_path(gf13, encoder8, data):
 def test_decode_operator_is_a_canonical_matrix(gf13, encoder8, data):
     """The decode operator is wrapped unchecked, so its entries must already be
     canonical: for single, joint and centralized sources it equals the checked
-    constructor's Matrix of its own rows, of received symbols x e * alpha."""
+    constructor's Matrix of its own rows, of received symbols x e * alpha. A kept
+    operator is shared, so its rows are tuples, as Matrix's own are."""
     m = data.draw(st.integers(1, 4), label="m")
     failed = tuple(data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True), label="failed"))
     helpers = tuple(data.draw(st.permutations([h for h in range(1, 9) if h not in failed]), label="helpers")[:4])
@@ -401,6 +402,65 @@ def test_decode_operator_is_a_canonical_matrix(gf13, encoder8, data):
     operator = decode_operator(factored, encoder8, failed, sources, m)
     assert operator.shape == (sum(rank for _, _, rank in sources), len(failed) * binom(4, m))
     assert operator == Matrix(gf13, operator.data)
+    assert type(operator.data) is tuple and all(type(row) is tuple for row in operator.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_warm_decode_reuses_the_operator_of_its_complete_key(gf13, encoder8, data):
+    """A second decode of one tuple builds nothing: it hits the operator cache and equals
+    the factored or centralized oracle and the encoded contents, as the first does. The
+    key is complete: two orders of one helper set, and joint against centralized repair
+    of one failure tuple, are separate entries. Two files at one configuration, each
+    repaired with the default helpers after the same nodes fail, share one operator."""
+    from detcode import Cluster, CodeConfig
+
+    m = data.draw(st.integers(1, 4), label="m")
+    failed = tuple(data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True), label="failed"))
+    helpers = tuple(data.draw(st.permutations([h for h in range(1, 9) if h not in failed]), label="helpers")[:4])
+    e, per_stripe = len(failed), m * binom(5, m + 1)
+    stripes = 2 * 4 * joint_bandwidth(4, m, e) + data.draw(st.integers(0, 4), label="extra")  # joint rows bound the centralized
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+
+    def message():
+        return build_message_matrix([rng.randrange(13) for _ in range(stripes * per_stripe)], 4, m, gf13)
+
+    contents = encode(encoder8, message())
+    expected = {f: contents[f - 1] for f in failed}
+
+    def joint(order):
+        payloads = [helper_payload(contents[h - 1], h, failed, encoder8, m) for h in order]
+        return decode_failed_nodes(payloads, order, encoder8, failed), decode_factored(payloads, encoder8, failed)
+
+    def central(order):
+        payloads = [
+            helper_payload(contents[h - 1], h, failed[: min(slot, e)], encoder8, m) for slot, h in enumerate(order, start=1)
+        ]
+        repaired, _ = centralized_repair(failed, order, {h: contents[h - 1] for h in order}, encoder8, m)
+        return repaired, decode_centralized(payloads, encoder8, failed)
+
+    repair.decode_operator.cache_clear()
+    for run in (joint, central):
+        for order in (helpers, helpers[::-1]):
+            for hit in (False, True):
+                before = repair.decode_operator.cache_info()
+                decoded, oracle = run(order)
+                after = repair.decode_operator.cache_info()
+                assert (after.hits - before.hits, after.misses - before.misses) == ((1, 0) if hit else (0, 1))
+                assert decoded == oracle == expected
+    info = repair.decode_operator.cache_info()
+    assert (info.hits, info.misses) == (4, 4)  # four keys, each built once and found once
+
+    config = CodeConfig(n=8, d=4, m=m, p=13)
+    clusters = [Cluster.build(config, message()) for _ in range(2)]
+    repair.decode_operator.cache_clear()
+    for cluster in clusters:
+        saved = {f: cluster.contents[f] for f in failed}
+        cluster.fail_nodes(failed)
+        cluster.repair("joint", failed)
+        assert {f: cluster.contents[f] for f in failed} == saved
+    info = repair.decode_operator.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 @settings(max_examples=40, deadline=None)

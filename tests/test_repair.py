@@ -1,4 +1,8 @@
+import gc
 import random
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -14,6 +18,7 @@ from detcode.repair import (
     WrongTarget,
     combine_repair_space,
     decode_failed_nodes,
+    decode_operator,
     decompress_payload,
     helper_payload,
     repair_basis,
@@ -292,7 +297,8 @@ def test_repair_builds_no_matrix_once_bases_are_cached(encoder8, contents8, monk
     """Transmit, decompression and decode pass stripe data to the packed product
     as plain sequences: with the bases and inverses cached, an operator-path repair
     builds one Matrix, its decode operator of received symbols x e * alpha, whatever
-    the stripe count."""
+    the stripe count, and only while the operator is not cached: a repair of the
+    same tuple after it builds none."""
     from detcode.field import Matrix
 
     failed, helpers = (5, 6), (1, 2, 3, 4)
@@ -307,11 +313,158 @@ def test_repair_builds_no_matrix_once_bases_are_cached(encoder8, contents8, monk
         return decode_failed_nodes(payloads, helpers, encoder8, failed)
 
     expected = repair()  # warms repair_basis and recover_weights
+    decode_operator.cache_clear()
     built, wrap = [], Matrix.wrap
     monkeypatch.setattr(Matrix, "__init__", lambda *args, **kwargs: pytest.fail("Matrix built on the repair path"))
     monkeypatch.setattr(Matrix, "wrap", lambda field, rows, cols: built.append((len(rows), cols)) or wrap(field, rows, cols))
     assert repair() == expected == {f: repeated(contents8[f - 1]) for f in failed}
     assert built == [(4 * 5, 2 * 6)]  # 4 helpers of rank beta_e = 5 x 2 failures of alpha = 6; 40 stripes
+    built.clear()
+    assert repair() == expected
+    assert built == []  # the operator is cached
+
+
+def _operator_batches(gf13, encoder8, stripes):
+    """Node contents of a random message of *stripes* stripes at (8, 4, 2) over GF(13)."""
+    rng = random.Random(stripes)
+    return encode(encoder8, build_message_matrix([rng.randrange(13) for _ in range(stripes * 20)], 4, 2, gf13))
+
+
+def test_below_rule_repairs_keep_no_operator():
+    """One stripe at (16, 10, 3) is below the stripe-count rule in every mode: the factored
+    decode runs, and no operator is looked up, built or kept."""
+    from detcode import Cluster, CodeConfig
+
+    config = CodeConfig(n=16, d=10, m=3, p=257)
+    cluster = Cluster.from_file(random.Random(21).randbytes(config.file_symbols), config)
+    assert cluster.stripe_count == 1
+    decode_operator.cache_clear()
+    for mode, failed in (("centralized", (2, 7, 11)), ("joint", (2, 7, 11)), ("naive", (4, 15)), ("single", (3,))):
+        saved = {f: cluster.contents[f] for f in failed}
+        cluster.fail_nodes(failed)
+        cluster.repair(mode, failed)
+        assert {f: cluster.contents[f] for f in failed} == saved
+    info = decode_operator.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_operator_larger_than_the_budget_is_used_and_not_kept(gf13, encoder8, monkeypatch):
+    """A decode operator of more entries than the whole budget decodes and is dropped, so the
+    next decode of its tuple builds it again; one that fits the budget exactly is kept."""
+    contents, failed, helpers = _operator_batches(gf13, encoder8, 40), (5, 6), (1, 2, 3, 4)
+    payloads = [helper_payload(contents[h - 1], h, failed, encoder8, 2) for h in helpers]
+    size = 4 * 5 * 2 * 6  # 4 helpers of rank 5 x 2 failures of alpha 6
+    decode_operator.cache_clear()
+    for budget, kept in ((size - 1, 0), (size - 1, 0), (size, size), (size, size)):
+        monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", budget)
+        assert decode_failed_nodes(payloads, helpers, encoder8, failed) == {f: contents[f - 1] for f in failed}
+        assert decode_operator.cache_info()[2:] == (budget, kept)
+    assert decode_operator.cache_info()[:2] == (1, 3)
+
+
+def test_kept_operator_entries_never_exceed_the_budget(gf13, encoder8, monkeypatch):
+    """Repairing more distinct tuples than fit (single, joint and centralized, of 72 to 432
+    entries each) evicts least recently used operators first and never keeps more entries
+    than the budget; a tuple found in the cache counts as used."""
+    from detcode.multirepair import centralized_repair
+
+    contents, helpers = _operator_batches(gf13, encoder8, 48), (1, 2, 3, 4)
+    budget = 500
+    monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", budget)
+    decode_operator.cache_clear()
+
+    def run(mode, failed):
+        if mode == "centralized":
+            decoded, _ = centralized_repair(failed, helpers, {h: contents[h - 1] for h in helpers}, encoder8, 2)
+        else:
+            payloads = [helper_payload(contents[h - 1], h, failed, encoder8, 2) for h in helpers]
+            decoded = decode_failed_nodes(payloads, helpers, encoder8, failed)
+        assert decoded == {f: contents[f - 1] for f in failed}
+        info = decode_operator.cache_info()
+        assert info.currsize <= budget
+        return info
+
+    # operator entries: (5,) 72, (5, 6) and (6, 7) 240, centralized (5, 6, 7) 360, joint (5, 6, 7) 432
+    steps = [
+        ("joint", (5,), 0, 72),
+        ("joint", (5, 6), 0, 312),
+        ("joint", (5,), 1, 312),  # a hit: (5, 6) is now the least recently used
+        ("joint", (6, 7), 1, 312),  # evicts (5, 6)
+        ("joint", (5,), 2, 312),
+        ("joint", (5, 6), 2, 312),  # built again; evicts (6, 7)
+        ("centralized", (5, 6, 7), 2, 360),  # evicts both
+        ("joint", (5, 6, 7), 2, 432),
+    ]
+    for mode, failed, hits, kept in steps:
+        info = run(mode, failed)
+        assert (info.hits, info.currsize) == (hits, kept)
+    assert info.misses == len(steps) - info.hits
+
+
+def test_operator_cache_bookkeeping_holds_under_threads(gf13, encoder8, monkeypatch):
+    """Eight threads decoding five tuples at once, with a budget that evicts and a short switch
+    interval: every decode is exact, every call is one hit or one miss, and the kept entries are
+    those of the kept operators, within the budget."""
+    contents, helpers = _operator_batches(gf13, encoder8, 48), (1, 2, 3, 4)
+    tuples = [(5,), (6,), (5, 6), (6, 7), (5, 6, 7)]
+    payloads = {failed: [helper_payload(contents[h - 1], h, failed, encoder8, 2) for h in helpers] for failed in tuples}
+    monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", 600)
+    decode_operator.cache_clear()
+    errors, rounds = [], 6
+
+    def work(start):
+        try:
+            for k in range(rounds * len(tuples)):
+                failed = tuples[(start + k) % len(tuples)]
+                if decode_failed_nodes(payloads[failed], helpers, encoder8, failed) != {f: contents[f - 1] for f in failed}:
+                    errors.append(failed)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    info = decode_operator.cache_info()
+    assert info.hits + info.misses == 8 * rounds * len(tuples)
+    assert info.currsize == sum(op.rows * op.cols for op in decode_operator._kept.values()) <= 600
+
+
+def test_kept_operators_retain_less_heap_than_the_budget_estimate(monkeypatch):
+    """The heap the kept operators retain, prepared columns included, measured by tracemalloc
+    around clearing the cache, stays under 20 bytes per budget entry: at (12, 6, 3) an
+    operator of 6840 entries retains about 17.5 bytes per entry. Six tuples, three fit."""
+    from detcode import Cluster, CodeConfig
+    config = CodeConfig(n=12, d=6, m=3, p=257)
+    cluster = Cluster.from_file(random.Random(22).randbytes(240 * config.file_symbols), config)
+    tuples = [(1, 5, 9), (2, 4, 10), (3, 7, 11), (1, 6, 12), (2, 8, 12), (3, 5, 10)]
+    budget = 3 * 6 * 19 * 3 * 20  # three operators of 6 helpers of rank 19 x 3 failures of alpha 20
+    monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", budget)
+    decode_operator.cache_clear()
+    tracemalloc.start()
+    try:
+        for failed in tuples:
+            saved = {f: cluster.contents[f] for f in failed}
+            cluster.fail_nodes(failed)
+            cluster.repair("joint", failed)
+            assert {f: cluster.contents[f] for f in failed} == saved
+            assert decode_operator.cache_info().currsize <= budget
+        gc.collect()
+        kept, before = decode_operator.cache_info().currsize, tracemalloc.get_traced_memory()[0]
+        decode_operator.cache_clear()
+        gc.collect()
+        retained = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (kept, decode_operator.cache_info().misses) == (budget, 0)
+    assert 8 * kept < retained < 20 * budget  # more than the row tuples alone, under the estimate
 
 
 def test_joint_repair_packs_each_basis_weights_once(monkeypatch):
