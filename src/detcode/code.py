@@ -261,15 +261,6 @@ class MessageMatrix:
     def stripes(self) -> int:
         return self.matrix.cols // self.alpha
 
-    def entry(self, x: int, column_label) -> int:
-        """Entry at row x, column label I of the first stripe."""
-        return self.matrix[x - 1, subsets(self.d, self.m).rank(column_label)]
-
-    def shared_symbol(self, x: int, members) -> int:
-        """Value of the first stripe's (m+1)-set symbol (x, members), read from its slot."""
-        rest = tuple(y for y in members if y != x)
-        return self.matrix[x - 1, subsets(self.d, self.m).rank(rest)]
-
     def verify_parity(self) -> None:
         """Check every alternating-sum constraint of every stripe by one signed sum; raises ParityViolation."""
         if self.m == self.d:

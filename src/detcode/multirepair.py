@@ -6,13 +6,13 @@ Two mechanisms beat repairing each failure independently:
   overlap linearly, so their concatenation compresses to at most
   beta_e = C(d, m) - C(d-e, m) symbols per helper. The payloads themselves
   are built and decoded in :mod:`detcode.repair`; the null-space
-  certificate of the rank bound is in :mod:`detcode.certificates`.
+  certificate of the rank bound is in ``tests/certificates.py``.
 
 * centralized sequencing — a repair center restores the failed nodes one at
   a time and reuses freshly repaired nodes as helpers for the rest; symbol
   exchange among nodes already at the center is free. Averaged over the d
   helpers the download is beta_bar_e = (m/d) * (C(d+1, m+1) - C(d-e+1, m+1))
-  per helper, and a d-fold rotation schedule (in :mod:`detcode.certificates`)
+  per helper, and a d-fold rotation schedule (in ``tests/certificates.py``)
   equalizes it exactly. The steps, center-local transmits included, are
   linear in the helpers' payloads: from twice as many stripes as the
   payloads carry symbols per stripe, the whole sequence runs as one
@@ -83,17 +83,6 @@ class CentralRepairPlan:
     def served_prefix(self, slot: int) -> tuple[int, ...]:
         """Failed nodes receiving data from the helper in 1-based slot."""
         return self.failed[: min(slot, self.e)]
-
-    @property
-    def per_helper_bandwidth(self) -> tuple[int, ...]:
-        return tuple(
-            joint_bandwidth(self.d, self.m, min(slot, self.e))
-            for slot in range(1, self.d + 1)
-        )
-
-    @property
-    def total_bandwidth(self) -> int:
-        return sum(self.per_helper_bandwidth)
 
     def helper_sequence(self, step: int) -> tuple[int, ...]:
         """d helpers used to repair the failure at 0-based *step*: the

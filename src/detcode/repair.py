@@ -35,7 +35,7 @@ factored decode, which also stays the operator's builder and the test
 oracle. The operator depends only on the code, the decode, the failure and
 helper tuples and the mode, and the default helpers give every object repaired
 after a node failure the same tuple, so compiled operators are kept in one
-least-recently-used cache bounded by the entries it holds
+least-recently-used cache bounded by the entries charged for them
 (:data:`OPERATOR_BUDGET`): every repair of a tuple after the first skips
 the build.
 
@@ -237,21 +237,30 @@ def decode_payloads(factored, payloads, encoder: EncoderMatrix, failed) -> dict[
 
 
 OPERATOR_BUDGET = 2**19
-"""Operator entries (rows x columns, over every kept operator) that :func:`decode_operator` keeps.
+"""Charged entries (:func:`_charge`, over every kept operator) that :func:`decode_operator` keeps.
 
-A kept operator retains about 17.5 bytes of heap per entry at p = 257, its
-tuple rows and its prepared columns (tracemalloc): 4.7 MiB for the 280 800
-entries of a (16, 10, 3) three-failure centralized operator, 117 KiB for
-the 6840 of a (12, 6, 3) three-failure joint one. So the budget keeps about
-9 MiB, 76 such (12, 6, 3) tuples, where a count of 512 operators could keep
-gigabytes. Small operators retain more per entry: about 3 KiB, key
-included, for the 72 entries of an (8, 4, 2) single repair."""
+A kept operator's heap at p = 257, its tuple rows, prepared columns, key
+and cache node included (tracemalloc around ``cache_clear()``), fits about
+16 bytes per entry, 58 per row and per column and 0.6-0.9 KiB per operator:
+117 KiB for the 114 x 60 of a (12, 6, 3) three-failure joint operator, 2.9
+KiB for the 12 x 6 of an (8, 4, 2) single one, 0.8-1.4 KiB for the 4 x 2 of
+an (8, 4, 4) two-failure joint one. Charged in 16-byte entry units, that is
+4 per row and per column and 64 per operator, and each of these shapes
+retains at most 16 bytes per charged entry. So the budget keeps about 8
+MiB, 68 such (12, 6, 3) tuples, where a count of 512 operators could keep
+gigabytes."""
+
+
+def _charge(operator: Matrix) -> int:
+    """Budget entries a kept operator costs: rows x columns, plus 4 per row and per column, plus 64."""
+    return operator.rows * operator.cols + 4 * (operator.rows + operator.cols) + 64
+
 
 OperatorCacheInfo = namedtuple("OperatorCacheInfo", "hits misses maxsize currsize")
 
 
 class _EntryBoundedCache:
-    """Least-recently-used cache of a Matrix-valued function, keeping at most OPERATOR_BUDGET entries in all.
+    """Least-recently-used cache of a Matrix-valued function, charging at most OPERATOR_BUDGET entries in all.
 
     Called with positional arguments only, which are the key. Kept results
     are shared, which Matrix allows: its rows never change. A result larger
@@ -273,18 +282,18 @@ class _EntryBoundedCache:
                 return result
             self._misses += 1
         result = self._build(*key)
-        size = result.rows * result.cols
+        size = _charge(result)
         with self._lock:
             if size <= OPERATOR_BUDGET and key not in kept:
                 while self._entries + size > OPERATOR_BUDGET:
                     evicted = kept.popitem(last=False)[1]
-                    self._entries -= evicted.rows * evicted.cols
+                    self._entries -= _charge(evicted)
                 kept[key] = result
                 self._entries += size
         return result
 
     def cache_info(self) -> OperatorCacheInfo:
-        """Hits, misses, the budget and the entries kept: maxsize and currsize count operator entries."""
+        """Hits, misses, the budget and the entries kept: maxsize and currsize count charged entries."""
         with self._lock:
             return OperatorCacheInfo(self._hits, self._misses, OPERATOR_BUDGET, self._entries)
 
@@ -308,9 +317,10 @@ def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], s
 
     Every argument is the key (the encoder by identity, which
     :func:`detcode.code.build_encoder` shares), positional only. The least
-    recently used operators are evicted first to keep their entries within
-    :data:`OPERATOR_BUDGET`; ``decode_operator.cache_info()`` reports hits,
-    misses, the budget and the entries kept, and ``cache_clear()`` empties it.
+    recently used operators are evicted first to keep their charged entries
+    within :data:`OPERATOR_BUDGET`; ``decode_operator.cache_info()`` reports
+    hits, misses, the budget and the charged entries kept, and
+    ``cache_clear()`` empties it.
     """
     total = sum(rank for _, _, rank in sources)
     payloads, offset = [], 0

@@ -1,18 +1,38 @@
-"""Certificates of the paper's bounds: code that only verifies results.
+"""Certificates of the paper's bounds and accessors that only tests read: code that only verifies results.
 
-The runtime never loads this module (``import detcode`` leaves it out);
-tests and offline checks import its names from ``detcode.certificates``.
+Tests import these names as ``from certificates import ...``, as they do ``oracles``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .code import EncoderMatrix
-from .field import Matrix
-from .multirepair import TooManyFailures, joint_bandwidth
-from .repair import repair_matrix
-from .subsets import binom, incidence, position, subsets
+from detcode.code import EncoderMatrix, MessageMatrix
+from detcode.field import Matrix
+from detcode.multirepair import CentralRepairPlan, TooManyFailures, joint_bandwidth
+from detcode.repair import repair_matrix
+from detcode.subsets import binom, incidence, position, subsets
+
+
+def entry(message: MessageMatrix, x: int, column_label) -> int:
+    """Entry at row x, column label I of the message's first stripe."""
+    return message.matrix[x - 1, subsets(message.d, message.m).rank(column_label)]
+
+
+def shared_symbol(message: MessageMatrix, x: int, members) -> int:
+    """Value of the first stripe's (m+1)-set symbol (x, members), read from its slot."""
+    rest = tuple(y for y in members if y != x)
+    return message.matrix[x - 1, subsets(message.d, message.m).rank(rest)]
+
+
+def per_helper_bandwidth(plan: CentralRepairPlan) -> tuple[int, ...]:
+    """Symbols the helper in each slot sends: joint_bandwidth(d, m, min(slot, e))."""
+    return tuple(joint_bandwidth(plan.d, plan.m, min(slot, plan.e)) for slot in range(1, plan.d + 1))
+
+
+def total_bandwidth(plan: CentralRepairPlan) -> int:
+    """Symbols all helpers of a centralized repair send in all."""
+    return sum(per_helper_bandwidth(plan))
 
 
 def multi_repair_matrix(failed, m: int, encoder: EncoderMatrix) -> Matrix:

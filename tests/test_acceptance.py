@@ -30,7 +30,7 @@ from detcode import (
     repair_matrix,
     tradeoff_bound,
 )
-from detcode.certificates import multi_repair_matrix, null_space_matrix, supercode_helper_totals
+from certificates import multi_repair_matrix, null_space_matrix, supercode_helper_totals, total_bandwidth
 from conftest import GOLDEN_TAIL_ROWS
 from oracles import is_zero
 
@@ -194,7 +194,7 @@ def test_10_centralized_ledger():
                 tuple(range(1, e + 1)), tuple(range(11, 21)), 3
             )
             expected = 3 * (binom(11, 4) - binom(11 - e, 4))
-            assert plan.total_bandwidth == expected
+            assert total_bandwidth(plan) == expected
             totals = supercode_helper_totals(10, 3, e)
             assert totals == [expected] * 10
 

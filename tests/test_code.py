@@ -26,6 +26,7 @@ from detcode.field import CompositeModulus, Field, Matrix
 from detcode.code import MessageMatrix
 from detcode.subsets import binom, incidence, subsets
 
+from certificates import entry, shared_symbol
 from conftest import GOLDEN_TAIL_ROWS
 from oracles import identity, is_zero, signed_sums_scalar
 
@@ -196,8 +197,8 @@ def test_parity_completion_goldens(gf13):
     msg = build_message_matrix([rng.randrange(13) for _ in range(20)], 4, 2, gf13)
     for group in [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]:
         a, b, top = group
-        assert msg.shared_symbol(top, group) == (
-            msg.shared_symbol(b, group) - msg.shared_symbol(a, group)
+        assert shared_symbol(msg, top, group) == (
+            shared_symbol(msg, b, group) - shared_symbol(msg, a, group)
         ) % 13
 
 
@@ -206,9 +207,9 @@ def test_entry_placement_golden(gf13):
     src = [rng.randrange(13) for _ in range(20)]
     msg = build_message_matrix(src, 4, 2, gf13)
     # column (1,2): rows 1,2 hold direct symbols; row 3 holds the (1,2,3) share
-    assert msg.entry(1, (1, 2)) == src[0]
-    assert msg.entry(2, (1, 2)) == src[1]
-    assert msg.entry(3, (1, 2)) == msg.shared_symbol(3, (1, 2, 3))
+    assert entry(msg, 1, (1, 2)) == src[0]
+    assert entry(msg, 2, (1, 2)) == src[1]
+    assert entry(msg, 3, (1, 2)) == shared_symbol(msg, 3, (1, 2, 3))
 
 
 def test_parity_violation_detected(gf13):
@@ -272,10 +273,10 @@ def test_node_entry_formula(encoder8, message8, contents8):
     for f in range(5, 9):
         psi = encoder8.row(f)
         expected = (
-            psi[0] * message8.entry(1, (1, 2))
-            + psi[1] * message8.entry(2, (1, 2))
-            + psi[2] * message8.shared_symbol(3, (1, 2, 3))
-            + psi[3] * message8.shared_symbol(4, (1, 2, 4))
+            psi[0] * entry(message8, 1, (1, 2))
+            + psi[1] * entry(message8, 2, (1, 2))
+            + psi[2] * shared_symbol(message8, 3, (1, 2, 3))
+            + psi[3] * shared_symbol(message8, 4, (1, 2, 4))
         ) % 13
         assert contents8[f - 1][0][0] == expected
 

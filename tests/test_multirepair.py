@@ -6,12 +6,6 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detcode.certificates import (
-    multi_repair_matrix,
-    null_space_matrix,
-    supercode_helper_totals,
-    supercode_schedule,
-)
 from detcode.code import StripeBatch, build_encoder, build_message_matrix, encode
 from detcode.field import Field, Matrix
 from detcode.multirepair import (
@@ -37,6 +31,14 @@ from detcode.repair import (
 )
 from detcode.subsets import binom, subsets
 
+from certificates import (
+    multi_repair_matrix,
+    null_space_matrix,
+    per_helper_bandwidth,
+    supercode_helper_totals,
+    supercode_schedule,
+    total_bandwidth,
+)
 from oracles import brute_rank, column, is_zero, mul_vec, vec_mat
 
 
@@ -486,11 +488,11 @@ def test_decompression_in_both_kernel_orientations(encoder8, data):
 
 def test_plan_accounting():
     plan = CentralRepairPlan((5, 6), (1, 2, 3, 4), 2)
-    assert plan.per_helper_bandwidth == (3, 5, 5, 5)
+    assert per_helper_bandwidth(plan) == (3, 5, 5, 5)
     assert plan.served_prefix(1) == (5,)
     assert plan.served_prefix(3) == (5, 6)
-    assert plan.total_bandwidth == 18
-    assert Fraction(plan.total_bandwidth, plan.d) == centralized_bandwidth(4, 2, 2)
+    assert total_bandwidth(plan) == 18
+    assert Fraction(total_bandwidth(plan), plan.d) == centralized_bandwidth(4, 2, 2)
     assert plan.helper_sequence(0) == (1, 2, 3, 4)
     assert plan.helper_sequence(1) == (5, 2, 3, 4)
 
@@ -518,7 +520,7 @@ def test_plan_totals_match_closed_form_d10():
         plan = CentralRepairPlan(
             tuple(range(1, e + 1)), tuple(range(11, 21)), 3
         )
-        assert plan.total_bandwidth == 3 * (binom(11, 4) - binom(11 - e, 4))
+        assert total_bandwidth(plan) == 3 * (binom(11, 4) - binom(11 - e, 4))
 
 
 def test_centralized_repair_exact_and_within_budget(encoder8, contents8):

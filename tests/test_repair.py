@@ -9,7 +9,6 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detcode.certificates import column_dependency
 from detcode.code import BadMode, StripeBatch, build_encoder, build_message_matrix, encode, recover_data
 from detcode.field import Field
 from detcode.repair import (
@@ -25,6 +24,7 @@ from detcode.repair import (
     repair_matrix,
 )
 from detcode.subsets import binom, incidence, subsets
+from certificates import column_dependency, entry, shared_symbol
 from oracles import column, mul_vec, signed_sums_scalar, vec_mat
 
 
@@ -138,8 +138,8 @@ def test_full_vector_golden_expressions(encoder8, message8, contents8):
     """Helper 1's raw repair vector written out in source symbols."""
     f = 6
     psi = encoder8.row(f)
-    v = lambda x, lab: message8.entry(x, lab)
-    w = lambda x, lab: message8.shared_symbol(x, lab)
+    v = lambda x, lab: entry(message8, x, lab)
+    w = lambda x, lab: shared_symbol(message8, x, lab)
     expected_row1 = [
         v(1, (1, 2)) * psi[1] + v(1, (1, 3)) * psi[2] + v(1, (1, 4)) * psi[3],
         -v(1, (1, 2)) * psi[0] + w(1, (1, 2, 3)) * psi[2] + w(1, (1, 2, 4)) * psi[3],
@@ -324,6 +324,11 @@ def test_repair_builds_no_matrix_once_bases_are_cached(encoder8, contents8, monk
     assert built == []  # the operator is cached
 
 
+def _charge(rows, cols):
+    """Budget entries a kept rows x cols operator is charged: its entries, 4 per row and per column, and 64."""
+    return rows * cols + 4 * (rows + cols) + 64
+
+
 def _operator_batches(gf13, encoder8, stripes):
     """Node contents of a random message of *stripes* stripes at (8, 4, 2) over GF(13)."""
     rng = random.Random(stripes)
@@ -353,7 +358,7 @@ def test_operator_larger_than_the_budget_is_used_and_not_kept(gf13, encoder8, mo
     next decode of its tuple builds it again; one that fits the budget exactly is kept."""
     contents, failed, helpers = _operator_batches(gf13, encoder8, 40), (5, 6), (1, 2, 3, 4)
     payloads = [helper_payload(contents[h - 1], h, failed, encoder8, 2) for h in helpers]
-    size = 4 * 5 * 2 * 6  # 4 helpers of rank 5 x 2 failures of alpha 6
+    size = _charge(4 * 5, 2 * 6)  # 4 helpers of rank 5 x 2 failures of alpha 6
     decode_operator.cache_clear()
     for budget, kept in ((size - 1, 0), (size - 1, 0), (size, size), (size, size)):
         monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", budget)
@@ -363,13 +368,13 @@ def test_operator_larger_than_the_budget_is_used_and_not_kept(gf13, encoder8, mo
 
 
 def test_kept_operator_entries_never_exceed_the_budget(gf13, encoder8, monkeypatch):
-    """Repairing more distinct tuples than fit (single, joint and centralized, of 72 to 432
-    entries each) evicts least recently used operators first and never keeps more entries
-    than the budget; a tuple found in the cache counts as used."""
+    """Repairing more distinct tuples than fit (single, joint and centralized, charged 208 to
+    664 entries each) evicts least recently used operators first and never keeps more charged
+    entries than the budget; a tuple found in the cache counts as used."""
     from detcode.multirepair import centralized_repair
 
     contents, helpers = _operator_batches(gf13, encoder8, 48), (1, 2, 3, 4)
-    budget = 500
+    budget = 900
     monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", budget)
     decode_operator.cache_clear()
 
@@ -384,16 +389,17 @@ def test_kept_operator_entries_never_exceed_the_budget(gf13, encoder8, monkeypat
         assert info.currsize <= budget
         return info
 
-    # operator entries: (5,) 72, (5, 6) and (6, 7) 240, centralized (5, 6, 7) 360, joint (5, 6, 7) 432
+    # charged entries: (5,) 12 x 6 208, (5, 6) and (6, 7) 20 x 12 432,
+    # centralized (5, 6, 7) 20 x 18 576, joint (5, 6, 7) 24 x 18 664
     steps = [
-        ("joint", (5,), 0, 72),
-        ("joint", (5, 6), 0, 312),
-        ("joint", (5,), 1, 312),  # a hit: (5, 6) is now the least recently used
-        ("joint", (6, 7), 1, 312),  # evicts (5, 6)
-        ("joint", (5,), 2, 312),
-        ("joint", (5, 6), 2, 312),  # built again; evicts (6, 7)
-        ("centralized", (5, 6, 7), 2, 360),  # evicts both
-        ("joint", (5, 6, 7), 2, 432),
+        ("joint", (5,), 0, 208),
+        ("joint", (5, 6), 0, 640),
+        ("joint", (5,), 1, 640),  # a hit: (5, 6) is now the least recently used
+        ("joint", (6, 7), 1, 640),  # evicts (5, 6)
+        ("joint", (5,), 2, 640),
+        ("joint", (5, 6), 2, 640),  # built again; evicts (6, 7)
+        ("centralized", (5, 6, 7), 2, 576),  # evicts both
+        ("joint", (5, 6, 7), 2, 664),
     ]
     for mode, failed, hits, kept in steps:
         info = run(mode, failed)
@@ -408,7 +414,7 @@ def test_operator_cache_bookkeeping_holds_under_threads(gf13, encoder8, monkeypa
     contents, helpers = _operator_batches(gf13, encoder8, 48), (1, 2, 3, 4)
     tuples = [(5,), (6,), (5, 6), (6, 7), (5, 6, 7)]
     payloads = {failed: [helper_payload(contents[h - 1], h, failed, encoder8, 2) for h in helpers] for failed in tuples}
-    monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", 600)
+    monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", 1000)
     decode_operator.cache_clear()
     errors, rounds = [], 6
 
@@ -434,37 +440,49 @@ def test_operator_cache_bookkeeping_holds_under_threads(gf13, encoder8, monkeypa
     assert not any(thread.is_alive() for thread in threads) and errors == []
     info = decode_operator.cache_info()
     assert info.hits + info.misses == 8 * rounds * len(tuples)
-    assert info.currsize == sum(op.rows * op.cols for op in decode_operator._kept.values()) <= 600
+    assert info.currsize == sum(_charge(op.rows, op.cols) for op in decode_operator._kept.values()) <= 1000
 
 
 def test_kept_operators_retain_less_heap_than_the_budget_estimate(monkeypatch):
-    """The heap the kept operators retain, prepared columns included, measured by tracemalloc
-    around clearing the cache, stays under 20 bytes per budget entry: at (12, 6, 3) an
-    operator of 6840 entries retains about 17.5 bytes per entry. Six tuples, three fit."""
+    """The heap the kept operators retain, prepared columns and keys included, measured by
+    tracemalloc around clearing the cache, stays under 18 bytes per charged entry for operators of
+    114 x 60 ((12, 6, 3) joint, e = 3, about 15.7), 12 x 6 ((8, 4, 2) single) and 4 x 2 ((8, 4, 4)
+    joint, e = 2), whose heap is mostly per-row and per-operator overhead. At (12, 6, 3) six
+    tuples are repaired and three fit the budget."""
     from detcode import Cluster, CodeConfig
-    config = CodeConfig(n=12, d=6, m=3, p=257)
-    cluster = Cluster.from_file(random.Random(22).randbytes(240 * config.file_symbols), config)
-    tuples = [(1, 5, 9), (2, 4, 10), (3, 7, 11), (1, 6, 12), (2, 8, 12), (3, 5, 10)]
-    budget = 3 * 6 * 19 * 3 * 20  # three operators of 6 helpers of rank 19 x 3 failures of alpha 20
-    monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", budget)
-    decode_operator.cache_clear()
-    tracemalloc.start()
-    try:
-        for failed in tuples:
-            saved = {f: cluster.contents[f] for f in failed}
-            cluster.fail_nodes(failed)
-            cluster.repair("joint", failed)
-            assert {f: cluster.contents[f] for f in failed} == saved
-            assert decode_operator.cache_info().currsize <= budget
-        gc.collect()
-        kept, before = decode_operator.cache_info().currsize, tracemalloc.get_traced_memory()[0]
+
+    def measure(n, d, m, mode, tuples):
+        config = CodeConfig(n=n, d=d, m=m, p=257)
+        cluster = Cluster.from_file(random.Random(22).randbytes(240 * config.file_symbols), config)
         decode_operator.cache_clear()
-        gc.collect()
-        retained = before - tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert (kept, decode_operator.cache_info().misses) == (budget, 0)
-    assert 8 * kept < retained < 20 * budget  # more than the row tuples alone, under the estimate
+        tracemalloc.start()
+        try:
+            for failed in tuples:
+                saved = {f: cluster.contents[f] for f in failed}
+                cluster.fail_nodes(failed)
+                cluster.repair(mode, failed)
+                assert {f: cluster.contents[f] for f in failed} == saved
+                assert decode_operator.cache_info().currsize <= budget
+            gc.collect()
+            shapes = [(op.rows, op.cols) for op in decode_operator._kept.values()]
+            kept, before = decode_operator.cache_info().currsize, tracemalloc.get_traced_memory()[0]
+            decode_operator.cache_clear()
+            gc.collect()
+            retained = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert decode_operator.cache_info().misses == 0
+        assert 8 * sum(r * c for r, c in shapes) < retained < 18 * kept  # more than the row tuples alone
+        return shapes, kept
+
+    budget = 3 * _charge(6 * 19, 3 * 20)  # three operators of 6 helpers of rank 19 x 3 failures of alpha 20
+    monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", budget)
+    tuples = [(1, 5, 9), (2, 4, 10), (3, 7, 11), (1, 6, 12), (2, 8, 12), (3, 5, 10)]
+    assert measure(12, 6, 3, "joint", tuples) == ([(114, 60)] * 3, budget)
+    singles = [(f,) for f in range(1, 9)]
+    assert measure(8, 4, 2, "single", singles) == ([(12, 6)] * 8, 8 * _charge(12, 6))
+    pairs = [(5, 6), (5, 7), (6, 8), (1, 2), (3, 8), (2, 7)]
+    assert measure(8, 4, 4, "joint", pairs) == ([(4, 2)] * 6, 6 * _charge(4, 2))
 
 
 def test_joint_repair_packs_each_basis_weights_once(monkeypatch):
