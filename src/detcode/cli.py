@@ -29,6 +29,9 @@ def _parse_ids(text: str) -> tuple[int, ...]:
         raise click.BadParameter(f"expected comma-separated integers, got {text!r}")
 
 
+_UNCHECKED = "not cross-checked: no spare shard is alive"
+
+
 def _rational(value) -> str:
     return str(Fraction(value))
 
@@ -89,7 +92,8 @@ def recover_cmd(shard_dir: Path, nodes: str | None, output_path: Path):
     cluster = load_cluster(shard_dir)
     data = cluster.recover_file(ids)
     output_path.write_bytes(data)
-    read = f"nodes {list(ids)}" if ids is not None else f"the first {cluster.config.d} alive nodes, checked against the next"
+    check = "checked against the next" if len(cluster.alive()) > cluster.config.d else _UNCHECKED
+    read = f"nodes {list(ids)}" if ids is not None else f"the first {cluster.config.d} alive nodes, {check}"
     click.echo(f"recovered {len(data)} bytes from {read}")
 
 
@@ -142,7 +146,8 @@ def verify_cmd(shard_dir: Path):
     Each rotation of the alive list is one recover_data read: its first d
     decode, every other shard is checked against its re-encoding. A corrupt
     shard among the first d would shift the blame onto honest ones, so a
-    rotation failing parity is skipped and the fewest mismatches win.
+    rotation failing parity is skipped and the fewest mismatches win. With
+    no spare shard alive nothing is cross-checked, and verify says so.
     """
     cluster = load_cluster(shard_dir)
     alive = cluster.alive()
@@ -163,14 +168,16 @@ def verify_cmd(shard_dir: Path):
     if best is None:
         click.echo("every reference subset is internally inconsistent")
         sys.exit(1)
+    spare = len(alive) > cluster.config.d
     for node_id in alive:
-        click.echo(f"node {node_id}: {'MISMATCH' if node_id in best else 'ok'}")
+        click.echo(f"node {node_id}: {'MISMATCH' if node_id in best else 'ok' if spare else 'not cross-checked'}")
     missing = sorted(set(range(1, cluster.config.n + 1)) - set(alive))
     if missing:
         click.echo(f"missing shards: {missing}")
     if best:
         sys.exit(1)
-    click.echo(f"verified {cluster.stripe_count} stripes across {len(alive)} shards")
+    stripes = f"{cluster.stripe_count} stripes across {len(alive)} shards"
+    click.echo(f"verified {stripes}" if spare else f"read {stripes}, {_UNCHECKED}")
 
 
 @main.command(name="bandwidth")

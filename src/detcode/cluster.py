@@ -32,7 +32,7 @@ from .code import (
     recover_data,
 )
 from .field import element_width, next_prime_at_least, pack_symbols, unpack_symbols
-from .multirepair import centralized_bandwidth, centralized_repair, joint_bandwidth
+from .multirepair import centralized_repair, helper_bound
 from .repair import decode_failed_nodes, helper_payload
 
 
@@ -105,16 +105,11 @@ class BandwidthLedger:
         return sum(event.total for event in self.events)
 
     def within_bounds(self, config: CodeConfig) -> bool:
-        """True when every helper, or for centralized the total, is within its per-stripe cap."""
-        d, m, beta = config.d, config.m, config.beta
+        """True when every helper, or for centralized their mean, is within its per-stripe bound."""
         for event in self.events:
-            e = len(event.failed)
-            if event.mode == "centralized":
-                within = event.total <= d * centralized_bandwidth(d, m, e) * event.stripes
-            else:
-                cap = {"single": beta, "naive": e * beta, "joint": joint_bandwidth(d, m, e)}[event.mode]
-                within = all(v <= cap * event.stripes for v in event.symbols_by_helper.values())
-            if not within:
+            cap = helper_bound(config.d, config.m, len(event.failed), event.mode) * event.stripes
+            sent = [Fraction(event.total, config.d)] if event.mode == "centralized" else event.symbols_by_helper.values()
+            if any(v > cap for v in sent):
                 return False
         return True
 
@@ -368,24 +363,14 @@ def load_cluster(directory) -> Cluster:
 def bandwidth_table(d: int, m: int, e_max: int, mode: str = "all"):
     """Rows of (e, mode, per-helper symbols, symbols normalized by alpha).
 
-    Values are exact; normalized entries are Fractions. naive caps at alpha
-    (a helper never needs to send more than its whole content).
+    Values are exact; normalized entries are Fractions. Each is
+    :func:`~detcode.multirepair.helper_bound` capped at alpha (a helper
+    never needs to send more than its whole content), which only naive exceeds.
     """
-    alpha, beta, _ = derive_params(d, m)
+    alpha = derive_params(d, m)[0]
     modes = ("naive", "joint", "centralized") if mode == "all" else (mode,)
-    rows = []
-    for e in range(1, e_max + 1):
-        for kind in modes:
-            if kind == "naive":
-                value = min(e * beta, alpha)
-            elif kind == "joint":
-                value = joint_bandwidth(d, m, e)
-            elif kind == "centralized":
-                value = centralized_bandwidth(d, m, e)
-            else:
-                raise ValueError(f"unknown mode {kind!r}")
-            rows.append((e, kind, value, Fraction(value) / alpha))
-    return rows
+    values = [(e, kind, min(helper_bound(d, m, e, kind), alpha)) for e in range(1, e_max + 1) for kind in modes]
+    return [(e, kind, value, Fraction(value) / alpha) for e, kind, value in values]
 
 
 def capacity_curve(d: int, m: int, n_values, p: int | None = None):

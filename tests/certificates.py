@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from detcode.code import EncoderMatrix, MessageMatrix
 from detcode.field import Matrix
-from detcode.multirepair import CentralRepairPlan, TooManyFailures, joint_bandwidth
+from detcode.multirepair import TooManyFailures, joint_bandwidth
 from detcode.repair import repair_matrix
 from detcode.subsets import binom, incidence, position, subsets
 
@@ -25,14 +25,14 @@ def shared_symbol(message: MessageMatrix, x: int, members) -> int:
     return message.matrix[x - 1, subsets(message.d, message.m).rank(rest)]
 
 
-def per_helper_bandwidth(plan: CentralRepairPlan) -> tuple[int, ...]:
-    """Symbols the helper in each slot sends: joint_bandwidth(d, m, min(slot, e))."""
-    return tuple(joint_bandwidth(plan.d, plan.m, min(slot, plan.e)) for slot in range(1, plan.d + 1))
+def per_helper_bandwidth(d: int, m: int, e: int) -> tuple[int, ...]:
+    """Symbols per stripe the helper in each slot of a centralized repair sends: joint_bandwidth(d, m, min(slot, e))."""
+    return tuple(joint_bandwidth(d, m, min(slot, e)) for slot in range(1, d + 1))
 
 
-def total_bandwidth(plan: CentralRepairPlan) -> int:
-    """Symbols all helpers of a centralized repair send in all."""
-    return sum(per_helper_bandwidth(plan))
+def total_bandwidth(d: int, m: int, e: int) -> int:
+    """Symbols per stripe all helpers of a centralized repair send in all."""
+    return sum(per_helper_bandwidth(d, m, e))
 
 
 def multi_repair_matrix(failed, m: int, encoder: EncoderMatrix) -> Matrix:

@@ -12,7 +12,6 @@ from itertools import combinations
 import pytest
 
 from detcode import (
-    CentralRepairPlan,
     Cluster,
     CodeConfig,
     Field,
@@ -24,6 +23,7 @@ from detcode import (
     decode_failed_nodes,
     derive_params,
     encode,
+    helper_bound,
     helper_payload,
     joint_bandwidth,
     recover_data,
@@ -188,13 +188,10 @@ def test_09_capacity_curve():
 
 
 def test_10_centralized_ledger():
-    with criterion(10, "sequential-plan totals and rotation totals match the closed form"):
+    with criterion(10, "prefix-schedule totals and rotation totals match the closed form"):
         for e in range(1, 11):
-            plan = CentralRepairPlan(
-                tuple(range(1, e + 1)), tuple(range(11, 21)), 3
-            )
             expected = 3 * (binom(11, 4) - binom(11 - e, 4))
-            assert total_bandwidth(plan) == expected
+            assert total_bandwidth(10, 3, e) == expected == 10 * helper_bound(10, 3, e, "centralized")
             totals = supercode_helper_totals(10, 3, e)
             assert totals == [expected] * 10
 

@@ -163,6 +163,35 @@ def test_recover_without_nodes_is_checked_against_the_next_node(tmp_path):
     assert not (tmp_path / "bad.bin").exists()
 
 
+def test_reads_without_a_spare_shard_say_they_are_not_cross_checked(tmp_path):
+    """With shards 5-8 gone no alive shard is left to check the first four against, and a
+    flipped bit in node 1 can pass parity: recover and verify say the read was not
+    cross-checked, before and after the flip, and keep exit code 0. With a spare they say checked."""
+    runner, data, shards = _encode_fixture(tmp_path)
+    out = tmp_path / "out.bin"
+    checked = runner.invoke(main, ["recover", "--shards", str(shards), "--output", str(out)])
+    assert checked.output == "recovered 3000 bytes from the first 4 alive nodes, checked against the next\n"
+    assert runner.invoke(main, ["verify", "--shards", str(shards)]).output.endswith("verified 150 stripes across 8 shards\n")
+    for node in range(5, 9):
+        shard_path(shards, node).unlink()
+    unchecked = "not cross-checked: no spare shard is alive"
+    verify_output = "".join(f"node {i}: not cross-checked\n" for i in range(1, 5))
+    verify_output += f"missing shards: [5, 6, 7, 8]\nread 150 stripes across 4 shards, {unchecked}\n"
+    for flip in (False, True):
+        if flip:
+            path = shard_path(shards, 1)
+            blob = bytearray(path.read_bytes())
+            blob[len(blob) - 2 * len(read_shard(path).stripes.symbols)] ^= 1  # low bit of the first symbol
+            path.write_bytes(bytes(blob))
+        result = runner.invoke(main, ["recover", "--shards", str(shards), "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output == f"recovered 3000 bytes from the first 4 alive nodes, {unchecked}\n"
+        assert flip or out.read_bytes() == data
+        result = runner.invoke(main, ["verify", "--shards", str(shards)])
+        assert result.exit_code == 0, result.output
+        assert result.output == verify_output
+
+
 def test_bandwidth_csv(tmp_path):
     runner = CliRunner()
     result = runner.invoke(

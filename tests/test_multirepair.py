@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from detcode.code import StripeBatch, build_encoder, build_message_matrix, encode
 from detcode.field import Field, Matrix
 from detcode.multirepair import (
-    CentralRepairPlan,
     OverlapError,
     TooManyFailures,
     centralized_bandwidth,
     centralized_repair,
+    helper_bound,
     joint_bandwidth,
 )
-from detcode import repair
+from detcode import multirepair, repair
 from detcode.multirepair import decode_centralized
 from detcode.repair import (
     RepairPayload,
@@ -24,6 +24,7 @@ from detcode.repair import (
     decode_factored,
     decode_failed_nodes,
     decode_operator,
+    decode_repair_vectors,
     decompress_payload,
     helper_payload,
     repair_basis,
@@ -88,6 +89,48 @@ def test_total_download_telescopes():
                 total += (d - e) * joint_bandwidth(d, m, e)
                 assert total == m * (binom(d + 1, m + 1) - binom(d - e + 1, m + 1))
                 assert Fraction(total, d) == centralized_bandwidth(d, m, e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_helper_bound_is_exact(gf13, data):
+    """Measured traffic meets helper_bound with equality at GF(13), d <= 6: every helper
+    of a single, naive or joint repair sends helper_bound times the stripes, and the
+    helpers of a centralized repair send d times that in all."""
+    from detcode import Cluster, CodeConfig
+
+    d = data.draw(st.integers(1, 6), label="d")
+    m = data.draw(st.integers(1, d), label="m")
+    mode = data.draw(st.sampled_from(["single", "naive", "joint", "centralized"]), label="mode")
+    e = 1 if mode == "single" else data.draw(st.integers(1, d if mode == "centralized" else 12 - d), label="e")
+    n = data.draw(st.integers(d + e, 12), label="n")
+    stripes = data.draw(st.integers(1, 3), label="stripes")
+    failed = tuple(data.draw(st.permutations(range(1, n + 1)), label="order")[:e])
+    config = CodeConfig(n=n, d=d, m=m, p=13)
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    cluster = Cluster.build(config, build_message_matrix([rng.randrange(13) for _ in range(stripes * config.file_symbols)], d, m, gf13))
+    saved = {f: cluster.contents[f] for f in failed}
+    cluster.fail_nodes(failed)
+    event = cluster.repair(mode, failed)
+    assert {f: cluster.contents[f] for f in failed} == saved
+    bound = helper_bound(d, m, e, mode) * stripes
+    if mode == "centralized":
+        assert event.total == d * bound
+    else:
+        assert set(event.symbols_by_helper.values()) == {bound}
+    assert cluster.ledger.within_bounds(config)
+
+
+def test_helper_bound_refuses_an_unknown_mode():
+    from detcode import BandwidthLedger, CodeConfig, RepairEvent, bandwidth_table
+
+    with pytest.raises(ValueError, match="unknown mode 'bulk'"):
+        helper_bound(4, 2, 1, "bulk")
+    with pytest.raises(ValueError, match="unknown mode 'bulk'"):
+        bandwidth_table(4, 2, 1, "bulk")
+    ledger = BandwidthLedger([RepairEvent("bulk", (5,), (1, 2, 3, 4), 1, dict.fromkeys((1, 2, 3, 4), 3))])
+    with pytest.raises(ValueError, match="unknown mode 'bulk'"):
+        ledger.within_bounds(CodeConfig(n=8, d=4, m=2, p=13))
 
 
 # --- concatenated repair matrix ------------------------------------------
@@ -486,41 +529,70 @@ def test_decompression_in_both_kernel_orientations(encoder8, data):
 # --- centralized sequential repair ----------------------------------------
 
 
-def test_plan_accounting():
-    plan = CentralRepairPlan((5, 6), (1, 2, 3, 4), 2)
-    assert per_helper_bandwidth(plan) == (3, 5, 5, 5)
-    assert plan.served_prefix(1) == (5,)
-    assert plan.served_prefix(3) == (5, 6)
-    assert total_bandwidth(plan) == 18
-    assert Fraction(total_bandwidth(plan), plan.d) == centralized_bandwidth(4, 2, 2)
-    assert plan.helper_sequence(0) == (1, 2, 3, 4)
-    assert plan.helper_sequence(1) == (5, 2, 3, 4)
+def _central_schedule(failed, helpers, encoder, contents, m=2):
+    """Run centralized_repair and record its prefix schedule: (repaired, sent, the
+    (helper, served prefix) of each slot's payload, the helper tuple of each step)."""
+    with (
+        mock.patch.object(multirepair, "helper_payload", wraps=helper_payload) as send,
+        mock.patch.object(multirepair, "decode_repair_vectors", wraps=decode_repair_vectors) as step,
+    ):
+        repaired, sent = centralized_repair(failed, helpers, {h: contents[h - 1] for h in helpers}, encoder, m)
+    served = [call.args[1:3] for call in send.call_args_list[: len(helpers)]]
+    return repaired, sent, served, [call.args[1] for call in step.call_args_list]
 
 
-def test_plan_rejects_overlap():
+def test_plan_accounting(encoder8, contents8):
+    """Two failures at (d, m) = (4, 2), one stripe: slot j serves failed[:j], step s
+    reads failed[:s] + helpers[s:], and the helpers send (3, 5, 5, 5), d * beta_bar_2 in all."""
+    repaired, sent, served, steps = _central_schedule((5, 6), (1, 2, 3, 4), encoder8, contents8)
+    assert repaired == {5: contents8[4], 6: contents8[5]}
+    assert served == [(1, (5,)), (2, (5, 6)), (3, (5, 6)), (4, (5, 6))]
+    assert steps == [(1, 2, 3, 4), (5, 2, 3, 4)]
+    assert tuple(sent.values()) == per_helper_bandwidth(4, 2, 2) == (3, 5, 5, 5)
+    assert sum(sent.values()) == total_bandwidth(4, 2, 2) == 18
+    assert Fraction(total_bandwidth(4, 2, 2), 4) == centralized_bandwidth(4, 2, 2) == helper_bound(4, 2, 2, "centralized")
+
+
+def _all_contents(contents8):
+    return {h: contents8[h - 1] for h in range(1, 9)}
+
+
+def test_plan_rejects_overlap(encoder8, contents8):
     with pytest.raises(OverlapError):
-        CentralRepairPlan((5, 6), (1, 2, 3, 5), 2)
+        centralized_repair((5, 6), (1, 2, 3, 5), _all_contents(contents8), encoder8, 2)
 
 
-def test_plan_rejects_repeated_ids():
+def test_plan_rejects_repeated_ids(encoder8, contents8):
     with pytest.raises(ValueError, match="failed ids must be distinct"):
-        CentralRepairPlan((5, 5), (1, 2, 3, 4), 2)
+        centralized_repair((5, 5), (1, 2, 3, 4), _all_contents(contents8), encoder8, 2)
     with pytest.raises(ValueError, match="helper ids must be distinct"):
-        CentralRepairPlan((5, 6), (1, 2, 2, 4), 2)
+        centralized_repair((5, 6), (1, 2, 2, 4), _all_contents(contents8), encoder8, 2)
 
 
-def test_plan_rejects_more_failures_than_helpers():
+def test_plan_rejects_more_failures_than_helpers(encoder8, contents8):
+    """Five failures need five helper slots, more than d = 4; four fill them all,
+    and the last step reads the three rebuilt nodes and the last helper."""
     with pytest.raises(TooManyFailures):
-        CentralRepairPlan((1, 2, 3, 4, 5), (6, 7, 8), 2)
-    assert CentralRepairPlan((1, 2, 3), (6, 7, 8), 2).helper_sequence(2) == (1, 2, 8)
+        centralized_repair((1, 2, 3, 4, 5), (6, 7, 8), _all_contents(contents8), encoder8, 2)
+    repaired, sent, _, steps = _central_schedule((1, 2, 3, 4), (5, 6, 7, 8), encoder8, contents8)
+    assert repaired == {f: contents8[f - 1] for f in (1, 2, 3, 4)}
+    assert steps[3] == (1, 2, 3, 8)
+    assert tuple(sent.values()) == per_helper_bandwidth(4, 2, 4) == (3, 5, 6, 6)
+
+
+def test_centralized_repair_checks_its_helpers(encoder8, contents8):
+    """The helper tuple follows decode_failed_nodes' rule: exactly d ids, each a node."""
+    for helpers in ((1, 2, 3), (1, 2, 3, 4, 7)):
+        with pytest.raises(ValueError, match=r"need exactly 4 distinct helper ids"):
+            centralized_repair((5, 6), helpers, _all_contents(contents8), encoder8, 2)
+    with pytest.raises(ValueError, match=r"node id 99 not in \[1, 8\]"):
+        centralized_repair((5, 6), (1, 2, 3, 99), _all_contents(contents8), encoder8, 2)
 
 
 def test_plan_totals_match_closed_form_d10():
     for e in range(1, 11):
-        plan = CentralRepairPlan(
-            tuple(range(1, e + 1)), tuple(range(11, 21)), 3
-        )
-        assert total_bandwidth(plan) == 3 * (binom(11, 4) - binom(11 - e, 4))
+        expected = 3 * (binom(11, 4) - binom(11 - e, 4))
+        assert total_bandwidth(10, 3, e) == expected == 10 * helper_bound(10, 3, e, "centralized")
 
 
 def test_centralized_repair_exact_and_within_budget(encoder8, contents8):

@@ -219,7 +219,7 @@ def test_decode_validates_helper_count(encoder8, contents8):
 
 
 def test_decode_rejects_helpers_that_overlap_the_failed_set(encoder8, contents8):
-    """Node 1 cannot help repair itself: refused like Cluster and CentralRepairPlan refuse it."""
+    """Node 1 cannot help repair itself: refused like Cluster and centralized_repair refuse it."""
     payloads = [helper_payload(contents8[h - 1], h, (1,), encoder8, 2) for h in (1, 2, 3, 4)]
     with pytest.raises(OverlapError, match=r"helpers \[1\] are failed"):
         decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (1,))
