@@ -62,7 +62,7 @@ def ingest_file(data: bytes, config: CodeConfig) -> tuple[MessageMatrix, int]:
     """Lay bytes out as one message matrix of whole stripes; returns (message, true length)."""
     if config.p < 257:
         raise FieldTooSmallForBytes(f"byte ingestion needs p >= 257, got {config.p}")
-    padded = list(data) + [0] * (-len(data) % config.file_symbols)
+    padded = bytes(data) + bytes(-len(data) % config.file_symbols)  # bytes: build_message_matrix skips their reduction
     return build_message_matrix(padded, config.d, config.m, config.field), len(data)
 
 

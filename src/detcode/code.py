@@ -15,9 +15,10 @@ encoder matrix as one flat :class:`StripeBatch`, whose strided slice
 per stripe. A block's source cells (:func:`source_cells`) and parity
 groups are read from :func:`detcode.subsets.incidence`, the package's one
 sign rule. One :func:`detcode.field.signed_sums` per group completes its
-parity cells, and one over :func:`incidence_terms` checks every group on
-recover; with the source reduced once on entry by the same primitive, the
-matrix needs no reducing copy.
+parity cells, and one zero test (:func:`detcode.field.first_nonzero_sum`)
+over :func:`incidence_terms` checks every group on recover; with the source
+reduced once on entry by the same primitive (a byte source over p > 255 is
+canonical as it is), the matrix needs no reducing copy.
 A read's weights, one cached inversion per node tuple (:func:`recover_weights`),
 also decode a repair from d helpers (:func:`detcode.repair.decode_repair_vectors`).
 """
@@ -28,7 +29,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import CompositeModulus, Field, Matrix, combine_rows, interleave, signed_sums  # CompositeModulus re-exported
+from .field import (  # CompositeModulus re-exported
+    CompositeModulus,
+    Field,
+    Matrix,
+    combine_rows,
+    first_nonzero_sum,
+    interleave,
+    signed_sums,
+)
 from .subsets import binom, incidence, subsets
 
 
@@ -262,12 +271,13 @@ class MessageMatrix:
         return self.matrix.cols // self.alpha
 
     def verify_parity(self) -> None:
-        """Check every alternating-sum constraint of every stripe by one signed sum; raises ParityViolation."""
+        """Check every alternating-sum constraint of every stripe by one zero test of the signed sums
+        (:func:`detcode.field.first_nonzero_sum`); raises ParityViolation."""
         if self.m == self.d:
             return
-        sums = signed_sums(incidence_terms(self.matrix.data, self.d, self.m + 1, self.alpha), self.matrix.field.p)
-        if any(sums):
-            k, bad = divmod(next(t for t, v in enumerate(sums) if v), self.stripes)
+        bad = first_nonzero_sum(incidence_terms(self.matrix.data, self.d, self.m + 1, self.alpha), self.matrix.field.p)
+        if bad is not None:
+            k, bad = divmod(bad, self.stripes)
             raise ParityViolation(f"stripe {bad}: parity fails for {subsets(self.d, self.m + 1).unrank(k)}")
 
     def extract_symbols(self) -> list[int]:
@@ -280,14 +290,19 @@ class MessageMatrix:
 
 
 def build_message_matrix(source, d: int, m: int, field: Field) -> MessageMatrix:
-    """Arrange S * F source symbols (any ints), stripe after stripe, into S column blocks, completing parities."""
+    """Arrange S * F source symbols (any ints), stripe after stripe, into S column blocks, completing parities.
+
+    The source is reduced once on entry, except bytes or a bytearray over p > 255: canonical by type.
+    """
     alpha, _, per_stripe = derive_params(d, m)
+    canonical = isinstance(source, (bytes, bytearray)) and field.p > 255
     source = list(source)
     if len(source) % per_stripe:
         raise WrongLength(
             f"need a whole number of stripes of {per_stripe} source symbols, got {len(source)}"
         )
-    source = signed_sums([(1, source)], field.p)
+    if not canonical:
+        source = signed_sums([(1, source)], field.p)
     data = [[0] * (len(source) // per_stripe * alpha) for _ in range(d)]
     for t, (r, c) in enumerate(source_cells(d, m)):
         data[r][c::alpha] = source[t::per_stripe]

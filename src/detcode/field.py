@@ -13,26 +13,50 @@ sequences of one length L (a stripe batch's columns, a payload's strided
 slices, message rows) are combined by a K x r weight matrix into r output
 sequences. One side is packed into one int per row, an entry per
 fixed-width slot (:func:`slot_width`), so one big-int multiply-add
-combines a whole row and one reduction per output entry makes it exact.
-The long operand is never copied through :class:`Matrix`. An output
-whose weight column is a unit vector (a systematic node's row in
-encode, an identity row of a recover inverse) is a copy of its row.
+combines a whole window of a row. The long operand is never copied
+through :class:`Matrix`. An output whose weight column is a unit vector (a
+systematic node's row in encode, an identity row of a recover inverse, a
+pivot column of a repair basis) is a copy of its row.
+
+Rows are walked in windows of WINDOW entries (2048, chosen by measurement:
+2048 to 16384 ran within host noise on encode, read and joint repair; the
+smallest keeps the masks smallest), and each window is packed, range-checked,
+combined and reduced on its own. The masks of those steps are cached per
+window length, so every cached mask has at most WINDOW slots, whatever the
+row or file length; :func:`pack_symbols` and :func:`unpack_symbols` check
+their bytes through the same windows.
+
+Reduction. At p = 257 with 4-byte slots (every product over GF(257) with
+K <= 65535 rows, that is, the CLI default for n <= 256) an output window of
+FOLD_MIN or more entries is reduced word-parallel by :func:`_folded`, with no
+Python loop over its entries. A slot holds a sum of K products of entries in
+[0, 257), so at most K * 256**2 < 2**32 (the bound :func:`slot_width` sizes
+the slot by). Since 2**16 = 1 mod 257, adding each slot's high half to its
+low half leaves at most 2**16 - 2 + K; a second such fold (K > 256) leaves at
+most 2**16 - 1. Since 2**8 = -1, low byte + 257 - the rest is then in
+[1, 512], and one masked subtract of 257 where that is 257 or more (bit 9 of
+the slot plus 255) makes every slot canonical. No step carries or borrows
+across a slot. Below FOLD_MIN entries (64; the fold and % p cross at about
+40 to 48 on CPython 3.11) and at any other prime or slot width, each entry
+is reduced by % p.
 
 The weights are always a :class:`Matrix`, checked when built and
-prepared (columns and their unit indices, or packed rows) once per
+prepared (columns and their unit indices, or packed non-unit rows) once per
 orientation, and the modulus is its field's. A cached repair basis or
 read keeps its weights as Matrix, so every helper and repair shares one
 check and one packing. :attr:`Matrix.T` is built once.
 
 Every operand row and every symbol blob is range-checked against
 [0, p), and each check runs on the packed int or bytes it is packed
-into anyway: two word-parallel mask tests per row (:func:`_range_test`),
+into anyway: two word-parallel mask tests per window (:func:`_in_field`),
 not a Python pass per entry.
 
 The paper's alternating sums (parity completion, the parity check, the
 repair readout) are one primitive, :func:`signed_sums`, the only code
 that applies :func:`detcode.subsets.incidence` signs to stripe data (one
-call per group completes parities, one checks them, one reads out a repair).
+call per group completes parities, one reads out a repair). The parity
+check, :func:`first_nonzero_sum`, sums the same way but reduces nothing
+unless a check fails.
 """
 
 from __future__ import annotations
@@ -123,29 +147,53 @@ def _encode(values, width: int) -> bytes:
     return items.tobytes()
 
 
-@lru_cache(maxsize=8)
-def _range_test(count: int, slot: int, p: int):
-    """The predicate: a packed int of *count* slot-byte entries holds only entries below p.
+WINDOW = 2048  # entries per window of the kernel and the symbol codec; bounds every cached mask
+FOLD_MIN = 64  # shortest output window reduced by the GF(257) fold; shorter ones take % p per entry
 
-    Two word-parallel tests, for p.bit_length() = b < 8 * slot, with a 1 in
-    the lowest bit of every slot: no entry has a bit at b or above, and
-    adding 2**b - p to every entry then sets no bit b (it cannot carry into
-    the next slot). Cached per shape: the masks cost about as much as
-    testing two rows.
+
+@lru_cache(maxsize=8)
+def _masks(count: int, slot: int, p: int) -> tuple[int, ...]:
+    """Masks over a window of *count* <= WINDOW slot-byte slots: the range test's (excess, offset, high), then at
+    p = 257 with 4-byte slots the fold's (low16, low8, p_all). Cached per window length, so no entry outgrows
+    WINDOW slots whatever the row or file length.
+
+    With b = p.bit_length() < 8 * slot and a 1 in the lowest bit of every slot: excess has bits b and above,
+    offset holds 2**b - p and high bit b in every slot; low16 and low8 hold 2**16 - 1 and 2**8 - 1, p_all holds p.
     """
     b = p.bit_length()
-    assert b < 8 * slot
+    assert b < 8 * slot and count <= WINDOW
     ones = int.from_bytes(b"\1".ljust(slot, b"\0") * count, "little")
     high = ones << b
-    excess, offset = (ones << 8 * slot) - high, ((1 << b) - p) * ones
-    return lambda packed: not (packed & excess or (packed + offset) & high)
+    masks = ((ones << 8 * slot) - high, ((1 << b) - p) * ones, high)
+    if p == 257 and slot == 4:
+        masks += (0xFFFF * ones, 0xFF * ones, p * ones)
+    return masks
+
+
+def _in_field(packed: list[int], masks: tuple[int, ...]) -> bool:
+    """Whether the packed ints of one window hold only entries below p, given the :func:`_masks` of its length.
+
+    Two word-parallel tests per int: no entry has a bit at b = p.bit_length() or above, and adding 2**b - p to
+    every entry then sets no bit b (it cannot carry into the next slot).
+    """
+    excess, offset, high = masks[0], masks[1], masks[2]
+    for x in packed:
+        if x & excess or (x + offset) & high:
+            return False
+    return True
 
 
 def _in_range(blob, width: int, p: int) -> bool:
-    """Whether every width-byte little-endian int of *blob* is below p; a C-level max where p fills the width."""
+    """Whether every width-byte little-endian int of *blob* is below p: window by window, or a C-level max where
+    p fills the width."""
     if p.bit_length() == 8 * width:
         return max(_decode(blob, width), default=0) < p
-    return _range_test(len(blob) // width, width, p)(int.from_bytes(blob, "little"))
+    step = WINDOW * width
+    for start in range(0, len(blob), step):
+        window = blob[start : start + step]
+        if not _in_field([int.from_bytes(window, "little")], _masks(len(window) // width, width, p)):
+            return False
+    return True
 
 
 def _decode(blob, width: int):
@@ -161,6 +209,22 @@ def _decode(blob, width: int):
     return items
 
 
+def _folded(acc: int, count: int, k: int, masks: tuple[int, ...]) -> list[int]:
+    """The *count* 4-byte slots of *acc*, each a sum of k products of entries in [0, 257), reduced mod 257
+    word-parallel by the :func:`_masks` of count slots (see the module docstring)."""
+    _, offset, high, low16, low8, p_all = masks
+    acc = (acc & low16) + (acc >> 16 & low16)  # 2**16 = 1: each slot at most 2**16 - 2 + k
+    if k > 256:
+        acc = (acc & low16) + (acc >> 16 & low16)  # now at most 2**16 - 1
+    acc = (acc & low8) + p_all - (acc >> 8 & low16)  # 2**8 = -1: each slot in [1, 512]
+    acc -= (((acc + offset) & high) >> 9) * 257  # bit 9 of slot + 255 is set exactly where slot >= 257
+    items = array("I")
+    items.frombytes(acc.to_bytes(count * 4, "little"))
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items.tolist()
+
+
 def combine_rows(rows, weights: "Matrix") -> list[list[int]]:
     """The r linear combinations over GF(p) of a list *rows* of K sequences of one length L.
 
@@ -168,16 +232,18 @@ def combine_rows(rows, weights: "Matrix") -> list[list[int]]:
     is a K x r :class:`Matrix` over GF(p), checked and prepared once: the
     columns of X @ weights for the matrix X whose columns are the rows.
     ValueError for a row entry outside [0, p), checked word-parallel on each
-    packed row (:func:`_range_test`), or by one C-level min/max over all
+    packed window (:func:`_in_field`), or by one C-level min/max over all
     entries where the weights are packed.
 
-    With r <= L each row is packed into one int and an output is one
-    big-int multiply-add per nonzero weight, or a fresh copy of row k where
-    its weight column is the k-th unit vector (:attr:`Matrix.unit_columns`).
-    With fewer entries per row than outputs the weights' packed rows
-    (:attr:`Matrix.packed_rows`) are combined once per entry position
-    instead, then transposed back. Either way each computed output entry is
-    reduced mod p once.
+    With r <= L the rows are packed window by window, WINDOW entries at a
+    time, into one int each, and an output window is one big-int multiply-add
+    per nonzero weight; an output whose weight column is the k-th unit vector
+    (:attr:`Matrix.unit_columns`) is a fresh copy of row k. With fewer entries
+    per row than outputs the weights' packed non-unit columns
+    (:attr:`Matrix.packed_rows`) are combined once per entry position instead,
+    then transposed back, and unit outputs are again copies. Either way every
+    computed output window is reduced once: by :func:`_folded` at p = 257
+    where it has FOLD_MIN to WINDOW entries, else by % p per entry.
     """
     k = len(rows)
     length = len(rows[0]) if rows else 0
@@ -189,44 +255,93 @@ def combine_rows(rows, weights: "Matrix") -> list[list[int]]:
     slot = slot_width(p, k)
     out_of_range = f"operand entry out of field range [0, {p})"
 
-    def combine(coeffs, terms, count):
+    def combine(coeffs, terms, count, fold):
         acc = 0
         for a, x in zip(coeffs, terms):
             if a:
                 acc += a * x
+        if fold:
+            return _folded(acc, count, k, fold)
         return [v % p for v in _decode(acc.to_bytes(count * slot, "little"), slot)]
 
     if r <= length or not length:
+        columns, units = weights.unit_columns
+        windowed = length > WINDOW  # outputs of several windows are sized once, so no window regrows them
+        outputs = [([0] * length if windowed else []) if unit is None else list(rows[unit]) for unit in units]
         try:
-            packed = [int.from_bytes(_encode(row, slot), "little") for row in rows]
+            blobs = [_encode(row, slot) for row in rows]
         except (OverflowError, TypeError):
             raise ValueError(out_of_range) from None
-        if not all(map(_range_test(length, slot, p), packed)):
-            raise ValueError(out_of_range)
-        return [
-            combine(column, packed, length) if unit is None else list(rows[unit])
-            for column, unit in zip(*weights.unit_columns)
-        ]
+        for begin in range(0, length, WINDOW):  # a row of one window is sliced whole: the same bytes, no copy
+            end = min(begin + WINDOW, length)
+            packed = [int.from_bytes(blob[begin * slot : end * slot], "little") for blob in blobs]
+            masks = _masks(end - begin, slot, p)
+            if not _in_field(packed, masks):
+                raise ValueError(out_of_range)
+            fold = masks if len(masks) > 3 and end - begin >= FOLD_MIN else None
+            for i, unit in enumerate(units):
+                if unit is None:
+                    values = combine(columns[i], packed, end - begin, fold)
+                    if windowed:
+                        outputs[i][begin:end] = values
+                    else:
+                        outputs[i] = values
+        return outputs
     entries = list(chain.from_iterable(rows))
     if not 0 <= min(entries) <= max(entries) < p:
         raise ValueError(out_of_range)
-    return list(map(list, zip(*[combine(entries[j::length], weights.packed_rows, r) for j in range(length)])))
+    packed, dense, units = weights.packed_rows
+    masks = _masks(len(dense), slot, p) if len(dense) <= WINDOW else ()
+    fold = masks if len(masks) > 3 and len(dense) >= FOLD_MIN else None
+    outputs = [None] * r
+    for i, output in zip(dense, zip(*[combine(entries[j::length], packed, len(dense), fold) for j in range(length)])):
+        outputs[i] = list(output)
+    for i, unit in units:
+        outputs[i] = list(rows[unit])
+    return outputs
+
+
+def _unreduced(terms) -> tuple[int, int, "map"]:
+    """(first, same, sums): the entry-wise sum of (sign, sequence) terms times the sign *first*, lazily, and the
+    number of terms of sign *first*.
+
+    One lazy C-level map(add or sub) per term, from a +1 term where there is
+    one: first is -1 only when every sign is, and the sum is then negated.
+    """
+    terms = list(terms)
+    signs = [sign for sign, _ in terms]
+    first, acc = terms.pop(signs.index(1) if 1 in signs else 0)
+    for sign, seq in terms:
+        acc = map(add if sign == first else sub, acc, seq)
+    return first, signs.count(first), acc
 
 
 def signed_sums(terms, p: int) -> list[int]:
     """Entry-wise canonical sum over GF(p) of one or more (sign, sequence) terms, each sign +1 or -1.
 
     The sequences have one length and may hold any ints (neither that nor
-    the signs is checked). One lazy C-level map(add or sub) per term, from a
-    +1 term where there is one; one reduction per entry, even for one term.
+    the signs is checked). One lazy C-level map(add or sub) per term
+    (:func:`_unreduced`); one reduction per entry, even for one term.
+    """
+    first, _, acc = _unreduced(terms)
+    return [v % p for v in acc] if first == 1 else [-v % p for v in acc]
+
+
+def first_nonzero_sum(terms, p: int) -> int | None:
+    """The index of the first entry whose :func:`signed_sums` is nonzero, or None where every one vanishes.
+
+    With *same* terms of one sign and *other* of the other, canonical entries
+    keep each unreduced sum in [-other * (p-1), same * (p-1)], so it vanishes
+    mod p exactly when it is one of the few multiples of p in that range: one
+    C-level set test over every sum, with no reduction. Only a sum outside
+    the set (a failure, or an entry outside [0, p)) is reduced, to locate it.
     """
     terms = list(terms)
-    signs = [sign for sign, _ in terms]
-    # start from a +1 term; first is -1 only when every sign is: sum the negation
-    first, acc = terms.pop(signs.index(1) if 1 in signs else 0)
-    for sign, seq in terms:
-        acc = map(add if sign == first else sub, acc, seq)
-    return [v % p for v in acc] if first == 1 else [-v % p for v in acc]
+    _, same, acc = _unreduced(terms)
+    other = len(terms) - same
+    if frozenset(range(-(other * (p - 1) // p) * p, same * (p - 1) + 1, p)).issuperset(acc):
+        return None
+    return next((t for t, v in enumerate(signed_sums(terms, p)) if v), None)
 
 
 def interleave(columns) -> list:
@@ -278,6 +393,11 @@ def unpack_symbols(blob, p: int) -> list[int]:
     if not _in_range(blob, width, p):
         raise ValueError("symbol out of field range")
     return list(_decode(blob, width))
+
+
+def _unit_index(column) -> int | None:
+    """k where *column* is the k-th unit vector, else None."""
+    return column.index(1) if column.count(0) == len(column) - 1 and 1 in column else None
 
 
 class Field:
@@ -351,15 +471,20 @@ class Matrix:
     def unit_columns(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int | None, ...]]:
         """(columns, units), built once: unit i is k where column i is the k-th unit vector, else None.
 
-        The one transposition of a Matrix, which :attr:`T` wraps; no rows give cols empty columns."""
+        The one kept transposition of a Matrix, which :attr:`T` wraps; no rows give cols empty columns."""
         columns = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
-        return columns, tuple([c.index(1) if c.count(0) == self.rows - 1 and 1 in c else None for c in columns])
+        return columns, tuple(map(_unit_index, columns))
 
     @cached_property
-    def packed_rows(self) -> tuple[int, ...]:
-        """The rows packed as weights one int each, a slot_width(p, rows)-byte slot per entry, built once."""
+    def packed_rows(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """(packed, dense, units), built once: each row's non-unit entries packed as weights into one int,
+        a slot_width(p, rows)-byte slot per entry; the indices of those dense columns; and (i, k) for each
+        column i that is the k-th unit vector. The columns are walked once and not kept."""
+        index = list(map(_unit_index, zip(*self.data)))
+        dense = tuple(i for i, k in enumerate(index) if k is None)
         slot = slot_width(self.field.p, self.rows)
-        return tuple(int.from_bytes(_encode(row, slot), "little") for row in self.data)
+        packed = tuple(int.from_bytes(_encode([row[i] for i in dense], slot), "little") for row in self.data)
+        return packed, dense, tuple((i, k) for i, k in enumerate(index) if k is not None)
 
     @cached_property
     def T(self) -> "Matrix":

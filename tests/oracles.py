@@ -75,3 +75,13 @@ def mul_vec(matrix, vec) -> list[int]:
 def signed_sums_scalar(terms, p) -> list[int]:
     """Entry-wise sum of sign * entry over (sign, sequence) terms, reduced mod p once per entry."""
     return [sum(sign * seq[t] for sign, seq in terms) % p for t in range(len(terms[0][1]))]
+
+
+def reduced_scalar(values, p) -> list[int]:
+    """Each value reduced mod p, one at a time."""
+    return [v % p for v in values]
+
+
+def first_nonzero_scalar(terms, p):
+    """The index of the first entry whose signed sum is nonzero mod p, or None."""
+    return next((t for t, v in enumerate(signed_sums_scalar(terms, p)) if v), None)

@@ -1,11 +1,14 @@
+import gc
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import detcode.cluster
+import detcode.field
 import detcode.multirepair
 import detcode.repair
 from detcode.cluster import (
@@ -438,6 +441,36 @@ def test_interrupted_shard_write_keeps_old_shard(tmp_path, monkeypatch, broken):
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"node_{i}.detc" for i in range(1, 9)]
     assert load_cluster(tmp_path).recover_file() == data
+
+
+def test_kernel_caches_do_not_grow_with_the_file(tmp_path):
+    """After a put, write_all_shards, load_cluster, two reads and a joint repair at (8, 4, 2), the kernel's
+    mask cache holds the same bytes at 64 KiB and at 1 MiB, and at most 0.5 MiB: masks are cut to windows of at
+    most WINDOW entries, not to whole rows or shards. Measured with tracemalloc around cache_clear."""
+    masks = detcode.field._masks
+
+    def cache_bytes(size):
+        data, directory = random.Random(size).randbytes(size), tmp_path / str(size)
+        directory.mkdir()
+        masks.cache_clear()
+        tracemalloc.start()
+        try:
+            write_all_shards(directory, Cluster.from_file(data, CFG257))
+            cluster = load_cluster(directory)
+            assert cluster.recover_file() == data and cluster.recover_file([5, 6, 7, 8]) == data
+            cluster.fail_nodes([2, 5])
+            cluster.repair("joint", [2, 5])
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            masks.cache_clear()
+            gc.collect()
+            return held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    cache_bytes(32 << 10)  # warms the operator caches, whose construction runs the kernel on short rows once
+    small, large = cache_bytes(64 << 10), cache_bytes(1 << 20)
+    assert small == large <= 1 << 19
 
 
 def test_repair_determinism():

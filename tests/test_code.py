@@ -178,6 +178,18 @@ def test_source_is_reduced_on_entry(gf13):
     msg.verify_parity()
 
 
+@pytest.mark.parametrize("p", [13, 251, 257])
+def test_byte_source_skips_its_reduction_only_where_bytes_are_canonical(p):
+    """bytes or a bytearray give the matrix of their list of ints: as they are at p = 257, reduced at p = 13 and
+    p = 251, where a byte can be p or more."""
+    source = bytes(random.Random(p).choices(range(256), k=58)) + bytes([p % 256 if p < 256 else 0, 255])
+    expected = build_message_matrix(list(source), 4, 2, Field(p))
+    assert all(0 <= v < p for row in expected.matrix.data for v in row)
+    assert build_message_matrix(source, 4, 2, Field(p)) == expected
+    assert build_message_matrix(bytearray(source), 4, 2, Field(p)) == expected
+    expected.verify_parity()
+
+
 def test_wrong_source_length(gf13):
     with pytest.raises(WrongLength):
         build_message_matrix([0] * 19, 4, 2, gf13)

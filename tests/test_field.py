@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detcode.field import (
+    FOLD_MIN,
+    WINDOW,
     CompositeModulus,
     DimensionMismatch,
     Field,
     Matrix,
     Singular,
+    _folded,
+    _masks,
     combine_rows,
     element_width,
+    first_nonzero_sum,
     interleave,
     is_prime,
     next_prime_at_least,
@@ -20,7 +25,15 @@ from detcode.field import (
     slot_width,
     unpack_symbols,
 )
-from oracles import identity, is_zero, matmul_scalar, signed_sums_scalar, vec_mat
+from oracles import (
+    first_nonzero_scalar,
+    identity,
+    is_zero,
+    matmul_scalar,
+    reduced_scalar,
+    signed_sums_scalar,
+    vec_mat,
+)
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 12, 100, 13 * 17])
@@ -501,11 +514,14 @@ def test_weights_match_plain_weights(case):
         assert rows == before
         assert (shared.data, shared.cols, shared.unit_columns) == state[:3]
         assert shared.unit_columns is state[2] and shared.T is state[3]  # prepared once
-    if len(rows[0]) < len(weights[0]):  # weights packed: once, then the same ints
-        packed = shared.packed_rows
-        assert packed is shared.packed_rows
+    if len(rows[0]) < len(weights[0]):  # weights packed: once, then the same ints, non-unit columns only
+        prepared = shared.packed_rows
+        assert prepared is shared.packed_rows
+        packed, dense, unit_pairs = prepared
+        assert dense == tuple(i for i, unit in enumerate(units) if unit is None)
+        assert unit_pairs == tuple((i, unit) for i, unit in enumerate(units) if unit is not None)
         slot = slot_width(p, len(weights))
-        assert packed == tuple(int.from_bytes(b"".join(v.to_bytes(slot, "little") for v in row), "little") for row in weights)
+        assert packed == tuple(int.from_bytes(b"".join(row[i].to_bytes(slot, "little") for i in dense), "little") for row in weights)
 
 
 @settings(max_examples=300, deadline=None)
@@ -536,3 +552,77 @@ def test_signed_sums_matches_scalar_oracle(case):
     assert signed_sums(terms, p) == expected
     assert signed_sums([(sign, tuple(seq)) for sign, seq in terms], p) == expected  # any sequences
     assert all(0 <= v < p for v in expected)
+
+
+# --- windows, the GF(257) fold and the parity zero test ---------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 255, 256, 257, 65535]), st.sampled_from([FOLD_MIN, FOLD_MIN + 1, WINDOW - 1, WINDOW]), st.data())
+def test_fold_matches_scalar_reduction(k, count, data):
+    """A window folded mod 257 equals % 257 per slot, for slot values at the fold's edges: 0, p - 1, p, 2**16,
+    2**17 - 1 and the largest k products admit, k * 256**2, with k on both sides of the second fold (k > 256) and
+    up to the largest k a 4-byte slot admits."""
+    largest = k * 256 * 256
+    assert slot_width(257, k) == 4 and slot_width(257, k + 1) == (4 if k < 65535 else 8)
+    edges = [v for v in (0, 256, 257, 2**16, 2**17 - 1, largest - 1, largest) if v <= largest]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    values = [rng.choice(edges) if rng.random() < 0.5 else rng.randrange(largest + 1) for _ in range(count)]
+    values[data.draw(st.integers(0, count - 1))] = data.draw(st.sampled_from(edges))
+    acc = int.from_bytes(b"".join(v.to_bytes(4, "little") for v in values), "little")
+    assert _folded(acc, count, k, _masks(count, 4, 257)) == reduced_scalar(values, 257)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([257, 65521]), st.booleans(), st.data())
+def test_combine_rows_exact_across_windows_and_the_fold_threshold(p, rows_packed, data):
+    """Rows of WINDOW - 1, WINDOW, WINDOW + 1 and 2 * WINDOW + 1 entries (whole windows and tails) and of
+    FOLD_MIN - 1 to FOLD_MIN + 1 entries, or FOLD_MIN - 1 to FOLD_MIN + 1 outputs where the weights are packed,
+    give the scalar oracle at p = 257 (folded) and at another prime (% p)."""
+    threshold = [FOLD_MIN - 1, FOLD_MIN, FOLD_MIN + 1]
+    if rows_packed:
+        length, r = data.draw(st.sampled_from([WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 1, *threshold])), data.draw(st.integers(1, 3))
+    else:
+        length, r = data.draw(st.integers(1, 2)), data.draw(st.sampled_from(threshold))
+    k = data.draw(st.integers(1, 4))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    rows = [[rng.choice((0, p - 1, rng.randrange(p))) for _ in range(length)] for _ in range(k)]
+    weights = [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(r)] for _ in range(k)]
+    field = Field(p)
+    expected = matmul_scalar(Matrix(field, list(zip(*weights))), Matrix(field, rows, cols=length))
+    assert combine_rows(rows, Matrix(field, weights)) == expected
+
+
+@st.composite
+def zero_test_edges(draw):
+    """Canonical (sign, sequence) terms over p = 257 whose unreduced sums, entry by entry, are 0, +-p, +-2p, p +- 1
+    or -p +- 1, where the terms' signs allow it; returns (p, terms, the drawn sums)."""
+    p = 257
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=2, max_size=5))
+    plus, minus = signs.count(1), signs.count(-1)
+    reachable = [t for t in (0, p, -p, 2 * p, -2 * p, p + 1, p - 1, -p + 1, -p - 1) if -minus * (p - 1) <= t <= plus * (p - 1)]
+    sums, columns = draw(st.lists(st.sampled_from(reachable), min_size=1, max_size=8)), []
+    for target in sums:
+        entries, rest = [0] * len(signs), abs(target)
+        for i, sign in enumerate(signs):
+            if sign * target > 0:
+                entries[i] = min(rest, p - 1)
+                rest -= entries[i]
+        if plus and minus:  # the same amount on one term of each sign leaves the sum as it is
+            i, j = signs.index(1), signs.index(-1)
+            entries[i] += (shift := draw(st.integers(0, p - 1 - max(entries[i], entries[j]))))
+            entries[j] += shift
+        columns.append(entries)
+    return p, [(sign, [column[i] for column in columns]) for i, sign in enumerate(signs)], sums
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_test_edges())
+def test_parity_zero_test_accepts_multiples_of_p_only(case):
+    """Unreduced sums of +-p and +-2p vanish and p +- 1 do not: first_nonzero_sum names the first entry that does
+    not vanish, as the scalar oracle does, and None only when every sum is a multiple of p."""
+    p, terms, sums = case
+    assert [sum(sign * seq[t] for sign, seq in terms) for t in range(len(sums))] == sums
+    expected = first_nonzero_scalar(terms, p)
+    assert first_nonzero_sum(terms, p) == expected
+    assert (expected is None) == all(v % p == 0 for v in sums)
