@@ -2,11 +2,19 @@
 
 Byte files map one byte per field element (so p >= 257), zero-padded up to
 a whole number of stripes with the true length recorded. A node's content
-is its :class:`~detcode.code.StripeBatch`, one flat list in shard body
-order, coded in one call per object.
+is its :class:`~detcode.code.StripeBatch`, one flat machine-word array in
+shard body order, coded in one call per object.
 Shards go to disk as ``node_<id>.detc`` files, replaced atomically; the
 generator matrix is a pure function of (n, d, p), so independently written
 shards stay mutually consistent.
+
+A shard body holds element_width(p) bytes per symbol (2 at p = 257), an
+array item 4 or 8. Reading range-checks the body word-parallel, then widens
+it by byte-plane slice copies; writing range-checks the array's bytes and
+narrows them back the same way (:func:`detcode.field.pack_symbols`,
+:func:`detcode.field.unpack_symbols`). A read's bytes are the low byte
+plane of the recovered symbols (:func:`assemble_file`), never ``bytes()``
+of the array, which is its raw machine buffer.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .code import (
     encode,
     recover_data,
 )
-from .field import element_width, next_prime_at_least, pack_symbols, unpack_symbols
+from .field import element_width, narrow, next_prime_at_least, pack_symbols, symbol_array, unpack_symbols, widen
 from .multirepair import centralized_repair, helper_bound
 from .repair import decode_failed_nodes, helper_payload
 
@@ -66,14 +74,27 @@ def ingest_file(data: bytes, config: CodeConfig) -> tuple[MessageMatrix, int]:
     return build_message_matrix(padded, config.d, config.m, config.field), len(data)
 
 
-def assemble_file(symbols: list[int], original_len: int) -> bytes:
-    """The recovered source symbols, stripe after stripe, as bytes without the padding."""
+def assemble_file(symbols, original_len: int) -> bytes:
+    """The recovered source symbols, stripe after stripe, as bytes without the padding.
+
+    The bytes are the symbols' low byte plane, copied by one slice
+    (:func:`detcode.field.narrow`); they are the file only if every symbol
+    is below 256, which holds exactly where widening them back gives the
+    symbols again: one C-level comparison, about ten times faster than
+    ``max`` over the array. ``bytes()`` of the array would be its raw
+    machine buffer instead.
+    """
     if len(symbols) < original_len:
         raise ValueError("fewer symbols than the recorded file length")
+    corrupt = "recovered symbol exceeds a byte; data is corrupt"
     try:
-        return bytes(symbols[:original_len])  # its one pass range-tests every symbol
-    except ValueError:
-        raise ValueError("recovered symbol exceeds a byte; data is corrupt") from None
+        head = symbol_array(symbols[:original_len])
+    except (OverflowError, TypeError):  # outside [0, 2**64), or not an int
+        raise ValueError(corrupt) from None
+    data = narrow(head, 1)
+    if widen(data, 1, head.typecode) != head:
+        raise ValueError(corrupt)
+    return data
 
 
 @dataclass
@@ -393,7 +414,7 @@ def capacity_curve(d: int, m: int, n_values, p: int | None = None):
         cluster = Cluster.build(config, build_message_matrix(source, d, m, config.field))
         ids = sorted(rng.sample(range(1, n + 1), d))
         symbols = cluster.recover_stripes(ids).extract_symbols()
-        if symbols != source:
+        if list(symbols) != source:
             raise AssertionError(f"recovery mismatch at n={n}")
         rows.append((n, len(symbols)))
     return rows

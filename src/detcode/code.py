@@ -12,10 +12,13 @@ The message matrix of S stripes is d x (S * alpha), stripe s in the column
 block from s * alpha; node i stores row i of its product with the n x d
 encoder matrix as one flat :class:`StripeBatch`, whose strided slice
 ``symbols[c::alpha]`` is symbol c of every stripe: no layer builds a list
-per stripe. A block's source cells (:func:`source_cells`) and parity
-groups are read from :func:`detcode.subsets.incidence`, the package's one
-sign rule. One :func:`detcode.field.signed_sums` per group completes its
-parity cells, and one zero test (:func:`detcode.field.first_nonzero_sum`)
+per stripe. Message rows and node content are machine-word arrays
+(:func:`detcode.field.symbol_typecode`); a byte source is scattered into
+them by slice copies (:func:`build_message_matrix`), and a read's
+further-node check is one array comparison per node. A block's source
+cells (:func:`source_cells`) and parity groups are read from
+:func:`detcode.subsets.incidence`, the package's one sign rule. One
+:func:`detcode.field.signed_sums` per group completes its parity cells, and one zero test (:func:`detcode.field.first_nonzero_sum`)
 over :func:`incidence_terms` checks every group on recover; with the source
 reduced once on entry by the same primitive (a byte source over p > 255 is
 canonical as it is), the matrix needs no reducing copy.
@@ -25,6 +28,7 @@ also decode a repair from d helpers (:func:`detcode.repair.decode_repair_vectors
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +41,9 @@ from .field import (  # CompositeModulus re-exported
     first_nonzero_sum,
     interleave,
     signed_sums,
+    symbol_array,
+    symbol_typecode,
+    widen,
 )
 from .subsets import binom, incidence, subsets
 
@@ -47,6 +54,10 @@ class BadMode(ValueError):
 
 class FieldTooSmall(ValueError):
     """Modulus too small for the requested node count."""
+
+
+class FieldTooLarge(ValueError):
+    """Modulus of 2**64 or more: no shard header records it and no machine word holds its symbols."""
 
 
 class WrongLength(ValueError):
@@ -104,15 +115,28 @@ def tradeoff_bound(d: int, level: int, alpha: int, beta: int) -> Fraction:
 
 @dataclass(frozen=True)
 class StripeBatch:
-    """One node's content: S stripes of alpha symbols, stripe after stripe, in one shared list.
+    """One node's content: S stripes of alpha symbols, stripe after stripe, in one machine-word array.
 
-    ``len`` is S; ``batch[s]`` and iteration (by index) yield stripe rows as slices.
+    The array is array('I') where every symbol is below 2**32 (every p up
+    to 2**32, so p = 257) and array('Q') otherwise: the kernel packs it as
+    its own buffer and the shard codec widens and narrows it by byte-plane
+    copies, with no int object per symbol. Symbols given as any other
+    sequence are converted once, here (:func:`detcode.field.symbol_array`);
+    ValueError for one outside [0, 2**64). An array never equals a list, and
+    ``bytes()`` of it is its raw machine buffer, not one byte per symbol:
+    compare ``list(batch.symbols)`` with a list.
+
+    ``len`` is S; ``batch[s]`` and iteration (by index) yield stripe rows as array slices.
     """
 
-    symbols: list[int]
+    symbols: array
     alpha: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "symbols", symbol_array(self.symbols))
+        except (OverflowError, TypeError):
+            raise ValueError("stripe symbols must be ints in [0, 2**64)") from None
         if self.alpha < 1 or len(self.symbols) % self.alpha:
             raise ValueError(f"{len(self.symbols)} symbols are not whole stripes of alpha = {self.alpha}")
 
@@ -135,6 +159,8 @@ class CodeConfig:
 
     def __post_init__(self):
         derive_params(self.d, self.m)  # raises BadMode
+        if self.p >= 1 << 64:
+            raise FieldTooLarge(f"p = {self.p} is 2**64 or more: a shard header records p in 8 bytes, and symbols are machine words")
         if not self.d < self.n:
             raise ValueError(f"need d < n, got d={self.d}, n={self.n}")
         _encoder_points(self.n, Field(self.p))  # CompositeModulus or FieldTooSmall; builds nothing (shard headers come here)
@@ -235,7 +261,7 @@ def source_cells(d: int, m: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def incidence_terms(rows, d: int, k: int, step: int) -> list[tuple[int, list[int]]]:
+def incidence_terms(rows, d: int, k: int, step: int) -> list[tuple[int, array | list[int]]]:
     """The k (sign, sequence) terms of every k-set K's alternating sum over *rows*, for one signed_sums call.
 
     Member i of every K has the sign (-1)**(i + 1): term i lists, K after K, its member x's slice
@@ -243,7 +269,7 @@ def incidence_terms(rows, d: int, k: int, step: int) -> list[tuple[int, list[int
     """
     table, terms = incidence(d, k), []
     for i in range(k):
-        flat = []  # a list, though Matrix rows are tuples
+        flat = rows[0][:0] if isinstance(rows[0], array) else []  # an array of the rows' typecode: no int per symbol
         for _, x, j, _ in table[i::k]:
             flat += rows[x - 1][j::step]
         terms.append((table[i][3], flat))
@@ -280,7 +306,7 @@ class MessageMatrix:
             k, bad = divmod(bad, self.stripes)
             raise ParityViolation(f"stripe {bad}: parity fails for {subsets(self.d, self.m + 1).unrank(k)}")
 
-    def extract_symbols(self) -> list[int]:
+    def extract_symbols(self) -> array:
         """Source symbols back out, stripe after stripe, in canonical order; does not check parity."""
         rows, alpha = self.matrix.data, self.alpha
         return interleave([rows[r][c::alpha] for r, c in source_cells(self.d, self.m)])
@@ -292,25 +318,34 @@ class MessageMatrix:
 def build_message_matrix(source, d: int, m: int, field: Field) -> MessageMatrix:
     """Arrange S * F source symbols (any ints), stripe after stripe, into S column blocks, completing parities.
 
-    The source is reduced once on entry, except bytes or a bytearray over p > 255: canonical by type.
+    Each row is one array of :func:`detcode.field.symbol_typecode`. A bytes
+    or bytearray source over p > 255 is canonical as it is: each source
+    cell's bytes are scattered into the low byte of its row's items by one
+    slice copy, with no int per symbol. Any other source is reduced once on
+    entry and scattered by array slice assignment.
     """
     alpha, _, per_stripe = derive_params(d, m)
-    canonical = isinstance(source, (bytes, bytearray)) and field.p > 255
-    source = list(source)
     if len(source) % per_stripe:
         raise WrongLength(
             f"need a whole number of stripes of {per_stripe} source symbols, got {len(source)}"
         )
-    if not canonical:
+    code, cols = symbol_typecode(field.p), len(source) // per_stripe * alpha
+    if isinstance(source, (bytes, bytearray)) and field.p > 255 and code:
+        size = array(code).itemsize
+        wide = [bytearray(cols * size) for _ in range(d)]
+        for t, (r, c) in enumerate(source_cells(d, m)):
+            wide[r][c * size :: alpha * size] = source[t::per_stripe]
+        data = [widen(row, size, code) for row in wide]
+    else:
         source = signed_sums([(1, source)], field.p)
-    data = [[0] * (len(source) // per_stripe * alpha) for _ in range(d)]
-    for t, (r, c) in enumerate(source_cells(d, m)):
-        data[r][c::alpha] = source[t::per_stripe]
+        data = [(array(code, [0]) if code else [0]) * cols for _ in range(d)]
+        for t, (r, c) in enumerate(source_cells(d, m)):
+            data[r][c::alpha] = source[t::per_stripe]
     table = incidence(d, m + 1) if m < d else ()
     for g in range(m, len(table), m + 1):  # one call per group: one over every group measured 23-31 % slower
         _, x, i, sign = table[g]  # the parity cell is minus its sign times the others' signed sum
         data[x - 1][i::alpha] = signed_sums([(-sign * s, data[y - 1][j::alpha]) for _, y, j, s in table[g - m : g]], field.p)
-    return MessageMatrix(Matrix.wrap(field, data, len(data[0])), m)
+    return MessageMatrix(Matrix.wrap(field, data, cols), m)
 
 
 def encode(encoder: EncoderMatrix, message: MessageMatrix) -> list[StripeBatch]:

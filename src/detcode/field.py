@@ -1,7 +1,17 @@
 """Exact arithmetic in prime fields GF(p) and dense linear algebra over them.
 
-Field elements are plain Python ints kept canonical (0 <= value < p); a
-:class:`Field` instance carries the (checked prime) modulus.
+Field elements are ints kept canonical (0 <= value < p); a :class:`Field`
+instance carries the (checked prime) modulus. A long sequence of them (a
+node's content, a payload, a kernel output) is one machine-word array of
+:func:`symbol_typecode`: array('I') up to p = 2**32, so at p = 257, and
+array('Q') up to 2**64 (over a larger field, which no code configuration
+uses, Matrix arithmetic keeps lists). The kernel packs an array of its slot
+width as its own buffer and returns fresh arrays; the symbol codec widens
+and narrows such arrays by byte-plane slice copies (:func:`widen`,
+:func:`narrow`): shard reads and writes and the kernel's packing convert no
+symbol one at a time. Two traps: an array never equals a list (compare ``list(a)``), and ``bytes(a)``
+is the raw machine buffer, itemsize bytes per item, not one byte per
+symbol.
 :class:`Matrix` implements exact Gauss-Jordan elimination with a
 deterministic leftmost-pivot rule, so ranks, inverses, and pivot-column
 bases are reproducible across runs and machines. All of the package's
@@ -36,9 +46,10 @@ low half leaves at most 2**16 - 2 + K; a second such fold (K > 256) leaves at
 most 2**16 - 1. Since 2**8 = -1, low byte + 257 - the rest is then in
 [1, 512], and one masked subtract of 257 where that is 257 or more (bit 9 of
 the slot plus 255) makes every slot canonical. No step carries or borrows
-across a slot. Below FOLD_MIN entries (64; the fold and % p cross at about
-40 to 48 on CPython 3.11) and at any other prime or slot width, each entry
-is reduced by % p.
+across a slot. Below FOLD_MIN entries (8: the fold, which fills its array
+straight from the slot bytes, and % p, whose ints are then packed into an
+array, cross at 4 to 8 on CPython 3.11) and at any other prime or slot
+width, each entry is reduced by % p.
 
 The weights are always a :class:`Matrix`, checked when built and
 prepared (columns and their unit indices, or packed non-unit rows) once per
@@ -49,7 +60,8 @@ check and one packing. :attr:`Matrix.T` is built once.
 Every operand row and every symbol blob is range-checked against
 [0, p), and each check runs on the packed int or bytes it is packed
 into anyway: two word-parallel mask tests per window (:func:`_in_field`),
-not a Python pass per entry.
+not a Python pass per entry. An array('I') holds any value below 2**32, so
+its rows are checked like any other.
 
 The paper's alternating sums (parity completion, the parity check, the
 repair readout) are one primitive, :func:`signed_sums`, the only code
@@ -136,19 +148,91 @@ def slot_width(p: int, k: int) -> int:
     return 4 if bound < 1 << 32 else 8 if bound < 1 << 64 else (bound.bit_length() + 7) // 8
 
 
-def _encode(values, width: int) -> bytes:
-    """Little-endian bytes of non-negative ints, width bytes each; OverflowError or TypeError for any other entry."""
+def symbol_typecode(p: int) -> str | None:
+    """The typecode of the machine-word array that holds GF(p) symbols: 'I' (4 bytes) for p <= 2**32, else
+    'Q' (8 bytes); None from p > 2**64, where no machine word holds a symbol (Matrix arithmetic over such a
+    field keeps lists of ints; no code configuration or shard has one)."""
+    return "I" if p <= 1 << 32 else "Q" if p <= 1 << 64 else None
+
+
+def _symbols(values, code: str | None):
+    """*values* as a fresh array of typecode *code* (a slice of an array of that typecode: half the cost of a
+    conversion), or a list where *code* is None."""
+    if type(values) is array and values.typecode == code:
+        return values[:]
+    return array(code, values) if code else list(values)
+
+
+def symbol_array(values) -> array:
+    """A symbol sequence as one machine-word array: itself if it is already an array('I') or array('Q'), else
+    array('I') where every value is below 2**32 and array('Q') otherwise. OverflowError for a value outside
+    [0, 2**64), TypeError for one that is not an int. Bytes-like input is read as one value per byte, never as
+    machine words."""
+    if isinstance(values, array) and values.typecode in "IQ":
+        return values
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    try:
+        return array("I", values)
+    except OverflowError:
+        return array("Q", values)
+
+
+def _encode(values, width: int):
+    """Little-endian bytes of non-negative ints, width bytes each; OverflowError or TypeError for any other entry.
+
+    An array of width-byte items is its own buffer (no copy on a little-endian host); other sequences are
+    converted once, in C where width is a machine word."""
     code = _TYPECODES.get(width)
     if code is None:
         return b"".join([v.to_bytes(width, "little") for v in values])
+    if isinstance(values, array) and values.itemsize == width and sys.byteorder == "little":
+        return memoryview(values).cast("B")
     items = array(code, values)
     if sys.byteorder == "big":
         items.byteswap()
     return items.tobytes()
 
 
+def widen(blob, width: int, code: str) -> array:
+    """The width-byte little-endian ints of *blob* as one array(code) of items at least that wide.
+
+    One byte-plane slice copy per byte of width into a zeroed buffer of the
+    item size, then one C-level fill: no conversion per symbol. The values
+    are not checked.
+    """
+    items = array(code)
+    size = items.itemsize
+    if width < size:
+        wide = bytearray(len(blob) // width * size)
+        for b in range(width):
+            wide[b::size] = blob[b::width]
+        blob = wide
+    items.frombytes(blob)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return items
+
+
+def _narrowed(raw: bytes, size: int, width: int) -> bytes:
+    """The low *width* bytes of each *size*-byte little-endian int of *raw*: one byte-plane slice copy per byte."""
+    if width == size:
+        return raw
+    narrow = bytearray(len(raw) // size * width)
+    for b in range(width):
+        narrow[b::width] = raw[b::size]
+    return bytes(narrow)
+
+
+def narrow(items: array, width: int) -> bytes:
+    """The low *width* bytes of every item of *items*, little-endian: byte-plane slice copies, no conversion per
+    symbol and no check (an item wider than *width* loses its high bytes). ``bytes(items)`` would instead be the
+    raw machine buffer, itemsize bytes per item."""
+    return _narrowed(bytes(_encode(items, items.itemsize)), items.itemsize, width)
+
+
 WINDOW = 2048  # entries per window of the kernel and the symbol codec; bounds every cached mask
-FOLD_MIN = 64  # shortest output window reduced by the GF(257) fold; shorter ones take % p per entry
+FOLD_MIN = 8  # shortest output window reduced by the GF(257) fold; shorter ones take % p per entry
 
 
 @lru_cache(maxsize=8)
@@ -209,7 +293,7 @@ def _decode(blob, width: int):
     return items
 
 
-def _folded(acc: int, count: int, k: int, masks: tuple[int, ...]) -> list[int]:
+def _folded(acc: int, count: int, k: int, masks: tuple[int, ...]) -> array:
     """The *count* 4-byte slots of *acc*, each a sum of k products of entries in [0, 257), reduced mod 257
     word-parallel by the :func:`_masks` of count slots (see the module docstring)."""
     _, offset, high, low16, low8, p_all = masks
@@ -218,14 +302,10 @@ def _folded(acc: int, count: int, k: int, masks: tuple[int, ...]) -> list[int]:
         acc = (acc & low16) + (acc >> 16 & low16)  # now at most 2**16 - 1
     acc = (acc & low8) + p_all - (acc >> 8 & low16)  # 2**8 = -1: each slot in [1, 512]
     acc -= (((acc + offset) & high) >> 9) * 257  # bit 9 of slot + 255 is set exactly where slot >= 257
-    items = array("I")
-    items.frombytes(acc.to_bytes(count * 4, "little"))
-    if sys.byteorder == "big":
-        items.byteswap()
-    return items.tolist()
+    return widen(acc.to_bytes(count * 4, "little"), 4, "I")
 
 
-def combine_rows(rows, weights: "Matrix") -> list[list[int]]:
+def combine_rows(rows, weights: "Matrix") -> list[array]:
     """The r linear combinations over GF(p) of a list *rows* of K sequences of one length L.
 
     Output i is the sum over k of weights[k][i] * rows[k], where *weights*
@@ -233,15 +313,19 @@ def combine_rows(rows, weights: "Matrix") -> list[list[int]]:
     columns of X @ weights for the matrix X whose columns are the rows.
     ValueError for a row entry outside [0, p), checked word-parallel on each
     packed window (:func:`_in_field`), or by one C-level min/max over all
-    entries where the weights are packed.
+    entries where the weights are packed. Rows may be any int sequences; an
+    array whose items are a slot wide is packed as its own buffer, with no
+    conversion per entry. Every output is a fresh array of
+    :func:`symbol_typecode` (a list over p > 2**64).
 
     With r <= L the rows are packed window by window, WINDOW entries at a
     time, into one int each, and an output window is one big-int multiply-add
     per nonzero weight; an output whose weight column is the k-th unit vector
-    (:attr:`Matrix.unit_columns`) is a fresh copy of row k. With fewer entries
+    (:attr:`Matrix.unit_columns`) is a copy of row k. With fewer entries
     per row than outputs the weights' packed non-unit columns
     (:attr:`Matrix.packed_rows`) are combined once per entry position instead,
-    then transposed back, and unit outputs are again copies. Either way every
+    into one flat array that each output is a strided slice of, and unit
+    outputs are again copies. Either way every
     computed output window is reduced once: by :func:`_folded` at p = 257
     where it has FOLD_MIN to WINDOW entries, else by % p per entry.
     """
@@ -252,10 +336,11 @@ def combine_rows(rows, weights: "Matrix") -> list[list[int]]:
     if weights.rows != k:
         raise DimensionMismatch(f"{weights.rows} weight rows for {k} rows")
     p, r = weights.field.p, weights.cols
-    slot = slot_width(p, k)
+    code, slot = symbol_typecode(p), slot_width(p, k)
     out_of_range = f"operand entry out of field range [0, {p})"
 
     def combine(coeffs, terms, count, fold):
+        """One output window: an array where folded, else a list of its entries reduced by % p."""
         acc = 0
         for a, x in zip(coeffs, terms):
             if a:
@@ -266,12 +351,13 @@ def combine_rows(rows, weights: "Matrix") -> list[list[int]]:
 
     if r <= length or not length:
         columns, units = weights.unit_columns
-        windowed = length > WINDOW  # outputs of several windows are sized once, so no window regrows them
-        outputs = [([0] * length if windowed else []) if unit is None else list(rows[unit]) for unit in units]
         try:
             blobs = [_encode(row, slot) for row in rows]
         except (OverflowError, TypeError):
             raise ValueError(out_of_range) from None
+        windowed = length > WINDOW  # outputs of several windows are sized once, so no window regrows them
+        zero = _symbols([0], code)
+        outputs = [zero * length for _ in units] if windowed or not length else [None] * len(units)
         for begin in range(0, length, WINDOW):  # a row of one window is sliced whole: the same bytes, no copy
             end = min(begin + WINDOW, length)
             packed = [int.from_bytes(blob[begin * slot : end * slot], "little") for blob in blobs]
@@ -282,10 +368,15 @@ def combine_rows(rows, weights: "Matrix") -> list[list[int]]:
             for i, unit in enumerate(units):
                 if unit is None:
                     values = combine(columns[i], packed, end - begin, fold)
+                    if not fold:
+                        values = _symbols(values, code)
                     if windowed:
                         outputs[i][begin:end] = values
                     else:
                         outputs[i] = values
+        for i, unit in enumerate(units):  # copies of rows checked above
+            if unit is not None:
+                outputs[i] = _symbols(rows[unit], code)
         return outputs
     entries = list(chain.from_iterable(rows))
     if not 0 <= min(entries) <= max(entries) < p:
@@ -293,11 +384,14 @@ def combine_rows(rows, weights: "Matrix") -> list[list[int]]:
     packed, dense, units = weights.packed_rows
     masks = _masks(len(dense), slot, p) if len(dense) <= WINDOW else ()
     fold = masks if len(masks) > 3 and len(dense) >= FOLD_MIN else None
+    width, flat = len(dense), _symbols((), code)  # the outputs of entry position j, then of j + 1
+    for j in range(length):
+        flat.extend(combine(entries[j::length], packed, width, fold))
     outputs = [None] * r
-    for i, output in zip(dense, zip(*[combine(entries[j::length], packed, len(dense), fold) for j in range(length)])):
-        outputs[i] = list(output)
+    for q, i in enumerate(dense):  # output dense[q] is every width-th entry of flat from q
+        outputs[i] = flat[q::width]
     for i, unit in units:
-        outputs[i] = list(rows[unit])
+        outputs[i] = _symbols(rows[unit], code)
     return outputs
 
 
@@ -316,15 +410,16 @@ def _unreduced(terms) -> tuple[int, int, "map"]:
     return first, signs.count(first), acc
 
 
-def signed_sums(terms, p: int) -> list[int]:
-    """Entry-wise canonical sum over GF(p) of one or more (sign, sequence) terms, each sign +1 or -1.
+def signed_sums(terms, p: int) -> array:
+    """Entry-wise canonical sum over GF(p) of one or more (sign, sequence) terms, each sign +1 or -1, as an
+    array of :func:`symbol_typecode` (a list over p > 2**64).
 
     The sequences have one length and may hold any ints (neither that nor
     the signs is checked). One lazy C-level map(add or sub) per term
     (:func:`_unreduced`); one reduction per entry, even for one term.
     """
     first, _, acc = _unreduced(terms)
-    return [v % p for v in acc] if first == 1 else [-v % p for v in acc]
+    return _symbols([v % p for v in acc] if first == 1 else [-v % p for v in acc], symbol_typecode(p))
 
 
 def first_nonzero_sum(terms, p: int) -> int | None:
@@ -344,16 +439,21 @@ def first_nonzero_sum(terms, p: int) -> int | None:
     return next((t for t, v in enumerate(signed_sums(terms, p)) if v), None)
 
 
-def interleave(columns) -> list:
-    """One or more equal-length columns side by side, row after row, in one flat list.
+def interleave(columns):
+    """One or more equal-length columns side by side, row after row, in one flat sequence: an array of the
+    first column's typecode where that column is an array (any other column converted to it), else a list.
 
     Columns shorter than 5 entries are zipped, longer ones slice-assigned: 5 is the crossover measured
     for 4 to 120 columns on CPython 3.11.
     """
-    if len(columns[0]) < 5:
-        return list(chain.from_iterable(zip(*columns)))
-    flat = [0] * (len(columns) * len(columns[0]))
+    first = columns[0]
+    code = first.typecode if isinstance(first, array) else None
+    if len(first) < 5:
+        return _symbols(chain.from_iterable(zip(*columns)), code)
+    flat = _symbols([0], code) * (len(columns) * len(first))
     for c, column in enumerate(columns):
+        if code and not (isinstance(column, array) and column.typecode == code):
+            column = array(code, column)
         flat[c :: len(columns)] = column
     return flat
 
@@ -361,38 +461,38 @@ def interleave(columns) -> list:
 def pack_symbols(values, p: int) -> bytes:
     """Little-endian bytes of GF(p) symbols, element_width(p) each; ValueError outside [0, p).
 
-    The range check runs word-parallel on the packed bytes; 2-byte symbols
-    are packed and checked 4 bytes wide (array('I') fills from a list about
-    twice as fast as array('H')), then narrowed.
+    The symbols are packed as items of :func:`symbol_typecode` (an array of
+    that item size is its own buffer, any other sequence is converted once
+    in C), the range check runs word-parallel on those bytes, and
+    byte-plane slice copies then narrow each item to element_width(p)
+    bytes. Over p > 2**64 each symbol is written by int.to_bytes.
     """
-    if not isinstance(values, (list, tuple)):  # array() would read bytes-like input as machine words
+    width, code = element_width(p), symbol_typecode(p)
+    size = array(code).itemsize if code else width
+    if not isinstance(values, (array, list, tuple)):  # array() would read bytes-like input as machine words
         values = list(values)
-    width = element_width(p)
-    wide = 4 if width == 2 else width
     try:
-        blob = _encode(values, wide)
+        blob = _encode(values, size)
     except (OverflowError, TypeError):
         raise ValueError("symbol out of field range") from None
-    if not _in_range(blob, wide, p):
+    if not _in_range(blob, size, p):
         raise ValueError("symbol out of field range")
-    if wide == width:
-        return blob
-    narrow = bytearray(len(values) * 2)
-    narrow[0::2], narrow[1::2] = blob[0::4], blob[1::4]
-    return bytes(narrow)
+    return _narrowed(bytes(blob), size, width)
 
 
-def unpack_symbols(blob, p: int) -> list[int]:
-    """Inverse of :func:`pack_symbols`; ValueError on a symbol outside [0, p) or a partial one.
+def unpack_symbols(blob, p: int) -> array:
+    """Inverse of :func:`pack_symbols`, one array of :func:`symbol_typecode` (a list over p > 2**64); ValueError
+    on a symbol outside [0, p) or a partial one.
 
-    The range check runs word-parallel on the blob, before it is decoded.
+    The range check runs word-parallel on the blob, before byte-plane slice
+    copies widen it to the array's item size (:func:`widen`).
     """
-    width = element_width(p)
+    width, code = element_width(p), symbol_typecode(p)
     if len(blob) % width:
         raise ValueError(f"symbol out of field range: {len(blob)} bytes is not a whole number of {width}-byte symbols")
     if not _in_range(blob, width, p):
         raise ValueError("symbol out of field range")
-    return list(_decode(blob, width))
+    return widen(blob, width, code) if code else list(_decode(blob, width))
 
 
 def _unit_index(column) -> int | None:

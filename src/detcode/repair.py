@@ -39,7 +39,7 @@ least-recently-used cache bounded by the entries charged for them
 (:data:`OPERATOR_BUDGET`): every repair of a tuple after the first skips
 the build.
 
-Every product here is :func:`detcode.field.combine_rows`, fed plain
+Every product here is :func:`detcode.field.combine_rows`, fed machine-word
 sequences (a batch's strided slices ``batch.symbols[c::alpha]``, a
 payload's ``symbols[j::rank]``, repair vectors) weighted by a
 :class:`~detcode.field.Matrix`: a cached basis or read inverse, or the
@@ -62,13 +62,15 @@ of (failed ids, m). Symbols are packed by :func:`detcode.field.pack_symbols`.
 from __future__ import annotations
 
 import struct
+from array import array
 from collections import OrderedDict, namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, update_wrapper
 from threading import Lock
 
 from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, derive_params, incidence_terms, recover_weights  # OverlapError re-exported
-from .field import Matrix, combine_rows, element_width, interleave, pack_symbols, signed_sums, unpack_symbols
+from .field import Matrix, combine_rows, element_width, interleave, pack_symbols, signed_sums, symbol_array, unpack_symbols
 from .subsets import binom, incidence
 
 
@@ -118,12 +120,17 @@ _WIRE_TAIL = struct.Struct("<HI")  # helper id, symbol count
 
 @dataclass(frozen=True)
 class RepairPayload:
-    """Compressed repair data one helper sends for a tuple of failed nodes, every stripe."""
+    """Compressed repair data one helper sends for a tuple of failed nodes, every stripe.
+
+    ``symbols`` is any int sequence as given; :func:`helper_payload` and
+    :meth:`from_bytes` give one array of
+    :func:`detcode.field.symbol_typecode`, which never equals a tuple.
+    """
 
     failed: tuple[int, ...]
     helper: int
     m: int
-    symbols: tuple[int, ...]
+    symbols: Sequence[int]
 
     def to_bytes(self, p: int) -> bytes:
         """Serialize; a zero m or e, or a field that does not fit its wire slot, raises ValueError."""
@@ -157,7 +164,7 @@ class RepairPayload:
         offset += _WIRE_TAIL.size
         if len(blob) != offset + count * element_width(p):
             raise ValueError("payload length does not match symbol count")
-        return cls(failed, helper, m, tuple(unpack_symbols(blob[offset:], p)))
+        return cls(failed, helper, m, unpack_symbols(blob[offset:], p))
 
 
 def helper_payload(h_content: StripeBatch, helper: int, failed, encoder: EncoderMatrix, m: int) -> RepairPayload:
@@ -169,8 +176,7 @@ def helper_payload(h_content: StripeBatch, helper: int, failed, encoder: Encoder
     failed = tuple(failed)
     compress = repair_basis(encoder, failed, m)[0]
     flat, alpha = h_content.symbols, h_content.alpha
-    symbols = interleave(combine_rows([flat[c::alpha] for c in range(alpha)], compress))
-    return RepairPayload(failed, helper, m, tuple(symbols))
+    return RepairPayload(failed, helper, m, interleave(combine_rows([flat[c::alpha] for c in range(alpha)], compress)))
 
 
 def _payload_shape(payload: RepairPayload, encoder: EncoderMatrix) -> tuple[int, int]:
@@ -181,7 +187,7 @@ def _payload_shape(payload: RepairPayload, encoder: EncoderMatrix) -> tuple[int,
     return rank, count // rank
 
 
-def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> list[int]:
+def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> array:
     """Full-length repair vectors, stripe after stripe: the received symbols times expand, one product."""
     rank, _ = _payload_shape(payload, encoder)
     expand = repair_basis(encoder, payload.failed, payload.m)[1]
@@ -325,10 +331,10 @@ def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], s
     total = sum(rank for _, _, rank in sources)
     payloads, offset = [], 0
     for helper, target, rank in sources:
-        symbols = [0] * (total * rank)
+        symbols = symbol_array([0] * (total * rank))
         for j in range(rank):
             symbols[(offset + j) * rank + j] = 1
-        payloads.append(RepairPayload(target, helper, m, tuple(symbols)))
+        payloads.append(RepairPayload(target, helper, m, symbols))
         offset += rank
     decoded = factored(payloads, encoder, failed)
     rows = tuple(tuple([v for f in failed for v in decoded[f][t]]) for t in range(total))
@@ -348,8 +354,8 @@ def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m
     return {f: StripeBatch(interleave([label[i::e] for label in labels]), len(labels)) for i, f in enumerate(failed)}
 
 
-def combine_repair_space(rows, d: int, m: int, field) -> list[list[int]]:
-    """Signed-sum readout of repair spaces side by side, one list per column label, over spaces.
+def combine_repair_space(rows, d: int, m: int, field) -> list[array]:
+    """Signed-sum readout of repair spaces side by side, one array per column label, over spaces.
 
     *rows* are the d rows of the spaces; space b is the d x C(d, m-1) block
     of columns from b * C(d, m-1). Its entry at column label I, entry b of

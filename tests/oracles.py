@@ -47,6 +47,11 @@ def brute_rank(matrix) -> int:
     return 0
 
 
+def as_lists(rows) -> list[list[int]]:
+    """Rows of any int sequences (arrays, tuples, lists) as lists, to compare by value: an array never equals a list."""
+    return [list(row) for row in rows]
+
+
 def matmul_scalar(a, b) -> list[list[int]]:
     """Rows of the product of two matrices by the plain triple loop, reduced mod p once per entry."""
     p = a.field.p

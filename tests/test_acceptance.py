@@ -94,7 +94,7 @@ def test_03_data_recovery(encoder8, gf13):
                     [contents[i - 1] for i in ids], ids, encoder8, 2
                 )
                 assert recovered.matrix == message.matrix
-                assert recovered.extract_symbols() == source
+                assert list(recovered.extract_symbols()) == source
 
 
 def test_04_single_repair_exhaustive(single_repair_sweep):

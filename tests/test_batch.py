@@ -2,12 +2,14 @@
 
 import random
 import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detcode import Cluster, CodeConfig, StripeBatch, load_cluster, read_shard, shard_path, write_all_shards
+from detcode import Cluster, CodeConfig, Field, Matrix, ShardFile, StripeBatch, load_cluster, read_shard, shard_path, write_all_shards
 from detcode.cluster import SHARD_MAGIC, SHARD_VERSION
+from detcode.field import combine_rows
 from detcode.multirepair import joint_bandwidth
 
 
@@ -57,12 +59,12 @@ def test_batch_round_trips_through_shards_get_and_every_repair(tmp_path_factory,
     if config.alpha > 1:  # with alpha = 1 every length is whole stripes
         extra = data.draw(st.integers(1, config.alpha - 1), label="ragged")
         with pytest.raises(ValueError, match="not whole stripes"):
-            StripeBatch(encoded[1].symbols + [0] * extra, config.alpha)
+            StripeBatch([*encoded[1].symbols, *[0] * extra], config.alpha)
 
 
 def test_batch_rows_and_equality():
     batch = StripeBatch([1, 2, 3, 4, 5, 6], 3)
-    assert len(batch) == 2 and batch[0] == [1, 2, 3] and batch[-1] == [4, 5, 6]
+    assert len(batch) == 2 and list(batch[0]) == [1, 2, 3] and list(batch[-1]) == [4, 5, 6]
     assert [list(row) for row in batch] == [[1, 2, 3], [4, 5, 6]]
     with pytest.raises(IndexError):
         batch[2]
@@ -71,3 +73,35 @@ def test_batch_rows_and_equality():
     assert len(StripeBatch([], 3)) == 0 and list(StripeBatch([], 3)) == []
     with pytest.raises(ValueError, match="not whole stripes"):
         StripeBatch([1, 2], 0)
+
+
+@pytest.mark.parametrize("p, code", [(257, "I"), (65537, "I"), (2**31 - 1, "I"), (2**61 - 1, "Q")])
+def test_batch_from_a_list_a_shard_and_a_repair_agree(tmp_path, p, code):
+    """A node's content is one array of one typecode wherever it comes from: built from a list, read back from its
+    shard, or rebuilt by a single, joint or centralized repair. All of them compare equal."""
+    config = CodeConfig(n=8, d=4, m=2, p=p)
+    cluster = Cluster.from_file(random.Random(p).randbytes(3000), config)
+    node = 6  # a parity node: at 2**61 - 1 its symbols need 8 bytes
+    from_list = StripeBatch(list(cluster.contents[node].symbols), config.alpha)
+    write_all_shards(tmp_path, cluster)
+    batches = [from_list, read_shard(shard_path(tmp_path, node)).stripes]
+    for mode in ("single", "joint", "centralized"):
+        cluster.fail_nodes([node])
+        cluster.repair(mode, [node])
+        batches.append(cluster.contents[node])
+    assert all(batch == from_list for batch in batches)
+    assert [type(batch.symbols) for batch in batches] == [array] * 5
+    assert {batch.symbols.typecode for batch in batches} == {code}
+
+
+def test_shard_body_and_kernel_outputs_are_arrays_at_257():
+    """At p = 257 a parsed shard's symbols and every kernel output, in both orientations, are array('I')."""
+    config = CodeConfig(n=8, d=4, m=2, p=257)
+    blob = ShardFile(config, 1, None, StripeBatch([256, 0, 1, 2, 3, 4], 6)).to_bytes()
+    symbols = ShardFile.from_bytes(blob).stripes.symbols
+    assert type(symbols) is array and symbols.typecode == "I" and list(symbols) == [256, 0, 1, 2, 3, 4]
+    weights = Matrix(Field(257), [[1, 0, 2], [0, 1, 3]])  # two unit columns and a dense one
+    for length in (1, 5):  # fewer entries than outputs (the weights packed), and more (the rows packed)
+        outputs = combine_rows([[256] * length, [1] * length], weights)
+        assert [(type(output), output.typecode) for output in outputs] == [(array, "I")] * 3
+        assert [list(output) for output in outputs] == [[256] * length, [1] * length, [(512 + 3) % 257] * length]

@@ -253,6 +253,20 @@ def test_encode_rejects_small_prime_cleanly(tmp_path):
     assert "Error" in result.output and "257" in result.output
 
 
+def test_encode_refuses_a_prime_no_shard_header_holds(tmp_path):
+    """p = 2**64 + 13 is prime, but a shard header records p in 8 bytes: refused before any shard is written."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"abc")
+    result = CliRunner().invoke(
+        main,
+        ["encode", "--input", str(src), "--n", "8", "--d", "4", "--m", "2",
+         "--prime", "18446744073709551629", "--out", str(tmp_path / "shards")],
+    )
+    assert result.exit_code == 1
+    assert "Error: p = 18446744073709551629 is 2**64 or more" in result.output
+    assert not (tmp_path / "shards").exists()
+
+
 def test_repair_rejects_overlapping_helpers_cleanly(tmp_path):
     runner, _, shards = _encode_fixture(tmp_path)
     shard_path(shards, 5).unlink()

@@ -2,6 +2,7 @@ import gc
 import os
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,13 +63,13 @@ def test_ingest_exact_stripe_no_padding():
     data = bytes(range(20))
     message, length = ingest_file(data, CFG257)
     assert message.stripes == 1 and length == 20
-    assert message.extract_symbols() == list(data)
+    assert list(message.extract_symbols()) == list(data)
 
 
 def test_ingest_pads_with_zeros():
     message, length = ingest_file(b"\x01\x02\x03", CFG257)
     assert message.stripes == 1 and length == 3
-    assert message.extract_symbols() == [1, 2, 3] + [0] * 17
+    assert list(message.extract_symbols()) == [1, 2, 3] + [0] * 17
 
 
 def test_ingest_requires_byte_capable_field():
@@ -86,6 +87,19 @@ def test_assemble_names_a_symbol_outside_a_byte(bad):
     with pytest.raises(ValueError, match="recovered symbol exceeds a byte; data is corrupt"):
         assemble_file([1, 2, bad, 3], 4)
     assert assemble_file([1, 2, 3, bad], 3) == bytes([1, 2, 3])  # padding is not read
+
+
+@pytest.mark.parametrize("code", ["I", "Q"])
+def test_assemble_reads_the_low_byte_plane_of_an_array(code):
+    """An array of byte values gives exactly those bytes, not bytes() of its machine buffer (itemsize bytes per
+    symbol); a symbol of 256 or more within the length raises the declared error, one past it is padding."""
+    data = bytes(range(256)) + random.Random(5).randbytes(300)
+    symbols = array(code, list(data))
+    assert assemble_file(symbols, len(data)) == data
+    assert assemble_file(symbols + array(code, [256, 7]), len(data)) == data
+    for bad in (256, 2**8 + 2**16, 2**31):
+        with pytest.raises(ValueError, match=r"^recovered symbol exceeds a byte; data is corrupt$"):
+            assemble_file(array(code, [1, 2, bad, 3]), 4)
 
 
 def test_assemble_rejects_fewer_symbols_than_the_length():
@@ -471,6 +485,23 @@ def test_kernel_caches_do_not_grow_with_the_file(tmp_path):
     cache_bytes(32 << 10)  # warms the operator caches, whose construction runs the kernel on short rows once
     small, large = cache_bytes(64 << 10), cache_bytes(1 << 20)
     assert small == large <= 1 << 19
+
+
+def test_node_content_heap_after_a_put():
+    """After Cluster.from_file of 1 MiB at (8, 4, 2), p = 257, the tracemalloc heap is at most 11 MiB: each of the
+    8 nodes holds 314574 symbols, 4 bytes each in its array('I'), 9.6 MiB in all. Node content as lists of
+    ints (an 8-byte pointer per symbol, and the lists built on the way) held 19.3 MiB."""
+    data = random.Random(1).randbytes(1 << 20)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cluster = Cluster.from_file(data, CFG257)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 11 << 20, held
+    assert all(batch.symbols.typecode == "I" and len(batch.symbols) == 314574 for batch in cluster.contents.values())
 
 
 def test_repair_determinism():

@@ -88,6 +88,15 @@ def test_config_validation():
         CodeConfig(n=4, d=4, m=2, p=13)
 
 
+def test_config_refuses_a_modulus_of_two_to_the_64_or_more():
+    """No shard header records such a p (it packs p in 8 bytes) and no machine word holds its symbols: refused
+    when the config is built, naming p. The largest prime below 2**64 is accepted."""
+    for p in (2**64 + 13, 2**89 - 1):
+        with pytest.raises(ValueError, match=rf"^p = {p} is 2\*\*64 or more"):
+            CodeConfig(n=8, d=4, m=2, p=p)
+    assert CodeConfig(n=8, d=4, m=2, p=2**64 - 59).p == 2**64 - 59
+
+
 # --- encoder -----------------------------------------------------------
 
 
@@ -165,7 +174,7 @@ def test_out_of_range_mode_is_reported_as_itself(gf13, encoder8, contents8, m):
 def test_zero_source_gives_zero_matrix(gf13):
     msg = build_message_matrix([0] * 20, 4, 2, gf13)
     assert is_zero(msg.matrix)
-    assert msg.extract_symbols() == [0] * 20
+    assert list(msg.extract_symbols()) == [0] * 20
 
 
 def test_source_is_reduced_on_entry(gf13):
@@ -200,7 +209,7 @@ def test_roundtrip_random_sources(gf13):
     for _ in range(1000):
         src = [rng.randrange(13) for _ in range(20)]
         msg = build_message_matrix(src, 4, 2, gf13)
-        assert msg.extract_symbols() == src
+        assert list(msg.extract_symbols()) == src
 
 
 def test_parity_completion_goldens(gf13):
@@ -406,4 +415,4 @@ def test_capacity_does_not_depend_on_node_count():
         contents = encode(enc, msg)
         ids = list(range(n - 5, n + 1))
         rec = recover_data([contents[i - 1] for i in ids], ids, enc, 3)
-        assert rec.extract_symbols() == src
+        assert list(rec.extract_symbols()) == src

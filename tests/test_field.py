@@ -1,5 +1,6 @@
 import random
 import re
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,9 +24,11 @@ from detcode.field import (
     pack_symbols,
     signed_sums,
     slot_width,
+    symbol_typecode,
     unpack_symbols,
 )
 from oracles import (
+    as_lists,
     first_nonzero_scalar,
     identity,
     is_zero,
@@ -234,7 +237,7 @@ def test_product_matches_triple_loop(operands):
     a, b = operands
     product = a @ b
     assert product.shape == (a.rows, b.cols)
-    assert product.data == matmul_scalar(a, b)
+    assert as_lists(product.data) == matmul_scalar(a, b)
 
 
 @pytest.mark.parametrize("p", [13, 257, 65521, 2**31 - 1, 2**61 - 1])
@@ -247,7 +250,7 @@ def test_product_of_full_entries(p, shape):
     b = Matrix(field, [[p - 1] * cols for _ in range(inner)], cols=cols)
     product = a @ b
     assert product.shape == (rows, cols)
-    assert product.data == matmul_scalar(a, b)
+    assert as_lists(product.data) == matmul_scalar(a, b)
 
 
 @pytest.mark.parametrize("p, width", [(13, 1), (257, 2), (65537, 3), (2**31 - 1, 4), (2**61 - 1, 8), (2**64 + 13, 9)])
@@ -257,7 +260,7 @@ def test_symbol_codec_round_trip(p, width):
     blob = pack_symbols(values, p)
     assert element_width(p) == width
     assert blob == b"".join(v.to_bytes(width, "little") for v in values)
-    assert unpack_symbols(blob, p) == values
+    assert list(unpack_symbols(blob, p)) == values
     with pytest.raises(ValueError, match="symbol out of field range"):
         pack_symbols(values + [p], p)
     with pytest.raises(ValueError, match="symbol out of field range"):
@@ -291,8 +294,8 @@ def test_combine_rows_matches_triple_loop(case):
     field = Field(p)
     length = len(rows[0])
     expected = matmul_scalar(Matrix(field, list(zip(*weights))), Matrix(field, rows, cols=length))
-    assert combine_rows(rows, Matrix(field, weights)) == expected
-    assert combine_rows([tuple(row) for row in rows], Matrix(field, weights)) == expected  # any sequences
+    assert as_lists(combine_rows(rows, Matrix(field, weights))) == expected
+    assert as_lists(combine_rows([tuple(row) for row in rows], Matrix(field, weights))) == expected  # any sequences
 
 
 @pytest.mark.parametrize("p", [13, 2**64 + 13])  # array-backed and generic slots
@@ -300,7 +303,7 @@ def test_combine_rows_matches_triple_loop(case):
 def test_combine_rows_of_no_rows_gives_r_empty_outputs(p, r):
     """No rows and a 0 x r weight Matrix: r empty outputs, and the transpose has r empty rows."""
     weights = Matrix(Field(p), [], cols=r)
-    assert combine_rows([], weights) == [[]] * r
+    assert as_lists(combine_rows([], weights)) == [[]] * r
     assert weights.unit_columns[0] == weights.T.data == ((),) * r and weights.T.shape == (r, 0)
 
 
@@ -318,7 +321,7 @@ def test_combine_rows_rejects_ragged_rows(length):
 def test_combine_rows_range_is_the_field(p, length):
     """Entries up to p - 1 combine exactly; a negative one, p, or one past the symbol width raises ValueError."""
     weights = Matrix(Field(p), [[1, 2, 3], [4, 5, 6]])
-    assert combine_rows([[p - 1] * length, [0] * length], weights) == [[(p - 1) * c % p] * length for c in (1, 2, 3)]
+    assert as_lists(combine_rows([[p - 1] * length, [0] * length], weights)) == [[(p - 1) * c % p] * length for c in (1, 2, 3)]
     for bad in (-1, p, 1 << 8 * element_width(p)):
         rows = [[0] * length, [0] * (length - 1) + [bad]]
         with pytest.raises(ValueError, match=rf"field range \[0, {p}\)"):
@@ -332,7 +335,7 @@ def test_combine_rows_exact_at_slot_crossover(k, width):
     for length in (1, 3):  # weights packed, rows packed
         rows = [[256] * length] * k
         expected = k * 256 * 256 % 257
-        assert combine_rows(rows, Matrix(Field(257), [[256, 256]] * k)) == [[expected] * length] * 2
+        assert as_lists(combine_rows(rows, Matrix(Field(257), [[256, 256]] * k))) == [[expected] * length] * 2
 
 
 # --- range checks at their edges and unit weight columns ----------------
@@ -380,7 +383,7 @@ def test_combine_rows_rejects_exactly_the_entries_outside_the_field(case):
             combine_rows(rows, Matrix(Field(p), weights))
     else:
         expected = matmul_scalar(Matrix(Field(p), list(zip(*weights))), Matrix(Field(p), rows, cols=len(rows[0])))
-        assert combine_rows(rows, Matrix(Field(p), weights)) == expected
+        assert as_lists(combine_rows(rows, Matrix(Field(p), weights))) == expected
 
 
 @st.composite
@@ -400,7 +403,7 @@ def test_combine_rows_reduces_weights_outside_the_field(case):
     """A Matrix holds a weight outside [0, p) reduced, so the product is the reduced weight's: none overflows a slot."""
     p, rows, weights = case
     expected = matmul_scalar(Matrix(Field(p), list(zip(*weights))), Matrix(Field(p), rows, cols=len(rows[0])))  # reduced
-    assert combine_rows(rows, Matrix(Field(p), weights)) == expected
+    assert as_lists(combine_rows(rows, Matrix(Field(p), weights))) == expected
 
 
 @pytest.mark.parametrize("weight", [2**25, 257, -1])
@@ -409,7 +412,7 @@ def test_weight_outside_the_field_never_reaches_a_slot(weight):
     257 or -1 (which would not pack) gives the scalar oracle of the reduced weight."""
     weights = Matrix(Field(257), [[weight]])
     assert weights.data == ((weight % 257,),)
-    assert combine_rows([[256, 0]], weights) == [[256 * (weight % 257) % 257, 0]]
+    assert as_lists(combine_rows([[256, 0]], weights)) == [[256 * (weight % 257) % 257, 0]]
 
 
 def test_weights_refuse_ragged_rows_and_another_field():
@@ -438,7 +441,7 @@ def test_symbol_codec_rejects_exactly_the_symbols_outside_the_field(data):
     stored = [v for v in values if 0 <= v < 1 << 8 * width]  # what a blob can hold
     blob = b"".join(v.to_bytes(width, "little") for v in stored)
     if all(v < p for v in stored):
-        assert unpack_symbols(blob, p) == stored
+        assert list(unpack_symbols(blob, p)) == stored
     else:
         with pytest.raises(ValueError, match=exact_message("symbol out of field range")):
             unpack_symbols(blob, p)
@@ -485,7 +488,7 @@ def test_unit_weight_columns_are_fresh_copies(case):
     expected = matmul_scalar(Matrix(field, list(zip(*weights))), Matrix(field, rows, cols=len(rows[0])))
     outputs = combine_rows(rows, Matrix(field, weights))
     product = Matrix(field, list(zip(*weights))) @ Matrix.wrap(field, rows, len(rows[0]))
-    assert outputs == product.data == expected
+    assert as_lists(outputs) == as_lists(product.data) == expected
     for output in outputs + product.data:
         output[0] += 1
     assert rows == before
@@ -505,8 +508,8 @@ def test_weights_match_plain_weights(case):
     assert shared.T.data == tuple(zip(*weights)) and shared.T.shape == (len(weights[0]), len(weights))
     for _ in range(3):  # the first product may pack the weights, the others reuse them
         outputs = combine_rows(rows, shared)
-        assert outputs == expected
-        assert all(type(output) is list for output in outputs)
+        assert as_lists(outputs) == expected
+        assert all(type(output) is array and output.typecode == symbol_typecode(p) for output in outputs)
         assert len({id(output) for output in outputs + rows}) == len(outputs) + len(rows)
         for output in outputs:
             if output:
@@ -549,8 +552,8 @@ def test_signed_sums_matches_scalar_oracle(case):
     """Canonical entry-wise signed sums, whichever term carries the first +1 sign, or none."""
     p, terms = case
     expected = signed_sums_scalar(terms, p)
-    assert signed_sums(terms, p) == expected
-    assert signed_sums([(sign, tuple(seq)) for sign, seq in terms], p) == expected  # any sequences
+    assert list(signed_sums(terms, p)) == expected
+    assert list(signed_sums([(sign, tuple(seq)) for sign, seq in terms], p)) == expected  # any sequences
     assert all(0 <= v < p for v in expected)
 
 
@@ -570,7 +573,7 @@ def test_fold_matches_scalar_reduction(k, count, data):
     values = [rng.choice(edges) if rng.random() < 0.5 else rng.randrange(largest + 1) for _ in range(count)]
     values[data.draw(st.integers(0, count - 1))] = data.draw(st.sampled_from(edges))
     acc = int.from_bytes(b"".join(v.to_bytes(4, "little") for v in values), "little")
-    assert _folded(acc, count, k, _masks(count, 4, 257)) == reduced_scalar(values, 257)
+    assert list(_folded(acc, count, k, _masks(count, 4, 257))) == reduced_scalar(values, 257)
 
 
 @settings(max_examples=60, deadline=None)
@@ -590,7 +593,7 @@ def test_combine_rows_exact_across_windows_and_the_fold_threshold(p, rows_packed
     weights = [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(r)] for _ in range(k)]
     field = Field(p)
     expected = matmul_scalar(Matrix(field, list(zip(*weights))), Matrix(field, rows, cols=length))
-    assert combine_rows(rows, Matrix(field, weights)) == expected
+    assert as_lists(combine_rows(rows, Matrix(field, weights))) == expected
 
 
 @st.composite

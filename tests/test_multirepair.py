@@ -238,7 +238,7 @@ def test_joint_payload_size_and_roundtrip(gf13, encoder8, contents8):
         payload = helper_payload(contents8[h - 1], h, failed, encoder8, 2)
         assert len(payload.symbols) == 5
         full = decompress_payload(payload, encoder8)
-        assert full == vec_mat(contents8[h - 1][0], xi)
+        assert list(full) == vec_mat(contents8[h - 1][0], xi)
     rng = random.Random(77)
     for m in range(1, 5):
         msg = build_message_matrix([rng.randrange(13) for _ in range(m * binom(5, m + 1))], 4, m, gf13)
@@ -250,7 +250,7 @@ def test_joint_payload_size_and_roundtrip(gf13, encoder8, contents8):
                     payload = helper_payload(contents[h - 1], h, failed, encoder8, m)
                     assert len(payload.symbols) == joint_bandwidth(4, m, e)
                     full = decompress_payload(payload, encoder8)
-                    assert full == vec_mat(contents[h - 1][0], xi), (m, failed, h)
+                    assert list(full) == vec_mat(contents[h - 1][0], xi), (m, failed, h)
 
 
 def test_joint_payload_single_failure_matches_plain(encoder8, contents8):
@@ -260,7 +260,7 @@ def test_joint_payload_single_failure_matches_plain(encoder8, contents8):
     xi = repair_matrix(5, 2, encoder8)
     pivots, _ = xi.pivot_columns()
     full = vec_mat(contents8[0][0], xi)
-    assert payload.symbols == tuple(full[j] for j in pivots)
+    assert tuple(payload.symbols) == tuple(full[j] for j in pivots)
     assert len(payload.symbols) == binom(3, 1)
 
 
@@ -523,7 +523,7 @@ def test_decompression_in_both_kernel_orientations(encoder8, data):
     batch = StripeBatch(data.draw(st.lists(st.integers(0, 12), min_size=size, max_size=size), label="symbols"), alpha)
     xi = Matrix.hstack([repair_matrix(f, m, encoder8) for f in failed])
     expected = [v for s in range(stripes) for v in vec_mat(batch[s], xi)]
-    assert decompress_payload(helper_payload(batch, helper, failed, encoder8, m), encoder8) == expected
+    assert list(decompress_payload(helper_payload(batch, helper, failed, encoder8, m), encoder8)) == expected
 
 
 # --- centralized sequential repair ----------------------------------------

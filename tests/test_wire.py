@@ -3,6 +3,8 @@
 import hashlib
 import random
 import struct
+from array import array
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +35,7 @@ from detcode.repair import RepairPayload, decompress_payload, helper_payload
 
 def test_single_payload_layout(encoder8, contents8):
     payload = helper_payload(contents8[1], 2, (5,), encoder8, 2)
-    assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=(1, 9, 7))
+    assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=array("I", (1, 9, 7)))
     assert payload.to_bytes(13) == bytes.fromhex(
         "03 02 01" "05 00" "02 00" "03 00 00 00" "01 09 07"
     )
@@ -41,7 +43,7 @@ def test_single_payload_layout(encoder8, contents8):
 
 def test_joint_payload_layout(encoder8, contents8):
     payload = helper_payload(contents8[0], 1, (5, 6), encoder8, 2)
-    assert payload == RepairPayload(failed=(5, 6), helper=1, m=2, symbols=(5, 0, 8, 1, 1))
+    assert payload == RepairPayload(failed=(5, 6), helper=1, m=2, symbols=array("I", (5, 0, 8, 1, 1)))
     assert payload.to_bytes(13) == bytes.fromhex(
         "03 02 02" "05 00 06 00" "01 00" "05 00 00 00" "05 00 08 01 01"
     )
@@ -56,9 +58,9 @@ def test_two_byte_payload_symbols_little_endian():
 
 def test_two_stripe_payload_layout(gf13, encoder8, message8):
     """One header for both stripes; stripe 0's symbols are the one-stripe payload's."""
-    message = build_message_matrix(message8.extract_symbols() + list(range(20)), 4, 2, gf13)
+    message = build_message_matrix([*message8.extract_symbols(), *range(20)], 4, 2, gf13)
     payload = helper_payload(encode(encoder8, message)[1], 2, (5,), encoder8, 2)
-    assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=(1, 9, 7, 12, 10, 9))
+    assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=array("I", (1, 9, 7, 12, 10, 9)))
     assert payload.to_bytes(13) == bytes.fromhex(
         "03 02 01" "05 00" "02 00" "06 00 00 00" "01 09 07" "0c 0a 09"
     )
@@ -68,7 +70,7 @@ def test_payload_beyond_two_byte_count_round_trips():
     payload = RepairPayload(failed=(5,), helper=1, m=2, symbols=tuple(i % 257 for i in range(70_000)))
     blob = payload.to_bytes(257)
     assert blob[7:11] == (70_000).to_bytes(4, "little")
-    assert RepairPayload.from_bytes(blob, 257) == payload
+    assert RepairPayload.from_bytes(blob, 257) == replace(payload, symbols=array("I", payload.symbols))
 
 
 def test_v2_payload_rejected_as_unsupported_version():
@@ -107,7 +109,7 @@ def test_payload_rejects_truncation_version_and_length():
 def test_decompress_rejects_wrong_symbol_count(encoder8, contents8):
     """The count must be a whole number of stripes of the basis rank (5 here)."""
     payload = helper_payload(contents8[0], 1, (5, 6), encoder8, 2)
-    for symbols in (payload.symbols[:-1], payload.symbols + (0,)):
+    for symbols in (payload.symbols[:-1], payload.symbols + array("I", [0])):
         short = RepairPayload(payload.failed, payload.helper, payload.m, symbols)
         with pytest.raises(ValueError, match="rank"):
             decompress_payload(short, encoder8)
@@ -151,7 +153,7 @@ def test_to_bytes_round_trips_or_raises_value_error(payload):
         blob = payload.to_bytes(257)
     except ValueError:
         return
-    assert RepairPayload.from_bytes(blob, 257) == payload
+    assert RepairPayload.from_bytes(blob, 257) == replace(payload, symbols=array("I", payload.symbols))
 
 
 # 65521 is the largest two-byte prime: its blobs have the symbol width of
@@ -201,7 +203,7 @@ def test_symbol_codec_round_trips_and_rejects_out_of_range(p, data):
     values = data.draw(st.lists(st.integers(0, p - 1), max_size=8))
     blob = pack_symbols(values, p)
     assert blob == b"".join(v.to_bytes(width, "little") for v in values)
-    assert unpack_symbols(blob, p) == values
+    assert list(unpack_symbols(blob, p)) == values
     bad = data.draw(st.one_of(st.integers(max_value=-1), st.integers(p, 256**width - 1)))
     with pytest.raises(ValueError, match="symbol out of field range"):
         pack_symbols(values + [bad], p)
@@ -215,7 +217,7 @@ def test_symbol_codec_round_trips_and_rejects_out_of_range(p, data):
 
 def test_three_byte_symbols_little_endian():
     assert pack_symbols([65536, 1], 65537) == bytes.fromhex("00 00 01" "01 00 00")
-    assert unpack_symbols(bytes.fromhex("00 00 01" "01 00 00"), 65537) == [65536, 1]
+    assert list(unpack_symbols(bytes.fromhex("00 00 01" "01 00 00"), 65537)) == [65536, 1]
 
 
 def test_two_byte_symbols_little_endian(tmp_path):
@@ -337,7 +339,7 @@ def test_shard_file_records_none_as_zero():
 @st.composite
 def _shard_files(draw):
     """A valid shard of 0-3 stripes; its length is None (one or more stripes), 0 or one that pads to the stripes."""
-    p, n, d, m = draw(st.sampled_from([(13, 8, 4, 2), (257, 8, 4, 2), (65537, 6, 3, 3), (2**61 - 1, 5, 2, 1)]))
+    p, n, d, m = draw(st.sampled_from([(13, 8, 4, 2), (257, 8, 4, 2), (65537, 6, 3, 3), (2**31 - 1, 6, 3, 2), (2**61 - 1, 5, 2, 1)]))
     config = CodeConfig(n=n, d=d, m=m, p=p)
     count = draw(st.integers(0, 3))
     size = count * config.alpha
@@ -379,7 +381,7 @@ def _shard_blobs(draw):
     """Arbitrary bytes, or a shard header over often valid fields and a body that often fits it."""
     if draw(st.booleans()):
         return draw(st.binary(max_size=80))
-    valid = st.sampled_from([(13, 8, 4, 2), (257, 8, 4, 2), (65537, 6, 3, 3), (2**61 - 1, 5, 2, 1)])
+    valid = st.sampled_from([(13, 8, 4, 2), (257, 8, 4, 2), (65537, 6, 3, 3), (2**31 - 1, 6, 3, 2), (2**61 - 1, 5, 2, 1)])
     p, n, d, m = draw(valid | st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF), st.integers(0, 0xFF)))
     stripes = draw(st.integers(0, 3) | st.integers(0, 2**64 - 1))
     header = _SHARD_HEADER.pack(
