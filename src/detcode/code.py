@@ -17,11 +17,13 @@ per stripe. Message rows and node content are machine-word arrays
 them by slice copies (:func:`build_message_matrix`), and a read's
 further-node check is one array comparison per node. A block's source
 cells (:func:`source_cells`) and parity groups are read from
-:func:`detcode.subsets.incidence`, the package's one sign rule. One
-:func:`detcode.field.signed_sums` per group completes its parity cells, and one zero test (:func:`detcode.field.first_nonzero_sum`)
-over :func:`incidence_terms` checks every group on recover; with the source
-reduced once on entry by the same primitive (a byte source over p > 255 is
-canonical as it is), the matrix needs no reducing copy.
+:func:`detcode.subsets.incidence`, the package's one sign rule. Every
+alternating sum is one kernel product by a sign column
+(:func:`incidence_terms`): one completes every parity cell of every group
+and stripe, one checks every group on recover, by a zero test of its
+output. A source other than bytes is reduced once on entry
+(:func:`detcode.field.reduced`; a byte source over p > 255 is canonical as
+it is), so the matrix needs no reducing copy.
 A read's weights, one cached inversion per node tuple (:func:`recover_weights`),
 also decode a repair from d helpers (:func:`detcode.repair.decode_repair_vectors`).
 """
@@ -38,9 +40,8 @@ from .field import (  # CompositeModulus re-exported
     Field,
     Matrix,
     combine_rows,
-    first_nonzero_sum,
     interleave,
-    signed_sums,
+    reduced,
     symbol_array,
     symbol_typecode,
     widen,
@@ -261,19 +262,34 @@ def source_cells(d: int, m: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def incidence_terms(rows, d: int, k: int, step: int) -> list[tuple[int, array | list[int]]]:
-    """The k (sign, sequence) terms of every k-set K's alternating sum over *rows*, for one signed_sums call.
+@lru_cache(maxsize=None)
+def _sign_column(k: int, field: Field, parity: bool) -> Matrix:
+    """The one-column weight Matrix of :func:`incidence_terms`, cached: the k members' signs in order, which every
+    k-set shares with the one k-set of [1, k]; with *parity*, the first k - 1 times minus the last."""
+    signs = [sign for *_, sign in incidence(k, k)]
+    if parity:
+        signs = [-signs[-1] * sign for sign in signs[:-1]]
+    return Matrix(field, [[sign] for sign in signs])
 
-    Member i of every K has the sign (-1)**(i + 1): term i lists, K after K, its member x's slice
-    ``rows[x - 1][j::step]``, j the rank of K - {x}; sum r * B + b is K's over block b of B (K of rank r).
+
+def incidence_terms(rows, d: int, k: int, step: int, field: Field, parity: bool = False) -> tuple[list, Matrix]:
+    """The terms and sign column of every k-set K's alternating sum over *rows*: one combine_rows call.
+
+    Term i lists, K after K, its member x's slice ``rows[x - 1][j::step]``,
+    j the rank of K - {x}; entry r * B + b of the product is K's sum over
+    block b of B (K of rank r). Member i of every K has the sign
+    (-1)**(i + 1), p - 1 for -1 in the column. With *parity* the largest
+    member's term is left out and the others' signs are multiplied by minus
+    its sign: the product is then the entry of K's parity cell, the largest
+    member's, that makes K's sum vanish.
     """
     table, terms = incidence(d, k), []
-    for i in range(k):
+    for i in range(k - 1 if parity else k):
         flat = rows[0][:0] if isinstance(rows[0], array) else []  # an array of the rows' typecode: no int per symbol
         for _, x, j, _ in table[i::k]:
             flat += rows[x - 1][j::step]
-        terms.append((table[i][3], flat))
-    return terms
+        terms.append(flat)
+    return terms, _sign_column(k, field, parity)
 
 
 class MessageMatrix:
@@ -297,13 +313,13 @@ class MessageMatrix:
         return self.matrix.cols // self.alpha
 
     def verify_parity(self) -> None:
-        """Check every alternating-sum constraint of every stripe by one zero test of the signed sums
-        (:func:`detcode.field.first_nonzero_sum`); raises ParityViolation."""
+        """Check every alternating-sum constraint of every stripe by one product (:func:`incidence_terms`) and a
+        zero test of its output; raises ParityViolation naming the first failing group, then stripe."""
         if self.m == self.d:
             return
-        bad = first_nonzero_sum(incidence_terms(self.matrix.data, self.d, self.m + 1, self.alpha), self.matrix.field.p)
-        if bad is not None:
-            k, bad = divmod(bad, self.stripes)
+        sums = combine_rows(*incidence_terms(self.matrix.data, self.d, self.m + 1, self.alpha, self.matrix.field))[0]
+        if sums != (array(sums.typecode, [0]) if isinstance(sums, array) else [0]) * len(sums):  # one C-level compare
+            k, bad = divmod(next(t for t, v in enumerate(sums) if v), self.stripes)
             raise ParityViolation(f"stripe {bad}: parity fails for {subsets(self.d, self.m + 1).unrank(k)}")
 
     def extract_symbols(self) -> array:
@@ -337,14 +353,14 @@ def build_message_matrix(source, d: int, m: int, field: Field) -> MessageMatrix:
             wide[r][c * size :: alpha * size] = source[t::per_stripe]
         data = [widen(row, size, code) for row in wide]
     else:
-        source = signed_sums([(1, source)], field.p)
+        source = reduced(source, field.p)
         data = [(array(code, [0]) if code else [0]) * cols for _ in range(d)]
         for t, (r, c) in enumerate(source_cells(d, m)):
             data[r][c::alpha] = source[t::per_stripe]
-    table = incidence(d, m + 1) if m < d else ()
-    for g in range(m, len(table), m + 1):  # one call per group: one over every group measured 23-31 % slower
-        _, x, i, sign = table[g]  # the parity cell is minus its sign times the others' signed sum
-        data[x - 1][i::alpha] = signed_sums([(-sign * s, data[y - 1][j::alpha]) for _, y, j, s in table[g - m : g]], field.p)
+    if m < d:  # source and parity cells are disjoint: one product completes every group of every stripe
+        parities, stripes = combine_rows(*incidence_terms(data, d, m + 1, alpha, field, parity=True))[0], cols // alpha
+        for g, (_, x, i, _) in enumerate(incidence(d, m + 1)[m :: m + 1]):
+            data[x - 1][i::alpha] = parities[g * stripes : (g + 1) * stripes]
     return MessageMatrix(Matrix.wrap(field, data, cols), m)
 
 

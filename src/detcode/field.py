@@ -64,11 +64,11 @@ not a Python pass per entry. An array('I') holds any value below 2**32, so
 its rows are checked like any other.
 
 The paper's alternating sums (parity completion, the parity check, the
-repair readout) are one primitive, :func:`signed_sums`, the only code
-that applies :func:`detcode.subsets.incidence` signs to stripe data (one
-call per group completes parities, one reads out a repair). The parity
-check, :func:`first_nonzero_sum`, sums the same way but reduces nothing
-unless a check fails.
+repair readout) are products too: :func:`detcode.code.incidence_terms`
+lists a sum's terms and gives their :func:`detcode.subsets.incidence`
+signs as a one-column weight Matrix (-1 as p - 1), so each is one
+:func:`combine_rows` call. A sequence of arbitrary ints enters the field
+through :func:`reduced`.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ import sys
 from array import array
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import add, sub
 
 
 class CompositeModulus(ValueError):
@@ -395,48 +394,10 @@ def combine_rows(rows, weights: "Matrix") -> list[array]:
     return outputs
 
 
-def _unreduced(terms) -> tuple[int, int, "map"]:
-    """(first, same, sums): the entry-wise sum of (sign, sequence) terms times the sign *first*, lazily, and the
-    number of terms of sign *first*.
-
-    One lazy C-level map(add or sub) per term, from a +1 term where there is
-    one: first is -1 only when every sign is, and the sum is then negated.
-    """
-    terms = list(terms)
-    signs = [sign for sign, _ in terms]
-    first, acc = terms.pop(signs.index(1) if 1 in signs else 0)
-    for sign, seq in terms:
-        acc = map(add if sign == first else sub, acc, seq)
-    return first, signs.count(first), acc
-
-
-def signed_sums(terms, p: int) -> array:
-    """Entry-wise canonical sum over GF(p) of one or more (sign, sequence) terms, each sign +1 or -1, as an
-    array of :func:`symbol_typecode` (a list over p > 2**64).
-
-    The sequences have one length and may hold any ints (neither that nor
-    the signs is checked). One lazy C-level map(add or sub) per term
-    (:func:`_unreduced`); one reduction per entry, even for one term.
-    """
-    first, _, acc = _unreduced(terms)
-    return _symbols([v % p for v in acc] if first == 1 else [-v % p for v in acc], symbol_typecode(p))
-
-
-def first_nonzero_sum(terms, p: int) -> int | None:
-    """The index of the first entry whose :func:`signed_sums` is nonzero, or None where every one vanishes.
-
-    With *same* terms of one sign and *other* of the other, canonical entries
-    keep each unreduced sum in [-other * (p-1), same * (p-1)], so it vanishes
-    mod p exactly when it is one of the few multiples of p in that range: one
-    C-level set test over every sum, with no reduction. Only a sum outside
-    the set (a failure, or an entry outside [0, p)) is reduced, to locate it.
-    """
-    terms = list(terms)
-    _, same, acc = _unreduced(terms)
-    other = len(terms) - same
-    if frozenset(range(-(other * (p - 1) // p) * p, same * (p - 1) + 1, p)).issuperset(acc):
-        return None
-    return next((t for t, v in enumerate(signed_sums(terms, p)) if v), None)
+def reduced(values, p: int) -> array:
+    """Each of the ints *values* reduced mod p, in order, as one array of :func:`symbol_typecode` (a list over
+    p > 2**64): one reduction per entry."""
+    return _symbols([v % p for v in values], symbol_typecode(p))
 
 
 def interleave(columns):

@@ -20,8 +20,8 @@ columns: the kernel copies them where it packs the received rows.
 Both the repair matrix and the readout read the one sign rule,
 :func:`detcode.subsets.incidence`: the matrix takes the signs as
 coefficients, which :class:`~detcode.field.Matrix` reduces, and the readout
-applies them by one :func:`detcode.field.signed_sums` call over every column
-label (:func:`detcode.code.incidence_terms`). No reduction mod p is written here.
+is one product of every column label's terms by their sign column
+(:func:`detcode.code.incidence_terms`). No reduction mod p is written here.
 
 That decode, step by step (:func:`decode_factored`), is a fixed linear map
 from the symbols received per stripe to the e * alpha symbols of the failed
@@ -70,7 +70,7 @@ from functools import lru_cache, update_wrapper
 from threading import Lock
 
 from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, derive_params, incidence_terms, recover_weights  # OverlapError re-exported
-from .field import Matrix, combine_rows, element_width, interleave, pack_symbols, signed_sums, symbol_array, unpack_symbols
+from .field import Matrix, combine_rows, element_width, interleave, pack_symbols, symbol_array, unpack_symbols
 from .subsets import binom, incidence
 
 
@@ -317,8 +317,8 @@ def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], s
     payload, in order. The operator is *factored* run on the unit batch,
     whose stripe t carries a 1 in received position t (payload after
     payload, rank positions each): row t is that decode's output for stripe
-    t, the failed nodes' alpha entries each in failure order. Kernel and
-    signed-sum outputs or unit-batch copies, they are canonical: wrapped
+    t, the failed nodes' alpha entries each in failure order. Kernel
+    outputs or unit-batch copies, they are canonical: wrapped
     unchecked, as tuples, since a kept operator is shared.
 
     Every argument is the key (the encoder by identity, which
@@ -360,8 +360,9 @@ def combine_repair_space(rows, d: int, m: int, field) -> list[array]:
     *rows* are the d rows of the spaces; space b is the d x C(d, m-1) block
     of columns from b * C(d, m-1). Its entry at column label I, entry b of
     list I, is the sum over x in I of (-1)**position(I, x) times the entry
-    at (row x, column I - {x}) of the block: one signed sum over every label.
+    at (row x, column I - {x}) of the block: one product of every label's
+    terms by their sign column (:func:`detcode.code.incidence_terms`).
     """
     seg = binom(d, m - 1)
-    sums, spaces = signed_sums(incidence_terms(rows, d, m, seg), field.p), len(rows[0]) // seg
+    sums, spaces = combine_rows(*incidence_terms(rows, d, m, seg, field))[0], len(rows[0]) // seg
     return [sums[i * spaces : (i + 1) * spaces] for i in range(binom(d, m))]

@@ -22,13 +22,13 @@ from detcode.code import (
     source_cells,
     tradeoff_bound,
 )
-from detcode.field import CompositeModulus, Field, Matrix
+from detcode.field import CompositeModulus, Field, Matrix, reduced
 from detcode.code import MessageMatrix
 from detcode.subsets import binom, incidence, subsets
 
 from certificates import entry, shared_symbol
 from conftest import GOLDEN_TAIL_ROWS
-from oracles import identity, is_zero, signed_sums_scalar
+from oracles import identity, is_zero, reduced_scalar, signed_sums_scalar
 
 
 @pytest.mark.parametrize(
@@ -185,6 +185,20 @@ def test_source_is_reduced_on_entry(gf13):
     assert all(0 <= v < 13 for row in msg.matrix.data for v in row)
     assert msg == build_message_matrix([v % 13 for v in src], 4, 2, gf13)
     msg.verify_parity()
+
+
+@pytest.mark.parametrize("p", [13, 257, 263, 65537, 2**61 - 1])
+def test_non_canonical_list_source_encodes_as_its_reduction(p):
+    """A list source with negative entries and entries p or more (three stripes at (4, 2)) reduces on entry
+    (field.reduced) to the scalar reduction, and its message and node batches are those of the pre-reduced source."""
+    rng = random.Random(p)
+    src = [rng.choice([rng.randrange(-3 * p, 0), rng.randrange(p, 3 * p), rng.randrange(p)]) for _ in range(60)]
+    assert list(reduced(src, p)) == reduced_scalar(src, p)
+    field = Field(p)
+    msg, expected = build_message_matrix(src, 4, 2, field), build_message_matrix(reduced_scalar(src, p), 4, 2, field)
+    assert msg == expected
+    encoder = build_encoder(6, 4, field)
+    assert encode(encoder, msg) == encode(encoder, expected)
 
 
 @pytest.mark.parametrize("p", [13, 251, 257])

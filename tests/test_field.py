@@ -17,16 +17,17 @@ from detcode.field import (
     _masks,
     combine_rows,
     element_width,
-    first_nonzero_sum,
     interleave,
     is_prime,
     next_prime_at_least,
     pack_symbols,
-    signed_sums,
     slot_width,
     symbol_typecode,
     unpack_symbols,
 )
+from detcode.code import MessageMatrix, ParityViolation, build_message_matrix, derive_params, source_cells
+from detcode.repair import combine_repair_space
+from detcode.subsets import binom, incidence, subsets
 from oracles import (
     as_lists,
     first_nonzero_scalar,
@@ -536,28 +537,7 @@ def test_interleave_matches_scalar_oracle(count, length, data):
     assert interleave([tuple(column) for column in columns]) == interleave(columns)  # any sequences
 
 
-@st.composite
-def signed_terms(draw):
-    """1-6 (sign, sequence) terms of one length 0-50 over one of four moduli, entries negative or >= p too."""
-    p = draw(st.sampled_from([13, 257, 65537, 2**61 - 1]))
-    length, count = draw(st.integers(0, 50)), draw(st.integers(1, 6))
-    entries = draw(st.lists(st.integers(-3 * p, 3 * p), min_size=length * count, max_size=length * count))
-    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=count, max_size=count))
-    return p, [(sign, entries[t * length : (t + 1) * length]) for t, sign in enumerate(signs)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(signed_terms())
-def test_signed_sums_matches_scalar_oracle(case):
-    """Canonical entry-wise signed sums, whichever term carries the first +1 sign, or none."""
-    p, terms = case
-    expected = signed_sums_scalar(terms, p)
-    assert list(signed_sums(terms, p)) == expected
-    assert list(signed_sums([(sign, tuple(seq)) for sign, seq in terms], p)) == expected  # any sequences
-    assert all(0 <= v < p for v in expected)
-
-
-# --- windows, the GF(257) fold and the parity zero test ---------------------
+# --- windows, the GF(257) fold and the alternating sums as products ----
 
 
 @settings(max_examples=100, deadline=None)
@@ -596,36 +576,74 @@ def test_combine_rows_exact_across_windows_and_the_fold_threshold(p, rows_packed
     assert as_lists(combine_rows(rows, Matrix(field, weights))) == expected
 
 
+SIGN_PRIMES = [13, 257, 263, 65537, 2**61 - 1]  # % p at 4, 4, 8 and 16 bytes a slot, and the GF(257) fold
+
+
 @st.composite
-def zero_test_edges(draw):
-    """Canonical (sign, sequence) terms over p = 257 whose unreduced sums, entry by entry, are 0, +-p, +-2p, p +- 1
-    or -p +- 1, where the terms' signs allow it; returns (p, terms, the drawn sums)."""
-    p = 257
-    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=2, max_size=5))
-    plus, minus = signs.count(1), signs.count(-1)
-    reachable = [t for t in (0, p, -p, 2 * p, -2 * p, p + 1, p - 1, -p + 1, -p - 1) if -minus * (p - 1) <= t <= plus * (p - 1)]
-    sums, columns = draw(st.lists(st.sampled_from(reachable), min_size=1, max_size=8)), []
-    for target in sums:
-        entries, rest = [0] * len(signs), abs(target)
-        for i, sign in enumerate(signs):
-            if sign * target > 0:
-                entries[i] = min(rest, p - 1)
-                rest -= entries[i]
-        if plus and minus:  # the same amount on one term of each sign leaves the sum as it is
-            i, j = signs.index(1), signs.index(-1)
-            entries[i] += (shift := draw(st.integers(0, p - 1 - max(entries[i], entries[j]))))
-            entries[j] += shift
-        columns.append(entries)
-    return p, [(sign, [column[i] for column in columns]) for i, sign in enumerate(signs)], sums
+def sign_column_cases(draw):
+    """(p, d, m, stripes): p in SIGN_PRIMES, d in 1..5, m = 1, d - 1, d or any in between, 0-3 stripes, or
+    WINDOW - 1 or WINDOW + 1 stripes where d <= 3."""
+    p, d = draw(st.sampled_from(SIGN_PRIMES)), draw(st.integers(1, 5))
+    m = draw(st.sampled_from(sorted({1, max(d - 1, 1), d, draw(st.integers(1, d))})))
+    stripes = draw(st.sampled_from([0, 1, 2, 3] + ([WINDOW - 1, WINDOW + 1] if d <= 3 else [])))
+    return p, d, m, stripes
 
 
-@settings(max_examples=200, deadline=None)
-@given(zero_test_edges())
-def test_parity_zero_test_accepts_multiples_of_p_only(case):
-    """Unreduced sums of +-p and +-2p vanish and p +- 1 do not: first_nonzero_sum names the first entry that does
-    not vanish, as the scalar oracle does, and None only when every sum is a multiple of p."""
-    p, terms, sums = case
-    assert [sum(sign * seq[t] for sign, seq in terms) for t in range(len(sums))] == sums
-    expected = first_nonzero_scalar(terms, p)
-    assert first_nonzero_sum(terms, p) == expected
-    assert (expected is None) == all(v % p == 0 for v in sums)
+@settings(max_examples=60, deadline=None)
+@given(sign_column_cases(), st.randoms(use_true_random=False))
+def test_parity_completion_and_readout_match_scalar_oracle(case, rng):
+    """Parity completion and the repair readout, each one product by a sign column, give what one scalar signed
+    sum per parity group or column label gives: with the fold, % p and 16-byte slots, m = 1 (a one-entry sign
+    column), m = d - 1, m = d (no parity groups), no stripe or repair space, one, and counts on both sides of
+    WINDOW."""
+    p, d, m, stripes = case
+    alpha, _, per_stripe = derive_params(d, m)
+    source = [rng.randrange(p) for _ in range(stripes * per_stripe)]
+    expected = [[0] * (stripes * alpha) for _ in range(d)]
+    for t, (r, c) in enumerate(source_cells(d, m)):
+        expected[r][c::alpha] = source[t::per_stripe]
+    table = incidence(d, m + 1) if m < d else ()
+    for g in range(0, len(table), m + 1):  # the parity cell, the largest member's, makes the group's sum vanish
+        *others, (_, x, i, sign) = table[g : g + m + 1]
+        expected[x - 1][i::alpha] = signed_sums_scalar([(-sign * s, expected[y - 1][j::alpha]) for _, y, j, s in others], p)
+    assert as_lists(build_message_matrix(source, d, m, Field(p)).matrix.data) == expected
+
+    seg, labels = binom(d, m - 1), [[] for _ in range(binom(d, m))]
+    space = [array(symbol_typecode(p), [rng.randrange(p) for _ in range(stripes * seg)]) for _ in range(d)]
+    for i, x, j, sign in incidence(d, m):
+        labels[i].append((sign, space[x - 1][j::seg]))
+    assert as_lists(combine_repair_space(space, d, m, Field(p))) == [signed_sums_scalar(terms, p) for terms in labels]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sign_column_cases(), st.randoms(use_true_random=False))
+def test_verify_parity_names_the_first_nonzero_sum_of_every_damage(case, rng):
+    """One cell of a message damaged by every delta in 1..p-1 (by 1, p - 1, the delta that zeroes the cell and 8
+    random ones where p > 263 or the message has WINDOW -+ 1 stripes): verify_parity passes exactly where the scalar
+    signed sums all vanish, and otherwise names the group and stripe of the first that does not."""
+    p, d, m, stripes = case
+    field, code = Field(p), symbol_typecode(p)
+    message = build_message_matrix([rng.randrange(p) for _ in range(stripes * derive_params(d, m)[2])], d, m, field)
+    message.verify_parity()
+    clean, width = [list(row) for row in message.matrix.data], message.matrix.cols
+    if not width:
+        return
+    r, c = rng.randrange(d), rng.randrange(width)
+    if p < 300 and stripes < 4:
+        deltas = range(1, p)
+    else:
+        deltas = [1, p - 1, (p - clean[r][c]) % p or 1, *(rng.randrange(1, p) for _ in range(8))]
+    table, size = (incidence(d, m + 1) if m < d else ()), m + 1
+    for delta in deltas:
+        rows = [row[:] for row in clean]
+        rows[r][c] = (rows[r][c] + delta) % p
+        terms = [(table[i][3], [v for _, x, j, _ in table[i::size] for v in rows[x - 1][j :: message.alpha]]) for i in range(size if table else 0)]
+        bad = first_nonzero_scalar(terms, p) if terms else None
+        damaged = MessageMatrix(Matrix.wrap(field, [array(code, row) for row in rows], width), m)
+        if bad is None:
+            damaged.verify_parity()
+        else:
+            group, stripe = divmod(bad, stripes)
+            expected = f"stripe {stripe}: parity fails for {subsets(d, size).unrank(group)}"
+            with pytest.raises(ParityViolation, match=f"^{re.escape(expected)}$"):
+                damaged.verify_parity()
