@@ -40,7 +40,6 @@ from .field import (  # CompositeModulus re-exported
     Field,
     Matrix,
     combine_rows,
-    interleave,
     reduced,
     symbol_array,
     symbol_typecode,
@@ -127,7 +126,8 @@ class StripeBatch:
     ``bytes()`` of it is its raw machine buffer, not one byte per symbol:
     compare ``list(batch.symbols)`` with a list.
 
-    ``len`` is S; ``batch[s]`` and iteration (by index) yield stripe rows as array slices.
+    ``len`` is S; ``batch[s]`` and iteration (by index) yield stripe rows as array slices, which never equal a
+    list.
     """
 
     symbols: array
@@ -144,7 +144,8 @@ class StripeBatch:
     def __len__(self) -> int:
         return len(self.symbols) // self.alpha
 
-    def __getitem__(self, s: int) -> list[int]:
+    def __getitem__(self, s: int) -> array:
+        """Stripe s (negative counts from the end) as a fresh array slice of alpha symbols; IndexError past S."""
         start = range(0, len(self.symbols), self.alpha)[s]
         return self.symbols[start : start + self.alpha]
 
@@ -323,9 +324,20 @@ class MessageMatrix:
             raise ParityViolation(f"stripe {bad}: parity fails for {subsets(self.d, self.m + 1).unrank(k)}")
 
     def extract_symbols(self) -> array:
-        """Source symbols back out, stripe after stripe, in canonical order; does not check parity."""
-        rows, alpha = self.matrix.data, self.alpha
-        return interleave([rows[r][c::alpha] for r, c in source_cells(self.d, self.m)])
+        """Source symbols back out, stripe after stripe, in canonical order, as one array of
+        :func:`detcode.field.symbol_typecode`; does not check parity. Below 3 stripes each stripe's source cells
+        are picked one by one, else each cell of every stripe is one strided slice write."""
+        rows, alpha, cells, code = self.matrix.data, self.alpha, source_cells(self.d, self.m), symbol_typecode(self.matrix.field.p)
+        if self.stripes < 3:
+            flat = array(code)
+            for s in range(0, self.matrix.cols, alpha):
+                block = [row[s : s + alpha] for row in rows]
+                flat.extend([block[r][c] for r, c in cells])
+            return flat
+        flat = array(code, [0]) * (self.stripes * len(cells))
+        for t, (r, c) in enumerate(cells):
+            flat[t :: len(cells)] = rows[r][c::alpha]
+        return flat
 
     def __eq__(self, other):
         return isinstance(other, MessageMatrix) and other.matrix == self.matrix

@@ -18,15 +18,18 @@ bases are reproducible across runs and machines. All of the package's
 prime arithmetic (primality, inverses, every reduction mod p) is here:
 other modules hand it plain ints and get canonical ones back.
 
-Every product is one word-parallel kernel, :func:`combine_rows`: K
-sequences of one length L (a stripe batch's columns, a payload's strided
-slices, message rows) are combined by a K x r weight matrix into r output
-sequences. One side is packed into one int per row, an entry per
-fixed-width slot (:func:`slot_width`), so one big-int multiply-add
-combines a whole window of a row. The long operand is never copied
-through :class:`Matrix`. An output whose weight column is a unit vector (a
-systematic node's row in encode, an identity row of a recover inverse, a
-pivot column of a repair basis) is a copy of its row.
+Every product is one word-parallel kernel with two entries. In
+:func:`combine_rows` K node-major sequences of one length L (message rows,
+node batches, repair vectors) are combined by a K x r weight matrix into r
+output sequences; :func:`batch_product` maps flat stripe batches (a
+helper's batch, a payload) to flat stripe batches, stripe by stripe, so
+no caller splits a batch into columns or zips outputs back. One side is
+packed into one int per row, an entry per fixed-width slot
+(:func:`slot_width`), so one big-int multiply-add (:func:`_combine`)
+combines a whole window of a row, or a whole stripe by packed weights. The
+long operand is never copied through :class:`Matrix`. A windowed output
+whose weight column is a unit vector (a systematic node's row in encode,
+an identity row of a recover inverse) is a copy of its row.
 
 Rows are walked in windows of WINDOW entries (2048, chosen by measurement:
 2048 to 16384 ran within host noise on encode, read and joint repair; the
@@ -52,7 +55,7 @@ array, cross at 4 to 8 on CPython 3.11) and at any other prime or slot
 width, each entry is reduced by % p.
 
 The weights are always a :class:`Matrix`, checked when built and
-prepared (columns and their unit indices, or packed non-unit rows) once per
+prepared (columns and their unit indices, or packed rows) once per
 orientation, and the modulus is its field's. A cached repair basis or
 read keeps its weights as Matrix, so every helper and repair shares one
 check and one packing. :attr:`Matrix.T` is built once.
@@ -304,6 +307,18 @@ def _folded(acc: int, count: int, k: int, masks: tuple[int, ...]) -> array:
     return widen(acc.to_bytes(count * 4, "little"), 4, "I")
 
 
+def _combine(coeffs, terms, count: int, k: int, p: int, slot: int, fold):
+    """One output window, the sum of a * x over *coeffs* and packed *terms* (count slot-byte slots, k terms): an array
+    by :func:`_folded` where *fold* holds its masks, else a list reduced by % p per entry."""
+    acc = 0
+    for a, x in zip(coeffs, terms):
+        if a:
+            acc += a * x
+    if fold:
+        return _folded(acc, count, k, fold)
+    return [v % p for v in _decode(acc.to_bytes(count * slot, "little"), slot)]
+
+
 def combine_rows(rows, weights: "Matrix") -> list[array]:
     """The r linear combinations over GF(p) of a list *rows* of K sequences of one length L.
 
@@ -311,8 +326,7 @@ def combine_rows(rows, weights: "Matrix") -> list[array]:
     is a K x r :class:`Matrix` over GF(p), checked and prepared once: the
     columns of X @ weights for the matrix X whose columns are the rows.
     ValueError for a row entry outside [0, p), checked word-parallel on each
-    packed window (:func:`_in_field`), or by one C-level min/max over all
-    entries where the weights are packed. Rows may be any int sequences; an
+    packed window (:func:`_in_field`). Rows may be any int sequences; an
     array whose items are a slot wide is packed as its own buffer, with no
     conversion per entry. Every output is a fresh array of
     :func:`symbol_typecode` (a list over p > 2**64).
@@ -321,10 +335,9 @@ def combine_rows(rows, weights: "Matrix") -> list[array]:
     time, into one int each, and an output window is one big-int multiply-add
     per nonzero weight; an output whose weight column is the k-th unit vector
     (:attr:`Matrix.unit_columns`) is a copy of row k. With fewer entries
-    per row than outputs the weights' packed non-unit columns
-    (:attr:`Matrix.packed_rows`) are combined once per entry position instead,
-    into one flat array that each output is a strided slice of, and unit
-    outputs are again copies. Either way every
+    per row than outputs, entry position j is stripe j of a batch of K
+    one-symbol parts, and :func:`batch_product` combines it by the packed
+    weights; each output is a strided slice of that product. Either way every
     computed output window is reduced once: by :func:`_folded` at p = 257
     where it has FOLD_MIN to WINDOW entries, else by % p per entry.
     """
@@ -335,88 +348,90 @@ def combine_rows(rows, weights: "Matrix") -> list[array]:
     if weights.rows != k:
         raise DimensionMismatch(f"{weights.rows} weight rows for {k} rows")
     p, r = weights.field.p, weights.cols
+    if length < r and length:
+        flat = batch_product([(row, 1) for row in rows], weights)[0]
+        return [flat[i::r] for i in range(r)]
     code, slot = symbol_typecode(p), slot_width(p, k)
-    out_of_range = f"operand entry out of field range [0, {p})"
-
-    def combine(coeffs, terms, count, fold):
-        """One output window: an array where folded, else a list of its entries reduced by % p."""
-        acc = 0
-        for a, x in zip(coeffs, terms):
-            if a:
-                acc += a * x
-        if fold:
-            return _folded(acc, count, k, fold)
-        return [v % p for v in _decode(acc.to_bytes(count * slot, "little"), slot)]
-
-    if r <= length or not length:
-        columns, units = weights.unit_columns
-        try:
-            blobs = [_encode(row, slot) for row in rows]
-        except (OverflowError, TypeError):
-            raise ValueError(out_of_range) from None
-        windowed = length > WINDOW  # outputs of several windows are sized once, so no window regrows them
-        zero = _symbols([0], code)
-        outputs = [zero * length for _ in units] if windowed or not length else [None] * len(units)
-        for begin in range(0, length, WINDOW):  # a row of one window is sliced whole: the same bytes, no copy
-            end = min(begin + WINDOW, length)
-            packed = [int.from_bytes(blob[begin * slot : end * slot], "little") for blob in blobs]
-            masks = _masks(end - begin, slot, p)
-            if not _in_field(packed, masks):
-                raise ValueError(out_of_range)
-            fold = masks if len(masks) > 3 and end - begin >= FOLD_MIN else None
-            for i, unit in enumerate(units):
-                if unit is None:
-                    values = combine(columns[i], packed, end - begin, fold)
-                    if not fold:
-                        values = _symbols(values, code)
-                    if windowed:
-                        outputs[i][begin:end] = values
-                    else:
-                        outputs[i] = values
-        for i, unit in enumerate(units):  # copies of rows checked above
-            if unit is not None:
-                outputs[i] = _symbols(rows[unit], code)
-        return outputs
-    entries = list(chain.from_iterable(rows))
-    if not 0 <= min(entries) <= max(entries) < p:
-        raise ValueError(out_of_range)
-    packed, dense, units = weights.packed_rows
-    masks = _masks(len(dense), slot, p) if len(dense) <= WINDOW else ()
-    fold = masks if len(masks) > 3 and len(dense) >= FOLD_MIN else None
-    width, flat = len(dense), _symbols((), code)  # the outputs of entry position j, then of j + 1
-    for j in range(length):
-        flat.extend(combine(entries[j::length], packed, width, fold))
-    outputs = [None] * r
-    for q, i in enumerate(dense):  # output dense[q] is every width-th entry of flat from q
-        outputs[i] = flat[q::width]
-    for i, unit in units:
-        outputs[i] = _symbols(rows[unit], code)
+    columns, units = weights.unit_columns
+    try:
+        blobs = [_encode(row, slot) for row in rows]
+    except (OverflowError, TypeError):
+        raise ValueError(f"operand entry out of field range [0, {p})") from None
+    windowed = length > WINDOW  # outputs of several windows are sized once, so no window regrows them
+    zero = _symbols([0], code)
+    outputs = [zero * length for _ in units] if windowed or not length else [None] * len(units)
+    for begin in range(0, length, WINDOW):  # a row of one window is sliced whole: the same bytes, no copy
+        end = min(begin + WINDOW, length)
+        packed = [int.from_bytes(blob[begin * slot : end * slot], "little") for blob in blobs]
+        masks = _masks(end - begin, slot, p)
+        if not _in_field(packed, masks):
+            raise ValueError(f"operand entry out of field range [0, {p})")
+        fold = masks if len(masks) > 3 and end - begin >= FOLD_MIN else None
+        for i, unit in enumerate(units):
+            if unit is None:
+                values = _combine(columns[i], packed, end - begin, k, p, slot, fold)
+                if not fold:
+                    values = _symbols(values, code)
+                if windowed:
+                    outputs[i][begin:end] = values
+                else:
+                    outputs[i] = values
+    for i, unit in enumerate(units):  # copies of rows checked above
+        if unit is not None:
+            outputs[i] = _symbols(rows[unit], code)
     return outputs
+
+
+def batch_product(parts, weights: "Matrix", blocks: int = 1) -> list[array]:
+    """Stripe s of the flat batches *parts* side by side times *weights*, for every stripe, as *blocks* flat
+    batches: block b holds output columns b * c to (b + 1) * c - 1 of every stripe, c = weights.cols / blocks.
+
+    *parts* are (flat, width) pairs, flat holding S stripes of width symbols
+    stripe after stripe, one S for all, the widths summing to weights.rows
+    (else DimensionMismatch, also where blocks does not divide
+    weights.cols). Each block is a fresh array of :func:`symbol_typecode`;
+    ValueError for an entry outside [0, p) or not an int. With 0 < S <
+    weights.cols the parts are range-checked word-parallel on their own
+    buffers (:func:`_in_range`), and stripe s, the slice ``flat[s * w:(s +
+    1) * w]`` of every part, is combined by the packed rows of the weights
+    (unit columns too) into outputs appended as they come. Otherwise each
+    part's column c is the array slice ``flat[c::w]``, :func:`combine_rows`
+    combines them window by window, and each output is written into its
+    block by one strided slice assignment.
+    """
+    p, r, k, counts = weights.field.p, weights.cols, 0, set()
+    for flat, w in parts:  # a stripe count per part, -1 for a partial stripe
+        counts.add(len(flat) // w if w > 0 and not len(flat) % w else -1)
+        k += w
+    if weights.rows != k or r % blocks or len(counts) != 1 or -1 in counts:
+        raise DimensionMismatch(f"parts {[w for _, w in parts]} wide, not whole stripes of one count, for {weights.rows} x {r} weights in {blocks} blocks")
+    stripes, code, width = counts.pop(), symbol_typecode(p), r // blocks
+    if not 0 < stripes < r:
+        outs = [_symbols([0], code) * (stripes * width) for _ in range(blocks)]
+        for i, column in enumerate(combine_rows([flat[c::w] for flat, w in parts for c in range(w)], weights)):
+            outs[i // width][i % width :: width] = column
+        return outs
+    slot, size = slot_width(p, k), array(code).itemsize if code else element_width(p)
+    try:
+        in_field = all(_in_range(_encode(flat, size), size, p) for flat, _ in parts)
+    except (OverflowError, TypeError):
+        in_field = False
+    if not in_field:
+        raise ValueError(f"operand entry out of field range [0, {p})")
+    masks = _masks(r, slot, p) if r <= WINDOW else ()
+    fold, outs = masks if len(masks) > 3 and r >= FOLD_MIN else None, [_symbols((), code) for _ in range(blocks)]
+    for s in range(stripes):
+        row = [flat[s * w : (s + 1) * w] for flat, w in parts]
+        values = _combine(row[0] if len(row) == 1 else chain.from_iterable(row), weights.packed_rows, r, k, p, slot, fold)
+        for b, out in enumerate(outs):
+            out.extend(values[b * width : (b + 1) * width] if blocks > 1 else values)
+    return outs
 
 
 def reduced(values, p: int) -> array:
     """Each of the ints *values* reduced mod p, in order, as one array of :func:`symbol_typecode` (a list over
     p > 2**64): one reduction per entry."""
     return _symbols([v % p for v in values], symbol_typecode(p))
-
-
-def interleave(columns):
-    """One or more equal-length columns side by side, row after row, in one flat sequence: an array of the
-    first column's typecode where that column is an array (any other column converted to it), else a list.
-
-    Columns shorter than 5 entries are zipped, longer ones slice-assigned: 5 is the crossover measured
-    for 4 to 120 columns on CPython 3.11.
-    """
-    first = columns[0]
-    code = first.typecode if isinstance(first, array) else None
-    if len(first) < 5:
-        return _symbols(chain.from_iterable(zip(*columns)), code)
-    flat = _symbols([0], code) * (len(columns) * len(first))
-    for c, column in enumerate(columns):
-        if code and not (isinstance(column, array) and column.typecode == code):
-            column = array(code, column)
-        flat[c :: len(columns)] = column
-    return flat
 
 
 def pack_symbols(values, p: int) -> bytes:
@@ -537,15 +552,10 @@ class Matrix:
         return columns, tuple(map(_unit_index, columns))
 
     @cached_property
-    def packed_rows(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """(packed, dense, units), built once: each row's non-unit entries packed as weights into one int,
-        a slot_width(p, rows)-byte slot per entry; the indices of those dense columns; and (i, k) for each
-        column i that is the k-th unit vector. The columns are walked once and not kept."""
-        index = list(map(_unit_index, zip(*self.data)))
-        dense = tuple(i for i, k in enumerate(index) if k is None)
+    def packed_rows(self) -> tuple[int, ...]:
+        """Each row's entries packed as weights into one int, a slot_width(p, rows)-byte slot per column: built once."""
         slot = slot_width(self.field.p, self.rows)
-        packed = tuple(int.from_bytes(_encode([row[i] for i in dense], slot), "little") for row in self.data)
-        return packed, dense, tuple((i, k) for i, k in enumerate(index) if k is not None)
+        return tuple(int.from_bytes(_encode(row, slot), "little") for row in self.data)
 
     @cached_property
     def T(self) -> "Matrix":

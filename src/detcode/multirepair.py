@@ -14,7 +14,10 @@ Two mechanisms beat repairing each failure independently:
   failed[:s] + helpers[s:], the nodes already rebuilt (free at the center),
   then the later slots. Averaged over the d helpers the download is
   beta_bar_e = (m/d) * (C(d+1, m+1) - C(d-e+1, m+1)) per helper, and a
-  d-fold rotation (in ``tests/certificates.py``) equalizes it exactly. The steps,
+  d-fold rotation (in ``tests/certificates.py``) equalizes it exactly. The
+  center expands each payload once, stripe after stripe, and step s reads
+  failed[s]'s segment out of every stripe by :func:`detcode.repair.gather`.
+  The steps,
   center-local transmits included, are linear in the helpers' payloads:
   from twice as many stripes as the payloads carry symbols per stripe, the
   whole sequence runs as one operator of :mod:`detcode.repair`, built from
@@ -30,8 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids  # OverlapError re-exported
-from .field import interleave
-from .repair import decode_payloads, decode_repair_vectors, decompress_payload, helper_payload
+from .repair import decode_payloads, decode_repair_vectors, decompress_payload, gather, helper_payload
 from .subsets import binom
 
 
@@ -92,15 +94,15 @@ def decode_centralized(payloads, encoder: EncoderMatrix, failed) -> dict[int, St
     m, failed = payloads[0].m, tuple(failed)
     helpers = tuple(payload.helper for payload in payloads)
     seg = binom(encoder.d, m - 1)
-    # per helper: repair vectors, stripe after stripe, and their width, seg per served failure
-    expanded = {pl.helper: (decompress_payload(pl, encoder), len(pl.failed) * seg) for pl in payloads}
+    # per helper: repair vectors, stripe after stripe, seg per served failure
+    expanded = {pl.helper: StripeBatch(decompress_payload(pl, encoder), len(pl.failed) * seg) for pl in payloads}
     repaired: dict[int, StripeBatch] = {}
     for step, f in enumerate(failed):
         helper_ids = failed[:step] + helpers[step:]  # the repaired prefix, then the later slots
         vectors = [
             decompress_payload(helper_payload(repaired[h], h, (f,), encoder, m), encoder)
             if h in repaired  # center-local, free
-            else interleave([expanded[h][0][step * seg + j :: expanded[h][1]] for j in range(seg)])
+            else gather(expanded[h].symbols, len(expanded[h]), seg, step * seg, expanded[h].alpha)
             for h in helper_ids
         ]
         repaired.update(decode_repair_vectors(vectors, helper_ids, encoder, (f,), m))

@@ -14,8 +14,6 @@ is the case e = 1. So there is one compress per failure tuple, whichever
 helpers serve it: :func:`repair_basis` builds it and expand once as
 :class:`~detcode.field.Matrix`, which keeps them prepared for the product
 kernel, and all d helpers of every repair of that tuple share them.
-Decompression is one product by expand, whose pivot columns are unit
-columns: the kernel copies them where it packs the received rows.
 
 Both the repair matrix and the readout read the one sign rule,
 :func:`detcode.subsets.incidence`: the matrix takes the signs as
@@ -29,24 +27,26 @@ nodes, and so is the repair center's
 (:func:`detcode.multirepair.decode_centralized`). :func:`decode_operator`
 compiles either into one :class:`~detcode.field.Matrix` by running it on
 the unit batch. A batch of at least twice as many stripes as the operator
-has rows decodes by one product with it (build and product beat the
-factored decode from about 1.5 times the rows on); a smaller batch runs the
+has rows decodes by one product with it; a smaller batch runs the
 factored decode, which also stays the operator's builder and the test
-oracle. The operator depends only on the code, the decode, the failure and
-helper tuples and the mode, and the default helpers give every object repaired
-after a node failure the same tuple, so compiled operators are kept in one
-least-recently-used cache bounded by the entries charged for them
-(:data:`OPERATOR_BUDGET`): every repair of a tuple after the first skips
-the build.
+oracle. A cached operator's product beats the factored decode from one
+times the rows on; a build plus one product breaks even only from about
+2.5 times the rows at (12, 6, 3) with e = 3, 4.5 times with e = 1, and
+beyond 6 times at (8, 4, 2) (CPython 3.11). The operator depends only on
+the code, the decode, the failure and helper tuples and the mode, and the
+default helpers give every object repaired after a node failure the same
+tuple, so compiled operators are kept in one least-recently-used cache
+bounded by the entries charged for them (:data:`OPERATOR_BUDGET`): every
+repair of a tuple after the first skips the build.
 
-Every product here is :func:`detcode.field.combine_rows`, fed machine-word
-sequences (a batch's strided slices ``batch.symbols[c::alpha]``, a
-payload's ``symbols[j::rank]``, repair vectors) weighted by a
-:class:`~detcode.field.Matrix`: a cached basis or read inverse, or the
-decode operator of the tuple. Every weight depends only on the
-failure and helper tuples, so stripe data is never copied into a Matrix;
-each output column lands in the flat payload, vector or batch by
-:func:`~detcode.field.interleave`.
+Transmit, decompression and the operator's decode each map S stripes to S
+stripes by :func:`detcode.field.batch_product`: the flat batch or payloads
+go in whole, and the flat payload, vectors or failed batches (one block
+of output columns per failure) come out. The helpers' repair vectors are
+node-major rows of :func:`detcode.field.combine_rows` by the cached read
+inverse; the readout's label-major sums are put back in stripe order by
+:func:`gather`. Every weight depends only on the failure and helper
+tuples, so stripe data is never copied into a Matrix.
 
 Wire format of a payload, version 3, all integers little-endian::
 
@@ -70,7 +70,7 @@ from functools import lru_cache, update_wrapper
 from threading import Lock
 
 from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, derive_params, incidence_terms, recover_weights  # OverlapError re-exported
-from .field import Matrix, combine_rows, element_width, interleave, pack_symbols, symbol_array, unpack_symbols
+from .field import Matrix, batch_product, combine_rows, element_width, pack_symbols, symbol_array, unpack_symbols
 from .subsets import binom, incidence
 
 
@@ -175,8 +175,7 @@ def helper_payload(h_content: StripeBatch, helper: int, failed, encoder: Encoder
     """
     failed = tuple(failed)
     compress = repair_basis(encoder, failed, m)[0]
-    flat, alpha = h_content.symbols, h_content.alpha
-    return RepairPayload(failed, helper, m, interleave(combine_rows([flat[c::alpha] for c in range(alpha)], compress)))
+    return RepairPayload(failed, helper, m, batch_product([(h_content.symbols, h_content.alpha)], compress)[0])
 
 
 def _payload_shape(payload: RepairPayload, encoder: EncoderMatrix) -> tuple[int, int]:
@@ -191,7 +190,7 @@ def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> array:
     """Full-length repair vectors, stripe after stripe: the received symbols times expand, one product."""
     rank, _ = _payload_shape(payload, encoder)
     expand = repair_basis(encoder, payload.failed, payload.m)[1]
-    return interleave(combine_rows([payload.symbols[j::rank] for j in range(rank)], expand))
+    return batch_product([(payload.symbols, rank)], expand)[0]
 
 
 def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) -> dict[int, StripeBatch]:
@@ -236,10 +235,17 @@ def decode_payloads(factored, payloads, encoder: EncoderMatrix, failed) -> dict[
         return factored(payloads, encoder, failed)
     sources = tuple((payload.helper, payload.failed, rank) for payload, (rank, _) in zip(payloads, shapes))
     operator = decode_operator(factored, encoder, failed, sources, payloads[0].m)
-    received = [payload.symbols[j::rank] for payload, (rank, _) in zip(payloads, shapes) for j in range(rank)]
-    columns = combine_rows(received, operator)
-    alpha = len(columns) // len(failed)
-    return {f: StripeBatch(interleave(columns[i * alpha : (i + 1) * alpha]), alpha) for i, f in enumerate(failed)}
+    decoded = batch_product([(pl.symbols, rank) for pl, (rank, _) in zip(payloads, shapes)], operator, len(failed))
+    return {f: StripeBatch(flat, operator.cols // len(failed)) for f, flat in zip(failed, decoded)}
+
+
+def gather(flat, stripes: int, size: int, start: int, stride: int, step: int = 1) -> array:
+    """Entry t * size + c is ``flat[start + t * stride + c * step]``, for t < stripes and c < size: one slice of the
+    array *flat* per stripe."""
+    out = flat[:0]
+    for t in range(start, start + stripes * stride, stride):
+        out += flat[t : t + size * step : step]
+    return out
 
 
 OPERATOR_BUDGET = 2**19
@@ -350,19 +356,18 @@ def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m
     stripe and failure, stripe after stripe, each decoded by signed sums.
     """
     space = combine_rows(vectors, recover_weights(encoder, tuple(helper_ids)))
-    labels, e = combine_repair_space(space, encoder.d, m, encoder.field), len(failed)
-    return {f: StripeBatch(interleave([label[i::e] for label in labels]), len(labels)) for i, f in enumerate(failed)}
+    sums, alpha, e = combine_repair_space(space, encoder.d, m, encoder.field), binom(encoder.d, m), len(failed)
+    spaces = len(sums) // alpha  # space t * e + i is failure i's in stripe t
+    return {f: StripeBatch(gather(sums, spaces // e, alpha, i, e, spaces), alpha) for i, f in enumerate(failed)}
 
 
-def combine_repair_space(rows, d: int, m: int, field) -> list[array]:
-    """Signed-sum readout of repair spaces side by side, one array per column label, over spaces.
+def combine_repair_space(rows, d: int, m: int, field) -> array:
+    """Signed-sum readout of repair spaces side by side, label after label: entry r * B + b is label r of space b.
 
-    *rows* are the d rows of the spaces; space b is the d x C(d, m-1) block
-    of columns from b * C(d, m-1). Its entry at column label I, entry b of
-    list I, is the sum over x in I of (-1)**position(I, x) times the entry
-    at (row x, column I - {x}) of the block: one product of every label's
-    terms by their sign column (:func:`detcode.code.incidence_terms`).
+    *rows* are the d rows of the B spaces; space b is the d x C(d, m-1)
+    block of columns from b * C(d, m-1). Its entry at column label I is the
+    sum over x in I of (-1)**position(I, x) times the entry at (row x,
+    column I - {x}) of the block: one product of every label's terms by
+    their sign column (:func:`detcode.code.incidence_terms`).
     """
-    seg = binom(d, m - 1)
-    sums, spaces = combine_rows(*incidence_terms(rows, d, m, seg, field))[0], len(rows[0]) // seg
-    return [sums[i * spaces : (i + 1) * spaces] for i in range(binom(d, m))]
+    return combine_rows(*incidence_terms(rows, d, m, binom(d, m - 1), field))[0]

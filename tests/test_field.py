@@ -15,9 +15,9 @@ from detcode.field import (
     Singular,
     _folded,
     _masks,
+    batch_product,
     combine_rows,
     element_width,
-    interleave,
     is_prime,
     next_prime_at_least,
     pack_symbols,
@@ -518,23 +518,69 @@ def test_weights_match_plain_weights(case):
         assert rows == before
         assert (shared.data, shared.cols, shared.unit_columns) == state[:3]
         assert shared.unit_columns is state[2] and shared.T is state[3]  # prepared once
-    if len(rows[0]) < len(weights[0]):  # weights packed: once, then the same ints, non-unit columns only
-        prepared = shared.packed_rows
-        assert prepared is shared.packed_rows
-        packed, dense, unit_pairs = prepared
-        assert dense == tuple(i for i, unit in enumerate(units) if unit is None)
-        assert unit_pairs == tuple((i, unit) for i, unit in enumerate(units) if unit is not None)
+    if len(rows[0]) < len(weights[0]):  # weights packed: once, then the same ints, unit columns included
+        packed = shared.packed_rows
+        assert packed is shared.packed_rows
         slot = slot_width(p, len(weights))
-        assert packed == tuple(int.from_bytes(b"".join(row[i].to_bytes(slot, "little") for i in dense), "little") for row in weights)
+        assert packed == tuple(int.from_bytes(b"".join(v.to_bytes(slot, "little") for v in row), "little") for row in weights)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 10), st.sampled_from([0, 1, 4, 5, 6, 40]), st.data())
-def test_interleave_matches_scalar_oracle(count, length, data):
-    """Columns side by side, row after row, on both sides of the zip / slice crossover at 5 entries."""
-    columns = [data.draw(st.lists(st.integers(-5, 2**70), min_size=length, max_size=length)) for _ in range(count)]
-    assert interleave(columns) == [column[t] for t in range(length) for column in columns]
-    assert interleave([tuple(column) for column in columns]) == interleave(columns)  # any sequences
+BATCH_PRIMES = [13, 257, 263, 65537, 2**61 - 1]  # % p at 4, 4, 8 and 16 bytes a slot, and the GF(257) fold
+
+
+@st.composite
+def stripe_batches(draw):
+    """(p, stripes, parts, weights): 1-3 flat parts (arrays or lists) of 0, 1, FOLD_MIN +- 1 or WINDOW +- 1 stripes
+    side by side and a weight Matrix with or without unit columns, of up to 12 columns: fewer than the stripes (the
+    windows) or more (the packed weights, folded from FOLD_MIN columns at p = 257)."""
+    p = draw(st.sampled_from(BATCH_PRIMES))
+    stripes = draw(st.sampled_from([0, 1, FOLD_MIN - 1, FOLD_MIN + 1, WINDOW - 1, WINDOW + 1]))
+    widths = draw(st.lists(st.integers(1, 2 if stripes > WINDOW // 2 else 4), min_size=1, max_size=3))
+    rows, cols = sum(widths), draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    weights = [[rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, cols - 1))):  # unit columns
+        for k, row in enumerate(weights):
+            row[i] = int(k == i % rows)
+    code = symbol_typecode(p)
+    parts = [([rng.randrange(p) for _ in range(stripes * w)], w) for w in widths]
+    parts = [(array(code, flat) if draw(st.booleans()) else flat, w) for flat, w in parts]
+    return p, stripes, parts, Matrix(Field(p), weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stripe_batches(), st.data())
+def test_batch_product_matches_scalar_oracle(case, data):
+    """Stripe s of the product is stripe s of the parts side by side times the weights, stripe after stripe, in both
+    orientations and split into any number of blocks of columns dividing them, leaving the parts as they were; an
+    entry outside the field raises the kernel's ValueError, a partial stripe, unequal stripe counts, a width sum
+    other than the weight rows or blocks not dividing the columns DimensionMismatch."""
+    p, stripes, parts, weights = case
+    batch = [[v for flat, w in parts for v in flat[s * w : (s + 1) * w]] for s in range(stripes)]
+    expected = matmul_scalar(Matrix(Field(p), batch, cols=weights.rows), weights)
+    out = batch_product(parts, weights)
+    assert len(out) == 1 and type(out[0]) is array and out[0].typecode == symbol_typecode(p)
+    assert list(out[0]) == [v for row in expected for v in row]
+    blocks = data.draw(st.sampled_from([b for b in range(2, weights.cols + 1) if weights.cols % b == 0] or [1]))
+    width = weights.cols // blocks
+    out = batch_product(parts, weights, blocks)
+    assert all(type(block) is array and block.typecode == symbol_typecode(p) for block in out)
+    assert as_lists(out) == [[v for row in expected for v in row[b * width : (b + 1) * width]] for b in range(blocks)]
+    assert all(list(flat) == [v for row in batch for v in row[sum(w for _, w in parts[:i]) :][:w]] for i, (flat, w) in enumerate(parts))
+    if stripes:
+        i = data.draw(st.integers(0, len(parts) - 1))
+        bad = list(parts[i][0])
+        bad[data.draw(st.integers(0, len(bad) - 1))] = data.draw(st.sampled_from([p, 2 * p - 1, p + 2**32, 2**64]))
+        with pytest.raises(ValueError, match=exact_message(f"operand entry out of field range [0, {p})")):
+            batch_product(parts[:i] + [(bad, parts[i][1])] + parts[i + 1 :], weights)
+    i = data.draw(st.integers(0, len(parts) - 1))
+    if parts[i][1] > 1 or len(parts) > 1:  # one more symbol: a partial stripe, or a stripe count of its own
+        with pytest.raises(DimensionMismatch):
+            batch_product(parts[:i] + [([*parts[i][0], 0], parts[i][1])] + parts[i + 1 :], weights)
+    with pytest.raises(DimensionMismatch):
+        batch_product(parts + [([0] * stripes, 1)], weights)
+    with pytest.raises(DimensionMismatch):
+        batch_product(parts, weights, weights.cols + 1)
 
 
 # --- windows, the GF(257) fold and the alternating sums as products ----
@@ -612,7 +658,8 @@ def test_parity_completion_and_readout_match_scalar_oracle(case, rng):
     space = [array(symbol_typecode(p), [rng.randrange(p) for _ in range(stripes * seg)]) for _ in range(d)]
     for i, x, j, sign in incidence(d, m):
         labels[i].append((sign, space[x - 1][j::seg]))
-    assert as_lists(combine_repair_space(space, d, m, Field(p))) == [signed_sums_scalar(terms, p) for terms in labels]
+    sums = [signed_sums_scalar(terms, p) for terms in labels]  # label after label
+    assert list(combine_repair_space(space, d, m, Field(p))) == [v for label in sums for v in label]
 
 
 @settings(max_examples=40, deadline=None)

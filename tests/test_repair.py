@@ -555,10 +555,11 @@ def _repair_spaces(draw):
 @settings(max_examples=40, deadline=None)
 @given(case=_repair_spaces())
 def test_combine_repair_space_matches_a_per_label_readout(case):
-    """One signed sum over every column label reads out what one scalar signed sum per label does."""
+    """One signed sum over every column label reads out what one scalar signed sum per label does, label after
+    label."""
     d, m, rows = case
     seg, labels = binom(d, m - 1), [[] for _ in range(binom(d, m))]
     for i, x, j, sign in incidence(d, m):
         labels[i].append((sign, rows[x - 1][j::seg]))
     expected = [signed_sums_scalar(terms, 257) for terms in labels]
-    assert [list(label) for label in combine_repair_space(rows, d, m, Field(257))] == expected
+    assert list(combine_repair_space(rows, d, m, Field(257))) == [v for label in expected for v in label]
