@@ -35,9 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .field import (  # CompositeModulus re-exported
+from .field import (  # CompositeModulus and FieldTooLarge re-exported
     CompositeModulus,
     Field,
+    FieldTooLarge,
     Matrix,
     combine_rows,
     reduced,
@@ -54,10 +55,6 @@ class BadMode(ValueError):
 
 class FieldTooSmall(ValueError):
     """Modulus too small for the requested node count."""
-
-
-class FieldTooLarge(ValueError):
-    """Modulus of 2**64 or more: no shard header records it and no machine word holds its symbols."""
 
 
 class WrongLength(ValueError):
@@ -161,11 +158,10 @@ class CodeConfig:
 
     def __post_init__(self):
         derive_params(self.d, self.m)  # raises BadMode
-        if self.p >= 1 << 64:
-            raise FieldTooLarge(f"p = {self.p} is 2**64 or more: a shard header records p in 8 bytes, and symbols are machine words")
+        field = Field(self.p)  # FieldTooLarge or CompositeModulus
         if not self.d < self.n:
             raise ValueError(f"need d < n, got d={self.d}, n={self.n}")
-        _encoder_points(self.n, Field(self.p))  # CompositeModulus or FieldTooSmall; builds nothing (shard headers come here)
+        _encoder_points(self.n, field)  # FieldTooSmall; builds nothing (shard headers come here)
 
     @property
     def alpha(self) -> int:
@@ -273,10 +269,11 @@ def _sign_column(k: int, field: Field, parity: bool) -> Matrix:
     return Matrix(field, [[sign] for sign in signs])
 
 
-def incidence_terms(rows, d: int, k: int, step: int, field: Field, parity: bool = False) -> tuple[list, Matrix]:
+def incidence_terms(rows, d: int, k: int, step: int, field: Field, parity: bool = False) -> tuple[list[array], Matrix]:
     """The terms and sign column of every k-set K's alternating sum over *rows*: one combine_rows call.
 
-    Term i lists, K after K, its member x's slice ``rows[x - 1][j::step]``,
+    Term i is one array of :func:`detcode.field.symbol_typecode` holding, K
+    after K, its member x's slice ``rows[x - 1][j::step]``,
     j the rank of K - {x}; entry r * B + b of the product is K's sum over
     block b of B (K of rank r). Member i of every K has the sign
     (-1)**(i + 1), p - 1 for -1 in the column. With *parity* the largest
@@ -284,11 +281,11 @@ def incidence_terms(rows, d: int, k: int, step: int, field: Field, parity: bool 
     its sign: the product is then the entry of K's parity cell, the largest
     member's, that makes K's sum vanish.
     """
-    table, terms = incidence(d, k), []
+    table, terms, code = incidence(d, k), [], symbol_typecode(field.p)
     for i in range(k - 1 if parity else k):
-        flat = rows[0][:0] if isinstance(rows[0], array) else []  # an array of the rows' typecode: no int per symbol
+        flat = array(code)  # rows of this typecode are copied as buffers: no int per symbol
         for _, x, j, _ in table[i::k]:
-            flat += rows[x - 1][j::step]
+            flat.extend(rows[x - 1][j::step])
         terms.append(flat)
     return terms, _sign_column(k, field, parity)
 
@@ -319,7 +316,7 @@ class MessageMatrix:
         if self.m == self.d:
             return
         sums = combine_rows(*incidence_terms(self.matrix.data, self.d, self.m + 1, self.alpha, self.matrix.field))[0]
-        if sums != (array(sums.typecode, [0]) if isinstance(sums, array) else [0]) * len(sums):  # one C-level compare
+        if sums != array(sums.typecode, [0]) * len(sums):  # one C-level compare
             k, bad = divmod(next(t for t, v in enumerate(sums) if v), self.stripes)
             raise ParityViolation(f"stripe {bad}: parity fails for {subsets(self.d, self.m + 1).unrank(k)}")
 
@@ -358,7 +355,7 @@ def build_message_matrix(source, d: int, m: int, field: Field) -> MessageMatrix:
             f"need a whole number of stripes of {per_stripe} source symbols, got {len(source)}"
         )
     code, cols = symbol_typecode(field.p), len(source) // per_stripe * alpha
-    if isinstance(source, (bytes, bytearray)) and field.p > 255 and code:
+    if isinstance(source, (bytes, bytearray)) and field.p > 255:
         size = array(code).itemsize
         wide = [bytearray(cols * size) for _ in range(d)]
         for t, (r, c) in enumerate(source_cells(d, m)):
@@ -366,7 +363,7 @@ def build_message_matrix(source, d: int, m: int, field: Field) -> MessageMatrix:
         data = [widen(row, size, code) for row in wide]
     else:
         source = reduced(source, field.p)
-        data = [(array(code, [0]) if code else [0]) * cols for _ in range(d)]
+        data = [array(code, [0]) * cols for _ in range(d)]
         for t, (r, c) in enumerate(source_cells(d, m)):
             data[r][c::alpha] = source[t::per_stripe]
     if m < d:  # source and parity cells are disjoint: one product completes every group of every stripe

@@ -1,22 +1,22 @@
 """Exact arithmetic in prime fields GF(p) and dense linear algebra over them.
 
-Field elements are ints kept canonical (0 <= value < p); a :class:`Field`
-instance carries the (checked prime) modulus. A long sequence of them (a
-node's content, a payload, a kernel output) is one machine-word array of
-:func:`symbol_typecode`: array('I') up to p = 2**32, so at p = 257, and
-array('Q') up to 2**64 (over a larger field, which no code configuration
-uses, Matrix arithmetic keeps lists). The kernel packs an array of its slot
-width as its own buffer and returns fresh arrays; the symbol codec widens
-and narrows such arrays by byte-plane slice copies (:func:`widen`,
-:func:`narrow`): shard reads and writes and the kernel's packing convert no
-symbol one at a time. Two traps: an array never equals a list (compare ``list(a)``), and ``bytes(a)``
-is the raw machine buffer, itemsize bytes per item, not one byte per
-symbol.
-:class:`Matrix` implements exact Gauss-Jordan elimination with a
-deterministic leftmost-pivot rule, so ranks, inverses, and pivot-column
-bases are reproducible across runs and machines. All of the package's
-prime arithmetic (primality, inverses, every reduction mod p) is here:
-other modules hand it plain ints and get canonical ones back.
+Field elements are ints kept canonical (0 <= value < p). :func:`symbol_typecode`
+is the one rule of what a field is: a prime p below 2**64, whose symbols sit
+in machine words, array('I') up to p = 2**32 (so at p = 257) and array('Q')
+beyond. From 2**64 on it raises :class:`FieldTooLarge`, in :class:`Field` and
+in every function that takes a bare p; and a big-endian host cannot import
+the module, since the shard and wire formats are little-endian and an array
+is packed as its own buffer. A long sequence of symbols (a node's content, a
+payload, a kernel output) is one such array: the kernel packs it as its own
+buffer and returns fresh arrays, and the symbol codec widens and narrows it
+by byte-plane slice copies (:func:`widen`, :func:`narrow`), converting no
+symbol one at a time. Two traps: an array never equals a list (compare
+``list(a)``), and ``bytes(a)`` is its raw machine buffer, not one byte per
+symbol. :class:`Matrix` implements exact Gauss-Jordan elimination with a
+deterministic leftmost-pivot rule, so ranks, inverses and pivot-column bases
+are reproducible. All of the package's prime arithmetic (primality, inverses,
+every reduction mod p) is here: other modules hand it plain ints and get
+canonical ones back.
 
 Every product is one word-parallel kernel with two entries. In
 :func:`combine_rows` K node-major sequences of one length L (message rows,
@@ -54,17 +54,13 @@ straight from the slot bytes, and % p, whose ints are then packed into an
 array, cross at 4 to 8 on CPython 3.11) and at any other prime or slot
 width, each entry is reduced by % p.
 
-The weights are always a :class:`Matrix`, checked when built and
-prepared (columns and their unit indices, or packed rows) once per
-orientation, and the modulus is its field's. A cached repair basis or
-read keeps its weights as Matrix, so every helper and repair shares one
-check and one packing. :attr:`Matrix.T` is built once.
-
-Every operand row and every symbol blob is range-checked against
-[0, p), and each check runs on the packed int or bytes it is packed
-into anyway: two word-parallel mask tests per window (:func:`_in_field`),
-not a Python pass per entry. An array('I') holds any value below 2**32, so
-its rows are checked like any other.
+The weights are always a :class:`Matrix` of the modulus, checked when built
+and prepared once per orientation (:attr:`Matrix.unit_columns`,
+:attr:`Matrix.packed_rows`), so a cached repair basis or read shares one
+check and one packing. Each entry checks the operands' shapes once and hands
+them to its orientation, which range-checks every operand row and symbol
+blob against [0, p) on the int or bytes it packs anyway: two word-parallel
+mask tests per window (:func:`_in_field`), not a Python pass per entry.
 
 The paper's alternating sums (parity completion, the parity check, the
 repair readout) are products too: :func:`detcode.code.incidence_terms`
@@ -81,9 +77,16 @@ from array import array
 from functools import cached_property, lru_cache
 from itertools import chain
 
+if sys.byteorder != "little":  # array buffers are read and written as the little-endian shard and wire formats
+    raise ImportError(f"detcode needs a little-endian host; this one is {sys.byteorder}-endian")
+
 
 class CompositeModulus(ValueError):
     """Field modulus is not prime."""
+
+
+class FieldTooLarge(ValueError):
+    """Modulus of 2**64 or more: no shard header records it and no machine word holds its symbols."""
 
 
 class DimensionMismatch(ValueError):
@@ -99,7 +102,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every modulus that fits a machine word."""
+    """Deterministic Miller-Rabin; exact below 2**64, and ValueError from 2**64 on, where twelve bases are not proof."""
+    if n >= 1 << 64:
+        raise ValueError(f"is_prime is exact only below 2**64, got {n}")
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -131,7 +136,8 @@ def next_prime_at_least(n: int) -> int:
 
 
 def element_width(p: int) -> int:
-    """Bytes needed to serialize one canonical element of GF(p)."""
+    """Bytes needed to serialize one canonical element of GF(p); FieldTooLarge from p = 2**64 (:func:`symbol_typecode`)."""
+    symbol_typecode(p)
     return (p.bit_length() + 7) // 8
 
 
@@ -144,25 +150,23 @@ def slot_width(p: int, k: int) -> int:
     A slot accumulates k products of canonical entries, at most
     k * (p-1)**2, and must hold that bound without a carry into its
     neighbour: a machine word of 4 or 8 bytes while the bound fits one,
-    else the bound's whole bytes (k = 0 is sized as 1: a canonical entry fits).
+    else the bound's whole bytes, 16 at p = 2**61 - 1 (k = 0 is sized as 1:
+    a canonical entry fits). FieldTooLarge from p = 2**64 (:func:`symbol_typecode`).
     """
     bound = max(k, 1) * (p - 1) ** 2
-    return 4 if bound < 1 << 32 else 8 if bound < 1 << 64 else (bound.bit_length() + 7) // 8
+    if bound < 1 << 64:
+        return 4 if bound < 1 << 32 else 8
+    symbol_typecode(p)  # every modulus of 2**64 or more has a bound past a machine word
+    return (bound.bit_length() + 7) // 8
 
 
-def symbol_typecode(p: int) -> str | None:
+def symbol_typecode(p: int) -> str:
     """The typecode of the machine-word array that holds GF(p) symbols: 'I' (4 bytes) for p <= 2**32, else
-    'Q' (8 bytes); None from p > 2**64, where no machine word holds a symbol (Matrix arithmetic over such a
-    field keeps lists of ints; no code configuration or shard has one)."""
-    return "I" if p <= 1 << 32 else "Q" if p <= 1 << 64 else None
-
-
-def _symbols(values, code: str | None):
-    """*values* as a fresh array of typecode *code* (a slice of an array of that typecode: half the cost of a
-    conversion), or a list where *code* is None."""
-    if type(values) is array and values.typecode == code:
-        return values[:]
-    return array(code, values) if code else list(values)
+    'Q' (8 bytes). The one rule of which moduli are fields here: FieldTooLarge from p = 2**64, where no machine
+    word holds a symbol and no shard header records p."""
+    if p >= 1 << 64:
+        raise FieldTooLarge(f"p = {p} is 2**64 or more: a shard header records p in 8 bytes, and symbols are machine words")
+    return "I" if p <= 1 << 32 else "Q"
 
 
 def symbol_array(values) -> array:
@@ -183,17 +187,14 @@ def symbol_array(values) -> array:
 def _encode(values, width: int):
     """Little-endian bytes of non-negative ints, width bytes each; OverflowError or TypeError for any other entry.
 
-    An array of width-byte items is its own buffer (no copy on a little-endian host); other sequences are
-    converted once, in C where width is a machine word."""
+    An array of width-byte items is its own buffer (no copy); other sequences are converted once, in C where
+    width is a machine word."""
     code = _TYPECODES.get(width)
     if code is None:
         return b"".join([v.to_bytes(width, "little") for v in values])
-    if isinstance(values, array) and values.itemsize == width and sys.byteorder == "little":
+    if isinstance(values, array) and values.itemsize == width:
         return memoryview(values).cast("B")
-    items = array(code, values)
-    if sys.byteorder == "big":
-        items.byteswap()
-    return items.tobytes()
+    return array(code, values).tobytes()
 
 
 def widen(blob, width: int, code: str) -> array:
@@ -211,8 +212,6 @@ def widen(blob, width: int, code: str) -> array:
             wide[b::size] = blob[b::width]
         blob = wide
     items.frombytes(blob)
-    if sys.byteorder == "big":
-        items.byteswap()
     return items
 
 
@@ -230,7 +229,7 @@ def narrow(items: array, width: int) -> bytes:
     """The low *width* bytes of every item of *items*, little-endian: byte-plane slice copies, no conversion per
     symbol and no check (an item wider than *width* loses its high bytes). ``bytes(items)`` would instead be the
     raw machine buffer, itemsize bytes per item."""
-    return _narrowed(bytes(_encode(items, items.itemsize)), items.itemsize, width)
+    return _narrowed(items.tobytes(), items.itemsize, width)
 
 
 WINDOW = 2048  # entries per window of the kernel and the symbol codec; bounds every cached mask
@@ -283,16 +282,11 @@ def _in_range(blob, width: int, p: int) -> bool:
 
 
 def _decode(blob, width: int):
-    """The width-byte little-endian ints of *blob*; a zero-copy view on little-endian hosts."""
+    """The width-byte little-endian ints of *blob*: a zero-copy view where width is a machine word, else a list."""
     code = _TYPECODES.get(width)
     if code is None:
         return [int.from_bytes(blob[i : i + width], "little") for i in range(0, len(blob), width)]
-    if sys.byteorder == "little":
-        return memoryview(blob).cast(code)
-    items = array(code)
-    items.frombytes(blob)
-    items.byteswap()
-    return items
+    return memoryview(blob).cast(code)
 
 
 def _folded(acc: int, count: int, k: int, masks: tuple[int, ...]) -> array:
@@ -325,21 +319,17 @@ def combine_rows(rows, weights: "Matrix") -> list[array]:
     Output i is the sum over k of weights[k][i] * rows[k], where *weights*
     is a K x r :class:`Matrix` over GF(p), checked and prepared once: the
     columns of X @ weights for the matrix X whose columns are the rows.
-    ValueError for a row entry outside [0, p), checked word-parallel on each
-    packed window (:func:`_in_field`). Rows may be any int sequences; an
+    DimensionMismatch for ragged rows or K other than weights.rows;
+    ValueError for a row entry outside [0, p), checked word-parallel on the
+    bytes each orientation packs anyway. Rows may be any int sequences; an
     array whose items are a slot wide is packed as its own buffer, with no
     conversion per entry. Every output is a fresh array of
-    :func:`symbol_typecode` (a list over p > 2**64).
-
-    With r <= L the rows are packed window by window, WINDOW entries at a
-    time, into one int each, and an output window is one big-int multiply-add
-    per nonzero weight; an output whose weight column is the k-th unit vector
-    (:attr:`Matrix.unit_columns`) is a copy of row k. With fewer entries
-    per row than outputs, entry position j is stripe j of a batch of K
-    one-symbol parts, and :func:`batch_product` combines it by the packed
-    weights; each output is a strided slice of that product. Either way every
-    computed output window is reduced once: by :func:`_folded` at p = 257
-    where it has FOLD_MIN to WINDOW entries, else by % p per entry.
+    :func:`symbol_typecode`. With r <= L the rows are packed window by window
+    (:func:`_windowed`); with 0 < L < r entry position j is stripe j of a
+    batch of K one-symbol parts (:func:`_weight_packed`), and each output is
+    a strided slice of that product. Either way every computed output window
+    is reduced once: by :func:`_folded` at p = 257 where it has FOLD_MIN to
+    WINDOW entries, else by % p per entry.
     """
     k = len(rows)
     length = len(rows[0]) if rows else 0
@@ -347,39 +337,11 @@ def combine_rows(rows, weights: "Matrix") -> list[array]:
         raise DimensionMismatch("ragged rows")
     if weights.rows != k:
         raise DimensionMismatch(f"{weights.rows} weight rows for {k} rows")
-    p, r = weights.field.p, weights.cols
-    if length < r and length:
-        flat = batch_product([(row, 1) for row in rows], weights)[0]
+    code, r = symbol_typecode(weights.field.p), weights.cols
+    if 0 < length < r:
+        flat = _weight_packed([(row, 1) for row in rows], length, weights, code, 1)[0]
         return [flat[i::r] for i in range(r)]
-    code, slot = symbol_typecode(p), slot_width(p, k)
-    columns, units = weights.unit_columns
-    try:
-        blobs = [_encode(row, slot) for row in rows]
-    except (OverflowError, TypeError):
-        raise ValueError(f"operand entry out of field range [0, {p})") from None
-    windowed = length > WINDOW  # outputs of several windows are sized once, so no window regrows them
-    zero = _symbols([0], code)
-    outputs = [zero * length for _ in units] if windowed or not length else [None] * len(units)
-    for begin in range(0, length, WINDOW):  # a row of one window is sliced whole: the same bytes, no copy
-        end = min(begin + WINDOW, length)
-        packed = [int.from_bytes(blob[begin * slot : end * slot], "little") for blob in blobs]
-        masks = _masks(end - begin, slot, p)
-        if not _in_field(packed, masks):
-            raise ValueError(f"operand entry out of field range [0, {p})")
-        fold = masks if len(masks) > 3 and end - begin >= FOLD_MIN else None
-        for i, unit in enumerate(units):
-            if unit is None:
-                values = _combine(columns[i], packed, end - begin, k, p, slot, fold)
-                if not fold:
-                    values = _symbols(values, code)
-                if windowed:
-                    outputs[i][begin:end] = values
-                else:
-                    outputs[i] = values
-    for i, unit in enumerate(units):  # copies of rows checked above
-        if unit is not None:
-            outputs[i] = _symbols(rows[unit], code)
-    return outputs
+    return _windowed(rows, length, weights, code)
 
 
 def batch_product(parts, weights: "Matrix", blocks: int = 1) -> list[array]:
@@ -391,27 +353,68 @@ def batch_product(parts, weights: "Matrix", blocks: int = 1) -> list[array]:
     (else DimensionMismatch, also where blocks does not divide
     weights.cols). Each block is a fresh array of :func:`symbol_typecode`;
     ValueError for an entry outside [0, p) or not an int. With 0 < S <
-    weights.cols the parts are range-checked word-parallel on their own
-    buffers (:func:`_in_range`), and stripe s, the slice ``flat[s * w:(s +
-    1) * w]`` of every part, is combined by the packed rows of the weights
-    (unit columns too) into outputs appended as they come. Otherwise each
-    part's column c is the array slice ``flat[c::w]``, :func:`combine_rows`
-    combines them window by window, and each output is written into its
-    block by one strided slice assignment.
+    weights.cols the stripes are combined by the packed weights
+    (:func:`_weight_packed`); otherwise each part's column c is the array
+    slice ``flat[c::w]``, the columns are combined by :func:`_windowed`, and
+    each output is written into its block by one strided slice assignment.
     """
-    p, r, k, counts = weights.field.p, weights.cols, 0, set()
+    r, k, counts = weights.cols, 0, set()
     for flat, w in parts:  # a stripe count per part, -1 for a partial stripe
         counts.add(len(flat) // w if w > 0 and not len(flat) % w else -1)
         k += w
     if weights.rows != k or r % blocks or len(counts) != 1 or -1 in counts:
         raise DimensionMismatch(f"parts {[w for _, w in parts]} wide, not whole stripes of one count, for {weights.rows} x {r} weights in {blocks} blocks")
-    stripes, code, width = counts.pop(), symbol_typecode(p), r // blocks
-    if not 0 < stripes < r:
-        outs = [_symbols([0], code) * (stripes * width) for _ in range(blocks)]
-        for i, column in enumerate(combine_rows([flat[c::w] for flat, w in parts for c in range(w)], weights)):
-            outs[i // width][i % width :: width] = column
-        return outs
-    slot, size = slot_width(p, k), array(code).itemsize if code else element_width(p)
+    stripes, code, width = counts.pop(), symbol_typecode(weights.field.p), r // blocks
+    if 0 < stripes < r:
+        return _weight_packed(parts, stripes, weights, code, blocks)
+    outs = [array(code, [0]) * (stripes * width) for _ in range(blocks)]
+    for i, column in enumerate(_windowed([flat[c::w] for flat, w in parts for c in range(w)], stripes, weights, code)):
+        outs[i // width][i % width :: width] = column
+    return outs
+
+
+def _windowed(rows, length: int, weights: "Matrix", code: str) -> list[array]:
+    """:func:`combine_rows` of K rows of length L by K weight rows, shapes checked by the caller: the rows are packed
+    WINDOW entries at a time into one int each, range-checked on those ints (:func:`_in_field`), and combined by one
+    big-int multiply-add per nonzero weight; a unit weight column (:attr:`Matrix.unit_columns`) copies its row."""
+    p, k = weights.field.p, len(rows)
+    slot = slot_width(p, k)
+    columns, units = weights.unit_columns
+    try:
+        blobs = [_encode(row, slot) for row in rows]
+    except (OverflowError, TypeError):
+        raise ValueError(f"operand entry out of field range [0, {p})") from None
+    windowed = length > WINDOW  # outputs of several windows are sized once, so no window regrows them
+    outputs = [array(code, [0]) * length for _ in units] if windowed or not length else [None] * len(units)
+    for begin in range(0, length, WINDOW):  # a row of one window is sliced whole: the same bytes, no copy
+        end = min(begin + WINDOW, length)
+        packed = [int.from_bytes(blob[begin * slot : end * slot], "little") for blob in blobs]
+        masks = _masks(end - begin, slot, p)
+        if not _in_field(packed, masks):
+            raise ValueError(f"operand entry out of field range [0, {p})")
+        fold = masks if len(masks) > 3 and end - begin >= FOLD_MIN else None
+        for i, unit in enumerate(units):
+            if unit is None:
+                values = _combine(columns[i], packed, end - begin, k, p, slot, fold)
+                if not fold:
+                    values = array(code, values)
+                if windowed:
+                    outputs[i][begin:end] = values
+                else:
+                    outputs[i] = values
+    for i, unit in enumerate(units):  # copies of rows checked above; a slice costs half a conversion
+        if unit is not None:
+            row = rows[unit]
+            outputs[i] = row[:] if type(row) is array and row.typecode == code else array(code, row)
+    return outputs
+
+
+def _weight_packed(parts, stripes: int, weights: "Matrix", code: str, blocks: int) -> list[array]:
+    """:func:`batch_product` of S > 0 whole stripes per part, shapes checked by the caller: the parts are range-checked
+    word-parallel on their own buffers (:func:`_in_range`), and stripe s, the slice ``flat[s * w:(s + 1) * w]`` of
+    every part, is combined by :attr:`Matrix.packed_rows` (unit columns too) into outputs appended as they come."""
+    p, r, k = weights.field.p, weights.cols, weights.rows
+    slot, size, width = slot_width(p, k), array(code).itemsize, r // blocks
     try:
         in_field = all(_in_range(_encode(flat, size), size, p) for flat, _ in parts)
     except (OverflowError, TypeError):
@@ -419,7 +422,7 @@ def batch_product(parts, weights: "Matrix", blocks: int = 1) -> list[array]:
     if not in_field:
         raise ValueError(f"operand entry out of field range [0, {p})")
     masks = _masks(r, slot, p) if r <= WINDOW else ()
-    fold, outs = masks if len(masks) > 3 and r >= FOLD_MIN else None, [_symbols((), code) for _ in range(blocks)]
+    fold, outs = masks if len(masks) > 3 and r >= FOLD_MIN else None, [array(code) for _ in range(blocks)]
     for s in range(stripes):
         row = [flat[s * w : (s + 1) * w] for flat, w in parts]
         values = _combine(row[0] if len(row) == 1 else chain.from_iterable(row), weights.packed_rows, r, k, p, slot, fold)
@@ -429,22 +432,22 @@ def batch_product(parts, weights: "Matrix", blocks: int = 1) -> list[array]:
 
 
 def reduced(values, p: int) -> array:
-    """Each of the ints *values* reduced mod p, in order, as one array of :func:`symbol_typecode` (a list over
-    p > 2**64): one reduction per entry."""
-    return _symbols([v % p for v in values], symbol_typecode(p))
+    """Each of the ints *values* reduced mod p, in order, as one array of :func:`symbol_typecode`: one reduction
+    per entry. FieldTooLarge from p = 2**64."""
+    return array(symbol_typecode(p), [v % p for v in values])
 
 
 def pack_symbols(values, p: int) -> bytes:
-    """Little-endian bytes of GF(p) symbols, element_width(p) each; ValueError outside [0, p).
+    """Little-endian bytes of GF(p) symbols, element_width(p) each; ValueError outside [0, p), FieldTooLarge from
+    p = 2**64.
 
     The symbols are packed as items of :func:`symbol_typecode` (an array of
     that item size is its own buffer, any other sequence is converted once
     in C), the range check runs word-parallel on those bytes, and
     byte-plane slice copies then narrow each item to element_width(p)
-    bytes. Over p > 2**64 each symbol is written by int.to_bytes.
+    bytes.
     """
-    width, code = element_width(p), symbol_typecode(p)
-    size = array(code).itemsize if code else width
+    width, size = element_width(p), array(symbol_typecode(p)).itemsize
     if not isinstance(values, (array, list, tuple)):  # array() would read bytes-like input as machine words
         values = list(values)
     try:
@@ -457,8 +460,8 @@ def pack_symbols(values, p: int) -> bytes:
 
 
 def unpack_symbols(blob, p: int) -> array:
-    """Inverse of :func:`pack_symbols`, one array of :func:`symbol_typecode` (a list over p > 2**64); ValueError
-    on a symbol outside [0, p) or a partial one.
+    """Inverse of :func:`pack_symbols`, one array of :func:`symbol_typecode`; ValueError on a symbol outside
+    [0, p) or a partial one, FieldTooLarge from p = 2**64.
 
     The range check runs word-parallel on the blob, before byte-plane slice
     copies widen it to the array's item size (:func:`widen`).
@@ -468,12 +471,7 @@ def unpack_symbols(blob, p: int) -> array:
         raise ValueError(f"symbol out of field range: {len(blob)} bytes is not a whole number of {width}-byte symbols")
     if not _in_range(blob, width, p):
         raise ValueError("symbol out of field range")
-    return widen(blob, width, code) if code else list(_decode(blob, width))
-
-
-def _unit_index(column) -> int | None:
-    """k where *column* is the k-th unit vector, else None."""
-    return column.index(1) if column.count(0) == len(column) - 1 and 1 in column else None
+    return widen(blob, width, code)
 
 
 class Field:
@@ -482,12 +480,14 @@ class Field:
     Parameters
     ----------
     p : int
-        Field modulus; must be prime (checked at construction).
+        Field modulus; must be prime and below 2**64 (checked at construction: CompositeModulus,
+        FieldTooLarge).
     """
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        symbol_typecode(p)  # FieldTooLarge from 2**64, where is_prime is not exact
         if not is_prime(p):
             raise CompositeModulus(f"modulus {p} is not prime")
         self.p = p
@@ -549,7 +549,7 @@ class Matrix:
 
         The one kept transposition of a Matrix, which :attr:`T` wraps; no rows give cols empty columns."""
         columns = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
-        return columns, tuple(map(_unit_index, columns))
+        return columns, tuple(c.index(1) if c.count(0) == len(c) - 1 and 1 in c else None for c in columns)
 
     @cached_property
     def packed_rows(self) -> tuple[int, ...]:

@@ -1,16 +1,21 @@
 import random
 import re
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import detcode
 from detcode.field import (
     FOLD_MIN,
     WINDOW,
     CompositeModulus,
     DimensionMismatch,
     Field,
+    FieldTooLarge,
     Matrix,
     Singular,
     _folded,
@@ -21,12 +26,13 @@ from detcode.field import (
     is_prime,
     next_prime_at_least,
     pack_symbols,
+    reduced,
     slot_width,
     symbol_typecode,
     unpack_symbols,
 )
 from detcode.code import MessageMatrix, ParityViolation, build_message_matrix, derive_params, source_cells
-from detcode.repair import combine_repair_space
+from detcode.repair import RepairPayload, combine_repair_space
 from detcode.subsets import binom, incidence, subsets
 from oracles import (
     as_lists,
@@ -46,9 +52,63 @@ def test_composite_modulus_rejected(bad):
         Field(bad)
 
 
-@pytest.mark.parametrize("p", [2, 3, 13, 257, 65537])
+@pytest.mark.parametrize("p", [2, 3, 13, 257, 65537, 2**64 - 59])  # up to the largest prime below 2**64
 def test_prime_moduli_accepted(p):
     assert Field(p).p == p
+
+
+PSEUDOPRIME = 318665857834031151167461  # 399165290221 * 798330580441, a strong pseudoprime to bases 2 to 37
+LARGE_MODULI = [2**64 + 13, 2**89 - 1, PSEUDOPRIME]
+
+
+@pytest.mark.parametrize("p", LARGE_MODULI)
+def test_field_refuses_a_modulus_of_two_to_the_64_or_more(p):
+    """No machine word holds such a field's symbols, prime (2**64 + 13, 2**89 - 1) or not: refused naming p, before
+    any primality test (which is not exact there)."""
+    with pytest.raises(FieldTooLarge, match=rf"^p = {p} is 2\*\*64 or more"):
+        Field(p)
+
+
+@pytest.mark.parametrize("p", LARGE_MODULI)
+def test_every_entry_of_a_bare_modulus_refuses_two_to_the_64_or_more(p):
+    """No entry that takes p itself returns a result over such a modulus. Unchecked, unpack_symbols would read the
+    72 bytes of eight 9-byte symbols as nine 8-byte items."""
+    body = RepairPayload((3,), 1, 2, [0] * 8).to_bytes(257)[:-16] + bytes(72)  # a valid header for eight symbols
+    calls = [
+        lambda: unpack_symbols(bytes(72), p),
+        lambda: pack_symbols([0], p),
+        lambda: reduced([1, 2], p),
+        lambda: element_width(p),
+        lambda: slot_width(p, 1),
+        lambda: RepairPayload.from_bytes(body, p),
+        lambda: RepairPayload((3,), 1, 2, [0] * 8).to_bytes(p),
+    ]
+    for call in calls:
+        with pytest.raises(FieldTooLarge):
+            call()
+
+
+def test_is_prime_refuses_to_answer_from_two_to_the_64():
+    """Miller-Rabin to bases 2 to 37 is exact only below 2**64 here: the smallest strong pseudoprime to all twelve
+    (Sorenson and Webster, 2017) raises rather than passing as prime, and no prime search runs past 2**64."""
+    for n in (PSEUDOPRIME, 2**64, 2**64 + 13):
+        with pytest.raises(ValueError, match=r"exact only below 2\*\*64"):
+            is_prime(n)
+    assert is_prime(2**64 - 59) and not is_prime(2**64 - 1)
+    with pytest.raises(ValueError, match=r"exact only below 2\*\*64"):
+        next_prime_at_least(2**64 - 58)  # 2**64 - 59 is the largest prime below 2**64
+
+
+def test_a_big_endian_host_cannot_import_the_package():
+    """The shard and wire formats are little-endian and arrays are packed as their own buffers, so the import fails
+    on a big-endian host, naming its byte order: checked in a fresh interpreter that reports big-endian."""
+    source = str(Path(detcode.__file__).parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {source!r}); sys.byteorder = 'big'\n"
+        "try:\n    import detcode\nexcept ImportError as exc:\n    print(exc)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert result.stdout == "detcode needs a little-endian host; this one is big-endian\n"
 
 
 def test_every_nonzero_element_inverts(gf13):
@@ -254,9 +314,9 @@ def test_product_of_full_entries(p, shape):
     assert as_lists(product.data) == matmul_scalar(a, b)
 
 
-@pytest.mark.parametrize("p, width", [(13, 1), (257, 2), (65537, 3), (2**31 - 1, 4), (2**61 - 1, 8), (2**64 + 13, 9)])
+@pytest.mark.parametrize("p, width", [(13, 1), (257, 2), (65537, 3), (2**31 - 1, 4), (2**61 - 1, 8)])
 def test_symbol_codec_round_trip(p, width):
-    """Every width, array-backed or generic, writes little-endian and checks the range."""
+    """Every width writes little-endian and checks the range."""
     values = [0, 1, p - 1, p // 2]
     blob = pack_symbols(values, p)
     assert element_width(p) == width
@@ -299,7 +359,7 @@ def test_combine_rows_matches_triple_loop(case):
     assert as_lists(combine_rows([tuple(row) for row in rows], Matrix(field, weights))) == expected  # any sequences
 
 
-@pytest.mark.parametrize("p", [13, 2**64 + 13])  # array-backed and generic slots
+@pytest.mark.parametrize("p", [13, 2**61 - 1])  # machine-word and 16-byte slots
 @pytest.mark.parametrize("r", [0, 1, 3])
 def test_combine_rows_of_no_rows_gives_r_empty_outputs(p, r):
     """No rows and a 0 x r weight Matrix: r empty outputs, and the transpose has r empty rows."""
@@ -341,7 +401,7 @@ def test_combine_rows_exact_at_slot_crossover(k, width):
 
 # --- range checks at their edges and unit weight columns ----------------
 
-RANGE_MODULI = [13, 257, 65521, 65537, 2**31 - 1, 2**61 - 1, 2**64 + 13]
+RANGE_MODULI = [13, 257, 65521, 65537, 2**31 - 1, 2**61 - 1]
 
 
 def edge_entries(p, slots):
