@@ -475,3 +475,81 @@ def test_shard_and_payload_bytes_golden(tmp_path, n, d, m):
         assert h.hexdigest() == digest, size
     payload = helper_payload(clusters[900].contents[d + 1], d + 1, (1, 2), clusters[900].encoder, m)
     assert hashlib.sha256(payload.to_bytes(257)).hexdigest() == digests[4]
+
+
+# The same seeded files and payloads as the byte goldens, pinned by content instead of by format: sha256 over
+# every node's decoded symbols (read back from its shard, 4-byte array items), node order, at 0, 1, 900 and 5000
+# bytes; then over the decoded symbols of the joint payload above.
+GOLDEN_CONTENT = {
+    (8, 4, 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "df565ad95a2a38949278f1087b90506136d904dff2f789c7f8cc5a3bf5771afe",
+        "b54ff365cf4e6735dd1352e3ab235de1a74d56df16977298a7d43fa32563cd89",
+        "fa830b4f19a2d182253b519aac3870a6a16290a98aa8fa556925d0677ce42198",
+        "ae69e833ea643e7e2922691d1b3bf1a0725a90d93ab10dc5e5f00368ee3df61c",
+    ),
+    (8, 4, 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ba969c1be0c5e024cdde735c8cf3353b368d944c2252562a87d82b363d2b394c",
+        "571f9cc0bf6440047e074400f98623e0d0e925f943b659337ca2b8937233e23a",
+        "3a2e98af3ff78071ec3d6cff54640e6965ba5a14f623d97eb80eb50bebef5a23",
+        "3838aa3041037083698278d50e1d43a3339a79001e6b4d85439bd7554881d44e",
+    ),
+    (8, 4, 4): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "8ed6eddd0f8e0dda546ce074e0d1a3cea2c3561abbdd7a5dbb56bce0606db47d",
+        "4a0781310d790c7b522ed6e3205e86f6a30886c48a7362202de33ea754f71e60",
+        "ceddd4190e073b85a3af1c5027ae55a3fa4e58ca3af78266759f5b13de6d6725",
+        "fa4ecaa9b7fc52bac6f93e0170a6dd3e2f13625ac6b83113ce88ce7261b124aa",
+    ),
+    (12, 6, 3): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "964e34c0cdf53c33ddf89ed282ed8d843fbb0ece877c23ed99288cc0eaa69860",
+        "b45a03f56e4ebc4e1feff039ce9a9e366fac53b94691a0589a1abe288941158b",
+        "f3dd1b495deec12010939f21d313e0605d920f8ffe8052a9f9c9d45ce28a6440",
+        "5bd2c8d9e677add609340a9fd82666f18062e82413979be60c00b15728748456",
+    ),
+    (16, 10, 3): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "47f480b3da8845ccd5ae446b45bd108694532ed0de832d7279fa0518973efed2",
+        "5de88e4ce198d82479c2df2322d98a2aa4d5f0a1534cfb0cb07fda6efe4a4e58",
+        "6b20900ffcdc8758d63d32cbec5aa265be1532cf9299dff227ba20dba6dc0e5d",
+        "54fe51480ce82534dfe41a1f0f820dcac4ff02fc8b16c24c6a6af7ed66098598",
+    ),
+}
+
+
+def _content_digest(directory, n):
+    h = hashlib.sha256()
+    for node_id in range(1, n + 1):
+        h.update(read_shard(shard_path(directory, node_id)).stripes.symbols.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n, d, m", sorted(GOLDEN_CONTENT))
+def test_shard_and_payload_content_golden(tmp_path, n, d, m):
+    """What the shards and a payload hold, whatever their byte layout: a format change leaves these digests alone."""
+    config, digests, clusters = CodeConfig(n=n, d=d, m=m, p=257), GOLDEN_CONTENT[n, d, m], {}
+    for size, digest in zip((0, 1, 900, 5000), digests):
+        directory = tmp_path / str(size)
+        directory.mkdir()
+        clusters[size] = Cluster.from_file(random.Random(size).randbytes(size), config)
+        write_all_shards(directory, clusters[size])
+        assert _content_digest(directory, n) == digest, size
+    payload = helper_payload(clusters[900].contents[d + 1], d + 1, (1, 2), clusters[900].encoder, m)
+    symbols = RepairPayload.from_bytes(payload.to_bytes(257), 257).symbols
+    assert hashlib.sha256(symbols.tobytes()).hexdigest() == digests[4]
+
+
+@pytest.mark.parametrize(
+    "n, d, m, digest",
+    [
+        (8, 4, 2, "eb089b6dc4bb97e2f0e25d804d5cdd5a1045e40322ae9e6615bc071db94c676f"),
+        (12, 6, 3, "71e426d9cdf37bc6e7a1265ce060a482ad3f91dd0b538c60ada6ae3b817e6450"),
+    ],
+)
+def test_shard_directory_content_pinned(tmp_path, n, d, m, digest):
+    """The decoded symbols of test_shard_directory_bytes_pinned's shards, node order: independent of the format."""
+    data = random.Random(64).randbytes(65536)
+    write_all_shards(tmp_path, Cluster.from_file(data, CodeConfig(n=n, d=d, m=m, p=257)))
+    assert _content_digest(tmp_path, n) == digest
