@@ -8,13 +8,20 @@ Shards go to disk as ``node_<id>.detc`` files, replaced atomically; the
 generator matrix is a pure function of (n, d, p), so independently written
 shards stay mutually consistent.
 
-A shard body holds element_width(p) bytes per symbol (2 at p = 257), an
-array item 4 or 8. Reading range-checks the body word-parallel, then widens
-it by byte-plane slice copies; writing range-checks the array's bytes and
-narrows them back the same way (:func:`detcode.field.pack_symbols`,
-:func:`detcode.field.unpack_symbols`). A read's bytes are the low byte
-plane of the recovered symbols (:func:`assemble_file`), never ``bytes()``
-of the array, which is its raw machine buffer.
+A shard file (version 2) is a 36-byte header, then the body: every stripe's
+symbols in the one symbol codec shared with repair payloads
+(:func:`detcode.field.pack_symbols`, :func:`detcode.field.unpack_symbols`).
+At p = 257 the body is a layout tag, then the count and positions of the
+symbols equal to 256 and one low byte per symbol (about 1.01 bytes per
+symbol), or two bytes per symbol where that is shorter; at any other p it
+is the symbols at their fixed width, one array item 4 or 8 bytes in memory.
+The body is decoded first and its symbol count then compared with the
+header's stripes; a version-1 shard (2-byte GF(257) symbols) is refused.
+Writing range-checks the array's bytes word-parallel and narrows them by
+byte-plane slice copies; reading widens them back the same way. A read's
+bytes are the low byte plane of the recovered symbols
+(:func:`assemble_file`), never ``bytes()`` of the array, which is its raw
+machine buffer.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .code import (
     encode,
     recover_data,
 )
-from .field import element_width, narrow, next_prime_at_least, pack_symbols, symbol_array, unpack_symbols, widen
+from .field import narrow, next_prime_at_least, pack_symbols, symbol_array, unpack_symbols, widen
 from .multirepair import centralized_repair, helper_bound
 from .repair import decode_failed_nodes, helper_payload
 
@@ -254,7 +261,7 @@ class Cluster:
 # --- shard persistence -------------------------------------------------
 
 SHARD_MAGIC = b"DETC"
-SHARD_VERSION = 1  # version 1: canonical direct-then-shared source order, zero padding
+SHARD_VERSION = 2  # version 2: canonical direct-then-shared source order, zero padding, escaped GF(257) bodies
 _SHARD_HEADER = struct.Struct("<4sBQHHBHQQ")
 
 
@@ -314,11 +321,10 @@ class ShardFile:
         if version != SHARD_VERSION:
             raise ValueError(f"unsupported version {version}")
         config = CodeConfig(n=n, d=d, m=m, p=p)
-        expected = _SHARD_HEADER.size + stripe_count * config.alpha * element_width(p)
-        if len(blob) != expected:
-            raise ValueError(f"payload is {len(blob)} bytes, expected {expected}")
-        stripes = StripeBatch(unpack_symbols(blob[_SHARD_HEADER.size :], p), config.alpha)
-        return cls(config, node_id, original_len, stripes)
+        symbols = unpack_symbols(blob[_SHARD_HEADER.size :], p)
+        if len(symbols) != stripe_count * config.alpha:
+            raise ValueError(f"body holds {len(symbols)} symbols, expected {stripe_count} stripes of {config.alpha}")
+        return cls(config, node_id, original_len, StripeBatch(symbols, config.alpha))
 
 
 def write_shard(path, config: CodeConfig, node_id: int, stripes: StripeBatch, original_len: int | None) -> None:

@@ -269,6 +269,17 @@ def _sign_column(k: int, field: Field, parity: bool) -> Matrix:
     return Matrix(field, [[sign] for sign in signs])
 
 
+@lru_cache(maxsize=None)
+def _term_indices(d: int, k: int, step: int, length: int, parity: bool) -> tuple[tuple[int, ...], ...]:
+    """Per term of :func:`incidence_terms` over d rows of *length* < 3 * step, the positions of its entries in the
+    rows laid end to end, in term order. Cached per shape."""
+    table, blocks = incidence(d, k), length // step
+    return tuple(
+        tuple((x - 1) * length + j + b * step for _, x, j, _ in table[i::k] for b in range(blocks))
+        for i in range(k - 1 if parity else k)
+    )
+
+
 def incidence_terms(rows, d: int, k: int, step: int, field: Field, parity: bool = False) -> tuple[list[array], Matrix]:
     """The terms and sign column of every k-set K's alternating sum over *rows*: one combine_rows call.
 
@@ -279,9 +290,17 @@ def incidence_terms(rows, d: int, k: int, step: int, field: Field, parity: bool 
     (-1)**(i + 1), p - 1 for -1 in the column. With *parity* the largest
     member's term is left out and the others' signs are multiplied by minus
     its sign: the product is then the entry of K's parity cell, the largest
-    member's, that makes K's sum vanish.
+    member's, that makes K's sum vanish. Below 3 blocks (a one-stripe
+    encode, a one-stripe repair space) each term is picked by index from
+    the rows laid end to end (:func:`_term_indices`), else each member's
+    slice is one strided copy.
     """
-    table, terms, code = incidence(d, k), [], symbol_typecode(field.p)
+    code, length = symbol_typecode(field.p), len(rows[0]) if rows else 0
+    if length < 3 * step:
+        flat = sum(rows[1:], rows[0]) if rows else ()  # rows of one type: arrays, tuples or lists
+        terms = [array(code, [flat[t] for t in at]) for at in _term_indices(d, k, step, length, parity)]
+        return terms, _sign_column(k, field, parity)
+    table, terms = incidence(d, k), []
     for i in range(k - 1 if parity else k):
         flat = array(code)  # rows of this typecode are copied as buffers: no int per symbol
         for _, x, j, _ in table[i::k]:

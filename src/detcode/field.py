@@ -37,7 +37,20 @@ smallest keeps the masks smallest), and each window is packed, range-checked,
 combined and reduced on its own. The masks of those steps are cached per
 window length, so every cached mask has at most WINDOW slots, whatever the
 row or file length; :func:`pack_symbols` and :func:`unpack_symbols` check
-their bytes through the same windows.
+fixed-width bodies through the same windows.
+
+Symbol codec. :func:`pack_symbols` and :func:`unpack_symbols` are the one
+body layout of shard files and repair payloads. At p = 257 every value but
+256 fits a byte, so a body is a layout tag, then (tag ESCAPED) the <I>
+count and the strictly increasing <I> positions of the escapes, the symbols
+equal to 256 (where the second byte plane is nonzero), and one low byte per
+symbol, taken by one byte-plane copy: about 1.01 bytes per symbol of coded
+data. Where the escapes would make it longer than two bytes per symbol
+(more than about a quarter of the symbols), the body is tag FIXED and two
+bytes per symbol. The decoder accepts exactly the bytes the encoder writes,
+so each content has one body, and an escaped body needs no range pass (a
+low byte is below 256, an escape is 256). Every other p keeps
+:func:`element_width` little-endian bytes per symbol, with no tag.
 
 Reduction. At p = 257 with 4-byte slots (every product over GF(257) with
 K <= 65535 rows, that is, the CLI default for n <= 256) an output window of
@@ -136,7 +149,8 @@ def next_prime_at_least(n: int) -> int:
 
 
 def element_width(p: int) -> int:
-    """Bytes needed to serialize one canonical element of GF(p); FieldTooLarge from p = 2**64 (:func:`symbol_typecode`)."""
+    """Bytes of one canonical element of GF(p) in a fixed-width body (GF(257)'s FIXED layout included); FieldTooLarge
+    from p = 2**64 (:func:`symbol_typecode`)."""
     symbol_typecode(p)
     return (p.bit_length() + 7) // 8
 
@@ -437,15 +451,26 @@ def reduced(values, p: int) -> array:
     return array(symbol_typecode(p), [v % p for v in values])
 
 
+ESCAPED, FIXED = 1, 2  # layout tags of a GF(257) body: its bytes per symbol, escapes aside
+
+
+def _escapes_fit(escapes: int, count: int) -> bool:
+    """Whether a GF(257) body of *count* symbols, *escapes* of them 256, takes the escaped layout: its 4-byte count,
+    4-byte positions and *count* low bytes make it no longer than the fixed layout's 2 * count bytes."""
+    return 4 + 4 * escapes <= count
+
+
 def pack_symbols(values, p: int) -> bytes:
-    """Little-endian bytes of GF(p) symbols, element_width(p) each; ValueError outside [0, p), FieldTooLarge from
+    """The body of GF(p) symbols (see "Symbol codec" above): ValueError outside [0, p), FieldTooLarge from
     p = 2**64.
 
     The symbols are packed as items of :func:`symbol_typecode` (an array of
     that item size is its own buffer, any other sequence is converted once
-    in C), the range check runs word-parallel on those bytes, and
-    byte-plane slice copies then narrow each item to element_width(p)
-    bytes.
+    in C) and range-checked word-parallel on those bytes. Byte-plane slice
+    copies then narrow each item to element_width(p) bytes or, at p = 257,
+    take its low byte; the second byte plane, 1 exactly at the escapes,
+    gives their count and, where ESCAPED is no longer (:func:`_escapes_fit`),
+    their positions by C-level searches.
     """
     width, size = element_width(p), array(symbol_typecode(p)).itemsize
     if not isinstance(values, (array, list, tuple)):  # array() would read bytes-like input as machine words
@@ -456,22 +481,65 @@ def pack_symbols(values, p: int) -> bytes:
         raise ValueError("symbol out of field range") from None
     if not _in_range(blob, size, p):
         raise ValueError("symbol out of field range")
-    return _narrowed(bytes(blob), size, width)
+    raw = bytes(blob)
+    if p != 257:
+        return _narrowed(raw, size, width)
+    high = raw[1::size]  # 1 exactly at the symbols equal to 256
+    escapes = high.count(1)
+    if not _escapes_fit(escapes, len(high)):
+        return bytes((FIXED,)) + _narrowed(raw, size, 2)
+    positions, at = [], high.find(1)
+    while at >= 0:
+        positions.append(at)
+        at = high.find(1, at + 1)
+    return b"".join((bytes((ESCAPED,)), escapes.to_bytes(4, "little"), _encode(positions, 4), raw[::size]))
 
 
 def unpack_symbols(blob, p: int) -> array:
-    """Inverse of :func:`pack_symbols`, one array of :func:`symbol_typecode`; ValueError on a symbol outside
-    [0, p) or a partial one, FieldTooLarge from p = 2**64.
+    """Inverse of :func:`pack_symbols`, one array of :func:`symbol_typecode`; ValueError on any body that
+    pack_symbols does not write (a symbol outside [0, p), a partial one, or at p = 257 a malformed or
+    non-canonical layout), FieldTooLarge from p = 2**64.
 
     The range check runs word-parallel on the blob, before byte-plane slice
-    copies widen it to the array's item size (:func:`widen`).
+    copies widen it to the array's item size (:func:`widen`). An ESCAPED
+    body needs no range check: a low byte is below 256 and an escape is 256.
     """
     width, code = element_width(p), symbol_typecode(p)
+    if p == 257:
+        if not blob:
+            raise ValueError("malformed symbol layout: no layout tag")
+        tag, blob = blob[0], bytes(blob[1:])  # bytes count and search; a memoryview does neither
+        if tag == ESCAPED:
+            return _unescaped(blob, code)
+        if tag != FIXED:
+            raise ValueError(f"malformed symbol layout: unknown tag {tag}")
     if len(blob) % width:
-        raise ValueError(f"symbol out of field range: {len(blob)} bytes is not a whole number of {width}-byte symbols")
+        raise ValueError(f"symbol out of field range: body length {len(blob)} is not a whole number of {width}-byte symbols")
     if not _in_range(blob, width, p):
         raise ValueError("symbol out of field range")
+    if p == 257 and _escapes_fit(blob[1::2].count(1), len(blob) // 2):
+        raise ValueError("malformed symbol layout: fixed width where the escaped layout is shorter")
     return widen(blob, width, code)
+
+
+def _unescaped(blob, code: str) -> array:
+    """The symbols of an ESCAPED GF(257) body after its tag (see :func:`pack_symbols`); ValueError unless the
+    escapes' count fits the length, their positions rise strictly below the symbol count and their low bytes are 0."""
+    escapes = int.from_bytes(blob[:4], "little")
+    start = 4 + 4 * escapes
+    count = len(blob) - start
+    if len(blob) < 4 or count < 0 or not _escapes_fit(escapes, count):
+        raise ValueError(f"malformed symbol layout: {len(blob)} bytes after the tag do not hold {escapes} escapes and their symbols")
+    positions = widen(blob[4:start], 4, code)
+    if list(positions) != sorted(set(positions)) or positions and positions[-1] >= count:
+        raise ValueError(f"malformed symbol layout: escape positions not strictly increasing below {count}")
+    low = blob[start:]
+    if any(low[i] for i in positions):
+        raise ValueError("malformed symbol layout: nonzero low byte at an escape")
+    symbols = widen(low, 1, code)
+    for i in positions:
+        symbols[i] = 256
+    return symbols
 
 
 class Field:

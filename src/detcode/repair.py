@@ -48,15 +48,21 @@ inverse; the readout's label-major sums are put back in stripe order by
 :func:`gather`. Every weight depends only on the failure and helper
 tuples, so stripe data is never copied into a Matrix.
 
-Wire format of a payload, version 3, all integers little-endian::
+Wire format of a payload, version 4, all integers little-endian::
 
-    <B version=3> <B m> <B e> <e x H failed ids> <H helper> <I count>
-    followed by count symbols of element_width(p) bytes each
+    <B version=4> <B m> <B e> <e x H failed ids> <H helper> <I count>
+    followed by the count symbols' body (:func:`detcode.field.pack_symbols`):
+      at p = 257  <B tag=1> <I escapes> <escapes x I positions> <count x B low bytes>
+               or <B tag=2> <count x H symbols>   (only where tag 1 is longer)
+      otherwise   count symbols of ceil(bits(p) / 8) bytes each
 
 One payload carries a helper's symbols for every stripe under one header,
-stripe after stripe, so count is a multiple of rank(compress). Pivot
-columns are not sent: both ends derive them from the public repair matrix
-of (failed ids, m). Symbols are packed by :func:`detcode.field.pack_symbols`.
+stripe after stripe, so count is a multiple of rank(compress). The
+positions are those of the symbols equal to 256, strictly increasing, so a
+GF(257) payload costs about 1 + 4/257 bytes per symbol. The body is decoded
+first and its symbol count compared with count; version 3 (2-byte GF(257)
+symbols) is refused. Pivot columns are not sent: both ends derive them
+from the public repair matrix of (failed ids, m).
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ from functools import lru_cache, update_wrapper
 from threading import Lock
 
 from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, derive_params, incidence_terms, recover_weights  # OverlapError re-exported
-from .field import Matrix, batch_product, combine_rows, element_width, pack_symbols, symbol_array, unpack_symbols
+from .field import Matrix, batch_product, combine_rows, pack_symbols, symbol_array, unpack_symbols
 from .subsets import binom, incidence
 
 
@@ -113,7 +119,7 @@ def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int) -> tup
     return xi.submatrix(range(xi.rows), pivots), expand
 
 
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 _WIRE_HEAD = struct.Struct("<BBB")  # version, mode, failure count
 _WIRE_TAIL = struct.Struct("<HI")  # helper id, symbol count
 
@@ -161,10 +167,10 @@ class RepairPayload:
             raise ValueError(f"truncated payload header: {exc}") from exc
         if not (m and e):  # nothing to repair: refused here, not deep in decode
             raise ValueError(f"payload {'mode m' if not m else 'failure count e'} must be at least 1, got 0")
-        offset += _WIRE_TAIL.size
-        if len(blob) != offset + count * element_width(p):
-            raise ValueError("payload length does not match symbol count")
-        return cls(failed, helper, m, unpack_symbols(blob[offset:], p))
+        symbols = unpack_symbols(blob[offset + _WIRE_TAIL.size :], p)
+        if len(symbols) != count:
+            raise ValueError(f"payload length holds {len(symbols)} symbols, not the header's count {count}")
+        return cls(failed, helper, m, symbols)
 
 
 def helper_payload(h_content: StripeBatch, helper: int, failed, encoder: EncoderMatrix, m: int) -> RepairPayload:

@@ -1,6 +1,7 @@
 """Independent oracles used to compute expected values, kept free of the
 elimination code they cross-check."""
 
+import struct
 from itertools import combinations
 
 from detcode.field import DimensionMismatch, Matrix
@@ -90,3 +91,20 @@ def reduced_scalar(values, p) -> list[int]:
 def first_nonzero_scalar(terms, p):
     """The index of the first entry whose signed sum is nonzero mod p, or None."""
     return next((t for t, v in enumerate(signed_sums_scalar(terms, p)) if v), None)
+
+
+def symbol_body_spec(values, p) -> bytes:
+    """The symbol body of canonical *values* over GF(p), written from the format spec one symbol at a time.
+
+    Away from p = 257: each symbol in ceil(bits(p) / 8) little-endian bytes. At p = 257: tag 1, the <I> count of
+    symbols equal to 256, their sorted <I> positions, then one low byte per symbol; or, where that is longer than two
+    bytes per symbol, tag 2 and two little-endian bytes per symbol.
+    """
+    width = (p.bit_length() + 7) // 8
+    fixed = b"".join(v.to_bytes(width, "little") for v in values)
+    if p != 257:
+        return fixed
+    positions = [i for i, v in enumerate(values) if v == 256]
+    if 5 + 4 * len(positions) + len(values) > 1 + 2 * len(values):
+        return b"\x02" + fixed
+    return b"\x01" + struct.pack(f"<{1 + len(positions)}I", len(positions), *positions) + bytes(v % 256 for v in values)

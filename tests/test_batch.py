@@ -11,6 +11,7 @@ from detcode import Cluster, CodeConfig, Field, Matrix, ShardFile, StripeBatch, 
 from detcode.cluster import SHARD_MAGIC, SHARD_VERSION
 from detcode.field import combine_rows
 from detcode.multirepair import joint_bandwidth
+from oracles import symbol_body_spec
 
 
 def _stripe_counts(d: int, m: int, e: int):
@@ -37,12 +38,12 @@ def test_batch_round_trips_through_shards_get_and_every_repair(tmp_path_factory,
         assert len(batch) == stripes and len(batch.symbols) == stripes * config.alpha
         assert list(batch) == [batch.symbols[s * config.alpha : (s + 1) * config.alpha] for s in range(stripes)]
 
-    # shard bytes: the v1 header, then every stripe's alpha symbols, 2 bytes little-endian each
+    # shard bytes: the v2 header, then every stripe's alpha symbols in the GF(257) body layout, from its spec
     directory = tmp_path_factory.mktemp("batch")
     write_all_shards(directory, cluster)
     for node, batch in encoded.items():
         header = struct.pack("<4sBQHHBHQQ", SHARD_MAGIC, SHARD_VERSION, 257, 8, 4, m, node, stripes, len(blob))
-        body = b"".join(v.to_bytes(2, "little") for s in range(stripes) for v in batch[s])
+        body = symbol_body_spec([v for s in range(stripes) for v in batch[s]], 257)
         assert shard_path(directory, node).read_bytes() == header + body
         assert read_shard(shard_path(directory, node)).stripes == batch
 

@@ -154,7 +154,7 @@ def test_recover_without_nodes_is_checked_against_the_next_node(tmp_path):
     path = shard_path(shards, 1)
     shard = read_shard(path)
     blob = bytearray(path.read_bytes())
-    blob[len(blob) - 2 * len(shard.stripes.symbols)] ^= 1  # low bit of the first body byte (2-byte symbols)
+    blob[len(blob) - len(shard.stripes.symbols)] ^= 1  # low bit of the first symbol's low byte (escaped layout)
     path.write_bytes(bytes(blob))
     result = runner.invoke(main, ["recover", "--shards", str(shards), "--output", str(tmp_path / "bad.bin")])
     assert result.exit_code == 1
@@ -181,7 +181,7 @@ def test_reads_without_a_spare_shard_say_they_are_not_cross_checked(tmp_path):
         if flip:
             path = shard_path(shards, 1)
             blob = bytearray(path.read_bytes())
-            blob[len(blob) - 2 * len(read_shard(path).stripes.symbols)] ^= 1  # low bit of the first symbol
+            blob[len(blob) - len(read_shard(path).stripes.symbols)] ^= 1  # low bit of the first symbol's low byte
             path.write_bytes(bytes(blob))
         result = runner.invoke(main, ["recover", "--shards", str(shards), "--output", str(out)])
         assert result.exit_code == 0, result.output

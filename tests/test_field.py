@@ -42,6 +42,7 @@ from oracles import (
     matmul_scalar,
     reduced_scalar,
     signed_sums_scalar,
+    symbol_body_spec,
     vec_mat,
 )
 
@@ -73,7 +74,7 @@ def test_field_refuses_a_modulus_of_two_to_the_64_or_more(p):
 def test_every_entry_of_a_bare_modulus_refuses_two_to_the_64_or_more(p):
     """No entry that takes p itself returns a result over such a modulus. Unchecked, unpack_symbols would read the
     72 bytes of eight 9-byte symbols as nine 8-byte items."""
-    body = RepairPayload((3,), 1, 2, [0] * 8).to_bytes(257)[:-16] + bytes(72)  # a valid header for eight symbols
+    body = RepairPayload((3,), 1, 2, [0] * 8).to_bytes(13)[:-8] + bytes(72)  # a valid v4 header for eight symbols
     calls = [
         lambda: unpack_symbols(bytes(72), p),
         lambda: pack_symbols([0], p),
@@ -316,11 +317,12 @@ def test_product_of_full_entries(p, shape):
 
 @pytest.mark.parametrize("p, width", [(13, 1), (257, 2), (65537, 3), (2**31 - 1, 4), (2**61 - 1, 8)])
 def test_symbol_codec_round_trip(p, width):
-    """Every width writes little-endian and checks the range."""
+    """Every width writes little-endian and checks the range; at p = 257 the one 256 of four symbols makes the
+    escaped layout longer, so the body is the fixed one: tag 2, then two bytes per symbol."""
     values = [0, 1, p - 1, p // 2]
     blob = pack_symbols(values, p)
     assert element_width(p) == width
-    assert blob == b"".join(v.to_bytes(width, "little") for v in values)
+    assert blob == symbol_body_spec(values, p) == (b"\x02" if p == 257 else b"") + b"".join(v.to_bytes(width, "little") for v in values)
     assert list(unpack_symbols(blob, p)) == values
     with pytest.raises(ValueError, match="symbol out of field range"):
         pack_symbols(values + [p], p)
@@ -495,15 +497,15 @@ def test_symbol_codec_rejects_exactly_the_symbols_outside_the_field(data):
     values = entry_lists(data.draw, p, {width, 4}, data.draw(st.integers(0, 12)))
     in_field = all(0 <= v < p for v in values)
     if in_field:
-        assert pack_symbols(values, p) == b"".join(v.to_bytes(width, "little") for v in values)
+        assert pack_symbols(values, p) == symbol_body_spec(values, p)
     else:
         with pytest.raises(ValueError, match=exact_message("symbol out of field range")):
             pack_symbols(values, p)
     stored = [v for v in values if 0 <= v < 1 << 8 * width]  # what a blob can hold
-    blob = b"".join(v.to_bytes(width, "little") for v in stored)
     if all(v < p for v in stored):
-        assert list(unpack_symbols(blob, p)) == stored
-    else:
+        assert list(unpack_symbols(symbol_body_spec(stored, p), p)) == stored
+    else:  # at p = 257 such symbols fit only the fixed layout, tag 2
+        blob = (b"\x02" if p == 257 else b"") + b"".join(v.to_bytes(width, "little") for v in stored)
         with pytest.raises(ValueError, match=exact_message("symbol out of field range")):
             unpack_symbols(blob, p)
 
@@ -514,8 +516,9 @@ def test_pack_symbols_never_narrows_an_out_of_range_symbol(p):
     for bad in (p, 1 << 8 * element_width(p), 2**16 + 5):
         with pytest.raises(ValueError, match=exact_message("symbol out of field range")):
             pack_symbols([0, bad, 1], p)
+    tag = b"\x02" if p == 257 else b""  # p itself in the fixed layout of GF(257)
     with pytest.raises(ValueError, match=exact_message("symbol out of field range")):
-        unpack_symbols(p.to_bytes(element_width(p), "little"), p)
+        unpack_symbols(tag + p.to_bytes(element_width(p), "little"), p)
 
 
 @st.composite

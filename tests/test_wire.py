@@ -26,18 +26,21 @@ from detcode.subsets import binom
 from detcode.code import CodeConfig, StripeBatch, build_message_matrix, encode
 from detcode.field import pack_symbols, unpack_symbols
 from detcode.repair import RepairPayload, decompress_payload, helper_payload
+from oracles import symbol_body_spec
 
 
-# Payload v3: <B version=3><B m><B e><e x H failed><H helper><I count>, then
-# count little-endian symbols of element_width(p) bytes (1 byte for p = 13),
-# stripe after stripe.
+# Payload v4: <B version=4><B m><B e><e x H failed><H helper><I count>, then
+# the count symbols, stripe after stripe, as the symbol body of pack_symbols:
+# little-endian symbols of element_width(p) bytes (1 byte for p = 13), or at
+# p = 257 a layout tag, then escapes and low bytes (tag 1) or 2-byte symbols
+# (tag 2).
 
 
 def test_single_payload_layout(encoder8, contents8):
     payload = helper_payload(contents8[1], 2, (5,), encoder8, 2)
     assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=array("I", (1, 9, 7)))
     assert payload.to_bytes(13) == bytes.fromhex(
-        "03 02 01" "05 00" "02 00" "03 00 00 00" "01 09 07"
+        "04 02 01" "05 00" "02 00" "03 00 00 00" "01 09 07"
     )
 
 
@@ -45,14 +48,16 @@ def test_joint_payload_layout(encoder8, contents8):
     payload = helper_payload(contents8[0], 1, (5, 6), encoder8, 2)
     assert payload == RepairPayload(failed=(5, 6), helper=1, m=2, symbols=array("I", (5, 0, 8, 1, 1)))
     assert payload.to_bytes(13) == bytes.fromhex(
-        "03 02 02" "05 00 06 00" "01 00" "05 00 00 00" "05 00 08 01 01"
+        "04 02 02" "05 00 06 00" "01 00" "05 00 00 00" "05 00 08 01 01"
     )
 
 
 def test_two_byte_payload_symbols_little_endian():
+    """One 256 in two symbols: escaping it would cost more than two bytes per symbol, so the body is tag 2 and
+    2-byte little-endian symbols."""
     payload = RepairPayload(failed=(5, 6), helper=3, m=2, symbols=(256, 1))
     assert payload.to_bytes(257) == bytes.fromhex(
-        "03 02 02" "05 00 06 00" "03 00" "02 00 00 00" "00 01 01 00"
+        "04 02 02" "05 00 06 00" "03 00" "02 00 00 00" "02" "00 01 01 00"
     )
 
 
@@ -62,7 +67,7 @@ def test_two_stripe_payload_layout(gf13, encoder8, message8):
     payload = helper_payload(encode(encoder8, message)[1], 2, (5,), encoder8, 2)
     assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=array("I", (1, 9, 7, 12, 10, 9)))
     assert payload.to_bytes(13) == bytes.fromhex(
-        "03 02 01" "05 00" "02 00" "06 00 00 00" "01 09 07" "0c 0a 09"
+        "04 02 01" "05 00" "02 00" "06 00 00 00" "01 09 07" "0c 0a 09"
     )
 
 
@@ -77,6 +82,14 @@ def test_v2_payload_rejected_as_unsupported_version():
     v2 = bytes.fromhex("02 02 01" "05 00" "02 00" "03 00" "01 09 07")
     with pytest.raises(ValueError, match="unsupported payload version 2"):
         RepairPayload.from_bytes(v2, 13)
+
+
+@pytest.mark.parametrize("p, body", [(13, "01 09 07"), (257, "01 00 01 09 00 07 00")])
+def test_v3_payload_rejected_as_unsupported_version(p, body):
+    """Version 3 held 2-byte GF(257) symbols with no layout tag; no reader of it is kept."""
+    v3 = bytes.fromhex("03 02 01" "05 00" "02 00" "03 00 00 00" + body)
+    with pytest.raises(ValueError, match="unsupported payload version 3"):
+        RepairPayload.from_bytes(v3, p)
 
 
 def test_single_payload_roundtrip(encoder8, contents8):
@@ -184,9 +197,10 @@ def test_payload_parse_round_trips_or_raises_value_error(blob):
 @pytest.mark.parametrize(
     "field, blob, payload",
     [
-        ("mode m", "03 00 01" "05 00" "01 00" "00 00 00 00", RepairPayload((5,), 1, 0, ())),
-        ("failure count e", "03 02 00" "01 00" "00 00 00 00", RepairPayload((), 1, 2, ())),
+        ("mode m", "04 00 01" "05 00" "01 00" "00 00 00 00" "02", RepairPayload((5,), 1, 0, ())),
+        ("failure count e", "04 02 00" "01 00" "00 00 00 00" "02", RepairPayload((), 1, 2, ())),
     ],
+    ids=["mode-m", "failure-count-e"],
 )
 def test_zero_mode_or_failure_count_is_rejected_at_the_wire(field, blob, payload):
     """Such payloads once parsed and failed deep in decode with unrelated messages."""
@@ -202,17 +216,18 @@ def test_symbol_codec_round_trips_and_rejects_out_of_range(p, data):
     width = (p.bit_length() + 7) // 8
     values = data.draw(st.lists(st.integers(0, p - 1), max_size=8))
     blob = pack_symbols(values, p)
-    assert blob == b"".join(v.to_bytes(width, "little") for v in values)
+    assert blob == symbol_body_spec(values, p)
     assert list(unpack_symbols(blob, p)) == values
     bad = data.draw(st.one_of(st.integers(max_value=-1), st.integers(p, 256**width - 1)))
     with pytest.raises(ValueError, match="symbol out of field range"):
         pack_symbols(values + [bad], p)
+    fixed = (b"\x02" if p == 257 else b"") + b"".join(v.to_bytes(width, "little") for v in values)  # GF(257)'s tag 2
     if bad >= 0:
         with pytest.raises(ValueError, match="symbol out of field range"):
-            unpack_symbols(blob + bad.to_bytes(width, "little"), p)
+            unpack_symbols(fixed + bad.to_bytes(width, "little"), p)
     if width > 1:
         with pytest.raises(ValueError, match="symbol out of field range"):
-            unpack_symbols(blob + bytes(width - 1), p)
+            unpack_symbols(fixed + bytes(width - 1), p)
 
 
 def test_three_byte_symbols_little_endian():
@@ -221,6 +236,7 @@ def test_three_byte_symbols_little_endian():
 
 
 def test_two_byte_symbols_little_endian(tmp_path):
+    """One 256 in six symbols: the body is tag 2, then 2-byte little-endian symbols."""
     config = CodeConfig(n=8, d=4, m=2, p=257)
     stripes = StripeBatch([256] + [0] * 5, 6)
     path = shard_path(tmp_path, 3)
@@ -231,7 +247,7 @@ def test_two_byte_symbols_little_endian(tmp_path):
     assert magic == SHARD_MAGIC
     assert version == SHARD_VERSION
     assert (p, n, d, m, node_id, stripe_count, original_len) == (257, 8, 4, 2, 3, 1, 1)
-    assert blob[header.size : header.size + 2] == (256).to_bytes(2, "little")
+    assert blob[header.size :] == b"\x02" + (256).to_bytes(2, "little") + bytes(10)
     shard = read_shard(path)
     assert shard.stripes == StripeBatch([256, 0, 0, 0, 0, 0], 6)
     assert shard.node_id == 3
@@ -240,9 +256,10 @@ def test_two_byte_symbols_little_endian(tmp_path):
 @pytest.mark.parametrize(
     "n, d, m, digest",
     [
-        (8, 4, 2, "de0581fe4e9839450a7b77402c03226f044a967d43c472d77b2d7ffa6f45c6c1"),
-        (12, 6, 3, "f9945e9b18803cc53c6b024425be8c571bb72f859da8764316f3240815a51ddb"),
+        (8, 4, 2, "79ae28357dba2783c31d42c64a11b9c5ccf0ec0de2dae372816565fc90d25f0f"),
+        (12, 6, 3, "b322276319a7afd6cbf298b5f3ad535a7b1a6eff84de2f9c4f17ed7d6338d201"),
     ],
+    ids=["8-4-2", "12-6-3"],
 )
 def test_shard_directory_bytes_pinned(tmp_path, n, d, m, digest):
     """Every shard of a seeded 64 KiB file over GF(257), byte for byte: sha256 of names and contents in name order."""
@@ -272,14 +289,24 @@ def test_shard_rejects_truncation(tmp_path):
 
 
 def test_shard_rejects_out_of_field_symbol(tmp_path):
+    """A symbol of 257 or more in either GF(257) layout: 0xFFFF in the fixed one (one 256 in six symbols), a
+    nonzero low byte under an escape (256 + 255) in the escaped one (one 256 in twelve)."""
     config = CodeConfig(n=8, d=4, m=2, p=257)
     path = shard_path(tmp_path, 1)
-    write_shard(path, config, 1, StripeBatch([1, 2, 3, 4, 5, 6], 6), original_len=6)
+    write_shard(path, config, 1, StripeBatch([1, 2, 3, 4, 5, 256], 6), original_len=None)
     blob = bytearray(path.read_bytes())
+    assert blob[_SHARD_HEADER.size] == 2
     blob[-1] = 0xFF  # makes the last 2-byte symbol >= 257
     blob[-2] = 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises(ShardFormatError):
+    with pytest.raises(ShardFormatError, match="symbol out of field range"):
+        read_shard(path)
+    write_shard(path, config, 1, StripeBatch([1, 2, 3, 4, 5, 6, 7, 8, 256, 9, 10, 11], 6), original_len=None)
+    blob = bytearray(path.read_bytes())
+    assert blob[_SHARD_HEADER.size :][:9] == bytes.fromhex("01" "01 00 00 00" "08 00 00 00")
+    blob[-4] = 0xFF  # the low byte of the escaped symbol 8
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ShardFormatError, match="nonzero low byte at an escape"):
         read_shard(path)
     with pytest.raises(ValueError, match="symbol out of field range"):
         write_shard(path, config, 1, StripeBatch([1, 2, 3, 4, 5, 257], 6), original_len=6)
@@ -333,7 +360,7 @@ def test_shard_file_records_none_as_zero():
     assert ShardFile(config, 1, 0, StripeBatch([], 6)).original_len == 0
     with pytest.raises(ValueError, match="not a byte file needs at least one stripe"):
         ShardFile(config, 1, None, StripeBatch([], 6))
-    assert ShardFile(config, 1, None, StripeBatch([1, 2, 3, 4, 5, 6], 6)).to_bytes()[-20:-12] == bytes(8)
+    assert ShardFile(config, 1, None, StripeBatch([1, 2, 3, 4, 5, 6], 6)).to_bytes()[28:36] == bytes(8)  # the length field
 
 
 @st.composite
@@ -398,10 +425,17 @@ def _shard_blobs(draw):
     width, count = element_width(p), stripes * binom(d, m)
     if count > 32 or draw(st.booleans()):
         return header + draw(st.binary(max_size=64))
-    symbols = draw(st.lists(st.integers(0, max(p - 1, 0)), min_size=count, max_size=count))
+    symbols = draw(st.lists(st.integers(0, max(p - 1, 0)) | st.just(max(p - 1, 0)), min_size=count, max_size=count))
     if symbols and draw(st.booleans()):  # one symbol anywhere in its width, in the field or not
         symbols[draw(st.integers(0, count - 1))] = draw(st.integers(0, 256**width - 1))
-    return header + b"".join(v.to_bytes(width, "little") for v in symbols)
+    if all(v < p for v in symbols):
+        body = symbol_body_spec(symbols, p)
+    else:  # only a fixed-width body holds it: GF(257)'s tag 2
+        body = (b"\x02" if p == 257 else b"") + b"".join(v.to_bytes(width, "little") for v in symbols)
+    if body and draw(st.booleans()):  # one body byte set anew: a tag, an escape count or position, a low byte
+        body = bytearray(body)
+        body[draw(st.integers(0, len(body) - 1))] = draw(st.integers(0, 0xFF))
+    return header + bytes(body)
 
 
 @settings(max_examples=300, deadline=None)
@@ -423,39 +457,39 @@ def test_read_shard_raises_only_shard_format_error(tmp_path_factory, blob):
 # then one joint payload's to_bytes: helper d + 1 to failed nodes (1, 2) of the 900-byte file.
 GOLDEN_SHARDS = {
     (8, 4, 1): (
-        "b2d094e11633c1c0b34dc0e9a277f1b20b1b94c05f4ea124d040a3566fd53342",
-        "9097e41c077b9b8cb7364e9d80e90c9d3087cf310b64201ec6a6432906b9dcdd",
-        "4759941ddf140d6faf140842726ec760e2e6f9684bafe6b33279d22bea3c4cf4",
-        "1df188ed314fad7198d8e0c6ab9a606d3f5df20eece95d6a2e51d5e3eeb2c706",
-        "23566a6b00b9f7079fb6dcbb2700f37b6f572b278236ce65320170bba663fd66",
+        "f97bea44097897489d2be5b45b3cef10d7dea4f75c56426921ef4834adfc5e4a",
+        "938e7690c4dd38a74a850aa2a9a1b6eb4c58f2cf720fe74f3d676c95aadae705",
+        "2b096ed9f5586c1d4ef0facbdf8e1ce7771cec1b20092cea05edfc51dbad71ec",
+        "2018a4d7bf762dae964d8140971f9707b124d97d6d769a11cea7e2ee9a3265a6",
+        "28318d33cd41859be2659360fa9fd7af422f96dd9ec8e00c491d91762f50af20",
     ),
     (8, 4, 2): (
-        "c656b83b2e8087cc10515fbc619d14fa228efce7557334d5bb26b7de747ec06e",
-        "f69276d38cf10a3ca609d2e5a5910f8079598bbf41b1665a6dee9ac4d5644e17",
-        "409ea82637a12d93f5378f4603666b7c6411fd133e67f8466e59dc4f50e2a38d",
-        "60de4aefe13a863df86ff801986fe21bdfcce5c65d99f004bd2e22535789d765",
-        "2431ed0f992acfd9de85f7420429e1e5f567dc5dec27589837a0427d51ba0e7c",
+        "978b797907ec7fd665f1027d77cf1b87a3de0c1b3e5cd988f1f974e27342e7ac",
+        "52e49091e843891f7f25a5c8a54051031e532a34e99f6bfda09e72011f80f2fb",
+        "b37a861df3c3cc66f089b1458af0d5ee12f0cdc558816bdaac270104ccc3015d",
+        "52f76a3169f1352fed7cdc73896d59e88f89b1308058363b3925d0aac27c8f45",
+        "c59e1d1ddde1f94e812a1fe381b27fcf2dd599c2efdc8f077a59b3f7736ef726",
     ),
     (8, 4, 4): (
-        "a174bdf23ec363fd789e2252b602b8437bb410aa59f313ce6bbbed4ae15e47fc",
-        "f56ab5a9862494f1545b1dd4a7367495640189f73807ab09134a676141d13ffb",
-        "c902fbdf3c8dc48034c70662bf7b763845b2a9c68ccef872423b1278c4b87616",
-        "07c797871f878e1640f3236da69ad57ee789cdd4bb47c817119b872adc6138fd",
-        "97861e398b91ac004d1715ca352a6fa64d0de527a7de68649569b78a19dcd393",
+        "1cd464ee6fbab6401123adafc3b69f9447eeb6c2003dcc43756cf19f84197e50",
+        "803de69e55e61ec2f09271c56f586944db7ef1798a1018f06b8df43e1af59f7e",
+        "caf1a39ce82e9f2c3f9c93b1c1fbb9be81fea7c87ae3b1ec4c7deed459459e73",
+        "e65cabfa5046fbf28bc9da9af64a29e956b8af694dfb455f781f9ede99f702c7",
+        "a9adba2156f40f0e2603844661d07befffe9345652915cffc9d3c68335ed8222",
     ),
     (12, 6, 3): (
-        "0ae1fc8a2e1491851cc837123cfcdbaebc926b40d954047d8ee461aea8bcccca",
-        "09de290bc4f563b0035f86bff58241a5fee6c23c180e8fd8fb7f91f145efaee1",
-        "ddc988c91e64e64c08a942d5e3c9d4e35a4945b168988fee6dd07770b2f22953",
-        "8cc922a5b03917ebee271b6e111d15e85f7d92669387afc91f1b0235c19c7604",
-        "dee8da6158d061354c5752f2ee0d6a4ce64f35bf7ad584e28bf1e546492899ed",
+        "2c5d2f5cfcd3595c0311033b2651a7f41499d520cead852eed343b8e1a24632d",
+        "2fb1ef5c21d89f25c68196617c694201a9aa0f0fb7b736961503610a2eb5e790",
+        "939d3ca3ecd0ac7d92667a5b3816b8fb154fb69050772afffac494a725211800",
+        "aa839c700b7b52116c1b31c0e447c459c26688ab7189bca93e33997f4341c292",
+        "3957ffec8860b34c18607d9f90fc7e297cfe879b1381ab2bc252bc796fec066f",
     ),
     (16, 10, 3): (
-        "1b5e8beebe79bb7996314dbc7ae1019775ac528c05f3dc875ff2b0c48b024914",
-        "a251909fcece735c5389bc3988ee0e12ab38a8422286de1a0671f2c86a09ec56",
-        "1397e5f181807170017ed39e3a47e7a5499c075daa12da80a831314cebe3c655",
-        "d90defa9b8f82c30bc595d92592432a3ea6f3392c6accbf2807175bddd1dfafc",
-        "77d526c3d501a7c5e3f9ee59befe9d61a8166834f9d8f6a312122f9ad6eaf2c4",
+        "b55b4931805967c1ecb3cc20055afee16f7e9dc08dad0164a715b427c2a6cab7",
+        "3c61a3da0d161d7f06731e5eafddbce94dbfbfdc12dca5d1e78fc8595667000f",
+        "6b75140b9951a99290081685c50f72ed9b22895bc3a5010988f66f0c852303a5",
+        "5a0096143687ae47213ba1bf92c46251ce7c1b8559547d9cddc3712533b98552",
+        "33bc448719c9614c50476dfb150b19f4b2befc74d1f72537362fff2c5dc6099d",
     ),
 }
 
@@ -553,3 +587,125 @@ def test_shard_directory_content_pinned(tmp_path, n, d, m, digest):
     data = random.Random(64).randbytes(65536)
     write_all_shards(tmp_path, Cluster.from_file(data, CodeConfig(n=n, d=d, m=m, p=257)))
     assert _content_digest(tmp_path, n) == digest
+
+
+# --- the GF(257) symbol body: escaped (tag 1) or fixed (tag 2), one body per content ---
+
+
+def _escaped(count, positions, low) -> bytes:
+    """A tag-1 body as written by hand: the escape count, the positions and the low bytes, unchecked."""
+    return b"\x01" + struct.pack(f"<{1 + len(positions)}I", count, *positions) + bytes(low)
+
+
+@st.composite
+def _gf257_bodies(draw):
+    """k symbols of which 0, 1, k // 4 or k // 4 + 1 (at most k) are 256, the rest any byte, in drawn places."""
+    k = draw(st.integers(0, 48))
+    escapes = min(k, draw(st.sampled_from([0, 1, k // 4, k // 4 + 1])))
+    places = draw(st.permutations(range(k)))[:escapes]
+    values = draw(st.lists(st.integers(0, 255), min_size=k, max_size=k))
+    for i in places:
+        values[i] = 256
+    return values
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_gf257_bodies())
+def test_gf257_body_round_trips_at_every_escape_count(values):
+    """The body is its spec's, takes the escaped layout exactly where that is no longer than the fixed one, and
+    costs at most one byte over two per symbol."""
+    k, escapes = len(values), values.count(256)
+    blob = pack_symbols(values, 257)
+    assert blob == symbol_body_spec(values, 257)
+    assert blob[0] == (1 if 4 + 4 * escapes <= k else 2)
+    assert len(blob) <= 2 * k + 1
+    assert list(unpack_symbols(blob, 257)) == list(unpack_symbols(memoryview(blob), 257)) == values
+
+
+def test_all_256_bodies_take_the_fixed_layout():
+    for k in range(0, 41):
+        blob = pack_symbols([256] * k, 257)
+        assert blob == b"\x02" + b"\x00\x01" * k and len(blob) == 2 * k + 1
+        assert list(unpack_symbols(blob, 257)) == [256] * k
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    blob=st.binary(max_size=40)
+    | st.builds(
+        lambda values, at, byte: symbol_body_spec(values, 257)[:at] + bytes([byte]) + symbol_body_spec(values, 257)[at + 1 :],
+        _gf257_bodies(),
+        st.integers(0, 60),
+        st.integers(0, 0xFF),
+    )
+)
+def test_gf257_body_accepted_only_as_written(blob):
+    """Any body unpack_symbols accepts is the one pack_symbols writes for its symbols: the encoding is canonical."""
+    try:
+        symbols = unpack_symbols(blob, 257)
+    except ValueError:
+        return
+    assert pack_symbols(symbols, 257) == blob
+
+
+# Twelve symbols, the body of two stripes at (8, 4, 2): the escaped layout fits up to two escapes.
+_TWELVE = [7] * 12
+_REFUSED_BODIES = {
+    "no-tag": (b"", "no layout tag"),
+    "tag-0": (b"\x00" + bytes(12), "unknown tag 0"),
+    "tag-3": (b"\x03" + bytes(24), "unknown tag 3"),
+    "unsorted": (_escaped(2, [5, 3], [0 if i in (3, 5) else 7 for i in range(12)]), "not strictly increasing below 12"),
+    "repeated": (_escaped(2, [3, 3], [0 if i == 3 else 7 for i in range(12)]), "not strictly increasing below 12"),
+    "position-past-k": (_escaped(1, [12], _TWELVE), "not strictly increasing below 12"),
+    "count-past-length": (_escaped(1000, [3], [0 if i == 3 else 7 for i in range(12)]), "do not hold 1000 escapes"),
+    "low-byte-at-escape": (_escaped(1, [3], _TWELVE), "nonzero low byte at an escape"),
+    "fixed-where-escaped-is-shorter": (b"\x02" + b"\x07\x00" * 12, "fixed width where the escaped layout is shorter"),
+    "escaped-where-fixed-is-shorter": (_escaped(3, [0, 1, 2], [0, 0, 0] + [7] * 9), "do not hold 3 escapes"),
+    "two-byte-symbol-257": (b"\x02" + b"\x01\x01" + b"\x00\x01" * 11, "symbol out of field range"),
+    "partial-two-byte-symbol": (b"\x02" + b"\x00\x01" * 11 + b"\x00", "symbol out of field range: body length 23"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED_BODIES))
+def test_gf257_body_refusals(tmp_path, name):
+    """Each body the encoder does not write is refused with ValueError, and read_shard refuses it as a shard body
+    of two stripes with ShardFormatError."""
+    body, message = _REFUSED_BODIES[name]
+    with pytest.raises(ValueError, match=message):
+        unpack_symbols(body, 257)
+    path = shard_path(tmp_path, 1)
+    path.write_bytes(_SHARD_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, 257, 8, 4, 2, 1, 2, 0) + body)
+    with pytest.raises(ShardFormatError, match=message):
+        read_shard(path)
+
+
+def test_v1_shard_refused_as_unsupported_version(tmp_path):
+    """Version 1 held 2-byte GF(257) symbols with no layout tag; no reader of it is kept."""
+    path = shard_path(tmp_path, 1)
+    path.write_bytes(_SHARD_HEADER.pack(SHARD_MAGIC, 1, 257, 8, 4, 2, 1, 1, 0) + b"\x07\x00" * 6)
+    with pytest.raises(ShardFormatError, match="unsupported version 1"):
+        read_shard(path)
+
+
+def test_joint_payload_costs_one_byte_per_symbol_and_its_escapes():
+    """A random 64 KiB file's joint payload at (8, 4, 2): at most 1.02 bytes per symbol past its header, where
+    two bytes per symbol was the cost before the escaped layout."""
+    cluster = Cluster.from_file(random.Random(64).randbytes(65536), CodeConfig(n=8, d=4, m=2, p=257))
+    payload = helper_payload(cluster.contents[3], 3, (1, 2), cluster.encoder, 2)
+    blob, header = payload.to_bytes(257), 3 + 2 * 2 + 6
+    assert blob[header] == 1  # escaped
+    assert len(blob) - header <= 1.02 * len(payload.symbols)
+
+
+def test_escape_count_short_of_its_positions_is_refused_by_the_header_count(tmp_path):
+    """A count one short reads the last position as four more low bytes: a body of other symbols, which only the
+    symbol count in the shard or payload header tells apart."""
+    body = _escaped(0, [3], [0 if i == 3 else 7 for i in range(12)])
+    assert list(unpack_symbols(body, 257)) == [3, 0, 0, 0] + [0 if i == 3 else 7 for i in range(12)]
+    path = shard_path(tmp_path, 1)
+    path.write_bytes(_SHARD_HEADER.pack(SHARD_MAGIC, SHARD_VERSION, 257, 8, 4, 2, 1, 2, 0) + body)
+    with pytest.raises(ShardFormatError, match="body holds 16 symbols, expected 2 stripes of 6"):
+        read_shard(path)
+    payload = RepairPayload((5,), 1, 2, [7] * 12).to_bytes(257)
+    with pytest.raises(ValueError, match="holds 16 symbols, not the header's count 12"):
+        RepairPayload.from_bytes(payload[:11] + body, 257)
