@@ -524,12 +524,15 @@ def unpack_symbols(blob, p: int) -> array:
 
 def _unescaped(blob, code: str) -> array:
     """The symbols of an ESCAPED GF(257) body after its tag (see :func:`pack_symbols`); ValueError unless the
-    escapes' count fits the length, their positions rise strictly below the symbol count and their low bytes are 0."""
+    length holds the escapes' count and positions, the encoder would pick this layout, the positions rise strictly
+    below the symbol count and the low bytes under them are 0."""
     escapes = int.from_bytes(blob[:4], "little")
     start = 4 + 4 * escapes
     count = len(blob) - start
-    if len(blob) < 4 or count < 0 or not _escapes_fit(escapes, count):
-        raise ValueError(f"malformed symbol layout: {len(blob)} bytes after the tag do not hold {escapes} escapes and their symbols")
+    if count < 0:
+        raise ValueError(f"malformed symbol layout: {len(blob)} bytes after the tag do not hold {escapes} escape positions")
+    if not _escapes_fit(escapes, count):
+        raise ValueError(f"malformed symbol layout: escaped where the fixed width is shorter ({escapes} escapes in {count} symbols)")
     positions = widen(blob[4:start], 4, code)
     if list(positions) != sorted(set(positions)) or positions and positions[-1] >= count:
         raise ValueError(f"malformed symbol layout: escape positions not strictly increasing below {count}")

@@ -657,10 +657,11 @@ _REFUSED_BODIES = {
     "unsorted": (_escaped(2, [5, 3], [0 if i in (3, 5) else 7 for i in range(12)]), "not strictly increasing below 12"),
     "repeated": (_escaped(2, [3, 3], [0 if i == 3 else 7 for i in range(12)]), "not strictly increasing below 12"),
     "position-past-k": (_escaped(1, [12], _TWELVE), "not strictly increasing below 12"),
-    "count-past-length": (_escaped(1000, [3], [0 if i == 3 else 7 for i in range(12)]), "do not hold 1000 escapes"),
+    "count-past-length": (_escaped(1000, [3], [0 if i == 3 else 7 for i in range(12)]), "do not hold 1000 escape positions"),
     "low-byte-at-escape": (_escaped(1, [3], _TWELVE), "nonzero low byte at an escape"),
     "fixed-where-escaped-is-shorter": (b"\x02" + b"\x07\x00" * 12, "fixed width where the escaped layout is shorter"),
-    "escaped-where-fixed-is-shorter": (_escaped(3, [0, 1, 2], [0, 0, 0] + [7] * 9), "do not hold 3 escapes"),
+    "truncated-count": (b"\x01\x00\x00", "2 bytes after the tag do not hold 0 escape positions"),
+    "escaped-where-fixed-is-shorter": (_escaped(3, [0, 1, 2], [0, 0, 0] + [7] * 9), "escaped where the fixed width is shorter"),
     "two-byte-symbol-257": (b"\x02" + b"\x01\x01" + b"\x00\x01" * 11, "symbol out of field range"),
     "partial-two-byte-symbol": (b"\x02" + b"\x00\x01" * 11 + b"\x00", "symbol out of field range: body length 23"),
 }
