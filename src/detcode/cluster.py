@@ -9,16 +9,12 @@ generator matrix is a pure function of (n, d, p), so independently written
 shards stay mutually consistent.
 
 A shard file (version 2) is a 36-byte header, then the body: every stripe's
-symbols in the one symbol codec shared with repair payloads
-(:func:`detcode.field.pack_symbols`, :func:`detcode.field.unpack_symbols`).
-At p = 257 the body is a layout tag, then the count and positions of the
-symbols equal to 256 and one low byte per symbol (about 1.01 bytes per
-symbol), or two bytes per symbol where that is shorter; at any other p it
-is the symbols at their fixed width, one array item 4 or 8 bytes in memory.
-The body is decoded first and its symbol count then compared with the
-header's stripes; a version-1 shard (2-byte GF(257) symbols) is refused.
-Writing range-checks the array's bytes word-parallel and narrows them by
-byte-plane slice copies; reading widens them back the same way. A read's
+symbols in the symbol codec that repair payloads share
+(:func:`detcode.field.pack_symbols`, :func:`detcode.field.unpack_symbols`),
+about 1.01 bytes per symbol at p = 257 (one low byte per symbol, plus the
+positions of the symbols equal to 256) and the fixed width at any other p.
+Reading decodes the body, then compares its symbol count with the header's
+stripes; a version-1 shard (2-byte GF(257) symbols) is refused. A read's
 bytes are the low byte plane of the recovered symbols
 (:func:`assemble_file`), never ``bytes()`` of the array, which is its raw
 machine buffer.
