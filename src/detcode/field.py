@@ -9,10 +9,10 @@ the module, since the shard and wire formats are little-endian and an array
 is packed as its own buffer. A long sequence of symbols (a node's content, a
 payload, a kernel output) is one such array: the kernel packs it as its own
 buffer and returns fresh arrays, and the symbol codec widens and narrows it
-by byte-plane slice copies (:func:`widen`, :func:`narrow`), converting no
-symbol one at a time. Two traps: an array never equals a list (compare
-``list(a)``), and ``bytes(a)`` is its raw machine buffer, not one byte per
-symbol. :class:`Matrix` implements exact Gauss-Jordan elimination with a
+by byte-plane slice copies (:func:`widen`), converting no symbol one at a
+time. Two traps: an array never equals a list (compare ``list(a)``), and
+``bytes(a)`` is its raw machine buffer, not one byte per symbol.
+:class:`Matrix` implements exact Gauss-Jordan elimination with a
 deterministic leftmost-pivot rule, so ranks, inverses and pivot-column bases
 are reproducible. All of the package's prime arithmetic (primality, inverses,
 every reduction mod p) is here: other modules hand it plain ints and get
@@ -21,15 +21,16 @@ canonical ones back.
 Every product is one word-parallel kernel with two entries. In
 :func:`combine_rows` K node-major sequences of one length L (message rows,
 node batches, repair vectors) are combined by a K x r weight matrix into r
-output sequences; :func:`batch_product` maps flat stripe batches (a
-helper's batch, a payload) to flat stripe batches, stripe by stripe, so
-no caller splits a batch into columns or zips outputs back. One side is
-packed into one int per row, an entry per fixed-width slot
+output sequences, whatever L and r; :func:`batch_product` maps flat stripe
+batches (a helper's batch, a payload) to flat stripe batches, stripe by
+stripe, so no caller splits a batch into columns or zips outputs back. One
+side is packed into one int per row, an entry per fixed-width slot
 (:func:`slot_width`), so one big-int multiply-add (:func:`_combine`)
-combines a whole window of a row, or a whole stripe by packed weights. The
-long operand is never copied through :class:`Matrix`. A windowed output
-whose weight column is a unit vector (a systematic node's row in encode,
-an identity row of a recover inverse) is a copy of its row.
+combines a whole window of a row or, in a batch of fewer stripes than
+outputs, a whole stripe by packed weights. The long operand is never copied
+through :class:`Matrix`. A windowed output whose weight column is a unit
+vector (a systematic node's row in encode, an identity row of a recover
+inverse) is a copy of its row.
 
 Rows are walked in windows of WINDOW entries (2048, chosen by measurement:
 2048 to 16384 ran within host noise on encode, read and joint repair; the
@@ -53,8 +54,8 @@ low byte is below 256, an escape is 256). Every other p keeps
 :func:`element_width` little-endian bytes per symbol, with no tag.
 
 Reduction. At p = 257 with 4-byte slots (every product over GF(257) with
-K <= 65535 rows, that is, the CLI default for n <= 256) an output window of
-FOLD_MIN or more entries is reduced word-parallel by :func:`_folded`, with no
+K <= 65535 rows, that is, the CLI default for n <= 256) every output window,
+whatever its length, is reduced word-parallel by :func:`_folded`, with no
 Python loop over its entries. A slot holds a sum of K products of entries in
 [0, 257), so at most K * 256**2 < 2**32 (the bound :func:`slot_width` sizes
 the slot by). Since 2**16 = 1 mod 257, adding each slot's high half to its
@@ -62,16 +63,14 @@ low half leaves at most 2**16 - 2 + K; a second such fold (K > 256) leaves at
 most 2**16 - 1. Since 2**8 = -1, low byte + 257 - the rest is then in
 [1, 512], and one masked subtract of 257 where that is 257 or more (bit 9 of
 the slot plus 255) makes every slot canonical. No step carries or borrows
-across a slot. Below FOLD_MIN entries (8: the fold, which fills its array
-straight from the slot bytes, and % p, whose ints are then packed into an
-array, cross at 4 to 8 on CPython 3.11) and at any other prime or slot
-width, each entry is reduced by % p.
+across a slot. At any other prime or slot width each entry is reduced by % p.
 
 The weights are always a :class:`Matrix` of the modulus, checked when built
 and prepared once per orientation (:attr:`Matrix.unit_columns`,
 :attr:`Matrix.packed_rows`), so a cached repair basis or read shares one
 check and one packing. Each entry checks the operands' shapes once and hands
-them to its orientation, which range-checks every operand row and symbol
+them to its orientation (:func:`_windowed`, or :func:`_weight_packed` for
+:func:`batch_product` alone), which range-checks every operand row and symbol
 blob against [0, p) on the int or bytes it packs anyway: two word-parallel
 mask tests per window (:func:`_in_field`), not a Python pass per entry.
 
@@ -239,15 +238,7 @@ def _narrowed(raw: bytes, size: int, width: int) -> bytes:
     return bytes(narrow)
 
 
-def narrow(items: array, width: int) -> bytes:
-    """The low *width* bytes of every item of *items*, little-endian: byte-plane slice copies, no conversion per
-    symbol and no check (an item wider than *width* loses its high bytes). ``bytes(items)`` would instead be the
-    raw machine buffer, itemsize bytes per item."""
-    return _narrowed(items.tobytes(), items.itemsize, width)
-
-
 WINDOW = 2048  # entries per window of the kernel and the symbol codec; bounds every cached mask
-FOLD_MIN = 8  # shortest output window reduced by the GF(257) fold; shorter ones take % p per entry
 
 
 @lru_cache(maxsize=8)
@@ -335,15 +326,13 @@ def combine_rows(rows, weights: "Matrix") -> list[array]:
     columns of X @ weights for the matrix X whose columns are the rows.
     DimensionMismatch for ragged rows or K other than weights.rows;
     ValueError for a row entry outside [0, p), checked word-parallel on the
-    bytes each orientation packs anyway. Rows may be any int sequences; an
-    array whose items are a slot wide is packed as its own buffer, with no
-    conversion per entry. Every output is a fresh array of
-    :func:`symbol_typecode`. With r <= L the rows are packed window by window
-    (:func:`_windowed`); with 0 < L < r entry position j is stripe j of a
-    batch of K one-symbol parts (:func:`_weight_packed`), and each output is
-    a strided slice of that product. Either way every computed output window
-    is reduced once: by :func:`_folded` at p = 257 where it has FOLD_MIN to
-    WINDOW entries, else by % p per entry.
+    bytes it packs anyway. Rows may be any int sequences; an array whose
+    items are a slot wide is packed as its own buffer, with no conversion
+    per entry. Every output is a fresh array of :func:`symbol_typecode`.
+    The rows are packed window by window (:func:`_windowed`) at any L,
+    fewer entries than outputs included, and every computed output window
+    is reduced once: by :func:`_folded` at p = 257 with 4-byte slots, else
+    by % p per entry.
     """
     k = len(rows)
     length = len(rows[0]) if rows else 0
@@ -351,11 +340,7 @@ def combine_rows(rows, weights: "Matrix") -> list[array]:
         raise DimensionMismatch("ragged rows")
     if weights.rows != k:
         raise DimensionMismatch(f"{weights.rows} weight rows for {k} rows")
-    code, r = symbol_typecode(weights.field.p), weights.cols
-    if 0 < length < r:
-        flat = _weight_packed([(row, 1) for row in rows], length, weights, code, 1)[0]
-        return [flat[i::r] for i in range(r)]
-    return _windowed(rows, length, weights, code)
+    return _windowed(rows, length, weights, symbol_typecode(weights.field.p))
 
 
 def batch_product(parts, weights: "Matrix", blocks: int = 1) -> list[array]:
@@ -406,7 +391,7 @@ def _windowed(rows, length: int, weights: "Matrix", code: str) -> list[array]:
         masks = _masks(end - begin, slot, p)
         if not _in_field(packed, masks):
             raise ValueError(f"operand entry out of field range [0, {p})")
-        fold = masks if len(masks) > 3 and end - begin >= FOLD_MIN else None
+        fold = masks if len(masks) > 3 else None
         for i, unit in enumerate(units):
             if unit is None:
                 values = _combine(columns[i], packed, end - begin, k, p, slot, fold)
@@ -424,8 +409,8 @@ def _windowed(rows, length: int, weights: "Matrix", code: str) -> list[array]:
 
 
 def _weight_packed(parts, stripes: int, weights: "Matrix", code: str, blocks: int) -> list[array]:
-    """:func:`batch_product` of S > 0 whole stripes per part, shapes checked by the caller: the parts are range-checked
-    word-parallel on their own buffers (:func:`_in_range`), and stripe s, the slice ``flat[s * w:(s + 1) * w]`` of
+    """:func:`batch_product` (its one caller, which checks shapes) of 0 < S < r whole stripes per part: the parts are
+    range-checked word-parallel on their own buffers (:func:`_in_range`), and stripe s, ``flat[s * w:(s + 1) * w]`` of
     every part, is combined by :attr:`Matrix.packed_rows` (unit columns too) into outputs appended as they come."""
     p, r, k = weights.field.p, weights.cols, weights.rows
     slot, size, width = slot_width(p, k), array(code).itemsize, r // blocks
@@ -436,7 +421,7 @@ def _weight_packed(parts, stripes: int, weights: "Matrix", code: str, blocks: in
     if not in_field:
         raise ValueError(f"operand entry out of field range [0, {p})")
     masks = _masks(r, slot, p) if r <= WINDOW else ()
-    fold, outs = masks if len(masks) > 3 and r >= FOLD_MIN else None, [array(code) for _ in range(blocks)]
+    fold, outs = masks if len(masks) > 3 else None, [array(code) for _ in range(blocks)]
     for s in range(stripes):
         row = [flat[s * w : (s + 1) * w] for flat, w in parts]
         values = _combine(row[0] if len(row) == 1 else chain.from_iterable(row), weights.packed_rows, r, k, p, slot, fold)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from detcode import Cluster, CodeConfig, Field, Matrix, ShardFile, StripeBatch, load_cluster, read_shard, shard_path, write_all_shards
 from detcode.cluster import SHARD_MAGIC, SHARD_VERSION
-from detcode.field import combine_rows
+from detcode.field import batch_product, combine_rows
 from detcode.multirepair import joint_bandwidth
 from oracles import symbol_body_spec
 
@@ -96,13 +96,15 @@ def test_batch_from_a_list_a_shard_and_a_repair_agree(tmp_path, p, code):
 
 
 def test_shard_body_and_kernel_outputs_are_arrays_at_257():
-    """At p = 257 a parsed shard's symbols and every kernel output, in both orientations, are array('I')."""
+    """At p = 257 a parsed shard's symbols and every kernel output, rows or weights packed, are array('I')."""
     config = CodeConfig(n=8, d=4, m=2, p=257)
     blob = ShardFile(config, 1, None, StripeBatch([256, 0, 1, 2, 3, 4], 6)).to_bytes()
     symbols = ShardFile.from_bytes(blob).stripes.symbols
     assert type(symbols) is array and symbols.typecode == "I" and list(symbols) == [256, 0, 1, 2, 3, 4]
     weights = Matrix(Field(257), [[1, 0, 2], [0, 1, 3]])  # two unit columns and a dense one
-    for length in (1, 5):  # fewer entries than outputs (the weights packed), and more (the rows packed)
+    for length in (1, 5):  # fewer entries than outputs, and more
         outputs = combine_rows([[256] * length, [1] * length], weights)
         assert [(type(output), output.typecode) for output in outputs] == [(array, "I")] * 3
         assert [list(output) for output in outputs] == [[256] * length, [1] * length, [(512 + 3) % 257] * length]
+    (packed,) = batch_product([([256, 1], 2)], weights)  # one stripe: the weights packed
+    assert (type(packed), packed.typecode, list(packed)) == (array, "I", [256, 1, (512 + 3) % 257])

@@ -118,6 +118,19 @@ def test_verify_with_fewer_than_d_shards_is_one_error_line(tmp_path):
     assert result.output == "Error: need at least 4 distinct node ids, got [6, 7, 8]\n"
 
 
+def test_verify_with_no_consistent_reference_subset_exits_1(tmp_path):
+    """Symbol 0 of every shard plus 1 mod 257 leaves no rotation of d reference nodes consistent."""
+    runner, _, shards = _encode_fixture(tmp_path, size=4000)
+    for node in range(1, 9):
+        shard = read_shard(shard_path(shards, node))
+        symbols = shard.stripes.symbols[:]
+        symbols[0] = (symbols[0] + 1) % shard.config.p
+        write_shard(shard_path(shards, node), shard.config, node, StripeBatch(symbols, shard.config.alpha), shard.original_len)
+    result = runner.invoke(main, ["verify", "--shards", str(shards)])
+    assert result.exit_code == 1
+    assert result.output == "every reference subset is internally inconsistent\n"
+
+
 def test_repair_after_corruption_restores(tmp_path):
     runner, data, shards = _encode_fixture(tmp_path)
     original = shard_path(shards, 7).read_bytes()
@@ -238,6 +251,13 @@ def test_multirepair_naive_mode(tmp_path):
     assert result.exit_code == 0, result.output
     for i in (2, 5):
         assert shard_path(shards, i).read_bytes() == originals[i]
+
+
+def test_multirepair_refuses_a_failed_list_that_is_not_integers(tmp_path):
+    runner, _, shards = _encode_fixture(tmp_path)
+    result = runner.invoke(main, ["multirepair", "--shards", str(shards), "--failed", "2,x"])
+    assert result.exit_code == 2
+    assert "expected comma-separated integers, got '2,x'" in result.output
 
 
 def test_encode_rejects_small_prime_cleanly(tmp_path):

@@ -179,6 +179,34 @@ def test_within_bounds_rejects_one_symbol_over_cap(mode, failed, cap):
         assert ledger.within_bounds(CFG257) is expected
 
 
+def test_refused_fail_nodes_fails_no_node():
+    """An unknown id anywhere in the call refuses it before any node is failed."""
+    cluster = _random_cluster()
+    with pytest.raises(ValueError, match="^no node 99$"):
+        cluster.fail_nodes([2, 99])
+    assert cluster.alive() == list(range(1, 9)) and cluster.failed() == []
+
+
+def test_failed_node_has_no_content():
+    cluster = _random_cluster()
+    cluster.fail_nodes([6])
+    with pytest.raises(ValueError, match="^node 6 is failed$"):
+        cluster.node_content(6)
+
+
+def test_ledger_total_is_the_sum_of_its_events():
+    """A 300-byte file at (8, 4, 2) is 15 stripes: a single repair takes 4 helpers * beta = 3 * 15 = 180 symbols,
+    a joint repair of two nodes 4 * beta_2 = 5 * 15 = 300, and the ledger's total is their sum."""
+    cluster = Cluster.from_file(random.Random(30).randbytes(300), CFG257)
+    assert cluster.stripe_count == 15
+    cluster.fail_nodes([3])
+    cluster.repair("single", [3])
+    cluster.fail_nodes([3, 6])
+    cluster.repair("joint", [3, 6])
+    assert [event.total for event in cluster.ledger.events] == [180, 300]
+    assert cluster.ledger.total == 480
+
+
 def test_repair_refuses_alive_nodes():
     cluster = _random_cluster()
     with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import detcode
 from detcode.field import (
-    FOLD_MIN,
     WINDOW,
     CompositeModulus,
     DimensionMismatch,
@@ -305,7 +304,8 @@ def test_product_matches_triple_loop(operands):
 @pytest.mark.parametrize("p", [13, 257, 65521, 2**31 - 1, 2**61 - 1])
 @pytest.mark.parametrize("shape", [(2, 5, 9), (9, 5, 2), (3, 4, 3), (0, 3, 4), (4, 3, 0), (5, 0, 2), (2, 0, 5)])
 def test_product_of_full_entries(p, shape):
-    """Every entry at p - 1 fills each slot to the bound, in both orientations and with empty dimensions."""
+    """Every entry at p - 1 fills each slot to the bound, with fewer entries than outputs or more and with empty
+    dimensions."""
     rows, inner, cols = shape
     field = Field(p)
     a = Matrix(field, [[p - 1] * inner for _ in range(rows)], cols=inner)
@@ -338,7 +338,7 @@ def combinations(draw):
     """K rows and K x r weights over one of the kernel's fields, at L in {0, 1, r-1, r, r+1}.
 
     Entries are drawn from p-1 (the worst case for the slot bound), 0 and
-    anything in between; L < r packs the weights, L >= r the rows.
+    anything in between; L < r gives fewer entries than outputs, L >= r more.
     """
     p = draw(st.sampled_from([13, 257, 65521, 2**31 - 1, 2**61 - 1]))
     k, r = draw(st.integers(1, 6)), draw(st.integers(1, 6))
@@ -352,7 +352,7 @@ def combinations(draw):
 @settings(max_examples=400, deadline=None)
 @given(combinations())
 def test_combine_rows_matches_triple_loop(case):
-    """Output i is the sum of weights[k][i] * rows[k], whichever side is packed."""
+    """Output i is the sum of weights[k][i] * rows[k], with fewer entries than outputs or more."""
     p, rows, weights = case
     field = Field(p)
     length = len(rows[0])
@@ -395,10 +395,10 @@ def test_combine_rows_range_is_the_field(p, length):
 def test_combine_rows_exact_at_slot_crossover(k, width):
     """At p = 257 the kernel's slots follow slot_width(257, k): k * 256**2 fills a 4-byte slot up to k = 65535."""
     assert slot_width(257, k) == width
-    for length in (1, 3):  # weights packed, rows packed
-        rows = [[256] * length] * k
-        expected = k * 256 * 256 % 257
-        assert as_lists(combine_rows(rows, Matrix(Field(257), [[256, 256]] * k))) == [[expected] * length] * 2
+    weights, expected = Matrix(Field(257), [[256, 256]] * k), k * 256 * 256 % 257
+    for length in (1, 3):  # fewer entries than outputs, and more
+        assert as_lists(combine_rows([[256] * length] * k, weights)) == [[expected] * length] * 2
+    assert list(batch_product([([256] * k, k)], weights)[0]) == [expected] * 2  # one stripe: the weights packed
 
 
 # --- range checks at their edges and unit weight columns ----------------
@@ -428,7 +428,7 @@ def exact_message(message):
 
 @st.composite
 def edge_combinations(draw):
-    """K rows at L in {0, 1, r-1, r, r+1} (both orientations) with entries at the range tests' edges."""
+    """K rows at L in {0, 1, r-1, r, r+1} (fewer entries than outputs, and more) with entries at the range tests' edges."""
     p = draw(st.sampled_from(RANGE_MODULI))
     k, r = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     length = draw(st.sampled_from([0, 1, r - 1, r, r + 1]))
@@ -451,7 +451,8 @@ def test_combine_rows_rejects_exactly_the_entries_outside_the_field(case):
 
 @st.composite
 def weight_edge_combinations(draw):
-    """Canonical rows at L in {0, 1, r-1, r, r+1} (both orientations) with weights at the range tests' edges."""
+    """Canonical rows at L in {0, 1, r-1, r, r+1} (fewer entries than outputs, and more) with weights at the range tests'
+    edges."""
     p = draw(st.sampled_from(RANGE_MODULI))
     k, r = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     length = draw(st.sampled_from([0, 1, r - 1, r, r + 1]))
@@ -561,8 +562,8 @@ def test_unit_weight_columns_are_fresh_copies(case):
 @settings(max_examples=300, deadline=None)
 @given(unit_mixes(any_length=True))
 def test_weights_match_plain_weights(case):
-    """A shared Matrix gives the scalar oracle's outputs of its weights in both orientations, fresh lists every time,
-    and never changes."""
+    """A shared Matrix gives the scalar oracle's outputs of its weights at any length, fresh lists every time, and
+    never changes; its packed rows (batch_product's packed weights) are built once."""
     p, rows, weights = case
     shared, before = Matrix(Field(p), weights), [row[:] for row in rows]
     expected = matmul_scalar(Matrix(Field(p), list(zip(*weights))), Matrix(Field(p), rows, cols=len(rows[0])))
@@ -570,7 +571,7 @@ def test_weights_match_plain_weights(case):
     state = (shared.data, shared.cols, shared.unit_columns, shared.T)
     assert state[:3] == (tuple(map(tuple, weights)), len(weights[0]), (tuple(zip(*weights)), units))
     assert shared.T.data == tuple(zip(*weights)) and shared.T.shape == (len(weights[0]), len(weights))
-    for _ in range(3):  # the first product may pack the weights, the others reuse them
+    for _ in range(3):  # the first product may prepare the weights, the others reuse them
         outputs = combine_rows(rows, shared)
         assert as_lists(outputs) == expected
         assert all(type(output) is array and output.typecode == symbol_typecode(p) for output in outputs)
@@ -581,11 +582,10 @@ def test_weights_match_plain_weights(case):
         assert rows == before
         assert (shared.data, shared.cols, shared.unit_columns) == state[:3]
         assert shared.unit_columns is state[2] and shared.T is state[3]  # prepared once
-    if len(rows[0]) < len(weights[0]):  # weights packed: once, then the same ints, unit columns included
-        packed = shared.packed_rows
-        assert packed is shared.packed_rows
-        slot = slot_width(p, len(weights))
-        assert packed == tuple(int.from_bytes(b"".join(v.to_bytes(slot, "little") for v in row), "little") for row in weights)
+    packed = shared.packed_rows  # once, then the same ints, unit columns included
+    assert packed is shared.packed_rows
+    slot = slot_width(p, len(weights))
+    assert packed == tuple(int.from_bytes(b"".join(v.to_bytes(slot, "little") for v in row), "little") for row in weights)
 
 
 BATCH_PRIMES = [13, 257, 263, 65537, 2**61 - 1]  # % p at 4, 4, 8 and 16 bytes a slot, and the GF(257) fold
@@ -593,11 +593,11 @@ BATCH_PRIMES = [13, 257, 263, 65537, 2**61 - 1]  # % p at 4, 4, 8 and 16 bytes a
 
 @st.composite
 def stripe_batches(draw):
-    """(p, stripes, parts, weights): 1-3 flat parts (arrays or lists) of 0, 1, FOLD_MIN +- 1 or WINDOW +- 1 stripes
-    side by side and a weight Matrix with or without unit columns, of up to 12 columns: fewer than the stripes (the
-    windows) or more (the packed weights, folded from FOLD_MIN columns at p = 257)."""
+    """(p, stripes, parts, weights): 1-3 flat parts (arrays or lists) of 0, 1, 7, 9 or WINDOW +- 1 stripes side by
+    side and a weight Matrix with or without unit columns, of up to 12 columns: fewer than the stripes (the windows)
+    or more (the packed weights, folded at p = 257: the kernel's only weight-packed products)."""
     p = draw(st.sampled_from(BATCH_PRIMES))
-    stripes = draw(st.sampled_from([0, 1, FOLD_MIN - 1, FOLD_MIN + 1, WINDOW - 1, WINDOW + 1]))
+    stripes = draw(st.sampled_from([0, 1, 7, 9, WINDOW - 1, WINDOW + 1]))
     widths = draw(st.lists(st.integers(1, 2 if stripes > WINDOW // 2 else 4), min_size=1, max_size=3))
     rows, cols = sum(widths), draw(st.integers(1, 12))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -650,9 +650,9 @@ def test_batch_product_matches_scalar_oracle(case, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from([1, 2, 255, 256, 257, 65535]), st.sampled_from([FOLD_MIN, FOLD_MIN + 1, WINDOW - 1, WINDOW]), st.data())
+@given(st.sampled_from([1, 2, 255, 256, 257, 65535]), st.sampled_from([*range(1, 10), WINDOW - 1, WINDOW]), st.data())
 def test_fold_matches_scalar_reduction(k, count, data):
-    """A window folded mod 257 equals % 257 per slot, for slot values at the fold's edges: 0, p - 1, p, 2**16,
+    """A window of any length, one slot to WINDOW, folded mod 257 equals % 257 per slot, for slot values at the fold's edges: 0, p - 1, p, 2**16,
     2**17 - 1 and the largest k products admit, k * 256**2, with k on both sides of the second fold (k > 256) and
     up to the largest k a 4-byte slot admits."""
     largest = k * 256 * 256
@@ -667,15 +667,16 @@ def test_fold_matches_scalar_reduction(k, count, data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([257, 65521]), st.booleans(), st.data())
-def test_combine_rows_exact_across_windows_and_the_fold_threshold(p, rows_packed, data):
-    """Rows of WINDOW - 1, WINDOW, WINDOW + 1 and 2 * WINDOW + 1 entries (whole windows and tails) and of
-    FOLD_MIN - 1 to FOLD_MIN + 1 entries, or FOLD_MIN - 1 to FOLD_MIN + 1 outputs where the weights are packed,
-    give the scalar oracle at p = 257 (folded) and at another prime (% p)."""
-    threshold = [FOLD_MIN - 1, FOLD_MIN, FOLD_MIN + 1]
-    if rows_packed:
-        length, r = data.draw(st.sampled_from([WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 1, *threshold])), data.draw(st.integers(1, 3))
+def test_combine_rows_exact_across_windows_and_the_fold_threshold(p, more_entries, data):
+    """Rows of WINDOW - 1, WINDOW, WINDOW + 1 and 2 * WINDOW + 1 entries (whole windows and tails) and of 7 to 9
+    entries, or of 1 to 2 entries into 7 to 9 outputs, give the scalar oracle at p = 257 and at another prime (% p).
+    Every one runs windowed, and at p = 257 every window is folded, the shortest (one entry) included: no length
+    switches a window to % p."""
+    short = [7, 8, 9]
+    if more_entries:
+        length, r = data.draw(st.sampled_from([WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 1, *short])), data.draw(st.integers(1, 3))
     else:
-        length, r = data.draw(st.integers(1, 2)), data.draw(st.sampled_from(threshold))
+        length, r = data.draw(st.integers(1, 2)), data.draw(st.sampled_from(short))
     k = data.draw(st.integers(1, 4))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     rows = [[rng.choice((0, p - 1, rng.randrange(p))) for _ in range(length)] for _ in range(k)]
