@@ -428,7 +428,8 @@ def exact_message(message):
 
 @st.composite
 def edge_combinations(draw):
-    """K rows at L in {0, 1, r-1, r, r+1} (fewer entries than outputs, and more) with entries at the range tests' edges."""
+    """K rows at L in {0, 1, r-1, r, r+1} (fewer entries than outputs, and more) with entries at the range tests'
+    edges."""
     p = draw(st.sampled_from(RANGE_MODULI))
     k, r = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     length = draw(st.sampled_from([0, 1, r - 1, r, r + 1]))
@@ -652,9 +653,9 @@ def test_batch_product_matches_scalar_oracle(case, data):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([1, 2, 255, 256, 257, 65535]), st.sampled_from([*range(1, 10), WINDOW - 1, WINDOW]), st.data())
 def test_fold_matches_scalar_reduction(k, count, data):
-    """A window of any length, one slot to WINDOW, folded mod 257 equals % 257 per slot, for slot values at the fold's edges: 0, p - 1, p, 2**16,
-    2**17 - 1 and the largest k products admit, k * 256**2, with k on both sides of the second fold (k > 256) and
-    up to the largest k a 4-byte slot admits."""
+    """A window of any length, one slot to WINDOW, folded mod 257 equals % 257 per slot, for slot values at the fold's
+    edges: 0, p - 1, p, 2**16, 2**17 - 1 and the largest k products admit, k * 256**2, with k on both sides of the
+    second fold (k > 256) and up to the largest k a 4-byte slot admits."""
     largest = k * 256 * 256
     assert slot_width(257, k) == 4 and slot_width(257, k + 1) == (4 if k < 65535 else 8)
     edges = [v for v in (0, 256, 257, 2**16, 2**17 - 1, largest - 1, largest) if v <= largest]
