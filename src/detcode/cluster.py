@@ -13,8 +13,12 @@ symbols in the symbol codec that repair payloads share
 (:func:`detcode.field.pack_symbols`, :func:`detcode.field.unpack_symbols`),
 about 1.01 bytes per symbol at p = 257 (one low byte per symbol, plus the
 positions of the symbols equal to 256) and the fixed width at any other p.
-Reading decodes the body, then compares its symbol count with the header's
-stripes; a version-1 shard (2-byte GF(257) symbols) is refused. A read's
+Reading a shard checks its header, then decodes the body and compares its
+symbol count with the header's stripes; a version-1 shard (2-byte GF(257)
+symbols) is refused. Loading a directory (:func:`load_cluster`) checks every
+header and decodes no body: a node's body is decoded when a call first reads
+that node (:meth:`Cluster.node_content`), so a malformed body is refused by
+the calls that read it and blocks no other. A read's
 bytes are the low byte plane of the recovered symbols
 (:func:`assemble_file`), never ``bytes()`` of the array, which is its raw
 machine buffer.
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .code import (
     CodeConfig,
@@ -138,16 +143,36 @@ class BandwidthLedger:
         return True
 
 
-class Cluster:
-    """n simulated node stores with failure injection and four repair modes."""
+class ShardBlob(NamedTuple):
+    """A loaded node's shard file, its body not yet decoded: :meth:`Cluster.node_content` decodes it on first use."""
 
-    def __init__(self, config: CodeConfig, contents: dict[int, StripeBatch | None], original_len: int | None = None):
+    path: Path
+    blob: bytes
+
+
+class Cluster:
+    """n simulated node stores with failure injection and four repair modes.
+
+    ``contents`` maps every node id to its stripes, to None for a failed node,
+    or, for a node loaded from a shard and not read yet, to its undecoded
+    :class:`ShardBlob`; :meth:`node_content` is the one accessor that decodes.
+    *stripe_count* is needed when a node is a ShardBlob (:func:`load_cluster`
+    takes it from the headers); otherwise it is the first alive node's.
+    """
+
+    def __init__(
+        self,
+        config: CodeConfig,
+        contents: dict[int, StripeBatch | ShardBlob | None],
+        original_len: int | None = None,
+        stripe_count: int | None = None,
+    ):
         alive = [batch for batch in contents.values() if batch is not None]
         if not alive:
             raise ValueError("a cluster needs at least one alive node")
         self.config = config
         self.contents = contents
-        self.stripe_count = len(alive[0])
+        self.stripe_count = len(alive[0]) if stripe_count is None else stripe_count
         self.original_len = original_len
         self.ledger = BandwidthLedger()
 
@@ -173,9 +198,22 @@ class Cluster:
         return sorted(i for i, c in self.contents.items() if c is None)
 
     def node_content(self, node_id: int) -> StripeBatch:
+        """Node *node_id*'s stripes; ValueError if it is failed.
+
+        A loaded node's body is decoded here, on the first call that reads
+        the node, and its stripes replace the :class:`ShardBlob`. A malformed
+        body raises ShardFormatError naming the file, as :func:`read_shard`
+        does, and stays undecoded.
+        """
         content = self.contents[node_id]
         if content is None:
             raise ValueError(f"node {node_id} is failed")
+        if isinstance(content, ShardBlob):
+            try:
+                content = _parse_body(content.blob, self.config, self.stripe_count)
+            except ValueError as exc:
+                raise ShardFormatError(f"{content.path}: {exc}") from exc
+            self.contents[node_id] = content
         return content
 
     def fail_nodes(self, ids) -> None:
@@ -230,7 +268,7 @@ class Cluster:
         """
         step = centralized_repair if mode == "centralized" else _joint_repair
         groups = [(f,) for f in failed] if mode == "naive" else [failed]
-        helpers = {h: self.contents[h] for h in helper_ids}
+        helpers = {h: self.node_content(h) for h in helper_ids}
         counts = dict.fromkeys(helper_ids, 0)
         rebuilt = {}
         for group in groups:
@@ -246,7 +284,7 @@ class Cluster:
         ids = self._pick_nodes(set(), node_ids)
         if node_ids is None:
             ids += tuple(self.alive()[self.config.d : self.config.d + 1])
-        return recover_data([self.contents[i] for i in ids], ids, self.encoder, self.config.m)
+        return recover_data([self.node_content(i) for i in ids], ids, self.encoder, self.config.m)
 
     def recover_file(self, node_ids=None) -> bytes:
         if self.original_len is None:
@@ -262,17 +300,70 @@ SHARD_VERSION = 2  # version 2: canonical direct-then-shared source order, zero 
 _SHARD_HEADER = struct.Struct("<4sBQHHBHQQ")
 
 
+def _shard_name(node_id: int) -> str:
+    return f"node_{node_id}.detc"
+
+
 def shard_path(directory, node_id: int) -> Path:
-    return Path(directory) / f"node_{node_id}.detc"
+    return Path(directory) / _shard_name(node_id)
+
+
+def _recorded_length(config: CodeConfig, node_id: int, original_len: int | None, count: int) -> int | None:
+    """The shard rule on a node id, a recorded byte length and *count* stripes; returns the length as kept.
+
+    The node id is in [1, n] and a positive recorded byte length pads to
+    exactly the stripes. ``original_len`` None (not a byte file) needs a
+    stripe and is recorded as 0; 0 over stripes is None.
+    """
+    checked_ids((node_id,), "node id", n=config.n)
+    length = original_len or 0
+    if length > 0 and count != (need := -(-length // config.file_symbols)):
+        raise ValueError(f"recorded length {length} needs {need} stripes of {config.file_symbols} symbols, got {count}")
+    if original_len is None and not count:
+        raise ValueError("a shard that is not a byte file needs at least one stripe: zero stripes read back as an empty byte file")
+    return length if length or not count else None
+
+
+class _Header(NamedTuple):
+    config: CodeConfig
+    node_id: int
+    stripe_count: int
+    original_len: int | None
+
+
+def _parse_header(blob: bytes, config: CodeConfig | None = None) -> _Header:
+    """The header step of a shard read: the 36 header bytes, under the shard rule; ValueError if malformed.
+
+    *config* is a code an earlier header recorded: a header recording the
+    same code reuses it, so a directory's shards build one CodeConfig.
+    """
+    if len(blob) < _SHARD_HEADER.size:
+        raise ValueError("truncated header")
+    magic, version, p, n, d, m, node_id, stripe_count, original_len = _SHARD_HEADER.unpack_from(blob, 0)
+    if magic != SHARD_MAGIC:
+        raise ValueError(f"bad magic {magic!r}")
+    if version != SHARD_VERSION:
+        raise ValueError(f"unsupported version {version}")
+    if config is None or (config.n, config.d, config.m, config.p) != (n, d, m, p):
+        config = CodeConfig(n=n, d=d, m=m, p=p)
+    return _Header(config, node_id, stripe_count, _recorded_length(config, node_id, original_len, stripe_count))
+
+
+def _parse_body(blob: bytes, config: CodeConfig, stripe_count: int) -> StripeBatch:
+    """The body step of a shard read: the symbols after the header, exactly *stripe_count* stripes; ValueError if not."""
+    symbols = unpack_symbols(blob[_SHARD_HEADER.size :], config.p)
+    if len(symbols) != stripe_count * config.alpha:
+        raise ValueError(f"body holds {len(symbols)} symbols, expected {stripe_count} stripes of {config.alpha}")
+    return StripeBatch(symbols, config.alpha)
 
 
 @dataclass(frozen=True)
 class ShardFile:
     """One node's shard: the one shard rule, checked on construction, and its byte layout.
 
-    The node id is in [1, n], stripes are alpha symbols long and a positive
-    recorded byte length pads to exactly the stripes. ``original_len`` None (not
-    a byte file) needs a stripe and is recorded as 0; 0 over stripes is None.
+    Stripes are alpha symbols long; the node id and the recorded length
+    follow :func:`_recorded_length`, which also checks a header on its own
+    (:func:`load_cluster`).
     """
 
     config: CodeConfig
@@ -281,16 +372,10 @@ class ShardFile:
     stripes: StripeBatch
 
     def __post_init__(self):
-        checked_ids((self.node_id,), "node id", n=self.config.n)
-        alpha, per_stripe = self.config.alpha, self.config.file_symbols
-        length, count = self.original_len or 0, len(self.stripes)
-        if self.stripes.alpha != alpha:
+        if self.stripes.alpha != (alpha := self.config.alpha):
             raise ValueError(f"stripes must be alpha = {alpha} symbols long, got {self.stripes.alpha}")
-        if length > 0 and count != (need := -(-length // per_stripe)):
-            raise ValueError(f"recorded length {length} needs {need} stripes of {per_stripe} symbols, got {count}")
-        if self.original_len is None and not count:
-            raise ValueError("a shard that is not a byte file needs at least one stripe: zero stripes read back as an empty byte file")
-        object.__setattr__(self, "original_len", length if length or not count else None)
+        length = _recorded_length(self.config, self.node_id, self.original_len, len(self.stripes))
+        object.__setattr__(self, "original_len", length)
 
     @property
     def stripe_count(self) -> int:
@@ -309,19 +394,9 @@ class ShardFile:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ShardFile":
-        """Parse one shard; anything malformed, or refused by the shard rule, raises ValueError."""
-        if len(blob) < _SHARD_HEADER.size:
-            raise ValueError("truncated header")
-        magic, version, p, n, d, m, node_id, stripe_count, original_len = _SHARD_HEADER.unpack_from(blob, 0)
-        if magic != SHARD_MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        if version != SHARD_VERSION:
-            raise ValueError(f"unsupported version {version}")
-        config = CodeConfig(n=n, d=d, m=m, p=p)
-        symbols = unpack_symbols(blob[_SHARD_HEADER.size :], p)
-        if len(symbols) != stripe_count * config.alpha:
-            raise ValueError(f"body holds {len(symbols)} symbols, expected {stripe_count} stripes of {config.alpha}")
-        return cls(config, node_id, original_len, StripeBatch(symbols, config.alpha))
+        """Parse one shard, header step then body step; anything malformed, or refused by the shard rule, raises ValueError."""
+        header = _parse_header(blob)
+        return cls(header.config, header.node_id, header.original_len, _parse_body(blob, header.config, header.stripe_count))
 
 
 def write_shard(path, config: CodeConfig, node_id: int, stripes: StripeBatch, original_len: int | None) -> None:
@@ -355,31 +430,41 @@ def write_all_shards(directory, cluster: Cluster) -> list[Path]:
     """Write every alive node's shard."""
     paths = [shard_path(directory, node_id) for node_id in cluster.alive()]
     for path, node_id in zip(paths, cluster.alive()):
-        write_shard(path, cluster.config, node_id, cluster.contents[node_id], cluster.original_len)
+        write_shard(path, cluster.config, node_id, cluster.node_content(node_id), cluster.original_len)
     return paths
 
 
 def load_cluster(directory) -> Cluster:
-    """Rebuild a cluster from every readable shard in a directory.
+    """Rebuild a cluster from the shards in a directory: every header is checked, no body is decoded.
 
-    Nodes without a shard file are marked failed; every shard must agree
-    on the code, the stripe count and the recorded length.
+    Each file is read once, here. Nodes without a shard file are marked
+    failed; every header must pass the shard rule, name its file and agree
+    with the others on the code, the stripe count and the recorded length.
+    A node keeps its file as a :class:`ShardBlob` until a call first reads
+    it (:meth:`Cluster.node_content`), so a malformed body is refused by the
+    calls that read that node and by no other.
     """
     directory = Path(directory)
-    shards = []
-    for path in sorted(directory.glob("node_*.detc")):
-        shard = read_shard(path)
-        if path.name != shard_path(directory, shard.node_id).name:
-            raise ShardFormatError(f"{path}: file name disagrees with header node id {shard.node_id}")
-        shards.append(shard)
-    if not shards:
+    headers: list[_Header] = []
+    blobs: dict[int, ShardBlob] = {}
+    for path in sorted(directory.glob("node_*.detc"), key=lambda path: path.name):
+        blob = path.read_bytes()
+        try:
+            header = _parse_header(blob, headers[0].config if headers else None)
+        except ValueError as exc:
+            raise ShardFormatError(f"{path}: {exc}") from exc
+        if path.name != _shard_name(header.node_id):
+            raise ShardFormatError(f"{path}: file name disagrees with header node id {header.node_id}")
+        headers.append(header)
+        blobs[header.node_id] = ShardBlob(path, blob)
+    if not headers:
         raise ShardFormatError(f"no shard files found in {directory}")
-    if len({(shard.config, shard.stripe_count, shard.original_len) for shard in shards}) > 1:
+    if len({(h.config, h.stripe_count, h.original_len) for h in headers}) > 1:
         raise ShardFormatError("shard headers disagree")
-    config = shards[0].config
-    contents: dict[int, StripeBatch | None] = dict.fromkeys(range(1, config.n + 1))
-    contents.update((shard.node_id, shard.stripes) for shard in shards)
-    return Cluster(config, contents, shards[0].original_len)
+    config, _, stripe_count, original_len = headers[0]
+    contents: dict[int, StripeBatch | ShardBlob | None] = dict.fromkeys(range(1, config.n + 1))
+    contents.update(blobs)
+    return Cluster(config, contents, original_len, stripe_count)
 
 
 # --- reference curves ---------------------------------------------------

@@ -94,8 +94,12 @@ def checked_ids(ids, what: str, n: int | None = None, count: int | None = None, 
     return ids
 
 
+@lru_cache(maxsize=256)
 def derive_params(d: int, m: int) -> tuple[int, int, int]:
-    """(alpha, beta, F) for helpers-per-repair d and mode m."""
+    """(alpha, beta, F) for helpers-per-repair d and mode m.
+
+    Cached, and bounded because a shard header may name any (d, m); BadMode is raised anew on every call.
+    """
     if not 1 <= m <= d:
         raise BadMode(f"mode must satisfy 1 <= m <= d, got m={m}, d={d}")
     return binom(d, m), binom(d - 1, m - 1), m * binom(d + 1, m + 1)

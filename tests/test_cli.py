@@ -4,9 +4,10 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
+import detcode.cluster
 from detcode.cli import main
 from detcode.code import StripeBatch
-from detcode.cluster import load_cluster, read_shard, shard_path, write_shard
+from detcode.cluster import ShardFormatError, load_cluster, read_shard, shard_path, write_shard
 
 
 def _encode_fixture(tmp_path, size=3000, seed=9, n=8, d=4, m=2):
@@ -296,3 +297,101 @@ def test_repair_rejects_overlapping_helpers_cleanly(tmp_path):
     )
     assert result.exit_code == 1
     assert "Error" in result.output
+
+
+def _set_unknown_tag(path):
+    """The body layout tag, the byte after the 36-byte header, set to the unknown 0x7f."""
+    blob = bytearray(path.read_bytes())
+    blob[36] = 0x7F
+    path.write_bytes(bytes(blob))
+
+
+def test_malformed_body_blocks_only_the_reads_of_its_node(tmp_path):
+    """Node 3's layout tag set to 0x7f at (8, 4, 2): the directory loads, a read of nodes 5-8 returns the file,
+    and every read that includes node 3, the default one too, raises ShardFormatError naming node_3.detc."""
+    _, data, shards = _encode_fixture(tmp_path, size=2000)
+    _set_unknown_tag(shard_path(shards, 3))
+    cluster = load_cluster(shards)
+    assert cluster.alive() == list(range(1, 9)) and cluster.stripe_count == 100
+    assert cluster.recover_file([5, 6, 7, 8]) == data
+    for ids in ([1, 2, 3, 4], [3, 6, 7, 8], None):
+        with pytest.raises(ShardFormatError, match=r"node_3\.detc: malformed symbol layout: unknown tag 127"):
+            cluster.recover_file(ids)
+    assert cluster.recover_file([4, 5, 6, 7]) == data
+
+
+def test_repair_rebuilds_a_shard_with_a_malformed_body(tmp_path):
+    """Node 3's layout tag set to 0x7f: the directory still loads, repair rebuilds node 3 byte for byte from
+    nodes 1, 2, 4 and 5, and verify then passes."""
+    runner, _, shards = _encode_fixture(tmp_path, size=2000)
+    original = shard_path(shards, 3).read_bytes()
+    _set_unknown_tag(shard_path(shards, 3))
+    result = runner.invoke(main, ["repair", "--shards", str(shards), "--failed", "3"])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("repaired node 3 with helpers [1, 2, 4, 5]")
+    assert shard_path(shards, 3).read_bytes() == original
+    result = runner.invoke(main, ["verify", "--shards", str(shards)])
+    assert result.exit_code == 0, result.output
+    assert result.output.endswith("verified 100 stripes across 8 shards\n")
+
+
+def test_recover_through_a_malformed_body_exits_1_without_output(tmp_path):
+    """Node 3's layout tag set to 0x7f: a recover whose read includes node 3 names node_3.detc, exits 1 and
+    writes no output file; one that leaves it out returns the file."""
+    runner, data, shards = _encode_fixture(tmp_path, size=2000)
+    _set_unknown_tag(shard_path(shards, 3))
+    for nodes in (["--nodes", "3,4,5,6"], []):
+        out = tmp_path / "out.bin"
+        result = runner.invoke(main, ["recover", "--shards", str(shards), *nodes, "--output", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: {shard_path(shards, 3)}: malformed symbol layout: unknown tag 127\n"
+        assert not out.exists()
+    result = runner.invoke(main, ["recover", "--shards", str(shards), "--nodes", "4,5,6,7", "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == data
+
+
+def test_each_call_decodes_only_the_shards_it_reads(tmp_path, monkeypatch):
+    """Shard bodies decoded (unpack_symbols calls) at (8, 4, 2): none by load_cluster, 4 by an explicit read,
+    5 by the default read (the first d and the check node), 4 by a single repair (its helpers), 8 by verify."""
+    runner, _, shards = _encode_fixture(tmp_path, size=2000)
+    decoded = []
+    real = detcode.cluster.unpack_symbols
+    monkeypatch.setattr(detcode.cluster, "unpack_symbols", lambda blob, p: decoded.append(p) or real(blob, p))
+    load_cluster(shards)
+    assert decoded == []
+    out = str(tmp_path / "out.bin")
+    for args, count in (
+        (["recover", "--nodes", "2,4,6,8", "--output", out], 4),
+        (["recover", "--output", out], 5),
+        (["repair", "--failed", "3"], 4),
+        (["verify"], 8),
+    ):
+        decoded.clear()
+        result = runner.invoke(main, [args[0], "--shards", str(shards), *args[1:]])
+        assert result.exit_code == 0, result.output
+        assert len(decoded) == count, args
+
+
+def test_recover_refuses_an_unknown_layout_tag_only_where_it_reads(tmp_path):
+    """A seeded 64 KiB file at (8, 4, 2): with node 7's layout tag set to 0x7f, a read of nodes 1-4 still
+    returns the file; once node 5's tag is set too, the default read (nodes 1-4, checked against node 5) exits 1
+    on the unknown tag and writes no output file."""
+    src = tmp_path / "data.bin"
+    src.write_bytes(random.Random(64).randbytes(65536))
+    shards = tmp_path / "shards"
+    runner = CliRunner()
+    result = runner.invoke(main, ["encode", "--input", str(src), "--n", "8", "--d", "4", "--m", "2", "--out", str(shards)])
+    assert result.exit_code == 0, result.output
+    _set_unknown_tag(shard_path(shards, 7))
+    out = tmp_path / "out.bin"
+    result = runner.invoke(main, ["recover", "--shards", str(shards), "--nodes", "1,2,3,4", "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == src.read_bytes()
+    _set_unknown_tag(shard_path(shards, 5))
+    out3 = tmp_path / "out3.bin"
+    result = runner.invoke(main, ["recover", "--shards", str(shards), "--output", str(out3)])
+    assert result.exit_code == 1
+    assert "malformed symbol layout: unknown tag 127" in result.output
+    assert not out3.exists()
