@@ -49,7 +49,7 @@ from .code import (
 )
 from .field import next_prime_at_least, pack_symbols, symbol_array, unpack_symbols, widen
 from .multirepair import centralized_repair, helper_bound
-from .repair import decode_failed_nodes, helper_payload
+from .repair import decode_failed_nodes, helper_payloads
 
 
 class NotEnoughHelpers(ValueError):
@@ -67,11 +67,17 @@ class ShardFormatError(ValueError):
 REPAIR_MODES = ("single", "naive", "joint", "centralized")
 
 
-def _joint_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int):
-    """Joint repair of every stripe; same contract as ``centralized_repair``."""
-    payloads = [helper_payload(contents[h], h, failed, encoder, m) for h in helpers]
-    sent = {payload.helper: len(payload.symbols) for payload in payloads}
-    return decode_failed_nodes(payloads, helpers, encoder, failed), sent
+def _joint_repair(groups, helpers, contents, encoder: EncoderMatrix, m: int):
+    """Joint repair of each failure group, every stripe; returns (stripe batches, symbol counts).
+
+    Each helper transmits once, one payload per group (:func:`helper_payloads`),
+    and each group is decoded from its d payloads.
+    """
+    sent = [helper_payloads(contents[h], h, groups, encoder, m) for h in helpers]
+    repaired = {}
+    for i, group in enumerate(groups):
+        repaired.update(decode_failed_nodes([payloads[i] for payloads in sent], helpers, encoder, group))
+    return repaired, {h: sum(len(payload.symbols) for payload in payloads) for h, payloads in zip(helpers, sent)}
 
 
 def ingest_file(data: bytes, config: CodeConfig) -> tuple[MessageMatrix, int]:
@@ -156,8 +162,9 @@ class Cluster:
     ``contents`` maps every node id to its stripes, to None for a failed node,
     or, for a node loaded from a shard and not read yet, to its undecoded
     :class:`ShardBlob`; :meth:`node_content` is the one accessor that decodes.
-    *stripe_count* is needed when a node is a ShardBlob (:func:`load_cluster`
-    takes it from the headers); otherwise it is the first alive node's.
+    *stripe_count* is needed when no node is a decoded StripeBatch
+    (:func:`load_cluster` takes it from the headers; ValueError without it);
+    otherwise it defaults to the first decoded node's.
     """
 
     def __init__(
@@ -167,12 +174,16 @@ class Cluster:
         original_len: int | None = None,
         stripe_count: int | None = None,
     ):
-        alive = [batch for batch in contents.values() if batch is not None]
+        alive = [content for content in contents.values() if content is not None]
         if not alive:
             raise ValueError("a cluster needs at least one alive node")
+        if stripe_count is None:
+            stripe_count = next((len(content) for content in alive if not isinstance(content, ShardBlob)), None)
+            if stripe_count is None:
+                raise ValueError("a cluster of undecoded shards needs stripe_count")
         self.config = config
         self.contents = contents
-        self.stripe_count = len(alive[0]) if stripe_count is None else stripe_count
+        self.stripe_count = stripe_count
         self.original_len = original_len
         self.ledger = BandwidthLedger()
 
@@ -260,22 +271,21 @@ class Cluster:
         return event
 
     def _repair_groups(self, mode: str, failed, helper_ids) -> dict[int, int]:
-        """One call per failure group, every stripe at once; returns symbols sent per helper.
+        """Every stripe at once, one transmit product per helper; returns symbols sent per helper.
 
-        naive repairs each failure as its own one-element group; single and
+        naive repairs each failure as its own one-element group: a helper's
+        payloads for all of them come from one product, e * beta symbols per
+        stripe, and each failure is decoded from its d payloads. single and
         joint repair the whole failure tuple as one group, and centralized
-        sequences it through the repair center.
+        sequences it through the repair center. Contents change only once
+        every failure is rebuilt.
         """
-        step = centralized_repair if mode == "centralized" else _joint_repair
-        groups = [(f,) for f in failed] if mode == "naive" else [failed]
         helpers = {h: self.node_content(h) for h in helper_ids}
-        counts = dict.fromkeys(helper_ids, 0)
-        rebuilt = {}
-        for group in groups:
-            repaired, sent = step(group, helper_ids, helpers, self.encoder, self.config.m)
-            for h, v in sent.items():
-                counts[h] += v
-            rebuilt.update(repaired)
+        if mode == "centralized":
+            rebuilt, counts = centralized_repair(failed, helper_ids, helpers, self.encoder, self.config.m)
+        else:
+            groups = tuple((f,) for f in failed) if mode == "naive" else (failed,)
+            rebuilt, counts = _joint_repair(groups, helper_ids, helpers, self.encoder, self.config.m)
         self.contents.update(rebuilt)
         return counts
 

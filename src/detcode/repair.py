@@ -13,7 +13,12 @@ helper needs to know which other nodes are helping; single-failure repair
 is the case e = 1. So there is one compress per failure tuple, whichever
 helpers serve it: :func:`repair_basis` builds it and expand once as
 :class:`~detcode.field.Matrix`, which keeps them prepared for the product
-kernel, and all d helpers of every repair of that tuple share them.
+kernel, and all d helpers of every repair of that tuple share them. A
+helper serving several failure groups at once (naive repair: one group per
+failed node) transmits by one product of its batch with their compress
+bases side by side (:func:`stacked_compress`), split into one payload per
+group (:func:`helper_payloads`), so every repair costs a helper one
+transmit product, naive included.
 
 Both the repair matrix and the readout read the one sign rule,
 :func:`detcode.subsets.incidence`: the matrix takes the signs as
@@ -41,10 +46,11 @@ repair of a tuple after the first skips the build.
 
 Transmit, decompression and the operator's decode each map S stripes to S
 stripes by :func:`detcode.field.batch_product`: the flat batch or payloads
-go in whole, and the flat payload, vectors or failed batches (one block
-of output columns per failure) come out. The helpers' repair vectors are
-node-major rows of :func:`detcode.field.combine_rows` by the cached read
-inverse; the readout's label-major sums are put back in stripe order by
+go in whole, and the flat payloads (one block of output columns per
+failure group), vectors or failed batches (one block per failure) come
+out. The helpers' repair vectors are node-major rows of
+:func:`detcode.field.combine_rows` by the cached read inverse; the
+readout's label-major sums are put back in stripe order by
 :func:`gather`. Every weight depends only on the failure and helper
 tuples, so stripe data is never copied into a Matrix.
 
@@ -173,15 +179,36 @@ class RepairPayload:
         return cls(failed, helper, m, symbols)
 
 
-def helper_payload(h_content: StripeBatch, helper: int, failed, encoder: EncoderMatrix, m: int) -> RepairPayload:
-    """Repair data from one helper: its stripe batch times compress, stripe after stripe.
+@lru_cache(maxsize=128)
+def stacked_compress(encoder: EncoderMatrix, groups: tuple[tuple[int, ...], ...], m: int) -> Matrix:
+    """The :func:`repair_basis` compress of each failure group, side by side; cached per encoder, shared.
+
+    Groups of unequal rank raise ValueError: the transmit product splits its
+    output into equal blocks, one per group.
+    """
+    bases = [repair_basis(encoder, group, m)[0] for group in groups]
+    if len(ranks := {basis.cols for basis in bases}) != 1:
+        raise ValueError(f"failure groups {list(groups)} need one basis rank, got {sorted(ranks)}")
+    return Matrix.hstack(bases)
+
+
+def helper_payloads(h_content: StripeBatch, helper: int, groups, encoder: EncoderMatrix, m: int) -> list[RepairPayload]:
+    """Repair data from one helper for each failure group: its stripe batch times every group's compress, one product.
 
     compress is a function of the public repair matrix alone, so sender and
     receiver agree without negotiation and without knowing the other helpers.
+    The output splits into one block of columns per group, each that group's
+    payload, stripe after stripe; one group multiplies by its own compress.
     """
-    failed = tuple(failed)
-    compress = repair_basis(encoder, failed, m)[0]
-    return RepairPayload(failed, helper, m, batch_product([(h_content.symbols, h_content.alpha)], compress)[0])
+    groups = tuple(tuple(group) for group in groups)
+    compress = repair_basis(encoder, groups[0], m)[0] if len(groups) == 1 else stacked_compress(encoder, groups, m)
+    blocks = batch_product([(h_content.symbols, h_content.alpha)], compress, len(groups))
+    return [RepairPayload(group, helper, m, block) for group, block in zip(groups, blocks)]
+
+
+def helper_payload(h_content: StripeBatch, helper: int, failed, encoder: EncoderMatrix, m: int) -> RepairPayload:
+    """Repair data from one helper for one failure tuple: :func:`helper_payloads` of that one group."""
+    return helper_payloads(h_content, helper, (failed,), encoder, m)[0]
 
 
 def _payload_shape(payload: RepairPayload, encoder: EncoderMatrix) -> tuple[int, int]:

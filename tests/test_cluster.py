@@ -287,6 +287,21 @@ def test_cluster_needs_an_alive_node():
         Cluster(CFG257, dict.fromkeys(range(1, 9)))
 
 
+def test_cluster_takes_its_stripe_count_from_a_decoded_node(tmp_path):
+    """Loaded nodes are undecoded ShardBlobs, whose len() is not a stripe
+    count: a cluster of them needs stripe_count, and a cluster with one
+    decoded node (node 3, after node 1's blob) counts that node's stripes."""
+    data = random.Random(4000).randbytes(4000)
+    write_all_shards(tmp_path, Cluster.from_file(data, CFG257))
+    loaded = load_cluster(tmp_path)
+    with pytest.raises(ValueError, match="needs stripe_count"):
+        Cluster(loaded.config, dict(loaded.contents), loaded.original_len)
+    loaded.node_content(3)
+    cluster = Cluster(loaded.config, dict(loaded.contents), loaded.original_len)
+    assert cluster.stripe_count == loaded.stripe_count == 200
+    assert cluster.recover_file() == data
+
+
 def test_recover_rejects_bad_node_ids():
     """Explicit ids must be d distinct alive nodes, as helpers must."""
     cluster = Cluster.from_file(bytes(range(200)), CFG257)
@@ -303,25 +318,26 @@ def test_recover_rejects_bad_node_ids():
 @pytest.mark.parametrize(
     "mode,failed,senders",
     # centralized: node 5, repaired first, also transmits to the center once
-    [("single", (5,), [1, 2, 3, 4]), ("naive", (5, 6), [1, 1, 2, 2, 3, 3, 4, 4]),
+    [("single", (5,), [1, 2, 3, 4]), ("naive", (5, 6), [1, 2, 3, 4]),
      ("joint", (5, 6), [1, 2, 3, 4]), ("centralized", (5, 6), [1, 2, 3, 4, 5])],
 )
 def test_repair_transmits_once_per_helper_per_group(monkeypatch, mode, failed, senders):
-    """A repair makes one helper_payload call per helper and failure group,
-    not one per stripe, at five stripes (factored decode) and at 40 (every
-    mode here applies a decode operator: at most 20 received symbols per
-    stripe at (8, 4, 2)). At 40 stripes the centralized operator is built
-    on the first repair only, so node 5's center-local transmit, made by
-    the build, is missing from the second."""
-    real = detcode.cluster.helper_payload
+    """A repair makes one helper_payloads call per helper, the transmit
+    entry of every mode, not one per stripe or per failure: naive's helpers
+    send both failures' payloads from one product. At five stripes the
+    decode is factored, and at 40 every mode here applies a decode operator
+    (at most 20 received symbols per stripe at (8, 4, 2)). At 40 stripes the
+    centralized operator is built on the first repair only, so node 5's
+    center-local transmit, made by the build, is missing from the second."""
+    real = detcode.repair.helper_payloads
     calls = []
 
     def counting(content, helper, *args):
         calls.append(helper)
         return real(content, helper, *args)
 
-    monkeypatch.setattr(detcode.cluster, "helper_payload", counting)
-    monkeypatch.setattr(detcode.multirepair, "helper_payload", counting)
+    monkeypatch.setattr(detcode.cluster, "helper_payloads", counting)
+    monkeypatch.setattr(detcode.repair, "helper_payloads", counting)
     for stripes in (5, 40):
         cluster = _random_cluster(seed=12, stripes=stripes)
         before = _snapshot(cluster)

@@ -20,6 +20,7 @@ from detcode.repair import (
     decode_operator,
     decompress_payload,
     helper_payload,
+    helper_payloads,
     repair_basis,
     repair_matrix,
 )
@@ -563,3 +564,29 @@ def test_combine_repair_space_matches_a_per_label_readout(case):
         labels[i].append((sign, rows[x - 1][j::seg]))
     expected = [signed_sums_scalar(terms, 257) for terms in labels]
     assert list(combine_repair_space(rows, d, m, Field(257))) == [v for label in expected for v in label]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 4), nodes=st.permutations(range(1, 9)), e=st.integers(1, 3), seed=st.integers(0, 2**32))
+def test_helper_payloads_match_one_payload_per_group(m, nodes, e, seed):
+    """At (8, 4, m) a helper's payloads for e = 1..3 single-failure groups, one product by their compress bases side
+    by side, are each group's helper_payload symbol for symbol: on both sides of batch_product's orientation rule
+    (0 < S < e * beta and S >= e * beta), and where e * beta exceeds alpha (m = 2, e = 3: 9 > 6). Groups of unequal
+    rank raise ValueError; where the ranks agree (m = 4: one failure and two both have rank 1) they split as well."""
+    encoder, rng = build_encoder(8, 4, Field(257)), random.Random(seed)
+    failed, helper = tuple(nodes[:e]), nodes[e]
+    groups = [(f,) for f in failed]
+    r, alpha = e * binom(3, m - 1), binom(4, m)
+    short = [rng.randint(1, r - 1)] if r > 1 else []
+    for stripes in short + [rng.randint(r, 2 * r + 1)]:
+        content = StripeBatch([rng.randrange(257) for _ in range(stripes * alpha)], alpha)
+        payloads = helper_payloads(content, helper, groups, encoder, m)
+        assert payloads == [helper_payload(content, helper, group, encoder, m) for group in groups]
+        if e == 3:
+            mixed = [failed[:1], failed[1:]]
+            if len({repair_basis(encoder, group, m)[0].cols for group in mixed}) > 1:
+                with pytest.raises(ValueError, match="one basis rank"):
+                    helper_payloads(content, helper, mixed, encoder, m)
+            else:
+                expected = [helper_payload(content, helper, group, encoder, m) for group in mixed]
+                assert helper_payloads(content, helper, mixed, encoder, m) == expected
