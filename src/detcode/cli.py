@@ -101,7 +101,7 @@ def _repair_shards(shard_dir: Path, mode: str, failed_ids, helpers: str | None):
     """Load the shards, repair *failed_ids* in *mode*, rewrite their shards; returns the event and per-helper text."""
     cluster = load_cluster(shard_dir)
     cluster.fail_nodes(failed_ids)
-    event = cluster.repair(mode, failed_ids, _parse_ids(helpers) if helpers else None)
+    event = cluster.repair(mode, failed_ids, None if helpers is None else _parse_ids(helpers))
     for f in failed_ids:
         write_shard(shard_path(shard_dir, f), cluster.config, f, cluster.node_content(f), cluster.original_len)
     return event, ", ".join(f"{h}:{v}" for h, v in sorted(event.symbols_by_helper.items()))
@@ -189,8 +189,9 @@ def verify_cmd(shard_dir: Path):
 @_friendly_errors
 def bandwidth_cmd(d: int, m: int, e_max: int, mode: str, fmt: str):
     """Per-helper repair bandwidth vs. number of failures, exact rationals."""
+    rows = bandwidth_table(d, m, e_max, mode)
     click.echo("e,mode,symbols,normalized,decimal")
-    for e, kind, symbols, normalized in bandwidth_table(d, m, e_max, mode):
+    for e, kind, symbols, normalized in rows:
         click.echo(
             f"{e},{kind},{_rational(symbols)},{_rational(normalized)},{float(normalized):.10g}"
         )

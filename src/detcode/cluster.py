@@ -486,6 +486,8 @@ def bandwidth_table(d: int, m: int, e_max: int, mode: str = "all"):
     :func:`~detcode.multirepair.helper_bound` capped at alpha (a helper
     never needs to send more than its whole content), which only naive exceeds.
     """
+    if e_max < 1:
+        raise ValueError(f"empty failure-count range range(1, {e_max + 1}): need at least one e >= 1")
     alpha = derive_params(d, m)[0]
     modes = ("naive", "joint", "centralized") if mode == "all" else (mode,)
     values = [(e, kind, min(helper_bound(d, m, e, kind), alpha)) for e in range(1, e_max + 1) for kind in modes]

@@ -10,20 +10,36 @@ from detcode.code import StripeBatch
 from detcode.cluster import ShardFormatError, load_cluster, read_shard, shard_path, write_shard
 
 
-def _encode_fixture(tmp_path, size=3000, seed=9, n=8, d=4, m=2):
-    rng = random.Random(seed)
-    data = bytes(rng.randrange(256) for _ in range(size))
+def _encode_fixture(tmp_path, size=3000, seed=9, n=8, d=4, m=2, prime=None, data=None):
+    if data is None:
+        rng = random.Random(seed)
+        data = bytes(rng.randrange(256) for _ in range(size))
     src = tmp_path / "input.bin"
     src.write_bytes(data)
     shards = tmp_path / "shards"
     runner = CliRunner()
-    result = runner.invoke(
-        main,
-        ["encode", "--input", str(src), "--n", str(n), "--d", str(d), "--m", str(m),
-         "--out", str(shards)],
-    )
-    assert result.exit_code == 0, result.output
+    _ok(runner, "encode", "--input", src, "--n", n, "--d", d, "--m", m, "--out", shards,
+        *([] if prime is None else ["--prime", prime]))
     return runner, data, shards
+
+
+def _ok(runner, *args):
+    """Run one detcode command, which must exit 0; returns its output."""
+    result = runner.invoke(main, [str(arg) for arg in args])
+    assert result.exit_code == 0, result.output
+    return result.output
+
+
+def _repair_verify_recover(runner, shards, data, out, mode, failed):
+    """Delete the failed shards and rebuild them in *mode* byte for byte; verify and the default recover then pass."""
+    originals = {i: shard_path(shards, i).read_bytes() for i in failed}
+    for i in failed:
+        shard_path(shards, i).unlink()
+    _ok(runner, "multirepair", "--shards", shards, "--failed", ",".join(map(str, failed)), "--mode", mode)
+    assert {i: shard_path(shards, i).read_bytes() for i in failed} == originals
+    assert "MISMATCH" not in _ok(runner, "verify", "--shards", shards)
+    _ok(runner, "recover", "--shards", shards, "--output", out)
+    assert out.read_bytes() == data
 
 
 def test_encode_writes_all_shards(tmp_path):
@@ -399,20 +415,98 @@ def test_recover_refuses_an_unknown_layout_tag_only_where_it_reads(tmp_path):
     """A seeded 64 KiB file at (8, 4, 2): with node 7's layout tag set to 0x7f, a read of nodes 1-4 still
     returns the file; once node 5's tag is set too, the default read (nodes 1-4, checked against node 5) exits 1
     on the unknown tag and writes no output file."""
-    src = tmp_path / "data.bin"
-    src.write_bytes(random.Random(64).randbytes(65536))
-    shards = tmp_path / "shards"
-    runner = CliRunner()
-    result = runner.invoke(main, ["encode", "--input", str(src), "--n", "8", "--d", "4", "--m", "2", "--out", str(shards)])
-    assert result.exit_code == 0, result.output
+    runner, data, shards = _encode_fixture(tmp_path, data=random.Random(64).randbytes(65536))
     _set_unknown_tag(shard_path(shards, 7))
     out = tmp_path / "out.bin"
-    result = runner.invoke(main, ["recover", "--shards", str(shards), "--nodes", "1,2,3,4", "--output", str(out)])
-    assert result.exit_code == 0, result.output
-    assert out.read_bytes() == src.read_bytes()
+    _ok(runner, "recover", "--shards", shards, "--nodes", "1,2,3,4", "--output", out)
+    assert out.read_bytes() == data
     _set_unknown_tag(shard_path(shards, 5))
     out3 = tmp_path / "out3.bin"
     result = runner.invoke(main, ["recover", "--shards", str(shards), "--output", str(out3)])
     assert result.exit_code == 1
     assert "malformed symbol layout: unknown tag 127" in result.output
     assert not out3.exists()
+
+
+def test_64kib_repairs_then_verify_blames_a_flipped_low_bit(tmp_path):
+    """A seeded 64 KiB file at (8, 4, 2). Nodes 2 and 5 are rebuilt jointly; recover reads nodes 2, 5, 7 and 8,
+    then the checked default (the first d alive, checked against the next). A single repair of node 3 from
+    helpers 4, 6, 7 and 8 runs the decode operator (many stripes), and verify passes. Once the low bit of its
+    last symbol's low byte (the last byte of an escaped GF(257) body) is flipped, verify exits 1 and blames
+    node 1 alone (inside the first d alive) on a copy, then node 6."""
+    runner, data, shards = _encode_fixture(tmp_path, data=random.Random(64).randbytes(65536))
+    out = tmp_path / "out.bin"
+    _repair_verify_recover(runner, shards, data, out, "joint", (2, 5))
+    _ok(runner, "recover", "--shards", shards, "--nodes", "2,5,7,8", "--output", out)
+    assert out.read_bytes() == data
+    original = shard_path(shards, 3).read_bytes()
+    shard_path(shards, 3).unlink()
+    _ok(runner, "repair", "--shards", shards, "--failed", "3", "--helpers", "4,6,7,8")
+    assert shard_path(shards, 3).read_bytes() == original
+    assert "MISMATCH" not in _ok(runner, "verify", "--shards", shards)
+    for directory, node in ((shutil.copytree(shards, tmp_path / "shards_node1"), 1), (shards, 6)):
+        path = shard_path(directory, node)
+        blob = bytearray(path.read_bytes())
+        assert blob[36] == 1  # the escaped layout's tag
+        blob[-1] ^= 1
+        path.write_bytes(bytes(blob))
+        result = runner.invoke(main, ["verify", "--shards", str(directory)])
+        assert result.exit_code == 1, result.output
+        assert [line for line in result.output.splitlines() if "MISMATCH" in line] == [f"node {node}: MISMATCH"]
+
+
+@pytest.mark.parametrize(
+    "size, seed, n, d, m, prime, repairs",
+    [
+        (900, 900, 16, 10, 3, None, [("centralized", (2, 7, 11)), ("naive", (4, 15))]),
+        (5000, 5000, 8, 4, 1, None, [("joint", (3, 6))]),
+        (5000, 5000, 8, 4, 4, None, [("joint", (3, 6))]),
+        (300000, 300, 8, 4, 2, None, [("joint", (1, 6))]),
+        (5000, 5000, 8, 4, 2, 263, [("joint", (1, 6))]),
+        (5000, 5000, 8, 4, 2, 65537, [("joint", (1, 6))]),
+    ],
+    ids=["one-stripe-16-10-3", "m=1", "m=d", "300KB", "p=263", "p=65537"],
+)
+def test_seeded_file_survives_repair_verify_and_recover(tmp_path, size, seed, n, d, m, prime, repairs):
+    """Each repair rebuilds its shards byte for byte, then verify and the default recover pass.
+
+    A 900-byte file at (16, 10, 3) is one stripe, too few for a decode operator: its centralized and naive
+    repairs run the factored decode. (8, 4, 1) and (8, 4, 4) are the edges of the sign table: readout labels of
+    one member, and m = d, with no parity groups and no shared cells. A 300000-byte file at (8, 4, 2) has rows
+    of 90000 symbols, many kernel windows plus a tail. Encoded at --prime 263 the file runs the per-entry
+    reduction instead of the GF(257) fold; at --prime 65537 its 3-byte symbols sit in 4-byte array items (the
+    shard codec widens and narrows them) and the kernel's slots are 8 bytes. Both keep the fixed-width body,
+    with no layout tag: 36 header bytes, then 2 or 3 bytes per symbol."""
+    runner, data, shards = _encode_fixture(tmp_path, n=n, d=d, m=m, prime=prime, data=random.Random(seed).randbytes(size))
+    if prime is not None:
+        path = shard_path(shards, 1)
+        width = {263: 2, 65537: 3}[prime]
+        assert len(path.read_bytes()) == 36 + width * len(read_shard(path).stripes.symbols)
+    for mode, failed in repairs:
+        _repair_verify_recover(runner, shards, data, tmp_path / "out.bin", mode, failed)
+
+
+@pytest.mark.parametrize("command", ["repair", "multirepair"])
+def test_an_empty_helper_list_is_refused_not_read_as_the_default(tmp_path, command):
+    """--helpers "" names no helper: refused as recover --nodes "" is, with no shard written for node 5."""
+    runner, _, shards = _encode_fixture(tmp_path)
+    shard_path(shards, 5).unlink()
+    result = runner.invoke(main, [command, "--shards", str(shards), "--failed", "5", "--helpers", ""])
+    assert result.exit_code == 1
+    assert result.output == "Error: need exactly 4 distinct node ids, got []\n"
+    assert not shard_path(shards, 5).exists()
+
+
+@pytest.mark.parametrize(
+    "m, e_max, error",
+    [
+        ("5", "2", "mode must satisfy 1 <= m <= d, got m=5, d=4"),
+        ("2", "0", "empty failure-count range range(1, 1): need at least one e >= 1"),
+        ("2", "-2", "empty failure-count range range(1, -1): need at least one e >= 1"),
+    ],
+    ids=["m>d", "emax=0", "emax<0"],
+)
+def test_bandwidth_refuses_bad_input_before_the_header(m, e_max, error):
+    result = CliRunner().invoke(main, ["bandwidth", "--d", "4", "--m", m, "--emax", e_max])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {error}\n"

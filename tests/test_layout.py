@@ -1,10 +1,10 @@
-"""The grep and ast guards of the CI workflow (.github/workflows/tests.yml), one test per step.
+"""The source guards: one test per rule that the runtime modules must keep.
 
-Each test keeps its step's pattern and file set character for character and
-takes the step's comment as its docstring. A pattern is an extended regular
-expression that the step hands to ``grep -nE``; it is matched here line by
-line with :mod:`re`, which reads every construct these patterns use (``\\b``,
-``\\s``, bracket sets, escaped parentheses and brackets) as grep does.
+These tests are the guards. CI runs them in its tier-1 step, with the rest of
+the suite, and keeps no other copy of them. A pattern is an extended regular
+expression as ``grep -nE`` reads it; it is matched here line by line with
+:mod:`re`, which reads every construct these patterns use (``\\b``, ``\\s``,
+bracket sets, escaped parentheses and brackets) as grep does.
 """
 
 import ast
