@@ -20,6 +20,7 @@ from .cluster import (
 )
 from .code import CodeConfig, ParityViolation, recover_data
 from .field import next_prime_at_least
+from .multirepair import REPAIR_MODES
 
 
 def _parse_ids(text: str) -> tuple[int, ...]:
@@ -124,7 +125,7 @@ def repair_cmd(shard_dir: Path, failed: int, helpers: str | None):
 @main.command(name="multirepair")
 @click.option("--shards", "shard_dir", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.option("--failed", "failed", required=True, help="Comma-separated failed node ids.")
-@click.option("--mode", "mode", type=click.Choice(["naive", "joint", "centralized"]), default="joint", show_default=True)
+@click.option("--mode", "mode", type=click.Choice(REPAIR_MODES[1:]), default="joint", show_default=True)
 @click.option("--helpers", "helpers", default=None, help="Comma-separated helper ids (default: first d alive).")
 @_friendly_errors
 def multirepair_cmd(shard_dir: Path, failed: str, mode: str, helpers: str | None):
@@ -184,10 +185,9 @@ def verify_cmd(shard_dir: Path):
 @click.option("--d", "d", required=True, type=int)
 @click.option("--m", "m", required=True, type=int)
 @click.option("--emax", "e_max", required=True, type=int)
-@click.option("--mode", "mode", type=click.Choice(["naive", "joint", "centralized", "all"]), default="all", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv"]), default="csv", show_default=True)
+@click.option("--mode", "mode", type=click.Choice([*REPAIR_MODES[1:], "all"]), default="all", show_default=True)
 @_friendly_errors
-def bandwidth_cmd(d: int, m: int, e_max: int, mode: str, fmt: str):
+def bandwidth_cmd(d: int, m: int, e_max: int, mode: str):
     """Per-helper repair bandwidth vs. number of failures, exact rationals."""
     rows = bandwidth_table(d, m, e_max, mode)
     click.echo("e,mode,symbols,normalized,decimal")
@@ -201,9 +201,8 @@ def bandwidth_cmd(d: int, m: int, e_max: int, mode: str, fmt: str):
 @click.option("--d", "d", required=True, type=int)
 @click.option("--m", "m", required=True, type=int)
 @click.option("--nmax", "n_max", required=True, type=int)
-@click.option("--format", "fmt", type=click.Choice(["csv"]), default="csv", show_default=True)
 @_friendly_errors
-def capacity_cmd(d: int, m: int, n_max: int, fmt: str):
+def capacity_cmd(d: int, m: int, n_max: int):
     """Verified storage capacity for every node count from d+1 to nmax."""
     curve = capacity_curve(d, m, range(d + 1, n_max + 1))
     click.echo("n,F")

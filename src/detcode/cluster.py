@@ -1,5 +1,9 @@
 """Deterministic in-process storage simulator and shard persistence.
 
+The simulator stores nodes and commits repairs: :meth:`Cluster.repair`
+checks the node state and chooses the helpers, and every repair-mode rule
+(the modes, the grouping, the bounds) is in :mod:`detcode.multirepair`.
+
 Byte files map one byte per field element (so p >= 257), zero-padded up to
 a whole number of stripes with the true length recorded. A node's content
 is its :class:`~detcode.code.StripeBatch`, one flat machine-word array in
@@ -48,8 +52,7 @@ from .code import (
     recover_data,
 )
 from .field import next_prime_at_least, pack_symbols, symbol_array, unpack_symbols, widen
-from .multirepair import centralized_repair, helper_bound
-from .repair import decode_failed_nodes, helper_payloads
+from .multirepair import REPAIR_MODES, helper_bound, repair_nodes, within_bound
 
 
 class NotEnoughHelpers(ValueError):
@@ -62,22 +65,6 @@ class FieldTooSmallForBytes(ValueError):
 
 class ShardFormatError(ValueError):
     """Shard file is malformed or inconsistent."""
-
-
-REPAIR_MODES = ("single", "naive", "joint", "centralized")
-
-
-def _joint_repair(groups, helpers, contents, encoder: EncoderMatrix, m: int):
-    """Joint repair of each failure group, every stripe; returns (stripe batches, symbol counts).
-
-    Each helper transmits once, one payload per group (:func:`helper_payloads`),
-    and each group is decoded from its d payloads.
-    """
-    sent = [helper_payloads(contents[h], h, groups, encoder, m) for h in helpers]
-    repaired = {}
-    for i, group in enumerate(groups):
-        repaired.update(decode_failed_nodes([payloads[i] for payloads in sent], helpers, encoder, group))
-    return repaired, {h: sum(len(payload.symbols) for payload in payloads) for h, payloads in zip(helpers, sent)}
 
 
 def ingest_file(data: bytes, config: CodeConfig) -> tuple[MessageMatrix, int]:
@@ -140,13 +127,10 @@ class BandwidthLedger:
         return sum(event.total for event in self.events)
 
     def within_bounds(self, config: CodeConfig) -> bool:
-        """True when every helper, or for centralized their mean, is within its per-stripe bound."""
-        for event in self.events:
-            cap = helper_bound(config.d, config.m, len(event.failed), event.mode) * event.stripes
-            sent = [Fraction(event.total, config.d)] if event.mode == "centralized" else event.symbols_by_helper.values()
-            if any(v > cap for v in sent):
-                return False
-        return True
+        """True when every event passes :func:`~detcode.multirepair.within_bound`."""
+        return all(
+            within_bound(config.d, config.m, e.mode, e.failed, e.stripes, e.symbols_by_helper) for e in self.events
+        )
 
 
 class ShardBlob(NamedTuple):
@@ -249,45 +233,21 @@ class Cluster:
         return node_ids
 
     def repair(self, mode: str, failed, helpers=None) -> RepairEvent:
-        """Restore failed nodes bit-exactly; returns the recorded ledger event."""
-        if mode not in REPAIR_MODES:
-            raise ValueError(f"mode must be one of {REPAIR_MODES}, got {mode!r}")
+        """Restore failed nodes bit-exactly by :func:`~detcode.multirepair.repair_nodes`; returns the recorded ledger event.
+
+        The cluster checks the node state (ids in range, no alive node
+        repaired) and chooses the helpers; the entry checks the request.
+        Contents change only once every failure is rebuilt.
+        """
         failed = checked_ids(failed, "failed ids", n=self.config.n)
-        if not failed:
-            raise ValueError("nothing to repair")
         if any(self.contents.get(f) is not None for f in failed):
             raise ValueError("refusing to repair a node that is still alive")
-        if mode == "single" and len(failed) != 1:
-            raise ValueError("single mode repairs exactly one node")
         helper_ids = self._pick_nodes(set(failed), helpers)
-        event = RepairEvent(
-            mode=mode,
-            failed=failed,
-            helpers=helper_ids,
-            stripes=self.stripe_count,
-            symbols_by_helper=self._repair_groups(mode, failed, helper_ids),
-        )
+        rebuilt, sent = repair_nodes(mode, failed, helper_ids, self.node_content, self.encoder, self.config.m)
+        self.contents.update(rebuilt)
+        event = RepairEvent(mode, failed, helper_ids, self.stripe_count, sent)
         self.ledger.record(event)
         return event
-
-    def _repair_groups(self, mode: str, failed, helper_ids) -> dict[int, int]:
-        """Every stripe at once, one transmit product per helper; returns symbols sent per helper.
-
-        naive repairs each failure as its own one-element group: a helper's
-        payloads for all of them come from one product, e * beta symbols per
-        stripe, and each failure is decoded from its d payloads. single and
-        joint repair the whole failure tuple as one group, and centralized
-        sequences it through the repair center. Contents change only once
-        every failure is rebuilt.
-        """
-        helpers = {h: self.node_content(h) for h in helper_ids}
-        if mode == "centralized":
-            rebuilt, counts = centralized_repair(failed, helper_ids, helpers, self.encoder, self.config.m)
-        else:
-            groups = tuple((f,) for f in failed) if mode == "naive" else (failed,)
-            rebuilt, counts = _joint_repair(groups, helper_ids, helpers, self.encoder, self.config.m)
-        self.contents.update(rebuilt)
-        return counts
 
     def recover_stripes(self, node_ids=None) -> MessageMatrix:
         """Message matrix of every stripe from d distinct alive nodes; by default the first d, checked by the next."""
@@ -489,12 +449,12 @@ def bandwidth_table(d: int, m: int, e_max: int, mode: str = "all"):
     if e_max < 1:
         raise ValueError(f"empty failure-count range range(1, {e_max + 1}): need at least one e >= 1")
     alpha = derive_params(d, m)[0]
-    modes = ("naive", "joint", "centralized") if mode == "all" else (mode,)
+    modes = REPAIR_MODES[1:] if mode == "all" else (mode,)  # single is naive at e = 1
     values = [(e, kind, min(helper_bound(d, m, e, kind), alpha)) for e in range(1, e_max + 1) for kind in modes]
     return [(e, kind, value, Fraction(value) / alpha) for e, kind, value in values]
 
 
-def capacity_curve(d: int, m: int, n_values, p: int | None = None):
+def capacity_curve(d: int, m: int, n_values):
     """(n, recovered file size) for each n; recovery actually performed.
 
     One shared prime serves the whole range (>= max(n) + 1). For every n a
@@ -504,8 +464,7 @@ def capacity_curve(d: int, m: int, n_values, p: int | None = None):
     n_values, requested = list(n_values), n_values
     if not n_values:
         raise ValueError(f"empty node-count range {requested!r}: need at least one n > d = {d}")
-    if p is None:
-        p = next_prime_at_least(max(n_values) + 1)
+    p = next_prime_at_least(max(n_values) + 1)
     rows = []
     for n in n_values:
         config = CodeConfig(n=n, d=d, m=m, p=p)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .field import (  # CompositeModulus and FieldTooLarge re-exported
@@ -103,15 +102,6 @@ def derive_params(d: int, m: int) -> tuple[int, int, int]:
     if not 1 <= m <= d:
         raise BadMode(f"mode must satisfy 1 <= m <= d, got m={m}, d={d}")
     return binom(d, m), binom(d - 1, m - 1), m * binom(d + 1, m + 1)
-
-
-def tradeoff_bound(d: int, level: int, alpha: int, beta: int) -> Fraction:
-    """Largest file size a linear code with the given (alpha, beta) can store.
-
-    Piecewise-linear in (alpha, beta); *level* is the segment index,
-    floor(d*beta/alpha). Returned as an exact rational.
-    """
-    return Fraction(d + 1, level + 2) * (level * alpha + Fraction(d, level + 1) * beta)
 
 
 @dataclass(frozen=True)

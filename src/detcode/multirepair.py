@@ -25,7 +25,11 @@ Two mechanisms beat repairing each failure independently:
   tuple, mode) and kept in :func:`detcode.repair.decode_operator`'s cache
   for every later one. It needs at most d failures, one slot per failure.
 
-:func:`helper_bound` is the one rule mapping a repair mode to its bound.
+:data:`REPAIR_MODES` lists the four repair modes and :func:`repair_nodes` is
+the one entry that runs them: it refuses a bad request, then has each
+helper transmit once and decodes. :func:`helper_bound` is the one rule
+mapping a repair mode to its bound, and :func:`within_bound` checks one
+repair's measured traffic against it.
 """
 
 from __future__ import annotations
@@ -33,12 +37,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids  # OverlapError re-exported
+from . import repair  # called through the module: perfbench/spans.py would time a name bound here as this layer
 from .repair import decode_payloads, decode_repair_vectors, decompress_payload, gather, helper_payload
 from .subsets import binom
 
 
 class TooManyFailures(ValueError):
     """More simultaneous failures than helpers per repair."""
+
+
+REPAIR_MODES = ("single", "naive", "joint", "centralized")
 
 
 def joint_bandwidth(d: int, m: int, e: int) -> int:
@@ -65,6 +73,44 @@ def helper_bound(d: int, m: int, e: int, mode: str) -> int | Fraction:
     if mode == "centralized":
         return centralized_bandwidth(d, m, e)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def within_bound(d: int, m: int, mode: str, failed, stripes: int, symbols_by_helper) -> bool:
+    """True when every helper of one repair, or for centralized their mean, sent at most its
+    :func:`helper_bound` per stripe, over *stripes* stripes."""
+    cap = helper_bound(d, m, len(failed), mode) * stripes
+    sent = [Fraction(sum(symbols_by_helper.values()), d)] if mode == "centralized" else symbols_by_helper.values()
+    return all(v <= cap for v in sent)
+
+
+def repair_nodes(mode: str, failed, helpers, content, encoder: EncoderMatrix, m: int):
+    """Rebuild the *failed* nodes from *helpers* in *mode*, every stripe; returns (stripe batches, symbols per helper).
+
+    *content* maps a helper id to its stripe batch (a callable). A bad
+    request is refused before any helper is read: an unknown mode, no
+    failure, single with more than one, centralized with more than d.
+    single and joint repair the failure tuple as one group, and naive each
+    failure as its own: each helper transmits once, one payload per group
+    from one product (e * beta symbols per stripe for naive), and each group
+    is decoded from its d payloads. centralized sequences the tuple through
+    the repair center (:func:`centralized_repair`).
+    """
+    if mode not in REPAIR_MODES:
+        raise ValueError(f"mode must be one of {REPAIR_MODES}, got {mode!r}")
+    if not failed:
+        raise ValueError("nothing to repair")
+    if mode == "single" and len(failed) != 1:
+        raise ValueError("single mode repairs exactly one node")
+    if mode == "centralized":
+        if len(failed) > encoder.d:
+            raise TooManyFailures(f"{len(failed)} failures need as many helper slots, got {encoder.d}")
+        return centralized_repair(failed, helpers, {h: content(h) for h in helpers}, encoder, m)
+    groups = tuple((f,) for f in failed) if mode == "naive" else (failed,)
+    sent = [repair.helper_payloads(content(h), h, groups, encoder, m) for h in helpers]
+    rebuilt = {}
+    for i, group in enumerate(groups):
+        rebuilt.update(repair.decode_failed_nodes([payloads[i] for payloads in sent], helpers, encoder, group))
+    return rebuilt, {h: sum(len(payload.symbols) for payload in payloads) for h, payloads in zip(helpers, sent)}
 
 
 def centralized_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int):

@@ -6,6 +6,7 @@ Tests import these names as ``from certificates import ...``, as they do ``oracl
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from detcode.code import EncoderMatrix, MessageMatrix
 from detcode.field import Matrix
@@ -23,6 +24,15 @@ def shared_symbol(message: MessageMatrix, x: int, members) -> int:
     """Value of the first stripe's (m+1)-set symbol (x, members), read from its slot."""
     rest = tuple(y for y in members if y != x)
     return message.matrix[x - 1, subsets(message.d, message.m).rank(rest)]
+
+
+def tradeoff_bound(d: int, level: int, alpha: int, beta: int) -> Fraction:
+    """Largest file size a linear code with the given (alpha, beta) can store.
+
+    Piecewise-linear in (alpha, beta); *level* is the segment index,
+    floor(d*beta/alpha). Returned as an exact rational.
+    """
+    return Fraction(d + 1, level + 2) * (level * alpha + Fraction(d, level + 1) * beta)
 
 
 def per_helper_bandwidth(d: int, m: int, e: int) -> tuple[int, ...]:

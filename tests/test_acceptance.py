@@ -28,9 +28,8 @@ from detcode import (
     joint_bandwidth,
     recover_data,
     repair_matrix,
-    tradeoff_bound,
 )
-from certificates import multi_repair_matrix, null_space_matrix, supercode_helper_totals, total_bandwidth
+from certificates import multi_repair_matrix, null_space_matrix, supercode_helper_totals, total_bandwidth, tradeoff_bound
 from conftest import GOLDEN_TAIL_ROWS
 from oracles import is_zero
 

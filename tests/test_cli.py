@@ -510,3 +510,15 @@ def test_bandwidth_refuses_bad_input_before_the_header(m, e_max, error):
     result = CliRunner().invoke(main, ["bandwidth", "--d", "4", "--m", m, "--emax", e_max])
     assert result.exit_code == 1
     assert result.output == f"Error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["bandwidth", "--d", "4", "--m", "2", "--emax", "2"], ["capacity", "--d", "4", "--m", "2", "--nmax", "6"]],
+    ids=["bandwidth", "capacity"],
+)
+def test_curve_commands_take_no_format_option(args):
+    """Both curves print CSV only, so neither takes a --format option."""
+    result = CliRunner().invoke(main, [*args, "--format", "csv"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--format" in result.output

@@ -18,6 +18,7 @@ from detcode.cluster import (
     FieldTooSmallForBytes,
     NotEnoughHelpers,
     RepairEvent,
+    ShardBlob,
     ShardFormatError,
     assemble_file,
     bandwidth_table,
@@ -336,7 +337,6 @@ def test_repair_transmits_once_per_helper_per_group(monkeypatch, mode, failed, s
         calls.append(helper)
         return real(content, helper, *args)
 
-    monkeypatch.setattr(detcode.cluster, "helper_payloads", counting)
     monkeypatch.setattr(detcode.repair, "helper_payloads", counting)
     for stripes in (5, 40):
         cluster = _random_cluster(seed=12, stripes=stripes)
@@ -367,6 +367,21 @@ def test_centralized_repair_of_more_failures_than_helpers_is_refused():
             cluster.fail_nodes(failed)
             cluster.repair(mode, failed)
             assert _snapshot(cluster) == before
+
+
+def test_centralized_refusal_reads_no_helper(tmp_path):
+    """Five failures at (9, 4, 2) from loaded shards: centralized repair is
+    refused before any helper is read, so the four helpers' bodies stay
+    undecoded ShardBlobs."""
+    config = CodeConfig(n=9, d=4, m=2, p=257)
+    write_all_shards(tmp_path, _random_cluster(seed=7, stripes=3, config=config))
+    cluster = load_cluster(tmp_path)
+    failed = [1, 2, 3, 4, 5]
+    cluster.fail_nodes(failed)
+    with pytest.raises(TooManyFailures):
+        cluster.repair("centralized", failed)
+    assert all(isinstance(cluster.contents[i], ShardBlob) for i in (6, 7, 8, 9))
+    assert cluster.ledger.events == []
 
 
 def test_recovery_after_repair_sequence():
@@ -634,4 +649,4 @@ def test_capacity_curve_flat():
 
 
 def test_capacity_curve_small_example():
-    assert capacity_curve(4, 2, [8], p=13) == [(8, 20)]
+    assert capacity_curve(4, 2, [8]) == [(8, 20)]

@@ -20,13 +20,12 @@ from detcode.code import (
     encode,
     recover_data,
     source_cells,
-    tradeoff_bound,
 )
 from detcode.field import CompositeModulus, Field, Matrix, reduced
 from detcode.code import MessageMatrix
 from detcode.subsets import binom, incidence, subsets
 
-from certificates import entry, shared_symbol
+from certificates import entry, shared_symbol, tradeoff_bound
 from conftest import GOLDEN_TAIL_ROWS
 from oracles import identity, is_zero, reduced_scalar, signed_sums_scalar
 

@@ -88,3 +88,19 @@ def test_kernel_size_rules_stay_deleted():
     t = ast.parse((ROOT / "src/detcode/field.py").read_text(encoding="utf-8"))
     c = sorted({f.name for f in ast.walk(t) if isinstance(f, ast.FunctionDef) for n in ast.walk(f) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_weight_packed"})
     assert c == ["batch_product"], f"_weight_packed called by {c}"
+
+
+def test_repair_mode_names_only_in_multirepair_and_cli():
+    """src/detcode/multirepair.py holds every repair-mode rule (REPAIR_MODES,
+    repair_nodes, helper_bound, within_bound); cli.py names the modes only
+    for its --mode default. No other module holds a "naive", "joint" or
+    "centralized" string literal."""
+    names = {"naive", "joint", "centralized"}
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}:{node.value!r}"
+        for path in SOURCES
+        if path.name not in ("multirepair.py", "cli.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in names
+    ]
+    assert found == []
