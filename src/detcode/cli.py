@@ -11,7 +11,6 @@ import click
 
 from .cluster import (
     Cluster,
-    bandwidth_table,
     capacity_curve,
     load_cluster,
     shard_path,
@@ -20,7 +19,7 @@ from .cluster import (
 )
 from .code import CodeConfig, ParityViolation, recover_data
 from .field import next_prime_at_least
-from .multirepair import REPAIR_MODES
+from .multirepair import REPAIR_MODES, bandwidth_table
 
 
 def _parse_ids(text: str) -> tuple[int, ...]:

@@ -1,8 +1,8 @@
 """Deterministic in-process storage simulator and shard persistence.
 
 The simulator stores nodes and commits repairs: :meth:`Cluster.repair`
-checks the node state and chooses the helpers, and every repair-mode rule
-(the modes, the grouping, the bounds) is in :mod:`detcode.multirepair`.
+checks the node state and chooses the helpers; every repair-mode rule (the
+modes, their plans, the bounds and their table) is in :mod:`detcode.multirepair`.
 
 Byte files map one byte per field element (so p >= 257), zero-padded up to
 a whole number of stripes with the true length recorded. A node's content
@@ -34,7 +34,6 @@ import os
 import random
 import struct
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -47,12 +46,11 @@ from .code import (
     build_encoder,
     build_message_matrix,
     checked_ids,
-    derive_params,
     encode,
     recover_data,
 )
 from .field import next_prime_at_least, pack_symbols, symbol_array, unpack_symbols, widen
-from .multirepair import REPAIR_MODES, helper_bound, repair_nodes, within_bound
+from .multirepair import repair_nodes, within_bound
 
 
 class NotEnoughHelpers(ValueError):
@@ -438,21 +436,6 @@ def load_cluster(directory) -> Cluster:
 
 
 # --- reference curves ---------------------------------------------------
-
-def bandwidth_table(d: int, m: int, e_max: int, mode: str = "all"):
-    """Rows of (e, mode, per-helper symbols, symbols normalized by alpha).
-
-    Values are exact; normalized entries are Fractions. Each is
-    :func:`~detcode.multirepair.helper_bound` capped at alpha (a helper
-    never needs to send more than its whole content), which only naive exceeds.
-    """
-    if e_max < 1:
-        raise ValueError(f"empty failure-count range range(1, {e_max + 1}): need at least one e >= 1")
-    alpha = derive_params(d, m)[0]
-    modes = REPAIR_MODES[1:] if mode == "all" else (mode,)  # single is naive at e = 1
-    values = [(e, kind, min(helper_bound(d, m, e, kind), alpha)) for e in range(1, e_max + 1) for kind in modes]
-    return [(e, kind, value, Fraction(value) / alpha) for e, kind, value in values]
-
 
 def capacity_curve(d: int, m: int, n_values):
     """(n, recovered file size) for each n; recovery actually performed.

@@ -1,44 +1,46 @@
-"""Repair of several simultaneously failed nodes.
+"""Repair of one or several simultaneously failed nodes, in every mode.
 
-Two mechanisms beat repairing each failure independently:
+A mode is the failure groups each helper serves plus one decode: every
+helper multiplies its stripe batch by the compress bases of its groups in
+one product (:func:`detcode.repair.helper_payloads`), and each group is
+decoded from the d payloads for it.
 
-* joint transmission — the per-failure repair vectors a helper would send
-  overlap linearly, so their concatenation compresses to at most
-  beta_e = C(d, m) - C(d-e, m) symbols per helper. The payloads themselves
-  are built and decoded in :mod:`detcode.repair`; the null-space
-  certificate of the rank bound is in ``tests/certificates.py``.
+* single and joint serve the failure tuple as one group, naive each failure
+  as its own; :func:`detcode.repair.decode_factored` decodes a group. The
+  per-failure repair vectors a helper would send overlap linearly, so a
+  joint payload compresses to at most beta_e = C(d, m) - C(d-e, m) symbols,
+  against e * beta for naive (the null-space certificate of the rank bound
+  is in ``tests/certificates.py``).
 
-* centralized sequencing — a repair center restores the failed nodes one at
-  a time on a prefix schedule: the helper in slot j = 1..d sends one joint
-  payload for failed[:j], and step s = 0..e-1 repairs failed[s] from
-  failed[:s] + helpers[s:], the nodes already rebuilt (free at the center),
-  then the later slots. Averaged over the d helpers the download is
-  beta_bar_e = (m/d) * (C(d+1, m+1) - C(d-e+1, m+1)) per helper, and a
-  d-fold rotation (in ``tests/certificates.py``) equalizes it exactly. The
-  center expands each payload once, stripe after stripe, and step s reads
+* centralized — a repair center restores the failures one at a time on a
+  prefix schedule: the helper in slot j = 1..d serves failed[:j], and
+  :func:`decode_centralized` decodes the tuple, step s = 0..e-1 repairing
+  failed[s] from failed[:s] + helpers[s:], the nodes already rebuilt (free
+  at the center), then the later slots. Averaged over the d helpers the
+  download is beta_bar_e = (m/d) * (C(d+1, m+1) - C(d-e+1, m+1)) per
+  helper, and a d-fold rotation (in ``tests/certificates.py``) equalizes
+  it exactly. The center expands each payload once, and step s reads
   failed[s]'s segment out of every stripe by :func:`detcode.repair.gather`.
-  The steps,
-  center-local transmits included, are linear in the helpers' payloads:
-  from twice as many stripes as the payloads carry symbols per stripe, the
-  whole sequence runs as one operator of :mod:`detcode.repair`, built from
-  :func:`decode_centralized` on the first repair of a (failure tuple, helper
-  tuple, mode) and kept in :func:`detcode.repair.decode_operator`'s cache
-  for every later one. It needs at most d failures, one slot per failure.
+  It needs at most d failures, one slot per failure.
 
-:data:`REPAIR_MODES` lists the four repair modes and :func:`repair_nodes` is
-the one entry that runs them: it refuses a bad request, then has each
-helper transmit once and decodes. :func:`helper_bound` is the one rule
-mapping a repair mode to its bound, and :func:`within_bound` checks one
-repair's measured traffic against it.
+Both decodes are linear: from twice as many stripes as the payloads carry
+symbols per stripe, a group decodes by one operator, built on the first
+repair of a (failure tuple, helper tuple, mode) and kept in
+:func:`detcode.repair.decode_operator`'s cache for every later one.
+
+:data:`REPAIR_MODES` lists the modes and :func:`repair_nodes`, the one entry,
+runs their plans. :func:`helper_bound` maps a mode to its bound,
+:func:`within_bound` checks one repair against it, and :func:`bandwidth_table`
+tabulates it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids  # OverlapError re-exported
+from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, derive_params  # OverlapError re-exported
 from . import repair  # called through the module: perfbench/spans.py would time a name bound here as this layer
-from .repair import decode_payloads, decode_repair_vectors, decompress_payload, gather, helper_payload
+from .repair import decode_repair_vectors, decompress_payload, gather, helper_payload
 from .subsets import binom
 
 
@@ -66,6 +68,8 @@ def centralized_bandwidth(d: int, m: int, e: int) -> Fraction:
 def helper_bound(d: int, m: int, e: int, mode: str) -> int | Fraction:
     """Symbols per stripe a helper sends to repair e failures in *mode*: single and naive
     e * beta (even above alpha), joint beta_e, centralized beta_bar_e averaged over the d helpers."""
+    if e < 1:
+        raise ValueError(f"need at least one failure, got e={e}")
     if mode in ("single", "naive"):  # single repairs e = 1
         return e * binom(d - 1, m - 1)
     if mode == "joint":
@@ -83,17 +87,30 @@ def within_bound(d: int, m: int, mode: str, failed, stripes: int, symbols_by_hel
     return all(v <= cap for v in sent)
 
 
+def bandwidth_table(d: int, m: int, e_max: int, mode: str = "all"):
+    """Rows of (e, mode, per-helper symbols, symbols normalized by alpha).
+
+    Values are exact; normalized entries are Fractions. Each is
+    :func:`helper_bound` capped at alpha (a helper never needs to send more
+    than its whole content), which only naive exceeds.
+    """
+    if e_max < 1:
+        raise ValueError(f"empty failure-count range range(1, {e_max + 1}): need at least one e >= 1")
+    alpha = derive_params(d, m)[0]
+    modes = REPAIR_MODES[1:] if mode == "all" else (mode,)  # single is naive at e = 1
+    values = [(e, kind, min(helper_bound(d, m, e, kind), alpha)) for e in range(1, e_max + 1) for kind in modes]
+    return [(e, kind, value, Fraction(value) / alpha) for e, kind, value in values]
+
+
 def repair_nodes(mode: str, failed, helpers, content, encoder: EncoderMatrix, m: int):
     """Rebuild the *failed* nodes from *helpers* in *mode*, every stripe; returns (stripe batches, symbols per helper).
 
-    *content* maps a helper id to its stripe batch (a callable). A bad
-    request is refused before any helper is read: an unknown mode, no
-    failure, single with more than one, centralized with more than d.
-    single and joint repair the failure tuple as one group, and naive each
-    failure as its own: each helper transmits once, one payload per group
-    from one product (e * beta symbols per stripe for naive), and each group
-    is decoded from its d payloads. centralized sequences the tuple through
-    the repair center (:func:`centralized_repair`).
+    *content* maps a helper id to its stripe batch (a callable). A bad request
+    is refused before any helper is read: an unknown mode, no failure, single
+    with more than one, centralized with more than d. Each helper transmits
+    once, one payload per group it serves: the tuple (single, joint), each
+    failure (naive), or failed[:j] at slot j (centralized). Each group then
+    decodes once, by ``decode_factored`` or by :func:`decode_centralized`.
     """
     if mode not in REPAIR_MODES:
         raise ValueError(f"mode must be one of {REPAIR_MODES}, got {mode!r}")
@@ -101,32 +118,31 @@ def repair_nodes(mode: str, failed, helpers, content, encoder: EncoderMatrix, m:
         raise ValueError("nothing to repair")
     if mode == "single" and len(failed) != 1:
         raise ValueError("single mode repairs exactly one node")
+    groups = tuple((f,) for f in failed) if mode == "naive" else (failed,)
+    served, decode = [groups] * len(helpers), repair.decode_factored
     if mode == "centralized":
         if len(failed) > encoder.d:
             raise TooManyFailures(f"{len(failed)} failures need as many helper slots, got {encoder.d}")
-        return centralized_repair(failed, helpers, {h: content(h) for h in helpers}, encoder, m)
-    groups = tuple((f,) for f in failed) if mode == "naive" else (failed,)
-    sent = [repair.helper_payloads(content(h), h, groups, encoder, m) for h in helpers]
+        served, decode = [(failed[:slot],) for slot in range(1, len(helpers) + 1)], decode_centralized
+    sent = [repair.helper_payloads(content(h), h, own, encoder, m) for h, own in zip(helpers, served)]
     rebuilt = {}
     for i, group in enumerate(groups):
-        rebuilt.update(repair.decode_failed_nodes([payloads[i] for payloads in sent], helpers, encoder, group))
+        rebuilt.update(repair.decode_payloads(decode, [payloads[i] for payloads in sent], encoder, group))
     return rebuilt, {h: sum(len(payload.symbols) for payload in payloads) for h, payloads in zip(helpers, sent)}
 
 
 def centralized_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int):
     """Sequentially repair all failed nodes; returns (stripe batches, symbol counts).
 
-    *contents* maps node id to its stripe batch for every helper. The helper
-    in slot j sends one joint payload for its served prefix, failed[:j], for
-    every stripe; :func:`decode_centralized` is the repair center.
+    *contents* maps node id to its stripe batch for every helper. The ids
+    are checked before any helper is read; :func:`repair_nodes` then runs
+    the centralized plan.
     """
     failed = checked_ids(failed, "failed ids", n=encoder.n)
     if len(failed) > encoder.d:
         raise TooManyFailures(f"{len(failed)} failures need as many helper slots, got {encoder.d}")
     helpers = checked_ids(helpers, "helper ids", n=encoder.n, count=encoder.d, failed=failed)
-    payloads = [helper_payload(contents[h], h, failed[:slot], encoder, m) for slot, h in enumerate(helpers, start=1)]
-    sent = {payload.helper: len(payload.symbols) for payload in payloads}
-    return decode_payloads(decode_centralized, payloads, encoder, failed), sent
+    return repair_nodes("centralized", failed, helpers, contents.__getitem__, encoder, m)
 
 
 def decode_centralized(payloads, encoder: EncoderMatrix, failed) -> dict[int, StripeBatch]:

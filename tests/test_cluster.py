@@ -21,7 +21,6 @@ from detcode.cluster import (
     ShardBlob,
     ShardFormatError,
     assemble_file,
-    bandwidth_table,
     capacity_curve,
     ingest_file,
     load_cluster,
@@ -30,7 +29,7 @@ from detcode.cluster import (
     write_shard,
 )
 from detcode.code import CodeConfig, ParityViolation, StripeBatch, build_message_matrix
-from detcode.multirepair import OverlapError, TooManyFailures, centralized_bandwidth
+from detcode.multirepair import OverlapError, TooManyFailures, bandwidth_table, centralized_bandwidth
 
 
 CFG257 = CodeConfig(n=8, d=4, m=2, p=257)

@@ -104,3 +104,21 @@ def test_repair_mode_names_only_in_multirepair_and_cli():
         if isinstance(node, ast.Constant) and node.value in names
     ]
     assert found == []
+
+
+def test_mode_list_and_bound_only_in_multirepair_and_cli():
+    """REPAIR_MODES and helper_bound are used only by multirepair.py, which
+    holds every mode rule, and cli.py, which offers the modes as choices;
+    __init__.py only re-exports. No other module names either, not even
+    to import it."""
+    names = {"REPAIR_MODES", "helper_bound"}
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in SOURCES
+        if path.name not in ("multirepair.py", "cli.py", "__init__.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.alias) and node.name in names
+    ]
+    assert found == []

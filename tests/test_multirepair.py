@@ -121,6 +121,16 @@ def test_helper_bound_is_exact(gf13, data):
     assert cluster.ledger.within_bounds(config)
 
 
+@pytest.mark.parametrize("mode", ["single", "naive", "joint", "centralized"])
+def test_helper_bound_refuses_no_failure_in_every_mode(mode):
+    """Every mode's bound, and so the ledger's check, needs at least one failure."""
+    for e in (0, -1):
+        with pytest.raises(ValueError, match=f"need at least one failure, got e={e}"):
+            helper_bound(4, 2, e, mode)
+    with pytest.raises(ValueError, match="need at least one failure, got e=0"):
+        multirepair.within_bound(4, 2, mode, (), 1, {1: 5})
+
+
 def test_helper_bound_refuses_an_unknown_mode():
     from detcode import BandwidthLedger, CodeConfig, RepairEvent, bandwidth_table
 
@@ -531,13 +541,14 @@ def test_decompression_in_both_kernel_orientations(encoder8, data):
 
 def _central_schedule(failed, helpers, encoder, contents, m=2):
     """Run centralized_repair and record its prefix schedule: (repaired, sent, the
-    (helper, served prefix) of each slot's payload, the helper tuple of each step)."""
+    (helper, served prefix) of each slot's transmit, the helper tuple of each step).
+    A slot's transmit serves one group, its prefix."""
     with (
-        mock.patch.object(multirepair, "helper_payload", wraps=helper_payload) as send,
+        mock.patch.object(repair, "helper_payloads", wraps=repair.helper_payloads) as send,
         mock.patch.object(multirepair, "decode_repair_vectors", wraps=decode_repair_vectors) as step,
     ):
         repaired, sent = centralized_repair(failed, helpers, {h: contents[h - 1] for h in helpers}, encoder, m)
-    served = [call.args[1:3] for call in send.call_args_list[: len(helpers)]]
+    served = [(call.args[1], call.args[2][0]) for call in send.call_args_list[: len(helpers)]]
     return repaired, sent, served, [call.args[1] for call in step.call_args_list]
 
 
@@ -587,6 +598,53 @@ def test_centralized_repair_checks_its_helpers(encoder8, contents8):
             centralized_repair((5, 6), helpers, _all_contents(contents8), encoder8, 2)
     with pytest.raises(ValueError, match=r"node id 99 not in \[1, 8\]"):
         centralized_repair((5, 6), (1, 2, 3, 99), _all_contents(contents8), encoder8, 2)
+
+
+class _RecordedReads(dict):
+    """A contents mapping that records the ids read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize(
+    "failed,helpers,error",
+    [((5, 5), (1, 2, 3, 4), "failed ids must be distinct"), ((5, 99), (1, 2, 3, 4), r"node id 99 not in"),
+     ((1, 2, 3, 4, 5), (6, 7, 8), "5 failures need as many helper slots"),
+     ((5, 6), (1, 2, 3), "need exactly 4 distinct helper ids"), ((5, 6), (1, 2, 2, 4), "helper ids must be distinct"),
+     ((5, 6), (1, 2, 3, 99), r"node id 99 not in"), ((5, 6), (1, 2, 3, 5), r"helpers \[5\] are failed"),
+     ((), (1, 2, 3, 4), "nothing to repair")],
+)
+def test_centralized_refusals_read_no_helper(encoder8, contents8, failed, helpers, error):
+    """Every refusal of centralized_repair comes before it reads any helper's content."""
+    contents = _RecordedReads(_all_contents(contents8))
+    with pytest.raises(ValueError, match=error):
+        centralized_repair(failed, helpers, contents, encoder8, 2)
+    assert contents.reads == []
+
+
+@pytest.mark.parametrize("stripes", [3, 40])
+def test_centralized_repair_is_the_cluster_repair(gf13, stripes):
+    """centralized_repair and Cluster.repair("centralized") return the same batches
+    and symbol counts for every two-failure tuple at (8, 4, 2), on both sides of the
+    decode operator's stripe-count rule."""
+    from detcode import Cluster, CodeConfig
+
+    config, rng = CodeConfig(n=8, d=4, m=2, p=13), random.Random(35)
+    cluster = Cluster.build(config, build_message_matrix([rng.randrange(13) for _ in range(stripes * 20)], 4, 2, gf13))
+    contents = dict(cluster.contents)
+    for failed in combinations(range(1, 9), 2):
+        helpers = tuple(h for h in range(1, 9) if h not in failed)[:4]
+        repaired, sent = centralized_repair(failed, helpers, contents, cluster.encoder, 2)
+        cluster.fail_nodes(failed)
+        event = cluster.repair("centralized", failed)
+        assert event.helpers == helpers and event.symbols_by_helper == sent
+        assert repaired == {f: cluster.contents[f] for f in failed} == {f: contents[f] for f in failed}
 
 
 def test_plan_totals_match_closed_form_d10():
