@@ -32,6 +32,12 @@ def _parse_ids(text: str) -> tuple[int, ...]:
 _UNCHECKED = "not cross-checked: no spare shard is alive"
 
 
+def _report_skipped(cluster: Cluster) -> None:
+    """Name on stderr every node a default pick passed over, and why."""
+    for node_id, reason in sorted(cluster.skipped.items()):
+        click.echo(f"skipped node {node_id}: {reason}", err=True)
+
+
 def _rational(value) -> str:
     return str(Fraction(value))
 
@@ -80,19 +86,21 @@ def encode_cmd(input_path: Path, n: int, d: int, m: int, prime: int | None, out_
 
 @main.command(name="recover")
 @click.option("--shards", "shard_dir", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--nodes", "nodes", default=None, help="Comma-separated ids of the d nodes to read (default: the first d alive, checked against the next).")
+@click.option("--nodes", "nodes", default=None, help="Comma-separated ids of the d nodes to read (default: the first d alive whose shards decode, checked against the next).")
 @click.option("--output", "output_path", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @_friendly_errors
 def recover_cmd(shard_dir: Path, nodes: str | None, output_path: Path):
     """Rebuild the original file from any d shards.
 
-    Without --nodes the first d alive are read and checked against the next; an explicit --nodes read is checked by parity only.
+    Without --nodes the first d alive are read and checked against the next, passing over (and naming on stderr)
+    any whose shard body does not decode; an explicit --nodes read refuses such a node and is checked by parity only.
     """
     ids = None if nodes is None else _parse_ids(nodes)
     cluster = load_cluster(shard_dir)
     data = cluster.recover_file(ids)
     output_path.write_bytes(data)
-    check = "checked against the next" if len(cluster.alive()) > cluster.config.d else _UNCHECKED
+    _report_skipped(cluster)
+    check = "checked against the next" if len(cluster.alive()) - len(cluster.skipped) > cluster.config.d else _UNCHECKED
     read = f"nodes {list(ids)}" if ids is not None else f"the first {cluster.config.d} alive nodes, {check}"
     click.echo(f"recovered {len(data)} bytes from {read}")
 
@@ -104,13 +112,14 @@ def _repair_shards(shard_dir: Path, mode: str, failed_ids, helpers: str | None):
     event = cluster.repair(mode, failed_ids, None if helpers is None else _parse_ids(helpers))
     for f in failed_ids:
         write_shard(shard_path(shard_dir, f), cluster.config, f, cluster.node_content(f), cluster.original_len)
+    _report_skipped(cluster)
     return event, ", ".join(f"{h}:{v}" for h, v in sorted(event.symbols_by_helper.items()))
 
 
 @main.command(name="repair")
 @click.option("--shards", "shard_dir", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.option("--failed", "failed", required=True, type=int)
-@click.option("--helpers", "helpers", default=None, help="Comma-separated helper ids (default: first d alive).")
+@click.option("--helpers", "helpers", default=None, help="Comma-separated helper ids (default: the first d alive whose shards decode).")
 @_friendly_errors
 def repair_cmd(shard_dir: Path, failed: int, helpers: str | None):
     """Regenerate one node's shard from d helpers."""
@@ -125,7 +134,7 @@ def repair_cmd(shard_dir: Path, failed: int, helpers: str | None):
 @click.option("--shards", "shard_dir", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.option("--failed", "failed", required=True, help="Comma-separated failed node ids.")
 @click.option("--mode", "mode", type=click.Choice(REPAIR_MODES[1:]), default="joint", show_default=True)
-@click.option("--helpers", "helpers", default=None, help="Comma-separated helper ids (default: first d alive).")
+@click.option("--helpers", "helpers", default=None, help="Comma-separated helper ids (default: the first d alive whose shards decode).")
 @_friendly_errors
 def multirepair_cmd(shard_dir: Path, failed: str, mode: str, helpers: str | None):
     """Regenerate several nodes at once."""

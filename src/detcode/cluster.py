@@ -6,26 +6,29 @@ modes, their plans, the bounds and their table) is in :mod:`detcode.multirepair`
 
 Byte files map one byte per field element (so p >= 257), zero-padded up to
 a whole number of stripes with the true length recorded. A node's content
-is its :class:`~detcode.code.StripeBatch`, one flat machine-word array in
-shard body order, coded in one call per object.
+is its plane-major :class:`~detcode.code.StripeBatch`, one flat
+machine-word array in shard body order, coded in one call per object.
 Shards go to disk as ``node_<id>.detc`` files, replaced atomically; the
 generator matrix is a pure function of (n, d, p), so independently written
 shards stay mutually consistent.
 
-A shard file (version 2) is a 36-byte header, then the body: every stripe's
-symbols in the symbol codec that repair payloads share
+A shard file (version 3) is a 36-byte header, then the body: the node's
+symbols plane-major (symbol c of every stripe, then symbol c + 1) in the
+symbol codec that repair payloads share
 (:func:`detcode.field.pack_symbols`, :func:`detcode.field.unpack_symbols`),
 about 1.01 bytes per symbol at p = 257 (one low byte per symbol, plus the
 positions of the symbols equal to 256) and the fixed width at any other p.
 Reading a shard checks its header, then decodes the body and compares its
 symbol count with the header's stripes; a version-1 shard (2-byte GF(257)
-symbols) is refused. Loading a directory (:func:`load_cluster`) checks every
-header and decodes no body: a node's body is decoded when a call first reads
-that node (:meth:`Cluster.node_content`), so a malformed body is refused by
-the calls that read it and blocks no other. A read's
-bytes are the low byte plane of the recovered symbols
-(:func:`assemble_file`), never ``bytes()`` of the array, which is its raw
-machine buffer.
+symbols) and a version-2 shard (stripe after stripe) are refused. Loading a
+directory (:func:`load_cluster`) checks every header and decodes no body: a
+node's body is decoded when a call first reads that node
+(:meth:`Cluster.node_content`), so a malformed body is refused by the calls
+that name its node and blocks no other, and a default read or repair passes
+over it to the next alive node and records it (:attr:`Cluster.skipped`,
+:attr:`RepairEvent.skipped`). A read's bytes are the low byte plane of the
+recovered symbols (:func:`assemble_file`), never ``bytes()`` of the array,
+which is its raw machine buffer.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .code import (
     recover_data,
 )
 from .field import next_prime_at_least, pack_symbols, symbol_array, unpack_symbols, widen
-from .multirepair import repair_nodes, within_bound
+from .multirepair import check_request, repair_nodes, within_bound
 
 
 class NotEnoughHelpers(ValueError):
@@ -98,13 +101,14 @@ def assemble_file(symbols, original_len: int) -> bytes:
 
 @dataclass
 class RepairEvent:
-    """Measured symbol traffic for one repair."""
+    """Measured symbol traffic for one repair; ``skipped`` lists the alive nodes a default helper pick passed over."""
 
     mode: str
     failed: tuple[int, ...]
     helpers: tuple[int, ...]
     stripes: int
     symbols_by_helper: dict[int, int]
+    skipped: tuple[int, ...] = ()
 
     @property
     def total(self) -> int:
@@ -146,7 +150,7 @@ class Cluster:
     :class:`ShardBlob`; :meth:`node_content` is the one accessor that decodes.
     *stripe_count* is needed when no node is a decoded StripeBatch
     (:func:`load_cluster` takes it from the headers; ValueError without it);
-    otherwise it defaults to the first decoded node's.
+    otherwise it defaults to the first decoded node's. ``skipped`` maps each node a default pick passed over to why.
     """
 
     def __init__(
@@ -168,6 +172,7 @@ class Cluster:
         self.stripe_count = stripe_count
         self.original_len = original_len
         self.ledger = BandwidthLedger()
+        self.skipped: dict[int, str] = {}
 
     @cached_property
     def encoder(self) -> EncoderMatrix:
@@ -216,42 +221,54 @@ class Cluster:
             raise ValueError(f"no node {unknown[0]}")
         self.contents.update(dict.fromkeys(ids))
 
-    def _pick_nodes(self, excluded: set[int], node_ids) -> tuple[int, ...]:
-        """d distinct alive node ids outside *excluded*; default: the first d."""
+    def _pick_nodes(self, excluded: set[int], node_ids, spare: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(ids, skipped): d distinct alive node ids outside *excluded* as given, or by default the first d whose
+        shards decode and up to *spare* more, passing over (and recording in :attr:`skipped`) each that does not."""
         d = self.config.d
         if node_ids is None:
-            pool = [i for i in self.alive() if i not in excluded]
-            if len(pool) < d:
-                raise NotEnoughHelpers(f"need {d} alive nodes, only {len(pool)} available")
-            return tuple(pool[:d])
+            picked, skipped = [], []
+            for i in self.alive():
+                if len(picked) == d + spare:
+                    break
+                if i in excluded:
+                    continue
+                try:
+                    self.node_content(i)
+                except ShardFormatError as exc:
+                    skipped.append(i)
+                    self.skipped[i] = str(exc)
+                else:
+                    picked.append(i)
+            if len(picked) < d:
+                raise NotEnoughHelpers(f"need {d} alive nodes, only {len(picked)} available" + (f" (unreadable: {skipped})" if skipped else ""))
+            return tuple(picked), tuple(skipped)
         node_ids = checked_ids(node_ids, "node ids", count=d, failed=excluded)
         unavailable = [i for i in node_ids if self.contents.get(i) is None]
         if unavailable:
             raise NotEnoughHelpers(f"nodes {unavailable} are failed or do not exist")
-        return node_ids
+        return node_ids, ()
 
     def repair(self, mode: str, failed, helpers=None) -> RepairEvent:
         """Restore failed nodes bit-exactly by :func:`~detcode.multirepair.repair_nodes`; returns the recorded ledger event.
 
         The cluster checks the node state (ids in range, no alive node
-        repaired) and chooses the helpers; the entry checks the request.
-        Contents change only once every failure is rebuilt.
+        repaired) and the request, then chooses the helpers, so a refused
+        request reads none. Contents change only once every failure is rebuilt.
         """
         failed = checked_ids(failed, "failed ids", n=self.config.n)
         if any(self.contents.get(f) is not None for f in failed):
             raise ValueError("refusing to repair a node that is still alive")
-        helper_ids = self._pick_nodes(set(failed), helpers)
+        check_request(mode, failed, self.config.d)
+        helper_ids, skipped = self._pick_nodes(set(failed), helpers)
         rebuilt, sent = repair_nodes(mode, failed, helper_ids, self.node_content, self.encoder, self.config.m)
         self.contents.update(rebuilt)
-        event = RepairEvent(mode, failed, helper_ids, self.stripe_count, sent)
+        event = RepairEvent(mode, failed, helper_ids, self.stripe_count, sent, skipped)
         self.ledger.record(event)
         return event
 
     def recover_stripes(self, node_ids=None) -> MessageMatrix:
-        """Message matrix of every stripe from d distinct alive nodes; by default the first d, checked by the next."""
-        ids = self._pick_nodes(set(), node_ids)
-        if node_ids is None:
-            ids += tuple(self.alive()[self.config.d : self.config.d + 1])
+        """Message matrix of every stripe from d distinct alive nodes; by default the first d readable, checked by the next."""
+        ids, _ = self._pick_nodes(set(), node_ids, spare=1)
         return recover_data([self.node_content(i) for i in ids], ids, self.encoder, self.config.m)
 
     def recover_file(self, node_ids=None) -> bytes:
@@ -264,7 +281,7 @@ class Cluster:
 # --- shard persistence -------------------------------------------------
 
 SHARD_MAGIC = b"DETC"
-SHARD_VERSION = 2  # version 2: canonical direct-then-shared source order, zero padding, escaped GF(257) bodies
+SHARD_VERSION = 3  # version 3: canonical direct-then-shared source order, zero padding, escaped GF(257) bodies, plane-major
 _SHARD_HEADER = struct.Struct("<4sBQHHBHQQ")
 
 

@@ -8,14 +8,15 @@ storage/bandwidth trade-off, and a prime field modulus p. Derived sizes:
     beta  = C(d-1, m-1)      symbols downloaded per helper per repair
     F     = m * C(d+1, m+1)  source symbols per stripe
 
-The message matrix of S stripes is d x (S * alpha), stripe s in the column
-block from s * alpha; node i stores row i of its product with the n x d
-encoder matrix as one flat :class:`StripeBatch`, whose strided slice
-``symbols[c::alpha]`` is symbol c of every stripe: no layer builds a list
-per stripe. Message rows and node content are machine-word arrays
-(:func:`detcode.field.symbol_typecode`); a byte source is scattered into
-them by slice copies (:func:`build_message_matrix`), and a read's
-further-node check is one array comparison per node. A block's source
+The message matrix of S stripes is d x (S * alpha), plane-major: position
+c of stripe s is column c * S + s. Node i stores row i of its product with
+the n x d encoder matrix as one flat :class:`StripeBatch`, whose plane
+``symbols[c * S:(c + 1) * S]`` is symbol c of every stripe: no layer builds
+a list per stripe, and every kernel operand is one plane. Message rows and
+node content are machine-word arrays (:func:`detcode.field.symbol_typecode`);
+a byte source is scattered into them one plane per source cell
+(:func:`build_message_matrix`), and a read's further-node check is one
+array comparison per node. A block's source
 cells (:func:`source_cells`) and parity groups are read from
 :func:`detcode.subsets.incidence`, the package's one sign rule. Every
 alternating sum is one kernel product by a sign column
@@ -106,7 +107,7 @@ def derive_params(d: int, m: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class StripeBatch:
-    """One node's content: S stripes of alpha symbols, stripe after stripe, in one machine-word array.
+    """One node's content: S stripes of alpha symbols, plane-major (position c of stripe s at c * S + s), in one array.
 
     The array is array('I') where every symbol is below 2**32 (every p up
     to 2**32, so p = 257) and array('Q') otherwise: the kernel packs it as
@@ -117,8 +118,8 @@ class StripeBatch:
     ``bytes()`` of it is its raw machine buffer, not one byte per symbol:
     compare ``list(batch.symbols)`` with a list.
 
-    ``len`` is S; ``batch[s]`` and iteration (by index) yield stripe rows as array slices, which never equal a
-    list.
+    ``len`` is S; ``batch[s]`` and iteration (by index) yield stripe rows, ``symbols[s::S]``, as array slices,
+    which never equal a list.
     """
 
     symbols: array
@@ -137,8 +138,8 @@ class StripeBatch:
 
     def __getitem__(self, s: int) -> array:
         """Stripe s (negative counts from the end) as a fresh array slice of alpha symbols; IndexError past S."""
-        start = range(0, len(self.symbols), self.alpha)[s]
-        return self.symbols[start : start + self.alpha]
+        stripes = len(self)
+        return self.symbols[range(stripes)[s] :: stripes]
 
 
 @dataclass(frozen=True)
@@ -263,48 +264,35 @@ def _sign_column(k: int, field: Field, parity: bool) -> Matrix:
     return Matrix(field, [[sign] for sign in signs])
 
 
-@lru_cache(maxsize=None)
-def _term_indices(d: int, k: int, step: int, length: int, parity: bool) -> tuple[tuple[int, ...], ...]:
-    """Per term of :func:`incidence_terms` over d rows of *length* < 3 * step, the positions of its entries in the
-    rows laid end to end, in term order. Cached per shape."""
-    table, blocks = incidence(d, k), length // step
-    return tuple(
-        tuple((x - 1) * length + j + b * step for _, x, j, _ in table[i::k] for b in range(blocks))
-        for i in range(k - 1 if parity else k)
-    )
-
-
-def incidence_terms(rows, d: int, k: int, step: int, field: Field, parity: bool = False) -> tuple[list[array], Matrix]:
+def incidence_terms(rows, d: int, k: int, width: int, field: Field, parity: bool = False, groups: int = 1) -> tuple[list[array], Matrix]:
     """The terms and sign column of every k-set K's alternating sum over *rows*: one combine_rows call.
 
-    Term i is one array of :func:`detcode.field.symbol_typecode` holding, K
-    after K, its member x's slice ``rows[x - 1][j::step]``,
-    j the rank of K - {x}; entry r * B + b of the product is K's sum over
-    block b of B (K of rank r). Member i of every K has the sign
-    (-1)**(i + 1), p - 1 for -1 in the column. With *parity* the largest
-    member's term is left out and the others' signs are multiplied by minus
-    its sign: the product is then the entry of K's parity cell, the largest
-    member's, that makes K's sum vanish. Below 3 blocks (a one-stripe
-    encode, a one-stripe repair space) each term is picked by index from
-    the rows laid end to end (:func:`_term_indices`), else each member's
-    slice is one strided copy.
+    *rows* are d rows of *groups* blocks of *width* planes of B entries each:
+    column j of block g is the plane from (g * width + j) * B. Term i is one
+    array of :func:`detcode.field.symbol_typecode` holding, block after
+    block and K after K within it, its member x's plane j of block g in
+    ``rows[x - 1]``, j the rank of K - {x}; entry (g * R + r) * B + b of the
+    product is K's sum over entry b of block g (K of rank r of R). Member i
+    of every K has the sign (-1)**(i + 1), p - 1 for -1 in the column. With
+    *parity* the largest member's term is left out and the others' signs are
+    multiplied by minus its sign: the product is then the entry of K's
+    parity cell, the largest member's, that makes K's sum vanish. Each plane
+    is one contiguous slice copy.
     """
-    code, length = symbol_typecode(field.p), len(rows[0]) if rows else 0
-    if length < 3 * step:
-        flat = sum(rows[1:], rows[0]) if rows else ()  # rows of one type: arrays, tuples or lists
-        terms = [array(code, [flat[t] for t in at]) for at in _term_indices(d, k, step, length, parity)]
-        return terms, _sign_column(k, field, parity)
-    table, terms = incidence(d, k), []
+    code, table = symbol_typecode(field.p), incidence(d, k)
+    plane, terms = len(rows[0]) // (width * groups) if rows else 0, []
     for i in range(k - 1 if parity else k):
         flat = array(code)  # rows of this typecode are copied as buffers: no int per symbol
-        for _, x, j, _ in table[i::k]:
-            flat.extend(rows[x - 1][j::step])
+        for g in range(groups):
+            for _, x, j, _ in table[i::k]:
+                start = (g * width + j) * plane
+                flat.extend(rows[x - 1][start : start + plane])
         terms.append(flat)
     return terms, _sign_column(k, field, parity)
 
 
 class MessageMatrix:
-    """d x (S * alpha) symbol matrix of mode m: S stripes side by side as column blocks.
+    """d x (S * alpha) symbol matrix of mode m: S stripes plane-major, position c of stripe s in column c * S + s.
 
     In each stripe's block, the entry at row x, column label I is a direct
     source symbol when x is a member of I, and otherwise the shared symbol
@@ -335,18 +323,12 @@ class MessageMatrix:
 
     def extract_symbols(self) -> array:
         """Source symbols back out, stripe after stripe, in canonical order, as one array of
-        :func:`detcode.field.symbol_typecode`; does not check parity. Below 3 stripes each stripe's source cells
-        are picked one by one, else each cell of every stripe is one strided slice write."""
-        rows, alpha, cells, code = self.matrix.data, self.alpha, source_cells(self.d, self.m), symbol_typecode(self.matrix.field.p)
-        if self.stripes < 3:
-            flat = array(code)
-            for s in range(0, self.matrix.cols, alpha):
-                block = [row[s : s + alpha] for row in rows]
-                flat.extend([block[r][c] for r, c in cells])
-            return flat
-        flat = array(code, [0]) * (self.stripes * len(cells))
+        :func:`detcode.field.symbol_typecode`; does not check parity. Each source cell's plane is one slice, written
+        into every stripe by one strided slice assignment."""
+        rows, stripes, cells = self.matrix.data, self.stripes, source_cells(self.d, self.m)
+        flat = array(symbol_typecode(self.matrix.field.p), [0]) * (stripes * len(cells))
         for t, (r, c) in enumerate(cells):
-            flat[t :: len(cells)] = rows[r][c::alpha]
+            flat[t :: len(cells)] = rows[r][c * stripes : (c + 1) * stripes]
         return flat
 
     def __eq__(self, other):
@@ -354,36 +336,33 @@ class MessageMatrix:
 
 
 def build_message_matrix(source, d: int, m: int, field: Field) -> MessageMatrix:
-    """Arrange S * F source symbols (any ints), stripe after stripe, into S column blocks, completing parities.
+    """Arrange S * F source symbols (any ints), stripe after stripe, into S plane-major stripes, completing parities.
 
-    Each row is one array of :func:`detcode.field.symbol_typecode`. A bytes
-    or bytearray source over p > 255 is canonical as it is: each source
-    cell's bytes are scattered into the low byte of its row's items by one
-    slice copy, with no int per symbol. Any other source is reduced once on
-    entry and scattered by array slice assignment.
+    Each row is one array of :func:`detcode.field.symbol_typecode`, and
+    source cell t = (r, c) of every stripe, ``source[t::F]``, is plane c of
+    row r. A bytes or bytearray source over p > 255 is canonical as it is:
+    each cell's bytes fill its plane of the row's low byte plane, which is
+    then widened, with no int per symbol. Any other source is reduced once
+    on entry and scattered by array slice assignment.
     """
     alpha, _, per_stripe = derive_params(d, m)
     if len(source) % per_stripe:
         raise WrongLength(
             f"need a whole number of stripes of {per_stripe} source symbols, got {len(source)}"
         )
-    code, cols = symbol_typecode(field.p), len(source) // per_stripe * alpha
+    code, stripes = symbol_typecode(field.p), len(source) // per_stripe
     if isinstance(source, (bytes, bytearray)) and field.p > 255:
-        size = array(code).itemsize
-        wide = [bytearray(cols * size) for _ in range(d)]
-        for t, (r, c) in enumerate(source_cells(d, m)):
-            wide[r][c * size :: alpha * size] = source[t::per_stripe]
-        data = [widen(row, size, code) for row in wide]
+        data = [bytearray(stripes * alpha) for _ in range(d)]
     else:
-        source = reduced(source, field.p)
-        data = [array(code, [0]) * cols for _ in range(d)]
-        for t, (r, c) in enumerate(source_cells(d, m)):
-            data[r][c::alpha] = source[t::per_stripe]
+        source, data = reduced(source, field.p), [array(code, [0]) * (stripes * alpha) for _ in range(d)]
+    for t, (r, c) in enumerate(source_cells(d, m)):
+        data[r][c * stripes : (c + 1) * stripes] = source[t::per_stripe]
+    data = [row if isinstance(row, array) else widen(row, 1, code) for row in data]
     if m < d:  # source and parity cells are disjoint: one product completes every group of every stripe
-        parities, stripes = combine_rows(*incidence_terms(data, d, m + 1, alpha, field, parity=True))[0], cols // alpha
+        parities = combine_rows(*incidence_terms(data, d, m + 1, alpha, field, parity=True))[0]
         for g, (_, x, i, _) in enumerate(incidence(d, m + 1)[m :: m + 1]):
-            data[x - 1][i::alpha] = parities[g * stripes : (g + 1) * stripes]
-    return MessageMatrix(Matrix.wrap(field, data, cols), m)
+            data[x - 1][i * stripes : (i + 1) * stripes] = parities[g * stripes : (g + 1) * stripes]
+    return MessageMatrix(Matrix.wrap(field, data, stripes * alpha), m)
 
 
 def encode(encoder: EncoderMatrix, message: MessageMatrix) -> list[StripeBatch]:

@@ -21,9 +21,9 @@ canonical ones back.
 Every product is one word-parallel kernel with two entries. In
 :func:`combine_rows` K node-major sequences of one length L (message rows,
 node batches, repair vectors) are combined by a K x r weight matrix into r
-output sequences, whatever L and r; :func:`batch_product` maps flat stripe
-batches (a helper's batch, a payload) to flat stripe batches, stripe by
-stripe, so no caller splits a batch into columns or zips outputs back. One
+output sequences, whatever L and r; :func:`batch_product` maps plane-major
+stripe batches (a helper's batch, a payload) to plane-major batches, stripe
+by stripe, so every operand is one plane and every output a concatenation. One
 side is packed into one int per row, an entry per fixed-width slot
 (:func:`slot_width`), so one big-int multiply-add (:func:`_combine`)
 combines a whole window of a row or, in a batch of fewer stripes than
@@ -307,15 +307,15 @@ def _folded(acc: int, count: int, k: int, masks: tuple[int, ...]) -> array:
 
 
 def _combine(coeffs, terms, count: int, k: int, p: int, slot: int, fold):
-    """One output window, the sum of a * x over *coeffs* and packed *terms* (count slot-byte slots, k terms): an array
-    by :func:`_folded` where *fold* holds its masks, else a list reduced by % p per entry."""
+    """One output window, the sum of a * x over *coeffs* and packed *terms* (count slot-byte slots, k terms), as an
+    array of :func:`symbol_typecode`: by :func:`_folded` where *fold* holds its masks, else reduced by % p per entry."""
     acc = 0
     for a, x in zip(coeffs, terms):
         if a:
             acc += a * x
     if fold:
         return _folded(acc, count, k, fold)
-    return [v % p for v in _decode(acc.to_bytes(count * slot, "little"), slot)]
+    return array(symbol_typecode(p), [v % p for v in _decode(acc.to_bytes(count * slot, "little"), slot)])
 
 
 def combine_rows(rows, weights: "Matrix") -> list[array]:
@@ -344,18 +344,18 @@ def combine_rows(rows, weights: "Matrix") -> list[array]:
 
 
 def batch_product(parts, weights: "Matrix", blocks: int = 1) -> list[array]:
-    """Stripe s of the flat batches *parts* side by side times *weights*, for every stripe, as *blocks* flat
-    batches: block b holds output columns b * c to (b + 1) * c - 1 of every stripe, c = weights.cols / blocks.
+    """Stripe s of the plane-major batches *parts* side by side times *weights*, for every stripe, as *blocks*
+    plane-major batches: block b holds output columns b * c to (b + 1) * c - 1 of every stripe, c = weights.cols / blocks.
 
     *parts* are (flat, width) pairs, flat holding S stripes of width symbols
-    stripe after stripe, one S for all, the widths summing to weights.rows
-    (else DimensionMismatch, also where blocks does not divide
-    weights.cols). Each block is a fresh array of :func:`symbol_typecode`;
+    (symbol c of stripe s at c * S + s), one S for all, the widths summing
+    to weights.rows (else DimensionMismatch, also where blocks does not
+    divide weights.cols). Each block is a fresh array of :func:`symbol_typecode`;
     ValueError for an entry outside [0, p) or not an int. With 0 < S <
     weights.cols the stripes are combined by the packed weights
-    (:func:`_weight_packed`); otherwise each part's column c is the array
-    slice ``flat[c::w]``, the columns are combined by :func:`_windowed`, and
-    each output is written into its block by one strided slice assignment.
+    (:func:`_weight_packed`); otherwise each part's plane c, the slice
+    ``flat[c * S:(c + 1) * S]``, is one row of :func:`_windowed`, and each
+    block concatenates its output planes.
     """
     r, k, counts = weights.cols, 0, set()
     for flat, w in parts:  # a stripe count per part, -1 for a partial stripe
@@ -366,9 +366,9 @@ def batch_product(parts, weights: "Matrix", blocks: int = 1) -> list[array]:
     stripes, code, width = counts.pop(), symbol_typecode(weights.field.p), r // blocks
     if 0 < stripes < r:
         return _weight_packed(parts, stripes, weights, code, blocks)
-    outs = [array(code, [0]) * (stripes * width) for _ in range(blocks)]
-    for i, column in enumerate(_windowed([flat[c::w] for flat, w in parts for c in range(w)], stripes, weights, code)):
-        outs[i // width][i % width :: width] = column
+    outs = [array(code) for _ in range(blocks)]
+    for i, plane in enumerate(_windowed([flat[c * stripes : (c + 1) * stripes] for flat, w in parts for c in range(w)], stripes, weights, code)):
+        outs[i // width] += plane
     return outs
 
 
@@ -395,8 +395,6 @@ def _windowed(rows, length: int, weights: "Matrix", code: str) -> list[array]:
         for i, unit in enumerate(units):
             if unit is None:
                 values = _combine(columns[i], packed, end - begin, k, p, slot, fold)
-                if not fold:
-                    values = array(code, values)
                 if windowed:
                     outputs[i][begin:end] = values
                 else:
@@ -410,8 +408,8 @@ def _windowed(rows, length: int, weights: "Matrix", code: str) -> list[array]:
 
 def _weight_packed(parts, stripes: int, weights: "Matrix", code: str, blocks: int) -> list[array]:
     """:func:`batch_product` (its one caller, which checks shapes) of 0 < S < r whole stripes per part: the parts are
-    range-checked word-parallel on their own buffers (:func:`_in_range`), and stripe s, ``flat[s * w:(s + 1) * w]`` of
-    every part, is combined by :attr:`Matrix.packed_rows` (unit columns too) into outputs appended as they come."""
+    range-checked word-parallel on their own buffers (:func:`_in_range`), and stripe s, ``flat[s::S]`` of every part,
+    is combined by :attr:`Matrix.packed_rows` (unit columns too) into outputs written plane by plane, ``out[s::S]``."""
     p, r, k = weights.field.p, weights.cols, weights.rows
     slot, size, width = slot_width(p, k), array(code).itemsize, r // blocks
     try:
@@ -421,12 +419,11 @@ def _weight_packed(parts, stripes: int, weights: "Matrix", code: str, blocks: in
     if not in_field:
         raise ValueError(f"operand entry out of field range [0, {p})")
     masks = _masks(r, slot, p) if r <= WINDOW else ()
-    fold, outs = masks if len(masks) > 3 else None, [array(code) for _ in range(blocks)]
+    fold, outs = masks if len(masks) > 3 else None, [array(code, [0]) * (stripes * width) for _ in range(blocks)]
     for s in range(stripes):
-        row = [flat[s * w : (s + 1) * w] for flat, w in parts]
-        values = _combine(row[0] if len(row) == 1 else chain.from_iterable(row), weights.packed_rows, r, k, p, slot, fold)
+        values = _combine(chain.from_iterable(flat[s::stripes] for flat, _ in parts), weights.packed_rows, r, k, p, slot, fold)
         for b, out in enumerate(outs):
-            out.extend(values[b * width : (b + 1) * width] if blocks > 1 else values)
+            out[s::stripes] = values[b * width : (b + 1) * width]
     return outs
 
 

@@ -20,7 +20,7 @@ decoded from the d payloads for it.
   download is beta_bar_e = (m/d) * (C(d+1, m+1) - C(d-e+1, m+1)) per
   helper, and a d-fold rotation (in ``tests/certificates.py``) equalizes
   it exactly. The center expands each payload once, and step s reads
-  failed[s]'s segment out of every stripe by :func:`detcode.repair.gather`.
+  failed[s]'s segment of every stripe as one contiguous run of its planes.
   It needs at most d failures, one slot per failure.
 
 Both decodes are linear: from twice as many stripes as the payloads carry
@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, derive_params  # OverlapError re-exported
 from . import repair  # called through the module: perfbench/spans.py would time a name bound here as this layer
-from .repair import decode_repair_vectors, decompress_payload, gather, helper_payload
+from .repair import decode_repair_vectors, decompress_payload, helper_payload
 from .subsets import binom
 
 
@@ -102,27 +102,32 @@ def bandwidth_table(d: int, m: int, e_max: int, mode: str = "all"):
     return [(e, kind, value, Fraction(value) / alpha) for e, kind, value in values]
 
 
-def repair_nodes(mode: str, failed, helpers, content, encoder: EncoderMatrix, m: int):
-    """Rebuild the *failed* nodes from *helpers* in *mode*, every stripe; returns (stripe batches, symbols per helper).
-
-    *content* maps a helper id to its stripe batch (a callable). A bad request
-    is refused before any helper is read: an unknown mode, no failure, single
-    with more than one, centralized with more than d. Each helper transmits
-    once, one payload per group it serves: the tuple (single, joint), each
-    failure (naive), or failed[:j] at slot j (centralized). Each group then
-    decodes once, by ``decode_factored`` or by :func:`decode_centralized`.
-    """
+def check_request(mode: str, failed, d: int) -> None:
+    """Refuse a bad repair request before any helper is chosen or read: an unknown mode, no failure, single with
+    more than one, centralized with more than d."""
     if mode not in REPAIR_MODES:
         raise ValueError(f"mode must be one of {REPAIR_MODES}, got {mode!r}")
     if not failed:
         raise ValueError("nothing to repair")
     if mode == "single" and len(failed) != 1:
         raise ValueError("single mode repairs exactly one node")
+    if mode == "centralized" and len(failed) > d:
+        raise TooManyFailures(f"{len(failed)} failures need as many helper slots, got {d}")
+
+
+def repair_nodes(mode: str, failed, helpers, content, encoder: EncoderMatrix, m: int):
+    """Rebuild the *failed* nodes from *helpers* in *mode*, every stripe; returns (stripe batches, symbols per helper).
+
+    *content* maps a helper id to its stripe batch (a callable). A bad request
+    is refused (:func:`check_request`) before any helper is read. Each helper
+    transmits once, one payload per group it serves: the tuple (single,
+    joint), each failure (naive), or failed[:j] at slot j (centralized). Each
+    group then decodes once, by ``decode_factored`` or by :func:`decode_centralized`.
+    """
+    check_request(mode, failed, encoder.d)
     groups = tuple((f,) for f in failed) if mode == "naive" else (failed,)
     served, decode = [groups] * len(helpers), repair.decode_factored
     if mode == "centralized":
-        if len(failed) > encoder.d:
-            raise TooManyFailures(f"{len(failed)} failures need as many helper slots, got {encoder.d}")
         served, decode = [(failed[:slot],) for slot in range(1, len(helpers) + 1)], decode_centralized
     sent = [repair.helper_payloads(content(h), h, own, encoder, m) for h, own in zip(helpers, served)]
     rebuilt = {}
@@ -139,8 +144,7 @@ def centralized_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int
     the centralized plan.
     """
     failed = checked_ids(failed, "failed ids", n=encoder.n)
-    if len(failed) > encoder.d:
-        raise TooManyFailures(f"{len(failed)} failures need as many helper slots, got {encoder.d}")
+    check_request("centralized", failed, encoder.d)
     helpers = checked_ids(helpers, "helper ids", n=encoder.n, count=encoder.d, failed=failed)
     return repair_nodes("centralized", failed, helpers, contents.__getitem__, encoder, m)
 
@@ -155,16 +159,16 @@ def decode_centralized(payloads, encoder: EncoderMatrix, failed) -> dict[int, St
     """
     m, failed = payloads[0].m, tuple(failed)
     helpers = tuple(payload.helper for payload in payloads)
-    seg = binom(encoder.d, m - 1)
-    # per helper: repair vectors, stripe after stripe, seg per served failure
-    expanded = {pl.helper: StripeBatch(decompress_payload(pl, encoder), len(pl.failed) * seg) for pl in payloads}
+    # per helper: repair vectors, plane-major, one block of C(d, m-1) planes per served failure
+    expanded = {pl.helper: decompress_payload(pl, encoder) for pl in payloads}
+    size = len(expanded[helpers[0]]) // len(payloads[0].failed)  # one block: C(d, m-1) planes of every stripe
     repaired: dict[int, StripeBatch] = {}
     for step, f in enumerate(failed):
         helper_ids = failed[:step] + helpers[step:]  # the repaired prefix, then the later slots
         vectors = [
             decompress_payload(helper_payload(repaired[h], h, (f,), encoder, m), encoder)
             if h in repaired  # center-local, free
-            else gather(expanded[h].symbols, len(expanded[h]), seg, step * seg, expanded[h].alpha)
+            else expanded[h][step * size : (step + 1) * size]
             for h in helper_ids
         ]
         repaired.update(decode_repair_vectors(vectors, helper_ids, encoder, (f,), m))

@@ -35,9 +35,9 @@ the unit batch. A batch of at least twice as many stripes as the operator
 has rows decodes by one product with it; a smaller batch runs the
 factored decode, which also stays the operator's builder and the test
 oracle. A cached operator's product beats the factored decode from one
-times the rows on; a build plus one product breaks even only from about
-2.5 times the rows at (12, 6, 3) with e = 3, 4.5 times with e = 1, and
-beyond 6 times at (8, 4, 2) (CPython 3.11). The operator depends only on
+times the rows on; a build plus one product breaks even only from about 3
+times the rows at (12, 6, 3) with e = 3, 6 times with e = 1, and beyond 8
+times at (8, 4, 2) (CPython 3.11, plane-major batches). The operator depends only on
 the code, the decode, the failure and helper tuples and the mode, and the
 default helpers give every object repaired after a node failure the same
 tuple, so compiled operators are kept in one least-recently-used cache
@@ -45,29 +45,30 @@ bounded by the entries charged for them (:data:`OPERATOR_BUDGET`): every
 repair of a tuple after the first skips the build.
 
 Transmit, decompression and the operator's decode each map S stripes to S
-stripes by :func:`detcode.field.batch_product`: the flat batch or payloads
-go in whole, and the flat payloads (one block of output columns per
-failure group), vectors or failed batches (one block per failure) come
-out. The helpers' repair vectors are node-major rows of
-:func:`detcode.field.combine_rows` by the cached read inverse; the
-readout's label-major sums are put back in stripe order by
-:func:`gather`. Every weight depends only on the failure and helper
+stripes by :func:`detcode.field.batch_product`: the plane-major batch or
+payloads go in whole, and the plane-major payloads (one block of output
+columns per failure group), vectors or failed batches (one block per
+failure) come out. The helpers' repair vectors are node-major rows of
+:func:`detcode.field.combine_rows` by the cached read inverse, and the
+readout's sums hold each failed node's planes in order, one contiguous
+block per failure. Every weight depends only on the failure and helper
 tuples, so stripe data is never copied into a Matrix.
 
-Wire format of a payload, version 4, all integers little-endian::
+Wire format of a payload, version 5, all integers little-endian::
 
-    <B version=4> <B m> <B e> <e x H failed ids> <H helper> <I count>
+    <B version=5> <B m> <B e> <e x H failed ids> <H helper> <I count>
     followed by the count symbols' body (:func:`detcode.field.pack_symbols`):
       at p = 257  <B tag=1> <I escapes> <escapes x I positions> <count x B low bytes>
                or <B tag=2> <count x H symbols>   (only where tag 1 is longer)
       otherwise   count symbols of ceil(bits(p) / 8) bytes each
 
 One payload carries a helper's symbols for every stripe under one header,
-stripe after stripe, so count is a multiple of rank(compress). The
-positions are those of the symbols equal to 256, strictly increasing, so a
-GF(257) payload costs about 1 + 4/257 bytes per symbol. The body is decoded
-first and its symbol count compared with count; version 3 (2-byte GF(257)
-symbols) is refused. Pivot columns are not sent: both ends derive them
+plane-major (symbol j of every stripe, then symbol j + 1), so count is a
+multiple of rank(compress). The positions are those of the symbols equal
+to 256, strictly increasing, so a GF(257) payload costs about 1 + 4/257
+bytes per symbol. The body is decoded first and its symbol count compared
+with count; version 3 (2-byte GF(257) symbols) and version 4 (stripe after
+stripe) are refused. Pivot columns are not sent: both ends derive them
 from the public repair matrix of (failed ids, m).
 """
 
@@ -125,7 +126,7 @@ def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int) -> tup
     return xi.submatrix(range(xi.rows), pivots), expand
 
 
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 _WIRE_HEAD = struct.Struct("<BBB")  # version, mode, failure count
 _WIRE_TAIL = struct.Struct("<HI")  # helper id, symbol count
 
@@ -198,7 +199,7 @@ def helper_payloads(h_content: StripeBatch, helper: int, groups, encoder: Encode
     compress is a function of the public repair matrix alone, so sender and
     receiver agree without negotiation and without knowing the other helpers.
     The output splits into one block of columns per group, each that group's
-    payload, stripe after stripe; one group multiplies by its own compress.
+    plane-major payload; one group multiplies by its own compress.
     """
     groups = tuple(tuple(group) for group in groups)
     compress = repair_basis(encoder, groups[0], m)[0] if len(groups) == 1 else stacked_compress(encoder, groups, m)
@@ -220,7 +221,7 @@ def _payload_shape(payload: RepairPayload, encoder: EncoderMatrix) -> tuple[int,
 
 
 def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> array:
-    """Full-length repair vectors, stripe after stripe: the received symbols times expand, one product."""
+    """Full-length repair vectors, plane-major: the received symbols times expand, one product."""
     rank, _ = _payload_shape(payload, encoder)
     expand = repair_basis(encoder, payload.failed, payload.m)[1]
     return batch_product([(payload.symbols, rank)], expand)[0]
@@ -270,15 +271,6 @@ def decode_payloads(factored, payloads, encoder: EncoderMatrix, failed) -> dict[
     operator = decode_operator(factored, encoder, failed, sources, payloads[0].m)
     decoded = batch_product([(pl.symbols, rank) for pl, (rank, _) in zip(payloads, shapes)], operator, len(failed))
     return {f: StripeBatch(flat, operator.cols // len(failed)) for f, flat in zip(failed, decoded)}
-
-
-def gather(flat, stripes: int, size: int, start: int, stride: int, step: int = 1) -> array:
-    """Entry t * size + c is ``flat[start + t * stride + c * step]``, for t < stripes and c < size: one slice of the
-    array *flat* per stripe."""
-    out = flat[:0]
-    for t in range(start, start + stripes * stride, stride):
-        out += flat[t : t + size * step : step]
-    return out
 
 
 OPERATOR_BUDGET = 2**19
@@ -355,8 +347,9 @@ def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], s
     *sources* is the (helper, failure tuple it serves, basis rank) of each
     payload, in order. The operator is *factored* run on the unit batch,
     whose stripe t carries a 1 in received position t (payload after
-    payload, rank positions each): row t is that decode's output for stripe
-    t, the failed nodes' alpha entries each in failure order. Kernel
+    payload, rank positions each; plane j of a payload holds its position
+    j): row t is that decode's output for stripe t, the failed nodes' alpha
+    entries each in failure order. Kernel
     outputs or unit-batch copies, they are canonical: wrapped
     unchecked, as tuples, since a kept operator is shared.
 
@@ -371,8 +364,7 @@ def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], s
     payloads, offset = [], 0
     for helper, target, rank in sources:
         symbols = symbol_array([0] * (total * rank))
-        for j in range(rank):
-            symbols[(offset + j) * rank + j] = 1
+        symbols[offset :: total + 1] = symbol_array([1] * rank)  # plane j: a 1 at stripe offset + j
         payloads.append(RepairPayload(target, helper, m, symbols))
         offset += rank
     decoded = factored(payloads, encoder, failed)
@@ -386,21 +378,21 @@ def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m
     One product with the inverse of the selected encoder rows (the cached
     read weights :func:`detcode.code.recover_weights` of the d helpers)
     decodes every stripe and failure: the result holds a d x C(d, m-1) repair space per
-    stripe and failure, stripe after stripe, each decoded by signed sums.
+    stripe and failure, plane-major, one block of planes per failure, each decoded by signed sums.
     """
     space = combine_rows(vectors, recover_weights(encoder, tuple(helper_ids)))
-    sums, alpha, e = combine_repair_space(space, encoder.d, m, encoder.field), binom(encoder.d, m), len(failed)
-    spaces = len(sums) // alpha  # space t * e + i is failure i's in stripe t
-    return {f: StripeBatch(gather(sums, spaces // e, alpha, i, e, spaces), alpha) for i, f in enumerate(failed)}
+    sums = combine_repair_space(space, encoder.d, m, encoder.field, len(failed))
+    size = len(sums) // len(failed)  # failure i's stripes are block i of the sums
+    return {f: StripeBatch(sums[i * size : (i + 1) * size], binom(encoder.d, m)) for i, f in enumerate(failed)}
 
 
-def combine_repair_space(rows, d: int, m: int, field) -> array:
-    """Signed-sum readout of repair spaces side by side, label after label: entry r * B + b is label r of space b.
+def combine_repair_space(rows, d: int, m: int, field, groups: int = 1) -> array:
+    """Signed-sum readout of repair spaces, plane-major: entry (g * alpha + r) * B + b is label r of space b of group g.
 
-    *rows* are the d rows of the B spaces; space b is the d x C(d, m-1)
-    block of columns from b * C(d, m-1). Its entry at column label I is the
-    sum over x in I of (-1)**position(I, x) times the entry at (row x,
-    column I - {x}) of the block: one product of every label's terms by
+    *rows* are the d rows of *groups* blocks of B spaces each; column j of
+    space b of group g is entry (g * C(d, m-1) + j) * B + b. Its entry at
+    column label I is the sum over x in I of (-1)**position(I, x) times the
+    entry at (row x, column I - {x}): one product of every label's terms by
     their sign column (:func:`detcode.code.incidence_terms`).
     """
-    return combine_rows(*incidence_terms(rows, d, m, binom(d, m - 1), field))[0]
+    return combine_rows(*incidence_terms(rows, d, m, binom(d, m - 1), field, groups=groups))[0]

@@ -16,14 +16,14 @@ from detcode.subsets import binom, incidence, position, subsets
 
 
 def entry(message: MessageMatrix, x: int, column_label) -> int:
-    """Entry at row x, column label I of the message's first stripe."""
-    return message.matrix[x - 1, subsets(message.d, message.m).rank(column_label)]
+    """Entry at row x, column label I of the message's first stripe (plane-major: column rank(I) * S)."""
+    return message.matrix[x - 1, subsets(message.d, message.m).rank(column_label) * message.stripes]
 
 
 def shared_symbol(message: MessageMatrix, x: int, members) -> int:
     """Value of the first stripe's (m+1)-set symbol (x, members), read from its slot."""
     rest = tuple(y for y in members if y != x)
-    return message.matrix[x - 1, subsets(message.d, message.m).rank(rest)]
+    return message.matrix[x - 1, subsets(message.d, message.m).rank(rest) * message.stripes]
 
 
 def tradeoff_bound(d: int, level: int, alpha: int, beta: int) -> Fraction:

@@ -108,3 +108,25 @@ def symbol_body_spec(values, p) -> bytes:
     if 5 + 4 * len(positions) + len(values) > 1 + 2 * len(values):
         return b"\x02" + fixed
     return b"\x01" + struct.pack(f"<{1 + len(positions)}I", len(positions), *positions) + bytes(v % 256 for v in values)
+
+
+def stripe_rows(flat, width: int) -> list[list[int]]:
+    """The stripes of a plane-major batch of *width* symbols per stripe, picked one by one: symbol c of stripe s is
+    entry c * S + s."""
+    stripes = len(flat) // width
+    return [[flat[c * stripes + s] for c in range(width)] for s in range(stripes)]
+
+
+def plane_major(rows) -> list[int]:
+    """Stripe rows of one width laid out plane-major, symbol c of every stripe in turn: the inverse of stripe_rows."""
+    return [row[c] for c in range(len(rows[0]) if rows else 0) for row in rows]
+
+
+def batch_product_scalar(parts, weights, blocks: int = 1) -> list[list[int]]:
+    """:func:`detcode.field.batch_product` stripe by stripe: each stripe of the plane-major (flat, width) *parts*,
+    side by side, times *weights* by :func:`vec_mat`, the output columns split into *blocks* plane-major batches."""
+    rows = [stripe_rows(flat, w) for flat, w in parts]
+    stripes = len(rows[0])
+    outs = [vec_mat([v for part in rows for v in part[s]], weights) for s in range(stripes)]
+    width = weights.cols // blocks
+    return [plane_major([out[b * width : (b + 1) * width] for out in outs]) for b in range(blocks)]

@@ -11,7 +11,7 @@ from detcode import Cluster, CodeConfig, Field, Matrix, ShardFile, StripeBatch, 
 from detcode.cluster import SHARD_MAGIC, SHARD_VERSION
 from detcode.field import batch_product, combine_rows
 from detcode.multirepair import joint_bandwidth
-from oracles import symbol_body_spec
+from oracles import as_lists, batch_product_scalar, stripe_rows, symbol_body_spec
 
 
 def _stripe_counts(d: int, m: int, e: int):
@@ -36,14 +36,14 @@ def test_batch_round_trips_through_shards_get_and_every_repair(tmp_path_factory,
     encoded = dict(cluster.contents)
     for batch in encoded.values():
         assert len(batch) == stripes and len(batch.symbols) == stripes * config.alpha
-        assert list(batch) == [batch.symbols[s * config.alpha : (s + 1) * config.alpha] for s in range(stripes)]
+        assert list(batch) == [batch.symbols[s::stripes] for s in range(stripes)]
 
-    # shard bytes: the v2 header, then every stripe's alpha symbols in the GF(257) body layout, from its spec
+    # shard bytes: the v3 header, then symbol c of every stripe for each c in turn, in the GF(257) body layout, from its spec
     directory = tmp_path_factory.mktemp("batch")
     write_all_shards(directory, cluster)
     for node, batch in encoded.items():
         header = struct.pack("<4sBQHHBHQQ", SHARD_MAGIC, SHARD_VERSION, 257, 8, 4, m, node, stripes, len(blob))
-        body = symbol_body_spec([v for s in range(stripes) for v in batch[s]], 257)
+        body = symbol_body_spec([batch[s][c] for c in range(config.alpha) for s in range(stripes)], 257)
         assert shard_path(directory, node).read_bytes() == header + body
         assert read_shard(shard_path(directory, node)).stripes == batch
 
@@ -64,9 +64,9 @@ def test_batch_round_trips_through_shards_get_and_every_repair(tmp_path_factory,
 
 
 def test_batch_rows_and_equality():
-    batch = StripeBatch([1, 2, 3, 4, 5, 6], 3)
-    assert len(batch) == 2 and list(batch[0]) == [1, 2, 3] and list(batch[-1]) == [4, 5, 6]
-    assert [list(row) for row in batch] == [[1, 2, 3], [4, 5, 6]]
+    batch = StripeBatch([1, 2, 3, 4, 5, 6], 3)  # plane-major: symbol c of stripe s at c * 2 + s
+    assert len(batch) == 2 and list(batch[0]) == [1, 3, 5] and list(batch[-1]) == [2, 4, 6]
+    assert [list(row) for row in batch] == [[1, 3, 5], [2, 4, 6]]
     with pytest.raises(IndexError):
         batch[2]
     assert batch == StripeBatch([1, 2, 3, 4, 5, 6], 3)
@@ -108,3 +108,30 @@ def test_shard_body_and_kernel_outputs_are_arrays_at_257():
         assert [list(output) for output in outputs] == [[256] * length, [1] * length, [(512 + 3) % 257] * length]
     (packed,) = batch_product([([256, 1], 2)], weights)  # one stripe: the weights packed
     assert (type(packed), packed.typecode, list(packed)) == (array, "I", [256, 1, (512 + 3) % 257])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_plane_major_products_match_a_per_stripe_oracle(data):
+    """The layout oracle: S in {0, 1, 2, 3, 7} stripes of 1-3 plane-major parts (arrays or lists), times weights of
+    more output columns than stripes (the weight-packed orientation) or at most as many (the windowed one), in 1-3
+    blocks: batch_product gives what a scalar product stripe by stripe, laid out plane-major, gives. A part read as a
+    StripeBatch yields stripe s as batch[s], batch[s - S] and its s-th row."""
+    p = data.draw(st.sampled_from([13, 257, 65537]), label="p")
+    stripes = data.draw(st.sampled_from([0, 1, 2, 3, 7]), label="stripes")
+    packed = stripes > 0 and data.draw(st.booleans(), label="weight-packed")
+    blocks = data.draw(st.integers(1, 3 if packed or not stripes else min(3, stripes)), label="blocks")
+    least, most = (stripes // blocks + 1, stripes // blocks + 3) if packed else (1, max(stripes // blocks, 1))
+    width = data.draw(st.integers(least, most), label="block width")
+    assert (0 < stripes < blocks * width) == packed
+    widths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="widths")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    weights = Matrix(Field(p), [[rng.randrange(p) for _ in range(blocks * width)] for _ in range(sum(widths))])
+    parts = [([rng.randrange(p) for _ in range(stripes * w)], w) for w in widths]
+    parts = [(array("I", flat) if data.draw(st.booleans(), label="array") else flat, w) for flat, w in parts]
+    assert as_lists(batch_product(parts, weights, blocks)) == batch_product_scalar(parts, weights, blocks)
+    for flat, w in parts:
+        batch, rows = StripeBatch(flat, w), stripe_rows(flat, w)
+        assert len(batch) == stripes
+        assert [list(batch[s]) for s in range(stripes)] == [list(batch[s - stripes]) for s in range(stripes)] == rows
+        assert [list(row) for row in batch] == rows

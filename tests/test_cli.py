@@ -7,7 +7,7 @@ from click.testing import CliRunner
 import detcode.cluster
 from detcode.cli import main
 from detcode.code import StripeBatch
-from detcode.cluster import ShardFormatError, load_cluster, read_shard, shard_path, write_shard
+from detcode.cluster import NotEnoughHelpers, ShardFormatError, load_cluster, read_shard, shard_path, write_shard
 
 
 def _encode_fixture(tmp_path, size=3000, seed=9, n=8, d=4, m=2, prime=None, data=None):
@@ -345,15 +345,19 @@ def _set_unknown_tag(path):
 
 def test_malformed_body_blocks_only_the_reads_of_its_node(tmp_path):
     """Node 3's layout tag set to 0x7f at (8, 4, 2): the directory loads, a read of nodes 5-8 returns the file,
-    and every read that includes node 3, the default one too, raises ShardFormatError naming node_3.detc."""
+    every read that names node 3 raises ShardFormatError naming node_3.detc, and the default read passes over
+    node 3 (nodes 1, 2, 4 and 5, checked against node 6) and records it as skipped."""
     _, data, shards = _encode_fixture(tmp_path, size=2000)
     _set_unknown_tag(shard_path(shards, 3))
     cluster = load_cluster(shards)
     assert cluster.alive() == list(range(1, 9)) and cluster.stripe_count == 100
-    assert cluster.recover_file([5, 6, 7, 8]) == data
-    for ids in ([1, 2, 3, 4], [3, 6, 7, 8], None):
+    assert cluster.recover_file([5, 6, 7, 8]) == data and cluster.skipped == {}
+    for ids in ([1, 2, 3, 4], [3, 6, 7, 8]):
         with pytest.raises(ShardFormatError, match=r"node_3\.detc: malformed symbol layout: unknown tag 127"):
             cluster.recover_file(ids)
+    assert cluster.recover_file() == data
+    assert cluster.skipped == {3: f"{shard_path(shards, 3)}: malformed symbol layout: unknown tag 127"}
+    assert [type(cluster.contents[i]).__name__ for i in range(1, 9)] == ["StripeBatch"] * 2 + ["ShardBlob"] + ["StripeBatch"] * 5
     assert cluster.recover_file([4, 5, 6, 7]) == data
 
 
@@ -372,21 +376,55 @@ def test_repair_rebuilds_a_shard_with_a_malformed_body(tmp_path):
     assert result.output.endswith("verified 100 stripes across 8 shards\n")
 
 
-def test_recover_through_a_malformed_body_exits_1_without_output(tmp_path):
-    """Node 3's layout tag set to 0x7f: a recover whose read includes node 3 names node_3.detc, exits 1 and
-    writes no output file; one that leaves it out returns the file."""
+def test_recover_passes_over_a_malformed_body_unless_its_node_is_named(tmp_path):
+    """Node 3's layout tag set to 0x7f: a recover with --nodes naming node 3 names node_3.detc, exits 1 and
+    writes no output file; one that leaves it out returns the file; the default recover passes over node 3,
+    writes the file and names node 3 on stderr."""
     runner, data, shards = _encode_fixture(tmp_path, size=2000)
     _set_unknown_tag(shard_path(shards, 3))
-    for nodes in (["--nodes", "3,4,5,6"], []):
-        out = tmp_path / "out.bin"
-        result = runner.invoke(main, ["recover", "--shards", str(shards), *nodes, "--output", str(out)])
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert result.output == f"Error: {shard_path(shards, 3)}: malformed symbol layout: unknown tag 127\n"
-        assert not out.exists()
+    reason = f"{shard_path(shards, 3)}: malformed symbol layout: unknown tag 127"
+    out = tmp_path / "out.bin"
+    result = runner.invoke(main, ["recover", "--shards", str(shards), "--nodes", "3,4,5,6", "--output", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {reason}\n"
+    assert not out.exists()
     result = runner.invoke(main, ["recover", "--shards", str(shards), "--nodes", "4,5,6,7", "--output", str(out)])
     assert result.exit_code == 0, result.output
     assert out.read_bytes() == data
+    out.unlink()
+    result = runner.invoke(main, ["recover", "--shards", str(shards), "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == data
+    assert result.stdout == "recovered 2000 bytes from the first 4 alive nodes, checked against the next\n"
+    assert result.stderr == f"skipped node 3: {reason}\n"
+
+
+def test_default_helpers_pass_over_a_malformed_body(tmp_path):
+    """Node 3's layout tag set to 0x7f at (8, 4, 2): a default-helper repair of node 6 takes nodes 1, 2, 4 and 5,
+    rebuilds node 6 byte for byte and lists node 3 on its event and on stderr; --helpers naming node 3 exits 1;
+    with nodes 3-7 unreadable, too few helpers remain and the error names them."""
+    runner, _, shards = _encode_fixture(tmp_path, size=2000)
+    original = shard_path(shards, 6).read_bytes()
+    _set_unknown_tag(shard_path(shards, 3))
+    cluster = load_cluster(shards)
+    cluster.fail_nodes([6])
+    event = cluster.repair("single", [6])
+    assert (event.helpers, event.skipped) == ((1, 2, 4, 5), (3,))
+    shard_path(shards, 6).unlink()
+    result = runner.invoke(main, ["repair", "--shards", str(shards), "--failed", "6", "--helpers", "1,2,3,4"])
+    assert result.exit_code == 1 and "node_3.detc: malformed symbol layout: unknown tag 127" in result.output
+    assert not shard_path(shards, 6).exists()
+    result = runner.invoke(main, ["repair", "--shards", str(shards), "--failed", "6"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith("repaired node 6 with helpers [1, 2, 4, 5]")
+    assert result.stderr == f"skipped node 3: {shard_path(shards, 3)}: malformed symbol layout: unknown tag 127\n"
+    assert shard_path(shards, 6).read_bytes() == original
+    for node in (4, 5, 6, 7):
+        _set_unknown_tag(shard_path(shards, node))
+    cluster = load_cluster(shards)
+    with pytest.raises(NotEnoughHelpers, match=r"need 4 alive nodes, only 3 available \(unreadable: \[3, 4, 5, 6, 7\]\)"):
+        cluster.recover_file()
 
 
 def test_each_call_decodes_only_the_shards_it_reads(tmp_path, monkeypatch):
@@ -413,8 +451,8 @@ def test_each_call_decodes_only_the_shards_it_reads(tmp_path, monkeypatch):
 
 def test_recover_refuses_an_unknown_layout_tag_only_where_it_reads(tmp_path):
     """A seeded 64 KiB file at (8, 4, 2): with node 7's layout tag set to 0x7f, a read of nodes 1-4 still
-    returns the file; once node 5's tag is set too, the default read (nodes 1-4, checked against node 5) exits 1
-    on the unknown tag and writes no output file."""
+    returns the file; once node 5's tag is set too, a read naming node 5 exits 1 on the unknown tag and writes
+    no output file, and the default read checks nodes 1-4 against node 6 instead and names node 5 on stderr."""
     runner, data, shards = _encode_fixture(tmp_path, data=random.Random(64).randbytes(65536))
     _set_unknown_tag(shard_path(shards, 7))
     out = tmp_path / "out.bin"
@@ -422,10 +460,14 @@ def test_recover_refuses_an_unknown_layout_tag_only_where_it_reads(tmp_path):
     assert out.read_bytes() == data
     _set_unknown_tag(shard_path(shards, 5))
     out3 = tmp_path / "out3.bin"
-    result = runner.invoke(main, ["recover", "--shards", str(shards), "--output", str(out3)])
+    result = runner.invoke(main, ["recover", "--shards", str(shards), "--nodes", "1,2,3,5", "--output", str(out3)])
     assert result.exit_code == 1
     assert "malformed symbol layout: unknown tag 127" in result.output
     assert not out3.exists()
+    result = runner.invoke(main, ["recover", "--shards", str(shards), "--output", str(out3)])
+    assert result.exit_code == 0, result.output
+    assert out3.read_bytes() == data
+    assert result.stderr.startswith("skipped node 5: ") and "node_7" not in result.stderr
 
 
 def test_64kib_repairs_then_verify_blames_a_flipped_low_bit(tmp_path):

@@ -257,10 +257,10 @@ def test_parity_violation_detected(gf13):
 
 def first_parity_violation(message):
     """The message of a per-group check: the first group with a nonzero signed sum, then its first stripe."""
-    rows, p, alpha, size = message.matrix.data, message.matrix.field.p, message.alpha, message.m + 1
+    rows, p, stripes, size = message.matrix.data, message.matrix.field.p, message.stripes, message.m + 1
     table = incidence(message.d, size) if size <= message.d else ()
-    for g in range(0, len(table), size):
-        sums = signed_sums_scalar([(sign, rows[x - 1][c::alpha]) for _, x, c, sign in table[g : g + size]], p)
+    for g in range(0, len(table), size):  # position c of every stripe is the plane from c * S
+        sums = signed_sums_scalar([(sign, rows[x - 1][c * stripes : (c + 1) * stripes]) for _, x, c, sign in table[g : g + size]], p)
         bad = [s for s, v in enumerate(sums) if v]
         if bad:
             return f"stripe {bad[0]}: parity fails for {subsets(message.d, size).unrank(g // size)}"
@@ -413,7 +413,7 @@ def test_parity_violation_names_the_stripe(encoder8, gf13, message8):
     assert message.stripes == 3
     flats = [list(batch.symbols) for batch in encode(encoder8, message)[:4]]
     assert recover_data([StripeBatch(f, 6) for f in flats], [1, 2, 3, 4], encoder8, 2) == message
-    flats[0][2 * 6 + 3] = (flats[0][2 * 6 + 3] + 1) % 13  # a shared-symbol slot of stripe 2
+    flats[0][3 * 3 + 2] = (flats[0][3 * 3 + 2] + 1) % 13  # a shared-symbol slot of stripe 2: plane 3, entry 2
     with pytest.raises(ParityViolation, match="stripe 2"):
         recover_data([StripeBatch(f, 6) for f in flats], [1, 2, 3, 4], encoder8, 2)
 

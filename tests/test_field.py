@@ -39,8 +39,10 @@ from oracles import (
     identity,
     is_zero,
     matmul_scalar,
+    plane_major,
     reduced_scalar,
     signed_sums_scalar,
+    stripe_rows,
     symbol_body_spec,
     vec_mat,
 )
@@ -594,7 +596,7 @@ BATCH_PRIMES = [13, 257, 263, 65537, 2**61 - 1]  # % p at 4, 4, 8 and 16 bytes a
 
 @st.composite
 def stripe_batches(draw):
-    """(p, stripes, parts, weights): 1-3 flat parts (arrays or lists) of 0, 1, 7, 9 or WINDOW +- 1 stripes side by
+    """(p, stripes, parts, weights): 1-3 plane-major parts (arrays or lists) of 0, 1, 7, 9 or WINDOW +- 1 stripes side by
     side and a weight Matrix with or without unit columns, of up to 12 columns: fewer than the stripes (the windows)
     or more (the packed weights, folded at p = 257: the kernel's only weight-packed products)."""
     p = draw(st.sampled_from(BATCH_PRIMES))
@@ -615,22 +617,23 @@ def stripe_batches(draw):
 @settings(max_examples=80, deadline=None)
 @given(stripe_batches(), st.data())
 def test_batch_product_matches_scalar_oracle(case, data):
-    """Stripe s of the product is stripe s of the parts side by side times the weights, stripe after stripe, in both
+    """Stripe s of the product is stripe s of the parts side by side times the weights, plane-major, in both
     orientations and split into any number of blocks of columns dividing them, leaving the parts as they were; an
     entry outside the field raises the kernel's ValueError, a partial stripe, unequal stripe counts, a width sum
     other than the weight rows or blocks not dividing the columns DimensionMismatch."""
     p, stripes, parts, weights = case
-    batch = [[v for flat, w in parts for v in flat[s * w : (s + 1) * w]] for s in range(stripes)]
+    before = [stripe_rows(flat, w) for flat, w in parts]
+    batch = [[v for part in before for v in part[s]] for s in range(stripes)]
     expected = matmul_scalar(Matrix(Field(p), batch, cols=weights.rows), weights)
     out = batch_product(parts, weights)
     assert len(out) == 1 and type(out[0]) is array and out[0].typecode == symbol_typecode(p)
-    assert list(out[0]) == [v for row in expected for v in row]
+    assert list(out[0]) == plane_major(expected)
     blocks = data.draw(st.sampled_from([b for b in range(2, weights.cols + 1) if weights.cols % b == 0] or [1]))
     width = weights.cols // blocks
     out = batch_product(parts, weights, blocks)
     assert all(type(block) is array and block.typecode == symbol_typecode(p) for block in out)
-    assert as_lists(out) == [[v for row in expected for v in row[b * width : (b + 1) * width]] for b in range(blocks)]
-    assert all(list(flat) == [v for row in batch for v in row[sum(w for _, w in parts[:i]) :][:w]] for i, (flat, w) in enumerate(parts))
+    assert as_lists(out) == [plane_major([row[b * width : (b + 1) * width] for row in expected]) for b in range(blocks)]
+    assert [stripe_rows(flat, w) for flat, w in parts] == before
     if stripes:
         i = data.draw(st.integers(0, len(parts) - 1))
         bad = list(parts[i][0])
@@ -710,21 +713,27 @@ def test_parity_completion_and_readout_match_scalar_oracle(case, rng):
     p, d, m, stripes = case
     alpha, _, per_stripe = derive_params(d, m)
     source = [rng.randrange(p) for _ in range(stripes * per_stripe)]
-    expected = [[0] * (stripes * alpha) for _ in range(d)]
+    expected = [[[0] * alpha for _ in range(stripes)] for _ in range(d)]  # row, stripe, position
     for t, (r, c) in enumerate(source_cells(d, m)):
-        expected[r][c::alpha] = source[t::per_stripe]
+        for s in range(stripes):
+            expected[r][s][c] = source[s * per_stripe + t]
     table = incidence(d, m + 1) if m < d else ()
     for g in range(0, len(table), m + 1):  # the parity cell, the largest member's, makes the group's sum vanish
         *others, (_, x, i, sign) = table[g : g + m + 1]
-        expected[x - 1][i::alpha] = signed_sums_scalar([(-sign * s, expected[y - 1][j::alpha]) for _, y, j, s in others], p)
-    assert as_lists(build_message_matrix(source, d, m, Field(p)).matrix.data) == expected
+        for s in range(stripes):
+            expected[x - 1][s][i] = sum(-sign * z * expected[y - 1][s][j] for _, y, j, z in others) % p
+    assert as_lists(build_message_matrix(source, d, m, Field(p)).matrix.data) == [plane_major(row) for row in expected]
 
-    seg, labels = binom(d, m - 1), [[] for _ in range(binom(d, m))]
-    space = [array(symbol_typecode(p), [rng.randrange(p) for _ in range(stripes * seg)]) for _ in range(d)]
-    for i, x, j, sign in incidence(d, m):
-        labels[i].append((sign, space[x - 1][j::seg]))
-    sums = [signed_sums_scalar(terms, p) for terms in labels]  # label after label
-    assert list(combine_repair_space(space, d, m, Field(p))) == [v for label in sums for v in label]
+    seg, alpha, groups = binom(d, m - 1), binom(d, m), rng.randint(1, 3)
+    space = [array(symbol_typecode(p), [rng.randrange(p) for _ in range(groups * stripes * seg)]) for _ in range(d)]
+    sums = []  # group after group, label after label
+    for g in range(groups):
+        labels = [[] for _ in range(alpha)]
+        for i, x, j, sign in incidence(d, m):
+            start = (g * seg + j) * stripes  # column j of every space of group g
+            labels[i].append((sign, space[x - 1][start : start + stripes]))
+        sums += [v for terms in labels for v in signed_sums_scalar(terms, p)]
+    assert list(combine_repair_space(space, d, m, Field(p), groups)) == sums
 
 
 @settings(max_examples=40, deadline=None)
@@ -749,7 +758,7 @@ def test_verify_parity_names_the_first_nonzero_sum_of_every_damage(case, rng):
     for delta in deltas:
         rows = [row[:] for row in clean]
         rows[r][c] = (rows[r][c] + delta) % p
-        terms = [(table[i][3], [v for _, x, j, _ in table[i::size] for v in rows[x - 1][j :: message.alpha]]) for i in range(size if table else 0)]
+        terms = [(table[i][3], [v for _, x, j, _ in table[i::size] for v in rows[x - 1][j * stripes : (j + 1) * stripes]]) for i in range(size if table else 0)]
         bad = first_nonzero_scalar(terms, p) if terms else None
         damaged = MessageMatrix(Matrix.wrap(field, [array(code, row) for row in rows], width), m)
         if bad is None:

@@ -56,13 +56,23 @@ def test_alternating_sums_are_kernel_products():
     assert _grep(r"\b(signed_sums|first_nonzero_sum|_unreduced)\b|from operator import", SOURCES) == []
 
 
-def test_batch_products_stay_in_stripe_order():
-    """Transmit, decompression and the decode operator map flat stripe batches to
-    flat stripe batches (field.batch_product); no module interleaves kernel
-    outputs back into stripe order or splits a batch into columns to feed one."""
+def test_batch_products_stay_in_plane_order():
+    """Transmit, decompression and the decode operator map plane-major batches to
+    plane-major batches (field.batch_product); no module interleaves kernel
+    outputs into another order or splits a batch into columns to feed one."""
     repair = [ROOT / "src/detcode/repair.py", ROOT / "src/detcode/multirepair.py"]
     assert _grep(r"\binterleave\b", SOURCES) == []
     assert _grep(r"for c in range\(alpha\)\]|for j in range\(rank\)\]", repair) == []
+
+
+def test_stripe_batches_stay_plane_major():
+    """Every stripe batch, message row, payload, repair vector and decode output
+    holds symbol position c of all S stripes as one contiguous plane, so the
+    code, repair and repair-center modules slice planes: no stripe-strided
+    slice (``[c::alpha]``, ``[j::step]``, ``[c::w]``) and no gather of a
+    segment out of every stripe."""
+    modules = [ROOT / "src/detcode" / name for name in ("code.py", "repair.py", "multirepair.py")]
+    assert _grep(r"::\s*(alpha|step|w|seg|stride)\b|\bgather\(", modules) == []
 
 
 def test_symbols_are_machine_words():

@@ -40,7 +40,7 @@ from certificates import (
     supercode_schedule,
     total_bandwidth,
 )
-from oracles import brute_rank, column, is_zero, mul_vec, vec_mat
+from oracles import brute_rank, column, is_zero, mul_vec, plane_major, vec_mat
 
 
 # --- bandwidth formulas --------------------------------------------------
@@ -348,7 +348,7 @@ def test_stripe_batch_equals_stacked_single_stripes(gf13, encoder8, data):
         encode(encoder8, build_message_matrix(source[s * per_stripe : (s + 1) * per_stripe], 4, m, gf13))
         for s in range(stripes)
     ]
-    assert batch == [StripeBatch([v for one in singles for v in one[i].symbols], binom(4, m)) for i in range(8)]
+    assert batch == [StripeBatch(plane_major([row for one in singles for row in one[i]]), binom(4, m)) for i in range(8)]
 
     def joint(contents):
         payloads = [helper_payload(contents[h - 1], h, failed, encoder8, m) for h in helpers]
@@ -360,14 +360,14 @@ def test_stripe_batch_equals_stacked_single_stripes(gf13, encoder8, data):
     beta_e = joint_bandwidth(4, m, len(failed))
     decoded, counts = joint(batch)
     stacked = [joint(one) for one in singles]
-    assert decoded == {f: StripeBatch([v for one, _ in stacked for v in one[f].symbols], binom(4, m)) for f in failed}
+    assert decoded == {f: StripeBatch(plane_major([row for one, _ in stacked for row in one[f]]), binom(4, m)) for f in failed}
     assert decoded == {f: batch[f - 1] for f in failed}
     assert all(one_counts == [beta_e] * 4 for _, one_counts in stacked)
     assert counts == [stripes * beta_e] * 4
 
     repaired, sent = central(batch)
     stacked = [central(one) for one in singles]
-    assert repaired == {f: StripeBatch([v for one, _ in stacked for v in one[f].symbols], binom(4, m)) for f in failed}
+    assert repaired == {f: StripeBatch(plane_major([row for one, _ in stacked for row in one[f]]), binom(4, m)) for f in failed}
     one_sent = {h: joint_bandwidth(4, m, min(slot, len(failed))) for slot, h in enumerate(helpers, start=1)}
     assert all(one == one_sent for _, one in stacked)
     assert sent == {h: stripes * v for h, v in one_sent.items()}
@@ -532,7 +532,7 @@ def test_decompression_in_both_kernel_orientations(encoder8, data):
     size = stripes * alpha
     batch = StripeBatch(data.draw(st.lists(st.integers(0, 12), min_size=size, max_size=size), label="symbols"), alpha)
     xi = Matrix.hstack([repair_matrix(f, m, encoder8) for f in failed])
-    expected = [v for s in range(stripes) for v in vec_mat(batch[s], xi)]
+    expected = plane_major([vec_mat(batch[s], xi) for s in range(stripes)])
     assert list(decompress_payload(helper_payload(batch, helper, failed, encoder8, m), encoder8)) == expected
 
 

@@ -26,7 +26,7 @@ from detcode.repair import (
 )
 from detcode.subsets import binom, incidence, subsets
 from certificates import column_dependency, entry, shared_symbol
-from oracles import column, mul_vec, signed_sums_scalar, vec_mat
+from oracles import column, mul_vec, plane_major, signed_sums_scalar, vec_mat
 
 
 def test_repair_matrix_entries_golden(encoder8):
@@ -304,7 +304,7 @@ def test_repair_builds_no_matrix_once_bases_are_cached(encoder8, contents8, monk
 
     failed, helpers = (5, 6), (1, 2, 3, 4)
     def repeated(batch):
-        return StripeBatch(batch.symbols * 40, batch.alpha)  # enough stripes for the decode operator too
+        return StripeBatch(plane_major([batch[0]] * 40), batch.alpha)  # enough stripes for the decode operator too
 
     batches = {h: repeated(contents8[h - 1]) for h in helpers}
 
@@ -545,25 +545,31 @@ def test_warm_reads_and_repairs_prepare_no_weights(monkeypatch):
 
 @st.composite
 def _repair_spaces(draw):
-    """(d, m, rows): the d rows (lists or tuples) of 0-3 stripes times e = 1..3 repair spaces side by side, over GF(257)."""
+    """(d, m, groups, rows): the d rows (lists or tuples) of e = 1..3 groups of 0-3 plane-major repair spaces, over
+    GF(257)."""
     d = draw(st.integers(1, 6))
     m = draw(st.integers(1, d))
-    width = draw(st.integers(0, 3)) * draw(st.integers(1, 3)) * binom(d, m - 1)
+    groups = draw(st.integers(1, 3))
+    width = draw(st.integers(0, 3)) * groups * binom(d, m - 1)
     rows = [draw(st.lists(st.integers(0, 256), min_size=width, max_size=width)) for _ in range(d)]
-    return d, m, [tuple(row) for row in rows] if draw(st.booleans()) else rows  # Matrix rows are tuples
+    return d, m, groups, [tuple(row) for row in rows] if draw(st.booleans()) else rows  # Matrix rows are tuples
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=_repair_spaces())
 def test_combine_repair_space_matches_a_per_label_readout(case):
-    """One signed sum over every column label reads out what one scalar signed sum per label does, label after
-    label."""
-    d, m, rows = case
-    seg, labels = binom(d, m - 1), [[] for _ in range(binom(d, m))]
-    for i, x, j, sign in incidence(d, m):
-        labels[i].append((sign, rows[x - 1][j::seg]))
-    expected = [signed_sums_scalar(terms, 257) for terms in labels]
-    assert list(combine_repair_space(rows, d, m, Field(257))) == [v for label in expected for v in label]
+    """One signed sum over every column label reads out what one scalar signed sum per label does, group after
+    group and label after label: column j of group g is the plane of every space from (g * C(d, m-1) + j) * B."""
+    d, m, groups, rows = case
+    seg, expected = binom(d, m - 1), []
+    spaces = len(rows[0]) // (groups * seg)
+    for g in range(groups):
+        labels = [[] for _ in range(binom(d, m))]
+        for i, x, j, sign in incidence(d, m):
+            start = (g * seg + j) * spaces
+            labels[i].append((sign, rows[x - 1][start : start + spaces]))
+        expected += [v for terms in labels for v in signed_sums_scalar(terms, 257)]
+    assert list(combine_repair_space(rows, d, m, Field(257), groups)) == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,11 +26,12 @@ from detcode.subsets import binom
 from detcode.code import CodeConfig, StripeBatch, build_message_matrix, encode
 from detcode.field import pack_symbols, unpack_symbols
 from detcode.repair import RepairPayload, decompress_payload, helper_payload
-from oracles import symbol_body_spec
+from oracles import stripe_rows, symbol_body_spec
 
 
-# Payload v4: <B version=4><B m><B e><e x H failed><H helper><I count>, then
-# the count symbols, stripe after stripe, as the symbol body of pack_symbols:
+# Payload v5: <B version=5><B m><B e><e x H failed><H helper><I count>, then
+# the count symbols, plane-major (symbol j of every stripe, then symbol j + 1),
+# as the symbol body of pack_symbols:
 # little-endian symbols of element_width(p) bytes (1 byte for p = 13), or at
 # p = 257 a layout tag, then escapes and low bytes (tag 1) or 2-byte symbols
 # (tag 2).
@@ -40,7 +41,7 @@ def test_single_payload_layout(encoder8, contents8):
     payload = helper_payload(contents8[1], 2, (5,), encoder8, 2)
     assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=array("I", (1, 9, 7)))
     assert payload.to_bytes(13) == bytes.fromhex(
-        "04 02 01" "05 00" "02 00" "03 00 00 00" "01 09 07"
+        "05 02 01" "05 00" "02 00" "03 00 00 00" "01 09 07"
     )
 
 
@@ -48,7 +49,7 @@ def test_joint_payload_layout(encoder8, contents8):
     payload = helper_payload(contents8[0], 1, (5, 6), encoder8, 2)
     assert payload == RepairPayload(failed=(5, 6), helper=1, m=2, symbols=array("I", (5, 0, 8, 1, 1)))
     assert payload.to_bytes(13) == bytes.fromhex(
-        "04 02 02" "05 00 06 00" "01 00" "05 00 00 00" "05 00 08 01 01"
+        "05 02 02" "05 00 06 00" "01 00" "05 00 00 00" "05 00 08 01 01"
     )
 
 
@@ -57,17 +58,18 @@ def test_two_byte_payload_symbols_little_endian():
     2-byte little-endian symbols."""
     payload = RepairPayload(failed=(5, 6), helper=3, m=2, symbols=(256, 1))
     assert payload.to_bytes(257) == bytes.fromhex(
-        "04 02 02" "05 00 06 00" "03 00" "02 00 00 00" "02" "00 01 01 00"
+        "05 02 02" "05 00 06 00" "03 00" "02 00 00 00" "02" "00 01 01 00"
     )
 
 
 def test_two_stripe_payload_layout(gf13, encoder8, message8):
-    """One header for both stripes; stripe 0's symbols are the one-stripe payload's."""
+    """One header for both stripes, plane-major: stripe 0's symbols (1, 9, 7) are the one-stripe payload's, and
+    stripe 1's (12, 10, 9) interleave with them, symbol j of both stripes in turn."""
     message = build_message_matrix([*message8.extract_symbols(), *range(20)], 4, 2, gf13)
     payload = helper_payload(encode(encoder8, message)[1], 2, (5,), encoder8, 2)
-    assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=array("I", (1, 9, 7, 12, 10, 9)))
+    assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=array("I", (1, 12, 9, 10, 7, 9)))
     assert payload.to_bytes(13) == bytes.fromhex(
-        "04 02 01" "05 00" "02 00" "06 00 00 00" "01 09 07" "0c 0a 09"
+        "05 02 01" "05 00" "02 00" "06 00 00 00" "01 0c" "09 0a" "07 09"
     )
 
 
@@ -82,6 +84,14 @@ def test_v2_payload_rejected_as_unsupported_version():
     v2 = bytes.fromhex("02 02 01" "05 00" "02 00" "03 00" "01 09 07")
     with pytest.raises(ValueError, match="unsupported payload version 2"):
         RepairPayload.from_bytes(v2, 13)
+
+
+@pytest.mark.parametrize("p, body", [(13, "01 09 07 0c 0a 09"), (257, "01 00 00 00 00" "01 09 07 0c 0a 09")])
+def test_v4_payload_rejected_as_unsupported_version(p, body):
+    """Version 4 held the symbols stripe after stripe (here two stripes of three); no reader of it is kept."""
+    v4 = bytes.fromhex("04 02 01" "05 00" "02 00" "06 00 00 00" + body)
+    with pytest.raises(ValueError, match="unsupported payload version 4"):
+        RepairPayload.from_bytes(v4, p)
 
 
 @pytest.mark.parametrize("p, body", [(13, "01 09 07"), (257, "01 00 01 09 00 07 00")])
@@ -197,8 +207,8 @@ def test_payload_parse_round_trips_or_raises_value_error(blob):
 @pytest.mark.parametrize(
     "field, blob, payload",
     [
-        ("mode m", "04 00 01" "05 00" "01 00" "00 00 00 00" "02", RepairPayload((5,), 1, 0, ())),
-        ("failure count e", "04 02 00" "01 00" "00 00 00 00" "02", RepairPayload((), 1, 2, ())),
+        ("mode m", "05 00 01" "05 00" "01 00" "00 00 00 00" "02", RepairPayload((5,), 1, 0, ())),
+        ("failure count e", "05 02 00" "01 00" "00 00 00 00" "02", RepairPayload((), 1, 2, ())),
     ],
     ids=["mode-m", "failure-count-e"],
 )
@@ -256,8 +266,8 @@ def test_two_byte_symbols_little_endian(tmp_path):
 @pytest.mark.parametrize(
     "n, d, m, digest",
     [
-        (8, 4, 2, "79ae28357dba2783c31d42c64a11b9c5ccf0ec0de2dae372816565fc90d25f0f"),
-        (12, 6, 3, "b322276319a7afd6cbf298b5f3ad535a7b1a6eff84de2f9c4f17ed7d6338d201"),
+        (8, 4, 2, "3da9a75ac2d796b234fd387f383c6bd596f365900e1d9c0b341b3578a9ba060b"),
+        (12, 6, 3, "63f7e13f7c8551122ad3c2f788bd07618461bfcc758aef7ebca4f93b910653f7"),
     ],
     ids=["8-4-2", "12-6-3"],
 )
@@ -457,39 +467,39 @@ def test_read_shard_raises_only_shard_format_error(tmp_path_factory, blob):
 # then one joint payload's to_bytes: helper d + 1 to failed nodes (1, 2) of the 900-byte file.
 GOLDEN_SHARDS = {
     (8, 4, 1): (
-        "f97bea44097897489d2be5b45b3cef10d7dea4f75c56426921ef4834adfc5e4a",
-        "938e7690c4dd38a74a850aa2a9a1b6eb4c58f2cf720fe74f3d676c95aadae705",
-        "2b096ed9f5586c1d4ef0facbdf8e1ce7771cec1b20092cea05edfc51dbad71ec",
-        "2018a4d7bf762dae964d8140971f9707b124d97d6d769a11cea7e2ee9a3265a6",
-        "28318d33cd41859be2659360fa9fd7af422f96dd9ec8e00c491d91762f50af20",
+        "c8d0133b89f7918d3137aed7c317677e5f643070074f9b2f6b4b07902bc81eee",
+        "6c08d9360137fbc755bae923daa83f429670c9e84b46b3dbe631747524b945c0",
+        "5af7ca19c690df76d85fb79d70bd9c15f6a3a31f2645660f7948c8af5d5371a3",
+        "6b8c169b9fb8244bc26c506980719467a300843b765e7126a357700b46eed096",
+        "1b0d413f8107d9c02178561ac5759a00ff28c4b2ae0b208396d096cae44f0f5d",
     ),
     (8, 4, 2): (
-        "978b797907ec7fd665f1027d77cf1b87a3de0c1b3e5cd988f1f974e27342e7ac",
-        "52e49091e843891f7f25a5c8a54051031e532a34e99f6bfda09e72011f80f2fb",
-        "b37a861df3c3cc66f089b1458af0d5ee12f0cdc558816bdaac270104ccc3015d",
-        "52f76a3169f1352fed7cdc73896d59e88f89b1308058363b3925d0aac27c8f45",
-        "c59e1d1ddde1f94e812a1fe381b27fcf2dd599c2efdc8f077a59b3f7736ef726",
+        "21519fa5c3375293c93f38ee040b1c6829acf4a36cea1b4de581b8bc575b0124",
+        "65c60ed5f0f590fd1dd9c24d27326bf62979b788116c4a61624925659e3195c9",
+        "e2d14365e8bd042499e7c2c593518335dd6d9a9f10f8c418d05fe18b4b12797d",
+        "d65cf93b6ff7e7e91e681af35215a10b21ec4f07814006448c256750d5aafb38",
+        "6c2f6b46009342b1451d9f0735928f69af576269381b70d19e83514c4d8b971d",
     ),
     (8, 4, 4): (
-        "1cd464ee6fbab6401123adafc3b69f9447eeb6c2003dcc43756cf19f84197e50",
-        "803de69e55e61ec2f09271c56f586944db7ef1798a1018f06b8df43e1af59f7e",
-        "caf1a39ce82e9f2c3f9c93b1c1fbb9be81fea7c87ae3b1ec4c7deed459459e73",
-        "e65cabfa5046fbf28bc9da9af64a29e956b8af694dfb455f781f9ede99f702c7",
-        "a9adba2156f40f0e2603844661d07befffe9345652915cffc9d3c68335ed8222",
+        "9344f27f87379090e84c00112182e4dc8ff75b2d100c4bdfeb4fc6a15281d6de",
+        "7d87da2c266f7a2ad0a6c8dbf48ba450c654d90d132d1dc5025a4214c31cf0c3",
+        "e3482a76b8767446577edfdc87f352c070f0d97adc4221a8915bcdb1a0ee3b87",
+        "af17d0689c3d60024f8ea5cd5f03bacc5eb803f97d016f7330abfa23660d77d5",
+        "ec291b01c40421a2fce924c6bc33adc94fbe38f8541b135c612bf9accd793cdc",
     ),
     (12, 6, 3): (
-        "2c5d2f5cfcd3595c0311033b2651a7f41499d520cead852eed343b8e1a24632d",
-        "2fb1ef5c21d89f25c68196617c694201a9aa0f0fb7b736961503610a2eb5e790",
-        "939d3ca3ecd0ac7d92667a5b3816b8fb154fb69050772afffac494a725211800",
-        "aa839c700b7b52116c1b31c0e447c459c26688ab7189bca93e33997f4341c292",
-        "3957ffec8860b34c18607d9f90fc7e297cfe879b1381ab2bc252bc796fec066f",
+        "465dc087b5158c1e56b6ad01fe83c3232c81ddba5e7fa928b71131bb53a8ad32",
+        "d2ce6655952454b7ab677702acdecc1510ee332d8bcebe85d5524ebb153cc44d",
+        "2cfc586779871bbc377d9bd0679113b22cecdb14aced603064dd11165c9bb589",
+        "ce7913cd4e6e7c17f2d508a6c015ef71d4585b1a98360b9c301e0bef491cb221",
+        "f0db0d713444b855800d1d19a816ebf51c30a50d918ed168c772f445745859de",
     ),
     (16, 10, 3): (
-        "b55b4931805967c1ecb3cc20055afee16f7e9dc08dad0164a715b427c2a6cab7",
-        "3c61a3da0d161d7f06731e5eafddbce94dbfbfdc12dca5d1e78fc8595667000f",
-        "6b75140b9951a99290081685c50f72ed9b22895bc3a5010988f66f0c852303a5",
-        "5a0096143687ae47213ba1bf92c46251ce7c1b8559547d9cddc3712533b98552",
-        "33bc448719c9614c50476dfb150b19f4b2befc74d1f72537362fff2c5dc6099d",
+        "504df11d3531a0e323e646c3b3e1e2b964daf40bad599731ea7a91f4ec97fd75",
+        "941f28dad3733c97c930dd9d3c74b0c91ede2fe307ca6e6f9e70604ebad42c7b",
+        "d661a90c318064e900329be6b4a42aaa01035762bc941c5cf42294d9eac6b4fd",
+        "d72457b2c61d99b9acaa5fc1e0b4b5c0f4e210e76e22d2aa2db0305a33472adc",
+        "c9436390800428f4c82655dc10e5fd31bd676638cfdbef95b91f59d02950f221",
     ),
 }
 
@@ -512,8 +522,8 @@ def test_shard_and_payload_bytes_golden(tmp_path, n, d, m):
 
 
 # The same seeded files and payloads as the byte goldens, pinned by content instead of by format: sha256 over
-# every node's decoded symbols (read back from its shard, 4-byte array items), node order, at 0, 1, 900 and 5000
-# bytes; then over the decoded symbols of the joint payload above.
+# every node's decoded symbols (read back from its shard, 4-byte array items, stripe after stripe), node order, at
+# 0, 1, 900 and 5000 bytes; then over the decoded symbols of the joint payload above, stripe after stripe.
 GOLDEN_CONTENT = {
     (8, 4, 1): (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -553,10 +563,17 @@ GOLDEN_CONTENT = {
 }
 
 
+def _stripe_major(symbols, width: int) -> bytes:
+    """The 4-byte items of a plane-major batch of *width* symbols per stripe, stripe after stripe: the order every
+    content digest was taken in, whatever the body order of the format."""
+    return array("I", [v for row in stripe_rows(symbols, width) for v in row]).tobytes()
+
+
 def _content_digest(directory, n):
     h = hashlib.sha256()
     for node_id in range(1, n + 1):
-        h.update(read_shard(shard_path(directory, node_id)).stripes.symbols.tobytes())
+        stripes = read_shard(shard_path(directory, node_id)).stripes
+        h.update(_stripe_major(stripes.symbols, stripes.alpha))
     return h.hexdigest()
 
 
@@ -572,7 +589,7 @@ def test_shard_and_payload_content_golden(tmp_path, n, d, m):
         assert _content_digest(directory, n) == digest, size
     payload = helper_payload(clusters[900].contents[d + 1], d + 1, (1, 2), clusters[900].encoder, m)
     symbols = RepairPayload.from_bytes(payload.to_bytes(257), 257).symbols
-    assert hashlib.sha256(symbols.tobytes()).hexdigest() == digests[4]
+    assert hashlib.sha256(_stripe_major(symbols, len(symbols) // clusters[900].stripe_count)).hexdigest() == digests[4]
 
 
 @pytest.mark.parametrize(
@@ -685,6 +702,14 @@ def test_v1_shard_refused_as_unsupported_version(tmp_path):
     path = shard_path(tmp_path, 1)
     path.write_bytes(_SHARD_HEADER.pack(SHARD_MAGIC, 1, 257, 8, 4, 2, 1, 1, 0) + b"\x07\x00" * 6)
     with pytest.raises(ShardFormatError, match="unsupported version 1"):
+        read_shard(path)
+
+
+def test_v2_shard_refused_as_unsupported_version(tmp_path):
+    """Version 2 held the same escaped body stripe after stripe (here two stripes of six); no reader of it is kept."""
+    path = shard_path(tmp_path, 1)
+    path.write_bytes(_SHARD_HEADER.pack(SHARD_MAGIC, 2, 257, 8, 4, 2, 1, 2, 0) + _escaped(0, [], range(12)))
+    with pytest.raises(ShardFormatError, match="unsupported version 2"):
         read_shard(path)
 
 
