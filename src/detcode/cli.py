@@ -65,14 +65,11 @@ def main():
 @click.option("--n", "n", required=True, type=int, help="Total storage nodes.")
 @click.option("--d", "d", required=True, type=int, help="Helpers per repair (= recovery threshold).")
 @click.option("--m", "m", required=True, type=int, help="Trade-off mode, 1 (min bandwidth) .. d (min storage).")
-@click.option("--prime", "prime", type=int, default=None, help="Field modulus; defaults to the smallest usable prime >= 257.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 @_friendly_errors
-def encode_cmd(input_path: Path, n: int, d: int, m: int, prime: int | None, out_dir: Path):
-    """Encode a file into n shard files, one per node."""
-    if prime is None:
-        prime = next_prime_at_least(max(257, n + 1))
-    config = CodeConfig(n=n, d=d, m=m, p=prime)
+def encode_cmd(input_path: Path, n: int, d: int, m: int, out_dir: Path):
+    """Encode a file into n shard files, one per node, over GF(p) for the smallest prime p >= max(257, n + 1)."""
+    config = CodeConfig(n=n, d=d, m=m, p=next_prime_at_least(max(257, n + 1)))
     data = input_path.read_bytes()
     cluster = Cluster.from_file(data, config)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -105,43 +102,24 @@ def recover_cmd(shard_dir: Path, nodes: str | None, output_path: Path):
     click.echo(f"recovered {len(data)} bytes from {read}")
 
 
-def _repair_shards(shard_dir: Path, mode: str, failed_ids, helpers: str | None):
-    """Load the shards, repair *failed_ids* in *mode*, rewrite their shards; returns the event and per-helper text."""
+@main.command(name="repair")
+@click.option("--shards", "shard_dir", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
+@click.option("--failed", "failed", required=True, help="Comma-separated failed node ids.")
+@click.option("--mode", "mode", type=click.Choice(REPAIR_MODES[1:]), default="joint", show_default=True)
+@click.option("--helpers", "helpers", default=None, help="Comma-separated helper ids (default: the first d alive whose shards decode).")
+@_friendly_errors
+def repair_cmd(shard_dir: Path, failed: str, mode: str, helpers: str | None):
+    """Regenerate one or more nodes' shards from d helpers; one node is joint repair at e = 1."""
+    failed_ids = _parse_ids(failed)
     cluster = load_cluster(shard_dir)
     cluster.fail_nodes(failed_ids)
     event = cluster.repair(mode, failed_ids, None if helpers is None else _parse_ids(helpers))
     for f in failed_ids:
         write_shard(shard_path(shard_dir, f), cluster.config, f, cluster.node_content(f), cluster.original_len)
     _report_skipped(cluster)
-    return event, ", ".join(f"{h}:{v}" for h, v in sorted(event.symbols_by_helper.items()))
-
-
-@main.command(name="repair")
-@click.option("--shards", "shard_dir", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--failed", "failed", required=True, type=int)
-@click.option("--helpers", "helpers", default=None, help="Comma-separated helper ids (default: the first d alive whose shards decode).")
-@_friendly_errors
-def repair_cmd(shard_dir: Path, failed: int, helpers: str | None):
-    """Regenerate one node's shard from d helpers."""
-    event, per_helper = _repair_shards(shard_dir, "single", (failed,), helpers)
+    per_helper = ", ".join(f"{h}:{v}" for h, v in sorted(event.symbols_by_helper.items()))
     click.echo(
-        f"repaired node {failed} with helpers {list(event.helpers)}; "
-        f"symbols per helper ({event.stripes} stripes): {per_helper}"
-    )
-
-
-@main.command(name="multirepair")
-@click.option("--shards", "shard_dir", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--failed", "failed", required=True, help="Comma-separated failed node ids.")
-@click.option("--mode", "mode", type=click.Choice(REPAIR_MODES[1:]), default="joint", show_default=True)
-@click.option("--helpers", "helpers", default=None, help="Comma-separated helper ids (default: the first d alive whose shards decode).")
-@_friendly_errors
-def multirepair_cmd(shard_dir: Path, failed: str, mode: str, helpers: str | None):
-    """Regenerate several nodes at once."""
-    failed_ids = _parse_ids(failed)
-    event, per_helper = _repair_shards(shard_dir, mode, failed_ids, helpers)
-    click.echo(
-        f"repaired nodes {list(failed_ids)} in {mode} mode; "
+        f"repaired nodes {list(failed_ids)} in {mode} mode with helpers {list(event.helpers)}; "
         f"symbols per helper ({event.stripes} stripes): {per_helper}; total {event.total}"
     )
 

@@ -86,6 +86,8 @@ def assemble_file(symbols, original_len: int) -> bytes:
     ``max`` over the array. ``bytes()`` of the array would be its raw
     machine buffer instead.
     """
+    if original_len < 0:
+        raise ValueError(f"file length must be at least 0, got {original_len}")
     if len(symbols) < original_len:
         raise ValueError("fewer symbols than the recorded file length")
     corrupt = "recovered symbol exceeds a byte; data is corrupt"

@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, derive_params  # OverlapError re-exported
-from . import repair  # called through the module: perfbench/spans.py would time a name bound here as this layer
+from . import repair  # called through the module, so a test that patches detcode.repair.helper_payloads sees the call
 from .repair import decode_repair_vectors, decompress_payload, helper_payload
 from .subsets import binom
 
@@ -66,11 +66,13 @@ def centralized_bandwidth(d: int, m: int, e: int) -> Fraction:
 
 
 def helper_bound(d: int, m: int, e: int, mode: str) -> int | Fraction:
-    """Symbols per stripe a helper sends to repair e failures in *mode*: single and naive
+    """Symbols per stripe a helper sends to repair e failures in *mode*: single beta (e = 1 only), naive
     e * beta (even above alpha), joint beta_e, centralized beta_bar_e averaged over the d helpers."""
     if e < 1:
         raise ValueError(f"need at least one failure, got e={e}")
-    if mode in ("single", "naive"):  # single repairs e = 1
+    if mode == "single" and e != 1:
+        raise ValueError(f"single mode repairs exactly one node, got e={e}")
+    if mode in ("single", "naive"):
         return e * binom(d - 1, m - 1)
     if mode == "joint":
         return joint_bandwidth(d, m, e)

@@ -227,15 +227,15 @@ def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> array:
     return batch_product([(payload.symbols, rank)], expand)[0]
 
 
-def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed) -> dict[int, StripeBatch]:
-    """Exact stripe batch of every failed node from d helper payloads."""
+def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed, m: int) -> dict[int, StripeBatch]:
+    """Exact stripe batch of every failed node from d helper payloads, at the receiver's mode *m*."""
     failed = checked_ids(failed, "failed ids", n=encoder.n)
     helper_ids = checked_ids(helper_ids, "helpers", n=encoder.n, count=encoder.d, failed=failed)
     if tuple(payload.helper for payload in payloads) != helper_ids:
         raise ValueError(f"payloads must come from helpers {list(helper_ids)}, in that order")
-    if len({payload.m for payload in payloads}) != 1:
-        raise ValueError("payloads disagree on mode")
     for payload in payloads:
+        if payload.m != m:
+            raise ValueError(f"payload from helper {payload.helper} has mode m={payload.m}, not the receiver's m={m}")
         if payload.failed != failed:
             raise WrongTarget(
                 f"payload from helper {payload.helper} targets nodes {payload.failed}, not {failed}"

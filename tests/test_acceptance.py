@@ -62,7 +62,7 @@ def single_repair_sweep(encoder8, contents8):
                 payload_bytes.setdefault((f, payload.helper), set()).add(
                     payload.to_bytes(13)
                 )
-            exact &= decode_failed_nodes(payloads, helpers, encoder8, (f,))[f] == contents8[f - 1]
+            exact &= decode_failed_nodes(payloads, helpers, encoder8, (f,), 2)[f] == contents8[f - 1]
     return exact, sizes_ok, payload_bytes
 
 
@@ -150,7 +150,7 @@ def test_07_multi_repair_bandwidth(encoder8, contents8):
                 assert all(
                     len(p.symbols) <= joint_bandwidth(4, 2, e) for p in payloads
                 )
-                decoded = decode_failed_nodes(payloads, helpers, encoder8, failure_set)
+                decoded = decode_failed_nodes(payloads, helpers, encoder8, failure_set, 2)
                 for f in failure_set:
                     assert decoded[f] == contents8[f - 1]
 

@@ -6,11 +6,20 @@ from click.testing import CliRunner
 
 import detcode.cluster
 from detcode.cli import main
-from detcode.code import StripeBatch
-from detcode.cluster import NotEnoughHelpers, ShardFormatError, load_cluster, read_shard, shard_path, write_shard
+from detcode.code import CodeConfig, StripeBatch
+from detcode.cluster import (
+    Cluster,
+    NotEnoughHelpers,
+    ShardFormatError,
+    load_cluster,
+    read_shard,
+    shard_path,
+    write_all_shards,
+    write_shard,
+)
 
 
-def _encode_fixture(tmp_path, size=3000, seed=9, n=8, d=4, m=2, prime=None, data=None):
+def _encode_fixture(tmp_path, size=3000, seed=9, n=8, d=4, m=2, data=None):
     if data is None:
         rng = random.Random(seed)
         data = bytes(rng.randrange(256) for _ in range(size))
@@ -18,8 +27,7 @@ def _encode_fixture(tmp_path, size=3000, seed=9, n=8, d=4, m=2, prime=None, data
     src.write_bytes(data)
     shards = tmp_path / "shards"
     runner = CliRunner()
-    _ok(runner, "encode", "--input", src, "--n", n, "--d", d, "--m", m, "--out", shards,
-        *([] if prime is None else ["--prime", prime]))
+    _ok(runner, "encode", "--input", src, "--n", n, "--d", d, "--m", m, "--out", shards)
     return runner, data, shards
 
 
@@ -35,7 +43,7 @@ def _repair_verify_recover(runner, shards, data, out, mode, failed):
     originals = {i: shard_path(shards, i).read_bytes() for i in failed}
     for i in failed:
         shard_path(shards, i).unlink()
-    _ok(runner, "multirepair", "--shards", shards, "--failed", ",".join(map(str, failed)), "--mode", mode)
+    _ok(runner, "repair", "--shards", shards, "--failed", ",".join(map(str, failed)), "--mode", mode)
     assert {i: shard_path(shards, i).read_bytes() for i in failed} == originals
     assert "MISMATCH" not in _ok(runner, "verify", "--shards", shards)
     _ok(runner, "recover", "--shards", shards, "--output", out)
@@ -68,6 +76,54 @@ def test_repair_missing_shard(tmp_path):
     assert shard_path(shards, 5).read_bytes() == original
 
 
+def test_repair_of_one_node_matches_the_library_single_repair(tmp_path):
+    """At (8, 4, 2), repair --failed 5 runs joint repair at e = 1: it writes node 5's shard byte for byte as
+    the library's single repair from the same helpers rebuilds it, with beta = 3 symbols per helper per stripe."""
+    runner, _, shards = _encode_fixture(tmp_path)
+    cluster = load_cluster(shards)
+    cluster.fail_nodes([5])
+    event = cluster.repair("single", [5], [1, 2, 3, 4])
+    library = tmp_path / "library"
+    library.mkdir()
+    write_shard(shard_path(library, 5), cluster.config, 5, cluster.node_content(5), cluster.original_len)
+    shard_path(shards, 5).unlink()
+    output = _ok(runner, "repair", "--shards", shards, "--failed", "5", "--helpers", "1,2,3,4")
+    assert shard_path(shards, 5).read_bytes() == shard_path(library, 5).read_bytes()
+    assert event.symbols_by_helper == dict.fromkeys((1, 2, 3, 4), 3 * 150)
+    assert output == (
+        "repaired nodes [5] in joint mode with helpers [1, 2, 3, 4]; "
+        "symbols per helper (150 stripes): 1:450, 2:450, 3:450, 4:450; total 1800\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, failed, helpers",
+    [("naive", (2, 5, 7), (1, 3, 4, 6)), ("joint", (3, 6), (1, 2, 4, 5)), ("centralized", (3, 6), (1, 2, 4, 5))],
+)
+def test_repair_in_every_mode_matches_the_library(tmp_path, mode, failed, helpers):
+    """repair --mode rebuilds the shards and reports the per-helper counts of the library's Cluster.repair
+    for the same failures and helpers."""
+    runner, _, shards = _encode_fixture(tmp_path)
+    cluster = load_cluster(shards)
+    cluster.fail_nodes(failed)
+    event = cluster.repair(mode, failed, helpers)
+    for f in failed:
+        shard_path(shards, f).unlink()
+    ids = ",".join(map(str, failed))
+    output = _ok(runner, "repair", "--shards", shards, "--failed", ids, "--mode", mode, "--helpers", ",".join(map(str, helpers)))
+    assert {f: read_shard(shard_path(shards, f)).stripes for f in failed} == {f: cluster.node_content(f) for f in failed}
+    per_helper = ", ".join(f"{h}:{v}" for h, v in sorted(event.symbols_by_helper.items()))
+    assert output.endswith(f"symbols per helper (150 stripes): {per_helper}; total {event.total}\n")
+
+
+def test_multirepair_is_no_longer_a_command(tmp_path):
+    """repair takes one or more failed ids, so there is no separate multirepair command."""
+    runner, _, shards = _encode_fixture(tmp_path)
+    result = runner.invoke(main, ["multirepair", "--shards", str(shards), "--failed", "2,5"])
+    assert result.exit_code == 2
+    assert "No such command" in result.output and "multirepair" in result.output
+
+
 def test_multirepair_joint_and_centralized(tmp_path):
     runner, data, shards = _encode_fixture(tmp_path)
     originals = {i: shard_path(shards, i).read_bytes() for i in (3, 6)}
@@ -75,7 +131,7 @@ def test_multirepair_joint_and_centralized(tmp_path):
     shard_path(shards, 6).unlink()
     result = runner.invoke(
         main,
-        ["multirepair", "--shards", str(shards), "--failed", "3,6", "--mode", "joint"],
+        ["repair", "--shards", str(shards), "--failed", "3,6", "--mode", "joint"],
     )
     assert result.exit_code == 0, result.output
     for i in (3, 6):
@@ -85,7 +141,7 @@ def test_multirepair_joint_and_centralized(tmp_path):
     shard_path(shards, 6).unlink()
     result = runner.invoke(
         main,
-        ["multirepair", "--shards", str(shards), "--failed", "3,6",
+        ["repair", "--shards", str(shards), "--failed", "3,6",
          "--mode", "centralized", "--helpers", "1,2,4,5"],
     )
     assert result.exit_code == 0, result.output
@@ -102,7 +158,7 @@ def test_multirepair_naive_of_three_failures(tmp_path):
     originals = {i: shard_path(shards, i).read_bytes() for i in failed}
     for i in failed:
         shard_path(shards, i).unlink()
-    result = runner.invoke(main, ["multirepair", "--shards", str(shards), "--failed", "2,5,7", "--mode", "naive"])
+    result = runner.invoke(main, ["repair", "--shards", str(shards), "--failed", "2,5,7", "--mode", "naive"])
     assert result.exit_code == 0, result.output
     assert "(150 stripes)" in result.output and result.output.rstrip().endswith(f"total {4 * 9 * 150}")
     assert {i: shard_path(shards, i).read_bytes() for i in failed} == originals
@@ -284,7 +340,7 @@ def test_multirepair_naive_mode(tmp_path):
     shard_path(shards, 5).unlink()
     result = runner.invoke(
         main,
-        ["multirepair", "--shards", str(shards), "--failed", "2,5", "--mode", "naive"],
+        ["repair", "--shards", str(shards), "--failed", "2,5", "--mode", "naive"],
     )
     assert result.exit_code == 0, result.output
     for i in (2, 5):
@@ -293,36 +349,41 @@ def test_multirepair_naive_mode(tmp_path):
 
 def test_multirepair_refuses_a_failed_list_that_is_not_integers(tmp_path):
     runner, _, shards = _encode_fixture(tmp_path)
-    result = runner.invoke(main, ["multirepair", "--shards", str(shards), "--failed", "2,x"])
+    result = runner.invoke(main, ["repair", "--shards", str(shards), "--failed", "2,x"])
     assert result.exit_code == 2
     assert "expected comma-separated integers, got '2,x'" in result.output
 
 
-def test_encode_rejects_small_prime_cleanly(tmp_path):
-    src = tmp_path / "input.bin"
-    src.write_bytes(b"abc")
-    runner = CliRunner()
-    result = runner.invoke(
-        main,
-        ["encode", "--input", str(src), "--n", "8", "--d", "4", "--m", "2",
-         "--prime", "13", "--out", str(tmp_path / "shards")],
-    )
-    assert result.exit_code == 1
-    assert "Error" in result.output and "257" in result.output
-
-
-def test_encode_refuses_a_prime_no_shard_header_holds(tmp_path):
-    """p = 2**64 + 13 is prime, but a shard header records p in 8 bytes: refused before any shard is written."""
+def test_encode_takes_no_prime_option(tmp_path):
+    """encode picks the smallest prime p >= max(257, n + 1) itself, so it takes no --prime option."""
     src = tmp_path / "input.bin"
     src.write_bytes(b"abc")
     result = CliRunner().invoke(
         main,
-        ["encode", "--input", str(src), "--n", "8", "--d", "4", "--m", "2",
-         "--prime", "18446744073709551629", "--out", str(tmp_path / "shards")],
+        ["encode", "--input", str(src), "--n", "8", "--d", "4", "--m", "2", "--prime", "263", "--out", str(tmp_path / "shards")],
     )
-    assert result.exit_code == 1
-    assert "Error: p = 18446744073709551629 is 2**64 or more" in result.output
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--prime" in result.output
     assert not (tmp_path / "shards").exists()
+
+
+def test_encode_picks_the_smallest_prime_above_n(tmp_path):
+    """At n = 300 the field is GF(307), the smallest prime above n: its shard bodies hold 2 bytes per symbol,
+    with no layout tag, and a repair and the default recover go through the CLI."""
+    data = random.Random(300).randbytes(2000)
+    src, shards, runner = tmp_path / "input.bin", tmp_path / "shards", CliRunner()
+    src.write_bytes(data)
+    assert _ok(runner, "encode", "--input", src, "--n", 300, "--d", 4, "--m", 2, "--out", shards).endswith(", p=307)\n")
+    path = shard_path(shards, 300)
+    assert read_shard(path).config.p == 307
+    assert len(path.read_bytes()) == 36 + 2 * len(read_shard(path).stripes.symbols)
+    original = path.read_bytes()
+    path.unlink()
+    _ok(runner, "repair", "--shards", shards, "--failed", "300", "--helpers", "1,2,3,4")
+    assert path.read_bytes() == original
+    out = tmp_path / "out.bin"
+    _ok(runner, "recover", "--shards", shards, "--output", out)
+    assert out.read_bytes() == data
 
 
 def test_repair_rejects_overlapping_helpers_cleanly(tmp_path):
@@ -369,7 +430,7 @@ def test_repair_rebuilds_a_shard_with_a_malformed_body(tmp_path):
     _set_unknown_tag(shard_path(shards, 3))
     result = runner.invoke(main, ["repair", "--shards", str(shards), "--failed", "3"])
     assert result.exit_code == 0, result.output
-    assert result.output.startswith("repaired node 3 with helpers [1, 2, 4, 5]")
+    assert result.output.startswith("repaired nodes [3] in joint mode with helpers [1, 2, 4, 5]")
     assert shard_path(shards, 3).read_bytes() == original
     result = runner.invoke(main, ["verify", "--shards", str(shards)])
     assert result.exit_code == 0, result.output
@@ -417,7 +478,7 @@ def test_default_helpers_pass_over_a_malformed_body(tmp_path):
     assert not shard_path(shards, 6).exists()
     result = runner.invoke(main, ["repair", "--shards", str(shards), "--failed", "6"])
     assert result.exit_code == 0, result.output
-    assert result.stdout.startswith("repaired node 6 with helpers [1, 2, 4, 5]")
+    assert result.stdout.startswith("repaired nodes [6] in joint mode with helpers [1, 2, 4, 5]")
     assert result.stderr == f"skipped node 3: {shard_path(shards, 3)}: malformed symbol layout: unknown tag 127\n"
     assert shard_path(shards, 6).read_bytes() == original
     for node in (4, 5, 6, 7):
@@ -515,12 +576,17 @@ def test_seeded_file_survives_repair_verify_and_recover(tmp_path, size, seed, n,
     A 900-byte file at (16, 10, 3) is one stripe, too few for a decode operator: its centralized and naive
     repairs run the factored decode. (8, 4, 1) and (8, 4, 4) are the edges of the sign table: readout labels of
     one member, and m = d, with no parity groups and no shared cells. A 300000-byte file at (8, 4, 2) has rows
-    of 90000 symbols, many kernel windows plus a tail. Encoded at --prime 263 the file runs the per-entry
-    reduction instead of the GF(257) fold; at --prime 65537 its 3-byte symbols sit in 4-byte array items (the
-    shard codec widens and narrows them) and the kernel's slots are 8 bytes. Both keep the fixed-width body,
+    of 90000 symbols, many kernel windows plus a tail. Written by the library at p = 263 the file runs the
+    per-entry reduction instead of the GF(257) fold; at p = 65537 its 3-byte symbols sit in 4-byte array items
+    (the shard codec widens and narrows them) and the kernel's slots are 8 bytes. Both keep the fixed-width body,
     with no layout tag: 36 header bytes, then 2 or 3 bytes per symbol."""
-    runner, data, shards = _encode_fixture(tmp_path, n=n, d=d, m=m, prime=prime, data=random.Random(seed).randbytes(size))
-    if prime is not None:
+    data = random.Random(seed).randbytes(size)
+    if prime is None:
+        runner, _, shards = _encode_fixture(tmp_path, n=n, d=d, m=m, data=data)
+    else:  # encode picks p = 257 itself, so a larger field's shards come from the library
+        runner, shards = CliRunner(), tmp_path / "shards"
+        shards.mkdir()
+        write_all_shards(shards, Cluster.from_file(data, CodeConfig(n, d, m, prime)))
         path = shard_path(shards, 1)
         width = {263: 2, 65537: 3}[prime]
         assert len(path.read_bytes()) == 36 + width * len(read_shard(path).stripes.symbols)
@@ -528,7 +594,7 @@ def test_seeded_file_survives_repair_verify_and_recover(tmp_path, size, seed, n,
         _repair_verify_recover(runner, shards, data, tmp_path / "out.bin", mode, failed)
 
 
-@pytest.mark.parametrize("command", ["repair", "multirepair"])
+@pytest.mark.parametrize("command", ["repair"])
 def test_an_empty_helper_list_is_refused_not_read_as_the_default(tmp_path, command):
     """--helpers "" names no helper: refused as recover --nodes "" is, with no shard written for node 5."""
     runner, _, shards = _encode_fixture(tmp_path)

@@ -107,6 +107,13 @@ def test_assemble_rejects_fewer_symbols_than_the_length():
         assemble_file([1, 2, 3], 4)
 
 
+def test_assemble_refuses_a_negative_length():
+    """A length of -1 once sliced off the last symbol and returned b"\\x01" for [1, 2]."""
+    with pytest.raises(ValueError, match=r"^file length must be at least 0, got -1$"):
+        assemble_file([1, 2], -1)
+    assert assemble_file([1, 2], 0) == b""
+
+
 def test_file_roundtrip_10k():
     rng = random.Random(2)
     data = bytes(rng.randrange(256) for _ in range(10 * 1024))

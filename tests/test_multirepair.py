@@ -131,6 +131,20 @@ def test_helper_bound_refuses_no_failure_in_every_mode(mode):
         multirepair.within_bound(4, 2, mode, (), 1, {1: 5})
 
 
+def test_helper_bound_prices_single_mode_at_one_failure_only():
+    """check_request refuses single mode with more than one failure, so its bound, the bandwidth table and the
+    ledger's check refuse such a repair too, instead of pricing it at e * beta."""
+    assert helper_bound(4, 2, 1, "single") == 3
+    assert multirepair.bandwidth_table(4, 2, 1, "single") == [(1, "single", 3, Fraction(1, 2))]
+    for e in (2, 3):
+        with pytest.raises(ValueError, match=rf"^single mode repairs exactly one node, got e={e}$"):
+            helper_bound(4, 2, e, "single")
+    with pytest.raises(ValueError, match=r"^single mode repairs exactly one node, got e=2$"):
+        multirepair.bandwidth_table(4, 2, 2, "single")
+    with pytest.raises(ValueError, match=r"^single mode repairs exactly one node, got e=2$"):
+        multirepair.within_bound(4, 2, "single", (1, 2), 1, dict.fromkeys((3, 4, 5, 6), 3))
+
+
 def test_helper_bound_refuses_an_unknown_mode():
     from detcode import BandwidthLedger, CodeConfig, RepairEvent, bandwidth_table
 
@@ -289,7 +303,7 @@ def test_joint_decode_equals_single_repairs(encoder8, contents8):
     payloads = [
         helper_payload(contents8[h - 1], h, failed, encoder8, 2) for h in helpers
     ]
-    decoded = decode_failed_nodes(payloads, helpers, encoder8, failed)
+    decoded = decode_failed_nodes(payloads, helpers, encoder8, failed, 2)
     assert decoded[5] == contents8[4]
     assert decoded[8] == contents8[7]
 
@@ -302,7 +316,7 @@ def test_joint_repair_every_failure_pair(encoder8, contents8):
             for h in helpers
         ]
         assert all(len(p.symbols) <= 5 for p in payloads)
-        decoded = decode_failed_nodes(payloads, helpers, encoder8, failed)
+        decoded = decode_failed_nodes(payloads, helpers, encoder8, failed, 2)
         for f in failed:
             assert decoded[f] == contents8[f - 1]
 
@@ -323,7 +337,7 @@ def test_joint_repair_all_modes(gf13, encoder8):
             for h in helpers
         ]
         assert all(len(p.symbols) <= joint_bandwidth(4, m, 2) for p in payloads)
-        decoded = decode_failed_nodes(payloads, helpers, encoder8, failed)
+        decoded = decode_failed_nodes(payloads, helpers, encoder8, failed, m)
         for f in failed:
             assert decoded[f] == contents[f - 1]
 
@@ -352,7 +366,7 @@ def test_stripe_batch_equals_stacked_single_stripes(gf13, encoder8, data):
 
     def joint(contents):
         payloads = [helper_payload(contents[h - 1], h, failed, encoder8, m) for h in helpers]
-        return decode_failed_nodes(payloads, helpers, encoder8, failed), [len(p.symbols) for p in payloads]
+        return decode_failed_nodes(payloads, helpers, encoder8, failed, m), [len(p.symbols) for p in payloads]
 
     def central(contents):
         return centralized_repair(failed, helpers, {h: contents[h - 1] for h in helpers}, encoder8, m)
@@ -406,7 +420,7 @@ def test_operator_decode_equals_factored_path(gf13, encoder8, data):
                     payloads = [helper_payload(contents[h - 1], h, group, encoder8, m) for h in helpers]
                     assert [len(p.symbols) for p in payloads] == [stripes * joint_bandwidth(4, m, len(group))] * 4
                     build.reset_mock()
-                    decoded = decode_failed_nodes(payloads, helpers, encoder8, group)
+                    decoded = decode_failed_nodes(payloads, helpers, encoder8, group, m)
                     assert build.called == (stripes >= 2 * rows[mode])
                     assert decoded == decode_factored(payloads, encoder8, group) == {f: contents[f - 1] for f in group}
 
@@ -424,18 +438,18 @@ def test_operator_decode_equals_factored_path(gf13, encoder8, data):
     payloads = [helper_payload(contents[h - 1], h, failed, encoder8, m) for h in helpers]
     other = tuple(f for f in range(1, 9) if f not in failed and f not in helpers)[:1] + failed[1:]
     with pytest.raises(WrongTarget):
-        decode_failed_nodes(payloads, helpers, encoder8, other)
+        decode_failed_nodes(payloads, helpers, encoder8, other, m)
     for bad in (payloads[::-1], payloads[:3]):
         with pytest.raises(ValueError, match="helpers"):
-            decode_failed_nodes(bad, helpers, encoder8, failed)
+            decode_failed_nodes(bad, helpers, encoder8, failed, m)
     longer = batch(above + 1)
     mixed = [helper_payload(longer[helpers[0] - 1], helpers[0], failed, encoder8, m)] + payloads[1:]
     with pytest.raises(ValueError, match="stripe counts"):
-        decode_failed_nodes(mixed, helpers, encoder8, failed)
+        decode_failed_nodes(mixed, helpers, encoder8, failed, m)
     if joint_bandwidth(4, m, e) > 1:  # rank 1 divides every count
         short = payloads[:3] + [RepairPayload(failed, helpers[3], m, payloads[3].symbols[:-1])]
         with pytest.raises(ValueError, match="multiple of the basis rank"):
-            decode_failed_nodes(short, helpers, encoder8, failed)
+            decode_failed_nodes(short, helpers, encoder8, failed, m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -485,7 +499,7 @@ def test_warm_decode_reuses_the_operator_of_its_complete_key(gf13, encoder8, dat
 
     def joint(order):
         payloads = [helper_payload(contents[h - 1], h, failed, encoder8, m) for h in order]
-        return decode_failed_nodes(payloads, order, encoder8, failed), decode_factored(payloads, encoder8, failed)
+        return decode_failed_nodes(payloads, order, encoder8, failed, m), decode_factored(payloads, encoder8, failed)
 
     def central(order):
         payloads = [

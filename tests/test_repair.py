@@ -171,14 +171,14 @@ def test_decode_entry_combination(encoder8, message8, contents8):
 def test_exact_repair_spot_checks(encoder8, contents8):
     for f, helpers in [(5, (1, 2, 3, 4)), (1, (5, 6, 7, 8)), (8, (2, 3, 5, 7))]:
         payloads = [helper_payload(contents8[h - 1], h, (f,), encoder8, 2) for h in helpers]
-        assert decode_failed_nodes(payloads, helpers, encoder8, (f,))[f] == contents8[f - 1]
+        assert decode_failed_nodes(payloads, helpers, encoder8, (f,), 2)[f] == contents8[f - 1]
 
 
 def test_zero_data_repairs_to_zero(encoder8, gf13):
     msg = build_message_matrix([0] * 20, 4, 2, gf13)
     contents = encode(encoder8, msg)
     payloads = [helper_payload(contents[h - 1], h, (5,), encoder8, 2) for h in (1, 2, 3, 4)]
-    assert decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,)) == {5: StripeBatch([0] * 6, 6)}
+    assert decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,), 2) == {5: StripeBatch([0] * 6, 6)}
 
 
 def test_exact_repair_all_modes(gf13, encoder8):
@@ -195,7 +195,7 @@ def test_exact_repair_all_modes(gf13, encoder8):
             helpers = tuple(rng.sample(others, 4))
             payloads = [helper_payload(contents[h - 1], h, (f,), encoder8, m) for h in helpers]
             assert all(len(p.symbols) <= binom(3, m - 1) for p in payloads)
-            assert decode_failed_nodes(payloads, helpers, encoder8, (f,))[f] == contents[f - 1]
+            assert decode_failed_nodes(payloads, helpers, encoder8, (f,), m)[f] == contents[f - 1]
 
 
 def test_wrong_target_rejected(encoder8, contents8):
@@ -206,24 +206,24 @@ def test_wrong_target_rejected(encoder8, contents8):
             helper_payload(contents8[h - 1], h, sent, encoder8, 2) for h in (1, 2, 3, 4)
         ]
         with pytest.raises(WrongTarget):
-            decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, asked)
+            decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, asked, 2)
 
 
 def test_decode_validates_helper_count(encoder8, contents8):
     payloads = [helper_payload(contents8[h - 1], h, (5,), encoder8, 2) for h in (1, 2, 3)]
     with pytest.raises(ValueError):
-        decode_failed_nodes(payloads, (1, 2, 3), encoder8, (5,))
+        decode_failed_nodes(payloads, (1, 2, 3), encoder8, (5,), 2)
     four = [helper_payload(contents8[h - 1], h, (5,), encoder8, 2) for h in (1, 2, 3, 4)]
     for bad in (four[:3], four[::-1], four[:3] + [four[0]]):
         with pytest.raises(ValueError, match="helpers"):
-            decode_failed_nodes(bad, (1, 2, 3, 4), encoder8, (5,))
+            decode_failed_nodes(bad, (1, 2, 3, 4), encoder8, (5,), 2)
 
 
 def test_decode_rejects_helpers_that_overlap_the_failed_set(encoder8, contents8):
     """Node 1 cannot help repair itself: refused like Cluster and centralized_repair refuse it."""
     payloads = [helper_payload(contents8[h - 1], h, (1,), encoder8, 2) for h in (1, 2, 3, 4)]
     with pytest.raises(OverlapError, match=r"helpers \[1\] are failed"):
-        decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (1,))
+        decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (1,), 2)
 
 
 @pytest.mark.parametrize("bad", [0, 9])
@@ -233,14 +233,26 @@ def test_decode_refuses_helper_ids_outside_one_to_n(encoder8, contents8, bad):
     payloads = [helper_payload(contents8[7], bad, (5,), encoder8, 2)]
     payloads += [helper_payload(contents8[h - 1], h, (5,), encoder8, 2) for h in (2, 3, 4)]
     with pytest.raises(ValueError, match=rf"node id {bad} not in \[1, 8\]"):
-        decode_failed_nodes(payloads, (bad, 2, 3, 4), encoder8, (5,))
+        decode_failed_nodes(payloads, (bad, 2, 3, 4), encoder8, (5,), 2)
 
 
 def test_decode_rejects_payloads_that_disagree_on_mode(encoder8, contents8):
     payloads = [helper_payload(contents8[h - 1], h, (5,), encoder8, 2) for h in (1, 2, 3, 4)]
     payloads[3] = replace(payloads[3], m=3)
-    with pytest.raises(ValueError, match="payloads disagree on mode"):
-        decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,))
+    with pytest.raises(ValueError, match=r"^payload from helper 4 has mode m=3, not the receiver's m=2$"):
+        decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,), 2)
+
+
+def test_decode_refuses_payloads_relabelled_to_another_mode(encoder8, contents8):
+    """Node 5's four m = 2 payloads relabelled m = 3 agree with each other, and once decoded without error to an
+    alpha-4 batch that is not node 5, also after a wire round trip: the receiver's m = 2 refuses them."""
+    payloads = [replace(helper_payload(contents8[h - 1], h, (5,), encoder8, 2), m=3) for h in (1, 2, 3, 4)]
+    for sent in (payloads, [RepairPayload.from_bytes(payload.to_bytes(13), 13) for payload in payloads]):
+        assert [payload.m for payload in sent] == [3] * 4
+        with pytest.raises(ValueError, match=r"^payload from helper 1 has mode m=3, not the receiver's m=2$"):
+            decode_failed_nodes(sent, (1, 2, 3, 4), encoder8, (5,), 2)
+        decoded = decode_failed_nodes(sent, (1, 2, 3, 4), encoder8, (5,), 3)[5]  # what the payloads' own mode reads
+        assert decoded.alpha == 4 and decoded != contents8[4]
 
 
 def test_repair_basis_rejects_repeated_failed_ids(encoder8, contents8):
@@ -260,7 +272,7 @@ def test_out_of_range_mode_is_reported_as_itself(encoder8, contents8, m):
     with pytest.raises(BadMode, match=message):
         decompress_payload(payloads[0], encoder8)
     with pytest.raises(BadMode, match=message):
-        decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,))
+        decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,), m)
 
 
 def test_decode_rejects_payloads_of_different_stripe_counts(encoder8, contents8):
@@ -271,7 +283,7 @@ def test_decode_rejects_payloads_of_different_stripe_counts(encoder8, contents8)
     ]
     assert len(payloads[0].symbols) == 2 * len(payloads[1].symbols)
     with pytest.raises(ValueError):
-        decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,))
+        decode_failed_nodes(payloads, (1, 2, 3, 4), encoder8, (5,), 2)
 
 
 def test_payload_is_helper_set_independent(encoder8, contents8):
@@ -291,7 +303,7 @@ def test_exhaustive_repair_with_all_helper_sets(encoder8, contents8):
             payloads = [
                 helper_payload(contents8[h - 1], h, (f,), encoder8, 2) for h in helpers
             ]
-            assert decode_failed_nodes(payloads, helpers, encoder8, (f,))[f] == contents8[f - 1]
+            assert decode_failed_nodes(payloads, helpers, encoder8, (f,), 2)[f] == contents8[f - 1]
 
 
 def test_repair_builds_no_matrix_once_bases_are_cached(encoder8, contents8, monkeypatch):
@@ -311,7 +323,7 @@ def test_repair_builds_no_matrix_once_bases_are_cached(encoder8, contents8, monk
     def repair():
         payloads = [helper_payload(batches[h], h, failed, encoder8, 2) for h in helpers]
         assert all(decompress_payload(payload, encoder8) for payload in payloads)
-        return decode_failed_nodes(payloads, helpers, encoder8, failed)
+        return decode_failed_nodes(payloads, helpers, encoder8, failed, 2)
 
     expected = repair()  # warms repair_basis and recover_weights
     decode_operator.cache_clear()
@@ -363,7 +375,7 @@ def test_operator_larger_than_the_budget_is_used_and_not_kept(gf13, encoder8, mo
     decode_operator.cache_clear()
     for budget, kept in ((size - 1, 0), (size - 1, 0), (size, size), (size, size)):
         monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", budget)
-        assert decode_failed_nodes(payloads, helpers, encoder8, failed) == {f: contents[f - 1] for f in failed}
+        assert decode_failed_nodes(payloads, helpers, encoder8, failed, 2) == {f: contents[f - 1] for f in failed}
         assert decode_operator.cache_info()[2:] == (budget, kept)
     assert decode_operator.cache_info()[:2] == (1, 3)
 
@@ -384,7 +396,7 @@ def test_kept_operator_entries_never_exceed_the_budget(gf13, encoder8, monkeypat
             decoded, _ = centralized_repair(failed, helpers, {h: contents[h - 1] for h in helpers}, encoder8, 2)
         else:
             payloads = [helper_payload(contents[h - 1], h, failed, encoder8, 2) for h in helpers]
-            decoded = decode_failed_nodes(payloads, helpers, encoder8, failed)
+            decoded = decode_failed_nodes(payloads, helpers, encoder8, failed, 2)
         assert decoded == {f: contents[f - 1] for f in failed}
         info = decode_operator.cache_info()
         assert info.currsize <= budget
@@ -423,7 +435,7 @@ def test_operator_cache_bookkeeping_holds_under_threads(gf13, encoder8, monkeypa
         try:
             for k in range(rounds * len(tuples)):
                 failed = tuples[(start + k) % len(tuples)]
-                if decode_failed_nodes(payloads[failed], helpers, encoder8, failed) != {f: contents[f - 1] for f in failed}:
+                if decode_failed_nodes(payloads[failed], helpers, encoder8, failed, 2) != {f: contents[f - 1] for f in failed}:
                     errors.append(failed)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
