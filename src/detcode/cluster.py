@@ -33,6 +33,7 @@ which is its raw machine buffer.
 
 from __future__ import annotations
 
+import errno
 import os
 import random
 import struct
@@ -392,7 +393,8 @@ def write_shard(path, config: CodeConfig, node_id: int, stripes: StripeBatch, or
     :class:`ShardFile` checks and packs the shard before any file is
     touched. The bytes go to a temporary file that load_cluster does not
     read, which then replaces the shard, so an interrupted write leaves the
-    old one whole.
+    old one whole. A missing directory raises FileNotFoundError naming it,
+    and nothing is created.
     """
     blob = ShardFile(config, node_id, original_len, stripes).to_bytes()
     path = Path(path)
@@ -400,8 +402,10 @@ def write_shard(path, config: CodeConfig, node_id: int, stripes: StripeBatch, or
     try:
         temp.write_bytes(blob)
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         temp.unlink(missing_ok=True)
+        if isinstance(exc, FileNotFoundError) and not path.parent.exists():
+            raise FileNotFoundError(errno.ENOENT, "shard directory does not exist", str(path.parent)) from None
         raise
 
 
@@ -414,7 +418,7 @@ def read_shard(path) -> ShardFile:
 
 
 def write_all_shards(directory, cluster: Cluster) -> list[Path]:
-    """Write every alive node's shard."""
+    """Write every alive node's shard (:func:`write_shard`): into a missing directory, FileNotFoundError naming it."""
     paths = [shard_path(directory, node_id) for node_id in cluster.alive()]
     for path, node_id in zip(paths, cluster.alive()):
         write_shard(path, cluster.config, node_id, cluster.node_content(node_id), cluster.original_len)

@@ -30,7 +30,8 @@ combines a whole window of a row or, in a batch of fewer stripes than
 outputs, a whole stripe by packed weights. The long operand is never copied
 through :class:`Matrix`. A windowed output whose weight column is a unit
 vector (a systematic node's row in encode, an identity row of a recover
-inverse) is a copy of its row.
+inverse, a column of a systematic failure's unit-lead repair basis,
+:meth:`Matrix.unit_lead_factors`) is a copy of its row.
 
 Rows are walked in windows of WINDOW entries (2048, chosen by measurement:
 2048 to 16384 ran within host noise on encode, read and joint repair; the
@@ -693,6 +694,22 @@ class Matrix:
         """
         rref, pivots, _ = self._eliminate()
         return pivots, Matrix(self.field, rref[: len(pivots)], cols=self.cols)
+
+    def unit_lead_factors(self) -> tuple["Matrix", "Matrix"]:
+        """(compress, expand) with self == compress @ expand, exactly, from one :meth:`pivot_columns` pass.
+
+        compress is the pivot columns, each divided by its first nonzero
+        entry (its lead), so every column of compress leads with 1; expand is
+        the nonzero rows of the reduced row echelon form, row j multiplied by
+        pivot column j's lead. A pivot column with one nonzero entry so
+        becomes a unit column, which the product kernel copies
+        (:attr:`unit_columns`) instead of multiplying.
+        """
+        pivots, rref = self.pivot_columns()
+        leads = [next(row[j] for row in self.data if row[j]) for j in pivots]
+        scales = [pow(lead, -1, self.field.p) for lead in leads]
+        compress = Matrix(self.field, [[row[j] * s for j, s in zip(pivots, scales)] for row in self.data], cols=len(pivots))
+        return compress, Matrix(self.field, [[v * lead for v in row] for row, lead in zip(rref.data, leads)], cols=self.cols)
 
     def inverse(self) -> "Matrix":
         """Exact inverse by Gauss-Jordan on [A | I]; raises Singular when rank-deficient."""

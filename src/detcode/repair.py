@@ -2,23 +2,29 @@
 
 The public repair matrix of a failure tuple (the per-failure coefficient
 matrices side by side) depends only on the failed nodes' encoder rows, and
-one Gauss-Jordan pass factors it as compress @ expand: compress is its
-pivot columns, expand the nonzero rows of its reduced row echelon form. A
-helper multiplies its stripe batch (S x alpha) by compress and transmits
-the result, at most beta_e = C(d, m) - C(d-e, m) symbols per stripe for e
-failures (beta = C(d-1, m-1) for one). The replacement side expands the d
-received batches by expand, undoes the encoding with one product over
-every stripe, and reads each failed node's stripes out by signed sums. No
-helper needs to know which other nodes are helping; single-failure repair
-is the case e = 1. So there is one compress per failure tuple, whichever
-helpers serve it: :func:`repair_basis` builds it and expand once as
-:class:`~detcode.field.Matrix`, which keeps them prepared for the product
-kernel, and all d helpers of every repair of that tuple share them. A
-helper serving several failure groups at once (naive repair: one group per
-failed node) transmits by one product of its batch with their compress
-bases side by side (:func:`stacked_compress`), split into one payload per
-group (:func:`helper_payloads`), so every repair costs a helper one
-transmit product, naive included.
+one Gauss-Jordan pass factors it as compress @ expand in the unit-lead
+basis: compress is its pivot columns, each scaled so that its first nonzero
+entry is 1, and expand the nonzero rows of its reduced row echelon form,
+each scaled back. Any invertible change of basis keeps the symbol count and
+the exact decode, and this one makes every column of a systematic failed
+node (whose encoder row is a unit vector, so each column holds one +-1) a
+unit column: the helpers of a tuple of systematic nodes send their stored
+symbols unchanged, plane copies with no multiply-add, which is repair by
+transfer. A helper multiplies its stripe batch (S x alpha) by compress and
+transmits the result, at most beta_e = C(d, m) - C(d-e, m) symbols per
+stripe for e failures (beta = C(d-1, m-1) for one). The replacement side
+expands the d received batches by expand, undoes the encoding with one
+product over every stripe, and reads each failed node's stripes out by
+signed sums. No helper needs to know which other nodes are helping;
+single-failure repair is the case e = 1. So there is one compress per
+failure tuple, whichever helpers serve it: :func:`repair_basis` builds it
+and expand once as :class:`~detcode.field.Matrix`, which keeps them
+prepared for the product kernel, and all d helpers of every repair of that
+tuple share them. A helper serving several failure groups at once (naive
+repair: one group per failed node) transmits by one product of its batch
+with their compress bases side by side (:func:`stacked_compress`), split
+into one payload per group (:func:`helper_payloads`), so every repair costs
+a helper one transmit product, naive included.
 
 Both the repair matrix and the readout read the one sign rule,
 :func:`detcode.subsets.incidence`: the matrix takes the signs as
@@ -36,8 +42,9 @@ has rows decodes by one product with it; a smaller batch runs the
 factored decode, which also stays the operator's builder and the test
 oracle. A cached operator's product beats the factored decode from one
 times the rows on; a build plus one product breaks even only from about 3
-times the rows at (12, 6, 3) with e = 3, 6 times with e = 1, and beyond 8
-times at (8, 4, 2) (CPython 3.11, plane-major batches). The operator depends only on
+times the rows at (12, 6, 3) with e = 3, 3 to 4 times with e = 1, and
+beyond 8 times at (8, 4, 2) (CPython 3.11, plane-major batches, unit-lead
+bases, whose expand has no unit pivot columns). The operator depends only on
 the code, the decode, the failure and helper tuples and the mode, and the
 default helpers give every object repaired after a node failure the same
 tuple, so compiled operators are kept in one least-recently-used cache
@@ -54,9 +61,9 @@ readout's sums hold each failed node's planes in order, one contiguous
 block per failure. Every weight depends only on the failure and helper
 tuples, so stripe data is never copied into a Matrix.
 
-Wire format of a payload, version 5, all integers little-endian::
+Wire format of a payload, version 6, all integers little-endian::
 
-    <B version=5> <B m> <B e> <e x H failed ids> <H helper> <I count>
+    <B version=6> <B m> <B e> <e x H failed ids> <H helper> <I count>
     followed by the count symbols' body (:func:`detcode.field.pack_symbols`):
       at p = 257  <B tag=1> <I escapes> <escapes x I positions> <count x B low bytes>
                or <B tag=2> <count x H symbols>   (only where tag 1 is longer)
@@ -67,9 +74,11 @@ plane-major (symbol j of every stripe, then symbol j + 1), so count is a
 multiple of rank(compress). The positions are those of the symbols equal
 to 256, strictly increasing, so a GF(257) payload costs about 1 + 4/257
 bytes per symbol. The body is decoded first and its symbol count compared
-with count; version 3 (2-byte GF(257) symbols) and version 4 (stripe after
-stripe) are refused. Pivot columns are not sent: both ends derive them
-from the public repair matrix of (failed ids, m).
+with count; version 3 (2-byte GF(257) symbols), version 4 (stripe after
+stripe) and version 5 (this layout, but symbols in the raw pivot-column
+basis, which a version 6 reader would decode wrongly) are refused. The basis
+is not sent: both ends derive the unit-lead compress and expand from the
+public repair matrix of (failed ids, m).
 """
 
 from __future__ import annotations
@@ -109,24 +118,26 @@ def repair_matrix(f: int, m: int, encoder: EncoderMatrix) -> Matrix:
 
 @lru_cache(maxsize=512)
 def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int) -> tuple[Matrix, Matrix]:
-    """(compress, expand) for a failure tuple; cached per encoder, shared.
+    """(compress, expand) for a failure tuple, the unit-lead basis; cached per encoder, shared.
 
     Column j of failure i's segment of the tuple's repair matrix has index
     i * C(d, m-1) + j. compress is the alpha x rank
-    :class:`~detcode.field.Matrix` of its pivot columns, expand the rank x
-    e * C(d, m-1) nonzero rows of its reduced row echelon form, so the
-    repair matrix is compress @ expand. Both keep their kernel preparation
-    as long as the cache entry lives. A mode outside [1, d] raises BadMode
-    naming m.
+    :class:`~detcode.field.Matrix` of its pivot columns, each scaled so its
+    first nonzero entry is 1, and expand the rank x e * C(d, m-1) nonzero
+    rows of its reduced row echelon form, each scaled back, so the repair
+    matrix is compress @ expand (:meth:`~detcode.field.Matrix.unit_lead_factors`).
+    A systematic failed node's encoder row is a unit vector, so each of its
+    pivot columns is a single +-1 and scales to a unit column: its helpers
+    send rank of their stored symbols unchanged. Both keep their kernel
+    preparation as long as the cache entry lives. A mode outside [1, d]
+    raises BadMode naming m.
     """
     derive_params(encoder.d, m)
     checked_ids(failed, "failed ids", n=encoder.n)
-    xi = Matrix.hstack([repair_matrix(f, m, encoder) for f in failed])
-    pivots, expand = xi.pivot_columns()
-    return xi.submatrix(range(xi.rows), pivots), expand
+    return Matrix.hstack([repair_matrix(f, m, encoder) for f in failed]).unit_lead_factors()
 
 
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 _WIRE_HEAD = struct.Struct("<BBB")  # version, mode, failure count
 _WIRE_TAIL = struct.Struct("<HI")  # helper id, symbol count
 

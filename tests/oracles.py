@@ -130,3 +130,12 @@ def batch_product_scalar(parts, weights, blocks: int = 1) -> list[list[int]]:
     outs = [vec_mat([v for part in rows for v in part[s]], weights) for s in range(stripes)]
     width = weights.cols // blocks
     return [plane_major([out[b * width : (b + 1) * width] for out in outs]) for b in range(blocks)]
+
+
+def unit_lead_pivots(vec, xi, pivots) -> tuple[int, ...]:
+    """The paper's repair vector vec_mat(vec, xi) at the pivot columns of *xi*, each entry divided by its column's
+    first nonzero entry, that entry's inverse taken by field.py (a 1 x 1 Matrix inverse): the symbols a helper sends
+    in the unit-lead basis."""
+    full, p = vec_mat(vec, xi), xi.field.p
+    leads = [next(v for v in column(xi, j) if v) for j in pivots]
+    return tuple(full[j] * Matrix(xi.field, [[lead]]).inverse()[0, 0] % p for j, lead in zip(pivots, leads))

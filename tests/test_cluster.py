@@ -417,6 +417,19 @@ def test_shard_bytes_deterministic(tmp_path):
         assert first == second
 
 
+def test_write_into_missing_directory_names_it_and_creates_nothing(tmp_path):
+    """Not the hidden temporary file's name: the directory the caller gave, which must exist."""
+    missing = tmp_path / "absent" / "shards"
+    cluster = Cluster.from_file(bytes(range(200)), CFG257)
+    with pytest.raises(FileNotFoundError, match="shard directory does not exist") as raised:
+        write_all_shards(missing, cluster)
+    assert raised.value.filename == str(missing) and ".tmp" not in str(raised.value)
+    with pytest.raises(FileNotFoundError) as raised:
+        write_shard(shard_path(missing, 3), CFG257, 3, cluster.contents[3], 200)
+    assert raised.value.filename == str(missing)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_rejects_shard_under_another_node_name(tmp_path):
     """A stale copy of node 3 saved as node 5 neither fails node 5 silently
     nor replaces node 3's content."""

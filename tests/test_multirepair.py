@@ -40,7 +40,7 @@ from certificates import (
     supercode_schedule,
     total_bandwidth,
 )
-from oracles import brute_rank, column, is_zero, mul_vec, plane_major, vec_mat
+from oracles import brute_rank, column, is_zero, mul_vec, plane_major, unit_lead_pivots, vec_mat
 
 
 # --- bandwidth formulas --------------------------------------------------
@@ -279,12 +279,12 @@ def test_joint_payload_size_and_roundtrip(gf13, encoder8, contents8):
 
 def test_joint_payload_single_failure_matches_plain(encoder8, contents8):
     """At e = 1 the payload is the single-failure repair vector at the pivot
-    columns of the plain repair matrix, beta symbols."""
+    columns of the plain repair matrix, each divided by its column's leading
+    entry, beta symbols."""
     payload = helper_payload(contents8[0], 1, (5,), encoder8, 2)
     xi = repair_matrix(5, 2, encoder8)
     pivots, _ = xi.pivot_columns()
-    full = vec_mat(contents8[0][0], xi)
-    assert tuple(payload.symbols) == tuple(full[j] for j in pivots)
+    assert tuple(payload.symbols) == unit_lead_pivots(contents8[0][0], xi, pivots)
     assert len(payload.symbols) == binom(3, 1)
 
 

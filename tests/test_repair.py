@@ -25,8 +25,8 @@ from detcode.repair import (
     repair_matrix,
 )
 from detcode.subsets import binom, incidence, subsets
-from certificates import column_dependency, entry, shared_symbol
-from oracles import column, mul_vec, plane_major, signed_sums_scalar, vec_mat
+from certificates import column_dependency, entry, multi_repair_matrix, shared_symbol
+from oracles import column, mul_vec, plane_major, signed_sums_scalar, stripe_rows, unit_lead_pivots, vec_mat
 
 
 def test_repair_matrix_entries_golden(encoder8):
@@ -104,8 +104,7 @@ def test_payload_size_and_content(encoder8, contents8):
             xi = repair_matrix(f, 2, encoder8)
             pivots, _ = xi.pivot_columns()
             assert pivots == sorted(pivots) and repair_basis(encoder8, (f,), 2)[0].cols == len(pivots)
-            full = vec_mat(contents8[h - 1][0], xi)
-            assert tuple(payload.symbols) == tuple(full[j] for j in pivots)
+            assert tuple(payload.symbols) == unit_lead_pivots(contents8[h - 1][0], xi, pivots)
 
 
 def test_zero_content_zero_payload(encoder8):
@@ -608,3 +607,54 @@ def test_helper_payloads_match_one_payload_per_group(m, nodes, e, seed):
             else:
                 expected = [helper_payload(content, helper, group, encoder, m) for group in mixed]
                 assert helper_payloads(content, helper, mixed, encoder, m) == expected
+
+
+def _unit_lead_cases():
+    """(encoder, failed, m): every failure tuple of at most 3 nodes at (8, 4, m), m = 1..4, over GF(13), then a
+    sample at (12, 6, 3) over GF(257). Nodes 1..d are the systematic ones."""
+    small, large = build_encoder(8, 4, Field(13)), build_encoder(12, 6, Field(257))
+    for m in range(1, 5):
+        for e in range(1, 4):
+            for failed in combinations(range(1, 9), e):
+                yield small, failed, m
+    for failed in [(2,), (12,), (1, 2), (2, 7), (7, 12), (1, 2, 3), (2, 5, 6), (4, 6, 11), (7, 9, 12), (1, 6, 12)]:
+        yield large, failed, 3
+
+
+def test_repair_basis_is_the_unit_lead_factorization():
+    """compress @ expand is the paper's repair matrix of the tuple, every compress column leads with 1, and a tuple
+    of systematic nodes has only unit compress columns: its helpers send stored symbols unchanged. About 0.1 s."""
+    for encoder, failed, m in _unit_lead_cases():
+        compress, expand = repair_basis(encoder, failed, m)
+        assert compress @ expand == multi_repair_matrix(failed, m, encoder), (encoder.n, failed, m)
+        columns, units = compress.unit_columns
+        assert all(next(v for v in col if v) == 1 for col in columns), (encoder.n, failed, m)
+        if max(failed) <= encoder.d:
+            assert None not in units, (encoder.n, failed, m)
+
+
+def test_systematic_transmit_runs_no_multiply_add(monkeypatch):
+    """On a batch of at least rank stripes, helper_payloads of a systematic tuple, as one group or one group per
+    node, calls the kernel's multiply-add (field._combine) not at all: every output plane is a copy of a stored
+    plane, the oracle's unit-lead symbols. A tuple whose basis has a column that is not a unit column calls it, and
+    every single parity failure below m = d has one. About 0.3 s."""
+    from detcode import field
+
+    calls, combine = [], field._combine
+    monkeypatch.setattr(field, "_combine", lambda *args: calls.append(1) or combine(*args))
+    rng = random.Random(38)
+    for encoder, failed, m in _unit_lead_cases():
+        compress, _ = repair_basis(encoder, failed, m)
+        systematic, units = max(failed) <= encoder.d, compress.unit_columns[1]
+        for served in [(failed,), tuple((f,) for f in failed)] if systematic else [(failed,)]:
+            stripes = sum(repair_basis(encoder, group, m)[0].cols for group in served)
+            batch = StripeBatch([rng.randrange(encoder.field.p) for _ in range(stripes * compress.rows)], compress.rows)
+            calls.clear()
+            payloads = helper_payloads(batch, encoder.n, served, encoder, m)
+            assert bool(calls) == (None in units and len(served) == 1) and not (calls and systematic), (encoder.n, served, m)
+            for group, payload in zip(served, payloads if systematic else []):
+                xi = multi_repair_matrix(group, m, encoder)
+                expected = [unit_lead_pivots(row, xi, xi.pivot_columns()[0]) for row in stripe_rows(batch.symbols, batch.alpha)]
+                assert list(payload.symbols) == plane_major(expected), (encoder.n, group, m)
+        if len(failed) == 1 and not systematic and m < encoder.d:
+            assert None in units, (encoder.n, failed, m)

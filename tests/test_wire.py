@@ -29,7 +29,7 @@ from detcode.repair import RepairPayload, decompress_payload, helper_payload
 from oracles import stripe_rows, symbol_body_spec
 
 
-# Payload v5: <B version=5><B m><B e><e x H failed><H helper><I count>, then
+# Payload v6: <B version=6><B m><B e><e x H failed><H helper><I count>, then
 # the count symbols, plane-major (symbol j of every stripe, then symbol j + 1),
 # as the symbol body of pack_symbols:
 # little-endian symbols of element_width(p) bytes (1 byte for p = 13), or at
@@ -39,17 +39,17 @@ from oracles import stripe_rows, symbol_body_spec
 
 def test_single_payload_layout(encoder8, contents8):
     payload = helper_payload(contents8[1], 2, (5,), encoder8, 2)
-    assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=array("I", (1, 9, 7)))
+    assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=array("I", (10, 9, 7)))
     assert payload.to_bytes(13) == bytes.fromhex(
-        "05 02 01" "05 00" "02 00" "03 00 00 00" "01 09 07"
+        "06 02 01" "05 00" "02 00" "03 00 00 00" "0a 09 07"
     )
 
 
 def test_joint_payload_layout(encoder8, contents8):
     payload = helper_payload(contents8[0], 1, (5, 6), encoder8, 2)
-    assert payload == RepairPayload(failed=(5, 6), helper=1, m=2, symbols=array("I", (5, 0, 8, 1, 1)))
+    assert payload == RepairPayload(failed=(5, 6), helper=1, m=2, symbols=array("I", (11, 0, 8, 7, 10)))
     assert payload.to_bytes(13) == bytes.fromhex(
-        "05 02 02" "05 00 06 00" "01 00" "05 00 00 00" "05 00 08 01 01"
+        "06 02 02" "05 00 06 00" "01 00" "05 00 00 00" "0b 00 08 07 0a"
     )
 
 
@@ -58,18 +58,18 @@ def test_two_byte_payload_symbols_little_endian():
     2-byte little-endian symbols."""
     payload = RepairPayload(failed=(5, 6), helper=3, m=2, symbols=(256, 1))
     assert payload.to_bytes(257) == bytes.fromhex(
-        "05 02 02" "05 00 06 00" "03 00" "02 00 00 00" "02" "00 01 01 00"
+        "06 02 02" "05 00 06 00" "03 00" "02 00 00 00" "02" "00 01 01 00"
     )
 
 
 def test_two_stripe_payload_layout(gf13, encoder8, message8):
-    """One header for both stripes, plane-major: stripe 0's symbols (1, 9, 7) are the one-stripe payload's, and
-    stripe 1's (12, 10, 9) interleave with them, symbol j of both stripes in turn."""
+    """One header for both stripes, plane-major: stripe 0's symbols (10, 9, 7) are the one-stripe payload's, and
+    stripe 1's (3, 10, 9) interleave with them, symbol j of both stripes in turn."""
     message = build_message_matrix([*message8.extract_symbols(), *range(20)], 4, 2, gf13)
     payload = helper_payload(encode(encoder8, message)[1], 2, (5,), encoder8, 2)
-    assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=array("I", (1, 12, 9, 10, 7, 9)))
+    assert payload == RepairPayload(failed=(5,), helper=2, m=2, symbols=array("I", (10, 3, 9, 10, 7, 9)))
     assert payload.to_bytes(13) == bytes.fromhex(
-        "05 02 01" "05 00" "02 00" "06 00 00 00" "01 0c" "09 0a" "07 09"
+        "06 02 01" "05 00" "02 00" "06 00 00 00" "0a 03" "09 0a" "07 09"
     )
 
 
@@ -100,6 +100,15 @@ def test_v3_payload_rejected_as_unsupported_version(p, body):
     v3 = bytes.fromhex("03 02 01" "05 00" "02 00" "03 00 00 00" + body)
     with pytest.raises(ValueError, match="unsupported payload version 3"):
         RepairPayload.from_bytes(v3, p)
+
+
+@pytest.mark.parametrize("p, body", [(13, "01 09 07"), (257, "01" "00 00 00 00" "01 09 07")])
+def test_v5_payload_rejected_as_unsupported_version(p, body):
+    """Version 5 had v6's layout but sent the raw pivot columns' symbols, not the unit-lead basis's; read as v6
+    such a payload would decode to wrong symbols, so it is refused."""
+    v5 = bytes.fromhex("05 02 01" "05 00" "02 00" "03 00 00 00" + body)
+    with pytest.raises(ValueError, match="unsupported payload version 5"):
+        RepairPayload.from_bytes(v5, p)
 
 
 def test_single_payload_roundtrip(encoder8, contents8):
@@ -207,8 +216,8 @@ def test_payload_parse_round_trips_or_raises_value_error(blob):
 @pytest.mark.parametrize(
     "field, blob, payload",
     [
-        ("mode m", "05 00 01" "05 00" "01 00" "00 00 00 00" "02", RepairPayload((5,), 1, 0, ())),
-        ("failure count e", "05 02 00" "01 00" "00 00 00 00" "02", RepairPayload((), 1, 2, ())),
+        ("mode m", "06 00 01" "05 00" "01 00" "00 00 00 00" "02", RepairPayload((5,), 1, 0, ())),
+        ("failure count e", "06 02 00" "01 00" "00 00 00 00" "02", RepairPayload((), 1, 2, ())),
     ],
     ids=["mode-m", "failure-count-e"],
 )
@@ -471,35 +480,35 @@ GOLDEN_SHARDS = {
         "6c08d9360137fbc755bae923daa83f429670c9e84b46b3dbe631747524b945c0",
         "5af7ca19c690df76d85fb79d70bd9c15f6a3a31f2645660f7948c8af5d5371a3",
         "6b8c169b9fb8244bc26c506980719467a300843b765e7126a357700b46eed096",
-        "1b0d413f8107d9c02178561ac5759a00ff28c4b2ae0b208396d096cae44f0f5d",
+        "5a0faa4819b24ab3a83a3569091e75b079287eabae88d6085d3bb13b2f79376e",
     ),
     (8, 4, 2): (
         "21519fa5c3375293c93f38ee040b1c6829acf4a36cea1b4de581b8bc575b0124",
         "65c60ed5f0f590fd1dd9c24d27326bf62979b788116c4a61624925659e3195c9",
         "e2d14365e8bd042499e7c2c593518335dd6d9a9f10f8c418d05fe18b4b12797d",
         "d65cf93b6ff7e7e91e681af35215a10b21ec4f07814006448c256750d5aafb38",
-        "6c2f6b46009342b1451d9f0735928f69af576269381b70d19e83514c4d8b971d",
+        "802bd714c24cd2840a446fcbbc61c2fdfa0cc9f7f0c01b3b48474c2d3416f5ad",
     ),
     (8, 4, 4): (
         "9344f27f87379090e84c00112182e4dc8ff75b2d100c4bdfeb4fc6a15281d6de",
         "7d87da2c266f7a2ad0a6c8dbf48ba450c654d90d132d1dc5025a4214c31cf0c3",
         "e3482a76b8767446577edfdc87f352c070f0d97adc4221a8915bcdb1a0ee3b87",
         "af17d0689c3d60024f8ea5cd5f03bacc5eb803f97d016f7330abfa23660d77d5",
-        "ec291b01c40421a2fce924c6bc33adc94fbe38f8541b135c612bf9accd793cdc",
+        "3d2b7212f275e2f5496d0c068ef8324412570254fe168afde54ed36caeec621b",
     ),
     (12, 6, 3): (
         "465dc087b5158c1e56b6ad01fe83c3232c81ddba5e7fa928b71131bb53a8ad32",
         "d2ce6655952454b7ab677702acdecc1510ee332d8bcebe85d5524ebb153cc44d",
         "2cfc586779871bbc377d9bd0679113b22cecdb14aced603064dd11165c9bb589",
         "ce7913cd4e6e7c17f2d508a6c015ef71d4585b1a98360b9c301e0bef491cb221",
-        "f0db0d713444b855800d1d19a816ebf51c30a50d918ed168c772f445745859de",
+        "3583496054bb5a798e4a5a67bf83f2638d5a933462e252c58b73bfd0ffcf8061",
     ),
     (16, 10, 3): (
         "504df11d3531a0e323e646c3b3e1e2b964daf40bad599731ea7a91f4ec97fd75",
         "941f28dad3733c97c930dd9d3c74b0c91ede2fe307ca6e6f9e70604ebad42c7b",
         "d661a90c318064e900329be6b4a42aaa01035762bc941c5cf42294d9eac6b4fd",
         "d72457b2c61d99b9acaa5fc1e0b4b5c0f4e210e76e22d2aa2db0305a33472adc",
-        "c9436390800428f4c82655dc10e5fd31bd676638cfdbef95b91f59d02950f221",
+        "dc801d463660ff28dd1253316c277491aaa193f5d2d1ab7259fc5e603205ccb9",
     ),
 }
 
@@ -523,42 +532,43 @@ def test_shard_and_payload_bytes_golden(tmp_path, n, d, m):
 
 # The same seeded files and payloads as the byte goldens, pinned by content instead of by format: sha256 over
 # every node's decoded symbols (read back from its shard, 4-byte array items, stripe after stripe), node order, at
-# 0, 1, 900 and 5000 bytes; then over the decoded symbols of the joint payload above, stripe after stripe.
+# 0, 1, 900 and 5000 bytes; then over the decoded symbols of the joint payload above, stripe after stripe (its
+# symbols in the unit-lead basis of repair_basis, so a change of basis moves that digest alone).
 GOLDEN_CONTENT = {
     (8, 4, 1): (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "df565ad95a2a38949278f1087b90506136d904dff2f789c7f8cc5a3bf5771afe",
         "b54ff365cf4e6735dd1352e3ab235de1a74d56df16977298a7d43fa32563cd89",
         "fa830b4f19a2d182253b519aac3870a6a16290a98aa8fa556925d0677ce42198",
-        "ae69e833ea643e7e2922691d1b3bf1a0725a90d93ab10dc5e5f00368ee3df61c",
+        "5612a21c02633b624acc4a734d4f224c145cc2881616ab435c4d3f8183252d07",
     ),
     (8, 4, 2): (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "ba969c1be0c5e024cdde735c8cf3353b368d944c2252562a87d82b363d2b394c",
         "571f9cc0bf6440047e074400f98623e0d0e925f943b659337ca2b8937233e23a",
         "3a2e98af3ff78071ec3d6cff54640e6965ba5a14f623d97eb80eb50bebef5a23",
-        "3838aa3041037083698278d50e1d43a3339a79001e6b4d85439bd7554881d44e",
+        "de9229f9a33c1be483350feb4441199d6f1c8acc9cbfc037356f9ded5918868f",
     ),
     (8, 4, 4): (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "8ed6eddd0f8e0dda546ce074e0d1a3cea2c3561abbdd7a5dbb56bce0606db47d",
         "4a0781310d790c7b522ed6e3205e86f6a30886c48a7362202de33ea754f71e60",
         "ceddd4190e073b85a3af1c5027ae55a3fa4e58ca3af78266759f5b13de6d6725",
-        "fa4ecaa9b7fc52bac6f93e0170a6dd3e2f13625ac6b83113ce88ce7261b124aa",
+        "549500c50890348e8dc48245fde67afd09e3a6dfb6541542efb264f73ae4b1c8",
     ),
     (12, 6, 3): (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "964e34c0cdf53c33ddf89ed282ed8d843fbb0ece877c23ed99288cc0eaa69860",
         "b45a03f56e4ebc4e1feff039ce9a9e366fac53b94691a0589a1abe288941158b",
         "f3dd1b495deec12010939f21d313e0605d920f8ffe8052a9f9c9d45ce28a6440",
-        "5bd2c8d9e677add609340a9fd82666f18062e82413979be60c00b15728748456",
+        "f6c7c6976cc4aa2f4e9ccd3c4a959ff166412da92b3881ca57862977d727c650",
     ),
     (16, 10, 3): (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "47f480b3da8845ccd5ae446b45bd108694532ed0de832d7279fa0518973efed2",
         "5de88e4ce198d82479c2df2322d98a2aa4d5f0a1534cfb0cb07fda6efe4a4e58",
         "6b20900ffcdc8758d63d32cbec5aa265be1532cf9299dff227ba20dba6dc0e5d",
-        "54fe51480ce82534dfe41a1f0f820dcac4ff02fc8b16c24c6a6af7ed66098598",
+        "60a7766cb35b7d2b2d193d9f7a0dcc33fde677488792f893e617f2de1ca16d45",
     ),
 }
 
