@@ -9,14 +9,7 @@ from pathlib import Path
 
 import click
 
-from .cluster import (
-    Cluster,
-    capacity_curve,
-    load_cluster,
-    shard_path,
-    write_all_shards,
-    write_shard,
-)
+from .cluster import Cluster, load_cluster, shard_path, stray_shards, write_all_shards, write_shard
 from .code import CodeConfig, ParityViolation, recover_data
 from .field import next_prime_at_least
 from .multirepair import REPAIR_MODES, bandwidth_table
@@ -68,8 +61,13 @@ def main():
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 @_friendly_errors
 def encode_cmd(input_path: Path, n: int, d: int, m: int, out_dir: Path):
-    """Encode a file into n shard files, one per node, over GF(p) for the smallest prime p >= max(257, n + 1)."""
+    """Encode a file into n shard files, one per node, over GF(p) for the smallest prime p >= max(257, n + 1).
+
+    Refuses, writing nothing, an --out that holds a shard file this encode would not overwrite.
+    """
     config = CodeConfig(n=n, d=d, m=m, p=next_prime_at_least(max(257, n + 1)))
+    if stray := [path.name for path in stray_shards(out_dir, n)]:
+        raise ValueError(f"{out_dir} holds shard files that this encode would not overwrite: {', '.join(stray)}")
     data = input_path.read_bytes()
     cluster = Cluster.from_file(data, config)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -189,11 +187,18 @@ def bandwidth_cmd(d: int, m: int, e_max: int, mode: str):
 @click.option("--nmax", "n_max", required=True, type=int)
 @_friendly_errors
 def capacity_cmd(d: int, m: int, n_max: int):
-    """Verified storage capacity for every node count from d+1 to nmax."""
-    curve = capacity_curve(d, m, range(d + 1, n_max + 1))
+    """Storage capacity F = m * C(d+1, m+1) for every node count from d+1 to nmax.
+
+    F is the same for every n; d, m and nmax are checked as one code of nmax
+    nodes over the smallest prime above nmax.
+    """
+    n_values = range(d + 1, n_max + 1)
+    if not n_values:
+        raise ValueError(f"empty node-count range {n_values!r}: need at least one n > d = {d}")
+    config = CodeConfig(n=n_max, d=d, m=m, p=next_prime_at_least(n_max + 1))
     click.echo("n,F")
-    for n, capacity in curve:
-        click.echo(f"{n},{capacity}")
+    for n in n_values:
+        click.echo(f"{n},{config.file_symbols}")
 
 
 if __name__ == "__main__":

@@ -26,16 +26,16 @@ node's body is decoded when a call first reads that node
 (:meth:`Cluster.node_content`), so a malformed body is refused by the calls
 that name its node and blocks no other, and a default read or repair passes
 over it to the next alive node and records it (:attr:`Cluster.skipped`,
-:attr:`RepairEvent.skipped`). A read's bytes are the low byte plane of the
-recovered symbols (:func:`assemble_file`), never ``bytes()`` of the array,
-which is its raw machine buffer.
+:attr:`RepairEvent.skipped`). A node's file whose header does not parse is
+loaded and refused the same way, with the header's error. A read's bytes
+are the low byte plane of the recovered symbols (:func:`assemble_file`),
+never ``bytes()`` of the array, which is its raw machine buffer.
 """
 
 from __future__ import annotations
 
 import errno
 import os
-import random
 import struct
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -53,7 +53,7 @@ from .code import (
     encode,
     recover_data,
 )
-from .field import next_prime_at_least, pack_symbols, symbol_array, unpack_symbols, widen
+from .field import pack_symbols, symbol_array, unpack_symbols, widen
 from .multirepair import check_request, repair_nodes, within_bound
 
 
@@ -139,10 +139,14 @@ class BandwidthLedger:
 
 
 class ShardBlob(NamedTuple):
-    """A loaded node's shard file, its body not yet decoded: :meth:`Cluster.node_content` decodes it on first use."""
+    """A loaded node's shard file, its body not yet decoded: :meth:`Cluster.node_content` decodes it on first use.
+
+    *error* is why the file's header did not parse (:func:`load_cluster`); node_content refuses such a node with it.
+    """
 
     path: Path
     blob: bytes
+    error: str | None = None
 
 
 class Cluster:
@@ -203,14 +207,16 @@ class Cluster:
 
         A loaded node's body is decoded here, on the first call that reads
         the node, and its stripes replace the :class:`ShardBlob`. A malformed
-        body raises ShardFormatError naming the file, as :func:`read_shard`
-        does, and stays undecoded.
+        body, or a header that did not parse, raises ShardFormatError naming
+        the file, as :func:`read_shard` does, and stays undecoded.
         """
         content = self.contents[node_id]
         if content is None:
             raise ValueError(f"node {node_id} is failed")
         if isinstance(content, ShardBlob):
             try:
+                if content.error is not None:
+                    raise ValueError(content.error)
                 content = _parse_body(content.blob, self.config, self.stripe_count)
             except ValueError as exc:
                 raise ShardFormatError(f"{content.path}: {exc}") from exc
@@ -225,16 +231,15 @@ class Cluster:
         self.contents.update(dict.fromkeys(ids))
 
     def _pick_nodes(self, excluded: set[int], node_ids, spare: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(ids, skipped): d distinct alive node ids outside *excluded* as given, or by default the first d whose
-        shards decode and up to *spare* more, passing over (and recording in :attr:`skipped`) each that does not."""
+        """(ids, skipped): d distinct alive node ids outside *excluded* as given, or by default the first d alive
+        whose shards decode and up to *spare* more, passing over (and recording in :attr:`skipped`) each that does
+        not; *excluded* holds failed ids only, so no alive node is in it."""
         d = self.config.d
         if node_ids is None:
             picked, skipped = [], []
             for i in self.alive():
                 if len(picked) == d + spare:
                     break
-                if i in excluded:
-                    continue
                 try:
                     self.node_content(i)
                 except ShardFormatError as exc:
@@ -294,6 +299,19 @@ def _shard_name(node_id: int) -> str:
 
 def shard_path(directory, node_id: int) -> Path:
     return Path(directory) / _shard_name(node_id)
+
+
+def _node_of(path: Path, n: int) -> int | None:
+    """The node id in [1, n] that *path* is named for (``node_<id>.detc``), else None."""
+    digits = path.name[len("node_") : -len(".detc")]
+    node_id = int(digits) if digits.isdecimal() else 0
+    return node_id if path.name == _shard_name(node_id) and 1 <= node_id <= n else None
+
+
+def stray_shards(directory, n: int) -> list[Path]:
+    """The shard files (``node_*.detc``) in *directory* that are named for no node in [1, n], in node order."""
+    stray = [path for path in Path(directory).glob("node_*.detc") if _node_of(path, n) is None]
+    return sorted(stray, key=lambda path: (len(path.name), path.name))
 
 
 def _recorded_length(config: CodeConfig, node_id: int, original_len: int | None, count: int) -> int | None:
@@ -429,57 +447,40 @@ def load_cluster(directory) -> Cluster:
     """Rebuild a cluster from the shards in a directory: every header is checked, no body is decoded.
 
     Each file is read once, here. Nodes without a shard file are marked
-    failed; every header must pass the shard rule, name its file and agree
-    with the others on the code, the stripe count and the recorded length.
-    A node keeps its file as a :class:`ShardBlob` until a call first reads
-    it (:meth:`Cluster.node_content`), so a malformed body is refused by the
-    calls that read that node and by no other.
+    failed; every header that parses must pass the shard rule, name its file
+    and agree with the others on the code, the stripe count and the recorded
+    length. A node keeps its file as a :class:`ShardBlob` until a call first
+    reads it (:meth:`Cluster.node_content`), so a malformed body is refused
+    by the calls that read that node and by no other. A file of node i in
+    [1, n] whose header does not parse is such a node too, refused with the
+    header's error; a file of no such node, or a directory where no header
+    parses, raises that error here.
     """
     directory = Path(directory)
     headers: list[_Header] = []
     blobs: dict[int, ShardBlob] = {}
+    damaged: list[tuple[Path, bytes, ValueError]] = []
     for path in sorted(directory.glob("node_*.detc"), key=lambda path: path.name):
         blob = path.read_bytes()
         try:
             header = _parse_header(blob, headers[0].config if headers else None)
         except ValueError as exc:
-            raise ShardFormatError(f"{path}: {exc}") from exc
+            damaged.append((path, blob, exc))
+            continue
         if path.name != _shard_name(header.node_id):
             raise ShardFormatError(f"{path}: file name disagrees with header node id {header.node_id}")
         headers.append(header)
         blobs[header.node_id] = ShardBlob(path, blob)
-    if not headers:
+    if not headers and not damaged:
         raise ShardFormatError(f"no shard files found in {directory}")
     if len({(h.config, h.stripe_count, h.original_len) for h in headers}) > 1:
         raise ShardFormatError("shard headers disagree")
+    n = headers[0].config.n if headers else 0
+    for path, blob, exc in damaged:
+        if (node_id := _node_of(path, n)) is None:
+            raise ShardFormatError(f"{path}: {exc}") from exc
+        blobs[node_id] = ShardBlob(path, blob, str(exc))
     config, _, stripe_count, original_len = headers[0]
     contents: dict[int, StripeBatch | ShardBlob | None] = dict.fromkeys(range(1, config.n + 1))
     contents.update(blobs)
     return Cluster(config, contents, original_len, stripe_count)
-
-
-# --- reference curves ---------------------------------------------------
-
-def capacity_curve(d: int, m: int, n_values):
-    """(n, recovered file size) for each n; recovery actually performed.
-
-    One shared prime serves the whole range (>= max(n) + 1). For every n a
-    fresh random source is encoded and recovered from a random d-subset of
-    nodes; the emitted F is the verified count of recovered symbols.
-    """
-    n_values, requested = list(n_values), n_values
-    if not n_values:
-        raise ValueError(f"empty node-count range {requested!r}: need at least one n > d = {d}")
-    p = next_prime_at_least(max(n_values) + 1)
-    rows = []
-    for n in n_values:
-        config = CodeConfig(n=n, d=d, m=m, p=p)
-        rng = random.Random(2024 * 1_000_003 + n)
-        source = [rng.randrange(p) for _ in range(config.file_symbols)]
-        cluster = Cluster.build(config, build_message_matrix(source, d, m, config.field))
-        ids = sorted(rng.sample(range(1, n + 1), d))
-        symbols = cluster.recover_stripes(ids).extract_symbols()
-        if list(symbols) != source:
-            raise AssertionError(f"recovery mismatch at n={n}")
-        rows.append((n, len(symbols)))
-    return rows

@@ -29,9 +29,9 @@ repair of a (failure tuple, helper tuple, mode) and kept in
 :func:`detcode.repair.decode_operator`'s cache for every later one.
 
 :data:`REPAIR_MODES` lists the modes and :func:`repair_nodes`, the one entry,
-runs their plans. :func:`helper_bound` maps a mode to its bound,
-:func:`within_bound` checks one repair against it, and :func:`bandwidth_table`
-tabulates it.
+runs their plans. :func:`helper_bound` holds each mode's bound as its one
+closed form, :func:`within_bound` checks one repair against it, and
+:func:`bandwidth_table` tabulates it.
 """
 
 from __future__ import annotations
@@ -51,23 +51,10 @@ class TooManyFailures(ValueError):
 REPAIR_MODES = ("single", "naive", "joint", "centralized")
 
 
-def joint_bandwidth(d: int, m: int, e: int) -> int:
-    """Per-helper symbols to jointly repair e failures: C(d,m) - C(d-e,m)."""
-    if e < 1:
-        raise ValueError(f"need at least one failure, got e={e}")
-    return binom(d, m) - binom(d - e, m)
-
-
-def centralized_bandwidth(d: int, m: int, e: int) -> Fraction:
-    """Average per-helper symbols under centralized sequential repair, exact."""
-    if e < 1:
-        raise ValueError(f"need at least one failure, got e={e}")
-    return Fraction(m, d) * (binom(d + 1, m + 1) - binom(d - e + 1, m + 1))
-
-
 def helper_bound(d: int, m: int, e: int, mode: str) -> int | Fraction:
     """Symbols per stripe a helper sends to repair e failures in *mode*: single beta (e = 1 only), naive
-    e * beta (even above alpha), joint beta_e, centralized beta_bar_e averaged over the d helpers."""
+    e * beta (even above alpha), joint beta_e = C(d, m) - C(d-e, m), centralized
+    beta_bar_e = (m/d) * (C(d+1, m+1) - C(d-e+1, m+1)), averaged over the d helpers."""
     if e < 1:
         raise ValueError(f"need at least one failure, got e={e}")
     if mode == "single" and e != 1:
@@ -75,9 +62,9 @@ def helper_bound(d: int, m: int, e: int, mode: str) -> int | Fraction:
     if mode in ("single", "naive"):
         return e * binom(d - 1, m - 1)
     if mode == "joint":
-        return joint_bandwidth(d, m, e)
+        return binom(d, m) - binom(d - e, m)
     if mode == "centralized":
-        return centralized_bandwidth(d, m, e)
+        return Fraction(m, d) * (binom(d + 1, m + 1) - binom(d - e + 1, m + 1))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -5,12 +5,14 @@ Tests import these names as ``from certificates import ...``, as they do ``oracl
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from detcode.code import EncoderMatrix, MessageMatrix
-from detcode.field import Matrix
-from detcode.multirepair import TooManyFailures, joint_bandwidth
+from detcode.cluster import Cluster
+from detcode.code import CodeConfig, EncoderMatrix, MessageMatrix, build_message_matrix
+from detcode.field import Matrix, next_prime_at_least
+from detcode.multirepair import TooManyFailures, helper_bound
 from detcode.repair import repair_matrix
 from detcode.subsets import binom, incidence, position, subsets
 
@@ -36,8 +38,8 @@ def tradeoff_bound(d: int, level: int, alpha: int, beta: int) -> Fraction:
 
 
 def per_helper_bandwidth(d: int, m: int, e: int) -> tuple[int, ...]:
-    """Symbols per stripe the helper in each slot of a centralized repair sends: joint_bandwidth(d, m, min(slot, e))."""
-    return tuple(joint_bandwidth(d, m, min(slot, e)) for slot in range(1, d + 1))
+    """Symbols per stripe the helper in each slot of a centralized repair sends: beta_{min(slot, e)}, the joint bound."""
+    return tuple(helper_bound(d, m, min(slot, e), "joint") for slot in range(1, d + 1))
 
 
 def total_bandwidth(d: int, m: int, e: int) -> int:
@@ -163,5 +165,30 @@ def supercode_helper_totals(d: int, m: int, e: int) -> list[int]:
     totals = [0] * d
     for segment_roles in schedule:
         for slot, role in enumerate(segment_roles):
-            totals[slot] += joint_bandwidth(d, m, min(role, e))
+            totals[slot] += helper_bound(d, m, min(role, e), "joint")
     return totals
+
+
+def capacity_curve(d: int, m: int, n_values):
+    """(n, recovered file size) for each n; recovery actually performed.
+
+    One shared prime serves the whole range (>= max(n) + 1). For every n a
+    fresh random source is encoded and recovered from a random d-subset of
+    nodes; the emitted F is the verified count of recovered symbols.
+    """
+    n_values, requested = list(n_values), n_values
+    if not n_values:
+        raise ValueError(f"empty node-count range {requested!r}: need at least one n > d = {d}")
+    p = next_prime_at_least(max(n_values) + 1)
+    rows = []
+    for n in n_values:
+        config = CodeConfig(n=n, d=d, m=m, p=p)
+        rng = random.Random(2024 * 1_000_003 + n)
+        source = [rng.randrange(p) for _ in range(config.file_symbols)]
+        cluster = Cluster.build(config, build_message_matrix(source, d, m, config.field))
+        ids = sorted(rng.sample(range(1, n + 1), d))
+        symbols = cluster.recover_stripes(ids).extract_symbols()
+        if list(symbols) != source:
+            raise AssertionError(f"recovery mismatch at n={n}")
+        rows.append((n, len(symbols)))
+    return rows

@@ -19,17 +19,15 @@ from detcode import (
     binom,
     build_encoder,
     build_message_matrix,
-    capacity_curve,
     decode_failed_nodes,
     derive_params,
     encode,
     helper_bound,
     helper_payload,
-    joint_bandwidth,
     recover_data,
     repair_matrix,
 )
-from certificates import multi_repair_matrix, null_space_matrix, supercode_helper_totals, total_bandwidth, tradeoff_bound
+from certificates import capacity_curve, multi_repair_matrix, null_space_matrix, supercode_helper_totals, total_bandwidth, tradeoff_bound
 from conftest import GOLDEN_TAIL_ROWS
 from oracles import is_zero
 
@@ -139,7 +137,7 @@ def test_07_multi_repair_bandwidth(encoder8, contents8):
         assert multi_repair_matrix(failed, 2, encoder8).rank() == 5
         for h in (1, 2, 3, 4):
             payload = helper_payload(contents8[h - 1], h, failed, encoder8, 2)
-            assert len(payload.symbols) == 5 == joint_bandwidth(4, 2, 2)
+            assert len(payload.symbols) == 5 == helper_bound(4, 2, 2, "joint")
         for e in (2, 3):
             for failure_set in combinations(range(1, 9), e):
                 helpers = tuple(h for h in range(1, 9) if h not in failure_set)[:4]
@@ -148,7 +146,7 @@ def test_07_multi_repair_bandwidth(encoder8, contents8):
                     for h in helpers
                 ]
                 assert all(
-                    len(p.symbols) <= joint_bandwidth(4, 2, e) for p in payloads
+                    len(p.symbols) <= helper_bound(4, 2, e, "joint") for p in payloads
                 )
                 decoded = decode_failed_nodes(payloads, helpers, encoder8, failure_set, 2)
                 for f in failure_set:

@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 from detcode import Cluster, CodeConfig, Field, Matrix, ShardFile, StripeBatch, load_cluster, read_shard, shard_path, write_all_shards
 from detcode.cluster import SHARD_MAGIC, SHARD_VERSION
 from detcode.field import batch_product, combine_rows
-from detcode.multirepair import joint_bandwidth
+from detcode.multirepair import helper_bound
 from oracles import as_lists, batch_product_scalar, stripe_rows, symbol_body_spec
 
 
 def _stripe_counts(d: int, m: int, e: int):
     """0 and 1 stripes; fewer than the joint rank (the weight-packed product);
     twice the joint operator's rows or more (the operator decode)."""
-    rank = joint_bandwidth(d, m, e)
+    rank = helper_bound(d, m, e, "joint")
     few = st.integers(1, rank - 1) if rank > 1 else st.just(1)
     return st.just(0) | st.just(1) | few | st.integers(2 * d * rank, 2 * d * rank + 3)
 

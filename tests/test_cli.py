@@ -1,4 +1,5 @@
 import random
+import re
 import shutil
 
 import pytest
@@ -630,3 +631,105 @@ def test_curve_commands_take_no_format_option(args):
     result = CliRunner().invoke(main, [*args, "--format", "csv"])
     assert result.exit_code == 2
     assert "No such option" in result.output and "--format" in result.output
+
+
+def test_encode_refuses_a_directory_holding_shards_it_would_not_overwrite(tmp_path):
+    """A 3000-byte file at (12, 6, 3), then a 5000-byte file at (8, 4, 2) into the same directory: the second
+    encode exits 1 naming node_9.detc to node_12.detc, which it would leave behind, and writes nothing, so the
+    first file still recovers."""
+    runner, data, shards = _encode_fixture(tmp_path, size=3000, n=12, d=6, m=3)
+    before = {path.name: path.read_bytes() for path in shards.iterdir()}
+    other = tmp_path / "other.bin"
+    other.write_bytes(random.Random(5).randbytes(5000))
+    result = runner.invoke(main, ["encode", "--input", str(other), "--n", "8", "--d", "4", "--m", "2", "--out", str(shards)])
+    assert result.exit_code == 1
+    assert result.output == (
+        f"Error: {shards} holds shard files that this encode would not overwrite: "
+        "node_9.detc, node_10.detc, node_11.detc, node_12.detc\n"
+    )
+    assert {path.name: path.read_bytes() for path in shards.iterdir()} == before
+    out = tmp_path / "out.bin"
+    _ok(runner, "recover", "--shards", shards, "--output", out)
+    assert out.read_bytes() == data
+
+
+def _flip_magic(path):
+    """Byte 0 of the shard header, the first magic byte, flipped: the header no longer parses."""
+    blob = bytearray(path.read_bytes())
+    blob[0] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    return f"{path}: bad magic {bytes(blob[:4])!r}"
+
+
+def test_a_damaged_header_loads_as_an_unreadable_node(tmp_path):
+    """Node 3's magic flipped at (8, 4, 2): the directory loads with node 3 alive, node_content refuses it with
+    the header's error, and a read of nodes 4-7 returns the file."""
+    _, data, shards = _encode_fixture(tmp_path, size=4000)
+    reason = _flip_magic(shard_path(shards, 3))
+    cluster = load_cluster(shards)
+    assert cluster.alive() == list(range(1, 9)) and cluster.config == CodeConfig(n=8, d=4, m=2, p=257)
+    for _ in range(2):  # refused again, not decoded on the second call
+        with pytest.raises(ShardFormatError, match=f"^{re.escape(reason)}$"):
+            cluster.node_content(3)
+    assert cluster.recover_file([4, 5, 6, 7]) == data
+
+
+def test_default_reads_and_repairs_pass_over_a_damaged_header(tmp_path):
+    """Node 3's magic flipped: the default recover and a default-helper repair of node 6 pass over node 3 and
+    name it on stderr."""
+    runner, data, shards = _encode_fixture(tmp_path, size=4000)
+    reason = _flip_magic(shard_path(shards, 3))
+    out = tmp_path / "out.bin"
+    result = runner.invoke(main, ["recover", "--shards", str(shards), "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == data and result.stderr == f"skipped node 3: {reason}\n"
+    original = shard_path(shards, 6).read_bytes()
+    shard_path(shards, 6).unlink()
+    result = runner.invoke(main, ["repair", "--shards", str(shards), "--failed", "6"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith("repaired nodes [6] in joint mode with helpers [1, 2, 4, 5]")
+    assert result.stderr == f"skipped node 3: {reason}\n"
+    assert shard_path(shards, 6).read_bytes() == original
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["recover", "--nodes", "3,4,5,6", "--output", "out.bin"], ["repair", "--failed", "7", "--helpers", "1,2,3,4"], ["verify"]],
+    ids=["recover-nodes", "repair-helpers", "verify"],
+)
+def test_reads_naming_a_damaged_header_exit_1_and_name_it(tmp_path, command):
+    """Node 3's magic flipped: a recover naming node 3, a repair with node 3 among its helpers and verify, which
+    reads every shard, exit 1 with the header's error and write nothing."""
+    runner, _, shards = _encode_fixture(tmp_path, size=4000)
+    reason = _flip_magic(shard_path(shards, 3))
+    before = sorted(tmp_path.rglob("*"))
+    result = runner.invoke(main, [command[0], "--shards", str(shards), *(str(tmp_path / arg) if arg == "out.bin" else arg for arg in command[1:])])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_repair_rebuilds_a_shard_with_a_damaged_header(tmp_path):
+    """Node 3's magic flipped: repair --failed 3 rebuilds it byte for byte, and verify then passes."""
+    runner, _, shards = _encode_fixture(tmp_path, size=4000)
+    original = shard_path(shards, 3).read_bytes()
+    _flip_magic(shard_path(shards, 3))
+    out = _ok(runner, "repair", "--shards", shards, "--failed", "3")
+    assert out.startswith("repaired nodes [3] in joint mode with helpers [1, 2, 4, 5]")
+    assert shard_path(shards, 3).read_bytes() == original
+    assert _ok(runner, "verify", "--shards", shards).endswith("verified 200 stripes across 8 shards\n")
+
+
+def test_a_damaged_header_outside_the_code_still_blocks_the_load(tmp_path):
+    """A header that does not parse is an unreadable node only under the name of a node of the agreed code: with
+    every header damaged, or in node_9.detc or node_03.detc at n = 8, load_cluster raises that file's error."""
+    _, _, shards = _encode_fixture(tmp_path, size=4000)
+    for name in ("node_9.detc", "node_03.detc"):
+        stray = shards / name
+        stray.write_bytes(b"junk")
+        with pytest.raises(ShardFormatError, match=f"^{re.escape(str(stray))}: truncated header$"):
+            load_cluster(shards)
+        stray.unlink()
+    reasons = [_flip_magic(shard_path(shards, i)) for i in range(1, 9)]
+    with pytest.raises(ShardFormatError, match=f"^{re.escape(reasons[0])}$"):
+        load_cluster(shards)

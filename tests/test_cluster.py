@@ -21,7 +21,6 @@ from detcode.cluster import (
     ShardBlob,
     ShardFormatError,
     assemble_file,
-    capacity_curve,
     ingest_file,
     load_cluster,
     shard_path,
@@ -29,7 +28,8 @@ from detcode.cluster import (
     write_shard,
 )
 from detcode.code import CodeConfig, ParityViolation, StripeBatch, build_message_matrix
-from detcode.multirepair import OverlapError, TooManyFailures, bandwidth_table, centralized_bandwidth
+from detcode.multirepair import OverlapError, TooManyFailures, bandwidth_table, helper_bound
+from certificates import capacity_curve
 
 
 CFG257 = CodeConfig(n=8, d=4, m=2, p=257)
@@ -167,7 +167,7 @@ def test_centralized_repair_total_bounded():
     event = cluster.repair("centralized", [5, 6])
     assert cluster.contents[5] == before[5]
     assert cluster.contents[6] == before[6]
-    cap = 4 * centralized_bandwidth(4, 2, 2) * cluster.stripe_count
+    cap = 4 * helper_bound(4, 2, 2, "centralized") * cluster.stripe_count
     assert Fraction(event.total) <= cap
 
 

@@ -429,3 +429,18 @@ def test_capacity_does_not_depend_on_node_count():
         ids = list(range(n - 5, n + 1))
         rec = recover_data([contents[i - 1] for i in ids], ids, enc, 3)
         assert list(rec.extract_symbols()) == src
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: StripeBatch([1, "2", 3], 3), ValueError, r"^stripe symbols must be ints in \[0, 2\*\*64\)$"),
+        (lambda: StripeBatch([1, 2.0, 3], 3), ValueError, r"^stripe symbols must be ints in \[0, 2\*\*64\)$"),
+        (lambda: MessageMatrix(Matrix(Field(13), [[0] * 7 for _ in range(4)]), 2), WrongLength, r"must be 4 x \(S \* 6\), got \(4, 7\)"),
+    ],
+    ids=["stripe-batch-str", "stripe-batch-float", "message-width"],
+)
+def test_code_shape_and_type_errors(build, error, match):
+    """A stripe batch of a symbol that is not an int, and a message matrix that is not whole stripes wide."""
+    with pytest.raises(error, match=match):
+        build()

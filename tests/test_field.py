@@ -27,6 +27,7 @@ from detcode.field import (
     pack_symbols,
     reduced,
     slot_width,
+    symbol_array,
     symbol_typecode,
     unpack_symbols,
 )
@@ -768,3 +769,38 @@ def test_verify_parity_names_the_first_nonzero_sum_of_every_damage(case, rng):
             expected = f"stripe {stripe}: parity fails for {subsets(d, size).unrank(group)}"
             with pytest.raises(ParityViolation, match=f"^{re.escape(expected)}$"):
                 damaged.verify_parity()
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: Matrix(Field(13), [[1, 2]], cols=3), "explicit cols disagrees with data"),
+        (lambda: Matrix.hstack([]), "nothing to stack"),
+        (lambda: Matrix.hstack([Matrix(Field(13), [[1]]), Matrix(Field(13), [[1], [2]])]), "row counts or moduli differ"),
+        (lambda: Matrix.hstack([Matrix(Field(13), [[1]]), Matrix(Field(257), [[1]])]), "row counts or moduli differ"),
+        (lambda: Matrix(Field(13), [[1, 2]]).inverse(), "only square matrices have inverses"),
+        (lambda: Matrix(Field(13), [[1, 2]]).det(), "determinant needs a square matrix"),
+    ],
+    ids=["explicit-cols", "hstack-empty", "hstack-rows", "hstack-moduli", "inverse-non-square", "det-non-square"],
+)
+def test_matrix_shape_errors(build, match):
+    with pytest.raises(DimensionMismatch, match=match):
+        build()
+
+
+@pytest.mark.parametrize(
+    "convert, values",
+    [
+        (symbol_array, [0, 12, 5]),
+        (symbol_array, [1, 2**40]),
+        (lambda values: pack_symbols(values, 257), [256, 1, 256, 0]),
+        (lambda values: pack_symbols(values, 13), [0, 12, 5]),
+        (lambda values: pack_symbols(values, 257), []),
+    ],
+    ids=["symbol_array", "symbol_array-wide", "pack_symbols-escaped", "pack_symbols-13", "pack_symbols-empty"],
+)
+def test_a_generator_of_symbols_reads_as_the_list(convert, values):
+    """symbol_array and pack_symbols read a generator once, as the list of its values (a wide symbol array('Q'))."""
+    expected = convert(values)
+    got = convert(v for v in values)
+    assert (got, getattr(got, "typecode", None)) == (expected, getattr(expected, "typecode", None))

@@ -45,8 +45,23 @@ def test_transposes_and_weight_preparation_only_in_field():
 
 def test_bandwidth_closed_forms_called_only_in_multirepair():
     """helper_bound in src/detcode/multirepair.py is the one rule mapping a
-    repair mode to its bound; every other module goes through it."""
-    assert _grep(r"\b(joint|centralized)_bandwidth\(", _outside("multirepair.py")) == []
+    repair mode to its bound and holds each mode's closed form inline; no
+    module, multirepair.py included, defines or calls a second entry to a
+    bound (joint_bandwidth, centralized_bandwidth)."""
+    assert _grep(r"\b(joint|centralized)_bandwidth\b", SOURCES) == []
+
+
+def test_runtime_modules_import_no_random():
+    """Test data and recovery proofs (random sources, the verified capacity
+    curve) stay in tests/: no module under src/detcode imports random."""
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "random" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "random"
+    ]
+    assert found == []
 
 
 def test_alternating_sums_are_kernel_products():

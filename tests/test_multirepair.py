@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from unittest import mock
 
 import pytest
@@ -11,10 +12,8 @@ from detcode.field import Field, Matrix
 from detcode.multirepair import (
     OverlapError,
     TooManyFailures,
-    centralized_bandwidth,
     centralized_repair,
     helper_bound,
-    joint_bandwidth,
 )
 from detcode import multirepair, repair
 from detcode.multirepair import decode_centralized
@@ -49,21 +48,21 @@ from oracles import brute_rank, column, is_zero, mul_vec, plane_major, unit_lead
 def test_joint_bandwidth_reduces_to_single():
     for d in range(2, 12):
         for m in range(1, d + 1):
-            assert joint_bandwidth(d, m, 1) == binom(d - 1, m - 1)
+            assert helper_bound(d, m, 1, "joint") == binom(d - 1, m - 1)
 
 
 def test_joint_bandwidth_goldens():
-    assert joint_bandwidth(10, 3, 2) == 64
-    assert joint_bandwidth(10, 3, 8) == 120
-    assert joint_bandwidth(4, 2, 2) == 5
+    assert helper_bound(10, 3, 2, "joint") == 64
+    assert helper_bound(10, 3, 8, "joint") == 120
+    assert helper_bound(4, 2, 2, "joint") == 5
 
 
 def test_centralized_bandwidth_goldens():
-    assert centralized_bandwidth(10, 3, 2) == Fraction(306, 5)
-    assert centralized_bandwidth(10, 3, 8) == 99  # file size over d, saturated
+    assert helper_bound(10, 3, 2, "centralized") == Fraction(306, 5)
+    assert helper_bound(10, 3, 8, "centralized") == 99  # file size over d, saturated
     for d in range(2, 12):
         for m in range(1, d + 1):
-            assert centralized_bandwidth(d, m, 1) == binom(d - 1, m - 1)
+            assert helper_bound(d, m, 1, "centralized") == binom(d - 1, m - 1)
 
 
 def test_bandwidth_monotonicity_and_caps():
@@ -72,12 +71,25 @@ def test_bandwidth_monotonicity_and_caps():
             alpha = binom(d, m)
             prev = 0
             for e in range(1, d + 1):
-                value = joint_bandwidth(d, m, e)
+                value = helper_bound(d, m, e, "joint")
                 assert prev <= value <= alpha
                 prev = value
-                assert centralized_bandwidth(d, m, e) / alpha <= Fraction(
+                assert helper_bound(d, m, e, "centralized") / alpha <= Fraction(
                     m * (d + 1), d * (m + 1)
                 )
+
+
+def test_helper_bound_is_each_modes_binomial_closed_form():
+    """helper_bound against the paper's closed forms, computed here by math.comb, for every
+    mode, d <= 12, 1 <= m <= d and 1 <= e <= d (e = 1 for single)."""
+    for d in range(1, 13):
+        for m in range(1, d + 1):
+            beta = comb(d - 1, m - 1)
+            assert helper_bound(d, m, 1, "single") == beta
+            for e in range(1, d + 1):
+                assert helper_bound(d, m, e, "naive") == e * beta
+                assert helper_bound(d, m, e, "joint") == comb(d, m) - comb(d - e, m)
+                assert helper_bound(d, m, e, "centralized") == Fraction(m * (comb(d + 1, m + 1) - comb(d - e + 1, m + 1)), d)
 
 
 def test_total_download_telescopes():
@@ -85,10 +97,10 @@ def test_total_download_telescopes():
     for d in range(1, 13):
         for m in range(1, d + 1):
             for e in range(1, d + 1):
-                total = sum(joint_bandwidth(d, m, j) for j in range(1, e + 1))
-                total += (d - e) * joint_bandwidth(d, m, e)
+                total = sum(helper_bound(d, m, j, "joint") for j in range(1, e + 1))
+                total += (d - e) * helper_bound(d, m, e, "joint")
                 assert total == m * (binom(d + 1, m + 1) - binom(d - e + 1, m + 1))
-                assert Fraction(total, d) == centralized_bandwidth(d, m, e)
+                assert Fraction(total, d) == helper_bound(d, m, e, "centralized")
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,7 +197,7 @@ def test_rank_bound_sweep(encoder8):
         for e in range(1, 5):
             for failed in combinations((5, 6, 7, 8), e):
                 xi = multi_repair_matrix(failed, m, encoder8)
-                assert xi.rank() <= joint_bandwidth(4, m, e)
+                assert xi.rank() <= helper_bound(4, m, e, "joint")
 
 
 # --- null-space certificate ----------------------------------------------
@@ -236,13 +248,13 @@ def test_certificate_spot_check_d6():
             assert cert.matrix.rank() == binom(6 - e, 3)
             xi = multi_repair_matrix(failed, 3, enc)
             assert is_zero(cert.matrix @ xi)
-            assert xi.rank() <= joint_bandwidth(6, 3, e)
+            assert xi.rank() <= helper_bound(6, 3, e, "joint")
 
 
 def test_certificate_empty_when_all_helpers_fail(encoder8):
     cert = null_space_matrix((5, 6, 7, 8), 2, encoder8)
     assert cert.matrix.shape == (0, 6)
-    assert joint_bandwidth(4, 2, 4) == 6  # saturation at full node size
+    assert helper_bound(4, 2, 4, "joint") == 6  # saturation at full node size
 
 
 def test_too_many_failures(encoder8):
@@ -272,7 +284,7 @@ def test_joint_payload_size_and_roundtrip(gf13, encoder8, contents8):
                 xi = multi_repair_matrix(failed, m, encoder8)
                 for h in (h for h in range(1, 9) if h not in failed):
                     payload = helper_payload(contents[h - 1], h, failed, encoder8, m)
-                    assert len(payload.symbols) == joint_bandwidth(4, m, e)
+                    assert len(payload.symbols) == helper_bound(4, m, e, "joint")
                     full = decompress_payload(payload, encoder8)
                     assert list(full) == vec_mat(contents[h - 1][0], xi), (m, failed, h)
 
@@ -336,7 +348,7 @@ def test_joint_repair_all_modes(gf13, encoder8):
             helper_payload(contents[h - 1], h, failed, encoder8, m)
             for h in helpers
         ]
-        assert all(len(p.symbols) <= joint_bandwidth(4, m, 2) for p in payloads)
+        assert all(len(p.symbols) <= helper_bound(4, m, 2, "joint") for p in payloads)
         decoded = decode_failed_nodes(payloads, helpers, encoder8, failed, m)
         for f in failed:
             assert decoded[f] == contents[f - 1]
@@ -371,7 +383,7 @@ def test_stripe_batch_equals_stacked_single_stripes(gf13, encoder8, data):
     def central(contents):
         return centralized_repair(failed, helpers, {h: contents[h - 1] for h in helpers}, encoder8, m)
 
-    beta_e = joint_bandwidth(4, m, len(failed))
+    beta_e = helper_bound(4, m, len(failed), "joint")
     decoded, counts = joint(batch)
     stacked = [joint(one) for one in singles]
     assert decoded == {f: StripeBatch(plane_major([row for one, _ in stacked for row in one[f]]), binom(4, m)) for f in failed}
@@ -382,7 +394,7 @@ def test_stripe_batch_equals_stacked_single_stripes(gf13, encoder8, data):
     repaired, sent = central(batch)
     stacked = [central(one) for one in singles]
     assert repaired == {f: StripeBatch(plane_major([row for one, _ in stacked for row in one[f]]), binom(4, m)) for f in failed}
-    one_sent = {h: joint_bandwidth(4, m, min(slot, len(failed))) for slot, h in enumerate(helpers, start=1)}
+    one_sent = {h: helper_bound(4, m, min(slot, len(failed)), "joint") for slot, h in enumerate(helpers, start=1)}
     assert all(one == one_sent for _, one in stacked)
     assert sent == {h: stripes * v for h, v in one_sent.items()}
 
@@ -401,8 +413,8 @@ def test_operator_decode_equals_factored_path(gf13, encoder8, data):
     helpers = tuple(data.draw(st.permutations([h for h in range(1, 9) if h not in failed]), label="helpers")[:4])
     e = len(failed)
     groups = {"naive": [(f,) for f in failed], "joint": [failed]}  # single repair is each naive group
-    rows = {"naive": 4 * binom(3, m - 1), "joint": 4 * joint_bandwidth(4, m, e)}
-    rows["centralized"] = sum(joint_bandwidth(4, m, min(slot, e)) for slot in range(1, 5))
+    rows = {"naive": 4 * binom(3, m - 1), "joint": 4 * helper_bound(4, m, e, "joint")}
+    rows["centralized"] = sum(helper_bound(4, m, min(slot, e), "joint") for slot in range(1, 5))
     below = data.draw(st.integers(0, 2 * min(rows.values()) - 1), label="below")
     above = data.draw(st.integers(2 * max(rows.values()), 2 * max(rows.values()) + 6), label="above")
     per_stripe = m * binom(5, m + 1)
@@ -418,7 +430,7 @@ def test_operator_decode_equals_factored_path(gf13, encoder8, data):
             for mode, group_list in groups.items():
                 for group in group_list:
                     payloads = [helper_payload(contents[h - 1], h, group, encoder8, m) for h in helpers]
-                    assert [len(p.symbols) for p in payloads] == [stripes * joint_bandwidth(4, m, len(group))] * 4
+                    assert [len(p.symbols) for p in payloads] == [stripes * helper_bound(4, m, len(group), "joint")] * 4
                     build.reset_mock()
                     decoded = decode_failed_nodes(payloads, helpers, encoder8, group, m)
                     assert build.called == (stripes >= 2 * rows[mode])
@@ -433,7 +445,7 @@ def test_operator_decode_equals_factored_path(gf13, encoder8, data):
             ]
             assert repaired == decode_centralized(payloads, encoder8, failed) == {f: contents[f - 1] for f in failed}
             assert sent == {p.helper: len(p.symbols) for p in payloads}
-            assert sent == {h: stripes * joint_bandwidth(4, m, min(slot, e)) for slot, h in enumerate(helpers, start=1)}
+            assert sent == {h: stripes * helper_bound(4, m, min(slot, e), "joint") for slot, h in enumerate(helpers, start=1)}
 
     payloads = [helper_payload(contents[h - 1], h, failed, encoder8, m) for h in helpers]
     other = tuple(f for f in range(1, 9) if f not in failed and f not in helpers)[:1] + failed[1:]
@@ -446,7 +458,7 @@ def test_operator_decode_equals_factored_path(gf13, encoder8, data):
     mixed = [helper_payload(longer[helpers[0] - 1], helpers[0], failed, encoder8, m)] + payloads[1:]
     with pytest.raises(ValueError, match="stripe counts"):
         decode_failed_nodes(mixed, helpers, encoder8, failed, m)
-    if joint_bandwidth(4, m, e) > 1:  # rank 1 divides every count
+    if helper_bound(4, m, e, "joint") > 1:  # rank 1 divides every count
         short = payloads[:3] + [RepairPayload(failed, helpers[3], m, payloads[3].symbols[:-1])]
         with pytest.raises(ValueError, match="multiple of the basis rank"):
             decode_failed_nodes(short, helpers, encoder8, failed, m)
@@ -488,7 +500,7 @@ def test_warm_decode_reuses_the_operator_of_its_complete_key(gf13, encoder8, dat
     failed = tuple(data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True), label="failed"))
     helpers = tuple(data.draw(st.permutations([h for h in range(1, 9) if h not in failed]), label="helpers")[:4])
     e, per_stripe = len(failed), m * binom(5, m + 1)
-    stripes = 2 * 4 * joint_bandwidth(4, m, e) + data.draw(st.integers(0, 4), label="extra")  # joint rows bound the centralized
+    stripes = 2 * 4 * helper_bound(4, m, e, "joint") + data.draw(st.integers(0, 4), label="extra")  # joint rows bound the centralized
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
 
     def message():
@@ -575,7 +587,7 @@ def test_plan_accounting(encoder8, contents8):
     assert steps == [(1, 2, 3, 4), (5, 2, 3, 4)]
     assert tuple(sent.values()) == per_helper_bandwidth(4, 2, 2) == (3, 5, 5, 5)
     assert sum(sent.values()) == total_bandwidth(4, 2, 2) == 18
-    assert Fraction(total_bandwidth(4, 2, 2), 4) == centralized_bandwidth(4, 2, 2) == helper_bound(4, 2, 2, "centralized")
+    assert Fraction(total_bandwidth(4, 2, 2), 4) == helper_bound(4, 2, 2, "centralized") == Fraction(9, 2)
 
 
 def _all_contents(contents8):
@@ -676,7 +688,7 @@ def test_centralized_repair_exact_and_within_budget(encoder8, contents8):
             )
             for f in failed:
                 assert repaired[f] == contents8[f - 1]
-            assert sum(sent.values()) <= 4 * centralized_bandwidth(4, 2, e)
+            assert sum(sent.values()) <= 4 * helper_bound(4, 2, e, "centralized")
 
 
 def test_centralized_repair_single_failure_costs_beta_each(encoder8, contents8):
