@@ -47,9 +47,11 @@ beyond 8 times at (8, 4, 2) (CPython 3.11, plane-major batches, unit-lead
 bases, whose expand has no unit pivot columns). The operator depends only on
 the code, the decode, the failure and helper tuples and the mode, and the
 default helpers give every object repaired after a node failure the same
-tuple, so compiled operators are kept in one least-recently-used cache
-bounded by the entries charged for them (:data:`OPERATOR_BUDGET`): every
-repair of a tuple after the first skips the build.
+tuple, so every repair of a tuple after the first skips the build. Every
+compiled repair weight is kept by one rule: :func:`repair_basis`,
+:func:`stacked_compress` and :func:`decode_operator` each keep a
+least-recently-used cache bounded by the entries charged for it
+(:data:`OPERATOR_BUDGET`), where a result larger than the budget is kept alone.
 
 Transmit, decompression and the operator's decode each map S stripes to S
 stripes by :func:`detcode.field.batch_product`: the plane-major batch or
@@ -88,7 +90,7 @@ from array import array
 from collections import OrderedDict, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache, update_wrapper
+from functools import update_wrapper
 from threading import Lock
 
 from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, derive_params, incidence_terms, recover_weights  # OverlapError re-exported
@@ -116,7 +118,79 @@ def repair_matrix(f: int, m: int, encoder: EncoderMatrix) -> Matrix:
     return Matrix(encoder.field, data, cols=cols)
 
 
-@lru_cache(maxsize=512)
+OPERATOR_BUDGET = 2**19
+"""Charged entries (:func:`_charge`) that each of :func:`repair_basis`, :func:`stacked_compress` and
+:func:`decode_operator` keeps.
+
+Heap retained at p = 257, rows, prepared columns, key and cache node
+included (tracemalloc around ``cache_clear()``). A kept operator fits about
+16 bytes per entry, 58 per row and per column and 0.6-0.9 KiB per operator:
+117 KiB for the 114 x 60 of a (12, 6, 3) three-failure joint operator, 2.9
+KiB for the 12 x 6 of an (8, 4, 2) single one, 0.8-1.4 KiB for the 4 x 2
+of an (8, 4, 4) two-failure joint one. Charged in 16-byte entry units, that
+is 4 per row and per column and 64 per Matrix: at most 16 bytes per charged
+entry. A kept basis or stacked basis, with both kernel preparations of
+every factor, retains 11.7-19.5 bytes per charged entry at (8, 4, 2),
+(12, 6, 3) and (16, 10, 3) with e <= 3: the budget keeps 22 (16, 10, 3)
+three-failure bases in about 9.2 MiB, where a count of 512 could keep 225 MiB."""
+
+
+def _charge(kept) -> int:
+    """Budget entries a kept Matrix costs: rows x columns, 4 per row and per column, and 64; a tuple, its parts' sum."""
+    if isinstance(kept, tuple):
+        return sum(map(_charge, kept))
+    return kept.rows * kept.cols + 4 * (kept.rows + kept.cols) + 64
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _EntryBoundedCache:
+    """Least-recently-used cache of a function returning a Matrix or a tuple of them, charging at most
+    OPERATOR_BUDGET entries in all, or one larger result alone.
+
+    Called with positional arguments only, which are the key. Kept results
+    are shared, which Matrix allows: its rows never change. A new result
+    evicts the least recently used ones until the kept ones fit the budget
+    or it is kept alone, so one larger than the budget is built once while
+    it is in use. The bookkeeping is locked, the build is not: threads
+    missing one key at once each build it, and the first to finish is kept.
+    """
+
+    def __init__(self, build):
+        update_wrapper(self, build)
+        self._build, self._lock = build, Lock()
+        self._kept, self._entries, self._hits, self._misses = OrderedDict(), 0, 0, 0
+
+    def __call__(self, *key):
+        kept = self._kept
+        with self._lock:
+            if (result := kept.get(key)) is not None:
+                kept.move_to_end(key)
+                self._hits += 1
+                return result
+            self._misses += 1
+        result = self._build(*key)
+        with self._lock:
+            if key not in kept:
+                kept[key] = result
+                self._entries += _charge(result)
+                while self._entries > OPERATOR_BUDGET and len(kept) > 1:
+                    self._entries -= _charge(kept.popitem(last=False)[1])
+        return result
+
+    def cache_info(self) -> CacheInfo:
+        """Hits, misses, the budget and the entries kept: maxsize and currsize count charged entries."""
+        with self._lock:
+            return CacheInfo(self._hits, self._misses, OPERATOR_BUDGET, self._entries)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._kept.clear()
+            self._entries = self._hits = self._misses = 0
+
+
+@_EntryBoundedCache
 def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int) -> tuple[Matrix, Matrix]:
     """(compress, expand) for a failure tuple, the unit-lead basis; cached per encoder, shared.
 
@@ -129,8 +203,8 @@ def repair_basis(encoder: EncoderMatrix, failed: tuple[int, ...], m: int) -> tup
     A systematic failed node's encoder row is a unit vector, so each of its
     pivot columns is a single +-1 and scales to a unit column: its helpers
     send rank of their stored symbols unchanged. Both keep their kernel
-    preparation as long as the cache entry lives. A mode outside [1, d]
-    raises BadMode naming m.
+    preparation as long as the cache entry lives, charged as compress plus
+    expand (:class:`_EntryBoundedCache`). A mode outside [1, d] raises BadMode naming m.
     """
     derive_params(encoder.d, m)
     checked_ids(failed, "failed ids", n=encoder.n)
@@ -191,12 +265,13 @@ class RepairPayload:
         return cls(failed, helper, m, symbols)
 
 
-@lru_cache(maxsize=128)
+@_EntryBoundedCache
 def stacked_compress(encoder: EncoderMatrix, groups: tuple[tuple[int, ...], ...], m: int) -> Matrix:
     """The :func:`repair_basis` compress of each failure group, side by side; cached per encoder, shared.
 
     Groups of unequal rank raise ValueError: the transmit product splits its
-    output into equal blocks, one per group.
+    output into equal blocks, one per group. Kept as a basis is, by its
+    charged entries (:class:`_EntryBoundedCache`).
     """
     bases = [repair_basis(encoder, group, m)[0] for group in groups]
     if len(ranks := {basis.cols for basis in bases}) != 1:
@@ -223,19 +298,19 @@ def helper_payload(h_content: StripeBatch, helper: int, failed, encoder: Encoder
     return helper_payloads(h_content, helper, (failed,), encoder, m)[0]
 
 
-def _payload_shape(payload: RepairPayload, encoder: EncoderMatrix) -> tuple[int, int]:
-    """(rank, stripes): the payload's basis rank and the stripes its symbols cover; ValueError unless whole."""
-    rank, count = repair_basis(encoder, payload.failed, payload.m)[0].cols, len(payload.symbols)
-    if count % rank:
-        raise ValueError(f"payload from helper {payload.helper} carries {count} symbols, not a multiple of the basis rank {rank}")
-    return rank, count // rank
+def _payload_shape(payload: RepairPayload, encoder: EncoderMatrix) -> tuple[Matrix, int]:
+    """(expand, stripes): the payload's basis expand, one row per basis rank, and the stripes its symbols cover, by
+    one basis lookup; ValueError unless whole."""
+    expand, count = repair_basis(encoder, payload.failed, payload.m)[1], len(payload.symbols)
+    if count % expand.rows:
+        raise ValueError(f"payload from helper {payload.helper} carries {count} symbols, not a multiple of the basis rank {expand.rows}")
+    return expand, count // expand.rows
 
 
 def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> array:
     """Full-length repair vectors, plane-major: the received symbols times expand, one product."""
-    rank, _ = _payload_shape(payload, encoder)
-    expand = repair_basis(encoder, payload.failed, payload.m)[1]
-    return batch_product([(payload.symbols, rank)], expand)[0]
+    expand, _ = _payload_shape(payload, encoder)
+    return batch_product([(payload.symbols, expand.rows)], expand)[0]
 
 
 def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed, m: int) -> dict[int, StripeBatch]:
@@ -276,79 +351,13 @@ def decode_payloads(factored, payloads, encoder: EncoderMatrix, failed) -> dict[
     shapes = [_payload_shape(payload, encoder) for payload in payloads]
     if len(counts := {stripes for _, stripes in shapes}) != 1:
         raise ValueError(f"payloads carry different stripe counts {sorted(counts)}")
-    if counts.pop() < 2 * sum(rank for rank, _ in shapes):
+    ranks = [expand.rows for expand, _ in shapes]
+    if counts.pop() < 2 * sum(ranks):
         return factored(payloads, encoder, failed)
-    sources = tuple((payload.helper, payload.failed, rank) for payload, (rank, _) in zip(payloads, shapes))
+    sources = tuple((payload.helper, payload.failed, rank) for payload, rank in zip(payloads, ranks))
     operator = decode_operator(factored, encoder, failed, sources, payloads[0].m)
-    decoded = batch_product([(pl.symbols, rank) for pl, (rank, _) in zip(payloads, shapes)], operator, len(failed))
+    decoded = batch_product([(pl.symbols, rank) for pl, rank in zip(payloads, ranks)], operator, len(failed))
     return {f: StripeBatch(flat, operator.cols // len(failed)) for f, flat in zip(failed, decoded)}
-
-
-OPERATOR_BUDGET = 2**19
-"""Charged entries (:func:`_charge`, over every kept operator) that :func:`decode_operator` keeps.
-
-A kept operator's heap at p = 257, its tuple rows, prepared columns, key
-and cache node included (tracemalloc around ``cache_clear()``), fits about
-16 bytes per entry, 58 per row and per column and 0.6-0.9 KiB per operator:
-117 KiB for the 114 x 60 of a (12, 6, 3) three-failure joint operator, 2.9
-KiB for the 12 x 6 of an (8, 4, 2) single one, 0.8-1.4 KiB for the 4 x 2 of
-an (8, 4, 4) two-failure joint one. Charged in 16-byte entry units, that is
-4 per row and per column and 64 per operator, and each of these shapes
-retains at most 16 bytes per charged entry. So the budget keeps about 8
-MiB, 68 such (12, 6, 3) tuples, where a count of 512 operators could keep
-gigabytes."""
-
-
-def _charge(operator: Matrix) -> int:
-    """Budget entries a kept operator costs: rows x columns, plus 4 per row and per column, plus 64."""
-    return operator.rows * operator.cols + 4 * (operator.rows + operator.cols) + 64
-
-
-OperatorCacheInfo = namedtuple("OperatorCacheInfo", "hits misses maxsize currsize")
-
-
-class _EntryBoundedCache:
-    """Least-recently-used cache of a Matrix-valued function, charging at most OPERATOR_BUDGET entries in all.
-
-    Called with positional arguments only, which are the key. Kept results
-    are shared, which Matrix allows: its rows never change. A result larger
-    than the whole budget is returned and not kept. The bookkeeping is
-    locked, the build is not: threads missing one key at once each build it.
-    """
-
-    def __init__(self, build):
-        update_wrapper(self, build)
-        self._build, self._lock = build, Lock()
-        self._kept, self._entries, self._hits, self._misses = OrderedDict(), 0, 0, 0
-
-    def __call__(self, *key) -> Matrix:
-        kept = self._kept
-        with self._lock:
-            if (result := kept.get(key)) is not None:
-                kept.move_to_end(key)
-                self._hits += 1
-                return result
-            self._misses += 1
-        result = self._build(*key)
-        size = _charge(result)
-        with self._lock:
-            if size <= OPERATOR_BUDGET and key not in kept:
-                while self._entries + size > OPERATOR_BUDGET:
-                    evicted = kept.popitem(last=False)[1]
-                    self._entries -= _charge(evicted)
-                kept[key] = result
-                self._entries += size
-        return result
-
-    def cache_info(self) -> OperatorCacheInfo:
-        """Hits, misses, the budget and the entries kept: maxsize and currsize count charged entries."""
-        with self._lock:
-            return OperatorCacheInfo(self._hits, self._misses, OPERATOR_BUDGET, self._entries)
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._kept.clear()
-            self._entries = self._hits = self._misses = 0
 
 
 @_EntryBoundedCache
@@ -367,9 +376,9 @@ def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], s
     Every argument is the key (the encoder by identity, which
     :func:`detcode.code.build_encoder` shares), positional only. The least
     recently used operators are evicted first to keep their charged entries
-    within :data:`OPERATOR_BUDGET`; ``decode_operator.cache_info()`` reports
-    hits, misses, the budget and the charged entries kept, and
-    ``cache_clear()`` empties it.
+    within :data:`OPERATOR_BUDGET`, or the newest alone where it is larger;
+    ``decode_operator.cache_info()`` reports hits, misses, the budget and the
+    charged entries kept, and ``cache_clear()`` empties it.
     """
     total = sum(rank for _, _, rank in sources)
     payloads, offset = [], 0

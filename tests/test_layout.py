@@ -147,3 +147,11 @@ def test_mode_list_and_bound_only_in_multirepair_and_cli():
         or isinstance(node, ast.alias) and node.name in names
     ]
     assert found == []
+
+
+def test_compiled_repair_weights_are_charged_against_one_budget():
+    """Repair bases, stacked bases and decode operators are each kept by
+    repair._EntryBoundedCache within OPERATOR_BUDGET, the one rule and the one
+    size for compiled repair weights: src/detcode/repair.py names no
+    lru_cache, so no weight there is kept by a count."""
+    assert _grep(r"\blru_cache\b", [ROOT / "src/detcode/repair.py"]) == []

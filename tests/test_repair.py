@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from collections import OrderedDict
 from dataclasses import replace
 from itertools import combinations
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from detcode.code import BadMode, StripeBatch, build_encoder, build_message_matrix, encode, recover_data
 from detcode.field import Field
 from detcode.repair import (
+    OPERATOR_BUDGET,
     OverlapError,
     RepairPayload,
     WrongTarget,
@@ -23,6 +25,7 @@ from detcode.repair import (
     helper_payloads,
     repair_basis,
     repair_matrix,
+    stacked_compress,
 )
 from detcode.subsets import binom, incidence, subsets
 from certificates import column_dependency, entry, multi_repair_matrix, shared_symbol
@@ -365,18 +368,24 @@ def test_below_rule_repairs_keep_no_operator():
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
-def test_operator_larger_than_the_budget_is_used_and_not_kept(gf13, encoder8, monkeypatch):
-    """A decode operator of more entries than the whole budget decodes and is dropped, so the
-    next decode of its tuple builds it again; one that fits the budget exactly is kept."""
-    contents, failed, helpers = _operator_batches(gf13, encoder8, 40), (5, 6), (1, 2, 3, 4)
-    payloads = [helper_payload(contents[h - 1], h, failed, encoder8, 2) for h in helpers]
-    size = _charge(4 * 5, 2 * 6)  # 4 helpers of rank 5 x 2 failures of alpha 6
+def test_operator_larger_than_the_budget_is_kept_alone(gf13, encoder8, monkeypatch):
+    """A decode operator of more entries than the whole budget decodes and is kept alone, so the
+    next decode of its tuple finds it; a new result evicts it, and it is built again after that."""
+    contents, helpers = _operator_batches(gf13, encoder8, 40), (1, 2, 3, 4)
+    size = _charge(4 * 5, 2 * 6)  # (5, 6): 4 helpers of rank 5 x 2 failures of alpha 6
     decode_operator.cache_clear()
-    for budget, kept in ((size - 1, 0), (size - 1, 0), (size, size), (size, size)):
+    steps = [
+        (size - 1, (5, 6), (0, 1, size)),  # kept alone, over the budget
+        (size - 1, (5, 6), (1, 1, size)),  # found, not built again
+        (size - 1, (5,), (1, 2, _charge(4 * 3, 6))),  # evicts the larger operator
+        (size - 1, (5, 6), (1, 3, size)),  # built again, alone
+        (size, (5, 6), (2, 3, size)),  # fits the budget exactly
+    ]
+    for budget, failed, (hits, misses, kept) in steps:
         monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", budget)
+        payloads = [helper_payload(contents[h - 1], h, failed, encoder8, 2) for h in helpers]
         assert decode_failed_nodes(payloads, helpers, encoder8, failed, 2) == {f: contents[f - 1] for f in failed}
-        assert decode_operator.cache_info()[2:] == (budget, kept)
-    assert decode_operator.cache_info()[:2] == (1, 3)
+        assert decode_operator.cache_info() == (hits, misses, budget, kept)
 
 
 def test_kept_operator_entries_never_exceed_the_budget(gf13, encoder8, monkeypatch):
@@ -495,6 +504,137 @@ def test_kept_operators_retain_less_heap_than_the_budget_estimate(monkeypatch):
     assert measure(8, 4, 2, "single", singles) == ([(12, 6)] * 8, 8 * _charge(12, 6))
     pairs = [(5, 6), (5, 7), (6, 8), (1, 2), (3, 8), (2, 7)]
     assert measure(8, 4, 4, "joint", pairs) == ([(4, 2)] * 6, 6 * _charge(4, 2))
+
+
+def _parts(value):
+    """The Matrices of a kept result: the one Matrix, or each of a tuple."""
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _kept_charge(value):
+    """Budget entries a kept Matrix, or a tuple of them, is charged: the sum of its parts."""
+    return sum(_charge(w.rows, w.cols) for w in _parts(value))
+
+
+def test_kept_bases_retain_less_heap_than_the_budget_estimate():
+    """The heap kept bases and stacked bases retain with both kernel preparations of every factor
+    (unit columns and packed rows), keys included, measured by tracemalloc around clearing each
+    cache, stays under 22 bytes per charged entry (about 11.7 to 19.5) at (8, 4, 2), (12, 6, 3)
+    and (16, 10, 3) with e <= 3: about 11 MiB at the budget."""
+
+    def prepare(encoder, m, tuples, groupsets):
+        for failed in tuples:
+            for weights in repair_basis(encoder, failed, m):
+                assert weights.unit_columns and weights.packed_rows
+        for groups in groupsets:
+            weights = stacked_compress(encoder, groups, m)
+            assert weights.unit_columns and weights.packed_rows
+
+    def measure(n, d, m, tuples, groupsets):
+        encoder = build_encoder(n, d, Field(257))
+        caches = (stacked_compress, repair_basis)  # stacked bases are built from bases, and cleared first
+        for cache in caches:
+            cache.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            prepare(encoder, m, tuples, groupsets)
+            gc.collect()
+            for cache in caches:
+                entries = sum(w.rows * w.cols for value in cache._kept.values() for w in _parts(value))
+                kept, before = cache.cache_info().currsize, tracemalloc.get_traced_memory()[0]
+                assert kept == sum(map(_kept_charge, cache._kept.values())) <= OPERATOR_BUDGET
+                cache.cache_clear()
+                gc.collect()
+                retained = before - tracemalloc.get_traced_memory()[0]
+                assert 8 * entries < retained < 22 * kept, (n, d, m, cache.__name__, retained / kept)
+        finally:
+            tracemalloc.stop()
+
+    measure(8, 4, 2, [(1,), (5,), (1, 2), (5, 6), (2, 5, 7)], [((1,), (5,)), ((5,), (6,), (7,))])
+    measure(12, 6, 3, [(1,), (8,), (2, 9), (1, 5, 9)], [((1,), (8,)), ((7,), (8,), (9,))])
+    measure(16, 10, 3, [(1,), (2, 13), (2, 7, 10)], [((1,), (12,)), ((11,), (12,), (13,))])
+
+
+class _Lookups(OrderedDict):
+    """A cache's kept results that record every key looked up and the charge of every result kept."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys, self.charges = [], {}
+
+    def get(self, key, default=None):
+        self.keys.append(key)
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        self.charges[key] = _kept_charge(value)
+        super().__setitem__(key, value)
+
+
+def _least_recently_used(keys, charges, budget):
+    """The keys a least-recently-used cache keeps after looking up *keys*, oldest first: a new key evicts the
+    oldest until the charges fit *budget* or it is alone."""
+    kept = OrderedDict()
+    for key in keys:
+        if key in kept:
+            kept.move_to_end(key)
+            continue
+        kept[key] = charges[key]
+        while sum(kept.values()) > budget and len(kept) > 1:
+            kept.popitem(last=False)
+    return list(kept)
+
+
+def test_kept_bases_follow_least_recently_used_order_within_the_budget(gf13, encoder8, monkeypatch):
+    """Repairing more distinct tuples than fit a small budget, in every mode: each repair is exact,
+    the bases and stacked bases kept are those a least-recently-used cache of the charged entries
+    keeps (compress plus expand for a basis), in that order, within the budget, and some were
+    evicted and built again."""
+    from detcode.multirepair import repair_nodes
+
+    contents, budget = _operator_batches(gf13, encoder8, 48), 600
+    monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", budget)
+    caches = (repair_basis, stacked_compress)
+    try:
+        for cache in caches:
+            cache.cache_clear()
+            monkeypatch.setattr(cache, "_kept", _Lookups())
+        plan = [
+            ("single", (5,)), ("joint", (5, 6)), ("naive", (5, 6)), ("centralized", (5, 6, 7)),
+            ("joint", (6, 7)), ("naive", (6, 7)), ("naive", (7, 8)), ("naive", (5, 8)),
+            ("naive", (5, 6, 7)), ("single", (5,)), ("joint", (1, 2)), ("naive", (5, 6)),
+        ]
+        for mode, failed in plan:
+            helpers = tuple(h for h in range(1, 9) if h not in failed)[:4]
+            rebuilt, _ = repair_nodes(mode, failed, helpers, lambda h: contents[h - 1], encoder8, 2)
+            assert rebuilt == {f: contents[f - 1] for f in failed}
+            for cache in caches:
+                kept = cache._kept
+                assert list(kept) == _least_recently_used(kept.keys, kept.charges, budget)
+                assert cache.cache_info().currsize == sum(kept.charges[key] for key in kept) <= budget
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.hits + info.misses == len(cache._kept.keys) and info.misses > len(set(cache._kept.keys))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def test_basis_larger_than_the_budget_is_built_once(gf13, encoder8, monkeypatch):
+    """A failure tuple whose basis charges more than the whole budget is kept alone: three joint
+    repairs of it build it once. Each repair looks it up three times per helper (transmit, the
+    payload's shape, decompression) and no more."""
+    from detcode.multirepair import repair_nodes
+
+    contents, failed, helpers = _operator_batches(gf13, encoder8, 8), (5, 6, 7), (1, 2, 3, 4)
+    size = _kept_charge(repair_basis(encoder8, failed, 2))
+    monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", size - 1)
+    repair_basis.cache_clear()
+    for _ in range(3):
+        rebuilt, _ = repair_nodes("joint", failed, helpers, lambda h: contents[h - 1], encoder8, 2)
+        assert rebuilt == {f: contents[f - 1] for f in failed}  # 8 stripes: the factored decode
+    assert repair_basis.cache_info() == (3 * 3 * 4 - 1, 1, size - 1, size)
 
 
 def test_joint_repair_packs_each_basis_weights_once(monkeypatch):
