@@ -30,8 +30,12 @@ combines a whole window of a row or, in a batch of fewer stripes than
 outputs, a whole stripe by packed weights. The long operand is never copied
 through :class:`Matrix`. A windowed output whose weight column is a unit
 vector (a systematic node's row in encode, an identity row of a recover
-inverse, a column of a systematic failure's unit-lead repair basis,
-:meth:`Matrix.unit_lead_factors`) is a copy of its row.
+inverse, a unit column of a decode operator) is a copy of its row, checked
+like every row it is given. A unit column of a repair basis
+(:meth:`Matrix.unit_lead_factors`) never reaches the kernel: the helper
+sends that stored plane as is, the other columns take one product over the
+planes they read (:func:`detcode.repair.transmit_plan`), and the receiver's
+product range-checks every symbol sent.
 
 Rows are walked in windows of WINDOW entries (2048, chosen by measurement:
 2048 to 16384 ran within host noise on encode, read and joint repair; the
@@ -702,8 +706,8 @@ class Matrix:
         entry (its lead), so every column of compress leads with 1; expand is
         the nonzero rows of the reduced row echelon form, row j multiplied by
         pivot column j's lead. A pivot column with one nonzero entry so
-        becomes a unit column, which the product kernel copies
-        (:attr:`unit_columns`) instead of multiplying.
+        becomes a unit column (:attr:`unit_columns`), whose product with a
+        batch is a copy of one stored plane.
         """
         pivots, rref = self.pivot_columns()
         leads = [next(row[j] for row in self.data if row[j]) for j in pivots]

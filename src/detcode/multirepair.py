@@ -138,18 +138,20 @@ def centralized_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int
     return repair_nodes("centralized", failed, helpers, contents.__getitem__, encoder, m)
 
 
-def decode_centralized(payloads, encoder: EncoderMatrix, failed) -> dict[int, StripeBatch]:
+def decode_centralized(payloads, encoder: EncoderMatrix, failed, expands=None) -> dict[int, StripeBatch]:
     """Repair center, step by step: failed stripe batches from the helpers' prefix payloads.
 
     Payloads come in helper-slot order, each covering its slot's served
     prefix. Nodes repaired earlier feed later repairs through the same
     transmit and expansion, at zero transmission cost. The builder and the
-    test oracle of the centralized decode operator.
+    test oracle of the centralized decode operator. *expands*, where given,
+    holds each payload's basis expand, as in :func:`detcode.repair.decode_factored`.
     """
     m, failed = payloads[0].m, tuple(failed)
     helpers = tuple(payload.helper for payload in payloads)
     # per helper: repair vectors, plane-major, one block of C(d, m-1) planes per served failure
-    expanded = {pl.helper: decompress_payload(pl, encoder) for pl in payloads}
+    expands = expands or [None] * len(payloads)
+    expanded = {pl.helper: decompress_payload(pl, encoder, expand) for pl, expand in zip(payloads, expands)}
     size = len(expanded[helpers[0]]) // len(payloads[0].failed)  # one block: C(d, m-1) planes of every stripe
     repaired: dict[int, StripeBatch] = {}
     for step, f in enumerate(failed):

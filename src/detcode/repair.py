@@ -9,10 +9,12 @@ each scaled back. Any invertible change of basis keeps the symbol count and
 the exact decode, and this one makes every column of a systematic failed
 node (whose encoder row is a unit vector, so each column holds one +-1) a
 unit column: the helpers of a tuple of systematic nodes send their stored
-symbols unchanged, plane copies with no multiply-add, which is repair by
-transfer. A helper multiplies its stripe batch (S x alpha) by compress and
-transmits the result, at most beta_e = C(d, m) - C(d-e, m) symbols per
-stripe for e failures (beta = C(d-1, m-1) for one). The replacement side
+planes as they are, with no kernel call, which is repair by transfer. A
+helper sends its stripe batch (S x alpha) times compress, at most
+beta_e = C(d, m) - C(d-e, m) symbols per stripe for e failures
+(beta = C(d-1, m-1) for one): each unit column is a stored plane sent as
+is, and the other columns take one product over only the planes they read
+(:func:`transmit_plan`). The replacement side
 expands the d received batches by expand, undoes the encoding with one
 product over every stripe, and reads each failed node's stripes out by
 signed sums. No helper needs to know which other nodes are helping;
@@ -21,10 +23,14 @@ failure tuple, whichever helpers serve it: :func:`repair_basis` builds it
 and expand once as :class:`~detcode.field.Matrix`, which keeps them
 prepared for the product kernel, and all d helpers of every repair of that
 tuple share them. A helper serving several failure groups at once (naive
-repair: one group per failed node) transmits by one product of its batch
-with their compress bases side by side (:func:`stacked_compress`), split
-into one payload per group (:func:`helper_payloads`), so every repair costs
-a helper one transmit product, naive included.
+repair: one group per failed node) sends its batch times their compress
+bases side by side, the same way, split into one payload per group
+(:func:`helper_payloads`), so every repair costs a helper at most one
+transmit product, naive included. A plane sent as is is not range-checked
+by the helper: the receiver's product is the check, since every decode
+(the operator's product, :func:`decompress_payload` in the factored
+decode, the repair center's) packs every received symbol through the
+kernel, which refuses one outside [0, p).
 
 Both the repair matrix and the readout read the one sign rule,
 :func:`detcode.subsets.incidence`: the matrix takes the signs as
@@ -49,14 +55,15 @@ the code, the decode, the failure and helper tuples and the mode, and the
 default helpers give every object repaired after a node failure the same
 tuple, so every repair of a tuple after the first skips the build. Every
 compiled repair weight is kept by one rule: :func:`repair_basis`,
-:func:`stacked_compress` and :func:`decode_operator` each keep a
+:func:`transmit_plan` and :func:`decode_operator` each keep a
 least-recently-used cache bounded by the entries charged for it
 (:data:`OPERATOR_BUDGET`), where a result larger than the budget is kept alone.
 
 Transmit, decompression and the operator's decode each map S stripes to S
-stripes by :func:`detcode.field.batch_product`: the plane-major batch or
-payloads go in whole, and the plane-major payloads (one block of output
-columns per failure group), vectors or failed batches (one block per
+stripes by :func:`detcode.field.batch_product`: the plane-major batch (or
+the planes a transmit reads, joined) or payloads go in as one part, and
+plane-major product planes (a transmit's, assembled with its stored planes
+into one block per failure group), vectors or failed batches (one block per
 failure) come out. The helpers' repair vectors are node-major rows of
 :func:`detcode.field.combine_rows` by the cached read inverse, and the
 readout's sums hold each failed node's planes in order, one contiguous
@@ -92,9 +99,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import update_wrapper
 from threading import Lock
+from typing import NamedTuple
 
 from .code import EncoderMatrix, OverlapError, StripeBatch, checked_ids, derive_params, incidence_terms, recover_weights  # OverlapError re-exported
-from .field import Matrix, batch_product, combine_rows, pack_symbols, symbol_array, unpack_symbols
+from .field import Matrix, batch_product, combine_rows, pack_symbols, symbol_array, symbol_typecode, unpack_symbols
 from .subsets import binom, incidence
 
 
@@ -119,7 +127,7 @@ def repair_matrix(f: int, m: int, encoder: EncoderMatrix) -> Matrix:
 
 
 OPERATOR_BUDGET = 2**19
-"""Charged entries (:func:`_charge`) that each of :func:`repair_basis`, :func:`stacked_compress` and
+"""Charged entries (:func:`_charge`) that each of :func:`repair_basis`, :func:`transmit_plan` and
 :func:`decode_operator` keeps.
 
 Heap retained at p = 257, rows, prepared columns, key and cache node
@@ -129,17 +137,20 @@ included (tracemalloc around ``cache_clear()``). A kept operator fits about
 KiB for the 12 x 6 of an (8, 4, 2) single one, 0.8-1.4 KiB for the 4 x 2
 of an (8, 4, 4) two-failure joint one. Charged in 16-byte entry units, that
 is 4 per row and per column and 64 per Matrix: at most 16 bytes per charged
-entry. A kept basis or stacked basis, with both kernel preparations of
-every factor, retains 11.7-19.5 bytes per charged entry at (8, 4, 2),
-(12, 6, 3) and (16, 10, 3) with e <= 3: the budget keeps 22 (16, 10, 3)
-three-failure bases in about 9.2 MiB, where a count of 512 could keep 225 MiB."""
+entry. A kept basis or transmit plan, with both kernel preparations of
+every Matrix, retains 11.7-19.1 bytes per charged entry at (8, 4, 2),
+(12, 6, 3) and (16, 10, 3) with e <= 3 (a plan of stacked groups 15.7-19.1;
+one whose weights are its basis's compress, shared, 8-9 at the smaller two):
+the budget keeps 22 (16, 10, 3) three-failure bases in about 9.2 MiB, where
+a count of 512 could keep 225 MiB."""
 
 
 def _charge(kept) -> int:
-    """Budget entries a kept Matrix costs: rows x columns, 4 per row and per column, and 64; a tuple, its parts' sum."""
+    """Budget entries a kept Matrix costs: rows x columns, 4 per row and per column, and 64; a tuple, its parts' sum;
+    anything else (a plane index, an absent Matrix), 1."""
     if isinstance(kept, tuple):
         return sum(map(_charge, kept))
-    return kept.rows * kept.cols + 4 * (kept.rows + kept.cols) + 64
+    return kept.rows * kept.cols + 4 * (kept.rows + kept.cols) + 64 if isinstance(kept, Matrix) else 1
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -265,31 +276,82 @@ class RepairPayload:
         return cls(failed, helper, m, symbols)
 
 
-@_EntryBoundedCache
-def stacked_compress(encoder: EncoderMatrix, groups: tuple[tuple[int, ...], ...], m: int) -> Matrix:
-    """The :func:`repair_basis` compress of each failure group, side by side; cached per encoder, shared.
+class TransmitPlan(NamedTuple):
+    """How a helper sends its stripe batch times compress (one basis, or several side by side): :func:`transmit_plan`.
 
-    Groups of unequal rank raise ValueError: the transmit product splits its
-    output into equal blocks, one per group. Kept as a basis is, by its
-    charged entries (:class:`_EntryBoundedCache`).
+    Payload plane j is plane picks[j] of the batch, its stored planes then
+    the product planes: below alpha, the stored plane that unit column j of
+    compress copies; from alpha on, product plane picks[j] - alpha. The
+    product is the planes *reads*, joined in that order, times *weights*,
+    compress on those planes and its other columns, one plane per column.
+    weights is None where every column is a unit column, and compress itself
+    where none is and the columns read every plane.
+    """
+
+    picks: tuple[int, ...]
+    reads: tuple[int, ...]
+    weights: Matrix | None
+
+
+@_EntryBoundedCache
+def transmit_plan(encoder: EncoderMatrix, groups: tuple[tuple[int, ...], ...], m: int) -> TransmitPlan:
+    """The :class:`TransmitPlan` of the :func:`repair_basis` compress of each failure group, side by side; cached per
+    encoder, shared, charged as its weights plus one entry per plane index (:class:`_EntryBoundedCache`).
+
+    Groups of unequal rank raise ValueError: the payloads split the sent
+    planes into equal blocks, one per group.
     """
     bases = [repair_basis(encoder, group, m)[0] for group in groups]
     if len(ranks := {basis.cols for basis in bases}) != 1:
         raise ValueError(f"failure groups {list(groups)} need one basis rank, got {sorted(ranks)}")
-    return Matrix.hstack(bases)
+    compress = bases[0] if len(bases) == 1 else Matrix.hstack(bases)
+    columns, units = compress.unit_columns
+    others = [j for j, unit in enumerate(units) if unit is None]
+    reads = tuple(i for i in range(compress.rows) if any(columns[j][i] for j in others))
+    computed = iter(range(compress.rows, compress.rows + len(others)))
+    picks = tuple(next(computed) if unit is None else unit for unit in units)
+    if len(others) == compress.cols and len(reads) == compress.rows:
+        return TransmitPlan(picks, reads, compress)
+    return TransmitPlan(picks, reads, compress.submatrix(reads, others) if others else None)
+
+
+def _planes(batch: array, stripes: int, picks) -> array:
+    """Planes *picks* of the plane-major *batch* (stripes symbols each), joined in that order by slice copies."""
+    out = array(batch.typecode)
+    for i in picks:
+        out += batch[i * stripes : (i + 1) * stripes]
+    return out
 
 
 def helper_payloads(h_content: StripeBatch, helper: int, groups, encoder: EncoderMatrix, m: int) -> list[RepairPayload]:
-    """Repair data from one helper for each failure group: its stripe batch times every group's compress, one product.
+    """Repair data from one helper for each failure group: its stripe batch times every group's compress, side by side.
 
     compress is a function of the public repair matrix alone, so sender and
     receiver agree without negotiation and without knowing the other helpers.
-    The output splits into one block of columns per group, each that group's
-    plane-major payload; one group multiplies by its own compress.
+    By the group's :func:`transmit_plan`, a unit column of compress sends its
+    stored plane as is, with no kernel call; the other columns take one
+    :func:`~detcode.field.batch_product` over only the planes they read (the
+    whole batch where they read every plane). The sent planes split into one
+    block per group, each that group's plane-major payload. A plane sent as
+    is was not range-checked here: the receiver's product is the check
+    (every decode packs every received symbol through the kernel).
     """
     groups = tuple(tuple(group) for group in groups)
-    compress = repair_basis(encoder, groups[0], m)[0] if len(groups) == 1 else stacked_compress(encoder, groups, m)
-    blocks = batch_product([(h_content.symbols, h_content.alpha)], compress, len(groups))
+    picks, reads, weights = transmit_plan(encoder, groups, m)
+    stored, stripes, code = h_content.symbols, len(h_content), symbol_typecode(encoder.field.p)
+    if stored.typecode != code:  # a narrower batch of a p above 2**32, or values past any p up to 2**32
+        try:
+            stored = array(code, stored)
+        except OverflowError:
+            raise ValueError(f"operand entry out of field range [0, {encoder.field.p})") from None
+    if weights is not None:
+        part = stored if len(reads) == h_content.alpha else _planes(stored, stripes, reads)
+        if weights.cols == len(picks):  # no unit column: the product is the payloads
+            blocks = batch_product([(part, len(reads))], weights, len(groups))
+            return [RepairPayload(group, helper, m, block) for group, block in zip(groups, blocks)]
+        stored = stored + batch_product([(part, len(reads))], weights)[0]  # product planes after the stored ones
+    width = len(picks) // len(groups)
+    blocks = [_planes(stored, stripes, picks[i * width : (i + 1) * width]) for i in range(len(groups))]
     return [RepairPayload(group, helper, m, block) for group, block in zip(groups, blocks)]
 
 
@@ -307,9 +369,14 @@ def _payload_shape(payload: RepairPayload, encoder: EncoderMatrix) -> tuple[Matr
     return expand, count // expand.rows
 
 
-def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix) -> array:
-    """Full-length repair vectors, plane-major: the received symbols times expand, one product."""
-    expand, _ = _payload_shape(payload, encoder)
+def decompress_payload(payload: RepairPayload, encoder: EncoderMatrix, expand: Matrix | None = None) -> array:
+    """Full-length repair vectors, plane-major: the received symbols times expand, one product.
+
+    *expand*, where the caller has it from :func:`_payload_shape` (as
+    :func:`decode_payloads` does), saves the basis lookup.
+    """
+    if expand is None:
+        expand, _ = _payload_shape(payload, encoder)
     return batch_product([(payload.symbols, expand.rows)], expand)[0]
 
 
@@ -329,12 +396,14 @@ def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed, m:
     return decode_payloads(decode_factored, payloads, encoder, failed)
 
 
-def decode_factored(payloads, encoder: EncoderMatrix, failed) -> dict[int, StripeBatch]:
-    """Joint decode step by step: decompress each payload, then decode_repair_vectors.
+def decode_factored(payloads, encoder: EncoderMatrix, failed, expands=None) -> dict[int, StripeBatch]:
+    """Joint decode step by step: decompress each payload (by its *expands* entry where given), then
+    decode_repair_vectors.
 
     The builder and the test oracle of the joint decode operator.
     """
-    vectors = [decompress_payload(payload, encoder) for payload in payloads]
+    expands = expands or [None] * len(payloads)
+    vectors = [decompress_payload(payload, encoder, expand) for payload, expand in zip(payloads, expands)]
     helper_ids = tuple(payload.helper for payload in payloads)
     return decode_repair_vectors(vectors, helper_ids, encoder, failed, payloads[0].m)
 
@@ -342,18 +411,19 @@ def decode_factored(payloads, encoder: EncoderMatrix, failed) -> dict[int, Strip
 def decode_payloads(factored, payloads, encoder: EncoderMatrix, failed) -> dict[int, StripeBatch]:
     """Failed stripe batches from payloads, by the operator of *factored* or by *factored* itself.
 
-    *factored(payloads, encoder, failed)* is a linear decode. From twice as
-    many stripes as its operator has rows (one per received symbol of a
-    stripe) the batch goes through the operator: one lookup (one build on a
-    cache miss), one product, no intermediate repair vectors. Fewer stripes
-    run *factored* directly and keep nothing.
+    *factored(payloads, encoder, failed, expands)* is a linear decode. From
+    twice as many stripes as its operator has rows (one per received symbol
+    of a stripe) the batch goes through the operator: one lookup (one build on
+    a cache miss), one product, no intermediate repair vectors. Fewer stripes
+    run *factored* directly, handed each payload's expand from the one basis
+    lookup per payload here, and keep nothing.
     """
     shapes = [_payload_shape(payload, encoder) for payload in payloads]
     if len(counts := {stripes for _, stripes in shapes}) != 1:
         raise ValueError(f"payloads carry different stripe counts {sorted(counts)}")
     ranks = [expand.rows for expand, _ in shapes]
     if counts.pop() < 2 * sum(ranks):
-        return factored(payloads, encoder, failed)
+        return factored(payloads, encoder, failed, [expand for expand, _ in shapes])
     sources = tuple((payload.helper, payload.failed, rank) for payload, rank in zip(payloads, ranks))
     operator = decode_operator(factored, encoder, failed, sources, payloads[0].m)
     decoded = batch_product([(pl.symbols, rank) for pl, rank in zip(payloads, ranks)], operator, len(failed))

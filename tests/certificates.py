@@ -15,6 +15,7 @@ from detcode.field import Matrix, next_prime_at_least
 from detcode.multirepair import TooManyFailures, helper_bound
 from detcode.repair import repair_matrix
 from detcode.subsets import binom, incidence, position, subsets
+from oracles import det_cofactor
 
 
 def entry(message: MessageMatrix, x: int, column_label) -> int:
@@ -107,8 +108,7 @@ def null_space_matrix(failed, m: int, encoder: EncoderMatrix) -> NullSpaceMatrix
 
     anchor = None
     for candidate in subsets(d, e).ordering:
-        minor = failed_rows.submatrix(range(e), [x - 1 for x in candidate])
-        if minor.det() != 0:
+        if failed_rows.submatrix(range(e), [x - 1 for x in candidate]).rank() == e:
             anchor = candidate
             break
     assert anchor is not None, "failed rows of an MDS encoder are independent"
@@ -133,7 +133,7 @@ def null_space_matrix(failed, m: int, encoder: EncoderMatrix) -> NullSpaceMatrix
                 continue
             sign = sum(position(support, j) for j in l_label)
             keep = [x for x in support if x not in l_label]
-            minor = failed_rows.submatrix(range(e), [x - 1 for x in keep]).det()
+            minor = det_cofactor([[failed_rows[i, x - 1] for x in keep] for i in range(e)])
             row[c] = -minor if sign % 2 else minor
         rows.append(row)
     return NullSpaceMatrix(

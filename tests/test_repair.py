@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from array import array
 from collections import OrderedDict
 from dataclasses import replace
 from itertools import combinations
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detcode.code import BadMode, StripeBatch, build_encoder, build_message_matrix, encode, recover_data
-from detcode.field import Field
+from detcode.field import Field, Matrix
 from detcode.repair import (
     OPERATOR_BUDGET,
     OverlapError,
@@ -25,7 +26,7 @@ from detcode.repair import (
     helper_payloads,
     repair_basis,
     repair_matrix,
-    stacked_compress,
+    transmit_plan,
 )
 from detcode.subsets import binom, incidence, subsets
 from certificates import column_dependency, entry, multi_repair_matrix, shared_symbol
@@ -507,32 +508,38 @@ def test_kept_operators_retain_less_heap_than_the_budget_estimate(monkeypatch):
 
 
 def _parts(value):
-    """The Matrices of a kept result: the one Matrix, or each of a tuple."""
-    return value if isinstance(value, tuple) else (value,)
+    """The Matrices of a kept result: the one Matrix, or those of each part of a tuple (a basis, a transmit plan)."""
+    if isinstance(value, tuple):
+        return [w for part in value for w in _parts(part)]
+    return [value] if isinstance(value, Matrix) else []
 
 
 def _kept_charge(value):
-    """Budget entries a kept Matrix, or a tuple of them, is charged: the sum of its parts."""
-    return sum(_charge(w.rows, w.cols) for w in _parts(value))
+    """Budget entries a kept result is charged: a Matrix by its shape, a tuple the sum of its parts, anything else (a
+    transmit plan's plane index, its absent weights) one."""
+    if isinstance(value, tuple):
+        return sum(map(_kept_charge, value))
+    return _charge(value.rows, value.cols) if isinstance(value, Matrix) else 1
 
 
 def test_kept_bases_retain_less_heap_than_the_budget_estimate():
-    """The heap kept bases and stacked bases retain with both kernel preparations of every factor
+    """The heap kept bases and transmit plans retain with both kernel preparations of every Matrix
     (unit columns and packed rows), keys included, measured by tracemalloc around clearing each
-    cache, stays under 22 bytes per charged entry (about 11.7 to 19.5) at (8, 4, 2), (12, 6, 3)
-    and (16, 10, 3) with e <= 3: about 11 MiB at the budget."""
+    cache, stays under 22 bytes per charged entry (about 11.7 to 19.1) at (8, 4, 2), (12, 6, 3)
+    and (16, 10, 3) with e <= 3: about 11 MiB at the budget. The plans are of stacked groups,
+    systematic and parity ones side by side or parity ones alone, whose weights are their own."""
 
     def prepare(encoder, m, tuples, groupsets):
         for failed in tuples:
             for weights in repair_basis(encoder, failed, m):
                 assert weights.unit_columns and weights.packed_rows
         for groups in groupsets:
-            weights = stacked_compress(encoder, groups, m)
+            weights = transmit_plan(encoder, groups, m).weights
             assert weights.unit_columns and weights.packed_rows
 
     def measure(n, d, m, tuples, groupsets):
         encoder = build_encoder(n, d, Field(257))
-        caches = (stacked_compress, repair_basis)  # stacked bases are built from bases, and cleared first
+        caches = (transmit_plan, repair_basis)  # plans are built from bases, and cleared first
         for cache in caches:
             cache.cache_clear()
         gc.collect()
@@ -595,7 +602,7 @@ def test_kept_bases_follow_least_recently_used_order_within_the_budget(gf13, enc
 
     contents, budget = _operator_batches(gf13, encoder8, 48), 600
     monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", budget)
-    caches = (repair_basis, stacked_compress)
+    caches = (repair_basis, transmit_plan)
     try:
         for cache in caches:
             cache.cache_clear()
@@ -623,23 +630,27 @@ def test_kept_bases_follow_least_recently_used_order_within_the_budget(gf13, enc
 
 def test_basis_larger_than_the_budget_is_built_once(gf13, encoder8, monkeypatch):
     """A failure tuple whose basis charges more than the whole budget is kept alone: three joint
-    repairs of it build it once. Each repair looks it up three times per helper (transmit, the
-    payload's shape, decompression) and no more."""
+    repairs of it build it once. Each repair looks it up once per helper (the payload's shape, whose
+    expand the factored decode reuses) and no more; the transmit plan's one build looks it up once."""
     from detcode.multirepair import repair_nodes
 
     contents, failed, helpers = _operator_batches(gf13, encoder8, 8), (5, 6, 7), (1, 2, 3, 4)
     size = _kept_charge(repair_basis(encoder8, failed, 2))
     monkeypatch.setattr("detcode.repair.OPERATOR_BUDGET", size - 1)
     repair_basis.cache_clear()
+    transmit_plan.cache_clear()
     for _ in range(3):
         rebuilt, _ = repair_nodes("joint", failed, helpers, lambda h: contents[h - 1], encoder8, 2)
         assert rebuilt == {f: contents[f - 1] for f in failed}  # 8 stripes: the factored decode
-    assert repair_basis.cache_info() == (3 * 3 * 4 - 1, 1, size - 1, size)
+    assert repair_basis.cache_info() == (3 * 4, 1, size - 1, size)
+    assert transmit_plan.cache_info()[:2] == (3 * 4 - 1, 1)
 
 
 def test_joint_repair_packs_each_basis_weights_once(monkeypatch):
     """At (16,10,3) with one stripe, transmit and decompression pack their weights, not the
-    short stripe rows: one joint repair packs compress and expand once each, a second none."""
+    short stripe rows: one joint repair of two systematic nodes and a parity one packs the transmit
+    plan's weights (compress on the planes and columns that are not plane copies) and expand once
+    each, a second none."""
     from detcode import Cluster, CodeConfig, field
 
     config = CodeConfig(n=16, d=10, m=3, p=257)
@@ -648,14 +659,16 @@ def test_joint_repair_packs_each_basis_weights_once(monkeypatch):
     failed = (2, 7, 11)
     saved = {f: cluster.contents[f] for f in failed}
     repair_basis.cache_clear()
+    transmit_plan.cache_clear()
     packed, pack = [], field.Matrix.packed_rows.func
     monkeypatch.setattr(field.Matrix.packed_rows, "func", lambda weights: packed.append(weights.data) or pack(weights))
     for _ in range(2):
         cluster.fail_nodes(failed)
         event = cluster.repair("joint", failed)
         assert len(event.helpers) == 10 and all(cluster.contents[f] == saved[f] for f in failed)
-        compress, expand = repair_basis(cluster.encoder, failed, 3)
-        assert list(map(id, packed)) == [id(compress.data), id(expand.data)]
+        weights, expand = transmit_plan(cluster.encoder, (failed,), 3).weights, repair_basis(cluster.encoder, failed, 3)[1]
+        assert weights.shape == (98, 85 - 64)  # the 21 parity columns read 98 of the 120 planes
+        assert list(map(id, packed)) == [id(weights.data), id(expand.data)]
 
 
 def test_warm_reads_and_repairs_prepare_no_weights(monkeypatch):
@@ -798,3 +811,85 @@ def test_systematic_transmit_runs_no_multiply_add(monkeypatch):
                 assert list(payload.symbols) == plane_major(expected), (encoder.n, group, m)
         if len(failed) == 1 and not systematic and m < encoder.d:
             assert None in units, (encoder.n, failed, m)
+
+
+@pytest.mark.parametrize("mode", ["single", "naive", "joint", "centralized"])
+@pytest.mark.parametrize("stripes", [1, 200])
+@pytest.mark.parametrize("n, d, m", [(12, 6, 3), (8, 4, 1)])
+def test_plane_sent_as_stored_is_range_checked_by_the_receiver(n, d, m, stripes, mode):
+    """A helper sends the planes of its unit columns as stored, unchecked; the receiver's product (the factored decode
+    at 1 stripe, the decode operator at 200) range-checks every received symbol. With 257 in such a plane of the
+    first helper, Cluster.repair raises ValueError, every failed node stays None and the ledger records no event: a
+    declared error, not a wrong rebuild."""
+    from detcode import Cluster, CodeConfig
+
+    config = CodeConfig(n=n, d=d, m=m, p=257)
+    cluster = Cluster.from_file(random.Random(41).randbytes(stripes * config.file_symbols), config)
+    assert cluster.stripe_count == stripes
+    failed = (2,) if mode == "single" else (1, 3)  # systematic: every compress column is a unit column
+    cluster.fail_nodes(failed)
+    helper = cluster.alive()[0]  # the first default helper, slot 1 in centralized
+    served = {"naive": tuple((f,) for f in failed), "centralized": (failed[:1],)}.get(mode, (failed,))
+    copied = {unit for group in served for unit in repair_basis(cluster.encoder, group, m)[0].unit_columns[1]}
+    assert None not in copied
+    cluster.contents[helper].symbols[min(copied) * stripes + stripes // 2] = 257
+    looked_up = sum(decode_operator.cache_info()[:2])
+    with pytest.raises(ValueError, match="out of field range"):
+        cluster.repair(mode, failed)
+    assert all(cluster.contents[f] is None for f in failed) and cluster.ledger.events == []
+    assert (sum(decode_operator.cache_info()[:2]) > looked_up) == (stripes > 1)  # which decode checked it
+
+
+def test_transmit_hands_the_kernel_only_the_planes_its_other_columns_read(monkeypatch):
+    """At (16, 10, 3) with 3 stripes, each helper of a systematic single repair hands batch_product no plane and sends
+    its 36 planes as stored; of a parity single repair, all 120 planes; of a joint repair of a systematic and a parity
+    node, exactly the planes that compress's columns other than unit columns (the parity node's) read. Each repair is
+    exact."""
+    from detcode import Cluster, CodeConfig, repair
+
+    config = CodeConfig(n=16, d=10, m=3, p=257)
+    cluster = Cluster.from_file(random.Random(42).randbytes(3 * config.file_symbols), config)
+    handed, inside, product, transmit = [], [], repair.batch_product, repair.helper_payloads
+
+    def counted_product(parts, weights, blocks=1):
+        if inside:
+            handed[-1] += sum(width for _, width in parts)
+        return product(parts, weights, blocks)
+
+    def counted_transmit(*args):
+        inside.append(True)
+        handed.append(0)
+        try:
+            return transmit(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(repair, "batch_product", counted_product)
+    monkeypatch.setattr(repair, "helper_payloads", counted_transmit)
+    for failed, rank in [((2,), 36), ((13,), 36), ((2, 13), 64)]:
+        columns, units = repair_basis(cluster.encoder, failed, 3)[0].unit_columns
+        read = {i for column, unit in zip(columns, units) if unit is None for i, v in enumerate(column) if v}
+        assert len(read) == {(2,): 0, (13,): 120}.get(failed, 112)
+        saved = {f: cluster.contents[f] for f in failed}
+        handed.clear()
+        cluster.fail_nodes(failed)
+        event = cluster.repair("single" if len(failed) == 1 else "joint", failed)
+        assert all(cluster.contents[f] == saved[f] for f in failed)
+        assert handed == [len(read)] * 10 and list(event.symbols_by_helper.values()) == [3 * rank] * 10
+
+
+def test_transmit_payloads_hold_field_words():
+    """A helper's payloads are arrays of the field's symbol_typecode whatever its batch holds: a batch of small
+    symbols at p = 2**61 - 1 (array('I')) sends 'Q' planes, as stored and as products, and a batch holding a value
+    past 2**32 at p = 257 (array('Q')) raises ValueError."""
+    rng = random.Random(43)
+    wide = build_encoder(8, 4, Field(2**61 - 1))
+    batch = StripeBatch([rng.randrange(256) for _ in range(6 * 7)], 6)
+    assert batch.symbols.typecode == "I"
+    for groups in [((2,),), ((2,), (7,)), ((2, 7),), ((7,),)]:
+        payloads = helper_payloads(batch, 1, groups, wide, 2)
+        assert [p.symbols.typecode for p in payloads] == ["Q"] * len(groups)
+        oracle = [helper_payload(StripeBatch(array("Q", batch.symbols), 6), 1, group, wide, 2) for group in groups]
+        assert [list(p.symbols) for p in payloads] == [list(p.symbols) for p in oracle]
+    with pytest.raises(ValueError, match="out of field range"):
+        helper_payloads(StripeBatch([1 << 40] + [0] * 41, 6), 1, ((2,),), build_encoder(8, 4, Field(257)), 2)
