@@ -6,7 +6,8 @@ one product (:func:`detcode.repair.helper_payloads`), and each group is
 decoded from the d payloads for it.
 
 * single and joint serve the failure tuple as one group, naive each failure
-  as its own; :func:`detcode.repair.decode_factored` decodes a group. The
+  as its own; :func:`detcode.repair.decode_repair_vectors` decodes a group's
+  repair vectors, single repair at e = 1. The
   per-failure repair vectors a helper would send overlap linearly, so a
   joint payload compresses to at most beta_e = C(d, m) - C(d-e, m) symbols,
   against e * beta for naive (the null-space certificate of the rank bound
@@ -19,8 +20,8 @@ decoded from the d payloads for it.
   at the center), then the later slots. Averaged over the d helpers the
   download is beta_bar_e = (m/d) * (C(d+1, m+1) - C(d-e+1, m+1)) per
   helper, and a d-fold rotation (in ``tests/certificates.py``) equalizes
-  it exactly. The center expands each payload once, and step s reads
-  failed[s]'s segment of every stripe as one contiguous run of its planes.
+  it exactly. Step s reads failed[s]'s segment of every stripe of a
+  helper's repair vectors as one contiguous run of their planes.
   It needs at most d failures, one slot per failure.
 
 Both decodes are linear: from twice as many stripes as the payloads carry
@@ -110,12 +111,12 @@ def repair_nodes(mode: str, failed, helpers, content, encoder: EncoderMatrix, m:
     *content* maps a helper id to its stripe batch (a callable). A bad request
     is refused (:func:`check_request`) before any helper is read. Each helper
     transmits once, one payload per group it serves: the tuple (single,
-    joint), each failure (naive), or failed[:j] at slot j (centralized). Each
-    group then decodes once, by ``decode_factored`` or by :func:`decode_centralized`.
+    joint), each failure (naive), or failed[:j] at slot j (centralized). Each group then decodes
+    once, its payloads decompressed, by ``repair.decode_repair_vectors`` or :func:`decode_centralized`.
     """
     check_request(mode, failed, encoder.d)
     groups = tuple((f,) for f in failed) if mode == "naive" else (failed,)
-    served, decode = [groups] * len(helpers), repair.decode_factored
+    served, decode = [groups] * len(helpers), repair.decode_repair_vectors
     if mode == "centralized":
         served, decode = [(failed[:slot],) for slot in range(1, len(helpers) + 1)], decode_centralized
     sent = [repair.helper_payloads(content(h), h, own, encoder, m) for h, own in zip(helpers, served)]
@@ -138,29 +139,25 @@ def centralized_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int
     return repair_nodes("centralized", failed, helpers, contents.__getitem__, encoder, m)
 
 
-def decode_centralized(payloads, encoder: EncoderMatrix, failed, expands=None) -> dict[int, StripeBatch]:
-    """Repair center, step by step: failed stripe batches from the helpers' prefix payloads.
+def decode_centralized(vectors, helper_ids, encoder: EncoderMatrix, failed, m: int) -> dict[int, StripeBatch]:
+    """Repair center, step by step: failed stripe batches from the helpers' prefix repair vectors.
 
-    Payloads come in helper-slot order, each covering its slot's served
-    prefix. Nodes repaired earlier feed later repairs through the same
-    transmit and expansion, at zero transmission cost. The builder and the
-    test oracle of the centralized decode operator. *expands*, where given,
-    holds each payload's basis expand, as in :func:`detcode.repair.decode_factored`.
+    Vectors come decompressed, in helper-slot order, each covering its
+    slot's served prefix: plane-major, one block of C(d, m-1) planes per
+    served failure. Nodes repaired earlier feed later repairs through the
+    same transmit and expansion, at zero transmission cost.
     """
-    m, failed = payloads[0].m, tuple(failed)
-    helpers = tuple(payload.helper for payload in payloads)
-    # per helper: repair vectors, plane-major, one block of C(d, m-1) planes per served failure
-    expands = expands or [None] * len(payloads)
-    expanded = {pl.helper: decompress_payload(pl, encoder, expand) for pl, expand in zip(payloads, expands)}
-    size = len(expanded[helpers[0]]) // len(payloads[0].failed)  # one block: C(d, m-1) planes of every stripe
+    failed, helpers = tuple(failed), tuple(helper_ids)
+    expanded = dict(zip(helpers, vectors))
+    size = len(vectors[0])  # slot 1 serves failed[:1]: one block, C(d, m-1) planes of every stripe
     repaired: dict[int, StripeBatch] = {}
     for step, f in enumerate(failed):
-        helper_ids = failed[:step] + helpers[step:]  # the repaired prefix, then the later slots
-        vectors = [
+        sources = failed[:step] + helpers[step:]  # the repaired prefix, then the later slots
+        segments = [
             decompress_payload(helper_payload(repaired[h], h, (f,), encoder, m), encoder)
             if h in repaired  # center-local, free
             else expanded[h][step * size : (step + 1) * size]
-            for h in helper_ids
+            for h in sources
         ]
-        repaired.update(decode_repair_vectors(vectors, helper_ids, encoder, (f,), m))
+        repaired.update(decode_repair_vectors(segments, sources, encoder, (f,), m))
     return repaired

@@ -15,7 +15,7 @@ beta_e = C(d, m) - C(d-e, m) symbols per stripe for e failures
 (beta = C(d-1, m-1) for one): each unit column is a stored plane sent as
 is, and the other columns take one product over only the planes they read
 (:func:`transmit_plan`). The replacement side
-expands the d received batches by expand, undoes the encoding with one
+multiplies the d received batches by expand, undoes the encoding with one
 product over every stripe, and reads each failed node's stripes out by
 signed sums. No helper needs to know which other nodes are helping;
 single-failure repair is the case e = 1. So there is one compress per
@@ -28,9 +28,9 @@ bases side by side, the same way, split into one payload per group
 (:func:`helper_payloads`), so every repair costs a helper at most one
 transmit product, naive included. A plane sent as is is not range-checked
 by the helper: the receiver's product is the check, since every decode
-(the operator's product, :func:`decompress_payload` in the factored
-decode, the repair center's) packs every received symbol through the
-kernel, which refuses one outside [0, p).
+(the operator's product, or :func:`decompress_payload` before the
+decoder) packs every received symbol through the kernel, which refuses
+one outside [0, p).
 
 Both the repair matrix and the readout read the one sign rule,
 :func:`detcode.subsets.incidence`: the matrix takes the signs as
@@ -38,19 +38,20 @@ coefficients, which :class:`~detcode.field.Matrix` reduces, and the readout
 is one product of every column label's terms by their sign column
 (:func:`detcode.code.incidence_terms`). No reduction mod p is written here.
 
-That decode, step by step (:func:`decode_factored`), is a fixed linear map
-from the symbols received per stripe to the e * alpha symbols of the failed
-nodes, and so is the repair center's
-(:func:`detcode.multirepair.decode_centralized`). :func:`decode_operator`
-compiles either into one :class:`~detcode.field.Matrix` by running it on
-the unit batch. A batch of at least twice as many stripes as the operator
-has rows decodes by one product with it; a smaller batch runs the
-factored decode, which also stays the operator's builder and the test
-oracle. A cached operator's product beats the factored decode from one
-times the rows on; a build plus one product breaks even only from about 3
-times the rows at (12, 6, 3) with e = 3, 3 to 4 times with e = 1, and
-beyond 8 times at (8, 4, 2) (CPython 3.11, plane-major batches, unit-lead
-bases, whose expand has no unit pivot columns). The operator depends only on
+A receiver decodes in two fixed linear steps: :func:`decompress_payload`,
+then every decoder takes the repair vectors, in helper order, as
+``decode(vectors, helper_ids, encoder, failed, m)``: the joint
+:func:`decode_repair_vectors` (single repair is e = 1) or the repair
+center's :func:`detcode.multirepair.decode_centralized`.
+:func:`decode_operator` compiles both steps into one
+:class:`~detcode.field.Matrix` by running them on the unit batch. A batch
+of at least twice as many stripes as the operator has rows decodes by one
+product with it; a smaller batch runs the two steps. A cached operator's
+product beats them from one times the rows on; a build plus one product
+breaks even only from about 3 times the rows at (12, 6, 3) with e = 3, 3
+to 4 times with e = 1, and beyond 8 times at (8, 4, 2) (CPython 3.11,
+plane-major batches, unit-lead bases, whose expand has no unit pivot
+columns). The operator depends only on
 the code, the decode, the failure and helper tuples and the mode, and the
 default helpers give every object repaired after a node failure the same
 tuple, so every repair of a tuple after the first skips the build. Every
@@ -241,6 +242,9 @@ class RepairPayload:
     m: int
     symbols: Sequence[int]
 
+    def __post_init__(self):
+        object.__setattr__(self, "failed", tuple(self.failed))  # any sequence of ids: hashable, equal to a tuple's
+
     def to_bytes(self, p: int) -> bytes:
         """Serialize; a zero m or e, or a field that does not fit its wire slot, raises ValueError."""
         if not (self.m and self.failed):
@@ -393,53 +397,43 @@ def decode_failed_nodes(payloads, helper_ids, encoder: EncoderMatrix, failed, m:
             raise WrongTarget(
                 f"payload from helper {payload.helper} targets nodes {payload.failed}, not {failed}"
             )
-    return decode_payloads(decode_factored, payloads, encoder, failed)
+    return decode_payloads(decode_repair_vectors, payloads, encoder, failed)
 
 
-def decode_factored(payloads, encoder: EncoderMatrix, failed, expands=None) -> dict[int, StripeBatch]:
-    """Joint decode step by step: decompress each payload (by its *expands* entry where given), then
-    decode_repair_vectors.
+def decode_payloads(decode, payloads, encoder: EncoderMatrix, failed) -> dict[int, StripeBatch]:
+    """Failed stripe batches from payloads: each decompressed, then *decode* of the repair vectors, or their operator.
 
-    The builder and the test oracle of the joint decode operator.
-    """
-    expands = expands or [None] * len(payloads)
-    vectors = [decompress_payload(payload, encoder, expand) for payload, expand in zip(payloads, expands)]
-    helper_ids = tuple(payload.helper for payload in payloads)
-    return decode_repair_vectors(vectors, helper_ids, encoder, failed, payloads[0].m)
-
-
-def decode_payloads(factored, payloads, encoder: EncoderMatrix, failed) -> dict[int, StripeBatch]:
-    """Failed stripe batches from payloads, by the operator of *factored* or by *factored* itself.
-
-    *factored(payloads, encoder, failed, expands)* is a linear decode. From
-    twice as many stripes as its operator has rows (one per received symbol
-    of a stripe) the batch goes through the operator: one lookup (one build on
-    a cache miss), one product, no intermediate repair vectors. Fewer stripes
-    run *factored* directly, handed each payload's expand from the one basis
-    lookup per payload here, and keep nothing.
+    *decode(vectors, helper_ids, encoder, failed, m)* is a linear decode of
+    the payloads' repair vectors, in helper order. From twice as many stripes
+    as its operator has rows (one per received symbol of a stripe) the batch
+    goes through the operator: one lookup (one build on a cache miss), one
+    product, no intermediate repair vectors. Fewer stripes decompress each
+    payload by the expand of the one basis lookup per payload here, run
+    *decode* directly and keep nothing.
     """
     shapes = [_payload_shape(payload, encoder) for payload in payloads]
     if len(counts := {stripes for _, stripes in shapes}) != 1:
         raise ValueError(f"payloads carry different stripe counts {sorted(counts)}")
-    ranks = [expand.rows for expand, _ in shapes]
+    ranks, m = [expand.rows for expand, _ in shapes], payloads[0].m
     if counts.pop() < 2 * sum(ranks):
-        return factored(payloads, encoder, failed, [expand for expand, _ in shapes])
+        vectors = [decompress_payload(payload, encoder, expand) for payload, (expand, _) in zip(payloads, shapes)]
+        return decode(vectors, tuple(payload.helper for payload in payloads), encoder, failed, m)
     sources = tuple((payload.helper, payload.failed, rank) for payload, rank in zip(payloads, ranks))
-    operator = decode_operator(factored, encoder, failed, sources, payloads[0].m)
+    operator = decode_operator(decode, encoder, failed, sources, m)
     decoded = batch_product([(pl.symbols, rank) for pl, rank in zip(payloads, ranks)], operator, len(failed))
     return {f: StripeBatch(flat, operator.cols // len(failed)) for f, flat in zip(failed, decoded)}
 
 
 @_EntryBoundedCache
-def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], sources, m: int) -> Matrix:
-    """Decode operator of *factored*: a Matrix of received symbols per stripe x e * alpha; cached, shared.
+def decode_operator(decode, encoder: EncoderMatrix, failed: tuple[int, ...], sources, m: int) -> Matrix:
+    """Decode operator of *decode*: a Matrix of received symbols per stripe x e * alpha; cached, shared.
 
     *sources* is the (helper, failure tuple it serves, basis rank) of each
-    payload, in order. The operator is *factored* run on the unit batch,
-    whose stripe t carries a 1 in received position t (payload after
-    payload, rank positions each; plane j of a payload holds its position
-    j): row t is that decode's output for stripe t, the failed nodes' alpha
-    entries each in failure order. Kernel
+    payload, in order. The operator is the unit batch decompressed, then
+    decoded by *decode*: stripe t carries a 1 in received position t
+    (payload after payload, rank positions each; plane j of a payload holds
+    its position j), so row t is the decode's output for stripe t, the failed
+    nodes' alpha entries each in failure order. Kernel
     outputs or unit-batch copies, they are canonical: wrapped
     unchecked, as tuples, since a kept operator is shared.
 
@@ -451,13 +445,13 @@ def decode_operator(factored, encoder: EncoderMatrix, failed: tuple[int, ...], s
     charged entries kept, and ``cache_clear()`` empties it.
     """
     total = sum(rank for _, _, rank in sources)
-    payloads, offset = [], 0
+    vectors, offset = [], 0
     for helper, target, rank in sources:
         symbols = symbol_array([0] * (total * rank))
         symbols[offset :: total + 1] = symbol_array([1] * rank)  # plane j: a 1 at stripe offset + j
-        payloads.append(RepairPayload(target, helper, m, symbols))
+        vectors.append(decompress_payload(RepairPayload(target, helper, m, symbols), encoder))
         offset += rank
-    decoded = factored(payloads, encoder, failed)
+    decoded = decode(vectors, tuple(helper for helper, _, _ in sources), encoder, failed, m)
     rows = tuple(tuple([v for f in failed for v in decoded[f][t]]) for t in range(total))
     return Matrix.wrap(encoder.field, rows, len(failed) * decoded[failed[0]].alpha)
 

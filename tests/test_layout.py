@@ -155,3 +155,17 @@ def test_compiled_repair_weights_are_charged_against_one_budget():
     size for compiled repair weights: src/detcode/repair.py names no
     lru_cache, so no weight there is kept by a count."""
     assert _grep(r"\blru_cache\b", [ROOT / "src/detcode/repair.py"]) == []
+
+
+def test_every_decoder_takes_repair_vectors():
+    """A receiver decompresses each payload, then decodes the repair vectors: the
+    joint decoder (repair.decode_repair_vectors) and the repair center's
+    (multirepair.decode_centralized) take one parameter list, and no decoder of
+    payloads (decode_factored) or list of per-payload expands is left in src/detcode."""
+    from inspect import signature
+
+    from detcode import multirepair, repair
+
+    joint, central = (list(signature(f).parameters) for f in (repair.decode_repair_vectors, multirepair.decode_centralized))
+    assert joint == central == ["vectors", "helper_ids", "encoder", "failed", "m"]
+    assert _grep(r"\b(decode_factored|expands)\b", SOURCES) == []

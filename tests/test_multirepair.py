@@ -20,7 +20,6 @@ from detcode.multirepair import decode_centralized
 from detcode.repair import (
     RepairPayload,
     WrongTarget,
-    decode_factored,
     decode_failed_nodes,
     decode_operator,
     decode_repair_vectors,
@@ -399,6 +398,12 @@ def test_stripe_batch_equals_stacked_single_stripes(gf13, encoder8, data):
     assert sent == {h: stripes * v for h, v in one_sent.items()}
 
 
+def _factored(payloads, encoder, failed, decode=decode_repair_vectors):
+    """The decode step by step, the oracle of the operator: decompress each payload, then *decode* the repair vectors."""
+    vectors = [decompress_payload(payload, encoder) for payload in payloads]
+    return decode(vectors, tuple(payload.helper for payload in payloads), encoder, failed, payloads[0].m)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_operator_decode_equals_factored_path(gf13, encoder8, data):
@@ -434,7 +439,7 @@ def test_operator_decode_equals_factored_path(gf13, encoder8, data):
                     build.reset_mock()
                     decoded = decode_failed_nodes(payloads, helpers, encoder8, group, m)
                     assert build.called == (stripes >= 2 * rows[mode])
-                    assert decoded == decode_factored(payloads, encoder8, group) == {f: contents[f - 1] for f in group}
+                    assert decoded == _factored(payloads, encoder8, group) == {f: contents[f - 1] for f in group}
 
             build.reset_mock()
             repaired, sent = centralized_repair(failed, helpers, {h: contents[h - 1] for h in helpers}, encoder8, m)
@@ -443,7 +448,7 @@ def test_operator_decode_equals_factored_path(gf13, encoder8, data):
                 helper_payload(contents[h - 1], h, failed[: min(slot, e)], encoder8, m)
                 for slot, h in enumerate(helpers, start=1)
             ]
-            assert repaired == decode_centralized(payloads, encoder8, failed) == {f: contents[f - 1] for f in failed}
+            assert repaired == _factored(payloads, encoder8, failed, decode_centralized) == {f: contents[f - 1] for f in failed}
             assert sent == {p.helper: len(p.symbols) for p in payloads}
             assert sent == {h: stripes * helper_bound(4, m, min(slot, e), "joint") for slot, h in enumerate(helpers, start=1)}
 
@@ -479,8 +484,8 @@ def test_decode_operator_is_a_canonical_matrix(gf13, encoder8, data):
         failed = failed[:1]
     targets = [failed[: min(slot, len(failed))] if mode == "centralized" else failed for slot in range(1, 5)]
     sources = tuple((h, target, repair_basis(encoder8, target, m)[0].cols) for h, target in zip(helpers, targets))
-    factored = decode_centralized if mode == "centralized" else decode_factored
-    operator = decode_operator(factored, encoder8, failed, sources, m)
+    decode = decode_centralized if mode == "centralized" else decode_repair_vectors
+    operator = decode_operator(decode, encoder8, failed, sources, m)
     assert operator.shape == (sum(rank for _, _, rank in sources), len(failed) * binom(4, m))
     assert operator == Matrix(gf13, operator.data)
     assert type(operator.data) is tuple and all(type(row) is tuple for row in operator.data)
@@ -511,14 +516,14 @@ def test_warm_decode_reuses_the_operator_of_its_complete_key(gf13, encoder8, dat
 
     def joint(order):
         payloads = [helper_payload(contents[h - 1], h, failed, encoder8, m) for h in order]
-        return decode_failed_nodes(payloads, order, encoder8, failed, m), decode_factored(payloads, encoder8, failed)
+        return decode_failed_nodes(payloads, order, encoder8, failed, m), _factored(payloads, encoder8, failed)
 
     def central(order):
         payloads = [
             helper_payload(contents[h - 1], h, failed[: min(slot, e)], encoder8, m) for slot, h in enumerate(order, start=1)
         ]
         repaired, _ = centralized_repair(failed, order, {h: contents[h - 1] for h in order}, encoder8, m)
-        return repaired, decode_centralized(payloads, encoder8, failed)
+        return repaired, _factored(payloads, encoder8, failed, decode_centralized)
 
     repair.decode_operator.cache_clear()
     for run in (joint, central):

@@ -893,3 +893,50 @@ def test_transmit_payloads_hold_field_words():
         assert [list(p.symbols) for p in payloads] == [list(p.symbols) for p in oracle]
     with pytest.raises(ValueError, match="out of field range"):
         helper_payloads(StripeBatch([1 << 40] + [0] * 41, 6), 1, ((2,),), build_encoder(8, 4, Field(257)), 2)
+
+
+@pytest.mark.parametrize("stripes", [1, 48])
+def test_payload_built_with_a_list_of_failed_ids_decodes(gf13, encoder8, stripes):
+    """RepairPayload keeps its failed ids as a tuple, whatever sequence it is given: at (8, 4, 2), payloads for (1, 2)
+    built with lists equal the ones built with tuples, give identical to_bytes output and decode exactly, with the
+    failed and helper ids of decode_failed_nodes given as lists too, by the factored decode (1 stripe) and by the
+    decode operator (48)."""
+    rng = random.Random(43 + stripes)
+    contents = encode(encoder8, build_message_matrix([rng.randrange(13) for _ in range(20 * stripes)], 4, 2, gf13))
+    helpers = [3, 4, 5, 6]
+    sent = [helper_payload(contents[h - 1], h, (1, 2), encoder8, 2) for h in helpers]
+    listed = [RepairPayload([1, 2], payload.helper, 2, payload.symbols) for payload in sent]
+    assert listed == sent and all(type(payload.failed) is tuple for payload in listed)
+    assert [payload.to_bytes(13) for payload in listed] == [payload.to_bytes(13) for payload in sent]
+    assert [decompress_payload(payload, encoder8) for payload in listed] == [decompress_payload(p, encoder8) for p in sent]
+    assert decode_failed_nodes(listed, helpers, encoder8, [1, 2], 2) == {1: contents[0], 2: contents[1]}
+
+
+# SHA-256 of repr(rows) of each decode operator at (8, 4, 2), p = 257, as the decoders before the one-signature
+# contract built it: a change of the decode's composition must leave the compiled map exactly as it was.
+OPERATOR_DIGESTS = [
+    ("single", (8,), (8,), (1, 2, 3, 4), (12, 6), "b01c1f864e5771c2031b6767c652e8ee800aec3501215c85b312dff10e9f9849"),
+    ("joint", (1, 5), (1, 5), (2, 3, 4, 6), (20, 12), "91fe302e86e7b979960e02265bd54e684b9d89dc7ec74ea388fa75ce4698c450"),
+    ("naive", (1, 5), (5,), (2, 3, 4, 6), (12, 6), "64f420f6fd9cf4690de0002174a5416bbcabe2b27398b9d40d47eeac96714552"),
+    ("centralized", (1, 5), (1, 5), (2, 3, 4, 6), (18, 12), "33b1dab9cc97d0766e0bcba8f7f0e883204ddfd5d139315e91b903ddc6a3d31b"),
+]
+
+
+@pytest.mark.parametrize("mode, failed, group, helpers, shape, digest", OPERATOR_DIGESTS)
+def test_compiled_decode_operators_are_pinned(mode, failed, group, helpers, shape, digest):
+    """Cluster.repair at (8, 4, 2), p = 257, with 48 stripes (at least twice every operator's rows here) builds the
+    decode operator of *group* from *helpers* with exactly the pinned rows, and the repair is exact."""
+    import hashlib
+
+    from detcode import Cluster, CodeConfig
+
+    config = CodeConfig(n=8, d=4, m=2, p=257)
+    cluster = Cluster.from_file(random.Random(44).randbytes(48 * config.file_symbols), config)
+    saved = {f: cluster.contents[f] for f in failed}
+    cluster.fail_nodes(failed)
+    decode_operator.cache_clear()
+    cluster.repair(mode, failed, helpers)
+    assert {f: cluster.contents[f] for f in failed} == saved
+    [operator] = [op for key, op in decode_operator._kept.items() if key[2] == group]
+    assert operator.shape == shape
+    assert hashlib.sha256(repr(operator.data).encode()).hexdigest() == digest
