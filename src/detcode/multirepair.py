@@ -11,7 +11,11 @@ decoded from the d payloads for it.
   per-failure repair vectors a helper would send overlap linearly, so a
   joint payload compresses to at most beta_e = C(d, m) - C(d-e, m) symbols,
   against e * beta for naive (the null-space certificate of the rank bound
-  is in ``tests/certificates.py``).
+  is in ``tests/certificates.py``). Each helper still sends beta_e, but the
+  d joint payloads span only d * beta_bar_e dimensions per stripe, the
+  centralized total below, and a joint decode operator may read only that
+  many of the received symbols: it is compiled by both decodes, and the
+  sparser kept (:func:`detcode.repair.decode_operator`).
 
 * centralized — a repair center restores the failures one at a time on a
   prefix schedule: the helper in slot j = 1..d serves failed[:j], and
@@ -142,14 +146,16 @@ def centralized_repair(failed, helpers, contents, encoder: EncoderMatrix, m: int
 def decode_centralized(vectors, helper_ids, encoder: EncoderMatrix, failed, m: int) -> dict[int, StripeBatch]:
     """Repair center, step by step: failed stripe batches from the helpers' prefix repair vectors.
 
-    Vectors come decompressed, in helper-slot order, each covering its
-    slot's served prefix: plane-major, one block of C(d, m-1) planes per
-    served failure. Nodes repaired earlier feed later repairs through the
-    same transmit and expansion, at zero transmission cost.
+    Vectors come decompressed, in helper-slot order, each covering at least
+    its slot's served prefix: plane-major, one block of C(d, m-1) planes per
+    served failure, the block size read from the last slot's, which serves
+    every failure (a joint payload's vectors, which serve every failure in
+    every slot, decode too). Nodes repaired earlier feed later repairs through
+    the same transmit and expansion, at zero transmission cost.
     """
     failed, helpers = tuple(failed), tuple(helper_ids)
     expanded = dict(zip(helpers, vectors))
-    size = len(vectors[0])  # slot 1 serves failed[:1]: one block, C(d, m-1) planes of every stripe
+    size = len(vectors[-1]) // len(failed)  # slot d serves every failure: one block, C(d, m-1) planes of every stripe
     repaired: dict[int, StripeBatch] = {}
     for step, f in enumerate(failed):
         sources = failed[:step] + helpers[step:]  # the repaired prefix, then the later slots

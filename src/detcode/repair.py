@@ -44,14 +44,23 @@ then every decoder takes the repair vectors, in helper order, as
 :func:`decode_repair_vectors` (single repair is e = 1) or the repair
 center's :func:`detcode.multirepair.decode_centralized`.
 :func:`decode_operator` compiles both steps into one
-:class:`~detcode.field.Matrix` by running them on the unit batch. A batch
-of at least twice as many stripes as the operator has rows decodes by one
-product with it; a smaller batch runs the two steps. A cached operator's
-product beats them from one times the rows on; a build plus one product
-breaks even only from about 3 times the rows at (12, 6, 3) with e = 3, 3
-to 4 times with e = 1, and beyond 8 times at (8, 4, 2) (CPython 3.11,
-plane-major batches, unit-lead bases, whose expand has no unit pivot
-columns). The operator depends only on
+:class:`~detcode.field.Matrix` by running them on the unit batch. A joint
+operator, every payload serving one tuple of 2 <= e <= d failures, is
+compiled by the centralized decode too, with the last payload in slot 1.
+Its slot j reads only the first beta_min(j, e) planes of its payload, since
+the unit-lead compress of failed[:j] is the first columns of the tuple's: of
+the d * beta_e received symbols per stripe it weighs only d * beta_bar_e,
+which the d payloads span. The operator of fewer nonzero weights is kept:
+at (12, 6, 3) with e = 3, 956 weights on 102 of 114 rows, not 1727 on all.
+The product still packs and range-checks every received symbol, weighed or
+not. A batch of at least twice as many stripes as the operator has rows
+decodes by one product with it; a smaller batch runs the two steps. A
+cached operator's product beats them from one times the rows on; a build
+plus one product breaks even only from about 4 times the rows at
+(12, 6, 3) with e = 3 (the joint build runs both decodes), 3 to 4 times
+with e = 1, and beyond 8 times at (8, 4, 2) (CPython 3.11, plane-major
+batches, unit-lead bases, whose expand has no unit pivot columns). The
+operator depends only on
 the code, the decode, the failure and helper tuples and the mode, and the
 default helpers give every object repaired after a node failure the same
 tuple, so every repair of a tuple after the first skips the build. Every
@@ -433,7 +442,13 @@ def decode_operator(decode, encoder: EncoderMatrix, failed: tuple[int, ...], sou
     decoded by *decode*: stripe t carries a 1 in received position t
     (payload after payload, rank positions each; plane j of a payload holds
     its position j), so row t is the decode's output for stripe t, the failed
-    nodes' alpha entries each in failure order. Kernel
+    nodes' alpha entries each in failure order. Where every payload serves
+    *failed* and 2 <= e <= d, the same vectors are also decoded by
+    :func:`detcode.multirepair.decode_centralized`, the last payload in slot 1
+    and the first in slot d. Slot j reads only the first beta_min(j, e) planes
+    of its payload, so that operator weighs the other planes by zero. Of the
+    two, the one with fewer nonzero weights is kept (*decode*'s on a tie);
+    either keeps a row for every received symbol. Kernel
     outputs or unit-batch copies, they are canonical: wrapped
     unchecked, as tuples, since a kept operator is shared.
 
@@ -451,9 +466,15 @@ def decode_operator(decode, encoder: EncoderMatrix, failed: tuple[int, ...], sou
         symbols[offset :: total + 1] = symbol_array([1] * rank)  # plane j: a 1 at stripe offset + j
         vectors.append(decompress_payload(RepairPayload(target, helper, m, symbols), encoder))
         offset += rank
-    decoded = decode(vectors, tuple(helper for helper, _, _ in sources), encoder, failed, m)
-    rows = tuple(tuple([v for f in failed for v in decoded[f][t]]) for t in range(total))
-    return Matrix.wrap(encoder.field, rows, len(failed) * decoded[failed[0]].alpha)
+    helpers = tuple(helper for helper, _, _ in sources)
+    decoded = [decode(vectors, helpers, encoder, failed, m)]
+    if 2 <= len(failed) <= encoder.d and all(target == failed for _, target, _ in sources):
+        from .multirepair import decode_centralized  # multirepair imports this module, so not at its top
+
+        decoded.append(decode_centralized(vectors[::-1], helpers[::-1], encoder, failed, m))  # last payload in slot 1
+    operators = [tuple(tuple([v for f in failed for v in batches[f][t]]) for t in range(total)) for batches in decoded]
+    rows = min(operators, key=lambda op: sum(len(row) - row.count(0) for row in op))  # fewest weights, first on a tie
+    return Matrix.wrap(encoder.field, rows, len(failed) * binom(encoder.d, m))
 
 
 def decode_repair_vectors(vectors, helper_ids, encoder: EncoderMatrix, failed, m: int) -> dict[int, StripeBatch]:

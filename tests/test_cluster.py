@@ -324,18 +324,20 @@ def test_recover_rejects_bad_node_ids():
 
 @pytest.mark.parametrize(
     "mode,failed,senders",
-    # centralized: node 5, repaired first, also transmits to the center once
+    # centralized, and the joint operator's build: node 5, repaired first, also transmits to the center once
     [("single", (5,), [1, 2, 3, 4]), ("naive", (5, 6), [1, 2, 3, 4]),
-     ("joint", (5, 6), [1, 2, 3, 4]), ("centralized", (5, 6), [1, 2, 3, 4, 5])],
+     ("joint", (5, 6), [1, 2, 3, 4, 5]), ("centralized", (5, 6), [1, 2, 3, 4, 5])],
 )
 def test_repair_transmits_once_per_helper_per_group(monkeypatch, mode, failed, senders):
     """A repair makes one helper_payloads call per helper, the transmit
     entry of every mode, not one per stripe or per failure: naive's helpers
     send both failures' payloads from one product. At five stripes the
     decode is factored, and at 40 every mode here applies a decode operator
-    (at most 20 received symbols per stripe at (8, 4, 2)). At 40 stripes the
-    centralized operator is built on the first repair only, so node 5's
-    center-local transmit, made by the build, is missing from the second."""
+    (at most 20 received symbols per stripe at (8, 4, 2)). Node 5's
+    center-local transmit is made by the centralized decode: at five stripes
+    in centralized mode only, and at 40 by the first build of the centralized
+    and of the joint operator (which compiles the centralized decode too), so
+    it is missing from the second repair."""
     real = detcode.repair.helper_payloads
     calls = []
 
@@ -352,7 +354,8 @@ def test_repair_transmits_once_per_helper_per_group(monkeypatch, mode, failed, s
             calls.clear()
             cluster.fail_nodes(failed)
             cluster.repair(mode, failed, helpers=(1, 2, 3, 4))
-            assert sorted(calls) == [h for h in senders if not (warm and stripes == 40 and h in failed)]
+            local = mode == "centralized" if stripes == 5 else not warm  # a failed node transmits center-local
+            assert sorted(calls) == [h for h in senders if h not in failed or local]
             assert _snapshot(cluster) == before
 
 

@@ -567,6 +567,62 @@ def test_decompression_in_both_kernel_orientations(encoder8, data):
     assert list(decompress_payload(helper_payload(batch, helper, failed, encoder8, m), encoder8)) == expected
 
 
+def _unit_operator_rows(encoder, failed, helpers, m):
+    """Rows of the joint operator that decode_repair_vectors alone compiles: the unit batch, decompressed, then decoded."""
+    rank = repair_basis(encoder, failed, m)[0].cols
+    total, payloads = len(helpers) * rank, []
+    for i, h in enumerate(helpers):
+        symbols = [0] * (total * rank)
+        symbols[i * rank :: total + 1] = [1] * rank  # plane j: a 1 at stripe i * rank + j
+        payloads.append(RepairPayload(failed, h, m, symbols))
+    decoded = _factored(payloads, encoder, failed)
+    return tuple(tuple(v for f in failed for v in decoded[f][t]) for t in range(total))
+
+
+def _weights(rows) -> int:
+    return sum(len(row) - row.count(0) for row in rows)
+
+
+def test_joint_operator_reads_the_centralized_dimensions(encoder8):
+    """The paper's d * beta_bar_e, on every tuple of 2 <= e <= 3 failures at (8, 4, m), m = 1..4, over GF(13), from the
+    first d other nodes, and on (2, 7, 11) at (12, 6, 3), p = 257, from 1, 4, 5, 8, 9, 12. Over unit messages (one
+    stripe per source symbol) the d joint payloads span exactly d * helper_bound(d, m, e, "centralized") dimensions per
+    stripe. The compiled joint operator has no more nonzero weights than decode_repair_vectors alone compiles, exactly
+    d * beta_bar_e nonzero rows wherever it takes the centralized form, and maps the received symbols to the failed
+    contents exactly, as the factored decode does."""
+    cases = [
+        (encoder8, m, failed, tuple(h for h in range(1, 9) if h not in failed)[:4])
+        for m in range(1, 5)
+        for e in (2, 3)
+        for failed in combinations(range(1, 9), e)
+    ]
+    cases.append((build_encoder(12, 6, Field(257)), 3, (2, 7, 11), (1, 4, 5, 8, 9, 12)))
+    units, centralized = {}, []  # (d, m, e) of each operator in the centralized form
+    for encoder, m, failed, helpers in cases:
+        field, d, per_stripe = encoder.field, encoder.d, m * binom(encoder.d + 1, m + 1)
+        if (encoder, m) not in units:
+            source = [int(i == j) for i in range(per_stripe) for j in range(per_stripe)]
+            units[encoder, m] = encode(encoder, build_message_matrix(source, d, m, field))
+        contents = units[encoder, m]
+        payloads = [helper_payload(contents[h - 1], h, failed, encoder, m) for h in helpers]
+        rank = len(payloads[0].symbols) // per_stripe
+        received = Matrix(field, [[p.symbols[j * per_stripe + s] for p in payloads for j in range(rank)] for s in range(per_stripe)])
+        span = d * helper_bound(d, m, len(failed), "centralized")
+        assert received.rank() == span, (d, m, failed)
+        operator = decode_operator(decode_repair_vectors, encoder, failed, tuple((h, failed, rank) for h in helpers), m)
+        plain = _unit_operator_rows(encoder, failed, helpers, m)
+        assert _weights(operator.data) <= _weights(plain), (d, m, failed)
+        if operator.data != plain:
+            centralized.append((d, m, len(failed)))
+            assert sum(map(any, operator.data)) == span, (d, m, failed)
+        expected = [[v for f in failed for v in contents[f - 1][s]] for s in range(per_stripe)]
+        assert _factored(payloads, encoder, failed) == {f: contents[f - 1] for f in failed}
+        assert received @ operator == Matrix(field, expected), (d, m, failed)
+    assert (_weights(operator.data), _weights(plain)) == (956, 1727)  # (2, 7, 11) at (12, 6, 3), the last case
+    # at m = 2 and m = 3, 16 of the 28 pairs and 48 of the 56 triples; at m = 1 and m = 4, none
+    assert len(centralized) == 2 * (16 + 48) + 1, centralized
+
+
 # --- centralized sequential repair ----------------------------------------
 
 

@@ -21,6 +21,7 @@ from detcode.repair import (
     combine_repair_space,
     decode_failed_nodes,
     decode_operator,
+    decode_repair_vectors,
     decompress_payload,
     helper_payload,
     helper_payloads,
@@ -840,6 +841,29 @@ def test_plane_sent_as_stored_is_range_checked_by_the_receiver(n, d, m, stripes,
     assert (sum(decode_operator.cache_info()[:2]) > looked_up) == (stripes > 1)  # which decode checked it
 
 
+@pytest.mark.parametrize("stripes", [1, 228])
+def test_plane_the_joint_operator_does_not_read_is_range_checked(stripes):
+    """The joint operator of (2, 7, 11) at (12, 6, 3), p = 257, from helpers 1, 4, 5, 8, 9, 12 takes the centralized
+    form: the last payload fills slot 1, so the operator weighs its planes past beta_1 by zero. With 257 in the last
+    payload's last plane, decode_failed_nodes raises ValueError and returns nothing, at 1 stripe (the factored decode)
+    and at 228, twice the operator's 114 rows (the operator): the kernel range-checks every received symbol, weighed
+    or not, so a product that dropped zero rows would fail here."""
+    field = Field(257)
+    encoder, failed, helpers, m = build_encoder(12, 6, field), (2, 7, 11), (1, 4, 5, 8, 9, 12), 3
+    rank = repair_basis(encoder, failed, m)[0].cols
+    operator = decode_operator(decode_repair_vectors, encoder, failed, tuple((h, failed, rank) for h in helpers), m)
+    assert operator.shape == (114, 60) and not any(operator.data[-1]) and sum(map(any, operator.data)) == 102
+    rng = random.Random(45)
+    contents = encode(encoder, build_message_matrix([rng.randrange(257) for _ in range(stripes * 105)], 6, m, field))
+    payloads = [helper_payload(contents[h - 1], h, failed, encoder, m) for h in helpers]
+    assert decode_failed_nodes(payloads, helpers, encoder, failed, m) == {f: contents[f - 1] for f in failed}
+    payloads[-1].symbols[-1] = 257  # the last stripe's symbol in the last plane
+    hits = decode_operator.cache_info().hits
+    with pytest.raises(ValueError, match="out of field range"):
+        decode_failed_nodes(payloads, helpers, encoder, failed, m)
+    assert decode_operator.cache_info().hits - hits == (stripes > 1)  # which decode checked it
+
+
 def test_transmit_hands_the_kernel_only_the_planes_its_other_columns_read(monkeypatch):
     """At (16, 10, 3) with 3 stripes, each helper of a systematic single repair hands batch_product no plane and sends
     its 36 planes as stored; of a parity single repair, all 120 planes; of a joint repair of a systematic and a parity
@@ -913,10 +937,11 @@ def test_payload_built_with_a_list_of_failed_ids_decodes(gf13, encoder8, stripes
 
 
 # SHA-256 of repr(rows) of each decode operator at (8, 4, 2), p = 257, as the decoders before the one-signature
-# contract built it: a change of the decode's composition must leave the compiled map exactly as it was.
+# contract built it: a change of the decode's composition must leave the compiled map exactly as it was. The joint
+# operator takes the centralized form, read from the prefix planes (44 weights on 18 of its 20 rows, not 66 on 20).
 OPERATOR_DIGESTS = [
     ("single", (8,), (8,), (1, 2, 3, 4), (12, 6), "b01c1f864e5771c2031b6767c652e8ee800aec3501215c85b312dff10e9f9849"),
-    ("joint", (1, 5), (1, 5), (2, 3, 4, 6), (20, 12), "91fe302e86e7b979960e02265bd54e684b9d89dc7ec74ea388fa75ce4698c450"),
+    ("joint", (1, 5), (1, 5), (2, 3, 4, 6), (20, 12), "6b680ab20c4efba25275edb0666dfebad113d9cd8f27d21aa39419b2fa9ef21f"),
     ("naive", (1, 5), (5,), (2, 3, 4, 6), (12, 6), "64f420f6fd9cf4690de0002174a5416bbcabe2b27398b9d40d47eeac96714552"),
     ("centralized", (1, 5), (1, 5), (2, 3, 4, 6), (18, 12), "33b1dab9cc97d0766e0bcba8f7f0e883204ddfd5d139315e91b903ddc6a3d31b"),
 ]
